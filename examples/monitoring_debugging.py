@@ -122,7 +122,7 @@ def main() -> None:
     # keep the recent *history* of checkpoints on the device, so we can
     # scan them and pick one safely before the first anomaly.
     from repro.core.distributed import valid_checkpoints
-    from repro.core.recovery import PersistentIterator
+    from repro.core.recovery import load_validated
 
     first_bad = monitor.anomalies[0].step
     margin = 3  # detection lag allowance
@@ -132,7 +132,7 @@ def main() -> None:
     safe = [m for m in on_device if m.step <= first_bad - margin]
     assert safe, "no checkpoint predates the divergence safely"
     chosen = safe[-1]
-    payload = PersistentIterator(inner.layout, chosen).read_all()
+    payload = load_validated(inner.layout, chosen)  # CRC-checked view
     state = deserialize_state(payload)
     print(f"  rolling back to step {state.step}")
     healthy = make_trainer(seed=0)

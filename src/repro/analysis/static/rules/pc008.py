@@ -1,21 +1,27 @@
-"""PC008: payload copies on the zero-copy persist hot path.
+"""PC008: payload copies on the zero-copy persist and restore hot paths.
 
 The persist pipeline threads buffer-protocol objects end to end: the
 staging copy into the pinned DRAM buffer is the *one* intentional copy
 per checkpoint, and everything between it and the device moves
-memoryview slices.  Two patterns silently reintroduce copies:
+memoryview slices.  The restore path mirrors it: ``readinto`` lands
+every chunk in one destination buffer that is handed to the caller as
+is.  Three patterns silently reintroduce copies:
 
 * ``bytes(payload)`` — re-materializes the whole payload (the old
   ``BytesSource(bytes(state))`` double-copy);
 * ``payload[lo:hi]`` on a ``bytes``/``bytearray``-typed local — slicing
   copies the range, which on the writer's share split meant one extra
-  full-payload copy per persist.
+  full-payload copy per persist;
+* ``b"".join(chunks)`` — gathers pieces that were each already a copy
+  into yet another one (the old restore path's
+  ``pread → list of bytes → join``: two copies per recovered byte).
 
-The rule flags both for payload-carrying names in the hot-path modules
-of ``repro/core/`` (engine, writer, orchestrator, chunking).  Views are
-exempt: slicing a ``memoryview`` is O(1), so names like ``view`` stay
-clean — normalize with :func:`repro.storage.device.as_view` first and
-slice the view.  Intentional sites (e.g. a cold recovery read) carry a
+The rule flags all three for payload-carrying names in the hot-path
+modules of ``repro/core/`` (engine, writer, orchestrator, chunking,
+recovery).  Views are exempt: slicing a ``memoryview`` is O(1), so names
+like ``view`` stay clean — normalize with
+:func:`repro.storage.device.as_view` first and slice the view; read into
+a destination buffer instead of joining.  Intentional sites carry a
 ``# pclint: disable=PC008`` suppression.
 """
 
@@ -34,7 +40,8 @@ PAYLOAD_NAMES = frozenset({"payload", "chunk", "data", "snapshot"})
 #: Hot-path modules where a stray copy costs a payload's worth of DRAM
 #: bandwidth per checkpoint.
 HOT_MODULES = frozenset(
-    {"engine.py", "writer.py", "orchestrator.py", "chunking.py"}
+    {"engine.py", "writer.py", "orchestrator.py", "chunking.py",
+     "recovery.py"}
 )
 
 
@@ -55,10 +62,31 @@ def _payload_name(node: ast.expr) -> str:
     return ""
 
 
+def _joined_payload_name(node: ast.Call) -> str:
+    """For ``b"".join(arg)``: the first payload-ish name (singular or
+    plural — ``chunks`` is a list of ``chunk``) ``arg`` mentions."""
+    func = node.func
+    if not (
+        isinstance(func, ast.Attribute)
+        and func.attr == "join"
+        and isinstance(func.value, ast.Constant)
+        and isinstance(func.value.value, bytes)
+        and len(node.args) == 1
+    ):
+        return ""
+    for inner in ast.walk(node.args[0]):
+        name = getattr(inner, "id", None) or getattr(inner, "attr", None)
+        if isinstance(name, str) and (
+            name in PAYLOAD_NAMES or name.rstrip("s") in PAYLOAD_NAMES
+        ):
+            return name
+    return ""
+
+
 @register
 class PayloadCopyOnHotPath(Rule):
     rule_id = "PC008"
-    title = "payload copy on the zero-copy persist path"
+    title = "payload copy on the zero-copy persist/restore path"
 
     def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
         if not _on_hot_path(ctx.path):
@@ -78,6 +106,16 @@ class PayloadCopyOnHotPath(Rule):
                         f"{node.func.id}({name}) materializes a full "
                         f"payload copy on the persist hot path: pass the "
                         f"buffer through as_view() and slice the view",
+                    )
+            elif isinstance(node, ast.Call):
+                name = _joined_payload_name(node)
+                if name:
+                    yield self.report(
+                        ctx,
+                        node,
+                        f"joining {name} gathers pieces that were each "
+                        f"already a copy into another one: readinto() one "
+                        f"destination buffer and hand out views of it",
                     )
             elif isinstance(node, ast.Subscript) and isinstance(
                 node.slice, ast.Slice

@@ -51,6 +51,7 @@ from repro.core.engine import CheckpointEngine
 from repro.core.meta import payload_crc
 from repro.core.recovery import try_recover
 from repro.errors import ConfigError, CorruptCheckpointError
+from repro.storage.device import Buffer, as_view
 
 _DELTA_MAGIC = b"PCDELTA2"
 # magic(8s) base_counter(Q) base_crc(I) total_len(Q) page_size(I) num_pages(I)
@@ -114,8 +115,12 @@ def diff_states(base: bytes, current: bytes, page_size: int,
     )
 
 
-def apply_delta(base: bytes, delta: Delta) -> bytes:
-    """Reconstruct the current state from a base and its delta."""
+def apply_delta(base: Buffer, delta: Delta) -> bytes:
+    """Reconstruct the current state from a base and its delta.
+
+    ``base`` may be any buffer (a recovered anchor is a read-only view);
+    the one copy is the mutable working state the pages are applied to.
+    """
     if len(base) != delta.total_len:
         raise CorruptCheckpointError(
             f"delta expects a base of {delta.total_len} bytes, got {len(base)}"
@@ -143,8 +148,13 @@ def encode_delta(delta: Delta) -> bytes:
     return b"".join(parts)
 
 
-def decode_delta(raw: bytes) -> Delta:
-    """Parse a delta payload; raises on any structural problem."""
+def decode_delta(raw: Buffer) -> Delta:
+    """Parse a delta payload; raises on any structural problem.
+
+    Pages are copied out of ``raw`` (any buffer) one by one — the whole
+    payload is never duplicated first.
+    """
+    raw = as_view(raw)
     if len(raw) < _DELTA_HEADER.size:
         raise CorruptCheckpointError("truncated delta header")
     (magic, base_counter, base_crc, total_len, page_size,
@@ -167,7 +177,7 @@ def decode_delta(raw: bytes) -> Delta:
         length = min(page_size, total_len - start)
         if cursor + length > len(raw):
             raise CorruptCheckpointError("truncated delta page data")
-        pages.append((page_index, raw[cursor : cursor + length]))
+        pages.append((page_index, bytes(raw[cursor : cursor + length])))
         cursor += length
     return Delta(base_counter=base_counter, total_len=total_len,
                  page_size=page_size, pages=tuple(pages),
@@ -284,8 +294,11 @@ class DifferentialCheckpointer:
         self._base_crc = payload_crc(state) if crc is None else crc
         self._since_anchor = 0
 
-    def recover(self) -> Optional[Tuple[int, bytes]]:
-        """Newest reconstructible state as ``(step, bytes)``, or None.
+    def recover(self) -> Optional[Tuple[int, Buffer]]:
+        """Newest reconstructible state as ``(step, buffer)``, or None.
+
+        The state is the recovered anchor's read-only view when no delta
+        applies, else the patched copy.
 
         A delta is applied only when its full anchor token matches —
         base counter *and* base CRC.  A counter match with a CRC

@@ -36,8 +36,8 @@ coordination into the capture/persist pipeline of
 :class:`~repro.core.orchestrator.PCcheckOrchestrator`, and
 :func:`recover_consistent` performs cross-device recovery: scan every
 worker's slots for valid checkpoints, intersect the step sets, and load
-the newest common step — re-validating every payload's CRC after the
-chunked read, with the same retry semantics as the single-device
+the newest common step — every payload CRC-validated on the bytes it
+returns, with the same retry semantics as the single-device
 :func:`~repro.core.recovery.recover`.
 """
 
@@ -51,11 +51,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.engine import CheckpointEngine
 from repro.core.layout import DeviceLayout
-from repro.core.meta import CheckMeta, payload_crc
+from repro.core.meta import CheckMeta
 from repro.core.recovery import (
     DEFAULT_READ_CHUNK,
-    PersistentIterator,
-    _from_commit_record,
+    commit_record_candidate,
+    load_validated,
 )
 from repro.core.reshard import reshard_shards
 from repro.core.sharding import is_shard
@@ -1138,7 +1138,7 @@ class ConsistentCheckpoint:
     """
 
     step: int
-    payloads: List[bytes]  # index-aligned with reader rank
+    payloads: List[memoryview]  # read-only, index-aligned with reader rank
     metas: List[CheckMeta]  # index-aligned with writer rank
     #: Per-writer-rank location mechanism: "commit-record" or "slot-scan".
     sources: List[str] = field(default_factory=list)
@@ -1163,35 +1163,33 @@ def valid_checkpoints(layout: DeviceLayout) -> List[CheckMeta]:
     what make a globally consistent step recoverable when workers crashed
     at different points.
     """
-    found: List[CheckMeta] = []
-    for header in layout.read_all_slot_headers():
-        if header is None or header.payload_len > layout.payload_capacity:
-            continue
-        payload = layout.read_payload(header)
-        if payload_crc(payload) == header.payload_crc:
-            found.append(header)
-    return found
+    return [
+        header
+        for header in layout.read_all_slot_headers()
+        if header is not None and load_validated(layout, header) is not None
+    ]
 
 
-def _candidate_steps(layout: DeviceLayout) -> Tuple[Dict[int, CheckMeta], Dict[int, str]]:
-    """Map step -> best validated meta for one rank's device.
+def _candidate_steps(layout: DeviceLayout) -> Dict[int, Tuple[CheckMeta, str]]:
+    """Map step -> (best validated meta, its source) for one rank's device.
 
     The commit-record fast path is preferred for its step — it is the
     rank's authoritative newest commit — with the slot scan filling in
     the superseded-but-still-durable older steps.
     """
-    by_step: Dict[int, CheckMeta] = {}
-    source: Dict[int, str] = {}
-    for meta in valid_checkpoints(layout):
-        existing = by_step.get(meta.step)
-        if existing is None or meta.counter > existing.counter:
-            by_step[meta.step] = meta
-            source[meta.step] = "slot-scan"
-    committed = _from_commit_record(layout)
-    if committed is not None:
-        by_step[committed.step] = committed
-        source[committed.step] = "commit-record"
-    return by_step, source
+    valid = valid_checkpoints(layout)
+    by_step = {
+        meta.step: (meta, "slot-scan")  # the highest counter wins a step
+        for meta in sorted(valid, key=lambda meta: meta.counter)
+    }
+    committed = commit_record_candidate(layout)
+    # Its payload was validated by the scan unless the record disagrees
+    # with its slot's header about what the payload is.
+    if committed is not None and (
+        committed in valid or load_validated(layout, committed) is not None
+    ):
+        by_step[committed.step] = (committed, "commit-record")
+    return by_step
 
 
 def _reshard_payloads(
@@ -1231,14 +1229,14 @@ def recover_consistent(
 ) -> ConsistentCheckpoint:
     """Find and load the newest step every worker holds a checkpoint for.
 
-    Each payload's CRC is re-validated *after* the chunked
-    :meth:`~repro.core.recovery.PersistentIterator.read_all` — when
-    recovery runs concurrently with writers (an online reader), a slot
-    located via the scan can be recycled and overwritten between
-    locating and reading it.  A failed re-validation retries the whole
-    selection against the region's newer state, mirroring
-    :func:`~repro.core.recovery.recover`; after ``max_attempts`` the
-    error names the rank whose payload kept failing.
+    Each rank's payload is loaded through
+    :func:`~repro.core.recovery.load_validated`, so the bytes returned
+    are the bytes whose CRC was checked — when recovery runs
+    concurrently with writers (an online reader), a slot located via the
+    scan can be recycled and overwritten between locating and loading
+    it.  A refused load retries the whole selection against the region's
+    newer state, mirroring :func:`~repro.core.recovery.recover`; after
+    ``max_attempts`` the error names the rank whose payload kept failing.
 
     ``world_size`` asks for **elastic recovery**: the returned payloads
     are re-partitioned onto that many reader ranks (again as
@@ -1262,12 +1260,7 @@ def recover_consistent(
     started = time.monotonic()
     unstable: Optional[Tuple[int, int]] = None  # (rank, step)
     for _attempt in range(max_attempts):
-        per_worker: List[Dict[int, CheckMeta]] = []
-        per_worker_sources: List[Dict[int, str]] = []
-        for layout in layouts:
-            by_step, source = _candidate_steps(layout)
-            per_worker.append(by_step)
-            per_worker_sources.append(source)
+        per_worker = [_candidate_steps(layout) for layout in layouts]
         common: Set[int] = set(per_worker[0])
         for by_step in per_worker[1:]:
             common &= set(by_step)
@@ -1278,22 +1271,20 @@ def recover_consistent(
                 f"(per-rank steps: {held})"
             )
         step = max(common)
-        payloads: List[bytes] = []
+        payloads: List[memoryview] = []
         metas: List[CheckMeta] = []
         sources: List[str] = []
         unstable = None
         for rank, (layout, by_step) in enumerate(zip(layouts, per_worker)):
-            meta = by_step[step]
-            payload = PersistentIterator(
-                layout, meta, chunk_size=chunk_size
-            ).read_all()
-            if payload_crc(payload) != meta.payload_crc:
+            meta, source = by_step[step]
+            payload = load_validated(layout, meta, chunk_size)
+            if payload is None:
                 # Overwritten (or torn) under the reader: rescan.
                 unstable = (rank, step)
                 break
             payloads.append(payload)
             metas.append(meta)
-            sources.append(per_worker_sources[rank][step])
+            sources.append(source)
         if unstable is None:
             out_payloads = payloads
             resharded = False

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.core.layout import DeviceLayout
-from repro.core.meta import RECORD_SIZE, CheckMeta, decode_commit_record, payload_crc
+from repro.core.meta import RECORD_SIZE, CheckMeta, decode_commit_record
+from repro.core.recovery import load_validated, try_recover
 from repro.errors import LayoutError, StorageError
 from repro.storage.device import PersistentDevice
 from repro.storage.ssd import FileBackedSSD
@@ -121,7 +122,7 @@ def inspect_device(device: PersistentDevice) -> DeviceReport:
             )
             continue
         try:
-            payload = layout.read_payload(header)
+            valid = load_validated(layout, header) is not None
         except StorageError:
             report.slots.append(
                 SlotReport(slot=slot, status="unreadable",
@@ -129,12 +130,10 @@ def inspect_device(device: PersistentDevice) -> DeviceReport:
                            payload_len=header.payload_len)
             )
             continue
-        status = (
-            "valid" if payload_crc(payload) == header.payload_crc
-            else "corrupt-payload"
-        )
         report.slots.append(
-            SlotReport(slot=slot, status=status, counter=header.counter,
+            SlotReport(slot=slot,
+                       status="valid" if valid else "corrupt-payload",
+                       counter=header.counter,
                        step=header.step, payload_len=header.payload_len)
         )
 
@@ -149,17 +148,10 @@ def inspect_device(device: PersistentDevice) -> DeviceReport:
             and pointed.counter == report.commit_record.counter
         )
 
-    from repro.core.recovery import find_committed
-
-    choice = find_committed(layout)
-    report.recovery_choice = choice
+    choice = try_recover(layout, max_attempts=1)
     if choice is not None:
-        report.recovery_source = (
-            "commit-record" if report.commit_record_trusted
-            and report.commit_record is not None
-            and choice.counter == report.commit_record.counter
-            else "slot-scan"
-        )
+        report.recovery_choice = choice.meta
+        report.recovery_source = choice.source
     return report
 
 

@@ -122,6 +122,9 @@ def decode_commit_record(raw: bytes) -> Optional[CheckMeta]:
     return _decode(_COMMIT_MAGIC, raw)
 
 
-def payload_crc(payload: bytes) -> int:
-    """CRC32 used to validate checkpoint payloads at recovery."""
-    return zlib.crc32(payload)
+def payload_crc(payload: bytes, running: int = 0) -> int:
+    """CRC32 used to validate checkpoint payloads at recovery.
+
+    ``running`` continues a CRC over earlier chunks, so a payload can be
+    validated piece by piece as it is read."""
+    return zlib.crc32(payload, running)

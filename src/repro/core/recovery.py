@@ -2,30 +2,32 @@
 
 ``CHECK_ADDR`` (the commit record) points to the last consistent
 checkpoint.  Recovery validates it — magic, record CRC, matching slot
-header, and payload CRC — and loads the payload.  If the commit record
-itself was torn by the crash, recovery falls back to scanning all slot
-headers and picking the newest slot whose header and payload both
-validate.  The fallback is sound because:
+header, payload CRC — and loads the payload.  If the crash tore the
+commit record, recovery falls back to the slot headers, newest counter
+first, and takes the first slot whose header and payload both validate.
+That is sound because a header is persisted only *after* its payload is
+durable (valid header + matching CRC ⇒ complete checkpoint), and a
+recycled slot keeps its old header over bytes that no longer match it.
 
-* headers are written and persisted only *after* the slot's payload is
-  fully durable, so a valid header + matching payload CRC proves a
-  complete checkpoint;
-* a recycled slot being overwritten still carries its old header, but the
-  payload underneath no longer matches that header's CRC, so it is
-  rejected rather than trusted.
-
-The loader is exposed as a *persistent iterator* that reads the payload in
-chunks and logs every read location, mirroring the paper's recovery path
-("loads the checkpoint ... with the help of a persistent iterator, which
-logs data read locations").
+Every restore path goes through ONE loader, :func:`load_validated`: the
+payload is read exactly once, chunk by chunk, straight into one
+destination buffer (``readinto`` — no ``bytes`` per chunk, no join), the
+reads queued on the :class:`~repro.core.writer.ParallelWriter` pool
+while the calling thread folds finished chunks into a running CRC.  The
+buffer comes back, read-only, only if that CRC matches — **the validated
+bytes are the returned bytes** (docs/ALGORITHM.md §Recovery).  Chunk
+locations come from a *persistent iterator* that logs every read, as in
+the paper ("a persistent iterator, which logs data read locations").
 """
 
 from __future__ import annotations
 
-import math
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.layout import DeviceLayout
 from repro.core.meta import (
@@ -35,6 +37,7 @@ from repro.core.meta import (
     decode_slot_header,
     payload_crc,
 )
+from repro.core.writer import ParallelWriter
 from repro.errors import (
     CorruptCheckpointError,
     CrashedDeviceError,
@@ -45,9 +48,15 @@ from repro.errors import (
 )
 from repro.obs.metrics import M, MetricsRegistry
 from repro.obs.trace import NULL_TRACER
+from repro.storage.device import as_view
+from repro.storage.striped import StripedDevice
 
 #: Default read granularity of the persistent iterator.
 DEFAULT_READ_CHUNK: int = 4 * 1024 * 1024
+
+#: Pool threads reading chunks while the restoring thread CRCs — derived,
+#: not a knob: past a few readers the one CRC thread is the limit.
+READ_THREADS: int = max(1, min(os.cpu_count() or 1, 4))
 
 
 @dataclass
@@ -55,80 +64,108 @@ class RecoveredCheckpoint:
     """A validated checkpoint ready to be restored into training state."""
 
     meta: CheckMeta
-    payload: bytes
+    #: Read-only buffer over exactly the bytes whose CRC admitted it.
+    payload: memoryview
     #: Which mechanism located it: "commit-record" or "slot-scan".
     source: str = "commit-record"
 
 
 @dataclass
 class PersistentIterator:
-    """Chunked payload reader that logs each read's device location."""
+    """Chunk locations of one payload, logged as they are handed out:
+    yields ``(device_offset, lo, hi)`` — read into ``dest[lo:hi]``."""
 
     layout: DeviceLayout
     meta: CheckMeta
     chunk_size: int = DEFAULT_READ_CHUNK
     read_log: List[Tuple[int, int]] = field(default_factory=list)
 
-    def __iter__(self) -> Iterator[bytes]:
+    def __iter__(self) -> Iterator[Tuple[int, int, int]]:
         base = self.layout.payload_offset(self.meta.slot)
         total = self.meta.payload_len
-        for index in range(math.ceil(total / self.chunk_size) if total else 0):
-            offset = index * self.chunk_size
-            length = min(self.chunk_size, total - offset)
-            self.read_log.append((base + offset, length))
-            yield self.layout.device.read(base + offset, length)
-
-    def read_all(self) -> bytes:
-        """Materialise the whole payload."""
-        return b"".join(self)
+        for lo in range(0, total, self.chunk_size):
+            hi = min(lo + self.chunk_size, total)
+            self.read_log.append((base + lo, hi - lo))
+            yield base + lo, lo, hi
 
 
-def find_committed(layout: DeviceLayout) -> Optional[CheckMeta]:
-    """Locate the newest valid checkpoint's metadata, or ``None``.
+def load_validated(
+    layout: DeviceLayout,
+    meta: CheckMeta,
+    chunk_size: int = DEFAULT_READ_CHUNK,
+) -> Optional[memoryview]:
+    """Read ``meta``'s payload once; return it iff its CRC matches.
 
-    Fast path: the commit record.  Fallback: scan every slot header and
-    validate payloads, keeping the highest counter that checks out.
+    ``None``: the bytes under the header are not the checkpoint it
+    describes (torn, recycled, impossible length); the buffer is dropped.
+    The destination is uninitialised (``np.empty``) — every byte is about
+    to be overwritten, and zero-filling first costs a third of the read.
     """
-    meta = _from_commit_record(layout)
-    if meta is not None:
-        return meta
-    return _from_slot_scan(layout)
+    if meta.payload_len > layout.payload_capacity:
+        return None
+    dest = np.empty(meta.payload_len, dtype=np.uint8)
+    view = memoryview(dest)
+    spans = PersistentIterator(layout, meta, chunk_size)
+    crc = 0
+    if meta.payload_len <= chunk_size:
+        for offset, lo, hi in spans:
+            layout.device.readinto(offset, view[lo:hi])
+        crc = payload_crc(view)
+    else:
+        # Leaving the block joins the pool, so no reader can still be
+        # filling ``dest`` when an error (or a mismatch) drops it.
+        with ParallelWriter(layout.device, READ_THREADS) as pool:
+            reads = [
+                (pool.submit_read(offset, view[lo:hi]), lo, hi)
+                for offset, lo, hi in spans
+            ]
+            for read, lo, hi in reads:
+                pool.reap(read)
+                crc = payload_crc(view[lo:hi], crc)
+    if crc != meta.payload_crc:
+        return None
+    dest.setflags(write=False)
+    return memoryview(dest)
 
 
-def _from_commit_record(layout: DeviceLayout) -> Optional[CheckMeta]:
+def commit_record_candidate(layout: DeviceLayout) -> Optional[CheckMeta]:
+    """The commit record's checkpoint, if the record itself holds up
+    (record CRC, slot in range, slot header with the same counter).  Its
+    payload is NOT validated here — :func:`load_validated` does that."""
     raw = layout.device.read(layout.commit_offset, RECORD_SIZE)
     meta = decode_commit_record(raw)
-    if meta is None:
-        return None
-    if meta.slot >= layout.num_slots:
+    if meta is None or meta.slot >= layout.num_slots:
         return None
     header = layout.read_slot_header(meta.slot)
     if header is None or header.counter != meta.counter:
         return None
-    if not _payload_valid(layout, meta):
-        return None
     return meta
 
 
-def _from_slot_scan(layout: DeviceLayout) -> Optional[CheckMeta]:
-    best: Optional[CheckMeta] = None
-    for header in layout.read_all_slot_headers():
-        if header is None:
-            continue
-        if header.payload_len > layout.payload_capacity:
-            continue
-        if best is not None and header.counter <= best.counter:
-            continue
-        if _payload_valid(layout, header):
-            best = header
-    return best
+def _candidates(
+    layout: DeviceLayout, seen: List[object]
+) -> Iterator[Tuple[CheckMeta, str]]:
+    """Checkpoints worth loading, best first: the commit record's, then
+    the other slot headers by descending counter (read lazily, once the
+    record's was refused).  Every record decoded is appended to ``seen``."""
+    committed = commit_record_candidate(layout)
+    seen.append(committed)
+    if committed is not None:
+        yield committed, "commit-record"
+    headers = layout.read_all_slot_headers()
+    seen.append(headers)
+    for header in sorted(
+        (h for h in headers if h is not None and h != committed),
+        key=lambda h: -h.counter,
+    ):
+        yield header, "slot-scan"
 
 
-def _payload_valid(layout: DeviceLayout, meta: CheckMeta) -> bool:
-    if meta.payload_len > layout.payload_capacity:
-        return False
-    payload = layout.read_payload(meta)
-    return payload_crc(payload) == meta.payload_crc
+def find_committed(layout: DeviceLayout) -> Optional[CheckMeta]:
+    """Metadata of the newest valid checkpoint, or ``None``: the single
+    pass :func:`recover` makes, with the validated payload dropped."""
+    found = try_recover(layout, max_attempts=1)
+    return found.meta if found is not None else None
 
 
 def recover(
@@ -140,17 +177,20 @@ def recover(
 ) -> RecoveredCheckpoint:
     """Load the newest valid checkpoint from a formatted region.
 
-    The returned payload is re-validated against the header CRC *after*
-    the chunked read: when recovery runs concurrently with writers (an
-    online reader polling the region), a slot located via the scan path
-    can be recycled and overwritten between locating it and reading it —
-    the post-read check catches that and the attempt is retried against
-    the region's newer state.  After a crash there are no writers, so the
-    first attempt always suffices.
+    One pass tries the commit record, then the slot headers by
+    descending counter, and returns the first candidate
+    :func:`load_validated` admits — each payload read once, returned as
+    a read-only buffer over exactly the bytes its CRC was computed on.
 
-    ``metrics``/``tracer`` record the restart-path telemetry the Eq. 4
-    recovery bound is checked against: wall-clock recovery seconds, bytes
-    re-read, and attempts.
+    Under an online reader a slot can be recycled between reading its
+    header and its payload; the CRC refuses it.  A pass that refused
+    every candidate is repeated against the region's newer state,
+    ``max_attempts`` passes at most — but only if the commit record or a
+    header changed since the pass read them.  After a crash there are no
+    writers, so one pass settles it, valid checkpoint or not.
+
+    ``metrics``/``tracer`` record what the Eq. 4 recovery bound is
+    checked against: recovery seconds, payload bytes, and attempts.
 
     Raises :class:`~repro.errors.NoCheckpointError` when the region holds
     no valid checkpoint (fresh format, or every record was torn).
@@ -159,38 +199,32 @@ def recover(
     span = tracer.begin("recovery", device=layout.device.name)
     start = time.monotonic()
 
-    def _observe(outcome: str, meta: Optional[CheckMeta] = None,
-                 nbytes: int = 0, attempts: int = 0) -> None:
+    def _observe(outcome: str, attempts: int, meta: Optional[CheckMeta] = None):
         if metrics is not None:
             metrics.observe(M.RECOVERY_SECONDS, time.monotonic() - start)
             metrics.inc(M.RECOVERY_ATTEMPTS, max(attempts, 1))
-            if nbytes:
-                metrics.inc(M.RECOVERY_BYTES, nbytes)
-        tracer.end(
-            span,
-            outcome=outcome,
-            counter=meta.counter if meta is not None else None,
-        )
+            if meta is not None and meta.payload_len:
+                metrics.inc(M.RECOVERY_BYTES, meta.payload_len)
+        tracer.end(span, outcome=outcome,
+                   counter=meta.counter if meta is not None else None)
 
-    for attempt in range(max_attempts):
-        meta = _from_commit_record(layout)
-        source = "commit-record"
-        if meta is None:
-            meta = _from_slot_scan(layout)
-            source = "slot-scan"
-        if meta is None:
-            _observe("no-checkpoint", attempts=attempt + 1)
+    for attempt in range(1, max_attempts + 1):
+        seen: List[object] = []
+        refused = 0
+        for meta, source in _candidates(layout, seen):
+            view = load_validated(layout, meta, chunk_size)
+            if view is not None:
+                _observe(source, attempt, meta)
+                return RecoveredCheckpoint(meta, view, source)
+            refused += 1
+        if not refused or seen == [
+            commit_record_candidate(layout), layout.read_all_slot_headers()
+        ]:
+            _observe("no-checkpoint", attempt)
             raise NoCheckpointError(
                 f"no valid checkpoint found on {layout.device.name}"
             )
-        iterator = PersistentIterator(layout, meta, chunk_size=chunk_size)
-        payload = iterator.read_all()
-        if payload_crc(payload) == meta.payload_crc:
-            _observe(source, meta=meta, nbytes=len(payload),
-                     attempts=attempt + 1)
-            return RecoveredCheckpoint(meta=meta, payload=payload,
-                                       source=source)
-    _observe("unstable", attempts=max_attempts)
+    _observe("unstable", max_attempts)
     raise NoCheckpointError(
         f"checkpoint on {layout.device.name} kept changing under the "
         f"reader ({max_attempts} attempts)"
@@ -207,19 +241,13 @@ def recover_striped(
     """Reassemble and recover a checkpoint striped across ``members``.
 
     Opens the stripe set (validating every member's CRC-protected
-    manifest), attaches to the region's layout, and runs :func:`recover`
-    — the striped device's reads gather each payload chunk through the
-    reshard machinery, so the recovered payload is bit-identical to what
-    was persisted.  A member that dies mid-recovery surfaces as the same
-    typed :class:`~repro.errors.CorruptCheckpointError` (naming the
-    device) that :meth:`~repro.storage.striped.StripedDevice.open`
-    raises for a member that is already unreadable — callers see ONE
-    failure mode for a degraded stripe set, never a short payload.
+    manifest) and runs :func:`recover` on its layout — the striped
+    ``readinto`` lands each member's segments directly in the
+    destination buffer.  A member that dies mid-recovery surfaces as the
+    same typed :class:`~repro.errors.CorruptCheckpointError` (naming the
+    device) that ``StripedDevice.open`` raises for an unreadable one:
+    ONE failure mode for a degraded stripe set, never a short payload.
     """
-    # Imported here: repro.storage.striped pulls in the reshard gather
-    # kernel from repro.core, and a module-level import would cycle.
-    from repro.storage.striped import StripedDevice
-
     device = StripedDevice.open(members)
     try:
         layout = DeviceLayout.open(device)
@@ -244,26 +272,20 @@ def recover_tiered(
 
     ``hot`` may be a :class:`~repro.storage.tiering.TieredDevice` (its
     ``warm``/``remote`` members are used) or a plain device with the
-    colder tiers passed explicitly.  The walk order is the latency
-    order: **hot → warm → remote**.  Each local tier is opened and
-    recovered independently — a corrupt superblock, torn records, a
-    crashed device, or a mismatched payload CRC all *fall through* to
-    the next tier rather than failing recovery.  The remote tier is
-    scanned newest-blob-first, re-validating each blob's embedded header
-    and payload CRC (an eventually-visible PUT that has not settled is
-    simply not listed yet — the checkpoint is then served by a faster
-    tier or lost with the ingest pipeline, never half-read).
+    colder tiers passed explicitly.  Walk order is latency order, **hot
+    → warm → remote**, and the first tier that yields a valid checkpoint
+    wins: demotion is asynchronous, so a faster tier holding data is
+    always at least as new as the tiers below it.  Each local tier is
+    opened and recovered independently — a corrupt superblock, torn
+    records, a crashed device or a payload CRC mismatch all *fall
+    through* to the next tier.  The remote tier is scanned newest blob
+    first, validating each blob's embedded header and payload CRC (a PUT
+    not yet visible is simply not listed — never half-read).
 
-    A warm/remote copy can legitimately be *older* than the hot commit
-    (demotion is asynchronous); the walk returns the first tier that
-    yields any valid checkpoint, because a faster tier holding data is
-    always at least as new as the tiers below it.
-
-    Raises :class:`~repro.errors.NoCheckpointError` whose message names
-    every tier's typed failure when no tier can serve a checkpoint.
+    Raises :class:`~repro.errors.NoCheckpointError` naming every tier's
+    typed failure when no tier can serve a checkpoint.
     """
-    # Imported here: repro.storage.tiering builds on core.writer, and a
-    # module-level import would cycle through the storage package.
+    # Imported here: tiering imports this module (cycle otherwise).
     from repro.storage.tiering import REMOTE_PREFIX
 
     if warm is None and hasattr(hot, "warm"):
@@ -296,19 +318,17 @@ def recover_tiered(
         try:
             keys = remote.list(REMOTE_PREFIX)
             for key in reversed(keys):  # newest counter first
-                blob = remote.get(key)
+                blob = as_view(remote.get(key))
                 meta = decode_slot_header(blob[:RECORD_SIZE])
                 if meta is None:
                     continue
-                payload = blob[RECORD_SIZE:RECORD_SIZE + meta.payload_len]
-                if payload_crc(payload) != meta.payload_crc:
+                view = blob[RECORD_SIZE:RECORD_SIZE + meta.payload_len]
+                if payload_crc(view) != meta.payload_crc:
                     continue
                 _note("remote", "recovered")
                 if metrics is not None:
-                    metrics.inc(M.RECOVERY_BYTES, len(payload))
-                return RecoveredCheckpoint(
-                    meta=meta, payload=payload, source="remote"
-                )
+                    metrics.inc(M.RECOVERY_BYTES, len(view))
+                return RecoveredCheckpoint(meta, view.toreadonly(), "remote")
             failures.append(("remote", NoCheckpointError(
                 f"no valid blob among {len(keys)} under {REMOTE_PREFIX!r}"
             )))
@@ -332,12 +352,8 @@ def try_recover(
     metrics: Optional[MetricsRegistry] = None,
     tracer=None,
 ) -> Optional[RecoveredCheckpoint]:
-    """Like :func:`recover` but returns ``None`` instead of raising.
-
-    Forwards the caller's ``max_attempts`` retry budget to
-    :func:`recover` — an online reader bounding its polling latency gets
-    the same bound on both entry points.
-    """
+    """:func:`recover`, with ``None`` instead of ``NoCheckpointError``
+    (same ``max_attempts`` bound on both entry points)."""
     try:
         return recover(layout, chunk_size, max_attempts=max_attempts,
                        metrics=metrics, tracer=tracer)

@@ -45,6 +45,13 @@ return immediately) and :meth:`ParallelWriter.reap` (one wait for the
 whole batch, then one covering fence).  ``persist``/``persist_many`` are
 submit+reap back to back; the engine uses the split form to overlap CRC
 compute of chunk *k* with the device writes of chunk *k−1*.
+
+The same pool runs in the other direction for recovery:
+:meth:`ParallelWriter.submit_read` queues one ``readinto`` of a payload
+chunk into the caller's buffer, :meth:`~ParallelWriter.reap` waits for it
+(a read has nothing to fence), and the restoring thread folds chunk *k*
+into its running CRC while the workers read chunks *k+1…* — one pool
+implementation, two directions.
 """
 
 from __future__ import annotations
@@ -138,9 +145,10 @@ class _PersistBatch:
 
 
 class _ShareTask:
-    """One writer share: a zero-copy slice of a payload view."""
+    """One pool share: a zero-copy slice of a payload view, written to
+    the device — or, with ``read`` set, filled from it."""
 
-    __slots__ = ("offset", "view", "lo", "hi", "fence", "batch")
+    __slots__ = ("offset", "view", "lo", "hi", "fence", "batch", "read")
 
     def __init__(
         self,
@@ -150,6 +158,7 @@ class _ShareTask:
         hi: int,
         fence: bool,
         batch: _PersistBatch,
+        read: bool = False,
     ) -> None:
         self.offset = offset
         self.view = view
@@ -157,6 +166,7 @@ class _ShareTask:
         self.hi = hi
         self.fence = fence
         self.batch = batch
+        self.read = read
 
 
 class PersistSubmission:
@@ -169,7 +179,7 @@ class PersistSubmission:
     exactly the pipeline overlap the engine measures.
     """
 
-    __slots__ = ("batch", "shares", "span", "total", "reaped")
+    __slots__ = ("batch", "shares", "span", "total", "reaped", "read")
 
     def __init__(
         self,
@@ -177,6 +187,7 @@ class PersistSubmission:
         shares: Sequence[Tuple[int, memoryview, int, int]],
         span: Optional[Tuple[int, int]],
         total: int,
+        read: bool = False,
     ) -> None:
         #: Completion tracker; ``None`` when the pool was closed (shares
         #: run inline at reap time) or the batch was empty.
@@ -185,6 +196,10 @@ class PersistSubmission:
         self.span = span
         self.total = total
         self.reaped = False
+        #: True for a :meth:`ParallelWriter.submit_read` ticket: its
+        #: shares fill their views from the device, and reap has nothing
+        #: to fence or count as persisted.
+        self.read = read
 
     @property
     def writes_done(self) -> bool:
@@ -326,13 +341,38 @@ class ParallelWriter:
             self._work.notify_all()
         return PersistSubmission(batch, shares, (span_lo, span_hi), total)
 
+    def submit_read(self, offset: int, dest: Buffer) -> PersistSubmission:
+        """Queue ONE ``readinto(offset, dest)`` to the pool — the read
+        direction of :meth:`submit`.
+
+        Not split into shares: the restore path already cuts the payload
+        into chunks and wants each to complete whole, in order, so the
+        caller can fold chunk *k* into its CRC while the pool reads the
+        chunks behind it.  ``dest`` must stay alive and untouched until
+        :meth:`reap` returns.
+        """
+        view = as_view(dest)
+        shares = ((offset, view, 0, len(view)),)
+        with self._work:
+            if self._closed:
+                return PersistSubmission(None, shares, None, len(view), True)
+            batch = _PersistBatch(1)
+            self._ensure_workers()
+            self._queue.append(
+                _ShareTask(offset, view, 0, len(view), False, batch, True)
+            )
+            self._work.notify()
+        return PersistSubmission(batch, shares, None, len(view), True)
+
     def reap(self, submission: PersistSubmission) -> None:
         """Complete a :meth:`submit` batch: one wait, one covering fence.
 
         Blocks until every share settled, re-raises the first share
         failure, then (in ``single`` fence mode) issues ONE fence over
         the batch's covering span.  Idempotent — reaping twice is a
-        no-op, so error-path cleanup can reap defensively.
+        no-op, so error-path cleanup can reap defensively.  A
+        :meth:`submit_read` ticket stops after the wait: reads are not
+        fenced and do not count as persisted bytes.
         """
         if submission.reaped:
             return
@@ -343,11 +383,15 @@ class ParallelWriter:
         if submission.batch is None:
             # Submitted after close: same semantics, caller's thread.
             for piece_offset, view, lo, hi in submission.shares:
-                self._write_share(piece_offset, view, (lo, hi), fence=per_thread)
+                self._run_share(
+                    piece_offset, view, (lo, hi), per_thread, submission.read
+                )
         else:
             submission.batch.done.wait()
             if submission.batch.errors:
                 raise submission.batch.errors[0]
+        if submission.read:
+            return
         if self._fence_mode == "single":
             span_lo, span_hi = submission.span
             self._device.persist(span_lo, span_hi - span_lo)
@@ -408,13 +452,27 @@ class ParallelWriter:
                     return
             error: Optional[BaseException] = None
             try:
-                self._write_share(
+                self._run_share(
                     task.offset, task.view, (task.lo, task.hi),
-                    fence=task.fence,
+                    task.fence, task.read,
                 )
             except BaseException as exc:  # noqa: BLE001 - propagate crash injection
                 error = exc
             task.batch.share_finished(error)
+
+    def _run_share(
+        self,
+        offset: int,
+        view: memoryview,
+        share: Tuple[int, int],
+        fence: bool,
+        read: bool,
+    ) -> None:
+        if read:
+            lo, hi = share
+            self._device.readinto(offset + lo, view[lo:hi])
+        else:
+            self._write_share(offset, view, share, fence)
 
     def _write_share(
         self,

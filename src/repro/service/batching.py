@@ -44,9 +44,11 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.core.recovery import try_recover
 from repro.errors import AdmissionRejected, ConfigError, ServiceError
 from repro.obs.metrics import M
 from repro.service.admission import REASON_CAPACITY, REASON_DRAM_EXHAUSTED
+from repro.storage.device import Buffer, as_view
 from repro.storage.dram import PinnedBuffer
 
 #: Batch manifest magic + format version.
@@ -77,15 +79,18 @@ class BatchEntry:
     tenant: str
     step: int
     seq: int
-    payload: bytes
+    #: Read-only view into the batch payload it was parsed from.
+    payload: memoryview
 
 
-def parse_batch(payload: bytes) -> Dict[str, BatchEntry]:
+def parse_batch(payload: Buffer) -> Dict[str, BatchEntry]:
     """Decode a committed batch payload back into per-tenant entries.
 
     The inverse of what the builder writes; recovery uses it to pull one
-    tenant's state out of the newest committed batch.
+    tenant's state out of the newest committed batch.  Entries are
+    zero-copy views into ``payload``.
     """
+    payload = as_view(payload).toreadonly()
     if len(payload) < _BATCH_HEADER.size:
         raise ServiceError("batch payload shorter than its header")
     magic, version, count = _BATCH_HEADER.unpack_from(payload, 0)
@@ -98,7 +103,7 @@ def parse_batch(payload: bytes) -> Dict[str, BatchEntry]:
     for _ in range(count):
         name_len, step, seq, blob_len = _ENTRY_HEADER.unpack_from(payload, offset)
         offset += _ENTRY_HEADER.size
-        name = payload[offset : offset + name_len].decode("utf-8")
+        name = bytes(payload[offset : offset + name_len]).decode("utf-8")
         offset += name_len
         blob = payload[offset : offset + blob_len]
         if len(blob) != blob_len:
@@ -382,13 +387,8 @@ class CoalescingBatcher:
     def committed_entries(self) -> Dict[str, BatchEntry]:
         """Per-tenant entries of the newest durable batch, read back from
         the device (what a post-crash recovery would see)."""
-        from repro.core.recovery import PersistentIterator, find_committed
-
-        meta = find_committed(self._lease.layout)
-        if meta is None:
-            return {}
-        payload = PersistentIterator(self._lease.layout, meta).read_all()
-        return parse_batch(payload)
+        recovered = try_recover(self._lease.layout)
+        return parse_batch(recovered.payload) if recovered is not None else {}
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -67,6 +67,14 @@ def as_view(data: Buffer) -> memoryview:
     return view
 
 
+def as_dest_view(dest: Buffer) -> memoryview:
+    """:func:`as_view` for a ``readinto`` destination: also writable."""
+    view = as_view(dest)
+    if view.readonly:
+        raise StorageError("readinto destination buffer is read-only")
+    return view
+
+
 class IntervalSet:
     """A set of half-open byte intervals ``[start, stop)``.
 
@@ -251,6 +259,20 @@ class PersistentDevice(ABC):
     @abstractmethod
     def read(self, offset: int, length: int) -> bytes:
         """Return ``length`` bytes at ``offset`` (sees unpersisted writes)."""
+
+    def readinto(self, offset: int, dest: Buffer) -> None:
+        """Fill the writable, C-contiguous ``dest`` with the ``len(dest)``
+        bytes at ``offset`` — :meth:`read` without the intermediate
+        ``bytes``.
+
+        This default is built on :meth:`read` (one extra copy), so a
+        subclass or wrapper that only knows ``read`` keeps working and
+        keeps whatever ``read`` injects; the concrete devices override
+        it to land the bytes in ``dest`` directly, and a wrapper that
+        overrides ``read`` must forward ``readinto`` with the same gate.
+        """
+        view = as_dest_view(dest)
+        view[:] = self.read(offset, len(view))
 
     @abstractmethod
     def persist(self, offset: int, length: int) -> None:

@@ -238,6 +238,9 @@ class CrashPointDevice(PersistentDevice):
     def read(self, offset: int, length: int) -> bytes:
         return self._inner.read(offset, length)
 
+    def readinto(self, offset: int, dest: Buffer) -> None:
+        self._inner.readinto(offset, dest)
+
     def persist(self, offset: int, length: int) -> None:
         self._spend("persist", offset, length)
         self._inner.persist(offset, length)
@@ -325,6 +328,10 @@ class TransientFaultDevice(PersistentDevice):
     def read(self, offset: int, length: int) -> bytes:
         self._gate("read", offset, length)
         return self._inner.read(offset, length)
+
+    def readinto(self, offset: int, dest: Buffer) -> None:
+        self._gate("read", offset, len(as_view(dest)))
+        self._inner.readinto(offset, dest)
 
     def persist(self, offset: int, length: int) -> None:
         self._gate("persist", offset, length)

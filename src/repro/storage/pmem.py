@@ -49,6 +49,7 @@ from repro.storage.device import (
     DeviceStats,
     IntervalSet,
     PersistentDevice,
+    as_dest_view,
     as_view,
     split_cache_lines,
 )
@@ -160,6 +161,19 @@ class SimulatedPMEM(PersistentDevice):
             data = bytes(self._visible[offset : offset + length])
         self._obs_op("read", length, start)
         return data
+
+    def readinto(self, offset: int, dest: Buffer) -> None:
+        """Load from the cache view straight into ``dest``."""
+        self._check_alive()
+        view = as_dest_view(dest)
+        length = len(view)
+        self._check_range(offset, length)
+        start = self._obs_start()
+        with self._lock, memoryview(self._visible) as visible:
+            view[:] = visible[offset : offset + length]
+            self.stats.bytes_read += length
+            self.stats.read_ops += 1
+        self._obs_op("read", length, start)
 
     # ------------------------------------------------------------------
     # persistence barriers

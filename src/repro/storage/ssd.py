@@ -34,6 +34,7 @@ from repro.storage.device import (
     DeviceStats,
     IntervalSet,
     PersistentDevice,
+    as_dest_view,
     as_view,
     split_cache_lines,
 )
@@ -187,6 +188,30 @@ class FileBackedSSD(PersistentDevice):
         self._obs_op("read", length, start)
         return b"".join(chunks)
 
+    def readinto(self, offset: int, dest: Buffer) -> None:
+        """``preadv`` straight into the caller's buffer: no intermediate
+        ``bytes``, no join — the restore path's only copy is the
+        kernel's."""
+        if not hasattr(os, "preadv"):
+            return super().readinto(offset, dest)
+        self._check_open()
+        view = as_dest_view(dest)
+        length = len(view)
+        self._check_range(offset, length)
+        start = self._obs_start()
+        got = 0
+        while got < length:
+            count = os.preadv(self._fd, [view[got:]], offset + got)
+            if not count:
+                raise StorageError(
+                    f"short read at {offset + got} on {self.name}"
+                )
+            got += count
+        with self._lock:
+            self.stats.bytes_read += length
+            self.stats.read_ops += 1
+        self._obs_op("read", length, start)
+
     def persist(self, offset: int, length: int) -> None:
         """``fsync`` the file — durability for every outstanding write.
 
@@ -300,6 +325,18 @@ class InMemorySSD(PersistentDevice):
             data = bytes(self._visible[offset : offset + length])
         self._obs_op("read", length, start)
         return data
+
+    def readinto(self, offset: int, dest: Buffer) -> None:
+        self._check_alive()
+        view = as_dest_view(dest)
+        length = len(view)
+        self._check_range(offset, length)
+        start = self._obs_start()
+        with self._lock, memoryview(self._visible) as visible:
+            view[:] = visible[offset : offset + length]
+            self.stats.bytes_read += length
+            self.stats.read_ops += 1
+        self._obs_op("read", length, start)
 
     def persist(self, offset: int, length: int) -> None:
         """``msync`` the range: dirty bytes inside it become durable."""

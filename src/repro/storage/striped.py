@@ -18,10 +18,9 @@ validates every manifest and turns a missing, corrupt, reordered or dead
 member into a typed :class:`~repro.errors.CorruptCheckpointError` naming
 the device — recovery never silently reassembles a short payload.
 
-Reads gather member extents through the same zero-copy
-:func:`~repro.core.reshard.gather_slices` kernel elastic recovery uses
-(a stripe member is just a writer rank whose shard happens to
-interleave).  ``persist`` issues one *covering* fence per member — in
+``readinto`` lands each member's segment directly in its slice of the
+caller's buffer, so reassembly costs no copy beyond the members' own
+reads.  ``persist`` issues one *covering* fence per member — in
 parallel when more than one member owns bytes of the range — which is
 the fence shape :func:`persist_striped` models for the lint rules.
 
@@ -48,9 +47,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from repro.core.reshard import SourceSlice, gather_slices
 from repro.errors import CorruptCheckpointError, StorageError
-from repro.storage.device import Buffer, PersistentDevice, as_view
+from repro.storage.device import Buffer, PersistentDevice, as_dest_view, as_view
 
 #: Reserved space at the head of every member for its stripe manifest
 #: (aligned so the data region starts on a page boundary).
@@ -323,28 +321,23 @@ class StripedDevice(PersistentDevice):
         self._obs_op("write", length, start)
 
     def read(self, offset: int, length: int) -> bytes:
+        self._check_range(offset, length)
+        staging = bytearray(length)
+        self.readinto(offset, staging)
+        return bytes(staging)
+
+    def readinto(self, offset: int, dest: Buffer) -> None:
         self._check_open()
+        view = as_dest_view(dest)
+        length = len(view)
         self._check_range(offset, length)
         start = self._obs_start()
-        spans = self._member_spans(offset, length)
-        views: Dict[int, memoryview] = {
-            member: memoryview(self._members[member].read(lo, hi - lo))
-            for member, (lo, hi) in spans.items()
-        }
-        # Stripe reassembly IS a reshard gather: member index plays the
-        # writer rank, and every recovered byte is copied exactly once.
-        slices = [
-            SourceSlice(
-                writer_rank=member,
-                source_start=m_off - spans[member][0],
-                length=seg,
-                target_start=logical - offset,
-            )
-            for member, m_off, logical, seg in self._segments(offset, length)
-        ]
-        data = bytes(gather_slices(length, slices, views))
+        for member, m_off, logical, seg in self._segments(offset, length):
+            rel = logical - offset
+            # Stripe reassembly in place: each member's segment lands
+            # directly in its slice of the caller's buffer.
+            self._members[member].readinto(m_off, view[rel : rel + seg])
         self._obs_op("read", length, start)
-        return data
 
     def persist(self, offset: int, length: int) -> None:
         """Per-device covering fences: ONE fence per member owning bytes

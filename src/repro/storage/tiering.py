@@ -57,8 +57,8 @@ from repro.core.meta import (
     CheckMeta,
     encode_commit_record,
     encode_slot_header,
-    payload_crc,
 )
+from repro.core.recovery import load_validated
 from repro.core.writer import ParallelWriter
 from repro.errors import (
     ConfigError,
@@ -160,6 +160,9 @@ class TieredDevice(PersistentDevice):
 
     def read(self, offset: int, length: int) -> bytes:
         return self.hot.read(offset, length)
+
+    def readinto(self, offset: int, dest: Buffer) -> None:
+        self.hot.readinto(offset, dest)
 
     def persist(self, offset: int, length: int) -> None:
         self.hot.persist(offset, length)
@@ -279,11 +282,11 @@ class TierPolicy:
         # Re-read and re-validate the hot copy: the slot may have been
         # recycled under a newer checkpoint since this commit queued.
         try:
-            payload = self._hot_layout.read_payload(meta)
+            payload = load_validated(self._hot_layout, meta)
         except PCcheckError as exc:
             self._count_failure("hot", exc)
             return
-        if payload_crc(payload) != meta.payload_crc:
+        if payload is None:
             with self._lock:
                 self.skipped += 1
             self._inc(M.TIER_DEMOTION_SKIPPED)
@@ -298,7 +301,7 @@ class TierPolicy:
                     M.TIER_DEMOTION_SECONDS, time.monotonic() - start
                 )
 
-    def _demote_warm(self, meta: CheckMeta, payload: bytes) -> bool:
+    def _demote_warm(self, meta: CheckMeta, payload: memoryview) -> bool:
         """Replay the §4.1 ordering onto the warm region."""
         layout = self._warm_layout
         slot = meta.counter % layout.num_slots
@@ -329,10 +332,11 @@ class TierPolicy:
         self._inc(M.TIER_DEMOTION_BYTES, len(payload), tier="warm")
         return True
 
-    def _demote_remote(self, meta: CheckMeta, payload: bytes) -> bool:
+    def _demote_remote(self, meta: CheckMeta, payload: memoryview) -> bool:
         try:
             self._remote.put(
-                remote_key(meta.counter), encode_slot_header(meta) + payload
+                remote_key(meta.counter),
+                b"".join((encode_slot_header(meta), payload)),
             )
         except PCcheckError as exc:
             self._count_failure("remote", exc)

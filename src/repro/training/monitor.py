@@ -251,9 +251,10 @@ class TrainingMonitor:
 
     @classmethod
     def from_bytes(cls, raw: bytes, **kwargs) -> "TrainingMonitor":
-        """Restore a monitor log serialized with :meth:`to_bytes`."""
+        """Restore a monitor log serialized with :meth:`to_bytes` (any
+        buffer — a recovered payload is a read-only view)."""
         try:
-            payload = json.loads(raw)
+            payload = json.loads(bytes(raw))
         except json.JSONDecodeError as exc:
             raise TrainingError("unparsable monitor log") from exc
         monitor = cls(**kwargs)

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import CorruptCheckpointError, TrainingError
+from repro.storage.device import Buffer, as_view
 from repro.storage.dram import PinnedBuffer
 from repro.training.module import Module
 from repro.training.optim import Optimizer
@@ -189,12 +190,17 @@ class TrainingStateSource:
             index += 1
 
 
-def deserialize_state(raw: bytes) -> TrainingState:
+def deserialize_state(raw: Buffer) -> TrainingState:
     """Decode bytes produced by :func:`serialize_state`.
+
+    ``raw`` may be any contiguous buffer (a recovered payload is a
+    read-only ``memoryview``); each tensor is copied out of it exactly
+    once, straight off the view.
 
     Raises :class:`~repro.errors.CorruptCheckpointError` on any structural
     problem — wrong magic, truncated header or payload, bad ranges.
     """
+    raw = as_view(raw)
     prefix = len(_MAGIC) + _LEN_STRUCT.size
     if len(raw) < prefix or raw[: len(_MAGIC)] != _MAGIC:
         raise CorruptCheckpointError("not a PCSTATE1 training state")
@@ -202,7 +208,7 @@ def deserialize_state(raw: bytes) -> TrainingState:
     if len(raw) < prefix + header_len:
         raise CorruptCheckpointError("truncated training-state header")
     try:
-        header = json.loads(raw[prefix : prefix + header_len])
+        header = json.loads(bytes(raw[prefix : prefix + header_len]))
     except json.JSONDecodeError as exc:
         raise CorruptCheckpointError("unparsable training-state header") from exc
     payload = raw[prefix + header_len :]

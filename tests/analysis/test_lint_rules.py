@@ -590,10 +590,53 @@ class TestPC008PayloadCopy:
     def test_outside_hot_modules_clean(self):
         diags = self.lint_hot(
             """
+            def report(self, payload):
+                return bytes(payload)
+            """,
+            path="src/repro/core/inspect.py",
+        )
+        assert diags == []
+
+    RECOVERY_PATH = "src/repro/core/recovery.py"
+
+    def test_restore_path_is_hot(self):
+        diags = self.lint_hot(
+            """
             def recover(self, payload):
                 return bytes(payload)
             """,
-            path="src/repro/core/recovery.py",
+            path=self.RECOVERY_PATH,
+        )
+        assert rule_ids(diags) == ["PC008"]
+
+    def test_join_of_read_chunks_flagged(self):
+        diags = self.lint_hot(
+            """
+            def read_all(self, device, spans):
+                chunks = [device.read(o, n) for o, n in spans]
+                return b"".join(chunks)
+            """,
+            path=self.RECOVERY_PATH,
+        )
+        assert rule_ids(diags) == ["PC008"]
+        assert "readinto" in diags[0].message
+
+    def test_join_over_a_payload_generator_flagged(self):
+        diags = self.lint_hot(
+            """
+            def frame(self, header, payload):
+                return b"".join((header, payload))
+            """
+        )
+        assert rule_ids(diags) == ["PC008"]
+
+    def test_join_of_non_payload_pieces_clean(self):
+        diags = self.lint_hot(
+            """
+            def record(self, magic, fields):
+                return b"".join([magic, *fields]) + ", ".join(self.names)
+            """,
+            path=self.RECOVERY_PATH,
         )
         assert diags == []
 

@@ -332,20 +332,19 @@ class TestRecoverConsistentValidation:
 
         import repro.core.distributed as dist
 
-        real_iterator = dist.PersistentIterator
+        real_load = dist.load_validated
+        torn_layout = workers[1].engine.layout
+        final_loads = []
 
-        class TornIterator:
-            def __init__(self, layout, meta, chunk_size):
-                self._inner = real_iterator(layout, meta, chunk_size=chunk_size)
-                self._rank1 = layout is workers[1].engine.layout
+        def torn_load(layout, meta, chunk_size=None):
+            if chunk_size is None:  # the scan's validation: slot intact
+                return real_load(layout, meta)
+            final_loads.append(layout is torn_layout)
+            if layout is torn_layout:
+                return None  # overwritten under us since the scan
+            return real_load(layout, meta, chunk_size)
 
-            def read_all(self):
-                payload = self._inner.read_all()
-                if self._rank1:
-                    return b"\x00" * len(payload)  # overwritten under us
-                return payload
-
-        monkeypatch.setattr(dist, "PersistentIterator", TornIterator)
+        monkeypatch.setattr(dist, "load_validated", torn_load)
         with pytest.raises(DistributedError) as excinfo:
             recover_consistent(
                 [w.engine.layout for w in workers], max_attempts=3
@@ -353,3 +352,5 @@ class TestRecoverConsistentValidation:
         message = str(excinfo.value)
         assert "rank 1" in message
         assert "3 times" in message
+        # Every attempt loaded rank 0 (once), then was refused rank 1.
+        assert final_loads == [False, True] * 3

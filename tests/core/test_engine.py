@@ -192,7 +192,7 @@ class TestConcurrency:
         # The recovered checkpoint is a complete payload from some writer,
         # and its counter is the maximum committed one.
         recovered = recover(engine.layout)
-        assert recovered.payload.startswith(b"state-")
+        assert bytes(recovered.payload).startswith(b"state-")
         committed = engine.committed()
         assert committed is not None
         assert recovered.meta.counter == committed.counter

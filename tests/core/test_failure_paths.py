@@ -32,6 +32,7 @@ from repro.errors import (
     SlotWaitTimeout,
 )
 from repro.storage.dram import DRAMBufferPool
+from repro.storage.device import PersistentDevice
 from repro.storage.faults import CrashPointDevice
 from repro.storage.ssd import InMemorySSD
 
@@ -169,31 +170,23 @@ class TestOrchestratorFailurePaths:
         assert engine.free_slots == NUM_SLOTS - 1
 
 
-class _FlakyPayloadReads:
-    """Device proxy: every second payload-sized read returns garbage, so
-    the post-read CRC check always fails and recover() must retry."""
+class _CountingReader(PersistentDevice):
+    """Reader-side proxy: counts payload-sized reads and runs ``before``
+    ahead of each.  Only ``read`` is overridden, so recovery's
+    ``readinto`` calls arrive through the base-class default."""
 
-    def __init__(self, inner, payload_len):
+    def __init__(self, inner, payload_len, before=lambda: None):
+        super().__init__(inner.capacity, inner.name)
         self._inner = inner
         self._payload_len = payload_len
+        self.before = before
         self.payload_reads = 0
 
-    @property
-    def name(self):
-        return self._inner.name
-
-    @property
-    def capacity(self):
-        return self._inner.capacity
-
     def read(self, offset, length):
-        data = self._inner.read(offset, length)
         if length == self._payload_len:
-            corrupt = self.payload_reads % 2 == 1
             self.payload_reads += 1
-            if corrupt:
-                return b"\x00" * length
-        return data
+            self.before()
+        return self._inner.read(offset, length)
 
     def write(self, offset, data):
         self._inner.write(offset, data)
@@ -203,31 +196,70 @@ class _FlakyPayloadReads:
 
 
 class TestTryRecoverForwardsMaxAttempts:
-    def build_flaky_layout(self):
+    """The one-read contract: a pass reads each candidate's payload once;
+    ``max_attempts`` bounds re-scans of a region that keeps changing, and
+    a region that does not change is never re-read."""
+
+    def build_region(self):
         geometry = Geometry(num_slots=NUM_SLOTS, slot_size=SLOT_SIZE)
         inner = InMemorySSD(capacity=geometry.total_size)
         layout = DeviceLayout.format(
             inner, num_slots=NUM_SLOTS, slot_size=SLOT_SIZE
         )
-        payload = b"m" * PAYLOAD_CAPACITY
-        CheckpointEngine(layout, writer_threads=1).checkpoint(payload, step=1)
-        flaky = _FlakyPayloadReads(inner, len(payload))
-        return DeviceLayout.open(flaky), flaky
+        engine = CheckpointEngine(layout, writer_threads=1)
+        steps = iter(range(1, 10_000))
+
+        def checkpoint():
+            step = next(steps)
+            engine.checkpoint(bytes([step % 251]) * PAYLOAD_CAPACITY, step=step)
+
+        reader = _CountingReader(inner, PAYLOAD_CAPACITY)
+        return DeviceLayout.open(reader), reader, checkpoint
+
+    def racing_region(self):
+        """Every payload read finds the writer has lapped the reader:
+        NUM_SLOTS new checkpoints recycle every slot first."""
+        layout, reader, checkpoint = self.build_region()
+        checkpoint()
+
+        def lap():
+            for _ in range(NUM_SLOTS):
+                checkpoint()
+
+        reader.before = lap
+        return layout, reader
 
     def test_recover_bounds_its_attempts(self):
-        layout, flaky = self.build_flaky_layout()
+        layout, reader = self.racing_region()
         with pytest.raises(NoCheckpointError, match="kept changing"):
             recover(layout, max_attempts=3)
-        # Each attempt reads the payload twice: once validating the
-        # located record, once through the persistent iterator.
-        assert flaky.payload_reads == 2 * 3
+        # Per pass: the commit record's payload, then every slot's — each
+        # read once, each refused.
+        assert reader.payload_reads == 3 * (1 + NUM_SLOTS)
+        reader.before = lambda: None  # the writer goes quiet
+        reader.payload_reads = 0
+        assert recover(layout).source == "commit-record"
+        assert reader.payload_reads == 1
 
     def test_try_recover_honours_the_same_bound(self):
         """Regression: try_recover() used to drop max_attempts, so a
         caller asking for 3 attempts silently got the default 8."""
-        layout, flaky = self.build_flaky_layout()
+        layout, reader = self.racing_region()
         assert try_recover(layout, max_attempts=3) is None
-        assert flaky.payload_reads == 2 * 3
+        assert reader.payload_reads == 3 * (1 + NUM_SLOTS)
+
+    def test_torn_region_nobody_writes_fails_after_one_pass(self):
+        layout, reader, checkpoint = self.build_region()
+        checkpoint()
+        checkpoint()
+        for slot in range(NUM_SLOTS):
+            layout.device.write(layout.payload_offset(slot), b"\xff" * 8)
+        with pytest.raises(NoCheckpointError, match="no valid checkpoint"):
+            recover(layout, max_attempts=3)
+        # Two intact headers, two payload reads: the commit record's slot
+        # is not read again by the scan, and nothing changed, so no
+        # second pass.
+        assert reader.payload_reads == 2
 
 
 class TestBeginTimeoutMessage:
