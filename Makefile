@@ -34,7 +34,9 @@ test-distributed:
 # Multi-tenant service suite (docs/SERVICE.md): engine-pool lease
 # lifecycle, admission control and Eq. 3 quotas, group-commit batching
 # with the slow-device close-ordering regression, the 8-tenant fleet
-# e2e, the over-subscription hammer, and the shared strategy registry —
+# e2e, the over-subscription hammer, the event-driven dispatcher's
+# ordering/borrowed-pool/stuck-backlog tests (no blocking acquire, retire
+# before dispatch), and the shared strategy registry —
 # then the `serve` demo fleet, which exits non-zero on any slot or
 # DRAM-buffer leak.
 test-service:

@@ -109,6 +109,7 @@ class M:
     SERVICE_BATCHES = "pccheck_service_batches_total"
     SERVICE_BATCH_ENTRIES = "pccheck_service_batch_entries"
     SERVICE_TENANTS = "pccheck_service_tenants"
+    SERVICE_DISPATCH_PARKED = "pccheck_service_dispatch_parked_total"
     POOL_ENGINES_BUILT = "pccheck_pool_engines_built"
     POOL_ENGINES_LEASED = "pccheck_pool_engines_leased"
     POOL_ACQUIRE_WAIT_SECONDS = "pccheck_pool_acquire_wait_seconds_total"

@@ -113,6 +113,7 @@ def run_service_demo(
         "rejected": rejected,
         "batches": counter_total(snapshot, M.SERVICE_BATCHES),
         "batch_entries": counter_total(snapshot, M.SERVICE_BATCH_ENTRIES),
+        "dispatch_parked": counter_total(snapshot, M.SERVICE_DISPATCH_PARKED),
         "persist_fences": counter_total(snapshot, M.DEVICE_OPS, op="persist"),
         "leak_report": leak_report,
     }
@@ -140,6 +141,8 @@ def render_report(report: dict) -> str:
         f"group commit       : {report['coalesced_requests']} coalesced "
         f"requests -> {int(report['batches'])} batches "
         f"({int(report['batch_entries'])} entries)",
+        f"dispatch parked    : {int(report['dispatch_parked'])} attempts "
+        "found every engine leased",
         f"persist fences     : {int(report['persist_fences'])}",
         f"pool leaks         : "
         f"{report['leak_report']['leaked_slots']} slots, "

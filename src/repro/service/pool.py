@@ -36,7 +36,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import PCcheckConfig, validate_choice
 from repro.core.engine import CheckpointEngine
@@ -614,6 +614,12 @@ class EnginePool:
         self._active: Dict[int, EngineLease] = {}
         self._closed = False
         self._last_leak_report: Optional[dict] = None
+        #: Called (outside the lock) whenever a seat becomes available;
+        #: an immutable tuple, replaced on add/remove, so ``release``
+        #: iterates it without the lock.
+        self._release_listeners: Tuple[Callable[[], None], ...] = ()
+        #: Last error a release listener raised (diagnostics only).
+        self.listener_error: Optional[BaseException] = None
 
     # ------------------------------------------------------------------
     # introspection
@@ -676,46 +682,23 @@ class EnginePool:
     # ------------------------------------------------------------------
     # leasing
 
-    def acquire(
-        self, *, timeout: Optional[float] = None, tag: str = "anonymous"
-    ) -> EngineLease:
-        """Lease an engine, building one if a seat is free.
+    def _claim_locked(self) -> Optional[Tuple[Optional[EngineStack], Optional[int]]]:
+        """Take an idle stack or an unbuilt seat: ``(stack, None)`` or
+        ``(None, build_index)``, ``None`` when every seat is leased.
+        Caller holds the pool lock."""
+        if self._closed:
+            raise EngineClosedError(f"engine pool {self._name!r} is closed")
+        if self._idle:
+            return self._idle.pop(0), None
+        if self._unbuilt:
+            return None, self._unbuilt.pop()
+        return None
 
-        Blocks while every seat is leased; with a ``timeout``, raises
-        :class:`~repro.errors.ServiceSaturated` once it expires — the
-        pool-level backpressure signal admission control forwards to
-        tenants.
-        """
-        start = time.monotonic()
-        build_index: Optional[int] = None
-        stack: Optional[EngineStack] = None
-        with self._available:
-            while True:
-                if self._closed:
-                    raise EngineClosedError(
-                        f"engine pool {self._name!r} is closed"
-                    )
-                if self._idle:
-                    stack = self._idle.pop(0)
-                    break
-                if self._unbuilt:
-                    build_index = self._unbuilt.pop()
-                    break
-                remaining = None
-                if timeout is not None:
-                    remaining = timeout - (time.monotonic() - start)
-                    if remaining <= 0:
-                        holders = ", ".join(
-                            sorted(l.tag for l in self._active.values())
-                        )
-                        raise ServiceSaturated(
-                            f"engine pool {self._name!r} saturated: all "
-                            f"{self._size} engines leased "
-                            f"(waited {timeout:g}s; holders: "
-                            f"{holders or 'unknown'})",
-                            reason="pool_exhausted",
-                        )
-                self._available.wait(remaining)
+    def _lease(
+        self, stack: Optional[EngineStack], build_index: Optional[int], tag: str
+    ) -> EngineLease:
+        """Turn a claimed seat into a lease, building its stack if the
+        seat was unbuilt.  Caller does NOT hold the pool lock."""
         if stack is None:
             # Build outside the lock: assembly does real I/O and two
             # concurrent acquires hold distinct seat indices anyway.
@@ -732,18 +715,96 @@ class EnginePool:
                 with self._available:
                     self._unbuilt.append(build_index)
                     self._available.notify()
+                self._notify_seat_freed()
                 raise
         lease = EngineLease(self, stack, tag)
         with self._available:
             self._active[stack.index] = lease
             leased = len(self._active)
             built = leased + len(self._idle)
-        self._metrics.inc(
-            M.POOL_ACQUIRE_WAIT_SECONDS, time.monotonic() - start
-        )
         self._metrics.set_gauge(M.POOL_ENGINES_LEASED, leased)
         self._metrics.set_gauge(M.POOL_ENGINES_BUILT, built)
         return lease
+
+    def acquire(
+        self, *, timeout: Optional[float] = None, tag: str = "anonymous"
+    ) -> EngineLease:
+        """Lease an engine, building one if a seat is free.
+
+        Blocks while every seat is leased; with a ``timeout``, raises
+        :class:`~repro.errors.ServiceSaturated` once it expires — the
+        pool-level backpressure signal admission control forwards to
+        tenants.
+        """
+        start = time.monotonic()
+        with self._available:
+            while True:
+                claim = self._claim_locked()
+                if claim is not None:
+                    break
+                remaining = None
+                if timeout is not None:
+                    remaining = timeout - (time.monotonic() - start)
+                    if remaining <= 0:
+                        holders = ", ".join(
+                            sorted(l.tag for l in self._active.values())
+                        )
+                        raise ServiceSaturated(
+                            f"engine pool {self._name!r} saturated: all "
+                            f"{self._size} engines leased "
+                            f"(waited {timeout:g}s; holders: "
+                            f"{holders or 'unknown'})",
+                            reason="pool_exhausted",
+                        )
+                self._available.wait(remaining)
+        lease = self._lease(*claim, tag)
+        self._metrics.inc(
+            M.POOL_ACQUIRE_WAIT_SECONDS, time.monotonic() - start
+        )
+        return lease
+
+    def try_acquire(self, *, tag: str = "anonymous") -> Optional[EngineLease]:
+        """Lease an engine without waiting: ``None`` when every seat is
+        leased.
+
+        The event-driven counterpart of :meth:`acquire` for callers that
+        must not block on the pool (the service dispatcher): pair it
+        with :meth:`add_release_listener` to learn when to try again.
+        Like ``acquire`` it builds an unbuilt seat, and raises
+        :class:`~repro.errors.EngineClosedError` on a closed pool.
+        """
+        with self._available:
+            claim = self._claim_locked()
+        if claim is None:
+            return None
+        return self._lease(*claim, tag)
+
+    def add_release_listener(self, listener: Callable[[], None]) -> None:
+        """Call ``listener()`` whenever a seat becomes available again
+        (a lease released by *any* holder, or a failed build handing its
+        seat back).
+
+        Listeners run on the releasing thread, outside the pool lock, so
+        they may take their own locks; they must not block.  A listener
+        that raises is ignored — ``release`` never refuses an engine.
+        """
+        with self._lock:
+            self._release_listeners += (listener,)
+
+    def remove_release_listener(self, listener: Callable[[], None]) -> None:
+        with self._lock:
+            self._release_listeners = tuple(
+                fn for fn in self._release_listeners if fn != listener
+            )
+
+    def _notify_seat_freed(self) -> None:
+        # Caller does NOT hold the pool lock; the tuple is replaced, never
+        # mutated, so iterating the current one needs no lock either.
+        for listener in self._release_listeners:
+            try:
+                listener()
+            except Exception as exc:  # noqa: BLE001 - cannot wedge release
+                self.listener_error = exc
 
     def release(self, lease: EngineLease) -> None:
         """Return a leased engine to the pool (idempotent).
@@ -784,6 +845,7 @@ class EnginePool:
                 stack.release_error = exc
         self._metrics.set_gauge(M.POOL_ENGINES_LEASED, leased)
         self._metrics.set_gauge(M.POOL_ENGINES_BUILT, built)
+        self._notify_seat_freed()
 
     # ------------------------------------------------------------------
     # lifecycle

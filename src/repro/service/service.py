@@ -23,6 +23,13 @@ callbacks — which run on orchestrator pipeline threads — only enqueue a
 retirement and wake the dispatcher, never touch the pool themselves, so
 the pipeline can never deadlock against its own drain.
 
+The dispatcher is event-driven: it never waits on the pool.  A dispatch
+attempt that finds every engine leased (``try_acquire`` returns
+``None``) *parks* the head request; a retirement, or the pool's release
+listener reporting a seat freed by any other holder, un-parks it.  No
+timer sits between a request's admission and its ticket settling (see
+docs/SERVICE.md "Dispatch").
+
 Every tenant-visible event lands in the pool's shared metrics registry
 under a ``tenant=`` label (see ``docs/OBSERVABILITY.md``), keeping one
 tenant's telemetry separable from another's without per-tenant
@@ -152,11 +159,9 @@ class CheckpointService:
     """Checkpoint-as-a-service over a shared engine pool (see module
     docstring)."""
 
-    #: How long a dispatch attempt waits for a pooled engine before
-    #: parking the request back at the head of the ready queue.  Short:
-    #: the dispatcher must stay responsive to retirements, which are
-    #: what free engines up in the common case.
-    _DISPATCH_ACQUIRE_TIMEOUT = 0.02
+    #: How long ``register`` waits for an engine to host the coalescing
+    #: batcher before reporting the pool structurally exhausted.
+    _BATCHER_LEASE_TIMEOUT = 1.0
 
     def __init__(
         self,
@@ -183,11 +188,19 @@ class CheckpointService:
         self._tenants: Dict[str, TenantAccount] = {}
         #: Requests admitted and within quota, awaiting an engine.
         self._ready: Deque[_Request] = deque()
-        #: (lease, request, outcome_exc_or_handle) awaiting retirement.
+        #: (lease, request, handle) of finished checkpoints awaiting
+        #: retirement.
         self._retire: Deque[Tuple] = deque()
         self._dispatched = 0
+        #: Pool seats freed so far (bumped by the pool's release listener).
+        self._seats_freed = 0
+        #: ``_seats_freed`` as of the dispatch attempt that last found the
+        #: pool saturated; the head of ``_ready`` is parked while the two
+        #: are equal.  ``None`` when nothing is parked.
+        self._parked_at: Optional[int] = None
         self._closed = False
         self._batcher: Optional[CoalescingBatcher] = None
+        pool.add_release_listener(self._on_seat_freed)
         self._dispatcher = threading.Thread(
             target=self._run, name=f"{name}-dispatcher", daemon=True
         )
@@ -241,7 +254,7 @@ class CheckpointService:
         # real I/O.  The batch lease is held until close.
         try:
             lease = self._pool.acquire(
-                timeout=self._DISPATCH_ACQUIRE_TIMEOUT * 50,
+                timeout=self._BATCHER_LEASE_TIMEOUT,
                 tag=f"{self._name}:batcher",
             )
         except ServiceSaturated as exc:
@@ -426,34 +439,57 @@ class CheckpointService:
             M.TENANT_INFLIGHT, account.inflight, tenant=account.name
         )
 
+    def _on_seat_freed(self) -> None:
+        # Pool release listener: any holder's thread, outside the pool
+        # lock.  Like a completion callback it only counts and notifies.
+        with self._work:
+            self._seats_freed += 1
+            self._work.notify()
+
+    def _dispatchable_locked(self) -> bool:
+        # A ready request that is not parked behind a saturated pool.
+        return bool(self._ready) and self._parked_at != self._seats_freed
+
     def _run(self) -> None:
         while True:
             with self._work:
-                while not self._retire and not self._ready:
+                while not self._retire and not self._dispatchable_locked():
                     if self._closed and self._dispatched == 0:
                         return
                     self._work.wait(0.1 if self._closed else None)
                 retire = list(self._retire)
                 self._retire.clear()
-                request = self._ready.popleft() if self._ready else None
-            for lease, done_request, outcome in retire:
-                self._retire_one(lease, done_request, outcome)
+                if retire:
+                    self._parked_at = None
+                request = None
+                if self._dispatchable_locked():
+                    request = self._ready.popleft()
+                seats_freed = self._seats_freed
+            # Retire before dispatch: a finished request's ticket never
+            # waits behind the next one's engine, and the seat it frees
+            # is there for the attempt below.
+            for lease, done_request, handle in retire:
+                self._retire_one(lease, done_request, handle)
             if request is not None:
-                self._dispatch_one(request)
+                self._dispatch_one(request, seats_freed)
 
-    def _dispatch_one(self, request: _Request) -> None:
+    def _dispatch_one(self, request: _Request, seats_freed: int) -> None:
         try:
-            lease = self._pool.acquire(
-                timeout=self._DISPATCH_ACQUIRE_TIMEOUT,
-                tag=f"{self._name}:{request.account.name}",
+            lease = self._pool.try_acquire(
+                tag=f"{self._name}:{request.account.name}"
             )
-        except ServiceSaturated:
-            # Every engine is busy; a retirement will wake us to retry.
-            with self._work:
-                self._ready.appendleft(request)
-            return
         except BaseException as exc:  # noqa: BLE001 - pool closed under us
             self._fail_request(request, exc)
+            return
+        if lease is None:
+            # Every engine is busy: park until a seat is freed.  A
+            # release since ``seats_freed`` was read (it raced the
+            # attempt) leaves the request un-parked for an immediate
+            # retry.
+            with self._work:
+                self._ready.appendleft(request)
+                self._parked_at = seats_freed
+            self._metrics.inc(M.SERVICE_DISPATCH_PARKED)
             return
         self._metrics.inc(
             M.TENANT_QUEUE_SECONDS,
@@ -465,10 +501,8 @@ class CheckpointService:
                 request.source, step=request.step
             )
         except BaseException as exc:  # noqa: BLE001 - engine refused
+            lease.release()
             self._fail_request(request, exc)
-            with self._work:
-                self._retire.append((lease, None, None))
-                self._work.notify()
             return
         handle.add_done_callback(
             lambda h, lease=lease, request=request: self._on_dedicated_done(
@@ -482,46 +516,17 @@ class CheckpointService:
             self._retire.append((lease, request, handle))
             self._work.notify()
 
-    def _retire_one(self, lease, request: Optional[_Request], handle) -> None:
+    def _retire_one(self, lease, request: _Request, handle) -> None:
         # Lease traffic first: release() drains the (already settled)
         # orchestrator and returns the engine for the next dispatch.
         lease.release()
-        if request is None:
-            return
-        account = request.account
-        error = None
-        result = None
         try:
             result = handle.wait(timeout=0)
         except BaseException as exc:  # noqa: BLE001 - tenant's to observe
-            error = exc
-        with self._lock:
-            account.inflight -= 1
-            account.inflight_bytes -= request.nbytes
-            self._dispatched -= 1
-            if error is not None:
-                account.failures += 1
-            elif result.committed:
-                account.commits += 1
-                account.latest = (request.step, result.counter)
-            else:
-                account.superseded += 1
-            # Backpressure relief: promote backlog into freed headroom.
-            while account.backlog and account.has_headroom(
-                account.backlog[0].nbytes
-            ):
-                queued = account.backlog.popleft()
-                self._admit_locked(queued)
-                self._dispatched += 1
-                self._ready.append(queued)
-            self._metrics.set_gauge(
-                M.TENANT_INFLIGHT, account.inflight, tenant=account.name
-            )
-            self._work.notify()
-            self._idle.notify_all()
-        if error is not None:
-            request.ticket._settle(error=error)  # noqa: SLF001
+            self._fail_request(request, exc)
             return
+        account = request.account
+        self._leave_flight(request, result)
         self._metrics.inc(
             M.TENANT_BYTES, request.nbytes, tenant=account.name
         )
@@ -536,17 +541,39 @@ class CheckpointService:
         )
 
     def _fail_request(self, request: _Request, exc: BaseException) -> None:
+        self._leave_flight(request, None)
+        request.ticket._settle(error=exc)  # noqa: SLF001
+
+    def _leave_flight(self, request: _Request, result) -> None:
+        """``request`` is over — ``result`` is its checkpoint result, or
+        ``None`` if it failed.  Record the outcome, give the tenant its
+        headroom back, promote its backlog into it, and wake the
+        dispatcher and any ``drain``."""
         account = request.account
         with self._lock:
+            if result is None:
+                account.failures += 1
+            elif result.committed:
+                account.commits += 1
+                account.latest = (request.step, result.counter)
+            else:
+                account.superseded += 1
             account.inflight -= 1
             account.inflight_bytes -= request.nbytes
             self._dispatched -= 1
-            account.failures += 1
+            # Backpressure relief: promote backlog into freed headroom.
+            while account.backlog and account.has_headroom(
+                account.backlog[0].nbytes
+            ):
+                queued = account.backlog.popleft()
+                self._admit_locked(queued)
+                self._dispatched += 1
+                self._ready.append(queued)
             self._metrics.set_gauge(
                 M.TENANT_INFLIGHT, account.inflight, tenant=account.name
             )
+            self._work.notify()
             self._idle.notify_all()
-        request.ticket._settle(error=exc)  # noqa: SLF001
 
     # ------------------------------------------------------------------
     # observation
@@ -642,6 +669,7 @@ class CheckpointService:
         if batcher is not None:
             batcher.close()
         self._dispatcher.join(timeout=30)
+        self._pool.remove_release_listener(self._on_seat_freed)
         self._metrics.set_gauge(M.SERVICE_TENANTS, 0)
         if self._owns_pool:
             return self._pool.close()

@@ -149,6 +149,79 @@ class TestEnginePool:
                 assert lease.device is device
 
 
+class TestTryAcquireAndListeners:
+    def test_try_acquire_builds_then_recycles(self):
+        with EnginePool(pmem_spec(), size=2) as pool:
+            first = pool.try_acquire(tag="a")  # builds an unbuilt seat
+            second = pool.try_acquire(tag="b")
+            assert first is not None and second is not None
+            assert pool.built == 2 and pool.in_use == 2
+            assert pool.try_acquire(tag="c") is None
+            assert pool.active_tags() == ["a", "b"]
+            first.release()
+            again = pool.try_acquire(tag="c")
+            assert again is not None and again.stack is first.stack
+            again.release()
+            second.release()
+
+    def test_try_acquire_after_close_raises(self):
+        pool = EnginePool(pmem_spec())
+        pool.close()
+        with pytest.raises(EngineClosedError):
+            pool.try_acquire()
+
+    def test_listener_runs_on_release_outside_the_pool_lock(self):
+        with EnginePool(pmem_spec(), size=1) as pool:
+            seen = []
+
+            def listener():
+                # The lock is not re-entrant: holding it here would
+                # both fail this probe and deadlock pool.available.
+                free = pool._lock.acquire(blocking=False)
+                if free:
+                    pool._lock.release()
+                seen.append((free, pool.available))
+
+            pool.add_release_listener(listener)
+            lease = pool.acquire(tag="t")
+            assert seen == []
+            lease.release()
+            assert seen == [(True, 1)]
+            lease.release()  # idempotent: no second notification
+            assert seen == [(True, 1)]
+            pool.remove_release_listener(listener)
+            pool.acquire(tag="t").release()
+            assert seen == [(True, 1)]
+
+    def test_raising_listener_cannot_wedge_release(self):
+        with EnginePool(pmem_spec(), size=1) as pool:
+            calls = []
+
+            def bad():
+                raise RuntimeError("listener bug")
+
+            pool.add_release_listener(bad)
+            pool.add_release_listener(lambda: calls.append("after"))
+            pool.acquire(tag="t").release()
+            assert calls == ["after"]
+            assert str(pool.listener_error) == "listener bug"
+            assert pool.in_use == 0
+            pool.acquire(tag="t").release()  # the seat really came back
+
+    def test_failed_build_hands_the_seat_back_and_notifies(self, tmp_path):
+        spec = EngineSpec(capacity_bytes=4096, backend="ssd",
+                          path=str(tmp_path / "missing" / "r.pc"))
+        pool = EnginePool(spec, size=1)
+        freed = []
+        pool.add_release_listener(lambda: freed.append(pool.available))
+        with pytest.raises(OSError):
+            pool.try_acquire(tag="t")
+        assert freed == [1]
+        (tmp_path / "missing").mkdir()
+        pool.try_acquire(tag="t").release()
+        pool.close()
+
+
 class TestOpenExistingRegion:
     def test_roundtrip(self, tmp_path):
         path = str(tmp_path / "r.pc")
