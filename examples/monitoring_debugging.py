@@ -57,12 +57,15 @@ class HealthGatedStrategy(CheckpointStrategy):
     def before_update(self) -> None:
         self.inner.before_update()
 
-    def checkpoint(self, payload: bytes, step: int) -> None:
+    def checkpoint(self, state, step: int) -> None:
+        # ``state`` is a snapshot source over the live weights; it is
+        # only forwarded, and before_update() above forwards the gate
+        # that keeps the inner strategy's capture ahead of the update.
         recent_anomaly = any(a.step >= step - 2 for a in self.monitor.anomalies)
         if recent_anomaly:
             self.skipped.append(step)
             return
-        self.inner.checkpoint(payload, step)
+        self.inner.checkpoint(state, step)
 
     def drain(self) -> None:
         self.inner.drain()

@@ -43,10 +43,17 @@ def main() -> None:
     with open_checkpointer(path, capacity_bytes=capacity,
                            num_concurrent=2, writer_threads=3) as ckpt:
         for step in range(1, 24):
+            # state_source() aliases the live weights, so an in-flight
+            # capture must finish before the next update touches them.
+            # (A Trainer driving a CheckpointStrategy places this gate
+            # between backward and the optimizer step by itself.)
+            ckpt.wait_for_snapshots()
             loss = trainer.train_step()
             if step % 5 == 0:
-                # Non-blocking: training continues while threads persist.
-                ckpt.checkpoint_async(trainer.serialized_state(), step=step)
+                # Non-blocking and copy-free on this thread: the engine's
+                # staging copy reads the parameter arrays directly, and
+                # training continues while threads persist.
+                ckpt.checkpoint_async(trainer.state_source(), step=step)
                 print(f"  step {step:3d}  loss {loss:.4f}  checkpoint scheduled")
         ckpt.wait()
         stats = ckpt.metrics()["pccheck_commits_total"]["series"][0]

@@ -30,7 +30,7 @@ from repro.core.layout import DeviceLayout
 from repro.core.meta import CheckMeta
 from repro.core.orchestrator import CheckpointHandle, PCcheckOrchestrator
 from repro.core.recovery import RecoveredCheckpoint
-from repro.core.snapshot import BytesSource, SnapshotSource
+from repro.core.snapshot import SnapshotSource, as_source
 from repro.service.pool import (
     BACKENDS,
     OBSERVABILITY_LEVELS,
@@ -103,12 +103,7 @@ class Checkpointer:
         ``handle.wait()`` blocks for that one checkpoint, :meth:`wait`
         blocks for all of them.
         """
-        # SnapshotSource is a non-runtime-checkable Protocol, so detect it
-        # structurally; anything else (bytes, numpy arrays, ...) must speak
-        # the buffer protocol and gets wrapped zero-copy.
-        if not (hasattr(state, "snapshot_size") and hasattr(state, "capture_chunk")):
-            state = BytesSource(state)
-        return self.orchestrator.checkpoint_async(state, step=step)
+        return self.orchestrator.checkpoint_async(as_source(state), step=step)
 
     def checkpoint(
         self, state: Union[bytes, SnapshotSource], step: int = 0

@@ -41,6 +41,10 @@ from repro.analysis.static.suppress import SuppressionIndex
 #: Bump when the record layout changes; stale pickled caches are dropped.
 CACHE_VERSION = 2
 
+#: Type the inference assigns to ``bytearray(...)`` — the one builtin it
+#: tracks, because slice-assigning into one copies twice (PC008).
+BYTEARRAY = "builtins.bytearray"
+
 
 @dataclass
 class FunctionInfo:
@@ -215,7 +219,7 @@ class ProjectIndex:
         return seen
 
     def _parse(self, path: str, source: str, sha: str) -> FileRecord:
-        from repro.analysis.static.rulebase import FileContext, all_file_rules
+        from repro.analysis.static.rulebase import FileContext, all_rules
 
         self.parse_count += 1
         module = module_name_of(path)
@@ -245,7 +249,8 @@ class ProjectIndex:
             ctx = FileContext(
                 path=path, source=source, tree=tree, project_mode=True
             )
-            for rule in all_file_rules():
+            # Whole-program rules contribute their per-file half, if any.
+            for rule in all_rules():
                 diagnostics.extend(rule.check(ctx))
             diagnostics = sorted(
                 d
@@ -333,7 +338,7 @@ class ProjectIndex:
                 for stmt in ast.walk(finfo.node):
                     if not isinstance(stmt, ast.Assign):
                         continue
-                    resolved = self._expr_class_qual(stmt.value, finfo, env)
+                    resolved = self.expr_class_qual(stmt.value, finfo, env)
                     if resolved is None:
                         continue
                     for target in stmt.targets:
@@ -466,7 +471,7 @@ class ProjectIndex:
             if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
                 target = stmt.targets[0]
                 if isinstance(target, ast.Name):
-                    resolved = self._expr_class_qual(stmt.value, func, env)
+                    resolved = self.expr_class_qual(stmt.value, func, env)
                     if resolved is not None:
                         env.setdefault(target.id, resolved)
         return env
@@ -489,7 +494,7 @@ class ProjectIndex:
                 return self.resolve_class(dotted, module)
         return None
 
-    def _expr_class_qual(
+    def expr_class_qual(
         self, expr: ast.expr, func: FunctionInfo, env: Dict[str, str]
     ) -> Optional[str]:
         """Class qualname the expression evaluates to, if inferable."""
@@ -497,6 +502,8 @@ class ProjectIndex:
             callee = expr.func
             if isinstance(callee, ast.Name):
                 cls = self.resolve_class(callee.id, func.module)
+                if cls is None and callee.id == "bytearray":
+                    return BYTEARRAY
                 return cls.qualname if cls else None
             if isinstance(callee, ast.Attribute):
                 dotted = _dotted(callee)
@@ -534,7 +541,7 @@ class ProjectIndex:
             qual = owner.attr_types.get(expr.attr)
             return self._classes.get(qual) if qual else None
         if isinstance(expr, ast.Call):
-            qual = self._expr_class_qual(expr, func, env)
+            qual = self.expr_class_qual(expr, func, env)
             return self._classes.get(qual) if qual else None
         return None
 

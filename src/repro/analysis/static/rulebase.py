@@ -68,8 +68,9 @@ class ProjectRule(Rule):
 
     Project rules run once per lint invocation against the shared
     :class:`~repro.analysis.static.projectindex.ProjectIndex` instead
-    of once per file; :meth:`check` is a no-op so a project rule mixed
-    into a per-file run contributes nothing.
+    of once per file; :meth:`check` is a no-op by default so a project
+    rule mixed into a per-file run contributes nothing.  A rule with
+    both a syntactic and an index-backed half (PC008) overrides both.
     """
 
     def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
@@ -117,11 +118,6 @@ def all_rules() -> List[Rule]:
     import repro.analysis.static.rules  # noqa: F401
 
     return [_REGISTRY[rule_id]() for rule_id in sorted(_REGISTRY)]
-
-
-def all_file_rules() -> List[Rule]:
-    """Fresh instances of the per-file rules only."""
-    return [r for r in all_rules() if not isinstance(r, ProjectRule)]
 
 
 def all_project_rules() -> List[ProjectRule]:

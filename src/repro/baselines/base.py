@@ -9,13 +9,26 @@ plugs into the :class:`~repro.training.loop.Trainer` through two hooks:
     until in-flight snapshots captured a consistent state; synchronous
     strategies no-op.
 
-``checkpoint(payload, step)``
-    Called at each checkpoint boundary with the serialized training
-    state.  Blocking behaviour is the strategy's defining property:
-    the traditional baseline blocks through copy+persist, CheckFreq
-    blocks only while the *previous* checkpoint is still persisting,
-    GPM blocks through its direct persist, and PCcheck (§3) almost
-    never blocks thanks to concurrent checkpoints.
+``checkpoint(state, step)``
+    Called at each checkpoint boundary with the training state as a
+    :class:`~repro.core.snapshot.SnapshotSource` (raw buffers are
+    accepted too; :func:`~repro.core.snapshot.as_source` normalises).
+    Blocking behaviour is the strategy's defining property: the
+    traditional baseline blocks through copy+persist, CheckFreq blocks
+    only while the *previous* checkpoint is still persisting, GPM blocks
+    through its direct persist, and PCcheck (§3) almost never blocks
+    thanks to concurrent checkpoints.
+
+Source lifetime: the source the trainer passes aliases the *live*
+parameter and optimizer arrays — nothing was copied to build it.  A
+strategy must be done reading it when ``checkpoint()`` returns or, at
+the latest, when the next ``before_update()`` returns; after that the
+optimizer mutates the arrays in place.  The baselines capture into
+their own staging buffer inside ``checkpoint()`` (:func:`stage`);
+PCcheck captures on a pipeline thread and joins it in
+``before_update()`` — Figure 6's T→U stall.  A strategy that needs the
+bytes for longer copies them; one that wraps another strategy forwards
+``before_update()``.
 
 Strategies also expose stall accounting so benchmarks can attribute
 training slowdown to checkpointing.
@@ -25,7 +38,32 @@ from __future__ import annotations
 
 import threading
 from abc import ABC, abstractmethod
-from typing import Optional
+from typing import Optional, Union
+
+from repro.core.snapshot import SnapshotSource, as_source
+from repro.errors import OutOfSpaceError
+from repro.storage.device import Buffer
+from repro.storage.dram import PinnedBuffer
+
+#: What ``checkpoint()`` accepts: a snapshot source or a raw buffer.
+State = Union[SnapshotSource, Buffer]
+
+
+def stage(state: State, staging: PinnedBuffer) -> memoryview:
+    """Snapshot all of ``state`` into ``staging`` — a baseline's one
+    copy — and return a view of the staged bytes.
+
+    The view is valid until ``staging`` is next filled.
+    """
+    source = as_source(state)
+    size = source.snapshot_size()
+    if size > staging.size:
+        raise OutOfSpaceError(
+            f"checkpoint of {size} bytes exceeds staging capacity "
+            f"{staging.size}"
+        )
+    source.capture_chunk(0, size, staging)
+    return staging.view()
 
 
 class StrategyStats:
@@ -66,8 +104,8 @@ class CheckpointStrategy(ABC):
         """Block until pending snapshots are consistent (default: no-op)."""
 
     @abstractmethod
-    def checkpoint(self, payload: bytes, step: int) -> None:
-        """Persist (or schedule persisting) ``payload`` for ``step``."""
+    def checkpoint(self, state: State, step: int) -> None:
+        """Persist (or schedule persisting) ``state`` for ``step``."""
 
     def drain(self) -> None:
         """Wait for all scheduled checkpoints to finish (default: no-op)."""

@@ -7,7 +7,7 @@ removes, is **one checkpoint at a time**: a new snapshot cannot start
 until the previous persist finished, so at high checkpoint frequency the
 training thread stalls waiting (the C₂-after-P₁ gap in Figure 4).
 
-Implementation: the training thread copies the payload into a DRAM
+Implementation: the training thread captures the state into a DRAM
 staging buffer inline (the snapshot — this is also the ``before_update``
 consistency point, trivially satisfied because the copy is synchronous),
 then hands it to a single background persist worker.  ``checkpoint()``
@@ -20,11 +20,11 @@ import threading
 import time
 from typing import Optional
 
-from repro.baselines.base import CheckpointStrategy
+from repro.baselines.base import CheckpointStrategy, State, stage
 from repro.core.engine import CheckpointEngine
 from repro.core.layout import DeviceLayout
-from repro.errors import OutOfSpaceError
-from repro.storage.device import Buffer, PersistentDevice, as_view
+from repro.storage.device import PersistentDevice
+from repro.storage.dram import PinnedBuffer
 
 
 class CheckFreqStrategy(CheckpointStrategy):
@@ -46,7 +46,7 @@ class CheckFreqStrategy(CheckpointStrategy):
         # One pinned staging area reused for every snapshot: the strategy
         # allows a single in-flight checkpoint, and checkpoint() joins the
         # previous persist before re-filling it, so reuse is race-free.
-        self._staging = bytearray(payload_capacity)
+        self._staging = PinnedBuffer(0, payload_capacity)
         self._pending: Optional[threading.Thread] = None
         self._error: Optional[BaseException] = None
         self._lock = threading.Lock()
@@ -56,23 +56,16 @@ class CheckFreqStrategy(CheckpointStrategy):
         """The on-device region (for recovery in tests and examples)."""
         return self._layout
 
-    def checkpoint(self, payload: Buffer, step: int) -> None:
+    def checkpoint(self, state: State, step: int) -> None:
         start = time.monotonic()
         self.stats.checkpoints_started += 1
         # The defining stall: wait for the previous persist to finish.
         self._wait_pending()
-        # Snapshot phase: copy into the reused DRAM staging buffer — the
-        # one copy of the path; training may resume after this.  The
+        # Snapshot phase: capture into the reused DRAM staging buffer —
+        # the one copy of the path; training may resume after this.  The
         # persist worker gets a view of the staged prefix, not a fresh
         # bytes object.
-        view = as_view(payload)
-        if len(view) > len(self._staging):
-            raise OutOfSpaceError(
-                f"payload of {len(view)} bytes exceeds staging capacity "
-                f"{len(self._staging)}"
-            )
-        self._staging[: len(view)] = view
-        snapshot = memoryview(self._staging)[: len(view)]
+        snapshot = stage(state, self._staging)
         worker = threading.Thread(
             target=self._persist, args=(snapshot, step), daemon=True,
             name="checkfreq-persist",

@@ -30,10 +30,11 @@ import threading
 import time
 from typing import List, Optional, Tuple
 
-from repro.baselines.base import CheckpointStrategy
+from repro.baselines.base import CheckpointStrategy, State, stage
 from repro.baselines.gemini import NetworkChannel, RemoteMemoryStore
+from repro.core.snapshot import as_source
 from repro.errors import ConfigError, NoCheckpointError
-from repro.storage.device import Buffer, as_view
+from repro.storage.dram import PinnedBuffer
 
 
 class CheckmateStrategy(CheckpointStrategy):
@@ -58,7 +59,7 @@ class CheckmateStrategy(CheckpointStrategy):
         self._quorum = replicas // 2 + 1
         # One broadcast in flight at a time; the staging buffer is reused
         # (checkpoint() joins the previous transfer before refilling).
-        self._staging = bytearray()
+        self._staging = PinnedBuffer(0, 0)
         self._pending: Optional[threading.Thread] = None
         self._error: Optional[BaseException] = None
         self._latest_step: Optional[int] = None
@@ -88,15 +89,14 @@ class CheckmateStrategy(CheckpointStrategy):
     # ------------------------------------------------------------------
     # CheckpointStrategy interface
 
-    def checkpoint(self, payload: Buffer, step: int) -> None:
+    def checkpoint(self, state: State, step: int) -> None:
         start = time.monotonic()
         self.stats.checkpoints_started += 1
         self._wait_pending()
-        view = as_view(payload)
-        if len(view) > len(self._staging):
-            self._staging = bytearray(len(view))
-        self._staging[: len(view)] = view
-        snapshot = memoryview(self._staging)[: len(view)]
+        source = as_source(state)
+        if source.snapshot_size() > self._staging.size:
+            self._staging = PinnedBuffer(0, source.snapshot_size())
+        snapshot = stage(source, self._staging)
         worker = threading.Thread(
             target=self._broadcast, args=(snapshot, step), daemon=True,
             name="checkmate-broadcast",

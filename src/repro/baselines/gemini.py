@@ -26,9 +26,11 @@ import threading
 import time
 from typing import List, Optional, Tuple
 
-from repro.baselines.base import CheckpointStrategy
+from repro.baselines.base import CheckpointStrategy, State, stage
+from repro.core.snapshot import as_source
 from repro.errors import NoCheckpointError, StorageError
-from repro.storage.device import Buffer, as_view
+from repro.storage.device import Buffer, as_view, copy_into
+from repro.storage.dram import PinnedBuffer
 
 
 class NetworkChannel:
@@ -80,9 +82,10 @@ class RemoteMemoryStore:
     def receive(self, buffer_index: int, offset: int, chunk: Buffer) -> None:
         """Land one network chunk into the staging buffer."""
         buffer = self._buffers[buffer_index]
+        chunk = as_view(chunk)
         if offset + len(chunk) > len(buffer):
             raise StorageError("checkpoint exceeds remote buffer capacity")
-        buffer[offset : offset + len(chunk)] = chunk
+        copy_into(buffer, offset, chunk)
         with self._lock:
             self._lengths[buffer_index] = max(
                 self._lengths[buffer_index], offset + len(chunk)
@@ -128,7 +131,7 @@ class GeminiStrategy(CheckpointStrategy):
         # Reused snapshot staging, grown on demand: one transfer is in
         # flight at a time and checkpoint() joins the previous one before
         # re-filling, so reuse is race-free.
-        self._staging = bytearray()
+        self._staging = PinnedBuffer(0, 0)
         self._pending: Optional[threading.Thread] = None
         self._error: Optional[BaseException] = None
         self._latest_step: Optional[int] = None
@@ -139,17 +142,16 @@ class GeminiStrategy(CheckpointStrategy):
         """The remote memory this strategy checkpoints into."""
         return self._store
 
-    def checkpoint(self, payload: Buffer, step: int) -> None:
+    def checkpoint(self, state: State, step: int) -> None:
         start = time.monotonic()
         self.stats.checkpoints_started += 1
         self._wait_pending()  # one checkpoint at a time (like CheckFreq)
         # Snapshot into the reused staging buffer (the one copy), then
         # stream a view of it — no per-checkpoint bytes materialization.
-        view = as_view(payload)
-        if len(view) > len(self._staging):
-            self._staging = bytearray(len(view))
-        self._staging[: len(view)] = view
-        snapshot = memoryview(self._staging)[: len(view)]
+        source = as_source(state)
+        if source.snapshot_size() > self._staging.size:
+            self._staging = PinnedBuffer(0, source.snapshot_size())
+        snapshot = stage(source, self._staging)
         worker = threading.Thread(
             target=self._transfer, args=(snapshot, step), daemon=True,
             name="gemini-transfer",

@@ -9,8 +9,13 @@ durable before the next iteration proceeds (``cudaDeviceSynchronize`` +
 
 Functionally that makes GPM a synchronous direct-write strategy.  It
 differs from :class:`~repro.baselines.naive.NaiveStrategy` in the data
-path it models: no DRAM copy phase, a single writer stream (copy kernels
-serialise on the PCIe link), and persistence via one barrier at the end.
+path it models: a single writer stream (copy kernels serialise on the
+PCIe link) and persistence via one barrier at the end.  The copy kernels'
+read of GPU memory is the one :func:`~repro.baselines.base.stage` call —
+a :class:`~repro.core.snapshot.SnapshotSource` can only be read through a
+capture — and nothing overlaps it; the buffer it lands in stands in for
+the UVM mapping, not for a DRAM tier (Table 1's "no DRAM" row for GPM is
+:func:`repro.core.config.baseline_footprint`, not this class's RSS).
 """
 
 from __future__ import annotations
@@ -18,10 +23,11 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from repro.baselines.base import CheckpointStrategy
+from repro.baselines.base import CheckpointStrategy, State, stage
 from repro.core.engine import CheckpointEngine
 from repro.core.layout import DeviceLayout
 from repro.storage.device import PersistentDevice
+from repro.storage.dram import PinnedBuffer
 
 
 class GPMStrategy(CheckpointStrategy):
@@ -39,6 +45,7 @@ class GPMStrategy(CheckpointStrategy):
         # One writer thread: GPM's copy kernels stream over a single
         # GPU-device mapping rather than parallel CPU writers.
         self._engine = CheckpointEngine(self._layout, writer_threads=1)
+        self._staging = PinnedBuffer(0, payload_capacity)
         self._latest_step: Optional[int] = None
 
     @property
@@ -46,10 +53,12 @@ class GPMStrategy(CheckpointStrategy):
         """The on-device region (for recovery in tests and examples)."""
         return self._layout
 
-    def checkpoint(self, payload: bytes, step: int) -> None:
+    def checkpoint(self, state: State, step: int) -> None:
         start = time.monotonic()
         self.stats.checkpoints_started += 1
-        result = self._engine.checkpoint(payload, step=step)
+        result = self._engine.checkpoint(
+            stage(state, self._staging), step=step
+        )
         if result.committed:
             self._latest_step = step
         self.stats.checkpoints_completed += 1

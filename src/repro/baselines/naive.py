@@ -4,9 +4,10 @@ PyTorch/TensorFlow-style checkpointing: training stops, the state is
 copied out and persisted, and only then does the next iteration start.
 All four phases — T, U, C (copy), P (persist) — are strictly sequential.
 
-Implementation: a dedicated two-slot engine (one in flight + one valid,
-exactly the ``2 × m`` storage row of Table 1) whose ``checkpoint()`` call
-the training thread performs inline.
+Implementation: the training thread copies the state out into a DRAM
+staging buffer (C), then persists it inline (P) through a dedicated
+two-slot engine (one in flight + one valid, exactly the ``2 × m`` storage
+row of Table 1).
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from repro.baselines.base import CheckpointStrategy
+from repro.baselines.base import CheckpointStrategy, State, stage
 from repro.core.engine import CheckpointEngine
 from repro.core.layout import DeviceLayout
 from repro.storage.device import PersistentDevice
+from repro.storage.dram import PinnedBuffer
 
 
 class NaiveStrategy(CheckpointStrategy):
@@ -35,6 +37,7 @@ class NaiveStrategy(CheckpointStrategy):
             device, num_slots=2, slot_size=payload_capacity + RECORD_SIZE
         )
         self._engine = CheckpointEngine(self._layout, writer_threads=writer_threads)
+        self._staging = PinnedBuffer(0, payload_capacity)
         self._latest_step: Optional[int] = None
 
     @property
@@ -42,10 +45,12 @@ class NaiveStrategy(CheckpointStrategy):
         """The on-device region (for recovery in tests and examples)."""
         return self._layout
 
-    def checkpoint(self, payload: bytes, step: int) -> None:
+    def checkpoint(self, state: State, step: int) -> None:
         start = time.monotonic()
         self.stats.checkpoints_started += 1
-        result = self._engine.checkpoint(payload, step=step)
+        result = self._engine.checkpoint(
+            stage(state, self._staging), step=step
+        )
         if result.committed:
             self._latest_step = step
         self.stats.checkpoints_completed += 1

@@ -11,12 +11,12 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from repro.baselines.base import CheckpointStrategy
+from repro.baselines.base import CheckpointStrategy, State
 from repro.core.config import PCcheckConfig
 from repro.core.engine import CheckpointEngine
 from repro.core.layout import DeviceLayout
 from repro.core.orchestrator import PCcheckOrchestrator
-from repro.core.snapshot import BytesSource
+from repro.core.snapshot import as_source
 from repro.storage.device import PersistentDevice
 from repro.storage.dram import DRAMBufferPool
 
@@ -74,10 +74,10 @@ class PCcheckStrategy(CheckpointStrategy):
         waited = self._orchestrator.wait_for_snapshots()
         self.stats.add_update_block(waited)
 
-    def checkpoint(self, payload: bytes, step: int) -> None:
+    def checkpoint(self, state: State, step: int) -> None:
         start = time.monotonic()
         self.stats.checkpoints_started += 1
-        self._orchestrator.checkpoint_async(BytesSource(payload), step=step)
+        self._orchestrator.checkpoint_async(as_source(state), step=step)
         self.stats.add_checkpoint_block(time.monotonic() - start)
 
     def drain(self) -> None:

@@ -63,6 +63,21 @@ class BytesSource:
         dest.fill(self._data[offset : offset + length])
 
 
+def as_source(state) -> SnapshotSource:
+    """``state`` as a :class:`SnapshotSource` — the one normaliser every
+    checkpoint entry point (``Checkpointer``, ``CheckpointService``, the
+    training-loop strategies) shares.
+
+    ``SnapshotSource`` is a non-runtime-checkable Protocol, so a source
+    is detected structurally and passed through; anything else (bytes,
+    numpy arrays, ...) must speak the buffer protocol and is wrapped
+    zero-copy in a :class:`BytesSource`.
+    """
+    if hasattr(state, "snapshot_size") and hasattr(state, "capture_chunk"):
+        return state
+    return BytesSource(state)
+
+
 class GPUSource:
     """Snapshot source over a simulated GPU buffer, via its copy engines.
 

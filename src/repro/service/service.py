@@ -45,7 +45,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple, Union
 
-from repro.core.snapshot import BytesSource, SnapshotSource
+from repro.core.snapshot import SnapshotSource, as_source
 from repro.errors import (
     AdmissionRejected,
     ConfigError,
@@ -290,10 +290,7 @@ class CheckpointService:
         :class:`~repro.errors.AdmissionRejected` when the tenant is over
         quota with a full backlog, unknown, or oversized.
         """
-        if not (
-            hasattr(state, "snapshot_size") and hasattr(state, "capture_chunk")
-        ):
-            state = BytesSource(state)
+        state = as_source(state)
         nbytes = state.snapshot_size()
         with self._lock:
             account = self._tenants.get(tenant)

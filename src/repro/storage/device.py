@@ -25,6 +25,8 @@ import time
 from abc import ABC, abstractmethod
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.errors import DeviceClosedError, OutOfSpaceError, StorageError
 from repro.obs.metrics import M, MetricsRegistry
 
@@ -73,6 +75,29 @@ def as_dest_view(dest: Buffer) -> memoryview:
     if view.readonly:
         raise StorageError("readinto destination buffer is read-only")
     return view
+
+
+def copy_into(dest: Buffer, offset: int, view: memoryview) -> None:
+    """Copy ``view`` to ``dest[offset : offset + len(view)]`` — one memcpy.
+
+    ``bytearray[a:b] = view`` reads like one copy, but CPython first
+    materializes any right-hand side that is not itself a ``bytearray``
+    as a temporary one: a payload-sized allocation and a second memcpy,
+    both with the GIL held.  ``numpy.copyto`` between two ``uint8``
+    arrays over the same memory allocates nothing, copies once, and
+    releases the GIL while it does — so a capture thread staging a
+    checkpoint does not stop the training thread.
+
+    ``dest`` must be writable and hold ``offset + len(view)`` bytes
+    (callers bounds-check first, with their own typed error); ``view``
+    is a flat ``uint8`` view as :func:`as_view` returns.
+    """
+    length = len(view)
+    if length:
+        np.copyto(
+            np.frombuffer(dest, dtype=np.uint8, count=length, offset=offset),
+            np.frombuffer(view, dtype=np.uint8),
+        )
 
 
 class IntervalSet:

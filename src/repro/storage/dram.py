@@ -23,7 +23,7 @@ import time
 from typing import List, Optional
 
 from repro.errors import EngineError
-from repro.storage.device import Buffer, as_view
+from repro.storage.device import Buffer, as_view, copy_into
 
 
 class PinnedBuffer:
@@ -31,9 +31,13 @@ class PinnedBuffer:
 
     Holds a ``bytearray`` plus the number of valid bytes currently staged
     in it (a checkpoint's final chunk is usually shorter than ``size``).
-    Staging (:meth:`fill`/:meth:`append`) is the *one* intentional copy of
-    the checkpoint path — the snapshot that decouples training from the
-    persist phase; everything downstream moves :meth:`view` slices.
+    Staging (:meth:`fill`/:meth:`append`) is the *one* copy of the
+    checkpoint path — the snapshot that decouples training from the
+    persist phase; everything downstream moves :meth:`view` slices.  It
+    is one *memcpy*, not merely one call: both methods go through
+    :func:`~repro.storage.device.copy_into`, which allocates nothing
+    and copies with the GIL released (a plain ``data[a:b] = view`` would
+    build a payload-sized temporary and copy twice under the GIL).
     """
 
     def __init__(self, index: int, size: int) -> None:
@@ -47,14 +51,15 @@ class PinnedBuffer:
 
         Accepts any C-contiguous buffer-protocol object; the staging copy
         itself is unavoidable (it is the snapshot), but the source is
-        never re-materialized as ``bytes`` on the way in.
+        never re-materialized — as ``bytes`` or as a temporary
+        ``bytearray`` — on the way in.
         """
         view = as_view(payload)
         if len(view) > self.size:
             raise EngineError(
                 f"payload of {len(view)} bytes exceeds chunk size {self.size}"
             )
-        self.data[: len(view)] = view
+        copy_into(self.data, 0, view)
         self.used = len(view)
 
     def append(self, payload: Buffer) -> None:
@@ -70,7 +75,7 @@ class PinnedBuffer:
                 f"appending {len(view)} bytes at {self.used} exceeds "
                 f"chunk size {self.size}"
             )
-        self.data[self.used : self.used + len(view)] = view
+        copy_into(self.data, self.used, view)
         self.used += len(view)
 
     def view(self) -> memoryview:

@@ -51,6 +51,7 @@ from repro.storage.device import (
     PersistentDevice,
     as_dest_view,
     as_view,
+    copy_into,
     split_cache_lines,
 )
 
@@ -130,7 +131,7 @@ class SimulatedPMEM(PersistentDevice):
         self._check_range(offset, length)
         start = self._obs_start()
         with self._lock:
-            self._visible[offset : offset + length] = view
+            copy_into(self._visible, offset, view)
             self._dirty.add(offset, offset + length)
             self.stats.bytes_written += length
             self.stats.write_ops += 1
@@ -144,7 +145,7 @@ class SimulatedPMEM(PersistentDevice):
         self._check_range(offset, length)
         start = self._obs_start()
         with self._lock:
-            self._visible[offset : offset + length] = view
+            copy_into(self._visible, offset, view)
             self._pending_nt.add(offset, offset + length)
             self.stats.bytes_written += length
             self.stats.write_ops += 1
@@ -203,7 +204,7 @@ class SimulatedPMEM(PersistentDevice):
             drained = 0
             for spans in (self._pending_nt, self._flush_queued):
                 for lo, hi in spans:
-                    self._durable[lo:hi] = self._visible[lo:hi]
+                    copy_into(self._durable, lo, memoryview(self._visible)[lo:hi])
                     self._dirty.remove(lo, hi)
                     drained += hi - lo
             self._pending_nt.clear()

@@ -36,6 +36,7 @@ from repro.storage.device import (
     PersistentDevice,
     as_dest_view,
     as_view,
+    copy_into,
     split_cache_lines,
 )
 
@@ -302,7 +303,7 @@ class InMemorySSD(PersistentDevice):
         self._check_range(offset, length)
         start = self._obs_start()
         with self._lock:
-            self._visible[offset : offset + length] = view
+            copy_into(self._visible, offset, view)
             self._dirty.add(offset, offset + length)
             self.stats.bytes_written += length
             self.stats.write_ops += 1
@@ -346,7 +347,7 @@ class InMemorySSD(PersistentDevice):
         with self._lock:
             synced = 0
             for lo, hi in self._dirty.intersect(offset, offset + length):
-                self._durable[lo:hi] = self._visible[lo:hi]
+                copy_into(self._durable, lo, memoryview(self._visible)[lo:hi])
                 synced += hi - lo
             self._dirty.remove(offset, offset + length)
             self.stats.bytes_persisted += synced

@@ -9,7 +9,9 @@ T → U → (C → P) structure of the paper's Figures 3–7:
 * ``strategy.before_update()`` — the consistency stall: asynchronous
   snapshots must finish before weights change;
 * **U** — the optimizer update;
-* every ``interval`` steps, ``strategy.checkpoint(state, step)``.
+* every ``interval`` steps, ``strategy.checkpoint(state_source(), step)``
+  — a snapshot source over the *live* arrays, copied nowhere on the
+  training thread; ``before_update()`` is what makes the aliasing safe.
 
 The trainer also supports failure injection (raise at a chosen step) and
 resuming from a recovered payload, which together form the functional
@@ -35,6 +37,7 @@ from repro.training.state import (
     TrainingState,
     TrainingStateSource,
     capture_state,
+    live_state,
     restore_state,
     serialize_state,
 )
@@ -120,26 +123,38 @@ class Trainer:
     # state management
 
     def capture(self) -> TrainingState:
-        """Snapshot the full training state at the current step."""
+        """Snapshot (copy) the full training state at the current step;
+        the result may be held across updates."""
         return capture_state(self.model, self.optimizer, step=self.step,
                              scheduler=self.scheduler)
 
     def serialized_state(self) -> bytes:
-        """The bytes a checkpoint of the current state persists."""
+        """The bytes a checkpoint of the current state persists (a
+        private copy; may be held across updates)."""
         return serialize_state(self.capture())
 
     def state_source(self) -> TrainingStateSource:
-        """A zero-copy snapshot source over the current state.
+        """A zero-copy snapshot source over the *live* state.
 
-        Hands the engine per-tensor views instead of one concatenated
-        ``bytes`` payload; valid until the next weight update (honor the
-        ``wait_for_snapshots`` contract before stepping the optimizer).
+        Yields exactly the bytes :meth:`serialized_state` would, but
+        builds only the header: its segments are views of the parameter
+        and optimizer arrays themselves, so the engine's staging copy is
+        the first and only copy.  Valid until the next weight update —
+        call ``strategy.before_update()`` / ``wait_for_snapshots()``
+        before stepping the optimizer, as :meth:`train_step` does.
         """
-        return TrainingStateSource(self.capture())
+        return TrainingStateSource(
+            live_state(self.model, self.optimizer, step=self.step,
+                       scheduler=self.scheduler)
+        )
 
     def resume_from(self, state: TrainingState) -> None:
         """Restore model + optimizer (+ schedule) and continue from
         ``state.step``."""
+        if self.strategy is not None:
+            # Restoring overwrites the live arrays in place, so it passes
+            # the same T→U gate as an optimizer update.
+            self.strategy.before_update()
         restore_state(state, self.model, self.optimizer,
                       scheduler=self.scheduler)
         self.step = state.step
@@ -197,7 +212,7 @@ class Trainer:
             if self.strategy is not None and due:
                 checkpoint_started = time.monotonic()
                 self.tracer.instant("checkpoint_request", step=self.step)
-                self.strategy.checkpoint(self.serialized_state(), step=self.step)
+                self.strategy.checkpoint(self.state_source(), step=self.step)
                 if self.adaptive is not None:
                     # The blocking part of the call approximates the
                     # visible checkpoint cost; strategies report full Tw

@@ -105,9 +105,19 @@ class Module:
     # ------------------------------------------------------------------
     # state dicts
 
+    def state_tensors(self) -> Dict[str, np.ndarray]:
+        """The *live* parameter tensors, keyed by dotted name — no copies.
+
+        The one enumeration of this module's checkpointable state:
+        :meth:`state_dict` copies from it, and a zero-copy snapshot
+        source reads through it.  The arrays change at the next
+        optimizer update.
+        """
+        return {name: param.data for name, param in self.named_parameters()}
+
     def state_dict(self) -> Dict[str, np.ndarray]:
         """Copies of all parameter tensors, keyed by dotted name."""
-        return {name: param.data.copy() for name, param in self.named_parameters()}
+        return {name: value.copy() for name, value in self.state_tensors().items()}
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
         """Restore parameters from :meth:`state_dict` output.

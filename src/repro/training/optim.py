@@ -42,9 +42,20 @@ class Optimizer:
         """Apply one update from the accumulated gradients."""
         raise NotImplementedError
 
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        """All optimizer buffers, keyed by ``<buffer>/<param-name>``."""
+    def state_tensors(self) -> Dict[str, np.ndarray]:
+        """The *live* optimizer buffers, keyed by ``<buffer>/<param-name>``
+        — no copies (scalars such as the step count are boxed afresh).
+
+        The one enumeration of an optimizer's checkpointable state:
+        :meth:`state_dict` copies from it, :meth:`state_nbytes` sums over
+        it, and a zero-copy snapshot source reads through it.  The arrays
+        change at the next :meth:`step`.
+        """
         raise NotImplementedError
+
+    def state_dict(self) -> Dict[str, np.ndarray]:
+        """Copies of all optimizer buffers (see :meth:`state_tensors`)."""
+        return {name: value.copy() for name, value in self.state_tensors().items()}
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
         """Restore buffers from :meth:`state_dict` output."""
@@ -52,7 +63,7 @@ class Optimizer:
 
     def state_nbytes(self) -> int:
         """Bytes of optimizer state (counted into checkpoint size)."""
-        return sum(value.nbytes for value in self.state_dict().values())
+        return sum(value.nbytes for value in self.state_tensors().values())
 
     def _check_keys(self, state: Dict[str, np.ndarray], expected) -> None:
         if set(state) != set(expected):
@@ -86,8 +97,8 @@ class SGD(Optimizer):
                 param.data -= self.lr * param.grad
         self.steps += 1
 
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        state = {f"velocity/{name}": v.copy() for name, v in self._velocity.items()}
+    def state_tensors(self) -> Dict[str, np.ndarray]:
+        state = {f"velocity/{name}": v for name, v in self._velocity.items()}
         state["steps"] = np.array([self.steps], dtype=np.int64)
         return state
 
@@ -138,11 +149,11 @@ class Adam(Optimizer):
             v_hat = v / bias2
             param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def state_dict(self) -> Dict[str, np.ndarray]:
+    def state_tensors(self) -> Dict[str, np.ndarray]:
         state: Dict[str, np.ndarray] = {}
         for name in self._m:
-            state[f"exp_avg/{name}"] = self._m[name].copy()
-            state[f"exp_avg_sq/{name}"] = self._v[name].copy()
+            state[f"exp_avg/{name}"] = self._m[name]
+            state[f"exp_avg_sq/{name}"] = self._v[name]
         state["steps"] = np.array([self.steps], dtype=np.int64)
         return state
 

@@ -64,6 +64,33 @@ class TrainingState:
         }
 
 
+def live_state(
+    model: Module,
+    optimizer: Optional[Optimizer] = None,
+    step: int = 0,
+    scheduler=None,
+) -> TrainingState:
+    """A :class:`TrainingState` over the *live* model (and optimizer)
+    arrays — nothing is copied, so it is only a consistent snapshot
+    until the next weight update.
+
+    The one enumeration of what a checkpoint contains:
+    :func:`capture_state` copies from it, :class:`TrainingStateSource`
+    captures through it.  (A scheduler's state is two scalars, boxed
+    afresh by its ``state_dict()``.)
+    """
+    tensors: Dict[str, np.ndarray] = {
+        f"model/{name}": value for name, value in model.state_tensors().items()
+    }
+    if optimizer is not None:
+        for name, value in optimizer.state_tensors().items():
+            tensors[f"optim/{name}"] = value
+    if scheduler is not None:
+        for name, value in scheduler.state_dict().items():
+            tensors[f"sched/{name}"] = value
+    return TrainingState(step=step, tensors=tensors)
+
+
 def capture_state(
     model: Module,
     optimizer: Optional[Optimizer] = None,
@@ -71,17 +98,12 @@ def capture_state(
     scheduler=None,
 ) -> TrainingState:
     """Snapshot model (and optimizer/scheduler) tensors into a
-    :class:`TrainingState`."""
-    tensors: Dict[str, np.ndarray] = {
-        f"model/{name}": value for name, value in model.state_dict().items()
-    }
-    if optimizer is not None:
-        for name, value in optimizer.state_dict().items():
-            tensors[f"optim/{name}"] = value
-    if scheduler is not None:
-        for name, value in scheduler.state_dict().items():
-            tensors[f"sched/{name}"] = value
-    return TrainingState(step=step, tensors=tensors)
+    :class:`TrainingState` the caller may hold across updates."""
+    live = live_state(model, optimizer, step=step, scheduler=scheduler)
+    return TrainingState(
+        step=step,
+        tensors={key: value.copy() for key, value in live.tensors.items()},
+    )
 
 
 def restore_state(
@@ -153,7 +175,11 @@ class TrainingStateSource:
     staging buffer.  The tensors themselves are never concatenated, so the
     staging copy is the only copy between the training state and storage.
 
-    The source aliases the state's tensor memory: the trainer must not
+    The source aliases the state's tensor memory.  Over a
+    :func:`capture_state` copy that is private memory; over
+    :func:`live_state` (what :meth:`Trainer.state_source
+    <repro.training.loop.Trainer.state_source>` builds) it is the
+    parameters and optimizer moments themselves, so the trainer must not
     update weights while a capture is in flight — the same
     ``wait_for_snapshots`` contract every snapshot source carries.
     """
@@ -231,8 +257,9 @@ def deserialize_state(raw: Buffer) -> TrainingState:
 
 
 def checkpoint_nbytes(model: Module, optimizer: Optional[Optimizer] = None) -> int:
-    """Serialized size of a model(+optimizer) checkpoint, in bytes."""
-    return len(serialize_state(capture_state(model, optimizer)))
+    """Serialized size of a model(+optimizer) checkpoint, in bytes —
+    summed over views; no tensor is copied to learn its size."""
+    return TrainingStateSource(live_state(model, optimizer)).snapshot_size()
 
 
 def states_equal(first: TrainingState, second: TrainingState) -> bool:

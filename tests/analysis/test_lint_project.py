@@ -462,6 +462,119 @@ class TestPC011ViewEscapes:
 
 
 # ----------------------------------------------------------------------
+# PC008 (index-backed half): slice-assignment into a bytearray
+
+
+STAGING = """
+    class PinnedBuffer:
+        def __init__(self, size):
+            self.data = bytearray(size)
+            self.used = 0
+
+        def fill(self, view):
+            self.data[: len(view)] = view{suffix}
+            self.used = len(view)
+"""
+
+
+class TestPC008BytearraySliceAssign:
+    STORAGE = "src/repro/storage/dram.py"
+
+    def lint(self, tmp_path, code, path=STORAGE, **fmt):
+        root = write_tree(tmp_path, {path: code.format(**fmt) if fmt else code})
+        diags, _ = lint_paths([root], select={"PC008"})
+        return diags
+
+    def test_attribute_initialised_from_bytearray_flagged(self, tmp_path):
+        diags = self.lint(tmp_path, STAGING, suffix="")
+        assert rules_fired(diags) == {"PC008"}
+        assert len(diags) == 1
+        assert "self.data" in diags[0].message
+        assert "copy_into" in diags[0].message
+
+    def test_attribute_regrown_in_another_method_flagged(self, tmp_path):
+        diags = self.lint(tmp_path, """
+            class Sender:
+                def __init__(self):
+                    self._staging = None
+
+                def grow(self, n):
+                    self._staging = bytearray(n)
+
+                def checkpoint(self, view):
+                    self._staging[: len(view)] = view
+        """, path="src/repro/baselines/sender.py")
+        assert rules_fired(diags) == {"PC008"}
+
+    def test_local_bytearray_flagged_on_the_hot_path(self, tmp_path):
+        diags = self.lint(tmp_path, """
+            def gather(pieces, total):
+                out = bytearray(total)
+                offset = 0
+                for piece in pieces:
+                    out[offset : offset + len(piece)] = piece
+                    offset += len(piece)
+                return out
+        """, path="src/repro/core/recovery.py")
+        assert rules_fired(diags) == {"PC008"}
+
+    def test_bytearray_to_bytearray_and_copy_into_are_clean(self, tmp_path):
+        diags = self.lint(tmp_path, """
+            from repro.storage.device import copy_into
+
+
+            class Device:
+                def __init__(self, capacity):
+                    self._visible = bytearray(capacity)
+                    self._durable = bytearray(capacity)
+
+                def write(self, offset, view):
+                    copy_into(self._visible, offset, view)
+
+                def persist(self, lo, hi):
+                    self._durable[lo:hi] = self._visible[lo:hi]
+
+                def reset(self):
+                    self._visible[:] = bytearray(len(self._visible))
+
+                def poke(self, offset, value):
+                    self._visible[offset] = value
+        """)
+        assert diags == []
+
+    def test_unknown_targets_and_other_modules_are_clean(self, tmp_path):
+        # A parameter's type is unknown to the index: no guessing.
+        diags = self.lint(tmp_path, """
+            def fill(dest, view):
+                dest[: len(view)] = view
+        """)
+        assert diags == []
+        diags = self.lint(tmp_path, STAGING, path="src/repro/obs/driver.py",
+                          suffix="")
+        assert diags == []
+
+    def test_suppression_and_single_file_mode(self, tmp_path):
+        diags = self.lint(tmp_path, STAGING,
+                          suffix="  # pclint: disable=PC008")
+        assert diags == []
+        # The target's type comes from the project index, so the
+        # per-file mode cannot (and does not) report this pattern.
+        from repro.analysis.static.runner import lint_source
+
+        source = textwrap.dedent(STAGING.format(suffix=""))
+        assert lint_source(source, path=self.STORAGE,
+                           select={"PC008"}) == []
+
+    def test_syntactic_half_still_runs_in_project_mode(self, tmp_path):
+        diags = self.lint(tmp_path, """
+            def persist(self, offset, payload):
+                self._device.write(offset, bytes(payload))
+        """, path="src/repro/core/writer.py")
+        assert rules_fired(diags) == {"PC008"}
+        assert "bytes(payload)" in diags[0].message
+
+
+# ----------------------------------------------------------------------
 # incremental index
 
 

@@ -2,21 +2,31 @@
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.baselines import (
     CheckFreqStrategy,
+    CheckpointStrategy,
+    GeminiStrategy,
     GPMStrategy,
     NaiveStrategy,
     PCcheckStrategy,
+    RemoteMemoryStore,
     available_strategies,
     build_strategy,
     required_capacity,
 )
 from repro.core.config import PCcheckConfig
 from repro.core.recovery import recover
-from repro.errors import ConfigError
+from repro.core.snapshot import BytesSource
+from repro.errors import ConfigError, OutOfSpaceError
 from repro.storage.ssd import InMemorySSD
+from repro.training.data import SyntheticRegression
+from repro.training.loop import Trainer
+from repro.training.losses import mse
+from repro.training.models import MLP
+from repro.training.optim import Adam
 
 PAYLOAD = 4096
 
@@ -156,3 +166,83 @@ class TestRegistry:
         from repro.core.meta import RECORD_SIZE
 
         assert pccheck_cap - naive_cap == 2 * (PAYLOAD + RECORD_SIZE)
+
+
+# ----------------------------------------------------------------------
+# What checkpoint() accepts: one normaliser (as_source) for every strategy
+
+
+class _Forwarding(CheckpointStrategy):
+    """A wrapping strategy, as in examples/monitoring_debugging.py: it
+    never looks at the state, it only passes it (and the T→U gate) on."""
+
+    name = "forwarding"
+
+    def __init__(self, inner):
+        super().__init__()
+        self.inner = inner
+
+    def before_update(self):
+        self.inner.before_update()
+
+    def checkpoint(self, state, step):
+        self.inner.checkpoint(state, step)
+
+    def drain(self):
+        self.inner.drain()
+
+    def close(self):
+        self.inner.close()
+
+
+def _build(name, capacity):
+    if name == "gemini":  # functional, but not in the registry
+        return GeminiStrategy(RemoteMemoryStore(capacity))
+    if name == "forwarding":
+        return _Forwarding(build_strategy("pccheck", memory_factory, capacity))
+    return build_strategy(name, memory_factory, capacity)
+
+
+def _recovered(strategy):
+    strategy = getattr(strategy, "inner", strategy)
+    if hasattr(strategy, "layout"):
+        found = recover(strategy.layout)
+        return found.meta.step, bytes(found.payload)
+    step, payload = strategy.recover()
+    return step, bytes(payload)
+
+
+@pytest.mark.parametrize(
+    "name", available_strategies() + ["gemini", "forwarding"]
+)
+def test_every_strategy_takes_sources_and_raw_buffers_alike(name):
+    model = MLP([6, 5, 3], np.random.default_rng(4))
+    trainer = Trainer(model, Adam(model), SyntheticRegression(
+        batch_size=2, in_dim=6, out_dim=3, seed=4), loss_fn=mse)
+    trainer.train(2)
+    blob = trainer.serialized_state()
+    strategy = _build(name, len(blob) + 64)
+    states = [
+        trainer.state_source(),  # live arrays, gathered segment by segment
+        BytesSource(blob),
+        blob,                    # raw bytes: wrapped by as_source
+        memoryview(blob),
+    ]
+    for step, state in enumerate(states, start=1):
+        strategy.checkpoint(state, step=step)
+        # The source-lifetime contract: reads are over by now.
+        strategy.before_update()
+        strategy.drain()
+        assert _recovered(strategy) == (step, blob)
+    strategy.close()
+
+
+def test_oversized_state_is_a_typed_error_for_staging_strategies():
+    for name in ("naive", "gpm", "checkfreq"):
+        strategy = build_strategy(name, memory_factory, 64)
+        with pytest.raises(OutOfSpaceError):
+            strategy.checkpoint(b"x" * 65, step=1)
+        strategy.checkpoint(b"fits", step=2)
+        strategy.drain()
+        assert recover(strategy.layout).payload == b"fits"
+        strategy.close()

@@ -2,11 +2,13 @@
 
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.errors import EngineError, OutOfSpaceError, StorageError
+from repro.storage.device import copy_into
 from repro.storage.dram import DRAMBufferPool, PinnedBuffer
 from repro.storage.gpu import GPUBuffer, SimulatedGPU
 
@@ -28,6 +30,52 @@ class TestPinnedBuffer:
         buffer.fill(b"longer-data")
         buffer.fill(b"ab")
         assert buffer.view() == b"ab"
+
+
+    def test_append_lands_after_staged_bytes(self):
+        buffer = PinnedBuffer(index=0, size=16)
+        buffer.fill(b"head-")
+        buffer.append(memoryview(b"tail"))
+        buffer.append(b"")
+        assert buffer.view() == b"head-tail"
+        with pytest.raises(EngineError):
+            buffer.append(b"x" * 8)
+
+    def test_staging_is_one_memcpy_not_one_call(self):
+        """`bytearray[a:b] = view` allocates a payload-sized temporary and
+        copies twice; BYTES_COPIED counts calls, so only the allocator can
+        tell.  fill/append of 8 MiB must allocate (almost) nothing."""
+        size = 8 << 20
+        payload = memoryview(np.arange(size, dtype=np.uint8))
+        buffer = PinnedBuffer(index=0, size=2 * size)
+        tracemalloc.start()
+        try:
+            buffer.fill(payload)
+            buffer.append(payload)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+        assert buffer.view()[:size] == payload
+        assert buffer.view()[size:] == payload
+
+
+class TestCopyInto:
+    def test_copies_at_offset_and_leaves_the_rest(self):
+        dest = bytearray(b"." * 10)
+        copy_into(dest, 3, memoryview(b"abcd"))
+        assert dest == b"...abcd..."
+
+    def test_empty_view_is_a_noop(self):
+        dest = bytearray(b"xy")
+        copy_into(dest, 2, memoryview(b""))
+        assert dest == b"xy"
+
+    def test_out_of_range_and_read_only_destinations_raise(self):
+        with pytest.raises(ValueError):
+            copy_into(bytearray(4), 2, memoryview(b"abcd"))
+        with pytest.raises(ValueError):
+            copy_into(bytes(4), 0, memoryview(b"abcd"))
 
 
 class TestDRAMBufferPool:

@@ -284,6 +284,52 @@ class TestTrainingStateSource:
         assert bytes(buffer.view()) == blob
 
 
+    @pytest.mark.parametrize("scheduled", [False, True],
+                             ids=["no-sched", "sched"])
+    @pytest.mark.parametrize("optimizer_name", ["sgd", "adam", "adamw"])
+    def test_live_source_yields_serialized_state_without_copying(
+        self, optimizer_name, scheduled
+    ):
+        from repro.storage.dram import PinnedBuffer
+        from repro.training.loop import Trainer
+        from repro.training.optim import SGD, AdamW
+        from repro.training.schedule import StepDecaySchedule
+
+        model = MLP([4, 8, 2], np.random.default_rng(3))
+        optimizer = {
+            "sgd": lambda: SGD(model, lr=0.05, momentum=0.9),
+            "adam": lambda: Adam(model),
+            "adamw": lambda: AdamW(model),
+        }[optimizer_name]()
+        scheduler = StepDecaySchedule(optimizer, every=2) if scheduled else None
+        loop = Trainer(model, optimizer, _RandomBatches(),
+                       checkpoint_interval=10, scheduler=scheduler)
+        loop.train(3)  # non-trivial moments, step count and LR position
+        source = loop.state_source()
+        blob = loop.serialized_state()
+        assert source.snapshot_size() == len(blob)
+        buffer = PinnedBuffer(0, len(blob))
+        source.capture_chunk(0, len(blob), buffer)
+        assert bytes(buffer.view()) == blob
+        # Live means live: every large segment is the parameter's (or the
+        # moment's) own memory, where capture() holds private copies.
+        live = [array for array in optimizer.state_tensors().values()]
+        live += [param.data for param in model.parameters()]
+        segments = [np.frombuffer(seg, dtype=np.uint8)
+                    for seg in source._segments[1:]]
+        for array in live:
+            if array.size > 1:
+                assert any(np.shares_memory(array, seg) for seg in segments)
+        copies = loop.capture().tensors.values()
+        assert not any(np.shares_memory(copy, array)
+                       for copy in copies for array in live)
+        # ... and sizing helpers no longer copy to count.
+        assert optimizer.state_nbytes() == sum(
+            value.nbytes for value in optimizer.state_dict().values())
+        assert checkpoint_nbytes(model, optimizer) == len(
+            serialize_state(capture_state(model, optimizer)))
+
+
 class _RandomBatches:
     def batch(self, step):
         rng = np.random.default_rng(step)
