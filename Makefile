@@ -1,19 +1,20 @@
 # Convenience targets for the PCcheck reproduction.
 
-.PHONY: install test test-sanitize test-distributed test-service test-tiered lint lint-sarif lint-baseline crashsweep bench bench-smoke bench-obs bench-persist figures examples clean
+.PHONY: install test test-sanitize test-distributed test-service test-tiered lint lint-sarif lint-baseline crashsweep bench bench-smoke bench-obs figures examples clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
 
-# Matches the tier-1 verify command: run against the source tree, no
-# installed package required.
+# The tier-1 verify command: run against the source tree, no installed
+# package required (pyproject's testpaths selects tests/).
 test:
-	PYTHONPATH=src python -m pytest -x -q tests/
+	PYTHONPATH=src python -m pytest -x -q
 
-# Same tests with the runtime invariant sanitizer asserting the engine
-# invariants on every transition.
+# Tier-1 itself with the runtime invariant sanitizer asserting the engine
+# invariants on every transition — the whole suite, no directory list to
+# keep in step.  CI runs exactly this target.
 test-sanitize:
-	PYTHONPATH=src REPRO_SANITIZE=1 python -m pytest -x -q tests/
+	REPRO_SANITIZE=1 $(MAKE) test
 
 # Distributed coordination suite (docs/DISTRIBUTED.md): the functional
 # barrier/coordinator/recovery/reshard tests, the simulator's failure
@@ -109,17 +110,6 @@ bench-smoke:
 # Exits non-zero if telemetry costs >= 3%.
 bench-obs:
 	PYTHONPATH=src python -m repro.obs.bench --out BENCH_pipeline.json
-
-# Persist-path benchmark: batched-submission pooled writers vs. the
-# legacy spawn-per-persist copying path for p=1/2/4 on simulated SSD and
-# PMEM (best-of-N rounds), the parallel-persist scaling block at
-# p=1/2/4/8, a 2-member striped-vs-single comparison, and the pipeline's
-# copies-per-checkpoint + CRC/persist overlap numbers. Writes
-# BENCH_persist.json; exits non-zero if pooled < 2x legacy at p=4 on
-# SSD, p=4 scaling < 1.3x p=1, striped < 1.2x single-device, or the hot
-# path copies more than 1x the payload per checkpoint.
-bench-persist:
-	PYTHONPATH=src python -m repro.obs.persist_bench --out BENCH_persist.json
 
 bench-full:
 	pytest benchmarks/

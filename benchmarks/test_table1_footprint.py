@@ -9,10 +9,10 @@ strategies allocate.
 import pytest
 
 from repro.analysis.figures import table1
-from repro.baselines.registry import required_capacity
 from repro.core.config import PCcheckConfig
 from repro.core.layout import Geometry
 from repro.core.meta import RECORD_SIZE
+from repro.strategies import required_capacity
 
 
 def test_table1_generates_and_saves(benchmark, save_result):

@@ -25,8 +25,7 @@ Quickstart::
 
 All keyword knobs of :func:`repro.open_checkpointer` — ``backend=``
 ("ssd"/"pmem"/"faults") and ``observability=`` ("off"/"metrics"/"full")
-among them — are documented on the function.  ``CheckpointerHandle`` is
-the deprecated pre-redesign name of :class:`Checkpointer`.
+among them — are documented on the function.
 
 Multi-tenant checkpointing lives in :mod:`repro.service`: an explicit
 :class:`~repro.service.EnginePool` (the one place engine stacks are
@@ -42,7 +41,7 @@ admission control, and cross-tenant group commit::
     svc.close()
 """
 
-from repro._api import Checkpointer, CheckpointerHandle, open_checkpointer
+from repro._api import Checkpointer, open_checkpointer
 from repro.errors import (
     AdmissionRejected,
     ConfigError,
@@ -70,7 +69,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AdmissionRejected",
     "Checkpointer",
-    "CheckpointerHandle",
     "CheckpointService",
     "ConfigError",
     "CorruptCheckpointError",

@@ -21,7 +21,6 @@ application code never reaches into ``.orchestrator`` or ``.engine``
 
 from __future__ import annotations
 
-import warnings
 from typing import List, Optional, Union
 
 from repro.core.config import PCcheckConfig, validate_choice
@@ -39,10 +38,6 @@ from repro.service.pool import (
     EngineSpec,
 )
 from repro.storage.device import PersistentDevice
-
-#: Release in which the deprecated ``CheckpointerHandle`` alias is
-#: scheduled for removal (stated in its DeprecationWarning).
-CHECKPOINTER_HANDLE_REMOVAL_VERSION = "2.0"
 
 
 class Checkpointer:
@@ -173,21 +168,6 @@ class Checkpointer:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-class CheckpointerHandle(Checkpointer):
-    """Deprecated alias of :class:`Checkpointer` (renamed in the API
-    redesign); constructing one warns but behaves identically."""
-
-    def __init__(self, **kwargs) -> None:
-        warnings.warn(
-            "CheckpointerHandle was renamed to Checkpointer; the alias "
-            "will be removed in release "
-            f"{CHECKPOINTER_HANDLE_REMOVAL_VERSION}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(**kwargs)
 
 
 def open_checkpointer(

@@ -14,8 +14,8 @@ On top of the per-file rules, the default *project mode* parses the
 whole tree once into a shared :class:`ProjectIndex` (symbol table,
 call graph, per-function CFGs) and runs three whole-program rules:
 PC009 lock-order cycle detection, PC010 interprocedural fence
-coverage for commit-record writes (understands ``persist_many``
-single-fence batches), and PC011 zero-copy view escape analysis.
+coverage for commit-record writes (fences in callers and in callees
+that always fence count), and PC011 zero-copy view escape analysis.
 Project runs are incremental (content-hash cache, ``--cache FILE``),
 support a checked-in finding baseline (``--baseline`` /
 ``--write-baseline``), and can emit SARIF for code-scanning UIs.

@@ -149,7 +149,7 @@ class CallGraph:
         return []
 
     def _resolve_dotted(self, dotted: str) -> Optional[str]:
-        """``repro.core.writer.persist_scattered`` → function qualname."""
+        """``repro.core.writer.split_range`` → function qualname."""
         index = self._index
         head, _, name = dotted.rpartition(".")
         if not head:

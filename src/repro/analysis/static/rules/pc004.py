@@ -15,8 +15,9 @@ commit.  Lexically, inside one function that means:
 Cross-function fence ordering (e.g. the engine persisting the slot
 header in ``_commit`` before calling ``_write_commit_record``) is out
 of lexical reach.  In project mode the interprocedural PC010 owns the
-"followed by a fence" half — it sees fences placed in callers and
-``persist_many`` single-fence batches — so this rule then checks only
+"followed by a fence" half — it sees fences placed in callers and in
+callees that always fence (a writer's batched ``reap``) — so this rule
+then checks only
 the intra-function slot-write-before-commit ordering and leaves the
 rest to PC010.  Single-file runs keep both halves.
 """
@@ -39,13 +40,6 @@ from repro.analysis.static.rulebase import FileContext, Rule, register
 
 #: Calls that act as a durability fence.
 FENCE_CALLS = {"persist", "fsync", "fdatasync", "msync", "sfence", "sync"}
-
-#: Batch APIs that persist every queued piece behind one covering fence:
-#: ``persist_many`` (the pooled writer's batched submit+reap) and
-#: ``persist_striped`` (the same barrier over a striped device, which
-#: fences every stripe member).  PC010 treats a call to either as a
-#: fence on the interprocedural path.
-BATCHED_FENCE_CALLS = {"persist_many", "persist_striped"}
 
 #: Markers identifying a write as targeting the commit record.
 _COMMIT_MARKERS = ("encode_commit_record", "commit_offset")

@@ -3,16 +3,16 @@
 PC004's lexical check stops at the function boundary, which forces the
 fence into the same function as the write even when the design puts it
 one level up (the engine persists after ``_write_commit_record``
-returns; the batcher coalesces many commits under one
-``persist_many``).  This rule lifts the check to the whole program:
+returns; a batch of pieces is covered by the one fence of the writer's
+``reap``).  This rule lifts the check to the whole program:
 
 a commit-record write is *covered* when, on **every** CFG path from
 the write, a fence executes before control leaves the program's reach
 — in the writing function itself, in a callee that always fences
 (computed as a fixed point, so helpers like ``_barrier()`` count), or
-in a transitive caller after the call returns.  ``persist_many``
-counts as a fence: PR 4's batching contract is one fence for the whole
-batch, and that is precisely the pattern PC004 could not see.
+in a transitive caller after the call returns.  No batch API is
+special-cased by name: ``writer.reap(writer.submit(pieces))`` counts
+because ``reap`` is in the always-fencing set like any other helper.
 
 ``raise`` paths carry no obligation (recovery re-derives state from
 what *was* persisted), and a function nobody calls must fence locally
@@ -31,15 +31,10 @@ from repro.analysis.static.diagnostics import Diagnostic
 from repro.analysis.static.projectindex import FunctionInfo
 from repro.analysis.static.rulebase import ProjectRule, register
 from repro.analysis.static.rules.pc004 import (
-    BATCHED_FENCE_CALLS,
     FENCE_CALLS,
     _is_write,
     _targets_commit_record,
 )
-
-#: Interprocedural fences: PC004's set plus the single-fence batch APIs
-#: (``persist_many``, ``persist_striped``).
-INTER_FENCE_CALLS = FENCE_CALLS | BATCHED_FENCE_CALLS
 
 #: How many caller levels may supply the covering fence.
 MAX_CALLER_DEPTH = 4
@@ -145,7 +140,7 @@ class InterprocedurallyUnfencedCommit(ProjectRule):
     def _message(self, finfo: FunctionInfo, chain: List[CallSite]) -> str:
         base = (
             "commit-record write can complete without a covering fence: "
-            f"no fence (or persist_many batch) on every path out of "
+            f"no fence (direct or in an always-fencing callee) on every path out of "
             f"'{finfo.name}'"
         )
         if not chain:
@@ -164,7 +159,7 @@ def _is_fence(
     call: ast.Call, finfo: FunctionInfo, graph: CallGraph, fencing: Set[str]
 ) -> bool:
     name = call_name(call)
-    if name in INTER_FENCE_CALLS:
+    if name in FENCE_CALLS:
         return True
     return any(
         callee in fencing for callee, _ in graph.resolve(finfo, call)

@@ -6,15 +6,13 @@ from repro.baselines.gemini import GeminiStrategy, NetworkChannel, RemoteMemoryS
 from repro.baselines.gpm import GPMStrategy
 from repro.baselines.naive import NaiveStrategy
 from repro.baselines.pccheck import PCcheckStrategy
-from repro.baselines.registry import (
-    STRATEGY_CLASSES,
-    available_strategies,
+from repro.strategies import (
     build_strategy,
+    functional_strategies as available_strategies,
     required_capacity,
 )
 
 __all__ = [
-    "STRATEGY_CLASSES",
     "CheckFreqStrategy",
     "CheckpointStrategy",
     "GPMStrategy",

@@ -55,7 +55,6 @@ from repro.core.layout import DeviceLayout, Geometry
 from repro.core.meta import CheckMeta
 from repro.core.orchestrator import CheckpointHandle, PCcheckOrchestrator
 from repro.core.recovery import (
-    PersistentIterator,
     RecoveredCheckpoint,
     find_committed,
     recover,
@@ -95,7 +94,6 @@ __all__ = [
     "PCcheckConfig",
     "PCcheckOrchestrator",
     "ParallelWriter",
-    "PersistentIterator",
     "RecoveredCheckpoint",
     "SlotQueue",
     "SlotReport",

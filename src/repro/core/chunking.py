@@ -86,9 +86,9 @@ def iter_chunk_views(
     """Yield ``(offset, view)`` per chunk of ``payload`` — zero copies.
 
     Each view is an O(1) memoryview slice of the payload, suitable for
-    feeding straight into ``ticket.write_chunk`` or
-    :func:`repro.core.writer.persist_scattered` without ever
-    materializing a per-chunk ``bytes`` object.
+    feeding straight into ``ticket.write_chunk`` or a
+    :meth:`~repro.core.writer.ParallelWriter.submit` piece list without
+    ever materializing a per-chunk ``bytes`` object.
     """
     view = as_view(payload)
     if len(view) != plan.total:

@@ -27,8 +27,9 @@ Invariants maintained (tested exhaustively in ``tests/``):
 
 The engine exposes a *ticket* API so the orchestrator can stream a
 checkpoint in pipelined chunks (§3.1, Figure 7): ``begin()`` reserves the
-slot and counter, ``write_chunk()`` persists consecutive pieces, and
-``commit()`` runs the header write plus CAS protocol.  ``checkpoint()``
+slot and counter, ``submit()``/``reap()`` (or the blocking
+``write_chunk()``) persist consecutive pieces, and ``commit()`` runs the
+header write plus CAS protocol.  ``checkpoint()``
 is the one-shot convenience wrapper.
 """
 
@@ -38,7 +39,7 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.core.atomics import AtomicCounter, AtomicReference
 from repro.core.freelist import EMPTY, SlotQueue
@@ -177,7 +178,7 @@ class CheckpointTicket:
         return len(self._unreaped)
 
     def write_chunk(self, chunk: Buffer) -> None:
-        """Persist the next consecutive piece of the payload.
+        """Persist the next consecutive piece of the payload (blocking).
 
         Chunks may be scattered in DRAM but land at consecutive offsets in
         the slot (§3.1: "all the checkpoint's chunks are ordered and
@@ -185,43 +186,31 @@ class CheckpointTicket:
         C-contiguous buffer is accepted and never re-materialized as
         ``bytes`` — the writer threads slice a memoryview of it.
 
-        Internally the chunk is *submitted* to the pool first and its CRC
-        computed while the writes are in flight (``zlib.crc32`` drops the
-        GIL on large buffers), then reaped — so even the blocking call
-        overlaps checksum compute with device time.
+        ``reap(submit([chunk]))``: even the blocking call computes the
+        CRC while the pool writes.
         """
-        self.reap(self.submit_chunk(chunk))
+        self.reap(self.submit([chunk]))
 
-    def submit_chunk(self, chunk: Buffer) -> "PersistSubmission":
-        """Queue the next consecutive piece and CRC it while it writes.
+    def submit(self, chunks: Sequence[Buffer]) -> "PersistSubmission":
+        """Queue the next consecutive pieces as ONE writer batch and CRC
+        them while they write.
 
-        The pipelined half of :meth:`write_chunk`: the chunk's shares go
-        to the writer pool in one batched submission, the running payload
-        CRC is folded in *while* the pool writes, and the submission
-        comes back unreaped — no fence yet, durability pending.  The
-        caller must keep ``chunk``'s buffer stable until it calls
-        :meth:`reap` (the orchestrator holds the staging buffer of chunk
-        *k−1* exactly this long, so its CRC of chunk *k* overlaps the
-        persist of chunk *k−1*).  :meth:`commit` reaps anything still
-        outstanding.
+        The pieces land back-to-back at the slot's next offsets and go to
+        the writer pool in one batched submission; the running payload
+        CRC is folded in *while* the pool writes (``zlib.crc32`` drops the
+        GIL on large buffers), and the submission comes back unreaped —
+        no fence yet, durability pending.  :meth:`reap` then issues one
+        covering fence for the whole batch in ``single`` fence mode, which
+        is how the service's coalescing path turns K small checkpoints
+        into a single fsync.  The caller must keep every chunk's buffer
+        stable until :meth:`reap` (the orchestrator holds the staging
+        buffer of chunk *k−1* exactly this long, so its CRC of chunk *k*
+        overlaps the persist of chunk *k−1*).  :meth:`commit` reaps
+        anything still outstanding.
         """
         if self._done:
             raise EngineError("ticket already committed or aborted")
-        view = as_view(chunk)
-        return self._submit_views([view])
-
-    def reap(self, submission: "PersistSubmission") -> None:
-        """Settle a :meth:`submit_chunk`: one wait + one covering fence.
-
-        Re-raises the first share failure; afterwards the chunk's buffer
-        may be recycled.  Idempotent per submission.
-        """
-        self._unreaped = [
-            pending for pending in self._unreaped if pending is not submission
-        ]
-        self._engine._reap_chunk(submission)
-
-    def _submit_views(self, views) -> "PersistSubmission":
+        views = [as_view(chunk) for chunk in chunks]
         submission = self._engine._submit_chunk_batch(self, views)
         self._unreaped.append(submission)
         crc_start = time.monotonic()
@@ -231,26 +220,16 @@ class CheckpointTicket:
         self._engine._record_overlap(submission, crc_start, time.monotonic())
         return submission
 
-    def write_chunks(self, chunks) -> None:
-        """Persist several consecutive pieces as ONE writer batch.
+    def reap(self, submission: "PersistSubmission") -> None:
+        """Settle a :meth:`submit`: one wait + one covering fence.
 
-        The pieces land back-to-back at the slot's next offsets, exactly
-        as repeated :meth:`write_chunk` calls would, but they are handed
-        to the writer pool together via one batched
-        :meth:`~repro.core.writer.ParallelWriter.submit` — in ``single``
-        fence mode the whole batch is covered by one fence instead of
-        one per piece, and the batch CRC is computed while the pool
-        writes.  This is the engine-side hook the multi-tenant service's
-        coalescing path uses to turn K small checkpoints into a single
-        fsync.
+        Re-raises the first share failure; afterwards the chunks' buffers
+        may be recycled.  Idempotent per submission.
         """
-        if self._done:
-            raise EngineError("ticket already committed or aborted")
-        views = [as_view(chunk) for chunk in chunks]
-        views = [view for view in views if len(view)]
-        if not views:
-            return
-        self.reap(self._submit_views(views))
+        self._unreaped = [
+            pending for pending in self._unreaped if pending is not submission
+        ]
+        self._engine._reap_chunk(submission)
 
     def commit(self) -> CheckpointResult:
         """Finish the checkpoint: persist the header, run the CAS protocol.

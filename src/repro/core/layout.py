@@ -37,10 +37,9 @@ SUPERBLOCK_SIZE: int = 4096
 SLOT_ALIGN: int = 4096
 
 _SB_MAGIC = b"PCCHKSB1"
-# v1 body: magic(8s) version(I) num_slots(I) slot_size(Q), then crc(I)
-_SB_STRUCT_V1 = struct.Struct("<8sIIQ")
-# v2 body adds header_size(I) so payload offsets survive a reopen by a
-# device with a different (or no) alignment hint.
+# body: magic(8s) version(I) num_slots(I) slot_size(Q) header_size(I), then
+# crc(I).  header_size is recorded so payload offsets survive a reopen by
+# a device with a different (or no) alignment hint.
 _SB_STRUCT = struct.Struct("<8sIIQI")
 _SB_VERSION = 2
 
@@ -161,32 +160,23 @@ class DeviceLayout:
     def open(cls, device: PersistentDevice) -> "DeviceLayout":
         """Attach to an already formatted device, validating the superblock.
 
-        Accepts both the current (v2) superblock and legacy v1 regions,
-        which had no ``header_size`` field (headers were always
-        :data:`RECORD_SIZE`).  The version is read from the (fixed-offset)
-        prefix first so each version's CRC covers its own body length.
+        The version is checked from the fixed-offset prefix before the
+        CRC, so a region written by another layout version is refused by
+        name rather than as a checksum mismatch.
         """
         prefix = device.read(0, 12)  # magic(8) + version(4)
         magic, version = struct.unpack("<8sI", prefix)
         if magic != _SB_MAGIC:
             raise LayoutError(f"{device.name} is not a PCcheck region")
-        if version == 1:
-            sb_struct = _SB_STRUCT_V1
-        elif version == _SB_VERSION:
-            sb_struct = _SB_STRUCT
-        else:
+        if version != _SB_VERSION:
             raise LayoutError(f"unsupported layout version {version}")
-        raw = device.read(0, sb_struct.size + 4)
-        body, (crc,) = raw[: sb_struct.size], struct.unpack(
-            "<I", raw[sb_struct.size :]
+        raw = device.read(0, _SB_STRUCT.size + 4)
+        body, (crc,) = raw[: _SB_STRUCT.size], struct.unpack(
+            "<I", raw[_SB_STRUCT.size :]
         )
         if zlib.crc32(body) != crc:
             raise LayoutError(f"superblock CRC mismatch on {device.name}")
-        if version == 1:
-            _, _, num_slots, slot_size = sb_struct.unpack(body)
-            header = RECORD_SIZE
-        else:
-            _, _, num_slots, slot_size, header = sb_struct.unpack(body)
+        _, _, num_slots, slot_size, header = _SB_STRUCT.unpack(body)
         if not RECORD_SIZE <= header < slot_size:
             raise LayoutError(
                 f"superblock on {device.name} has invalid header size "

@@ -493,7 +493,10 @@ class PCcheckOrchestrator:
                     staged = buffer.view()
                     with tracer.span("persist_chunk", parent=stage_span,
                                      chunk=index, length=len(staged)):
-                        submission = ticket.submit_chunk(staged)
+                        # The pool does read ``staged`` after this
+                        # returns; ``held`` keeps the buffer checked out
+                        # until ``_settle_inflight`` has reaped it.
+                        submission = ticket.submit([staged])  # pclint: disable=PC011
                 except BaseException:
                     self._pool.release(buffer)
                     raise

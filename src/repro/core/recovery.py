@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -70,25 +70,6 @@ class RecoveredCheckpoint:
     source: str = "commit-record"
 
 
-@dataclass
-class PersistentIterator:
-    """Chunk locations of one payload, logged as they are handed out:
-    yields ``(device_offset, lo, hi)`` — read into ``dest[lo:hi]``."""
-
-    layout: DeviceLayout
-    meta: CheckMeta
-    chunk_size: int = DEFAULT_READ_CHUNK
-    read_log: List[Tuple[int, int]] = field(default_factory=list)
-
-    def __iter__(self) -> Iterator[Tuple[int, int, int]]:
-        base = self.layout.payload_offset(self.meta.slot)
-        total = self.meta.payload_len
-        for lo in range(0, total, self.chunk_size):
-            hi = min(lo + self.chunk_size, total)
-            self.read_log.append((base + lo, hi - lo))
-            yield base + lo, lo, hi
-
-
 def load_validated(
     layout: DeviceLayout,
     meta: CheckMeta,
@@ -105,23 +86,24 @@ def load_validated(
         return None
     dest = np.empty(meta.payload_len, dtype=np.uint8)
     view = memoryview(dest)
-    spans = PersistentIterator(layout, meta, chunk_size)
+    base = layout.payload_offset(meta.slot)
+    starts = range(0, meta.payload_len, chunk_size)
     crc = 0
-    if meta.payload_len <= chunk_size:
-        for offset, lo, hi in spans:
-            layout.device.readinto(offset, view[lo:hi])
+    if len(starts) <= 1:
+        if starts:  # an empty payload reads nothing
+            layout.device.readinto(base, view)
         crc = payload_crc(view)
     else:
         # Leaving the block joins the pool, so no reader can still be
         # filling ``dest`` when an error (or a mismatch) drops it.
         with ParallelWriter(layout.device, READ_THREADS) as pool:
             reads = [
-                (pool.submit_read(offset, view[lo:hi]), lo, hi)
-                for offset, lo, hi in spans
+                (pool.submit_read(base + lo, view[lo : lo + chunk_size]), lo)
+                for lo in starts
             ]
-            for read, lo, hi in reads:
+            for read, lo in reads:
                 pool.reap(read)
-                crc = payload_crc(view[lo:hi], crc)
+                crc = payload_crc(view[lo : lo + chunk_size], crc)
     if crc != meta.payload_crc:
         return None
     dest.setflags(write=False)

@@ -34,17 +34,15 @@ exactly as it would in the real system — a worker survives the exception
 and stays available for later work (the device, not the pool, is what
 died).
 
-:meth:`ParallelWriter.persist_many` persists a batch of scattered pieces
-with ONE fence per batch in ``single`` mode (the orchestrator's
-consecutive-chunk layout makes the covering range tight), instead of the
-fence-per-piece amplification the naive loop pays.
-
-Submission is split io_uring-style into :meth:`ParallelWriter.submit`
-(queue ALL shares of a batch to the pool under one lock acquisition,
-return immediately) and :meth:`ParallelWriter.reap` (one wait for the
-whole batch, then one covering fence).  ``persist``/``persist_many`` are
-submit+reap back to back; the engine uses the split form to overlap CRC
-compute of chunk *k* with the device writes of chunk *k−1*.
+The write path has two verbs.  :meth:`ParallelWriter.submit` queues ALL
+shares of a batch of ``(offset, payload)`` pieces to the pool under one
+lock acquisition and returns immediately (io_uring-style);
+:meth:`ParallelWriter.reap` waits once for the whole batch and then, in
+``single`` mode, issues ONE fence covering the batch's span (the
+orchestrator's consecutive-chunk layout keeps that span tight) instead of
+a fence per piece.  The engine holds a submission open to overlap CRC
+compute of chunk *k* with the device writes of chunk *k−1*;
+:meth:`ParallelWriter.persist` is the blocking convenience for one piece.
 
 The same pool runs in the other direction for recovery:
 :meth:`ParallelWriter.submit_read` queues one ``readinto`` of a payload
@@ -114,7 +112,7 @@ def split_range(
 
 
 class _PersistBatch:
-    """Completion tracker for one ``persist``/``persist_many`` call.
+    """Completion tracker for one :meth:`ParallelWriter.submit` batch.
 
     Shares from many concurrent batches interleave on the pool; each
     batch counts down its own outstanding shares and collects the errors
@@ -284,18 +282,6 @@ class ParallelWriter:
             self._count(length)
             return
         self.reap(self.submit([(offset, view)]))
-
-    def persist_many(self, pieces: Sequence[Tuple[int, Buffer]]) -> None:
-        """Persist several ``(offset, payload)`` pieces as one batch.
-
-        All pieces' shares go to the pool together under ONE lock
-        acquisition (:meth:`submit`); in ``single`` fence mode the batch
-        is covered by ONE fence spanning the pieces (they land at
-        consecutive device offsets in the orchestrator's layout, §3.1),
-        instead of one fence per piece.  ``per-thread`` mode is
-        unchanged: every share fences its own range, as PMEM requires.
-        """
-        self.reap(self.submit(pieces))
 
     def submit(
         self, pieces: Sequence[Tuple[int, Buffer]]
@@ -490,15 +476,3 @@ class ParallelWriter:
         with self._work:
             self.bytes_persisted += nbytes
 
-
-def persist_scattered(
-    writer: ParallelWriter, pieces: Sequence[Tuple[int, Buffer]]
-) -> None:
-    """Persist several (offset, payload) pieces through one writer.
-
-    The orchestrator ensures chunks scattered across DRAM land at
-    consecutive device offsets (§3.1); this helper persists such a chunk
-    list as one batch — in ``single`` fence mode that means one fence for
-    the whole batch rather than one per piece.
-    """
-    writer.persist_many(pieces)

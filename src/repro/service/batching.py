@@ -4,9 +4,9 @@ A tenant whose checkpoints are small would be a terrible pooled-engine
 customer: every request costs the full fence discipline (payload fence,
 slot-header fence, commit-record fence) for a few kilobytes.  PCcheck's
 engine already knows how to persist *several scattered pieces under one
-fence* (:meth:`~repro.core.engine.CheckpointTicket.write_chunks`, built
-on :meth:`~repro.core.writer.ParallelWriter.persist_many` from the fence
--coalescing work); this module aggregates across tenants on top of it.
+fence* (:meth:`~repro.core.engine.CheckpointTicket.submit` of a chunk
+list, then one :meth:`~repro.core.engine.CheckpointTicket.reap`); this
+module aggregates across tenants on top of it.
 
 Design — one *batch engine* lease, held for the batcher's lifetime:
 
@@ -20,7 +20,7 @@ Design — one *batch engine* lease, held for the batcher's lifetime:
 * A builder thread wakes when anything is dirty, waits one small
   coalescing window to gather company, then packs a *batch*: a manifest
   header plus EVERY registered tenant's newest blob (dirty or not —
-  carry-forward), written through ``write_chunks`` as one scattered
+  carry-forward), written as one ``submit``/``reap`` of a scattered
   piece list.  Because every batch is a complete snapshot of all
   tenants, the newest committed batch alone is sufficient for recovery;
   no batch chaining is needed.
@@ -352,7 +352,7 @@ class CoalescingBatcher:
         try:
             engine_ticket = self._engine.begin(step=batch_seq)
             try:
-                engine_ticket.write_chunks(chunks)
+                engine_ticket.reap(engine_ticket.submit(chunks))
                 result = engine_ticket.commit()
             except BaseException:
                 engine_ticket.abort()

@@ -48,6 +48,7 @@ from repro.errors import (
     ConfigError,
     CorruptCheckpointError,
     EngineClosedError,
+    LayoutError,
     ServiceError,
     ServiceSaturated,
 )
@@ -295,10 +296,20 @@ def open_existing_region(path: str) -> Tuple[PersistentDevice, DeviceLayout]:
     The shared read path for recovery tooling (``pccheck-repro
     recover-consistent`` and friends) so the CLI carries no private copy
     of device/layout wiring.  The caller owns (and must close) the
-    returned device.
+    returned device.  A path with no region file behind it — missing,
+    or the base path of a striped region, whose bytes live only in the
+    ``{path}.sN`` members — raises :class:`~repro.errors.LayoutError`.
     """
-    size = os.path.getsize(path)
-    device = FileBackedSSD(path, capacity=size)
+    if not os.path.isfile(path):
+        member = f"{path}.s0"
+        found = (
+            f"; {member} exists, so {path} is the base path of a striped "
+            "region, which has no single region file to open"
+            if os.path.isfile(member)
+            else ""
+        )
+        raise LayoutError(f"no checkpoint region at {path}{found}")
+    device = FileBackedSSD(path, capacity=os.path.getsize(path))
     try:
         layout = DeviceLayout.open(device)
     except BaseException:

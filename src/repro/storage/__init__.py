@@ -5,7 +5,13 @@ here.  See :mod:`repro.storage.device` for the persistence-domain model
 shared by all backends.
 """
 
-from repro.storage.device import CACHE_LINE, DeviceStats, IntervalSet, PersistentDevice
+from repro.storage.device import (
+    CACHE_LINE,
+    DeviceStats,
+    DeviceWrapper,
+    IntervalSet,
+    PersistentDevice,
+)
 from repro.storage.dram import DRAMBufferPool, PinnedBuffer
 from repro.storage.faults import CrashBudgetExhausted, CrashPointDevice
 from repro.storage.gpu import (
@@ -26,7 +32,6 @@ from repro.storage.striped import (
     STRIPE_HEADER_SIZE,
     StripedDevice,
     StripeManifest,
-    persist_striped,
 )
 
 __all__ = [
@@ -43,6 +48,7 @@ __all__ = [
     "CrashPointDevice",
     "DRAMBufferPool",
     "DeviceStats",
+    "DeviceWrapper",
     "FileBackedSSD",
     "GPUBuffer",
     "InMemorySSD",
@@ -53,5 +59,4 @@ __all__ = [
     "SimulatedPMEM",
     "StripeManifest",
     "StripedDevice",
-    "persist_striped",
 ]

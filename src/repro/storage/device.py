@@ -293,8 +293,9 @@ class PersistentDevice(ABC):
         This default is built on :meth:`read` (one extra copy), so a
         subclass or wrapper that only knows ``read`` keeps working and
         keeps whatever ``read`` injects; the concrete devices override
-        it to land the bytes in ``dest`` directly, and a wrapper that
-        overrides ``read`` must forward ``readinto`` with the same gate.
+        it to land the bytes in ``dest`` directly, and
+        :class:`DeviceWrapper` forwards it — a wrapper that gates
+        ``read`` must gate ``readinto`` the same way.
         """
         view = as_dest_view(dest)
         view[:] = self.read(offset, len(view))
@@ -316,6 +317,56 @@ class PersistentDevice(ABC):
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+class DeviceWrapper(PersistentDevice):
+    """A device that answers the whole device protocol by delegating to
+    ``inner``.
+
+    The one place the protocol is forwarded: the alignment hint, the
+    data operations and metric attachment all reach the wrapped device,
+    so a subclass overrides only the operations it gates or extends and
+    cannot forget one (``tests/storage/test_device_surface.py`` compares
+    every public member of :class:`PersistentDevice` against the inner
+    device).  ``close`` is deliberately NOT forwarded — who owns the
+    inner device's lifetime is each wrapper's decision.
+    """
+
+    def __init__(self, inner: PersistentDevice, name: str) -> None:
+        super().__init__(inner.capacity, name)
+        self._inner = inner
+
+    @property
+    def inner(self) -> PersistentDevice:
+        """The wrapped device."""
+        return self._inner
+
+    @property
+    def preferred_align(self) -> int:
+        """The inner device's hint — a wrapper reporting the base-class 1
+        makes ``DeviceLayout.format`` skip the aligned layout and loses
+        the O_DIRECT path silently."""
+        return self._inner.preferred_align
+
+    def attach_metrics(
+        self, metrics: MetricsRegistry, label: Optional[str] = None
+    ) -> None:
+        """Instrument the wrapped device's ops (and whatever counters the
+        wrapper itself keeps) with the same registry."""
+        super().attach_metrics(metrics, label)
+        self._inner.attach_metrics(metrics, label or self._inner.name)
+
+    def write(self, offset: int, data: Buffer) -> None:
+        self._inner.write(offset, data)
+
+    def read(self, offset: int, length: int) -> bytes:
+        return self._inner.read(offset, length)
+
+    def readinto(self, offset: int, dest: Buffer) -> None:
+        self._inner.readinto(offset, dest)
+
+    def persist(self, offset: int, length: int) -> None:
+        self._inner.persist(offset, length)
 
 
 def split_cache_lines(offset: int, length: int) -> Iterator[Tuple[int, int]]:

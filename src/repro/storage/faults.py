@@ -34,8 +34,8 @@ from typing import List, Optional, Protocol, Union
 import numpy as np
 
 from repro.errors import CrashedDeviceError, EngineError, TransientIOError
-from repro.obs.metrics import M, MetricsRegistry
-from repro.storage.device import Buffer, PersistentDevice, as_view
+from repro.obs.metrics import M
+from repro.storage.device import Buffer, DeviceWrapper, PersistentDevice, as_view
 from repro.storage.pmem import SimulatedPMEM
 from repro.storage.ssd import InMemorySSD
 
@@ -122,7 +122,7 @@ class OffsetCrashSchedule:
         return seen == self._occurrence
 
 
-class CrashPointDevice(PersistentDevice):
+class CrashPointDevice(DeviceWrapper):
     """Delegate to an inner crashable device, crashing per a schedule.
 
     Each ``write`` and ``persist`` consults the schedule *before*
@@ -152,43 +152,19 @@ class CrashPointDevice(PersistentDevice):
         torn_writes: bool = False,
         record_ops: bool = False,
     ) -> None:
-        super().__init__(inner.capacity, f"crashpoint({inner.name})")
+        super().__init__(inner, f"crashpoint({inner.name})")
         if budget is not None and schedule is not None:
             raise EngineError("pass either budget or schedule, not both")
         if torn_writes and rng is None:
             raise EngineError("torn_writes requires an rng")
         if schedule is None and budget is not None:
             schedule = OpCountSchedule(budget)
-        self._inner = inner
         self._schedule = schedule
         self._rng = rng
         self._torn_writes = torn_writes
         self._ops = 0
         self._lock = threading.Lock()
         self.op_log: Optional[List[DeviceOp]] = [] if record_ops else None
-
-    @property
-    def inner(self) -> Union[InMemorySSD, SimulatedPMEM]:
-        """The wrapped device (inspect after a crash for recovery tests)."""
-        return self._inner
-
-    @property
-    def preferred_align(self) -> int:
-        """Forward the inner device's alignment hint.
-
-        Without this override the wrapper reports the base-class default
-        (1), so ``DeviceLayout.format`` never rounds slot sizes and a
-        crashsweep over an unbuffered SSD or a striped array silently
-        skips the aligned layout path."""
-        return self._inner.preferred_align
-
-    def attach_metrics(
-        self, metrics: MetricsRegistry, label: Optional[str] = None
-    ) -> None:
-        """Instrument the wrapped device's ops and this wrapper's crash
-        counter with the same registry."""
-        super().attach_metrics(metrics, label)
-        self._inner.attach_metrics(metrics, label or self._inner.name)
 
     @property
     def operations_performed(self) -> int:
@@ -233,17 +209,11 @@ class CrashPointDevice(PersistentDevice):
         # and the inner device's own as_view call is a no-op.
         view = as_view(data)
         self._spend("write", offset, len(view), view)
-        self._inner.write(offset, view)
-
-    def read(self, offset: int, length: int) -> bytes:
-        return self._inner.read(offset, length)
-
-    def readinto(self, offset: int, dest: Buffer) -> None:
-        self._inner.readinto(offset, dest)
+        super().write(offset, view)
 
     def persist(self, offset: int, length: int) -> None:
         self._spend("persist", offset, length)
-        self._inner.persist(offset, length)
+        super().persist(offset, length)
 
     def crash(self, rng: Optional[np.random.Generator] = None) -> None:
         """Crash the inner device immediately (manual trigger)."""
@@ -255,7 +225,7 @@ class CrashPointDevice(PersistentDevice):
         self._inner.recover()
 
 
-class TransientFaultDevice(PersistentDevice):
+class TransientFaultDevice(DeviceWrapper):
     """Inject retryable faults: an op fails ``times`` times, then succeeds.
 
     The ``occurrence``-th successful-so-far operation of ``kind`` raises
@@ -274,37 +244,17 @@ class TransientFaultDevice(PersistentDevice):
         occurrence: int = 0,
         times: int = 1,
     ) -> None:
-        super().__init__(inner.capacity, f"transient({inner.name})")
+        super().__init__(inner, f"transient({inner.name})")
         if kind not in ("write", "persist", "read"):
             raise EngineError(f"unknown op kind {kind!r}")
         if times < 1:
             raise EngineError(f"times must be >= 1, got {times}")
-        self._inner = inner
         self._kind = kind
         self._occurrence = occurrence
         self._failures_left = times
         self._seen = 0
         self._lock = threading.Lock()
         self.faults_injected = 0
-
-    @property
-    def inner(self) -> PersistentDevice:
-        """The wrapped device."""
-        return self._inner
-
-    @property
-    def preferred_align(self) -> int:
-        """Forward the inner device's alignment hint (see
-        :attr:`CrashPointDevice.preferred_align`)."""
-        return self._inner.preferred_align
-
-    def attach_metrics(
-        self, metrics: MetricsRegistry, label: Optional[str] = None
-    ) -> None:
-        """Instrument the wrapped device's ops and this wrapper's fault
-        counter with the same registry."""
-        super().attach_metrics(metrics, label)
-        self._inner.attach_metrics(metrics, label or self._inner.name)
 
     def _gate(self, kind: str, offset: int, length: int) -> None:
         if kind != self._kind:
@@ -323,16 +273,16 @@ class TransientFaultDevice(PersistentDevice):
 
     def write(self, offset: int, data: Buffer) -> None:
         self._gate("write", offset, len(as_view(data)))
-        self._inner.write(offset, data)
+        super().write(offset, data)
 
     def read(self, offset: int, length: int) -> bytes:
         self._gate("read", offset, length)
-        return self._inner.read(offset, length)
+        return super().read(offset, length)
 
     def readinto(self, offset: int, dest: Buffer) -> None:
         self._gate("read", offset, len(as_view(dest)))
-        self._inner.readinto(offset, dest)
+        super().readinto(offset, dest)
 
     def persist(self, offset: int, length: int) -> None:
         self._gate("persist", offset, length)
-        self._inner.persist(offset, length)
+        super().persist(offset, length)

@@ -21,8 +21,9 @@ the device — recovery never silently reassembles a short payload.
 ``readinto`` lands each member's segment directly in its slice of the
 caller's buffer, so reassembly costs no copy beyond the members' own
 reads.  ``persist`` issues one *covering* fence per member — in
-parallel when more than one member owns bytes of the range — which is
-the fence shape :func:`persist_striped` models for the lint rules.
+parallel when more than one member owns bytes of the range — so a
+:class:`~repro.core.writer.ParallelWriter` over a striped device needs
+nothing special: its one covering ``reap`` fence fans out per member.
 
 Layout of each member device::
 
@@ -383,18 +384,3 @@ class StripedDevice(PersistentDevice):
                 member.close()
         super().close()
 
-
-def persist_striped(
-    writer, pieces: Sequence[Tuple[int, Buffer]]
-) -> None:
-    """Persist one checkpoint's ``(offset, payload)`` pieces across a
-    striped device.
-
-    One batched submission through ``writer`` (a
-    :class:`~repro.core.writer.ParallelWriter` over a
-    :class:`StripedDevice`), then the covering fence fans out as one
-    fence per member device.  Like ``persist_many``, this is a full
-    durability barrier for everything it wrote — the static fence-
-    coverage rules (PC004/PC010) treat it exactly that way.
-    """
-    writer.persist_many(pieces)

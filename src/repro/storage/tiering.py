@@ -67,7 +67,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.obs.metrics import M, MetricsRegistry
-from repro.storage.device import Buffer, PersistentDevice
+from repro.storage.device import DeviceWrapper, PersistentDevice
 from repro.storage.remote import RemoteStore
 
 #: Key prefix under which demoted checkpoints live in the remote store.
@@ -121,15 +121,16 @@ class TierPlan:
         )
 
 
-class TieredDevice(PersistentDevice):
+class TieredDevice(DeviceWrapper):
     """The hot tier, with the colder tiers attached for demotion/recovery.
 
     Every device operation — including :attr:`preferred_align`, so the
-    layout still rounds for an unbuffered/striped hot device — delegates
-    to ``hot`` and *only* ``hot``.  The warm device and remote store are
-    reachable as attributes for the policy and recovery, but no engine
-    write or persist can touch them: the commit path's durability
-    depends on the hot tier alone, by construction.
+    layout still rounds for an unbuffered/striped hot device — is
+    :class:`~repro.storage.device.DeviceWrapper`'s delegation to ``hot``
+    and *only* ``hot``.  The warm device and remote store are reachable
+    as attributes for the policy and recovery, but no engine write or
+    persist can touch them: the commit path's durability depends on the
+    hot tier alone, by construction.
     """
 
     def __init__(
@@ -138,34 +139,17 @@ class TieredDevice(PersistentDevice):
         warm: PersistentDevice,
         remote: RemoteStore,
     ) -> None:
-        super().__init__(hot.capacity, f"tiered({hot.name})")
+        super().__init__(hot, f"tiered({hot.name})")
         self.hot = hot
         self.warm = warm
         self.remote = remote
-
-    @property
-    def preferred_align(self) -> int:
-        return self.hot.preferred_align
 
     def attach_metrics(
         self, metrics: MetricsRegistry, label: Optional[str] = None
     ) -> None:
         super().attach_metrics(metrics, label)
-        self.hot.attach_metrics(metrics, label or self.hot.name)
         self.warm.attach_metrics(metrics, self.warm.name)
         self.remote.attach_metrics(metrics)
-
-    def write(self, offset: int, data: Buffer) -> None:
-        self.hot.write(offset, data)
-
-    def read(self, offset: int, length: int) -> bytes:
-        return self.hot.read(offset, length)
-
-    def readinto(self, offset: int, dest: Buffer) -> None:
-        self.hot.readinto(offset, dest)
-
-    def persist(self, offset: int, length: int) -> None:
-        self.hot.persist(offset, length)
 
     def close(self) -> None:
         super().close()

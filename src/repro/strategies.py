@@ -1,14 +1,12 @@
 """One registry for every checkpointing strategy, functional and simulated.
 
-Historically the functional baselines (:mod:`repro.baselines.registry`)
-and the performance-simulator process models
-(:mod:`repro.sim.strategies`) each kept their own name-to-class table,
-so adding a strategy meant editing two registries that could drift out
-of sync.  This module is now the single source of truth: one
-:class:`StrategyEntry` per strategy describes its functional
-implementation (if any), its simulated process model (if any), and how
-much device capacity the functional variant needs.  Both legacy modules
-re-export from here, so adding a future strategy is a one-file change.
+The single source of truth for the functional baselines
+(:mod:`repro.baselines`) and the performance-simulator process models
+(:mod:`repro.sim.strategies`): one :class:`StrategyEntry` per strategy
+describes its functional implementation (if any), its simulated process
+model (if any), and how much device capacity the functional variant
+needs.  Both packages import from here, so adding a strategy is a
+one-file change.
 
 Classes are referenced by ``"module:ClassName"`` path and resolved
 lazily.  That keeps this module import-light — it never imports the

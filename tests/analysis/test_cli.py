@@ -127,6 +127,15 @@ class TestRecoverConsistentCommand:
         err = capsys.readouterr().err
         assert "recover-consistent" in err
 
+    def test_missing_region_fails_legibly_not_with_a_traceback(
+        self, tmp_path, capsys
+    ):
+        paths = self._write_group(tmp_path, steps=1)
+        missing = str(tmp_path / "absent.pc")
+        assert main(["recover-consistent", paths[0], missing]) == 1
+        err = capsys.readouterr().err
+        assert "no checkpoint region" in err and missing in err
+
     def _write_sharded_group(self, tmp_path, state, world):
         import threading
 

@@ -208,43 +208,99 @@ class TestPC010InterproceduralFences:
         diags, _ = lint_paths([root], select={"PC010"})
         assert diags == []
 
-    def test_persist_many_batch_counts_as_fence(self, tmp_path):
+    def test_submit_reap_batch_counts_as_fence(self, tmp_path):
+        # No batch API is known by name: ``reap`` covers the staged
+        # commit writes because it always fences (the fixed point).
         code = """
             def encode_commit_record(meta):
                 return bytes(meta)
+
+
+            class Writer:
+                def __init__(self, device):
+                    self._device = device
+
+                def submit(self, pieces):
+                    return list(pieces)
+
+                def reap(self, submission):
+                    self._device.persist(0, 4096)
 
 
             def stage_commit(device, layout, meta):
                 device.write(layout.commit_offset, encode_commit_record(meta))
 
 
-            def flush_batch(device, layout, pending):
+            def flush_batch(device, layout, writer: Writer, pending):
                 for meta in pending:
                     stage_commit(device, layout, meta)
-                device.persist_many(pending)
+                writer.reap(writer.submit(pending))
         """
         root = write_tree(tmp_path, {"batch.py": code})
         diags, _ = lint_paths([root], select={"PC010"})
         assert diags == []
 
-    def test_persist_striped_batch_counts_as_fence(self, tmp_path):
+    def test_striped_reap_fencing_through_helper_counts_as_fence(
+        self, tmp_path
+    ):
+        # The same batch over a striped device: reap's covering fence is
+        # a helper that fences each member — two levels of the fixed point.
         code = """
             def encode_commit_record(meta):
                 return bytes(meta)
+
+
+            class StripedWriter:
+                def __init__(self, first, second):
+                    self._first = first
+                    self._second = second
+
+                def submit(self, pieces):
+                    return list(pieces)
+
+                def reap(self, submission):
+                    self._fence_members()
+
+                def _fence_members(self):
+                    self._first.persist(0, 4096)
+                    self._second.persist(0, 4096)
 
 
             def stage_commit(device, layout, meta):
                 device.write(layout.commit_offset, encode_commit_record(meta))
 
 
-            def flush_stripes(device, layout, writer, pending):
+            def flush_stripes(device, layout, writer: StripedWriter, pending):
                 for meta in pending:
                     stage_commit(device, layout, meta)
-                persist_striped(writer, pending)
+                writer.reap(writer.submit(pending))
         """
         root = write_tree(tmp_path, {"stripes.py": code})
         diags, _ = lint_paths([root], select={"PC010"})
         assert diags == []
+
+    def test_reap_that_may_skip_its_fence_does_not_count(self, tmp_path):
+        code = """
+            def encode_commit_record(meta):
+                return bytes(meta)
+
+
+            class LazyWriter:
+                def __init__(self, device):
+                    self._device = device
+
+                def reap(self, submission):
+                    if submission:
+                        self._device.persist(0, 4096)
+
+
+            def publish(device, layout, writer: LazyWriter, meta):
+                device.write(layout.commit_offset, encode_commit_record(meta))
+                writer.reap([])
+        """
+        root = write_tree(tmp_path, {"lazy.py": code})
+        diags, _ = lint_paths([root], select={"PC010"})
+        assert rules_fired(diags) == {"PC010"}
 
     def test_branch_missing_fence_detected(self, tmp_path):
         code = """

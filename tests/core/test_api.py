@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from repro import Checkpointer, CheckpointerHandle, open_checkpointer
+from repro import Checkpointer, open_checkpointer
 from repro.core.snapshot import BytesSource
 from repro.errors import ConfigError
 
@@ -171,26 +171,12 @@ class TestBackends:
 
 
 class TestDeprecatedAlias:
-    def test_handle_alias_warns_and_works(self, tmp_path):
-        with open_checkpointer(str(tmp_path / "z.pc"),
-                               capacity_bytes=4096) as ckpt:
-            assert isinstance(ckpt, Checkpointer)
-            assert not isinstance(ckpt, CheckpointerHandle)
-            with pytest.warns(DeprecationWarning):
-                legacy = CheckpointerHandle(
-                    device=ckpt.device,
-                    layout=ckpt.layout,
-                    engine=ckpt.engine,
-                    orchestrator=ckpt.orchestrator,
-                    config=ckpt.config,
-                )
-            assert isinstance(legacy, Checkpointer)
-            assert legacy.checkpoint(b"legacy", step=3).committed
-
+    # open_checkpointer is the one way to build a Checkpointer, and it
+    # raises no DeprecationWarning.
     def test_plain_construction_does_not_warn(self, tmp_path):
         with open_checkpointer(str(tmp_path / "w.pc"),
                                capacity_bytes=4096):
-            pass  # open_checkpointer builds Checkpointer, never the alias
+            pass
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             with open_checkpointer(str(tmp_path / "w2.pc"),
@@ -238,20 +224,3 @@ class TestInjection:
     def test_capacity_required_without_pool(self, tmp_path):
         with pytest.raises(TypeError):
             open_checkpointer(str(tmp_path / "x.pc"))
-
-
-class TestDeprecationSchedule:
-    def test_alias_warning_names_removal_version(self, tmp_path):
-        from repro._api import CHECKPOINTER_HANDLE_REMOVAL_VERSION
-
-        with open_checkpointer(str(tmp_path / "v.pc"),
-                               capacity_bytes=4096) as ckpt:
-            with pytest.warns(DeprecationWarning,
-                              match=CHECKPOINTER_HANDLE_REMOVAL_VERSION):
-                CheckpointerHandle(
-                    device=ckpt.device,
-                    layout=ckpt.layout,
-                    engine=ckpt.engine,
-                    orchestrator=ckpt.orchestrator,
-                    config=ckpt.config,
-                )

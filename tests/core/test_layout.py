@@ -181,22 +181,22 @@ class TestAlignedHeaders:
 
 
 class TestSuperblockVersions:
-    def test_v1_superblock_opens_with_compact_header(self):
-        """Regions formatted before the header_size field (v1) must keep
-        opening, with headers at the legacy RECORD_SIZE."""
+    def test_v1_superblock_is_rejected(self):
+        """A well-formed region from before the header_size field (v1:
+        magic, version, num_slots, slot_size, CRC) is refused by version,
+        not misread."""
         import struct
         import zlib
 
-        from repro.core.layout import _SB_MAGIC, _SB_STRUCT_V1
+        from repro.core.layout import _SB_MAGIC
 
         geometry = Geometry(num_slots=2, slot_size=512)
         device = InMemorySSD(capacity=geometry.total_size)
-        body = _SB_STRUCT_V1.pack(_SB_MAGIC, 1, 2, 512)
+        body = struct.pack("<8sIIQ", _SB_MAGIC, 1, 2, 512)
         device.write(0, body + struct.pack("<I", zlib.crc32(body)))
         device.persist(0, len(body) + 4)
-        layout = DeviceLayout.open(device)
-        assert layout.geometry.header_size == RECORD_SIZE
-        assert layout.num_slots == 2
+        with pytest.raises(LayoutError, match="unsupported layout version 1"):
+            DeviceLayout.open(device)
 
     def test_unknown_version_rejected(self):
         import struct

@@ -26,7 +26,6 @@ from repro.core.meta import (
 )
 from repro.core.recovery import (
     READ_THREADS,
-    PersistentIterator,
     find_committed,
     load_validated,
     recover,
@@ -131,31 +130,6 @@ class TestSlotScanFallback:
         recovered = recover(layout)
         assert recovered.source == "slot-scan"
         assert recovered.payload == b"second"
-
-
-class TestPersistentIterator:
-    def test_reads_in_chunks_and_logs_locations(self):
-        engine = make_engine()
-        payload = bytes(range(256)) * 3  # 768 bytes
-        engine.checkpoint(payload, step=1)
-        meta = engine.committed()
-        iterator = PersistentIterator(engine.layout, meta, chunk_size=100)
-        dest = bytearray(len(payload))
-        for offset, lo, hi in iterator:
-            engine.layout.device.readinto(offset, memoryview(dest)[lo:hi])
-        assert dest == payload
-        assert len(iterator.read_log) == 8  # ceil(768 / 100)
-        base = engine.layout.payload_offset(meta.slot)
-        assert iterator.read_log[0] == (base, 100)
-        assert iterator.read_log[-1] == (base + 700, 68)
-
-    def test_empty_payload_logs_nothing(self):
-        engine = make_engine()
-        engine.checkpoint(b"", step=1)
-        iterator = PersistentIterator(engine.layout, engine.committed())
-        assert list(iterator) == []
-        assert iterator.read_log == []
-        assert recover(engine.layout).payload == b""
 
 
 class TestEndToEndRestart:

@@ -1,5 +1,8 @@
 """Tests for the parallel writer pool and fence disciplines."""
 
+import threading
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +11,7 @@ from repro.core.writer import ParallelWriter, default_fence_mode, split_range
 from repro.errors import EngineError
 from repro.storage.pmem import SimulatedPMEM
 from repro.storage.ssd import InMemorySSD
+from repro.storage.striped import STRIPE_HEADER_SIZE, StripedDevice
 
 
 class TestSplitRange:
@@ -44,6 +48,55 @@ class TestSplitRange:
         if shares:
             sizes = [hi - lo for lo, hi in shares]
             assert max(sizes) - min(sizes) <= 1
+
+
+class OneChannelSSD(InMemorySSD):
+    """A bandwidth-limited SSD whose single channel serves one write at a
+    time — shares sent to it queue, shares sent to two of them overlap."""
+
+    def __init__(self, capacity, name="one-channel"):
+        super().__init__(capacity, name, write_bandwidth=2e6)
+        self._channel = threading.Lock()
+
+    def write(self, offset, data):
+        with self._channel:
+            super().write(offset, data)
+
+
+def _persist_seconds(device, threads, payload):
+    with ParallelWriter(device, num_threads=threads) as writer:
+        writer.persist(0, b"warm the pool" * threads)
+        start = time.perf_counter()
+        writer.persist(0, payload)
+        return time.perf_counter() - start
+
+
+class TestSplittingModel:
+    """Model checks that shares and stripes are split so they CAN overlap,
+    on ``time.sleep`` device models — a unit test of ``split_range`` and
+    the stripe mapping, explicitly not performance evidence (that is
+    ``bench/``, on real files)."""
+
+    PAYLOAD = bytes(200_000)  # 0.1 s of modelled channel time at 2 MB/s
+
+    def test_four_shares_overlap_on_a_channel_parallel_device(self):
+        def timed(threads):
+            device = InMemorySSD(1 << 20, write_bandwidth=2e6)
+            return _persist_seconds(device, threads, self.PAYLOAD)
+
+        assert timed(4) < 0.6 * timed(1)
+
+    def test_two_stripe_members_beat_one_serialised_channel(self):
+        stripe = len(self.PAYLOAD) // 2
+        capacity = STRIPE_HEADER_SIZE + 2 * stripe
+        single = _persist_seconds(
+            OneChannelSSD(capacity), 2, self.PAYLOAD
+        )
+        striped = StripedDevice.create(
+            [OneChannelSSD(capacity, f"m{i}") for i in range(2)], stripe
+        )
+        assert _persist_seconds(striped, 2, self.PAYLOAD) < 0.75 * single
+        striped.close()
 
 
 class TestDefaultFenceMode:

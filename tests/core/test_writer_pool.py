@@ -1,11 +1,11 @@
 """The persistent writer pool: reuse, shutdown, crash propagation, and
-the fence-coalescing contract of ``persist_scattered``."""
+the fence-coalescing contract of one ``submit``/``reap`` batch."""
 
 import threading
 
 import pytest
 
-from repro.core.writer import ParallelWriter, persist_scattered
+from repro.core.writer import ParallelWriter
 from repro.errors import CrashedDeviceError, TransientIOError
 from repro.storage.faults import (
     CrashBudgetExhausted,
@@ -159,7 +159,7 @@ class TestFenceCoalescing:
         writer = ParallelWriter(device, num_threads=2, fence_mode="single")
         pieces = [(i * 1024, bytes([i]) * 1024) for i in range(8)]
         before = device.stats.persist_ops
-        persist_scattered(writer, pieces)
+        writer.reap(writer.submit(pieces))
         assert device.stats.persist_ops - before == 1
         for offset, payload in pieces:
             assert device.read(offset, 1024) == payload
@@ -172,7 +172,7 @@ class TestFenceCoalescing:
         assert writer.fence_mode == "per-thread"
         pieces = [(0, bytes(2048)), (2048, bytes(2048))]
         before = device.stats.persist_ops
-        persist_scattered(writer, pieces)
+        writer.reap(writer.submit(pieces))
         # Two pieces x two shares: every share fences its own range.
         assert device.stats.persist_ops - before == 4
         assert device.unpersisted_bytes == 0
@@ -182,7 +182,7 @@ class TestFenceCoalescing:
         device = InMemorySSD(CAPACITY)
         writer = ParallelWriter(device, num_threads=2)
         before = device.stats.persist_ops
-        persist_scattered(writer, [(0, b""), (128, b"")])
+        writer.reap(writer.submit([(0, b""), (128, b"")]))
         assert device.stats.persist_ops == before
         assert writer.bytes_persisted == 0
         writer.close()
@@ -190,7 +190,7 @@ class TestFenceCoalescing:
     def test_scattered_accounts_total_bytes(self):
         device = InMemorySSD(CAPACITY)
         writer = ParallelWriter(device, num_threads=3)
-        persist_scattered(writer, [(0, bytes(1000)), (1000, bytes(500))])
+        writer.reap(writer.submit([(0, bytes(1000)), (1000, bytes(500))]))
         assert writer.bytes_persisted == 1500
         writer.close()
 
@@ -199,7 +199,7 @@ class TestFenceCoalescing:
         writer = ParallelWriter(device, num_threads=4, fence_mode="single")
         payload = bytes(range(256)) * 8
         before = device.stats.persist_ops
-        persist_scattered(writer, [(64, payload)])
+        writer.reap(writer.submit([(64, payload)]))
         assert device.stats.persist_ops - before == 1
         assert device.read(64, len(payload)) == payload
         writer.close()

@@ -123,8 +123,8 @@ class TestTicketPipelining:
     def test_submit_chunk_then_reap_then_commit(self):
         device, engine = _make_engine()
         ticket = engine.begin(step=1)
-        sub1 = ticket.submit_chunk(b"1" * 8192)
-        sub2 = ticket.submit_chunk(b"2" * 8192)
+        sub1 = ticket.submit([b"1" * 8192])
+        sub2 = ticket.submit([b"2" * 8192])
         assert ticket.pending_submissions == 2
         ticket.reap(sub1)
         assert ticket.pending_submissions == 1
@@ -138,7 +138,7 @@ class TestTicketPipelining:
         device, engine = _make_engine()
         ticket = engine.begin(step=2)
         for i in range(4):
-            ticket.submit_chunk(bytes([i]) * 4096)
+            ticket.submit([bytes([i]) * 4096])
         meta = ticket.commit()
         assert meta.payload_len == 4 * 4096
         recovered = engine.committed()
@@ -150,7 +150,7 @@ class TestTicketPipelining:
         device, engine = _make_engine()
         free_before = engine.free_slots
         ticket = engine.begin(step=3)
-        ticket.submit_chunk(b"gone" * 1024)
+        ticket.submit([b"gone" * 1024])
         ticket.abort()
         assert ticket.pending_submissions == 0
         assert engine.free_slots == free_before
@@ -164,7 +164,7 @@ class TestTicketPipelining:
         device, engine = _make_engine(metrics=metrics, write_bandwidth=20e6)
         ticket = engine.begin(step=4)
         for i in range(4):
-            ticket.submit_chunk(b"o" * 16_384)
+            ticket.submit([b"o" * 16_384])
         ticket.commit()
         assert metrics.value(M.PIPELINE_OVERLAP_SECONDS) > 0
         engine.close()
@@ -180,7 +180,7 @@ class TestTicketPipelining:
         ticket = engine.begin(step=5)
         view = memoryview(payload)
         for lo in range(0, len(payload), 8192):
-            ticket.submit_chunk(view[lo : lo + 8192])
+            ticket.submit([view[lo : lo + 8192]])
         ticket.commit()
         engine.close()
         recovered = recover(DeviceLayout.open(device))

@@ -1,11 +1,14 @@
 """EnginePool unit tests: lease lifecycle, saturation, retirement, leaks."""
 
+import os
+
 import pytest
 
 from repro.core.snapshot import BytesSource
 from repro.errors import (
     ConfigError,
     EngineClosedError,
+    LayoutError,
     ServiceError,
     ServiceSaturated,
 )
@@ -236,8 +239,23 @@ class TestOpenExistingRegion:
             device.close()
 
     def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            open_existing_region(str(tmp_path / "nope.pc"))
+        path = str(tmp_path / "nope.pc")
+        with pytest.raises(LayoutError, match="no checkpoint region") as info:
+            open_existing_region(path)
+        assert path in str(info.value)
+        assert ".s0" not in str(info.value)
+
+    def test_striped_base_path_names_the_member_on_disk(self, tmp_path):
+        path = str(tmp_path / "striped.pc")
+        spec = EngineSpec(capacity_bytes=65536, backend="ssd", path=path,
+                          stripe_devices=2)
+        with EnginePool(spec, size=1) as pool:
+            with pool.acquire(tag="t") as lease:
+                lease.orchestrator.checkpoint_sync(BytesSource(b"abc"), step=1)
+        assert not os.path.exists(path) and os.path.exists(f"{path}.s0")
+        with pytest.raises(LayoutError, match="striped region") as info:
+            open_existing_region(path)
+        assert path in str(info.value) and f"{path}.s0" in str(info.value)
 
 
 class TestBuildDevice:

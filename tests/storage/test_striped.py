@@ -16,7 +16,6 @@ from repro.storage.striped import (
     StripedDevice,
     decode_stripe_manifest,
     encode_stripe_manifest,
-    persist_striped,
 )
 
 
@@ -124,12 +123,12 @@ class TestPersist:
         assert striped.read(0, 8192) == b"k" * 8192
         striped.close()
 
-    def test_persist_striped_is_one_batch_one_fence_per_member(self):
+    def test_one_batch_reaps_with_one_fence_per_member(self):
         striped, devices = make_striped(members=2, stripe=4096)
         writer = ParallelWriter(striped, num_threads=2)
         pieces = [(0, b"a" * 4096), (4096, b"b" * 4096)]
         before = [d.stats.persist_ops for d in devices]
-        persist_striped(writer, pieces)
+        writer.reap(writer.submit(pieces))
         after = [d.stats.persist_ops for d in devices]
         assert [a - b for a, b in zip(after, before)] == [1, 1]
         assert striped.read(0, 8192) == b"a" * 4096 + b"b" * 4096

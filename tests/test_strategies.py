@@ -18,14 +18,11 @@ from repro.strategies import (
 
 class TestRegistryIsTheSingleSource:
     def test_legacy_functional_table_derives_from_registry(self):
-        from repro.baselines.registry import (
-            STRATEGY_CLASSES,
-            available_strategies,
-        )
+        import repro.baselines as baselines
 
-        assert available_strategies() == functional_strategies()
-        for name, cls in STRATEGY_CLASSES.items():
-            assert REGISTRY[name].functional_class() is cls
+        assert baselines.available_strategies is functional_strategies
+        assert baselines.build_strategy is build_strategy
+        assert baselines.required_capacity is required_capacity
 
     def test_legacy_sim_table_derives_from_registry(self):
         from repro.sim.strategies import STRATEGY_SIMS
