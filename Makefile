@@ -1,6 +1,6 @@
 # Convenience targets for the PCcheck reproduction.
 
-.PHONY: install test test-sanitize test-distributed test-service test-tiered lint lint-sarif lint-baseline crashsweep bench bench-smoke bench-obs figures examples clean
+.PHONY: install test test-sanitize test-distributed test-service test-tiered lint lint-sarif lint-baseline crashsweep bench bench-smoke figures examples clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -103,13 +103,6 @@ BENCH_SMOKE_OUT ?= .bench_out/smoke
 bench-smoke:
 	python3 -m bench --smoke --seed 1 --out "$(BENCH_SMOKE_OUT)"
 	python -m pytest -q bench/
-
-# Telemetry-overhead benchmark: runs the fig8-style concurrent-checkpoint
-# workload with observability off vs. on and writes BENCH_pipeline.json
-# (checkpoints/sec, the Figure 6 stall breakdown, overhead verdict).
-# Exits non-zero if telemetry costs >= 3%.
-bench-obs:
-	PYTHONPATH=src python -m repro.obs.bench --out BENCH_pipeline.json
 
 bench-full:
 	pytest benchmarks/

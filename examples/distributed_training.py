@@ -16,13 +16,10 @@ import threading
 
 import numpy as np
 
-from repro.core.distributed import (
-    CheckpointBarrier,
-    DistributedWorker,
-    recover_consistent,
-)
+from repro.core.distributed import DistributedCoordinator, DistributedWorker
 from repro.core.layout import DeviceLayout, Geometry
 from repro.core.meta import RECORD_SIZE
+from repro.core.recovery import recover_consistent
 from repro.errors import DistributedError
 from repro.storage.ssd import InMemorySSD
 from repro.training.models import TransformerLM
@@ -49,12 +46,12 @@ def main() -> None:
     slot_size = capacity + RECORD_SIZE
     geometry = Geometry(num_slots=3, slot_size=slot_size)
 
-    barrier = CheckpointBarrier(WORLD_SIZE, timeout=1.0)
+    coordinator = DistributedCoordinator(WORLD_SIZE, timeout=1.0)
     workers = []
     for rank in range(WORLD_SIZE):
         device = InMemorySSD(geometry.total_size, name=f"ssd-rank{rank}")
         layout = DeviceLayout.format(device, num_slots=3, slot_size=slot_size)
-        workers.append(DistributedWorker.create(rank, layout, barrier))
+        workers.append(DistributedWorker.create(rank, layout, coordinator))
 
     def checkpoint_step(step, dead_ranks=()):
         """All live workers checkpoint their partition for `step`."""
@@ -82,14 +79,14 @@ def main() -> None:
                 param.data += 0.01
         checkpoint_step(step)
         print(f"  step {step}: all ranks committed; "
-              f"globally consistent peer_check = {barrier.peer_check}")
+              f"globally consistent peer_check = {coordinator.peer_check}")
 
     print("\n=== rank 2 dies before checkpoint 3 ===")
     for model in partitions:
         for param in model.parameters():
             param.data += 0.01
     checkpoint_step(3, dead_ranks=(2,))
-    print(f"  peer_check still = {barrier.peer_check} "
+    print(f"  peer_check still = {coordinator.peer_check} "
           f"(step 3 never became globally consistent)")
 
     print("\n=== recovery across all four devices ===")

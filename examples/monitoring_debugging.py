@@ -124,8 +124,7 @@ def main() -> None:
     # steps after the bad updates began.  PCcheck's N+1 retained slots
     # keep the recent *history* of checkpoints on the device, so we can
     # scan them and pick one safely before the first anomaly.
-    from repro.core.distributed import valid_checkpoints
-    from repro.core.recovery import load_validated
+    from repro.core.recovery import load_validated, valid_checkpoints
 
     first_bad = monitor.anomalies[0].step
     margin = 3  # detection lag allowance

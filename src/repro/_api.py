@@ -216,8 +216,9 @@ def open_checkpointer(
     for the defaults) enables tiered storage: the backend device becomes
     the hot tier, committed checkpoints are asynchronously demoted to a
     warm device (``{path}.warm`` for ``ssd``) and a remote object store,
-    and :func:`repro.core.recovery.recover_tiered` can walk the tiers
-    fastest-first at restart (see ``docs/STORAGE.md``).
+    and :func:`repro.core.recovery.recover` over the checkpointer's
+    device walks the tiers fastest-first at restart (see
+    ``docs/STORAGE.md``).
 
     ``observability`` selects the telemetry level: ``"off"`` keeps the
     engine's private registry but instruments nothing else, ``"metrics"``

@@ -41,15 +41,11 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import TimeoutError as FuturesTimeoutError
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.distributed import (
-    CheckpointBarrier,
-    DistributedCoordinator,
-    DistributedWorker,
-    recover_consistent,
-)
+from repro.core.distributed import DistributedCoordinator, DistributedWorker
 
 #: Poll cadence while waiting for settled rounds to release their held
 #: slots — settlement races the waiters waking, so the invariant check
@@ -59,7 +55,7 @@ from repro.core.engine import CheckpointEngine
 from repro.core.layout import DeviceLayout, Geometry
 from repro.core.meta import RECORD_SIZE
 from repro.core.orchestrator import PCcheckOrchestrator
-from repro.core.recovery import recover_tiered, try_recover
+from repro.core.recovery import recover, recover_consistent, try_recover
 from repro.core.sharding import shard_payload, reassemble
 from repro.core.snapshot import BytesSource
 from repro.errors import (
@@ -71,6 +67,7 @@ from repro.errors import (
     NoCheckpointError,
     PCcheckError,
 )
+from repro.storage.device import PersistentDevice
 from repro.storage.dram import DRAMBufferPool
 from repro.storage.faults import CrashPointDevice
 from repro.storage.remote import RemoteStore
@@ -226,7 +223,7 @@ class Workload:
     # helpers
 
     def _build_engine(
-        self, device: CrashPointDevice, spec: WorkloadSpec
+        self, device: PersistentDevice, spec: WorkloadSpec
     ) -> CheckpointEngine:
         layout = DeviceLayout.format(
             device, num_slots=spec.num_slots, slot_size=spec.slot_size
@@ -253,25 +250,43 @@ class Workload:
 
 
 class EngineOneShotWorkload(Workload):
-    """Sequential ``engine.checkpoint()`` calls — Listing 1 end to end."""
+    """Sequential ``engine.checkpoint()`` calls — Listing 1 end to end.
+
+    Subclasses put a different device stack under the same engine by
+    overriding :meth:`assemble` (and ``validate_recovery`` to match).
+    """
 
     name = "engine"
     description = "one-shot checkpoint() calls on the bare engine"
 
+    def assemble(
+        self,
+        device: CrashPointDevice,
+        spec: WorkloadSpec,
+        journal: RunJournal,
+        teardown: ExitStack,
+    ) -> CheckpointEngine:
+        """Format the region and build the engine the run drives.  What
+        recovery needs later (peer devices, …) goes in ``journal.aux``;
+        what must be settled before recovery looks — crash or not — is
+        registered on ``teardown``."""
+        return self._build_engine(device, spec)
+
     def run(self, device: CrashPointDevice, spec: WorkloadSpec) -> RunJournal:
         journal = RunJournal()
-        try:
-            engine = self._build_engine(device, spec)
-            for step in range(1, spec.steps + 1):
-                result = engine.checkpoint(
-                    self.expected_payload(spec, step), step=step
-                )
-                if result.committed:
-                    journal.ack(step, result.counter)
-        except CrashedDeviceError as exc:
-            journal.crashed = True
-            journal.crash_error = str(exc)
-            return journal
+        with ExitStack() as teardown:
+            try:
+                engine = self.assemble(device, spec, journal, teardown)
+                for step in range(1, spec.steps + 1):
+                    result = engine.checkpoint(
+                        self.expected_payload(spec, step), step=step
+                    )
+                    if result.committed:
+                        journal.ack(step, result.counter)
+            except CrashedDeviceError as exc:
+                journal.crashed = True
+                journal.crash_error = str(exc)
+                return journal
         self._check_slot_conservation(engine, spec, journal)
         return journal
 
@@ -384,7 +399,7 @@ class DistributedWorkload(Workload):
 
     An acknowledged step here means *every* rank's checkpoint returned —
     the globally consistent property recovery must honour via
-    :func:`repro.core.distributed.recover_consistent`.
+    :func:`repro.core.recovery.recover_consistent`.
     """
 
     name = "distributed"
@@ -397,7 +412,7 @@ class DistributedWorkload(Workload):
             for rank in range(1, spec.world_size)
         ]
         journal.aux["peer_devices"] = peers
-        barrier = CheckpointBarrier(
+        coordinator = DistributedCoordinator(
             spec.world_size, timeout=spec.barrier_timeout
         )
         try:
@@ -418,7 +433,7 @@ class DistributedWorkload(Workload):
         ]
         workers = [
             DistributedWorker.create(
-                rank, layout, barrier, writer_threads=spec.writer_threads
+                rank, layout, coordinator, writer_threads=spec.writer_threads
             )
             for rank, layout in enumerate(layouts)
         ]
@@ -453,7 +468,7 @@ class DistributedWorkload(Workload):
                 journal.ack(step, results[0].counter)
             self._check_held_slot_invariant(workers, spec, journal)
         finally:
-            DistributedCoordinator.for_barrier(barrier).close()
+            coordinator.close()
         return journal
 
     def _check_held_slot_invariant(
@@ -553,7 +568,7 @@ class ElasticShardedWorkload(DistributedWorkload):
     ways: the writer-world recovery must match the shards bit-exactly
     (the inherited check), and for each world size in
     ``spec.elastic_readers`` the re-partitioned recovery
-    (:func:`~repro.core.distributed.recover_consistent` with
+    (:func:`~repro.core.recovery.recover_consistent` with
     ``world_size``) must reassemble to the *bit-identical* global state
     — ROADMAP item 4's acceptance bar, swept across every crash point.
     """
@@ -623,7 +638,7 @@ class ElasticShardedWorkload(DistributedWorkload):
                                violations)
 
 
-class StripedEngineWorkload(Workload):
+class StripedEngineWorkload(EngineOneShotWorkload):
     """One-shot checkpoints on a striped device; member 0 takes the crash.
 
     The engine writes through a :class:`~repro.storage.striped.StripedDevice`
@@ -649,37 +664,22 @@ class StripedEngineWorkload(Workload):
     stripe_members = 3
     stripe_size = 512
 
-    def run(self, device: CrashPointDevice, spec: WorkloadSpec) -> RunJournal:
-        journal = RunJournal()
+    def assemble(
+        self,
+        device: CrashPointDevice,
+        spec: WorkloadSpec,
+        journal: RunJournal,
+        teardown: ExitStack,
+    ) -> CheckpointEngine:
         peers = [
             InMemorySSD(spec.geometry().total_size, name=f"stripe-peer-{i}")
             for i in range(1, self.stripe_members)
         ]
         journal.aux["peer_devices"] = peers
-        try:
-            striped = StripedDevice.create(
-                [device, *peers], stripe_size=self.stripe_size
-            )
-            layout = DeviceLayout.format(
-                striped, num_slots=spec.num_slots, slot_size=spec.slot_size
-            )
-            engine = CheckpointEngine(
-                layout,
-                writer_threads=spec.writer_threads,
-                sanitize=spec.sanitize,
-            )
-            for step in range(1, spec.steps + 1):
-                result = engine.checkpoint(
-                    self.expected_payload(spec, step), step=step
-                )
-                if result.committed:
-                    journal.ack(step, result.counter)
-        except CrashedDeviceError as exc:
-            journal.crashed = True
-            journal.crash_error = str(exc)
-            return journal
-        self._check_slot_conservation(engine, spec, journal)
-        return journal
+        striped = StripedDevice.create(
+            [device, *peers], stripe_size=self.stripe_size
+        )
+        return self._build_engine(striped, spec)
 
     def validate_recovery(
         self, device: CrashPointDevice, spec: WorkloadSpec, journal: RunJournal
@@ -718,7 +718,7 @@ class StripedEngineWorkload(Workload):
         return self._recovery_from_layout(layout, spec, journal, violations)
 
 
-class TieredEngineWorkload(Workload):
+class TieredEngineWorkload(EngineOneShotWorkload):
     """One-shot checkpoints with the tier-demotion hook live; the hot
     device takes the crash while demotions are in flight.
 
@@ -736,9 +736,10 @@ class TieredEngineWorkload(Workload):
     * the hot tier **alone** satisfies the inherited journal check — the
       commit record never depends on the warm or remote tier, even when
       the crash landed mid-demotion;
-    * :func:`~repro.core.recovery.recover_tiered` agrees byte-exactly,
-      picks the hot copy while it is valid, and keeps working with the
-      remote tier completely unavailable.
+    * :func:`~repro.core.recovery.recover` over the whole
+      ``TieredDevice`` agrees byte-exactly, picks the hot copy while it
+      is valid, and keeps working with the remote tier completely
+      unavailable.
     """
 
     name = "tiered"
@@ -746,47 +747,35 @@ class TieredEngineWorkload(Workload):
         "one-shot checkpoints with async warm/remote demotion; hot crashes"
     )
 
-    def run(self, device: CrashPointDevice, spec: WorkloadSpec) -> RunJournal:
-        journal = RunJournal()
+    def assemble(
+        self,
+        device: CrashPointDevice,
+        spec: WorkloadSpec,
+        journal: RunJournal,
+        teardown: ExitStack,
+    ) -> CheckpointEngine:
         warm = InMemorySSD(spec.geometry().total_size, name="tier-warm")
         remote = RemoteStore(name="tier-remote")
         journal.aux["warm_device"] = warm
         journal.aux["remote_store"] = remote
-        policy = None
-        engine = None
-        try:
-            tiered = TieredDevice(device, warm, remote)
-            layout = DeviceLayout.format(
-                tiered, num_slots=spec.num_slots, slot_size=spec.slot_size
-            )
-            policy = TierPolicy(
-                layout, warm, remote, plan=TierPlan(demote_threads=1)
-            )
-            engine = CheckpointEngine(
-                layout,
-                writer_threads=spec.writer_threads,
-                sanitize=spec.sanitize,
-                post_cas_hook=policy.on_commit,
-            )
-            for step in range(1, spec.steps + 1):
-                result = engine.checkpoint(
-                    self.expected_payload(spec, step), step=step
-                )
-                if result.committed:
-                    journal.ack(step, result.counter)
-        except CrashedDeviceError as exc:
-            journal.crashed = True
-            journal.crash_error = str(exc)
-            return journal
-        finally:
-            # The demoter keeps its own writer threads; settle the queue
-            # (failed demotions against a crashed hot tier drain fast) and
-            # join the worker before recovery looks at the tiers.
-            if policy is not None:
-                policy.drain(timeout=5.0)
-                policy.stop()
-        self._check_slot_conservation(engine, spec, journal)
-        return journal
+        tiered = TieredDevice(device, warm, remote)
+        layout = DeviceLayout.format(
+            tiered, num_slots=spec.num_slots, slot_size=spec.slot_size
+        )
+        policy = TierPolicy(
+            layout, warm, remote, plan=TierPlan(demote_threads=1)
+        )
+        # The demoter keeps its own writer threads; settle the queue
+        # (failed demotions against a crashed hot tier drain fast) and
+        # join the worker before recovery looks at the tiers.
+        teardown.callback(policy.stop)
+        teardown.callback(policy.drain, timeout=5.0)
+        return CheckpointEngine(
+            layout,
+            writer_threads=spec.writer_threads,
+            sanitize=spec.sanitize,
+            post_cas_hook=policy.on_commit,
+        )
 
     def validate_recovery(
         self, device: CrashPointDevice, spec: WorkloadSpec, journal: RunJournal
@@ -797,13 +786,11 @@ class TieredEngineWorkload(Workload):
         if not device.inner.crashed:
             device.inner.crash()
         device.inner.recover()
-        warm = journal.aux.get("warm_device")
-        remote = journal.aux.get("remote_store")
-        if warm is not None:
-            warm.crash()
-            warm.recover()
-        if remote is not None:
-            remote.power_fail()
+        warm = journal.aux["warm_device"]
+        remote = journal.aux["remote_store"]
+        warm.crash()
+        warm.recover()
+        remote.power_fail()
         try:
             layout = DeviceLayout.open(device.inner)
         except LayoutError:
@@ -819,17 +806,16 @@ class TieredEngineWorkload(Workload):
         violations = outcome.violations
         # The tier walk must agree byte-exactly, with and without the
         # remote tier reachable.
+        tiers = TieredDevice(device.inner, warm, remote)
         for label, remote_dark in (("remote dark", True), ("all tiers", False)):
-            if remote is not None and remote_dark:
+            if remote_dark:
                 remote.fail()
             try:
-                walked = recover_tiered(
-                    device.inner, warm=warm, remote=remote
-                )
+                walked = recover(tiers)
             except NoCheckpointError:
                 walked = None
             finally:
-                if remote is not None and remote_dark:
+                if remote_dark:
                     remote.restore()
             if walked is None:
                 if outcome.recovered_step is not None:

@@ -79,9 +79,11 @@ def build_parser() -> argparse.ArgumentParser:
     tune_parser.add_argument("--model", default="opt_1_3b")
     tune_parser.add_argument("--slowdown", type=float, default=1.05)
     inspect_parser = sub.add_parser(
-        "inspect", help="report every checkpoint in a region file"
+        "inspect", help="report every checkpoint in a region"
     )
-    inspect_parser.add_argument("path", help="checkpoint region file")
+    inspect_parser.add_argument(
+        "path", help="region file, or the base path of a striped region"
+    )
     rc_parser = sub.add_parser(
         "recover-consistent",
         help="find the newest globally consistent step across every "
@@ -89,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rc_parser.add_argument(
         "paths", nargs="+",
-        help="one checkpoint region file per rank, in rank order",
+        help="one region file (or striped base path) per rank, in rank order",
     )
     rc_parser.add_argument(
         "--out", default=None,
@@ -369,7 +371,7 @@ def _run_sim(args: argparse.Namespace) -> int:
 def _run_recover_consistent(args: argparse.Namespace) -> int:
     import json
 
-    from repro.core.distributed import recover_consistent
+    from repro.core.recovery import recover_consistent
     from repro.errors import PCcheckError
     from repro.service.pool import open_existing_region
 
@@ -500,9 +502,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         _run_tune(args.model, args.slowdown)
         return 0
     if args.command == "inspect":
-        from repro.core.inspect import inspect_file
+        from repro.core.inspect import inspect_device, inspect_file
+        from repro.errors import PCcheckError
+        from repro.service.pool import open_existing_region
 
-        report = inspect_file(args.path)
+        if os.path.isfile(args.path):
+            report = inspect_file(args.path)
+        else:  # the base path of a striped region, or nothing at all
+            try:
+                device, _ = open_existing_region(args.path)
+            except PCcheckError as exc:
+                print(f"inspect: {exc}", file=sys.stderr)
+                return 1
+            try:
+                report = inspect_device(device)
+            finally:
+                device.close()
         for line in report.summary_lines():
             print(line)
         return 0 if report.recovery_choice is not None else 1

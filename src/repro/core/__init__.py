@@ -39,13 +39,10 @@ from repro.core.differential import (
 from repro.core.distributed import (
     BarrierRound,
     CheckpointBarrier,
-    ConsistentCheckpoint,
     DistributedCoordinator,
     DistributedOrchestrator,
     DistributedWorker,
     RoundOutcome,
-    recover_consistent,
-    valid_checkpoints,
 )
 from repro.core.engine import CheckpointEngine, CheckpointResult, CheckpointTicket
 from repro.core.inspect import DeviceReport, SlotReport, inspect_device, inspect_file
@@ -55,10 +52,13 @@ from repro.core.layout import DeviceLayout, Geometry
 from repro.core.meta import CheckMeta
 from repro.core.orchestrator import CheckpointHandle, PCcheckOrchestrator
 from repro.core.recovery import (
+    ConsistentCheckpoint,
     RecoveredCheckpoint,
     find_committed,
     recover,
+    recover_consistent,
     try_recover,
+    valid_checkpoints,
 )
 from repro.core.snapshot import BytesSource, GPUSource, SnapshotSource
 from repro.core.writer import ParallelWriter, default_fence_mode, split_range

@@ -263,7 +263,7 @@ class DifferentialCheckpointer:
         """A reshard rebound the anchors: invalidate the delta chain.
 
         After elastic recovery onto a different world
-        (:func:`~repro.core.distributed.recover_consistent` with
+        (:func:`~repro.core.recovery.recover_consistent` with
         ``world_size``), every rank's partition boundary moved, so no
         prior anchor describes the new partition.  Deltas never cross a
         reshard boundary: the next :meth:`checkpoint` writes a full

@@ -31,14 +31,12 @@ in two layers:
   until :meth:`DistributedCoordinator.reform` re-forms the world.
 
 On top of those, :class:`DistributedWorker` wraps one engine (blocking or
-pipelined per call site), :class:`DistributedOrchestrator` wires the
+pipelined per call site) and :class:`DistributedOrchestrator` wires the
 coordination into the capture/persist pipeline of
-:class:`~repro.core.orchestrator.PCcheckOrchestrator`, and
-:func:`recover_consistent` performs cross-device recovery: scan every
-worker's slots for valid checkpoints, intersect the step sets, and load
-the newest common step — every payload CRC-validated on the bytes it
-returns, with the same retry semantics as the single-device
-:func:`~repro.core.recovery.recover`.
+:class:`~repro.core.orchestrator.PCcheckOrchestrator`.  The read side —
+:func:`~repro.core.recovery.recover_consistent`, the newest step every
+rank holds — lives with the rest of the restore code in
+:mod:`repro.core.recovery`.
 """
 
 from __future__ import annotations
@@ -46,25 +44,16 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.engine import CheckpointEngine
 from repro.core.layout import DeviceLayout
 from repro.core.meta import CheckMeta
-from repro.core.recovery import (
-    DEFAULT_READ_CHUNK,
-    commit_record_candidate,
-    load_validated,
-)
-from repro.core.reshard import reshard_shards
-from repro.core.sharding import is_shard
 from repro.errors import (
-    CorruptCheckpointError,
     DegradedGroupError,
     DistributedError,
     DistributedTimeoutError,
-    NoCheckpointError,
 )
 from repro.obs.metrics import M, MetricsRegistry
 from repro.obs.trace import NULL_TRACER
@@ -649,21 +638,6 @@ class DistributedCoordinator:
         self._closed = False
         barrier.add_listener(self._on_round_complete, self._on_round_failed)
 
-    @classmethod
-    def for_barrier(cls, barrier: CheckpointBarrier) -> "DistributedCoordinator":
-        """The coordinator bound to ``barrier``, created on first use.
-
-        Lets legacy call sites that share a bare barrier object
-        transparently share one coordinator (and its held-slot
-        bookkeeping) as well.
-        """
-        with _ADOPTION_LOCK:
-            coordinator = getattr(barrier, "_coordinator", None)
-            if coordinator is None:
-                coordinator = cls(barrier=barrier)
-                barrier._coordinator = coordinator  # noqa: SLF001
-            return coordinator
-
     # ------------------------------------------------------------------
     # group state
 
@@ -720,7 +694,7 @@ class DistributedCoordinator:
         resize the world (e.g. a replacement node joined, spot preemption
         shrank the fleet, or scale-up grew it — elastic recovery then
         re-partitions the checkpoint via
-        :func:`recover_consistent` with ``world_size``).
+        :func:`~repro.core.recovery.recover_consistent` with ``world_size``).
 
         Uses only the barrier's public, internally locked APIs
         (:meth:`CheckpointBarrier.fail_all_pending`,
@@ -915,22 +889,6 @@ class DistributedCoordinator:
             self._barrier.expire_overdue()
 
 
-#: Guards lazy coordinator adoption for bare CheckpointBarrier objects.
-_ADOPTION_LOCK = threading.Lock()
-
-
-def _coerce_coordinator(group) -> DistributedCoordinator:
-    """Accept either a coordinator or a legacy bare barrier."""
-    if isinstance(group, DistributedCoordinator):
-        return group
-    if isinstance(group, CheckpointBarrier):
-        return DistributedCoordinator.for_barrier(group)
-    raise DistributedError(
-        f"expected a DistributedCoordinator or CheckpointBarrier, "
-        f"got {type(group).__name__}"
-    )
-
-
 @dataclass
 class DistributedWorker:
     """One worker's engine bound to the group coordinator."""
@@ -943,30 +901,19 @@ class DistributedWorker:
     #: slot recycling is deferred until it does (§4.1, pipelined).
     pipelined: bool = False
 
-    @property
-    def barrier(self) -> CheckpointBarrier:
-        """The group's gather/release primitive (compat accessor)."""
-        return self.coordinator.barrier
-
     @classmethod
     def create(
         cls,
         rank: int,
         layout: DeviceLayout,
-        group,
+        coordinator: DistributedCoordinator,
         writer_threads: int = 3,
         recovered: Optional[CheckMeta] = None,
         pipelined: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         tracer=None,
     ) -> "DistributedWorker":
-        """Build a worker whose engine coordinates after every CAS.
-
-        ``group`` is a :class:`DistributedCoordinator` or (legacy) a
-        bare :class:`CheckpointBarrier`, which is adopted into a shared
-        coordinator.
-        """
-        coordinator = _coerce_coordinator(group)
+        """Build a worker whose engine coordinates after every CAS."""
         engine = coordinator.bind_engine(
             rank,
             layout,
@@ -1039,14 +986,14 @@ class DistributedOrchestrator:
             )
         self.rank = rank
         self._orchestrator = orchestrator
-        self.coordinator = _coerce_coordinator(coordinator)
+        self.coordinator = coordinator
 
     @classmethod
     def create(
         cls,
         rank: int,
         layout: DeviceLayout,
-        group,
+        coordinator: DistributedCoordinator,
         *,
         pool=None,
         num_chunks: int = 4,
@@ -1061,7 +1008,6 @@ class DistributedOrchestrator:
         from repro.core.orchestrator import PCcheckOrchestrator
         from repro.storage.dram import DRAMBufferPool
 
-        coordinator = _coerce_coordinator(group)
         engine = coordinator.bind_engine(
             rank,
             layout,
@@ -1120,195 +1066,3 @@ class DistributedOrchestrator:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-# ----------------------------------------------------------------------
-# cross-device recovery
-
-
-@dataclass
-class ConsistentCheckpoint:
-    """The newest globally consistent checkpoint across all workers.
-
-    ``payloads`` is index-aligned with *reader* rank; ``metas`` and
-    ``sources`` stay aligned with the *writer* ranks whose devices the
-    checkpoint was read from.  The two worlds coincide unless elastic
-    recovery re-partitioned the state (``resharded``), in which case
-    ``len(payloads) == world_size`` may differ from ``len(metas)``.
-    """
-
-    step: int
-    payloads: List[memoryview]  # read-only, index-aligned with reader rank
-    metas: List[CheckMeta]  # index-aligned with writer rank
-    #: Per-writer-rank location mechanism: "commit-record" or "slot-scan".
-    sources: List[str] = field(default_factory=list)
-    #: Reader world the payloads are partitioned for.
-    world_size: int = 0
-    #: Writer world that produced the checkpoint.
-    writer_world: int = 0
-    #: True when the payloads were re-partitioned onto a different world.
-    resharded: bool = False
-
-    def __post_init__(self) -> None:
-        if self.world_size == 0:
-            self.world_size = len(self.payloads)
-        if self.writer_world == 0:
-            self.writer_world = len(self.metas)
-
-
-def valid_checkpoints(layout: DeviceLayout) -> List[CheckMeta]:
-    """All complete checkpoints currently on a device (slot scan).
-
-    Includes superseded-but-not-yet-overwritten checkpoints — those are
-    what make a globally consistent step recoverable when workers crashed
-    at different points.
-    """
-    return [
-        header
-        for header in layout.read_all_slot_headers()
-        if header is not None and load_validated(layout, header) is not None
-    ]
-
-
-def _candidate_steps(layout: DeviceLayout) -> Dict[int, Tuple[CheckMeta, str]]:
-    """Map step -> (best validated meta, its source) for one rank's device.
-
-    The commit-record fast path is preferred for its step — it is the
-    rank's authoritative newest commit — with the slot scan filling in
-    the superseded-but-still-durable older steps.
-    """
-    valid = valid_checkpoints(layout)
-    by_step = {
-        meta.step: (meta, "slot-scan")  # the highest counter wins a step
-        for meta in sorted(valid, key=lambda meta: meta.counter)
-    }
-    committed = commit_record_candidate(layout)
-    # Its payload was validated by the scan unless the record disagrees
-    # with its slot's header about what the payload is.
-    if committed is not None and (
-        committed in valid or load_validated(layout, committed) is not None
-    ):
-        by_step[committed.step] = (committed, "commit-record")
-    return by_step
-
-
-def _reshard_payloads(
-    step: int, payloads: List[bytes], world_size: int
-) -> List[bytes]:
-    """Re-partition N writers' shard payloads onto ``world_size`` readers.
-
-    The payloads must be self-describing shards; the global index is
-    rebuilt from their headers and re-partitioned through
-    :func:`~repro.core.reshard.reshard_shards`.
-    """
-    plain = [rank for rank, p in enumerate(payloads) if not is_shard(p)]
-    if plain:
-        raise DistributedError(
-            f"cannot recover step {step} onto a world of {world_size}: "
-            f"rank payloads {plain} are not self-describing shards, so "
-            f"there is no global index to re-partition them with "
-            f"(checkpoint was written by {len(payloads)} ranks; shard "
-            f"with repro.core.sharding.shard_payload to enable elastic "
-            f"recovery)"
-        )
-    try:
-        return reshard_shards(payloads, world_size)
-    except CorruptCheckpointError as exc:
-        raise DistributedError(
-            f"cannot re-partition step {step} onto a world of "
-            f"{world_size}: {exc}"
-        ) from exc
-
-
-def recover_consistent(
-    layouts: Sequence[DeviceLayout],
-    chunk_size: int = DEFAULT_READ_CHUNK,
-    max_attempts: int = 8,
-    metrics: Optional[MetricsRegistry] = None,
-    world_size: Optional[int] = None,
-) -> ConsistentCheckpoint:
-    """Find and load the newest step every worker holds a checkpoint for.
-
-    Each rank's payload is loaded through
-    :func:`~repro.core.recovery.load_validated`, so the bytes returned
-    are the bytes whose CRC was checked — when recovery runs
-    concurrently with writers (an online reader), a slot located via the
-    scan can be recycled and overwritten between locating and loading
-    it.  A refused load retries the whole selection against the region's
-    newer state, mirroring :func:`~repro.core.recovery.recover`; after
-    ``max_attempts`` the error names the rank whose payload kept failing.
-
-    ``world_size`` asks for **elastic recovery**: the returned payloads
-    are re-partitioned onto that many reader ranks (again as
-    self-describing shards), regardless of how many writers produced
-    the checkpoint.  This needs the payloads to be sharded
-    (:func:`~repro.core.sharding.shard_payload`) so the global index
-    can be rebuilt; recovering a non-sharded checkpoint onto a
-    different world raises :class:`~repro.errors.DistributedError`.
-    ``world_size`` equal to the writer count with an unchanged layout
-    returns the payloads bit-identical to the non-elastic path.
-
-    Raises :class:`~repro.errors.NoCheckpointError` when the step sets do
-    not intersect (e.g. a device was wiped).
-    """
-    if not layouts:
-        raise DistributedError("need at least one worker layout")
-    if world_size is not None and world_size < 1:
-        raise DistributedError(
-            f"target world size must be >= 1, got {world_size}"
-        )
-    started = time.monotonic()
-    unstable: Optional[Tuple[int, int]] = None  # (rank, step)
-    for _attempt in range(max_attempts):
-        per_worker = [_candidate_steps(layout) for layout in layouts]
-        common: Set[int] = set(per_worker[0])
-        for by_step in per_worker[1:]:
-            common &= set(by_step)
-        if not common:
-            held = [sorted(by_step) for by_step in per_worker]
-            raise NoCheckpointError(
-                "no training step has a valid checkpoint on every worker "
-                f"(per-rank steps: {held})"
-            )
-        step = max(common)
-        payloads: List[memoryview] = []
-        metas: List[CheckMeta] = []
-        sources: List[str] = []
-        unstable = None
-        for rank, (layout, by_step) in enumerate(zip(layouts, per_worker)):
-            meta, source = by_step[step]
-            payload = load_validated(layout, meta, chunk_size)
-            if payload is None:
-                # Overwritten (or torn) under the reader: rescan.
-                unstable = (rank, step)
-                break
-            payloads.append(payload)
-            metas.append(meta)
-            sources.append(source)
-        if unstable is None:
-            out_payloads = payloads
-            resharded = False
-            if world_size is not None and world_size != len(payloads):
-                out_payloads = _reshard_payloads(step, payloads, world_size)
-                resharded = True
-            if metrics is not None:
-                metrics.observe(
-                    M.RECOVERY_SECONDS, time.monotonic() - started
-                )
-                metrics.inc(M.RECOVERY_ATTEMPTS, _attempt + 1)
-                metrics.inc(
-                    M.RECOVERY_BYTES, sum(len(p) for p in payloads)
-                )
-            return ConsistentCheckpoint(
-                step=step, payloads=out_payloads, metas=metas,
-                sources=sources,
-                world_size=len(out_payloads),
-                writer_world=len(metas),
-                resharded=resharded,
-            )
-    rank, step = unstable  # type: ignore[misc]
-    raise DistributedError(
-        f"rank {rank}'s payload for step {step} failed CRC re-validation "
-        f"{max_attempts} times (slot kept changing under the reader); "
-        f"its device {layouts[rank].device.name} is unstable or corrupt"
-    )

@@ -72,6 +72,25 @@ class Geometry:
     #: payload offsets stay sector-aligned (ROADMAP item 3).
     header_size: int = RECORD_SIZE
 
+    @classmethod
+    def aligned(cls, num_slots: int, slot_size: int, align: int) -> "Geometry":
+        """The geometry :meth:`DeviceLayout.format` pins for ``num_slots``
+        slots of ``slot_size`` (``RECORD_SIZE`` + payload) on a device
+        whose ``preferred_align`` is ``align``.
+
+        Devices with sector/stripe granularity want slots to span a
+        whole number of sectors/stripes AND payloads to start on a
+        sector boundary (else O_DIRECT engines fall back to buffered
+        I/O for every payload write): the header is padded to the
+        alignment and the slot size rounded up.  The ONE place that
+        rule lives — whoever sizes a device for a region calls this.
+        """
+        header = header_size_for_align(align)
+        if align > 1:
+            slot_size = slot_size - RECORD_SIZE + header
+            slot_size = -(-slot_size // align) * align
+        return cls(num_slots=num_slots, slot_size=slot_size, header_size=header)
+
     @property
     def payload_capacity(self) -> int:
         """Largest checkpoint payload a slot can hold."""
@@ -123,22 +142,10 @@ class DeviceLayout:
                 f"slot size {slot_size} leaves no room for payload "
                 f"(header is {RECORD_SIZE} bytes)"
             )
-        # Devices with sector/stripe granularity want slots to span a
-        # whole number of sectors/stripes AND payloads to start on a
-        # sector boundary (else O_DIRECT engines fall back to buffered
-        # I/O for every payload write).  Pad the header to the alignment
-        # and round the slot size up before the geometry is pinned in
-        # the superblock, so a reopen (whatever device wraps the bytes
-        # then) sees the same geometry it was formatted with.
-        align = device.preferred_align
-        header = header_size_for_align(align)
-        if align > 1:
-            implied_payload = slot_size - RECORD_SIZE
-            slot_size = implied_payload + header
-            slot_size = -(-slot_size // align) * align
-        geometry = Geometry(
-            num_slots=num_slots, slot_size=slot_size, header_size=header
-        )
+        # Rounded for the device's alignment before the geometry is
+        # pinned in the superblock, so a reopen (whatever device wraps
+        # the bytes then) sees the same geometry it was formatted with.
+        geometry = Geometry.aligned(num_slots, slot_size, device.preferred_align)
         if geometry.total_size > device.capacity:
             raise LayoutError(
                 f"geometry needs {geometry.total_size} bytes but device "
@@ -146,14 +153,15 @@ class DeviceLayout:
             )
         layout = cls(device, geometry)
         body = _SB_STRUCT.pack(
-            _SB_MAGIC, _SB_VERSION, num_slots, slot_size, header
+            _SB_MAGIC, _SB_VERSION, num_slots,
+            geometry.slot_size, geometry.header_size,
         )
         superblock = body + struct.pack("<I", zlib.crc32(body))
         device.write(0, superblock)
         device.write(layout.commit_offset, bytes(RECORD_SIZE))
         for slot in range(num_slots):
             device.write(layout.slot_offset(slot), bytes(RECORD_SIZE))
-        device.persist(0, geometry.data_offset + num_slots * slot_size)
+        device.persist(0, geometry.total_size)
         return layout
 
     @classmethod

@@ -13,9 +13,7 @@ Two cooperating pieces (see ``docs/OBSERVABILITY.md``):
   ``chrome://tracing`` / Perfetto.
 
 ``repro.obs.driver`` runs an instrumented demo workload behind the
-``pccheck-repro metrics`` / ``pccheck-repro trace`` CLI verbs, and
-``repro.obs.bench`` is the ``make bench-obs`` harness that measures
-telemetry overhead and writes ``BENCH_pipeline.json``.
+``pccheck-repro metrics`` / ``pccheck-repro trace`` CLI verbs.
 """
 
 from repro.obs.metrics import (

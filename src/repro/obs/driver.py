@@ -77,8 +77,8 @@ def run_demo_workload(
 
     ``observability`` follows :func:`repro.open_checkpointer`'s levels:
     ``"metrics"`` records only the registry, ``"full"`` adds lifecycle
-    spans.  (``"off"`` is accepted for symmetry; the bench harness uses
-    it to measure overhead.)
+    spans.  (``"off"`` is accepted for symmetry; the tier-1 overhead
+    guard compares it against ``"full"``.)
     """
     registry = MetricsRegistry()
     tracer = Tracer() if observability == "full" else NULL_TRACER

@@ -30,7 +30,6 @@ from repro.service.pool import (
     EnginePool,
     EngineSpec,
     EngineStack,
-    build_device,
     build_stack,
     open_existing_region,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "TenantAccount",
     "TenantQuota",
     "TenantSpec",
-    "build_device",
     "build_stack",
     "derive_quota",
     "open_existing_region",

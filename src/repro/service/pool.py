@@ -1,14 +1,11 @@
 """Explicit engine-pool assembly — the ONE place a PCcheck stack is built.
 
-Historically :func:`repro.open_checkpointer` inlined the whole
-device/layout/engine/orchestrator assembly, which meant every other
-consumer (the CLI, benchmarks, the multi-tenant service) either went
-through the one-tenant convenience function or grew its own copy of the
-wiring.  This module inverts that: :class:`EngineSpec` describes how one
-engine stack is assembled, :func:`build_stack` performs the assembly, and
+:class:`EngineSpec` describes how one engine stack is assembled,
+:func:`build_stack` performs the assembly (device opened or reopened by
+:func:`_open_ssd`, which also serves :func:`open_existing_region`), and
 :class:`EnginePool` owns a fixed fleet of such stacks with explicit
 ``acquire``/``release`` leasing, capacity accounting, and leak-checked
-``close``.  ``open_checkpointer`` is now a thin one-tenant view over a
+``close``.  ``open_checkpointer`` is a thin one-tenant view over a
 size-1 pool, and :class:`repro.service.CheckpointService` multiplexes
 many tenants over a shared pool — both through this single code path.
 
@@ -16,8 +13,7 @@ Pool semantics:
 
 * Stacks are built lazily on first acquire (member ``i`` of an ``ssd``
   pool lives at ``{path}.e{i}`` when the pool has more than one engine,
-  at ``path`` itself for the size-1 ``open_checkpointer`` case, so
-  single-tenant region reopen/recovery behaviour is unchanged).
+  at ``path`` itself for the size-1 ``open_checkpointer`` case).
 * A lease is exclusive: one tenant drives one engine at a time, so the
   engine's N-concurrent-slot bound is the tenant's to spend.
 * ``release`` drains the orchestrator and returns the stack to the idle
@@ -35,12 +31,13 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass
+from contextlib import ExitStack
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import PCcheckConfig, validate_choice
 from repro.core.engine import CheckpointEngine
-from repro.core.layout import DeviceLayout, Geometry, header_size_for_align
+from repro.core.layout import DeviceLayout, Geometry
 from repro.core.meta import RECORD_SIZE
 from repro.core.orchestrator import PCcheckOrchestrator
 from repro.core.recovery import RecoveredCheckpoint, try_recover
@@ -54,13 +51,16 @@ from repro.errors import (
 )
 from repro.obs.metrics import M, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.core.chunking import aligned_chunk_size
 from repro.storage.device import PersistentDevice
 from repro.storage.dram import DRAMBufferPool
 from repro.storage.faults import CrashPointDevice
 from repro.storage.pmem import SimulatedPMEM
 from repro.storage.ssd import SECTOR_SIZE, FileBackedSSD, InMemorySSD
-from repro.storage.striped import STRIPE_HEADER_SIZE, StripedDevice
+from repro.storage.striped import (
+    STRIPE_HEADER_SIZE,
+    StripedDevice,
+    read_stripe_manifest,
+)
 from repro.storage.tiering import TieredDevice, TierPlan, TierPolicy
 
 #: Valid ``backend=`` selectors for :class:`EngineSpec` (and therefore
@@ -170,38 +170,17 @@ class EngineSpec:
         if self.backend == "ssd" and not self.path:
             raise ConfigError("backend='ssd' requires a file path")
 
-    def member_path(self, index: int, pool_size: int) -> Optional[str]:
-        """On-disk path of pool member ``index``.
+    def member_name(self, base: str, index: int, pool_size: int) -> str:
+        """Distinct name per pool member (metric label isolation):
+        ``base`` verbatim for a size-1 pool, suffixed for larger ones."""
+        return base if pool_size <= 1 else f"{base}.e{index}"
 
-        A size-1 pool uses ``path`` verbatim so ``open_checkpointer``'s
-        reopen-and-recover behaviour is byte-identical to the
-        pre-pool API; larger pools suffix each member.
-        """
+    def member_path(self, index: int, pool_size: int) -> Optional[str]:
+        """On-disk path of pool member ``index`` — ``path`` verbatim for
+        a size-1 pool, so ``open_checkpointer`` reopens what it wrote."""
         if self.path is None:
             return None
-        if pool_size <= 1:
-            return self.path
-        return f"{self.path}.e{index}"
-
-    def member_name(self, base: str, index: int, pool_size: int) -> str:
-        """Distinct device name per pool member (metric label isolation)."""
-        if pool_size <= 1:
-            return base
-        return f"{base}.e{index}"
-
-    def region_probe_path(self, index: int, pool_size: int) -> Optional[str]:
-        """File whose existence marks an already-formatted region.
-
-        The member path itself for a plain file, stripe member 0 for a
-        striped region (``{path}.s0`` — the base path never exists in a
-        striped layout).
-        """
-        base = self.member_path(index, pool_size)
-        if base is None:
-            return None
-        if self.stripe_devices > 1:
-            return f"{base}.s0"
-        return base
+        return self.member_name(self.path, index, pool_size)
 
     def write_align(self) -> int:
         """Alignment the built device will ask of write boundaries."""
@@ -214,43 +193,73 @@ class EngineSpec:
         return align
 
 
-def _build_striped_ssd(spec: EngineSpec, capacity: int, base: str) -> StripedDevice:
-    """Assemble a stripe set of ``spec.stripe_devices`` member files.
-
-    Fresh sets are sized so the stripe's *logical* capacity covers
-    ``capacity``: each member gets a manifest header page plus a
-    stripe-aligned share of the payload.  An existing set (member 0 on
-    disk) is reopened at its recorded geometry — ``StripedDevice.open``
-    validates every member's manifest and raises the typed
-    :class:`~repro.errors.CorruptCheckpointError` for a missing, torn,
-    or reordered member.
-    """
-    paths = [f"{base}.s{j}" for j in range(spec.stripe_devices)]
-    existing = os.path.exists(paths[0]) and os.path.getsize(paths[0]) > 0
-    members: List[FileBackedSSD] = []
+def _file_size(path: str) -> int:
+    """Bytes at ``path``; 0 when nothing is there (one ``stat``)."""
     try:
-        if existing:
-            for path in paths:
-                size = os.path.getsize(path) if os.path.exists(path) else 0
-                if size <= 0:
-                    raise CorruptCheckpointError(
-                        f"stripe member {path} is missing or empty; the "
-                        f"set was created with {len(paths)} members"
-                    )
-                members.append(
-                    FileBackedSSD(path, capacity=size, unbuffered=spec.unbuffered)
+        return os.path.getsize(path)
+    except OSError:
+        return 0
+
+
+def _open_ssd(
+    path: str,
+    capacity: Optional[int] = None,
+    stripe_devices: Optional[int] = None,
+    stripe_size: int = 0,
+    unbuffered: bool = False,
+) -> Tuple[PersistentDevice, bool]:
+    """Build or reopen the file-backed device of the region at ``path``:
+    ``(device, existing)`` — the ONE place region files are opened.
+
+    ``stripe_devices`` 1 is a plain file at ``path``, N > 1 a stripe set
+    over ``{path}.s0`` … ``.s{N-1}``, ``None`` whatever is on disk: the
+    plain file, else (probed only once ``path`` is not a file) as many
+    members as member 0's manifest records.  Files already there are
+    reopened at their own size — an existing region keeps its geometry;
+    sizing the device below the file would amputate slots — a stripe set
+    through ``StripedDevice.open``, which raises the typed
+    :class:`~repro.errors.CorruptCheckpointError` for a missing, torn or
+    reordered member.  Otherwise fresh files are sized so the device's
+    logical capacity covers ``capacity`` (per stripe member: a manifest
+    page plus a stripe-aligned share); with ``capacity`` ``None`` the
+    region must exist (:class:`~repro.errors.LayoutError`).
+    """
+    if stripe_devices is None:
+        stripe_devices = 1 if os.path.isfile(path) else 0
+    plain = stripe_devices == 1
+    size = _file_size(path if plain else f"{path}.s0")
+    if not size and capacity is None:
+        raise LayoutError(f"no checkpoint region at {path}")
+    if plain:
+        device = FileBackedSSD(
+            path, capacity=max(capacity or 0, size), unbuffered=unbuffered
+        )
+        return device, size > 0
+    members: List[FileBackedSSD] = []
+
+    def add(index: int, member_capacity: int) -> None:
+        members.append(FileBackedSSD(
+            f"{path}.s{index}", capacity=member_capacity, unbuffered=unbuffered
+        ))
+
+    try:
+        if not size:
+            share = -(-capacity // stripe_devices)
+            share = -(-share // stripe_size) * stripe_size
+            for index in range(stripe_devices):
+                add(index, STRIPE_HEADER_SIZE + share)
+            return StripedDevice.create(members, stripe_size=stripe_size), False
+        add(0, size)
+        count = stripe_devices or read_stripe_manifest(members[0]).member_count
+        for index in range(1, count):
+            size = _file_size(f"{path}.s{index}")
+            if not size:
+                raise CorruptCheckpointError(
+                    f"stripe member {path}.s{index} is missing or empty; "
+                    f"the set was created with {count} members"
                 )
-            return StripedDevice.open(members)
-        share = -(-capacity // len(paths))
-        share = -(-share // spec.stripe_size) * spec.stripe_size
-        member_capacity = STRIPE_HEADER_SIZE + share
-        for path in paths:
-            members.append(
-                FileBackedSSD(
-                    path, capacity=member_capacity, unbuffered=spec.unbuffered
-                )
-            )
-        return StripedDevice.create(members, stripe_size=spec.stripe_size)
+            add(index, size)
+        return StripedDevice.open(members), True
     except BaseException:
         for member in members:
             try:
@@ -260,98 +269,44 @@ def _build_striped_ssd(spec: EngineSpec, capacity: int, base: str) -> StripedDev
         raise
 
 
-def build_device(
-    spec: EngineSpec, capacity: int, index: int = 0, pool_size: int = 1
-) -> PersistentDevice:
-    """Construct the storage substrate one pool member runs on."""
-    if spec.backend == "ssd":
-        path = spec.member_path(index, pool_size)
-        if not path:
-            raise ConfigError("backend='ssd' requires a file path")
-        if spec.stripe_devices > 1:
-            return _build_striped_ssd(spec, capacity, path)
-        return FileBackedSSD(path, capacity=capacity, unbuffered=spec.unbuffered)
-    if spec.backend == "pmem":
-        return SimulatedPMEM(
-            capacity,
-            name=spec.member_name("pmem", index, pool_size),
-            persist_bandwidth=spec.persist_bandwidth,
-        )
-    # "faults": an in-memory SSD behind a crash-point wrapper with op
-    # recording — callers inject crashes via the device and tests sweep
-    # the op log.  (The spec validated the backend choice already.)
-    return CrashPointDevice(
-        InMemorySSD(
-            capacity,
-            name=spec.member_name("mem-ssd", index, pool_size),
-            persist_bandwidth=spec.persist_bandwidth,
-        ),
-        record_ops=True,
-    )
-
-
 def open_existing_region(path: str) -> Tuple[PersistentDevice, DeviceLayout]:
     """Open a formatted on-disk region: ``(device, layout)``.
 
-    The shared read path for recovery tooling (``pccheck-repro
-    recover-consistent`` and friends) so the CLI carries no private copy
-    of device/layout wiring.  The caller owns (and must close) the
-    returned device.  A path with no region file behind it — missing,
-    or the base path of a striped region, whose bytes live only in the
-    ``{path}.sN`` members — raises :class:`~repro.errors.LayoutError`.
+    The read path recovery tooling shares (``pccheck-repro inspect`` /
+    ``recover-consistent``): :func:`_open_ssd` with the geometry taken
+    from disk, so ``path`` may be a plain region file or the base path
+    of a striped region.  The caller owns (and must close) the device;
+    nothing there raises :class:`~repro.errors.LayoutError`.
     """
-    if not os.path.isfile(path):
-        member = f"{path}.s0"
-        found = (
-            f"; {member} exists, so {path} is the base path of a striped "
-            "region, which has no single region file to open"
-            if os.path.isfile(member)
-            else ""
-        )
-        raise LayoutError(f"no checkpoint region at {path}{found}")
-    device = FileBackedSSD(path, capacity=os.path.getsize(path))
+    device, _ = _open_ssd(path)
     try:
-        layout = DeviceLayout.open(device)
+        return device, DeviceLayout.open(device)
     except BaseException:
         device.close()
         raise
-    return device, layout
 
 
+@dataclass(eq=False, kw_only=True)
 class EngineStack:
     """One assembled engine: device + layout + engine + orchestrator +
     staging DRAM pool, plus whatever the region held at open time."""
 
-    def __init__(
-        self,
-        *,
-        device: PersistentDevice,
-        layout: DeviceLayout,
-        engine: CheckpointEngine,
-        orchestrator: PCcheckOrchestrator,
-        config: PCcheckConfig,
-        dram: DRAMBufferPool,
-        recovered: Optional[RecoveredCheckpoint] = None,
-        observability: str = "metrics",
-        index: int = 0,
-        tiering: Optional[TierPolicy] = None,
-    ) -> None:
-        self.device = device
-        self.layout = layout
-        self.engine = engine
-        self.orchestrator = orchestrator
-        self.config = config
-        self.dram = dram
-        #: Checkpoint recovered from the region at open time, if any.
-        self.recovered = recovered
-        self.observability = observability
-        #: Seat of this stack within its pool (0 for standalone stacks).
-        self.index = index
-        #: Demotion policy when the spec asked for tiered storage.
-        self.tiering = tiering
-        #: Error swallowed on the release path (diagnostics only — the
-        #: tenant already observed it through its checkpoint handles).
-        self.release_error: Optional[BaseException] = None
+    device: PersistentDevice
+    layout: DeviceLayout
+    engine: CheckpointEngine
+    orchestrator: PCcheckOrchestrator
+    config: PCcheckConfig
+    dram: DRAMBufferPool
+    #: Checkpoint recovered from the region at open time, if any.
+    recovered: Optional[RecoveredCheckpoint] = None
+    observability: str = "metrics"
+    #: Seat of this stack within its pool (0 for standalone stacks).
+    index: int = 0
+    #: Demotion policy when the spec asked for tiered storage.
+    tiering: Optional[TierPolicy] = None
+    #: Error swallowed on the release path (diagnostics only — the
+    #: tenant already observed it through its checkpoint handles).
+    release_error: Optional[BaseException] = field(default=None, init=False)
 
     @property
     def defunct(self) -> bool:
@@ -359,15 +314,12 @@ class EngineStack:
         pipelines died on a crashed device)."""
         return self.orchestrator.fatal_error is not None
 
-    def expected_free_slots(self) -> int:
-        """Free-queue length at quiescence: every slot except the one the
-        committed checkpoint occupies (invariant 4)."""
-        committed = self.engine.committed() is not None
-        return self.layout.num_slots - (1 if committed else 0)
-
     def leak_report(self) -> Dict[str, int]:
-        """Slot/buffer accounting for this stack (exact at quiescence)."""
-        expected = self.expected_free_slots()
+        """Slot/buffer accounting for this stack (exact at quiescence,
+        when every slot is free except the one the committed checkpoint
+        occupies — invariant 4)."""
+        committed = self.engine.committed() is not None
+        expected = self.layout.num_slots - (1 if committed else 0)
         free = self.engine.free_slots
         held = len(self.engine.held_slots)
         return {
@@ -399,119 +351,123 @@ def build_stack(
     index: int = 0,
     pool_size: int = 1,
 ) -> EngineStack:
-    """Assemble one engine stack from ``spec``.
-
-    This is the device/layout/engine/orchestrator wiring that used to
-    live inside ``open_checkpointer`` — the CLI, the service, the pool,
-    and the one-tenant API all funnel through here now.
+    """Assemble one engine stack from ``spec``: device, layout, engine,
+    orchestrator, and the colder tiers when the spec asks for them.
 
     With an injected ``device`` the region is always formatted fresh
     (the pool cannot know the device's history); without one, an
     existing ``ssd`` region is reopened with its on-disk geometry and
-    its newest valid checkpoint recovered, exactly as before.
+    its newest valid checkpoint recovered.  Whatever this opened is
+    closed again if the stack does not come together.
     """
     config = spec.pccheck_config()
     slot_size = spec.capacity_bytes + RECORD_SIZE
-    # DeviceLayout.format pads the slot header and rounds slot_size up to
-    # the device's preferred alignment (stripe size, sector size) so
-    # payload offsets stay sector-aligned; mirror that here to size the
-    # device for the rounded geometry so formatting never outgrows the
-    # file.
-    align = spec.write_align()
-    header = header_size_for_align(align)
-    padded_slot = spec.capacity_bytes + header
-    if align > 1:
-        padded_slot = aligned_chunk_size(padded_slot, align)
-    geometry = Geometry(
-        num_slots=config.num_slots, slot_size=padded_slot, header_size=header
-    )
-    capacity = geometry.total_size
-    probe_path = spec.region_probe_path(index, pool_size)
-    existing = (
-        device is None
-        and spec.backend == "ssd"
-        and probe_path is not None
-        and os.path.exists(probe_path)
-        and os.path.getsize(probe_path) > 0
-    )
-    # An existing region keeps its own geometry; never size the device
-    # below the file (that would amputate slots).  A striped region's
-    # capacity comes from its members' manifests instead.
-    if existing and spec.stripe_devices == 1:
-        capacity = max(capacity, os.path.getsize(probe_path))
-    if device is None:
-        device = build_device(spec, capacity, index=index, pool_size=pool_size)
-    tier_warm: Optional[PersistentDevice] = None
-    tier_remote = None
-    if spec.tiers is not None:
-        # Hot tier is whatever the spec built; warm is a plain (buffered)
-        # file beside it for ssd, an in-memory SSD for the simulated
-        # backends; remote comes from the plan.  The hot capacity always
-        # covers the warm region (same slot count, headers no larger).
-        if spec.backend == "ssd":
-            base = spec.member_path(index, pool_size)
-            tier_warm = FileBackedSSD(f"{base}.warm", capacity=capacity)
-        else:
-            tier_warm = InMemorySSD(
-                capacity,
-                name=spec.member_name("warm-ssd", index, pool_size),
-            )
-        tier_remote = spec.tiers.build_remote(
-            spec.member_name("remote", index, pool_size)
-        )
-        device = TieredDevice(device, tier_warm, tier_remote)
-
+    # Size the device for the geometry format will pin (slots rounded to
+    # the device's alignment), so formatting never outgrows the file.
+    capacity = Geometry.aligned(
+        config.num_slots, slot_size, spec.write_align()
+    ).total_size
     if metrics is None:
         metrics = MetricsRegistry()
     if tracer is None:
         tracer = Tracer() if spec.observability == "full" else NULL_TRACER
-    if spec.observability != "off":
-        device.attach_metrics(metrics)
+    observed = spec.observability != "off"
+    with ExitStack() as undo:
+        existing = False
+        if device is None:
+            if spec.backend == "ssd":
+                spec.validate_buildable()
+                device, existing = _open_ssd(
+                    spec.member_path(index, pool_size), capacity,
+                    spec.stripe_devices, spec.stripe_size, spec.unbuffered,
+                )
+            elif spec.backend == "pmem":
+                device = SimulatedPMEM(
+                    capacity,
+                    name=spec.member_name("pmem", index, pool_size),
+                    persist_bandwidth=spec.persist_bandwidth,
+                )
+            else:
+                # "faults": an in-memory SSD behind a crash-point wrapper
+                # with op recording — callers inject crashes via the
+                # device and tests sweep the op log.
+                device = CrashPointDevice(
+                    InMemorySSD(
+                        capacity,
+                        name=spec.member_name("mem-ssd", index, pool_size),
+                        persist_bandwidth=spec.persist_bandwidth,
+                    ),
+                    record_ops=True,
+                )
+            undo.callback(device.close)
+        if observed:
+            device.attach_metrics(metrics)
 
-    recovered: Optional[RecoveredCheckpoint] = None
-    recovered_meta = None
-    if existing:
-        layout = DeviceLayout.open(device)
-        recovered = try_recover(layout, metrics=metrics, tracer=tracer)
-        recovered_meta = recovered.meta if recovered else None
-    else:
-        layout = DeviceLayout.format(
-            device, num_slots=config.num_slots, slot_size=slot_size
-        )
-    tiering: Optional[TierPolicy] = None
-    if spec.tiers is not None:
-        tiering = TierPolicy(
+        recovered: Optional[RecoveredCheckpoint] = None
+        if existing:
+            layout = DeviceLayout.open(device)
+            recovered = try_recover(layout, metrics=metrics, tracer=tracer)
+        else:
+            layout = DeviceLayout.format(
+                device, num_slots=config.num_slots, slot_size=slot_size
+            )
+        tiering: Optional[TierPolicy] = None
+        if spec.tiers is not None:
+            # Only now, with the hot region accepted, do the colder
+            # tiers come into being: warm is a plain (buffered) file
+            # beside it for ssd, an in-memory SSD otherwise; remote comes
+            # from the plan.  The hot capacity always covers the warm
+            # region (same slot count, headers no larger).
+            if spec.backend == "ssd":
+                warm: PersistentDevice = FileBackedSSD(
+                    f"{spec.member_path(index, pool_size)}.warm",
+                    capacity=device.capacity,
+                )
+            else:
+                warm = InMemorySSD(
+                    device.capacity,
+                    name=spec.member_name("warm-ssd", index, pool_size),
+                )
+            undo.callback(warm.close)
+            remote = spec.tiers.build_remote(
+                spec.member_name("remote", index, pool_size)
+            )
+            device = TieredDevice(device, warm, remote)
+            if observed:
+                device.attach_metrics(metrics)
+            layout = DeviceLayout(device, layout.geometry)
+            tiering = TierPolicy(
+                layout, warm, remote, plan=spec.tiers,
+                metrics=metrics if observed else None,
+            )
+            undo.callback(tiering.stop)
+        engine = CheckpointEngine(
             layout,
-            tier_warm,
-            tier_remote,
-            plan=spec.tiers,
-            metrics=metrics if spec.observability != "off" else None,
+            writer_threads=spec.writer_threads,
+            recovered=recovered.meta if recovered else None,
+            metrics=metrics,
+            tracer=tracer,
+            post_cas_hook=tiering.on_commit if tiering is not None else None,
         )
-    engine = CheckpointEngine(
-        layout,
-        writer_threads=spec.writer_threads,
-        recovered=recovered_meta,
-        metrics=metrics,
-        tracer=tracer,
-        post_cas_hook=tiering.on_commit if tiering is not None else None,
-    )
-    dram = DRAMBufferPool(
-        num_chunks=spec.num_chunks,
-        chunk_size=config.effective_chunk_size(spec.capacity_bytes),
-    )
-    orchestrator = PCcheckOrchestrator(engine, dram, config)
-    return EngineStack(
-        device=device,
-        layout=layout,
-        engine=engine,
-        orchestrator=orchestrator,
-        config=config,
-        dram=dram,
-        recovered=recovered,
-        observability=spec.observability,
-        index=index,
-        tiering=tiering,
-    )
+        undo.callback(engine.close)
+        dram = DRAMBufferPool(
+            num_chunks=spec.num_chunks,
+            chunk_size=config.effective_chunk_size(spec.capacity_bytes),
+        )
+        stack = EngineStack(
+            device=device,
+            layout=layout,
+            engine=engine,
+            orchestrator=PCcheckOrchestrator(engine, dram, config),
+            config=config,
+            dram=dram,
+            recovered=recovered,
+            observability=spec.observability,
+            index=index,
+            tiering=tiering,
+        )
+        undo.pop_all()
+        return stack
 
 
 class EngineLease:
@@ -530,11 +486,7 @@ class EngineLease:
         self.tag = tag
         self._released = False
 
-    @property
-    def released(self) -> bool:
-        return self._released
-
-    # Component delegation, for symmetry with the old Checkpointer attrs.
+    # Component delegation.
     @property
     def device(self) -> PersistentDevice:
         return self.stack.device
@@ -572,6 +524,16 @@ class EngineLease:
 
     def __exit__(self, *exc_info: object) -> None:
         self.release()
+
+
+def _pool_report(engines: List[Dict[str, int]], leased: int) -> dict:
+    """Per-engine leak reports plus their pool-wide sums."""
+    return {
+        "engines": engines,
+        "leased": leased,
+        "leaked_slots": sum(e["leaked_slots"] for e in engines),
+        "leaked_buffers": sum(e["leaked_buffers"] for e in engines),
+    }
 
 
 class EnginePool:
@@ -869,13 +831,7 @@ class EnginePool:
                 lease.stack for lease in self._active.values()
             ]
             leased = len(self._active)
-        engines = [stack.leak_report() for stack in stacks]
-        return {
-            "engines": engines,
-            "leased": leased,
-            "leaked_slots": sum(e["leaked_slots"] for e in engines),
-            "leaked_buffers": sum(e["leaked_buffers"] for e in engines),
-        }
+        return _pool_report([stack.leak_report() for stack in stacks], leased)
 
     def close(self) -> dict:
         """Close every stack and return the final leak report.
@@ -886,10 +842,7 @@ class EnginePool:
         """
         with self._available:
             if self._closed:
-                return self._last_leak_report or {
-                    "engines": [], "leased": 0,
-                    "leaked_slots": 0, "leaked_buffers": 0,
-                }
+                return self._last_leak_report or _pool_report([], 0)
             if self._active:
                 tags = ", ".join(
                     sorted(lease.tag for lease in self._active.values())
@@ -912,13 +865,7 @@ class EnginePool:
             stack.orchestrator.close()
             engines.append(stack.leak_report())
             stack.device.close()
-        report = {
-            "engines": engines,
-            "leased": 0,
-            "leaked_slots": sum(e["leaked_slots"] for e in engines),
-            "leaked_buffers": sum(e["leaked_buffers"] for e in engines),
-        }
-        self._last_leak_report = report
+        report = self._last_leak_report = _pool_report(engines, 0)
         self._metrics.set_gauge(M.POOL_ENGINES_LEASED, 0)
         self._metrics.set_gauge(M.POOL_ENGINES_BUILT, 0)
         return report

@@ -38,6 +38,15 @@ from typing import Dict, List, Optional
 from repro.errors import RemoteUnavailableError, StorageError
 from repro.obs.metrics import M, MetricsRegistry
 
+#: Key prefix under which demoted checkpoints live in the remote store.
+REMOTE_PREFIX = "ckpt/"
+
+
+def remote_key(counter: int) -> str:
+    """Blob key for checkpoint ``counter`` (zero-padded so lexicographic
+    order of keys equals numeric order of counters)."""
+    return f"{REMOTE_PREFIX}{counter:020d}"
+
 
 class RemoteStore:
     """An in-process object store with object-store (not device) semantics.

@@ -16,7 +16,11 @@ CRC-protected **stripe manifest** recording its index, the member count,
 the stripe size and the usable extent; :meth:`StripedDevice.open`
 validates every manifest and turns a missing, corrupt, reordered or dead
 member into a typed :class:`~repro.errors.CorruptCheckpointError` naming
-the device — recovery never silently reassembles a short payload.
+the device, and a member that dies under a later ``read``/``readinto``
+raises the same error — recovery never silently reassembles a short
+payload.  (Writes and fences keep raising
+:class:`~repro.errors.CrashedDeviceError`: that is power loss, not a
+degraded read.)
 
 ``readinto`` lands each member's segment directly in its slice of the
 caller's buffer, so reassembly costs no copy beyond the members' own
@@ -48,7 +52,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from repro.errors import CorruptCheckpointError, StorageError
+from repro.errors import CorruptCheckpointError, CrashedDeviceError, StorageError
 from repro.storage.device import Buffer, PersistentDevice, as_dest_view, as_view
 
 #: Reserved space at the head of every member for its stripe manifest
@@ -123,6 +127,19 @@ def decode_stripe_manifest(raw: bytes, device_name: str) -> StripeManifest:
         stripe_size=stripe_size,
         usable_per_member=usable,
     )
+
+
+def read_stripe_manifest(member: PersistentDevice) -> StripeManifest:
+    """Read and validate ``member``'s own manifest; a member that cannot
+    even be read (dead device) is the same typed
+    :class:`~repro.errors.CorruptCheckpointError`, naming it."""
+    try:
+        raw = member.read(0, _STRIPE_HEADER.size + _STRIPE_CRC.size)
+    except StorageError as exc:
+        raise CorruptCheckpointError(
+            f"stripe member {member.name} is unreadable: {exc}"
+        ) from exc
+    return decode_stripe_manifest(raw, member.name)
 
 
 class StripedDevice(PersistentDevice):
@@ -219,15 +236,7 @@ class StripedDevice(PersistentDevice):
             raise StorageError("a striped device needs at least one member")
         manifests: List[StripeManifest] = []
         for index, member in enumerate(members):
-            try:
-                raw = member.read(
-                    0, _STRIPE_HEADER.size + _STRIPE_CRC.size
-                )
-            except StorageError as exc:
-                raise CorruptCheckpointError(
-                    f"stripe member {member.name} is unreadable: {exc}"
-                ) from exc
-            manifest = decode_stripe_manifest(raw, member.name)
+            manifest = read_stripe_manifest(member)
             if manifest.member_index != index:
                 raise CorruptCheckpointError(
                     f"stripe member {member.name} claims index "
@@ -333,11 +342,20 @@ class StripedDevice(PersistentDevice):
         length = len(view)
         self._check_range(offset, length)
         start = self._obs_start()
-        for member, m_off, logical, seg in self._segments(offset, length):
-            rel = logical - offset
-            # Stripe reassembly in place: each member's segment lands
-            # directly in its slice of the caller's buffer.
-            self._members[member].readinto(m_off, view[rel : rel + seg])
+        try:
+            for member, m_off, logical, seg in self._segments(offset, length):
+                rel = logical - offset
+                # Stripe reassembly in place: each member's segment lands
+                # directly in its slice of the caller's buffer.
+                self._members[member].readinto(m_off, view[rel : rel + seg])
+        except CrashedDeviceError as exc:
+            # ONE failure mode for a degraded stripe set, at open or
+            # mid-read: never a short payload.  Reads only — writes and
+            # fences keep raising CrashedDeviceError (power loss).
+            raise CorruptCheckpointError(
+                f"stripe member {self._members[member].name} failed "
+                f"during a striped read: {exc}"
+            ) from exc
         self._obs_op("read", length, start)
 
     def persist(self, offset: int, length: int) -> None:

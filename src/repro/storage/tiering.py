@@ -36,10 +36,11 @@ supplies the three pieces:
     crashed local device are counted and survived — the worker must
     outlive any tier's failure.
 
-:func:`~repro.core.recovery.recover_tiered`
-    The restart path: hot, then warm, then remote, CRC-re-validating at
-    every tier and falling through on corrupt/missing copies (it lives
-    in ``repro.core.recovery`` beside the other recovery entry points).
+:func:`~repro.core.recovery.recover`
+    The restart path, given the :class:`TieredDevice`: hot, then warm,
+    then remote, CRC-re-validating at every tier and falling through on
+    corrupt/missing copies (the one restore walk; it lives in
+    ``repro.core.recovery``).
 """
 
 from __future__ import annotations
@@ -68,19 +69,10 @@ from repro.errors import (
 )
 from repro.obs.metrics import M, MetricsRegistry
 from repro.storage.device import DeviceWrapper, PersistentDevice
-from repro.storage.remote import RemoteStore
-
-#: Key prefix under which demoted checkpoints live in the remote store.
-REMOTE_PREFIX = "ckpt/"
+from repro.storage.remote import RemoteStore, remote_key
 
 #: Poll interval for :meth:`TierPolicy.drain` while the worker catches up.
 _DRAIN_POLL_SECONDS = 0.001
-
-
-def remote_key(counter: int) -> str:
-    """Blob key for checkpoint ``counter`` (zero-padded so lexicographic
-    order of keys equals numeric order of counters)."""
-    return f"{REMOTE_PREFIX}{counter:020d}"
 
 
 @dataclass(frozen=True)

@@ -190,7 +190,7 @@ class TestOtherWorkloads:
         )
         from repro.storage.faults import CrashPointDevice
         from repro.storage.ssd import InMemorySSD
-        from repro.storage.tiering import REMOTE_PREFIX
+        from repro.storage.remote import REMOTE_PREFIX
 
         workload = TieredEngineWorkload()
         spec = WorkloadSpec()

@@ -254,16 +254,17 @@ class TestSharding:
         recovery gathers consistent shards and reassembles."""
         from repro.core.distributed import (
             CheckpointBarrier,
+            DistributedCoordinator,
             DistributedWorker,
-            recover_consistent,
         )
+        from repro.core.recovery import recover_consistent
 
         state = np.random.default_rng(0).integers(
             0, 256, size=3000, dtype=np.uint8
         ).tobytes()
         world = 3
         shards = shard_payload(state, world)
-        barrier = CheckpointBarrier(world)
+        coordinator = DistributedCoordinator(barrier=CheckpointBarrier(world))
         slot_size = max(len(s) for s in shards) + RECORD_SIZE
         geometry = Geometry(num_slots=3, slot_size=slot_size)
         workers = []
@@ -271,7 +272,7 @@ class TestSharding:
             device = InMemorySSD(geometry.total_size)
             layout = DeviceLayout.format(device, num_slots=3,
                                          slot_size=slot_size)
-            workers.append(DistributedWorker.create(rank, layout, barrier))
+            workers.append(DistributedWorker.create(rank, layout, coordinator))
         import threading
 
         threads = [

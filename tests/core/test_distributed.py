@@ -7,12 +7,12 @@ import pytest
 
 from repro.core.distributed import (
     CheckpointBarrier,
+    DistributedCoordinator,
     DistributedWorker,
-    recover_consistent,
-    valid_checkpoints,
 )
 from repro.core.layout import DeviceLayout, Geometry
 from repro.core.meta import RECORD_SIZE
+from repro.core.recovery import recover_consistent, valid_checkpoints
 from repro.errors import (
     DistributedError,
     DistributedTimeoutError,
@@ -32,8 +32,9 @@ def make_layout(num_slots=3):
 
 def make_group(world_size, num_slots=3, timeout=10.0):
     barrier = CheckpointBarrier(world_size, timeout=timeout)
+    coordinator = DistributedCoordinator(barrier=barrier)
     workers = [
-        DistributedWorker.create(rank, make_layout(num_slots), barrier)
+        DistributedWorker.create(rank, make_layout(num_slots), coordinator)
         for rank in range(world_size)
     ]
     return barrier, workers
@@ -211,9 +212,11 @@ class TestDistributedCheckpointing:
     def test_straggler_keeps_previous_step_recoverable(self):
         """If one worker never commits step 2, the group must recover
         step 1 — the old slots were held across the barrier."""
-        barrier = CheckpointBarrier(2, timeout=0.2)
+        coordinator = DistributedCoordinator(
+            barrier=CheckpointBarrier(2, timeout=0.2)
+        )
         workers = [
-            DistributedWorker.create(rank, make_layout(), barrier)
+            DistributedWorker.create(rank, make_layout(), coordinator)
             for rank in range(2)
         ]
         # Step 1 commits in lockstep.
@@ -247,8 +250,8 @@ class TestDistributedCheckpointing:
     def test_recovery_with_no_common_step_raises(self):
         layout_a = make_layout()
         layout_b = make_layout()
-        barrier = CheckpointBarrier(1)
-        worker_a = DistributedWorker.create(0, layout_a, barrier)
+        coordinator = DistributedCoordinator(barrier=CheckpointBarrier(1))
+        worker_a = DistributedWorker.create(0, layout_a, coordinator)
         worker_a.checkpoint(b"only-a", 1)
         with pytest.raises(NoCheckpointError):
             recover_consistent([layout_a, layout_b])
@@ -330,7 +333,7 @@ class TestRecoverConsistentValidation:
         _, workers = make_group(world_size=2)
         self._lockstep(workers, 1)
 
-        import repro.core.distributed as dist
+        import repro.core.recovery as dist
 
         real_load = dist.load_validated
         torn_layout = workers[1].engine.layout

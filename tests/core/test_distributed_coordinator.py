@@ -16,11 +16,11 @@ from repro.core.distributed import (
     DistributedCoordinator,
     DistributedOrchestrator,
     DistributedWorker,
-    recover_consistent,
 )
 from repro.core.engine import CheckpointEngine
 from repro.core.layout import DeviceLayout, Geometry
 from repro.core.meta import RECORD_SIZE
+from repro.core.recovery import recover_consistent
 from repro.core.snapshot import BytesSource
 from repro.errors import (
     DegradedGroupError,

@@ -210,3 +210,18 @@ class TestCliInspect:
         DeviceLayout.format(device, num_slots=2, slot_size=slot_size)
         device.close()
         assert main(["inspect", path]) == 1
+
+    def test_cli_reads_a_striped_region_by_its_base_path(self, tmp_path, capsys):
+        from repro import open_checkpointer
+        from repro.cli import main
+
+        path = str(tmp_path / "striped.pc")
+        with open_checkpointer(path, capacity_bytes=65536, stripe_devices=2,
+                               stripe_size=4096) as ckpt:
+            ckpt.checkpoint(b"across two members", step=7)
+        assert main(["inspect", path]) == 0
+        assert "recovery: step 7" in capsys.readouterr().out
+        assert main(["recover-consistent", path]) == 0
+        assert "globally consistent step: 7" in capsys.readouterr().out
+        assert main(["inspect", str(tmp_path / "nothing-here")]) == 1
+        assert "no checkpoint region" in capsys.readouterr().err

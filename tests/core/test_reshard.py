@@ -265,10 +265,14 @@ class TestElasticRecovery:
     """`recover_consistent(..., world_size=M)` end to end."""
 
     def run_world(self, state, world, step=1):
-        from repro.core.distributed import CheckpointBarrier, DistributedWorker
+        from repro.core.distributed import (
+            CheckpointBarrier,
+            DistributedCoordinator,
+            DistributedWorker,
+        )
 
         shards = shard_payload(state, world)
-        barrier = CheckpointBarrier(world)
+        coordinator = DistributedCoordinator(barrier=CheckpointBarrier(world))
         slot_size = max(len(s) for s in shards) + RECORD_SIZE
         geometry = Geometry(num_slots=3, slot_size=slot_size)
         workers = []
@@ -277,7 +281,7 @@ class TestElasticRecovery:
             layout = DeviceLayout.format(
                 device, num_slots=3, slot_size=slot_size
             )
-            workers.append(DistributedWorker.create(rank, layout, barrier))
+            workers.append(DistributedWorker.create(rank, layout, coordinator))
         threads = [
             threading.Thread(
                 target=worker.checkpoint, args=(shards[worker.rank], step)
@@ -292,7 +296,7 @@ class TestElasticRecovery:
 
     @pytest.mark.parametrize("readers", (1, 2, 3, 8))
     def test_four_writers_onto_other_worlds(self, readers):
-        from repro.core.distributed import recover_consistent
+        from repro.core.recovery import recover_consistent
 
         state = state_of(3000)
         layouts = self.run_world(state, 4)
@@ -306,7 +310,7 @@ class TestElasticRecovery:
         assert reassemble(result.payloads) == state
 
     def test_same_world_size_is_not_resharded(self):
-        from repro.core.distributed import recover_consistent
+        from repro.core.recovery import recover_consistent
 
         state = state_of(600)
         layouts = self.run_world(state, 2)
@@ -315,7 +319,7 @@ class TestElasticRecovery:
         assert result.payloads == shard_payload(state, 2)
 
     def test_default_world_size_unchanged(self):
-        from repro.core.distributed import recover_consistent
+        from repro.core.recovery import recover_consistent
 
         state = state_of(600)
         layouts = self.run_world(state, 2)
@@ -327,12 +331,13 @@ class TestElasticRecovery:
     def test_non_sharded_payloads_rejected(self):
         from repro.core.distributed import (
             CheckpointBarrier,
+            DistributedCoordinator,
             DistributedWorker,
-            recover_consistent,
         )
+        from repro.core.recovery import recover_consistent
         from repro.errors import DistributedError
 
-        barrier = CheckpointBarrier(2)
+        coordinator = DistributedCoordinator(barrier=CheckpointBarrier(2))
         slot_size = 128 + RECORD_SIZE
         geometry = Geometry(num_slots=3, slot_size=slot_size)
         workers = []
@@ -341,7 +346,7 @@ class TestElasticRecovery:
             layout = DeviceLayout.format(
                 device, num_slots=3, slot_size=slot_size
             )
-            workers.append(DistributedWorker.create(rank, layout, barrier))
+            workers.append(DistributedWorker.create(rank, layout, coordinator))
         threads = [
             threading.Thread(
                 target=worker.checkpoint,
@@ -359,7 +364,7 @@ class TestElasticRecovery:
             )
 
     def test_invalid_world_size_rejected(self):
-        from repro.core.distributed import recover_consistent
+        from repro.core.recovery import recover_consistent
         from repro.errors import DistributedError
 
         layouts = self.run_world(state_of(100), 2)

@@ -12,8 +12,7 @@ import pytest
 from repro import open_checkpointer
 from repro.baselines import CheckpointStrategy, build_strategy
 from repro.core.config import PCcheckConfig
-from repro.core.distributed import valid_checkpoints
-from repro.core.recovery import load_validated, recover
+from repro.core.recovery import load_validated, recover, valid_checkpoints
 from repro.core.snapshot import BytesSource
 from repro.errors import NoCheckpointError
 from repro.storage.ssd import InMemorySSD

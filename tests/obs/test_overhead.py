@@ -1,39 +1,46 @@
-"""Telemetry overhead guard + bench report structure.
+"""Telemetry overhead guard on the demo workload.
 
-The paper-grade 3 % bar is enforced by ``make bench-obs`` over more
-repeats; this test uses a looser bound so CI timing noise can't flake
-it while still catching a real regression (e.g. tracing growing a lock
-on the persist hot path).
+The figure of record is ``bench/``'s ``trace.overhead_frac`` on real
+files (bench/README.md); this test uses a loose bound on the throttled
+demo device so CI timing noise can't flake it while still catching a
+real regression (e.g. tracing growing a lock on the persist hot path).
 """
 
-from repro.obs.bench import OVERHEAD_TARGET, render_text, run_benchmark
+from repro.obs.driver import run_demo_workload
+from repro.obs.metrics import M
 
-#: CI-safe bound: an order of magnitude above the real target, far
+#: CI-safe bound: an order of magnitude above the 3 % budget, far
 #: below what an accidental O(n) regression would produce.
 GUARD_FRACTION = 0.30
+
+KNOBS = dict(
+    checkpoints=8, concurrent=4, payload_bytes=64 * 1024,
+    persist_bandwidth=96e6,
+)
 
 
 class TestBenchObs:
     def test_report_structure_and_overhead_guard(self):
-        report = run_benchmark(
-            repeats=3, checkpoints=8, concurrent=4,
-            payload_bytes=64 * 1024, persist_bandwidth=96e6, seed=11,
-        )
-        assert report["overhead"]["target"] == OVERHEAD_TARGET
-        assert isinstance(report["overhead"]["meets_target"], bool)
-        assert report["overhead"]["fraction"] < GUARD_FRACTION
+        # Warm both paths once (thread pools, allocator, imports), then
+        # alternate off/full so slow drift biases neither side.
+        for level in ("off", "full"):
+            run_demo_workload(observability=level, seed=11, **KNOBS)
+        off_times, on_times = [], []
+        for round_index in range(3):
+            seed = 11 + round_index
+            off = run_demo_workload(observability="off", seed=seed, **KNOBS)
+            on = run_demo_workload(observability="full", seed=seed, **KNOBS)
+            off_times.append(off.elapsed_seconds)
+            on_times.append(on.elapsed_seconds)
+        # Best-of-N: telemetry cost is a deterministic additive term,
+        # scheduler jitter strictly additive noise.
+        overhead = (min(on_times) - min(off_times)) / min(off_times)
+        assert overhead < GUARD_FRACTION
 
-        on = report["telemetry_on"]
-        assert on["committed"] > 0
-        assert on["bytes_persisted"] > 0
-        assert on["trace_events"] > 0
-        assert set(on["stall_seconds"]) == {
-            "slot_wait", "buffer_wait", "update_stall",
-        }
-        assert on["checkpoints_per_sec"] > 0
-        assert len(on["elapsed_seconds"]) == 3
-        assert report["telemetry_off"]["checkpoints_per_sec"] > 0
-
-        text = render_text(report)
-        assert "overhead" in text
-        assert ("PASS" in text) or ("FAIL" in text)
+        assert on.committed > 0
+        assert on.metrics.value(M.BYTES_PERSISTED) > 0
+        assert len(on.tracer.to_chrome_trace()["traceEvents"]) > 0
+        for stall in (M.SLOT_WAIT_SECONDS, M.BUFFER_WAIT_SECONDS,
+                      M.UPDATE_STALL_SECONDS):
+            assert on.metrics.value(stall) >= 0
+        assert off.committed > 0 and min(off_times) > 0

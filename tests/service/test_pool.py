@@ -5,8 +5,10 @@ import os
 import pytest
 
 from repro.core.snapshot import BytesSource
+from repro.core.recovery import recover
 from repro.errors import (
     ConfigError,
+    CorruptCheckpointError,
     EngineClosedError,
     LayoutError,
     ServiceError,
@@ -15,7 +17,6 @@ from repro.errors import (
 from repro.service.pool import (
     EnginePool,
     EngineSpec,
-    build_device,
     open_existing_region,
 )
 from repro.storage.pmem import SimulatedPMEM
@@ -245,24 +246,62 @@ class TestOpenExistingRegion:
         assert path in str(info.value)
         assert ".s0" not in str(info.value)
 
-    def test_striped_base_path_names_the_member_on_disk(self, tmp_path):
-        path = str(tmp_path / "striped.pc")
+    def _write_striped(self, path, members=3):
         spec = EngineSpec(capacity_bytes=65536, backend="ssd", path=path,
-                          stripe_devices=2)
+                          stripe_devices=members, stripe_size=4096)
         with EnginePool(spec, size=1) as pool:
             with pool.acquire(tag="t") as lease:
-                lease.orchestrator.checkpoint_sync(BytesSource(b"abc"), step=1)
+                lease.orchestrator.checkpoint_sync(
+                    BytesSource(b"striped!" * 999), step=4
+                )
         assert not os.path.exists(path) and os.path.exists(f"{path}.s0")
-        with pytest.raises(LayoutError, match="striped region") as info:
+
+    def test_striped_base_path_discovers_its_members(self, tmp_path):
+        path = str(tmp_path / "striped.pc")
+        self._write_striped(path)
+        device, layout = open_existing_region(path)
+        try:
+            assert len(device.members) == 3  # read off member 0's manifest
+            found = recover(layout)
+            assert found.meta.step == 4
+            assert found.payload == b"striped!" * 999
+        finally:
+            device.close()
+
+    def test_striped_set_missing_or_reordered_member_is_typed(self, tmp_path):
+        path = str(tmp_path / "striped.pc")
+        self._write_striped(path)
+        os.rename(f"{path}.s1", f"{path}.tmp")
+        with pytest.raises(CorruptCheckpointError, match=r"striped\.pc\.s1"):
             open_existing_region(path)
-        assert path in str(info.value) and f"{path}.s0" in str(info.value)
+        os.rename(f"{path}.s2", f"{path}.s1")
+        os.rename(f"{path}.tmp", f"{path}.s2")
+        with pytest.raises(CorruptCheckpointError, match=r"s1 claims index 2"):
+            open_existing_region(path)
+
+
+class TestRefusedRegionLeaksNothing:
+    @pytest.mark.parametrize("tiers", [None, True], ids=["plain", "tiered"])
+    def test_failed_open_closes_what_it_opened(self, tmp_path, tiers):
+        from repro import open_checkpointer
+
+        path = str(tmp_path / "garbage.pc")
+        with open(path, "wb") as fh:
+            fh.write(b"\xff" * 65536)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        for _ in range(5):
+            with pytest.raises(LayoutError):
+                open_checkpointer(path, capacity_bytes=4096, tiers=tiers)
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        # The colder tiers only come into being beside an accepted region.
+        assert not os.path.exists(f"{path}.warm")
 
 
 class TestBuildDevice:
     def test_backend_dispatch(self, tmp_path):
-        pmem = build_device(pmem_spec(), 8192, 0, 1)
-        assert isinstance(pmem, SimulatedPMEM)
-        pmem.close()
+        with EnginePool(pmem_spec(), size=1) as pool:
+            with pool.acquire(tag="t") as lease:
+                assert isinstance(lease.device, SimulatedPMEM)
 
 
 class TestStripedAndUnbufferedSpec:
@@ -290,11 +329,9 @@ class TestStripedAndUnbufferedSpec:
     def test_probe_path_and_align(self, tmp_path):
         base = str(tmp_path / "r.pc")
         plain = EngineSpec(capacity_bytes=65536, backend="ssd", path=base)
-        assert plain.region_probe_path(0, 1) == base
         assert plain.write_align() == 1
         striped = EngineSpec(capacity_bytes=65536, backend="ssd",
                              path=base, stripe_devices=2, stripe_size=4096)
-        assert striped.region_probe_path(0, 1) == base + ".s0"
         assert striped.write_align() == 4096
         direct = EngineSpec(capacity_bytes=65536, backend="ssd",
                             path=base, unbuffered=True)

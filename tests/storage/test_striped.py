@@ -6,9 +6,9 @@ import pytest
 
 from repro.core.engine import CheckpointEngine
 from repro.core.layout import DeviceLayout
-from repro.core.recovery import recover, recover_striped
+from repro.core.recovery import recover
 from repro.core.writer import ParallelWriter
-from repro.errors import CorruptCheckpointError, StorageError
+from repro.errors import CorruptCheckpointError, CrashedDeviceError, StorageError
 from repro.storage.ssd import InMemorySSD
 from repro.storage.striped import (
     STRIPE_HEADER_SIZE,
@@ -201,24 +201,32 @@ class TestEngineOnStripe:
         assert recovered.payload == payload
         assert recovered.meta.step == 1
 
-    def test_recover_striped_entry_point(self):
+    def test_recover_over_reopened_stripe_set(self):
         striped, devices = make_striped(members=2, member_capacity=256 * 1024)
         layout, engine = self._engine(striped)
         payload = bytes(os.urandom(30_000))
         engine.checkpoint(payload, step=3)
         engine.close()
-        recovered = recover_striped(devices)
+        recovered = recover(DeviceLayout.open(StripedDevice.open(devices)))
         assert recovered.payload == payload
         assert recovered.meta.step == 3
 
-    def test_recover_striped_with_dead_member_is_typed(self):
+    def test_dead_member_is_typed_at_open_and_mid_read(self):
         striped, devices = make_striped(members=2, member_capacity=256 * 1024)
         layout, engine = self._engine(striped)
         engine.checkpoint(b"z" * 10_000, step=1)
         engine.close()
+        reopened = DeviceLayout.open(StripedDevice.open(devices))
         devices[0].crash()
-        with pytest.raises(CorruptCheckpointError):
-            recover_striped(devices)
+        # Degraded set, ONE failure mode: dies mid-recovery ...
+        with pytest.raises(CorruptCheckpointError, match="member m0"):
+            recover(reopened)
+        # ... or is already dead when the set is opened.
+        with pytest.raises(CorruptCheckpointError, match="m0.*unreadable"):
+            StripedDevice.open(devices)
+        # Writes and fences keep the power-loss error the sweep keys on.
+        with pytest.raises(CrashedDeviceError):
+            striped.write(0, b"x")
 
     def test_layout_rounds_slot_size_to_stripe(self):
         striped, _ = make_striped(members=2, member_capacity=256 * 1024,

@@ -14,17 +14,16 @@ import pytest
 from repro.core.engine import CheckpointEngine
 from repro.core.layout import DeviceLayout, Geometry
 from repro.core.meta import RECORD_SIZE
-from repro.core.recovery import recover, recover_tiered
+from repro.core.recovery import recover
 from repro.errors import (
     ConfigError,
     NoCheckpointError,
     RemoteUnavailableError,
 )
 from repro.obs.metrics import M, MetricsRegistry
-from repro.storage.remote import RemoteStore
+from repro.storage.remote import REMOTE_PREFIX, RemoteStore
 from repro.storage.ssd import InMemorySSD
 from repro.storage.tiering import (
-    REMOTE_PREFIX,
     TieredDevice,
     TierPlan,
     TierPolicy,
@@ -212,7 +211,7 @@ class TestTierWalkRecovery:
             expected = stack.checkpoint(1)
             stack.settle()
             stack.corrupt_hot_payload()
-            result = recover_tiered(stack.device, metrics=metrics)
+            result = recover(stack.device, metrics=metrics)
             assert result.source == "warm:commit-record"
             assert result.payload == expected
             assert result.meta.step == 1
@@ -232,7 +231,7 @@ class TestTierWalkRecovery:
         expected = stack.checkpoint(1)
         stack.settle()
         stack.corrupt_hot_payload(truncate=True)
-        result = recover_tiered(stack.device)
+        result = recover(stack.device)
         assert result.source.startswith("warm:")
         assert result.payload == expected
 
@@ -243,7 +242,7 @@ class TestTierWalkRecovery:
             stack.checkpoint(1)
             stack.settle()
             stack.corrupt_superblock(stack.hot)
-            result = recover_tiered(stack.device, metrics=metrics)
+            result = recover(stack.device, metrics=metrics)
             assert result.source.startswith("warm:")
             assert metrics.value(
                 M.TIER_RECOVERY_ATTEMPTS, tier="hot", outcome="LayoutError"
@@ -257,7 +256,7 @@ class TestTierWalkRecovery:
         stack.settle()
         stack.corrupt_hot_payload()
         stack.corrupt_superblock(stack.warm)
-        result = recover_tiered(stack.device)
+        result = recover(stack.device)
         assert result.source == "remote"
         assert result.meta.step == 2
         assert result.payload == newest
@@ -270,7 +269,7 @@ class TestTierWalkRecovery:
         stack.corrupt_superblock(stack.warm)
         stack.remote.fail()
         with pytest.raises(NoCheckpointError) as excinfo:
-            recover_tiered(stack.device)
+            recover(stack.device)
         message = str(excinfo.value)
         assert "hot: NoCheckpointError" in message
         assert "warm: LayoutError" in message
@@ -290,9 +289,9 @@ class TestTierWalkRecovery:
             stack.corrupt_superblock(stack.warm)
             # Inside the window the blob is as good as absent.
             with pytest.raises(NoCheckpointError):
-                recover_tiered(stack.device)
+                recover(stack.device)
             stack.remote.settle()
-            result = recover_tiered(stack.device)
+            result = recover(stack.device)
             assert result.source == "remote"
             assert result.meta.step == 1
         finally:
@@ -306,7 +305,7 @@ class TestTierWalkRecovery:
             stack.remote.power_fail()  # ingest pipeline lost the blob
             # The commit record never depended on the remote tier: the
             # hot tier still serves the checkpoint.
-            result = recover_tiered(stack.device)
+            result = recover(stack.device)
             assert result.source == "hot:commit-record"
             assert result.payload == expected
         finally:
@@ -316,9 +315,9 @@ class TestTierWalkRecovery:
         expected = stack.checkpoint(1)
         stack.settle()
         stack.corrupt_hot_payload()
-        # Pass the tiers explicitly off a plain hot device.
-        result = recover_tiered(
-            stack.hot, warm=stack.warm, remote=stack.remote
+        # A tiered source assembled just for recovery, off plain devices.
+        result = recover(
+            TieredDevice(stack.hot, stack.warm, stack.remote)
         )
         assert result.source.startswith("warm:")
         assert result.payload == expected
