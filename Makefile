@@ -17,20 +17,15 @@ test-sanitize:
 	REPRO_SANITIZE=1 $(MAKE) test
 
 # Distributed coordination suite (docs/DISTRIBUTED.md): the functional
-# barrier/coordinator/recovery/reshard tests, the simulator's failure
-# model, the multi-rank crashsweep with the held-slot invariant checks,
-# and the elastic crashsweep — 4-rank sharded checkpoints must recover
-# bit-identically onto 2 and 8 ranks at every crash point.
+# barrier/coordinator/recovery/reshard tests and the simulator's failure
+# model.  The multi-rank and elastic crash sweeps are rows of `make
+# crashsweep`.
 test-distributed:
 	PYTHONPATH=src python -m pytest -x -q \
 		tests/core/test_distributed.py \
 		tests/core/test_distributed_coordinator.py \
 		tests/core/test_reshard.py \
 		tests/sim/test_distributed.py
-	PYTHONPATH=src python -m repro.cli crashsweep --workload distributed \
-		--torn --seed 11
-	PYTHONPATH=src python -m repro.cli crashsweep --workload elastic \
-		--world-size 4 --torn --seed 11
 
 # Multi-tenant service suite (docs/SERVICE.md): engine-pool lease
 # lifecycle, admission control and Eq. 3 quotas, group-commit batching
@@ -47,16 +42,13 @@ test-service:
 
 # Tiered + remote storage suite (docs/STORAGE.md): the remote object
 # store's visibility/failure model, the demotion policy and tier-walk
-# recovery fall-through, the Checkmate replication baseline, and the
-# tiered crashsweep — power loss mid-demotion at every crash point must
-# leave the hot tier alone satisfying §4.1.
+# recovery fall-through, and the Checkmate replication baseline.  The
+# mid-demotion crash sweep is the `tiered` row of `make crashsweep`.
 test-tiered:
 	PYTHONPATH=src python -m pytest -x -q \
 		tests/storage/test_remote.py \
 		tests/storage/test_tiering.py \
 		tests/baselines/test_checkmate.py
-	PYTHONPATH=src python -m repro.cli crashsweep --workload tiered \
-		--torn --seed 11
 
 # Concurrency-invariant static analysis: per-file rules PC001-PC008
 # plus the whole-program pass (PC009 lock-order cycles, PC010
@@ -79,16 +71,16 @@ lint-baseline:
 	PYTHONPATH=src python -m repro.cli lint src examples benchmarks \
 		--write-baseline lint-baseline.json
 
-# Crash-consistency sweep: inject power loss (with torn writes) at every
-# device op of a pipelined orchestrator run and verify the §4.1 recovery
-# guarantee at each point, then repeat for a 3-member striped stripe set
-# (torn stripes, crashes between stripe fences). Exits non-zero on any
-# violation.
+# Crash-consistency sweep — THE reference table (ROADMAP): power loss
+# with torn writes at every device op of every workload, §4.1 verified
+# at each point.  Each row prints its workload, crash-point count and
+# violation count; the first violation stops the run non-zero.
 crashsweep:
-	PYTHONPATH=src python -m repro.cli crashsweep --workload orchestrator \
-		--steps 4 --slots 4 --torn --seed 7
-	PYTHONPATH=src python -m repro.cli crashsweep --workload striped \
-		--steps 3 --torn --seed 7
+	@set -e; for row in engine "engine --target commit-record" streaming \
+			orchestrator distributed "elastic --world-size 4" striped tiered; do \
+		PYTHONPATH=src python -m repro.cli crashsweep --workload $$row \
+			--torn --seed 11; \
+	done
 
 bench:
 	pytest benchmarks/ --benchmark-only

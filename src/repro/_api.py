@@ -5,13 +5,16 @@ point it at a file (or pick an in-memory backend), say how big your
 checkpoints are and how many may run concurrently, and get back a ready
 :class:`Checkpointer` plus recovery of whatever the file already holds.
 
-Since the service redesign the actual device/layout/engine/orchestrator
-assembly lives in :mod:`repro.service.pool` — this module is a *thin
-one-tenant view*: ``open_checkpointer`` builds an
+The device/layout/engine/orchestrator(/tiers) assembly lives in
+:func:`repro.service.pool.build_stack` and nowhere else — this module is
+a *thin one-tenant view*: ``open_checkpointer`` builds an
 :class:`~repro.service.pool.EngineSpec`, stands up (or borrows) an
 :class:`~repro.service.pool.EnginePool`, and leases one engine for the
-checkpointer's lifetime.  The CLI, the multi-tenant service, examples,
-and tests all construct engines through that same pool code path.
+checkpointer's lifetime; :class:`Checkpointer` is a view of that lease's
+stack.  The CLI, the multi-tenant service, the training strategy, the
+demo driver and the crash sweep obtain their stacks from the same
+builder (the module docstring of :mod:`repro.service.pool` lists the
+bare-engine sites that deliberately do not).
 
 The :class:`Checkpointer` delegates everything a user needs —
 ``checkpoint_async``/``wait``/``latest``/``metrics``/``trace`` — so
@@ -23,21 +26,13 @@ from __future__ import annotations
 
 from typing import List, Optional, Union
 
-from repro.core.config import PCcheckConfig, validate_choice
-from repro.core.engine import CheckpointEngine
-from repro.core.layout import DeviceLayout
+from repro.core.config import validate_choice
 from repro.core.meta import CheckMeta
-from repro.core.orchestrator import CheckpointHandle, PCcheckOrchestrator
-from repro.core.recovery import RecoveredCheckpoint
+from repro.core.orchestrator import CheckpointHandle
 from repro.core.snapshot import SnapshotSource, as_source
-from repro.service.pool import (
-    BACKENDS,
-    OBSERVABILITY_LEVELS,
-    EngineLease,
-    EnginePool,
-    EngineSpec,
-)
+from repro.service.pool import EngineLease, EnginePool, EngineSpec
 from repro.storage.device import PersistentDevice
+from repro.storage.tiering import TierPlan
 
 
 class Checkpointer:
@@ -56,30 +51,22 @@ class Checkpointer:
     """
 
     def __init__(
-        self,
-        *,
-        device: PersistentDevice,
-        layout: DeviceLayout,
-        engine: CheckpointEngine,
-        orchestrator: PCcheckOrchestrator,
-        config: PCcheckConfig,
-        recovered: Optional[RecoveredCheckpoint] = None,
-        observability: str = "metrics",
-        lease: Optional[EngineLease] = None,
-        pool: Optional[EnginePool] = None,
-        owns_pool: bool = False,
+        self, lease: EngineLease, owned_pool: Optional[EnginePool] = None
     ) -> None:
-        self.device = device
-        self.layout = layout
-        self.engine = engine
-        self.orchestrator = orchestrator
-        self.config = config
+        """A view of ``lease.stack``; ``owned_pool`` is the size-1 pool
+        :func:`open_checkpointer` built for it (``None`` on a borrowed
+        pool, which outlives this checkpointer)."""
+        stack = lease.stack
+        self.device = stack.device
+        self.layout = stack.layout
+        self.engine = stack.engine
+        self.orchestrator = stack.orchestrator
+        self.config = stack.config
         #: Checkpoint recovered from the region at open time, if any.
-        self.recovered = recovered
-        self.observability = observability
+        self.recovered = stack.recovered
+        self.observability = stack.observability
         self._lease = lease
-        self._pool = pool
-        self._owns_pool = owns_pool
+        self._owned_pool = owned_pool
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -153,15 +140,9 @@ class Checkpointer:
         if self._closed:
             return
         self._closed = True
-        if self._lease is not None:
-            self._lease.release()
-            if self._owns_pool and self._pool is not None:
-                self._pool.close()
-            return
-        # Directly-assembled stacks (tests building Checkpointer from
-        # components) keep the original teardown.
-        self.orchestrator.close()
-        self.device.close()
+        self._lease.release()
+        if self._owned_pool is not None:
+            self._owned_pool.close()
 
     def __enter__(self) -> "Checkpointer":
         return self
@@ -215,9 +196,10 @@ def open_checkpointer(
     ``tiers=`` (a :class:`~repro.storage.tiering.TierPlan`, or ``True``
     for the defaults) enables tiered storage: the backend device becomes
     the hot tier, committed checkpoints are asynchronously demoted to a
-    warm device (``{path}.warm`` for ``ssd``) and a remote object store,
-    and :func:`repro.core.recovery.recover` over the checkpointer's
-    device walks the tiers fastest-first at restart (see
+    warm device (``{path}.warm`` beside an ``ssd`` region file; in memory
+    over an injected ``device=`` or a simulated backend) and a remote
+    object store, and :func:`repro.core.recovery.recover` over the
+    checkpointer's device walks the tiers fastest-first at restart (see
     ``docs/STORAGE.md``).
 
     ``observability`` selects the telemetry level: ``"off"`` keeps the
@@ -243,28 +225,13 @@ def open_checkpointer(
                 "pass either pool= or device=, not both — a pool builds "
                 "its own devices"
             )
-        lease = pool.acquire(tag="open_checkpointer")
-        stack = lease.stack
-        return Checkpointer(
-            device=stack.device,
-            layout=stack.layout,
-            engine=stack.engine,
-            orchestrator=stack.orchestrator,
-            config=stack.config,
-            recovered=stack.recovered,
-            observability=stack.observability,
-            lease=lease,
-            pool=pool,
-            owns_pool=False,
-        )
+        return Checkpointer(pool.acquire(tag="open_checkpointer"))
     if capacity_bytes is None:
         raise TypeError(
             "open_checkpointer() missing required argument "
             "'capacity_bytes' (only a pool= injection can omit it)"
         )
     if tiers is True:
-        from repro.storage.tiering import TierPlan
-
         tiers = TierPlan()
     spec = EngineSpec(
         capacity_bytes=capacity_bytes,
@@ -291,16 +258,4 @@ def open_checkpointer(
     except BaseException:
         owned.close()
         raise
-    stack = lease.stack
-    return Checkpointer(
-        device=stack.device,
-        layout=stack.layout,
-        engine=stack.engine,
-        orchestrator=stack.orchestrator,
-        config=stack.config,
-        recovered=stack.recovered,
-        observability=stack.observability,
-        lease=lease,
-        pool=owned,
-        owns_pool=True,
-    )
+    return Checkpointer(lease, owned)

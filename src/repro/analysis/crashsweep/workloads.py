@@ -16,24 +16,24 @@ durable image and asserts the §4.1 guarantee:
   again after the pipelines died, and a completed run returns every slot
   but the committed one to the free queue (engine invariant 4).
 
-Seven workloads cover the stack bottom-up: ``engine`` (one-shot
-``checkpoint()`` calls), ``streaming`` (interleaved ticket sessions,
-exercising the superseded path deterministically), ``orchestrator``
-(the full capture/persist pipeline with ≥3 concurrent checkpoints),
-``distributed`` (multi-rank engines behind the rank-0 barrier, crashing
-one rank's device), ``elastic`` (the distributed workload writing
-*shards of one global state*, whose recovery is additionally
-re-partitioned onto smaller and larger worlds and must reassemble
-bit-identically — ROADMAP item 4's acceptance bar), ``striped``
-(one-shot checkpoints through a 3-member ``StripedDevice`` with the
-fault-injecting device as member 0, so torn stripes, crashes between
-stripe fences, and torn stripe manifests are all swept — recovery must
-be bit-identical or a typed error, never a silently short payload),
-and ``tiered`` (one-shot checkpoints on a hot device with an async
-demotion policy copying committed checkpoints to a warm SSD and a
-remote object store — power failing mid-demotion at every crash point
-and proving the commit record never depends on anything but the hot
-tier).
+Every single-node workload drives the stack
+:func:`repro.service.pool.build_stack` assembles over the fault-injecting
+device (or the stripe set above it) — the wiring ``open_checkpointer``
+ships, in its order: format the hot region, then wrap it in the tiers
+and re-bind the layout — so the oracle judges the product, not a
+hand-built look-alike.  Only the multi-rank workloads wire by hand, and
+only what the builder does not cover: one bare engine per rank through
+``coordinator.bind_engine``.
+
+Seven workloads cover the stack bottom-up (details on each class):
+``engine`` (one-shot ``checkpoint()`` calls), ``streaming`` (interleaved
+tickets, deterministic supersede), ``orchestrator`` (the capture/persist
+pipeline, ≥3 concurrent), ``distributed`` (multi-rank behind the rank-0
+barrier, one rank's device crashing), ``elastic`` (the same writing
+shards of one global state, recovered onto smaller and larger worlds),
+``striped`` (a 3-member stripe set with the crash device as member 0)
+and ``tiered`` (async demotion to a warm SSD and a remote store, power
+failing mid-demotion).
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -51,11 +50,9 @@ from repro.core.distributed import DistributedCoordinator, DistributedWorker
 #: slots — settlement races the waiters waking, so the invariant check
 #: retries briefly instead of declaring a leak on the first look.
 SETTLE_POLL_SECONDS = 0.005
-from repro.core.engine import CheckpointEngine
 from repro.core.layout import DeviceLayout, Geometry
 from repro.core.meta import RECORD_SIZE
-from repro.core.orchestrator import PCcheckOrchestrator
-from repro.core.recovery import recover, recover_consistent, try_recover
+from repro.core.recovery import recover_consistent, try_recover
 from repro.core.sharding import shard_payload, reassemble
 from repro.core.snapshot import BytesSource
 from repro.errors import (
@@ -67,13 +64,12 @@ from repro.errors import (
     NoCheckpointError,
     PCcheckError,
 )
+from repro.service.pool import EngineSpec, EngineStack, build_stack
 from repro.storage.device import PersistentDevice
-from repro.storage.dram import DRAMBufferPool
 from repro.storage.faults import CrashPointDevice
-from repro.storage.remote import RemoteStore
 from repro.storage.ssd import InMemorySSD
 from repro.storage.striped import StripedDevice
-from repro.storage.tiering import TieredDevice, TierPlan, TierPolicy
+from repro.storage.tiering import TieredDevice, TierPlan
 
 #: Upper bound on waiting for a checkpoint handle after a crash; a hit
 #: means the failure paths stopped terminating and is itself a violation.
@@ -142,14 +138,111 @@ def payload_for(step: int, capacity: int, rank: int = 0) -> bytes:
     return (pattern * reps)[:length]
 
 
+def _power_fail(device: CrashPointDevice, journal: RunJournal) -> None:
+    """Whole-node power loss at the sweep point — or, for runs the
+    schedule never interrupted, right after the run: every unpersisted
+    byte on the crash device and on the peer/warm devices parked in
+    ``journal.aux``, and every not-yet-visible remote blob, is gone
+    before recovery looks."""
+    if not device.inner.crashed:
+        device.inner.crash()
+    device.inner.recover()
+    others = list(journal.aux.get("peer_devices", ()))
+    if "warm_device" in journal.aux:
+        others.append(journal.aux["warm_device"])
+        journal.aux["remote_store"].power_fail()
+    for other in others:
+        other.crash()
+        other.recover()
+
+
+def _open_or_violation(
+    opener, target, subject: str, journal: RunJournal, violations: List[str],
+    acked: str = "acknowledged",
+):
+    """``opener(target)``, or ``None`` when that raises its typed error —
+    legitimate only while nothing was acknowledged (the crash landed in
+    format or stripe-set creation), a violation otherwise."""
+    try:
+        return opener(target)
+    except (LayoutError, CorruptCheckpointError) as exc:
+        # A stripe set's typed error names the member it tripped on.
+        detail = f": {exc}" if isinstance(exc, CorruptCheckpointError) else ""
+    if journal.acked_steps:
+        violations.append(
+            f"{subject} although steps {journal.acked_steps} were "
+            f"{acked}{detail}"
+        )
+    return None
+
+
 class Workload:
     """Base: single-device workloads share journal-vs-recovery checking."""
 
     name = "abstract"
     description = ""
+    #: What "unopenable" violations call the region on the crash device.
+    region = "region"
+    #: ``EngineSpec.tiers`` of the stack :meth:`assemble` builds.
+    tiers: Optional[TierPlan] = None
+
+    def assemble(
+        self, device: PersistentDevice, spec: WorkloadSpec, journal: RunJournal
+    ) -> EngineStack:
+        """The stack the run drives: the product's own wiring over the
+        sweep's device — what ``open_checkpointer(device=…)`` would
+        lease.  Devices an override adds that recovery needs later go in
+        ``journal.aux``."""
+        engine_spec = EngineSpec(
+            capacity_bytes=spec.payload_capacity,
+            num_concurrent=spec.num_slots - 1,
+            writer_threads=spec.writer_threads,
+            chunk_size=spec.chunk_size,
+            num_chunks=spec.num_chunks,
+            observability="off",
+            tiers=self.tiers,
+        )
+        return build_stack(engine_spec, device=device, sanitize=spec.sanitize)
+
+    def drive(
+        self, stack: EngineStack, spec: WorkloadSpec, journal: RunJournal
+    ) -> None:
+        """Checkpoint through ``stack``, acking into ``journal``; a
+        :class:`~repro.errors.CrashedDeviceError` may simply escape."""
+        raise NotImplementedError
 
     def run(self, device: CrashPointDevice, spec: WorkloadSpec) -> RunJournal:
-        raise NotImplementedError
+        journal = RunJournal()
+        tiering = None
+        try:
+            stack = self.assemble(device, spec, journal)
+            tiering = stack.tiering
+            if tiering is not None:
+                journal.aux["warm_device"] = stack.device.warm
+                journal.aux["remote_store"] = stack.device.remote
+            self.drive(stack, spec, journal)
+        except CrashedDeviceError as exc:
+            journal.crashed = True
+            journal.crash_error = str(exc)
+        finally:
+            if tiering is not None:
+                # The demoter keeps its own writer threads; settle the
+                # queue (failed demotions against a crashed hot tier
+                # drain fast) and join the worker before recovery looks
+                # at the tiers.
+                tiering.drain(timeout=5.0)
+                tiering.stop()
+        if journal.crashed:
+            return journal  # dangling tickets are legitimate after power loss
+        # Invariant 4 at quiescence: a completed run holds back exactly
+        # the committed slot.
+        expected = spec.num_slots - (1 if journal.acked_steps else 0)
+        if stack.engine.free_slots != expected:
+            journal.violations.append(
+                f"slot leak: {stack.engine.free_slots} free of "
+                f"{spec.num_slots} after a completed run (expected {expected})"
+            )
+        return journal
 
     def expected_payload(
         self, spec: WorkloadSpec, step: int, rank: int = 0
@@ -163,32 +256,25 @@ class Workload:
         self, device: CrashPointDevice, spec: WorkloadSpec, journal: RunJournal
     ) -> RecoveryOutcome:
         violations = list(journal.violations)
-        # Power loss at the sweep point — or, for runs the schedule never
-        # interrupted, immediately after the run: either way every
-        # unpersisted byte is gone before recovery looks.
-        if not device.inner.crashed:
-            device.inner.crash()
-        device.inner.recover()
-        try:
-            layout = DeviceLayout.open(device.inner)
-        except LayoutError:
-            if journal.acked_steps:
-                violations.append(
-                    "region unopenable after crash although "
-                    f"steps {journal.acked_steps} were acknowledged"
-                )
-            return RecoveryOutcome(None, "none", violations)
+        _power_fail(device, journal)
+        layout = _open_or_violation(
+            DeviceLayout.open, device.inner,
+            f"{self.region} unopenable after crash", journal, violations,
+        )
         return self._recovery_from_layout(layout, spec, journal, violations)
 
     def _recovery_from_layout(
         self,
-        layout: DeviceLayout,
+        layout: Optional[DeviceLayout],
         spec: WorkloadSpec,
         journal: RunJournal,
         violations: List[str],
     ) -> RecoveryOutcome:
-        """Shared tail of §4.1 validation once a layout opened: recover,
+        """Shared tail of §4.1 validation once a layout opened (``None``:
+        it did not, :func:`_open_or_violation` has said so): recover,
         check ack/counter monotonicity, check the payload byte-exactly."""
+        if layout is None:
+            return RecoveryOutcome(None, "none", violations)
         recovered = try_recover(layout)
         if journal.acked_steps:
             newest = max(journal.acked_steps)
@@ -219,76 +305,27 @@ class Workload:
             )
         return RecoveryOutcome(recovered.meta.step, recovered.source, violations)
 
-    # ------------------------------------------------------------------
-    # helpers
-
-    def _build_engine(
-        self, device: PersistentDevice, spec: WorkloadSpec
-    ) -> CheckpointEngine:
-        layout = DeviceLayout.format(
-            device, num_slots=spec.num_slots, slot_size=spec.slot_size
-        )
-        return CheckpointEngine(
-            layout,
-            writer_threads=spec.writer_threads,
-            sanitize=spec.sanitize,
-        )
-
-    def _check_slot_conservation(
-        self, engine: CheckpointEngine, spec: WorkloadSpec, journal: RunJournal
-    ) -> None:
-        """Invariant 4 at quiescence: a completed run holds back exactly
-        the committed slot."""
-        if journal.crashed:
-            return  # dangling tickets are legitimate after power loss
-        expected = spec.num_slots - (1 if journal.acked_steps else 0)
-        if engine.free_slots != expected:
-            journal.violations.append(
-                f"slot leak: {engine.free_slots} free of {spec.num_slots} "
-                f"after a completed run (expected {expected})"
-            )
-
 
 class EngineOneShotWorkload(Workload):
     """Sequential ``engine.checkpoint()`` calls — Listing 1 end to end.
 
     Subclasses put a different device stack under the same engine by
-    overriding :meth:`assemble` (and ``validate_recovery`` to match).
+    overriding :meth:`assemble` or setting ``tiers`` (and
+    ``validate_recovery`` to match).
     """
 
     name = "engine"
     description = "one-shot checkpoint() calls on the bare engine"
 
-    def assemble(
-        self,
-        device: CrashPointDevice,
-        spec: WorkloadSpec,
-        journal: RunJournal,
-        teardown: ExitStack,
-    ) -> CheckpointEngine:
-        """Format the region and build the engine the run drives.  What
-        recovery needs later (peer devices, …) goes in ``journal.aux``;
-        what must be settled before recovery looks — crash or not — is
-        registered on ``teardown``."""
-        return self._build_engine(device, spec)
-
-    def run(self, device: CrashPointDevice, spec: WorkloadSpec) -> RunJournal:
-        journal = RunJournal()
-        with ExitStack() as teardown:
-            try:
-                engine = self.assemble(device, spec, journal, teardown)
-                for step in range(1, spec.steps + 1):
-                    result = engine.checkpoint(
-                        self.expected_payload(spec, step), step=step
-                    )
-                    if result.committed:
-                        journal.ack(step, result.counter)
-            except CrashedDeviceError as exc:
-                journal.crashed = True
-                journal.crash_error = str(exc)
-                return journal
-        self._check_slot_conservation(engine, spec, journal)
-        return journal
+    def drive(
+        self, stack: EngineStack, spec: WorkloadSpec, journal: RunJournal
+    ) -> None:
+        for step in range(1, spec.steps + 1):
+            result = stack.engine.checkpoint(
+                self.expected_payload(spec, step), step=step
+            )
+            if result.committed:
+                journal.ack(step, result.counter)
 
 
 class StreamingTicketWorkload(Workload):
@@ -301,40 +338,32 @@ class StreamingTicketWorkload(Workload):
     name = "streaming"
     description = "interleaved streaming tickets, deterministic supersede"
 
-    def run(self, device: CrashPointDevice, spec: WorkloadSpec) -> RunJournal:
-        journal = RunJournal()
-        try:
-            engine = self._build_engine(device, spec)
-            step = 1
-            while step <= spec.steps:
-                first = engine.begin(step=step)
-                second = (
-                    engine.begin(step=step + 1)
-                    if step + 1 <= spec.steps
-                    else None
-                )
-                for ticket in (first, second):
-                    if ticket is None:
-                        continue
-                    payload = self.expected_payload(spec, ticket.step)
-                    third = max(1, len(payload) // 3)
-                    for lo in range(0, len(payload), third):
-                        ticket.write_chunk(payload[lo : lo + third])
-                # Reverse commit order: `first` holds the smaller counter
-                # and gets superseded by `second`'s commit.
-                for ticket in (second, first):
-                    if ticket is None:
-                        continue
-                    result = ticket.commit()
-                    if result.committed:
-                        journal.ack(ticket.step, result.counter)
-                step += 2
-        except CrashedDeviceError as exc:
-            journal.crashed = True
-            journal.crash_error = str(exc)
-            return journal
-        self._check_slot_conservation(engine, spec, journal)
-        return journal
+    def drive(
+        self, stack: EngineStack, spec: WorkloadSpec, journal: RunJournal
+    ) -> None:
+        engine = stack.engine
+        step = 1
+        while step <= spec.steps:
+            first = engine.begin(step=step)
+            second = (
+                engine.begin(step=step + 1) if step + 1 <= spec.steps else None
+            )
+            for ticket in (first, second):
+                if ticket is None:
+                    continue
+                payload = self.expected_payload(spec, ticket.step)
+                third = max(1, len(payload) // 3)
+                for lo in range(0, len(payload), third):
+                    ticket.write_chunk(payload[lo : lo + third])
+            # Reverse commit order: `first` holds the smaller counter
+            # and gets superseded by `second`'s commit.
+            for ticket in (second, first):
+                if ticket is None:
+                    continue
+                result = ticket.commit()
+                if result.committed:
+                    journal.ack(ticket.step, result.counter)
+            step += 2
 
 
 class OrchestratorWorkload(Workload):
@@ -349,18 +378,10 @@ class OrchestratorWorkload(Workload):
     name = "orchestrator"
     description = "concurrent capture/persist pipelines over a DRAM pool"
 
-    def run(self, device: CrashPointDevice, spec: WorkloadSpec) -> RunJournal:
-        journal = RunJournal()
-        try:
-            engine = self._build_engine(device, spec)
-        except CrashedDeviceError as exc:
-            journal.crashed = True
-            journal.crash_error = str(exc)
-            return journal
-        pool = DRAMBufferPool(
-            num_chunks=spec.num_chunks, chunk_size=spec.chunk_size
-        )
-        orchestrator = PCcheckOrchestrator(engine, pool)
+    def drive(
+        self, stack: EngineStack, spec: WorkloadSpec, journal: RunJournal
+    ) -> None:
+        pool, orchestrator = stack.dram, stack.orchestrator
         handles = []
         try:
             for step in range(1, spec.steps + 1):
@@ -389,8 +410,6 @@ class OrchestratorWorkload(Workload):
                 f"DRAM buffer leak: {pool.free_chunks} of "
                 f"{pool.total_chunks} chunks free after close()"
             )
-        self._check_slot_conservation(engine, spec, journal)
-        return journal
 
 
 class DistributedWorkload(Workload):
@@ -418,19 +437,14 @@ class DistributedWorkload(Workload):
         try:
             layouts = [
                 DeviceLayout.format(
-                    device, num_slots=spec.num_slots, slot_size=spec.slot_size
+                    dev, num_slots=spec.num_slots, slot_size=spec.slot_size
                 )
+                for dev in [device, *peers]
             ]
         except CrashedDeviceError as exc:
             journal.crashed = True
             journal.crash_error = str(exc)
             return journal
-        layouts += [
-            DeviceLayout.format(
-                peer, num_slots=spec.num_slots, slot_size=spec.slot_size
-            )
-            for peer in peers
-        ]
         workers = [
             DistributedWorker.create(
                 rank, layout, coordinator, writer_threads=spec.writer_threads
@@ -515,26 +529,16 @@ class DistributedWorkload(Workload):
         self, device: CrashPointDevice, spec: WorkloadSpec, journal: RunJournal
     ) -> RecoveryOutcome:
         violations = list(journal.violations)
-        # Whole-cluster power loss at the sweep point: drop unpersisted
-        # state on every rank, then recover the globally consistent step.
-        if not device.inner.crashed:
-            device.inner.crash()
-        device.inner.recover()
-        peers = journal.aux.get("peer_devices", [])
-        for peer in peers:
-            peer.crash()
-            peer.recover()
+        _power_fail(device, journal)
         layouts = []
-        for dev in [device.inner, *peers]:
-            try:
-                layouts.append(DeviceLayout.open(dev))
-            except LayoutError:
-                if journal.acked_steps:
-                    violations.append(
-                        f"rank device {dev.name} unopenable although steps "
-                        f"{journal.acked_steps} were fully acknowledged"
-                    )
+        for dev in [device.inner, *journal.aux.get("peer_devices", [])]:
+            layout = _open_or_violation(
+                DeviceLayout.open, dev, f"rank device {dev.name} unopenable",
+                journal, violations, acked="fully acknowledged",
+            )
+            if layout is None:
                 return RecoveryOutcome(None, "none", violations)
+            layouts.append(layout)
         try:
             consistent = recover_consistent(layouts)
         except NoCheckpointError:
@@ -601,7 +605,7 @@ class ElasticShardedWorkload(DistributedWorkload):
         outcome = super().validate_recovery(device, spec, journal)
         if outcome.recovered_step is None:
             return outcome
-        violations = list(outcome.violations)
+        violations = outcome.violations
         peers = journal.aux.get("peer_devices", [])
         layouts = [
             DeviceLayout.open(dev) for dev in [device.inner, *peers]
@@ -634,14 +638,13 @@ class ElasticShardedWorkload(DistributedWorkload):
                     f"bit-identical at step {resharded.step} "
                     f"({len(reassembled)} vs {len(expected_state)} bytes)"
                 )
-        return RecoveryOutcome(outcome.recovered_step, outcome.source,
-                               violations)
+        return outcome
 
 
 class StripedEngineWorkload(EngineOneShotWorkload):
     """One-shot checkpoints on a striped device; member 0 takes the crash.
 
-    The engine writes through a :class:`~repro.storage.striped.StripedDevice`
+    The stack is built over a :class:`~repro.storage.striped.StripedDevice`
     whose member 0 is the sweep's fault-injecting device and whose peers
     are healthy in-memory SSDs — so every stripe-manifest write, every
     sharded payload write, and every per-member fence of member 0 is a
@@ -665,12 +668,8 @@ class StripedEngineWorkload(EngineOneShotWorkload):
     stripe_size = 512
 
     def assemble(
-        self,
-        device: CrashPointDevice,
-        spec: WorkloadSpec,
-        journal: RunJournal,
-        teardown: ExitStack,
-    ) -> CheckpointEngine:
+        self, device: PersistentDevice, spec: WorkloadSpec, journal: RunJournal
+    ) -> EngineStack:
         peers = [
             InMemorySSD(spec.geometry().total_size, name=f"stripe-peer-{i}")
             for i in range(1, self.stripe_members)
@@ -679,42 +678,24 @@ class StripedEngineWorkload(EngineOneShotWorkload):
         striped = StripedDevice.create(
             [device, *peers], stripe_size=self.stripe_size
         )
-        return self._build_engine(striped, spec)
+        return super().assemble(striped, spec, journal)
 
     def validate_recovery(
         self, device: CrashPointDevice, spec: WorkloadSpec, journal: RunJournal
     ) -> RecoveryOutcome:
         violations = list(journal.violations)
-        # Whole-node power loss: every member loses its unpersisted
-        # bytes, then the node restarts and reassembles the stripe set.
-        if not device.inner.crashed:
-            device.inner.crash()
-        device.inner.recover()
-        peers = journal.aux.get("peer_devices", [])
-        for peer in peers:
-            peer.crash()
-            peer.recover()
-        try:
-            striped = StripedDevice.open([device.inner, *peers])
-        except CorruptCheckpointError as exc:
-            # Legitimate only while nothing was acknowledged (the crash
-            # landed inside stripe-set creation); the error is typed and
-            # names the member — never a short read.
-            if journal.acked_steps:
-                violations.append(
-                    "stripe set unopenable after crash although steps "
-                    f"{journal.acked_steps} were acknowledged: {exc}"
-                )
-            return RecoveryOutcome(None, "none", violations)
-        try:
-            layout = DeviceLayout.open(striped)
-        except LayoutError:
-            if journal.acked_steps:
-                violations.append(
-                    "striped region unopenable after crash although "
-                    f"steps {journal.acked_steps} were acknowledged"
-                )
-            return RecoveryOutcome(None, "none", violations)
+        _power_fail(device, journal)
+        # The node restarts and reassembles the stripe set; a set that
+        # does not reassemble raises a typed error naming the member —
+        # never a short read.
+        striped = _open_or_violation(
+            StripedDevice.open, [device.inner, *journal.aux["peer_devices"]],
+            "stripe set unopenable after crash", journal, violations,
+        )
+        layout = striped and _open_or_violation(
+            DeviceLayout.open, striped,
+            "striped region unopenable after crash", journal, violations,
+        )
         return self._recovery_from_layout(layout, spec, journal, violations)
 
 
@@ -722,8 +703,8 @@ class TieredEngineWorkload(EngineOneShotWorkload):
     """One-shot checkpoints with the tier-demotion hook live; the hot
     device takes the crash while demotions are in flight.
 
-    The engine writes through a :class:`~repro.storage.tiering.TieredDevice`
-    whose hot member is the sweep's fault-injecting device; a
+    The stack is the builder's ``EngineSpec(tiers=TierPlan(…))`` product
+    over the sweep's fault-injecting device as the hot tier: its
     :class:`~repro.storage.tiering.TierPolicy` asynchronously copies each
     committed checkpoint to a warm in-memory SSD and a
     :class:`~repro.storage.remote.RemoteStore`.  Crash points land only
@@ -746,92 +727,39 @@ class TieredEngineWorkload(EngineOneShotWorkload):
     description = (
         "one-shot checkpoints with async warm/remote demotion; hot crashes"
     )
-
-    def assemble(
-        self,
-        device: CrashPointDevice,
-        spec: WorkloadSpec,
-        journal: RunJournal,
-        teardown: ExitStack,
-    ) -> CheckpointEngine:
-        warm = InMemorySSD(spec.geometry().total_size, name="tier-warm")
-        remote = RemoteStore(name="tier-remote")
-        journal.aux["warm_device"] = warm
-        journal.aux["remote_store"] = remote
-        tiered = TieredDevice(device, warm, remote)
-        layout = DeviceLayout.format(
-            tiered, num_slots=spec.num_slots, slot_size=spec.slot_size
-        )
-        policy = TierPolicy(
-            layout, warm, remote, plan=TierPlan(demote_threads=1)
-        )
-        # The demoter keeps its own writer threads; settle the queue
-        # (failed demotions against a crashed hot tier drain fast) and
-        # join the worker before recovery looks at the tiers.
-        teardown.callback(policy.stop)
-        teardown.callback(policy.drain, timeout=5.0)
-        return CheckpointEngine(
-            layout,
-            writer_threads=spec.writer_threads,
-            sanitize=spec.sanitize,
-            post_cas_hook=policy.on_commit,
-        )
+    region = "hot region"
+    tiers = TierPlan(demote_threads=1)
 
     def validate_recovery(
         self, device: CrashPointDevice, spec: WorkloadSpec, journal: RunJournal
     ) -> RecoveryOutcome:
-        violations = list(journal.violations)
-        # Whole-node power loss: hot and warm lose unpersisted bytes, the
-        # remote store drops blobs that were acked but not yet visible.
-        if not device.inner.crashed:
-            device.inner.crash()
-        device.inner.recover()
-        warm = journal.aux["warm_device"]
-        remote = journal.aux["remote_store"]
-        warm.crash()
-        warm.recover()
-        remote.power_fail()
-        try:
-            layout = DeviceLayout.open(device.inner)
-        except LayoutError:
-            if journal.acked_steps:
-                violations.append(
-                    "hot region unopenable after crash although steps "
-                    f"{journal.acked_steps} were acknowledged"
-                )
-            return RecoveryOutcome(None, "none", violations)
         # The hot tier alone must satisfy §4.1 — the commit record never
         # depends on the (asynchronous, lossy) warm or remote copies.
-        outcome = self._recovery_from_layout(layout, spec, journal, violations)
-        violations = outcome.violations
+        outcome = super().validate_recovery(device, spec, journal)
+        if "warm_device" not in journal.aux:
+            # The crash landed inside the hot region's format — before
+            # the builder brings the colder tiers into being.
+            return outcome
+        violations, hot_step = outcome.violations, outcome.recovered_step
+        remote = journal.aux["remote_store"]
         # The tier walk must agree byte-exactly, with and without the
         # remote tier reachable.
-        tiers = TieredDevice(device.inner, warm, remote)
+        tiers = TieredDevice(device.inner, journal.aux["warm_device"], remote)
         for label, remote_dark in (("remote dark", True), ("all tiers", False)):
             if remote_dark:
                 remote.fail()
             try:
-                walked = recover(tiers)
-            except NoCheckpointError:
-                walked = None
+                walked = try_recover(tiers)
             finally:
                 if remote_dark:
                     remote.restore()
             if walked is None:
-                if outcome.recovered_step is not None:
+                if hot_step is not None:
                     violations.append(
                         f"tier walk ({label}) found nothing although the "
-                        f"hot tier recovered step {outcome.recovered_step}"
+                        f"hot tier recovered step {hot_step}"
                     )
                 continue
-            if (
-                outcome.recovered_step is not None
-                and walked.meta.step < outcome.recovered_step
-            ):
-                violations.append(
-                    f"tier walk ({label}) regressed to step "
-                    f"{walked.meta.step} < hot-tier {outcome.recovered_step}"
-                )
             if walked.payload != self.expected_payload(
                 spec, walked.meta.step
             ):
@@ -839,17 +767,19 @@ class TieredEngineWorkload(EngineOneShotWorkload):
                     f"tier walk ({label}) payload corrupt at step "
                     f"{walked.meta.step}"
                 )
-            if (
-                outcome.recovered_step is not None
-                and not walked.source.startswith("hot:")
-            ):
+            if hot_step is None:
+                continue
+            if walked.meta.step < hot_step:
+                violations.append(
+                    f"tier walk ({label}) regressed to step "
+                    f"{walked.meta.step} < hot-tier {hot_step}"
+                )
+            if not walked.source.startswith("hot:"):
                 violations.append(
                     f"tier walk ({label}) recovered from {walked.source} "
                     "although the hot tier holds a valid checkpoint"
                 )
-        return RecoveryOutcome(
-            outcome.recovered_step, outcome.source, violations
-        )
+        return outcome
 
 
 WORKLOADS: Dict[str, Workload] = {

@@ -13,12 +13,11 @@ from typing import Optional
 
 from repro.baselines.base import CheckpointStrategy, State
 from repro.core.config import PCcheckConfig
-from repro.core.engine import CheckpointEngine
 from repro.core.layout import DeviceLayout
 from repro.core.orchestrator import PCcheckOrchestrator
 from repro.core.snapshot import as_source
+from repro.service.pool import EngineSpec, build_stack
 from repro.storage.device import PersistentDevice
-from repro.storage.dram import DRAMBufferPool
 
 
 class PCcheckStrategy(CheckpointStrategy):
@@ -38,27 +37,27 @@ class PCcheckStrategy(CheckpointStrategy):
         :class:`~repro.obs.metrics.MetricsRegistry` and a
         :class:`~repro.obs.trace.Tracer`) instrument the whole stack —
         engine, orchestrator, and device — for the observability
-        benchmarks; omitted, telemetry costs nothing."""
+        benchmarks; omitted, telemetry costs nothing.  The stack is the
+        one :func:`~repro.service.pool.build_stack` assembles over the
+        caller's ``device`` (formatted fresh; the caller keeps owning
+        it)."""
         super().__init__()
-        from repro.core.meta import RECORD_SIZE
-
-        self._config = config or PCcheckConfig()
-        self._layout = DeviceLayout.format(
-            device,
-            num_slots=self._config.num_slots,
-            slot_size=payload_capacity + RECORD_SIZE,
+        config = config or PCcheckConfig()
+        stack = build_stack(
+            EngineSpec(
+                capacity_bytes=payload_capacity,
+                num_concurrent=config.num_concurrent,
+                writer_threads=config.writer_threads,
+                chunk_size=config.chunk_size,
+                num_chunks=config.num_chunks,
+                observability="off" if metrics is None else "metrics",
+            ),
+            device=device,
+            metrics=metrics,
+            tracer=tracer,
         )
-        if metrics is not None:
-            device.attach_metrics(metrics)
-        engine = CheckpointEngine(
-            self._layout, writer_threads=self._config.writer_threads,
-            metrics=metrics, tracer=tracer,
-        )
-        pool = DRAMBufferPool(
-            num_chunks=self._config.num_chunks,
-            chunk_size=self._config.effective_chunk_size(payload_capacity),
-        )
-        self._orchestrator = PCcheckOrchestrator(engine, pool, self._config)
+        self._layout = stack.layout
+        self._orchestrator = stack.orchestrator
 
     @property
     def layout(self) -> DeviceLayout:

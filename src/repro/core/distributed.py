@@ -50,6 +50,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.core.engine import CheckpointEngine
 from repro.core.layout import DeviceLayout
 from repro.core.meta import CheckMeta
+from repro.core.orchestrator import PCcheckOrchestrator
 from repro.errors import (
     DegradedGroupError,
     DistributedError,
@@ -57,6 +58,7 @@ from repro.errors import (
 )
 from repro.obs.metrics import M, MetricsRegistry
 from repro.obs.trace import NULL_TRACER
+from repro.storage.dram import DRAMBufferPool
 
 #: Round outcome states (``RoundOutcome.status`` / tombstone records).
 ROUND_PENDING = "pending"
@@ -978,8 +980,6 @@ class DistributedOrchestrator:
     """
 
     def __init__(self, rank: int, orchestrator, coordinator) -> None:
-        from repro.core.orchestrator import PCcheckOrchestrator
-
         if not isinstance(orchestrator, PCcheckOrchestrator):
             raise DistributedError(
                 "DistributedOrchestrator wraps a PCcheckOrchestrator"
@@ -995,19 +995,14 @@ class DistributedOrchestrator:
         layout: DeviceLayout,
         coordinator: DistributedCoordinator,
         *,
-        pool=None,
         num_chunks: int = 4,
         chunk_size: int = 1 << 20,
         writer_threads: int = 3,
-        config=None,
         recovered: Optional[CheckMeta] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer=None,
     ) -> "DistributedOrchestrator":
         """Build a rank's orchestrator wired into the group coordinator."""
-        from repro.core.orchestrator import PCcheckOrchestrator
-        from repro.storage.dram import DRAMBufferPool
-
         engine = coordinator.bind_engine(
             rank,
             layout,
@@ -1016,10 +1011,8 @@ class DistributedOrchestrator:
             metrics=metrics,
             tracer=tracer,
         )
-        if pool is None:
-            pool = DRAMBufferPool(num_chunks=num_chunks, chunk_size=chunk_size)
-        orchestrator = PCcheckOrchestrator(engine, pool, config=config)
-        return cls(rank, orchestrator, coordinator)
+        pool = DRAMBufferPool(num_chunks=num_chunks, chunk_size=chunk_size)
+        return cls(rank, PCcheckOrchestrator(engine, pool), coordinator)
 
     @property
     def orchestrator(self):

@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.core.chunking import plan_chunks
-from repro.core.config import PCcheckConfig
 from repro.core.engine import CheckpointEngine, CheckpointResult
 from repro.core.snapshot import SnapshotSource
 from repro.errors import (
@@ -150,27 +149,12 @@ class OrchestratorStats:
 class PCcheckOrchestrator:
     """Drives concurrent checkpoint pipelines over one engine."""
 
-    def __init__(
-        self,
-        engine: CheckpointEngine,
-        pool: DRAMBufferPool,
-        config: Optional[PCcheckConfig] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        tracer=None,
-    ) -> None:
+    def __init__(self, engine: CheckpointEngine, pool: DRAMBufferPool) -> None:
         self._engine = engine
         self._pool = pool
-        # Default to the engine's registry/tracer so the whole stack
-        # reports into one place; overrides exist for tests that want an
-        # isolated view.
-        self._metrics = metrics if metrics is not None else engine.metrics
-        self._tracer = tracer if tracer is not None else engine.tracer
-        self._config = config or PCcheckConfig(
-            num_concurrent=engine.max_concurrent,
-            writer_threads=engine.writer_threads,
-            chunk_size=pool.chunk_size,
-            num_chunks=pool.total_chunks,
-        )
+        # The whole stack reports into one place: the engine's.
+        self._metrics = engine.metrics
+        self._tracer = engine.tracer
         # Two threads per in-flight checkpoint: capture + persist stages.
         workers = 2 * engine.max_concurrent
         self._executor = ThreadPoolExecutor(
@@ -192,21 +176,6 @@ class PCcheckOrchestrator:
     def engine(self) -> CheckpointEngine:
         """The checkpoint engine this orchestrator drives."""
         return self._engine
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        """The registry the whole pipeline reports into."""
-        return self._metrics
-
-    @property
-    def tracer(self):
-        """The lifecycle tracer (``NULL_TRACER`` when tracing is off)."""
-        return self._tracer
-
-    @property
-    def config(self) -> PCcheckConfig:
-        """Active configuration."""
-        return self._config
 
     @property
     def fatal_error(self) -> Optional[BaseException]:

@@ -1,11 +1,12 @@
 """Instrumented demo workload for the observability CLI verbs.
 
 ``pccheck-repro metrics`` and ``pccheck-repro trace`` both need a
-realistic concurrent-checkpoint run to observe: this module assembles a
-fully instrumented PCcheck stack over a bandwidth-throttled in-memory
-SSD (so the ③-capture/④-persist stages genuinely overlap and the stall
-classes show up), pushes a configurable number of checkpoints through
-it, and hands back the registry and tracer for exposition.
+realistic concurrent-checkpoint run to observe: this module has
+:func:`repro.service.pool.build_stack` assemble a fully instrumented
+PCcheck stack over a bandwidth-throttled in-memory SSD (so the
+③-capture/④-persist stages genuinely overlap and the stall classes show
+up), pushes a configurable number of checkpoints through it, and hands
+back the registry and tracer for exposition.
 
 The same workload backs both verbs so a trace and a metrics dump taken
 with identical knobs describe the same execution shape.
@@ -19,15 +20,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.config import PCcheckConfig
-from repro.core.engine import CheckpointEngine
-from repro.core.layout import DeviceLayout, Geometry
+from repro.core.layout import Geometry
 from repro.core.meta import RECORD_SIZE
-from repro.core.orchestrator import PCcheckOrchestrator
 from repro.core.snapshot import BytesSource
 from repro.obs.metrics import M, MetricsRegistry
-from repro.obs.trace import NULL_TRACER, Tracer
-from repro.storage.dram import DRAMBufferPool
+from repro.service.pool import EngineSpec, build_stack
 from repro.storage.ssd import InMemorySSD
 
 #: Default persist bandwidth for the demo device (bytes/second).  Slow
@@ -81,36 +78,25 @@ def run_demo_workload(
     guard compares it against ``"full"``.)
     """
     registry = MetricsRegistry()
-    tracer = Tracer() if observability == "full" else NULL_TRACER
-
-    config = PCcheckConfig(
-        num_concurrent=concurrent,
-        writer_threads=writer_threads,
-        num_chunks=num_chunks,
+    geometry = Geometry(
+        num_slots=concurrent + 1, slot_size=payload_bytes + RECORD_SIZE
     )
-    slot_size = payload_bytes + RECORD_SIZE
-    geometry = Geometry(num_slots=config.num_slots, slot_size=slot_size)
-    device = InMemorySSD(
-        geometry.total_size,
-        name="demo-ssd",
-        persist_bandwidth=persist_bandwidth,
-    )
-    if observability != "off":
-        device.attach_metrics(registry)
-    layout = DeviceLayout.format(
-        device, num_slots=config.num_slots, slot_size=slot_size
-    )
-    engine = CheckpointEngine(
-        layout,
-        writer_threads=writer_threads,
+    stack = build_stack(
+        EngineSpec(
+            capacity_bytes=payload_bytes,
+            num_concurrent=concurrent,
+            writer_threads=writer_threads,
+            num_chunks=num_chunks,
+            observability=observability,
+        ),
+        device=InMemorySSD(
+            geometry.total_size,
+            name="demo-ssd",
+            persist_bandwidth=persist_bandwidth,
+        ),
         metrics=registry,
-        tracer=tracer,
     )
-    pool = DRAMBufferPool(
-        num_chunks=num_chunks,
-        chunk_size=config.effective_chunk_size(payload_bytes),
-    )
-    orchestrator = PCcheckOrchestrator(engine, pool, config)
+    orchestrator = stack.orchestrator
 
     rng = np.random.default_rng(seed)
     base = rng.integers(0, 256, payload_bytes, dtype=np.uint8)
@@ -124,13 +110,12 @@ def run_demo_workload(
             orchestrator.checkpoint_async(BytesSource(payload), step=step)
         orchestrator.drain()
     finally:
-        orchestrator.close()
-        device.close()
+        stack.close()
     elapsed = time.perf_counter() - start
 
     return DemoRun(
         metrics=registry,
-        tracer=tracer,
+        tracer=stack.engine.tracer,
         checkpoints=checkpoints,
         committed=int(registry.value(M.COMMITS)),
         elapsed_seconds=elapsed,

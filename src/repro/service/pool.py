@@ -5,9 +5,18 @@
 :func:`_open_ssd`, which also serves :func:`open_existing_region`), and
 :class:`EnginePool` owns a fixed fleet of such stacks with explicit
 ``acquire``/``release`` leasing, capacity accounting, and leak-checked
-``close``.  ``open_checkpointer`` is a thin one-tenant view over a
-size-1 pool, and :class:`repro.service.CheckpointService` multiplexes
-many tenants over a shared pool — both through this single code path.
+``close``.  Everything in ``src/`` that runs an orchestrator over a
+staging pool over an engine (over tiers) gets it from
+:func:`build_stack`: ``open_checkpointer`` (a one-tenant view over a
+size-1 pool), :class:`repro.service.CheckpointService` (many tenants
+over a shared pool), ``PCcheckStrategy``, the observability demo driver
+and the crash sweep's workloads (each over its own injected device) —
+``tests/service/test_wiring_surface.py`` holds that by construction.
+Deliberately outside it are the sites that only ever had a bare engine
+over a layout: the ``naive``/``checkfreq``/``gpm`` baselines,
+``autotune.functional_tw_probe``, and ``coordinator.bind_engine`` — THE
+one wiring of the distributed hooks, under ``DistributedWorker`` and
+``DistributedOrchestrator.create``.
 
 Pool semantics:
 
@@ -109,7 +118,8 @@ class EngineSpec:
     unbuffered: bool = False
     #: Tiered storage: keep the commit path on the (hot) backend device
     #: and asynchronously demote committed checkpoints to a warm device
-    #: (``{path}.warm`` for ``ssd``, an in-memory SSD otherwise) and a
+    #: (``{path}.warm`` beside a region file the stack opened itself, an
+    #: in-memory SSD over an injected or simulated device) and a
     #: remote object store, per this :class:`~repro.storage.tiering.TierPlan`.
     tiers: Optional[TierPlan] = None
 
@@ -333,13 +343,18 @@ class EngineStack:
             "leaked_buffers": self.dram.total_chunks - self.dram.free_chunks,
         }
 
-    def close(self) -> None:
-        """Tear the stack down: stop the demotion worker, drain
-        pipelines, stop the writer pool, release the device."""
+    def close(self) -> Dict[str, int]:
+        """Tear the stack down — stop the demotion worker, drain
+        pipelines, stop the writer pool, release the device — and return
+        the leak report, taken once the pipelines are quiescent
+        (accounting on a live stack would race in-flight buffer
+        releases) and before the device goes."""
         if self.tiering is not None:
             self.tiering.stop()
         self.orchestrator.close()
+        report = self.leak_report()
         self.device.close()
+        return report
 
 
 def build_stack(
@@ -350,6 +365,7 @@ def build_stack(
     tracer=None,
     index: int = 0,
     pool_size: int = 1,
+    sanitize: Optional[bool] = None,
 ) -> EngineStack:
     """Assemble one engine stack from ``spec``: device, layout, engine,
     orchestrator, and the colder tiers when the spec asks for them.
@@ -358,7 +374,9 @@ def build_stack(
     (the pool cannot know the device's history); without one, an
     existing ``ssd`` region is reopened with its on-disk geometry and
     its newest valid checkpoint recovered.  Whatever this opened is
-    closed again if the stack does not come together.
+    closed again if the stack does not come together.  ``sanitize`` is
+    :class:`~repro.core.engine.CheckpointEngine`'s keyword, forwarded
+    (the crash sweep's ``--no-sanitize``).
     """
     config = spec.pccheck_config()
     slot_size = spec.capacity_bytes + RECORD_SIZE
@@ -374,11 +392,14 @@ def build_stack(
     observed = spec.observability != "off"
     with ExitStack() as undo:
         existing = False
+        # Path of the region file(s) this stack itself opens, if any.
+        region_path: Optional[str] = None
         if device is None:
             if spec.backend == "ssd":
                 spec.validate_buildable()
+                region_path = spec.member_path(index, pool_size)
                 device, existing = _open_ssd(
-                    spec.member_path(index, pool_size), capacity,
+                    region_path, capacity,
                     spec.stripe_devices, spec.stripe_size, spec.unbuffered,
                 )
             elif spec.backend == "pmem":
@@ -415,13 +436,13 @@ def build_stack(
         if spec.tiers is not None:
             # Only now, with the hot region accepted, do the colder
             # tiers come into being: warm is a plain (buffered) file
-            # beside it for ssd, an in-memory SSD otherwise; remote comes
+            # beside the region file this stack opened, else (injected
+            # or simulated hot device) an in-memory SSD; remote comes
             # from the plan.  The hot capacity always covers the warm
             # region (same slot count, headers no larger).
-            if spec.backend == "ssd":
+            if region_path is not None:
                 warm: PersistentDevice = FileBackedSSD(
-                    f"{spec.member_path(index, pool_size)}.warm",
-                    capacity=device.capacity,
+                    f"{region_path}.warm", capacity=device.capacity
                 )
             else:
                 warm = InMemorySSD(
@@ -448,6 +469,7 @@ def build_stack(
             metrics=metrics,
             tracer=tracer,
             post_cas_hook=tiering.on_commit if tiering is not None else None,
+            sanitize=sanitize,
         )
         undo.callback(engine.close)
         dram = DRAMBufferPool(
@@ -458,7 +480,7 @@ def build_stack(
             device=device,
             layout=layout,
             engine=engine,
-            orchestrator=PCcheckOrchestrator(engine, dram, config),
+            orchestrator=PCcheckOrchestrator(engine, dram),
             config=config,
             dram=dram,
             recovered=recovered,
@@ -502,10 +524,6 @@ class EngineLease:
     @property
     def orchestrator(self) -> PCcheckOrchestrator:
         return self.stack.orchestrator
-
-    @property
-    def config(self) -> PCcheckConfig:
-        return self.stack.config
 
     @property
     def dram(self) -> DRAMBufferPool:
@@ -855,16 +873,7 @@ class EnginePool:
             stacks = list(self._idle)
             self._idle = []
             self._available.notify_all()
-        engines = []
-        for stack in stacks:
-            # Quiesce first (joins the writer pool), then account, then
-            # release the device — accounting on a live stack would race
-            # in-flight buffer releases.
-            if stack.tiering is not None:
-                stack.tiering.stop()
-            stack.orchestrator.close()
-            engines.append(stack.leak_report())
-            stack.device.close()
+        engines = [stack.close() for stack in stacks]
         report = self._last_leak_report = _pool_report(engines, 0)
         self._metrics.set_gauge(M.POOL_ENGINES_LEASED, 0)
         self._metrics.set_gauge(M.POOL_ENGINES_BUILT, 0)

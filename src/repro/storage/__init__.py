@@ -11,6 +11,7 @@ from repro.storage.device import (
     DeviceWrapper,
     IntervalSet,
     PersistentDevice,
+    TwoImageDevice,
 )
 from repro.storage.dram import DRAMBufferPool, PinnedBuffer
 from repro.storage.faults import CrashBudgetExhausted, CrashPointDevice
@@ -59,4 +60,5 @@ __all__ = [
     "SimulatedPMEM",
     "StripeManifest",
     "StripedDevice",
+    "TwoImageDevice",
 ]

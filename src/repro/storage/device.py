@@ -21,13 +21,19 @@ which is the hazard the paper's BARRIER calls exist to close.
 
 from __future__ import annotations
 
+import threading
 import time
 from abc import ABC, abstractmethod
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.errors import DeviceClosedError, OutOfSpaceError, StorageError
+from repro.errors import (
+    CrashedDeviceError,
+    DeviceClosedError,
+    OutOfSpaceError,
+    StorageError,
+)
 from repro.obs.metrics import M, MetricsRegistry
 
 #: Size of a simulated CPU cache line; crash injection applies or drops
@@ -406,3 +412,156 @@ class DeviceStats:
             "read_ops": self.read_ops,
             "persist_ops": self.persist_ops,
         }
+
+
+class TwoImageDevice(PersistentDevice):
+    """The crash model the in-memory devices share.
+
+    Two byte images: ``visible`` is what loads observe (the cache view,
+    updated by every store), ``durable`` is what survives :meth:`crash`
+    (media content).  A subclass keeps its own store and fence methods:
+    stores go through :meth:`_store`, which records them in one of the
+    subclass's :class:`IntervalSet` s, and fences move covered spans to
+    the durable image with :meth:`_harden`.  ``_at_risk`` names the sets
+    whose bytes are still volatile — what :meth:`crash` randomly applies
+    and :meth:`recover` forgets.
+    """
+
+    def __init__(
+        self, capacity: int, name: str, persist_bandwidth: Optional[float]
+    ) -> None:
+        super().__init__(capacity, name)
+        self._visible = bytearray(capacity)
+        self._durable = bytearray(capacity)
+        self._at_risk: Tuple[IntervalSet, ...] = ()
+        self._lock = threading.RLock()
+        self._crashed = False
+        self._persist_bandwidth = persist_bandwidth
+        self.stats = DeviceStats()
+
+    def _check_alive(self) -> None:
+        self._check_open()
+        if self._crashed:
+            raise CrashedDeviceError(f"{self.name} has crashed; call recover()")
+
+    @property
+    def crashed(self) -> bool:
+        """True between :meth:`crash` and :meth:`recover`."""
+        return self._crashed
+
+    @property
+    def unpersisted_bytes(self) -> int:
+        """Bytes stored but not yet covered by a durability barrier."""
+        with self._lock:
+            return sum(spans.total_bytes() for spans in self._at_risk)
+
+    def _store(
+        self,
+        offset: int,
+        data: Buffer,
+        tracked: IntervalSet,
+        bandwidth: Optional[float] = None,
+    ) -> None:
+        """Land ``data`` in the visible image, volatile until a fence
+        covers it in ``tracked``; ``bandwidth`` models per-store device
+        channel time."""
+        self._check_alive()
+        view = as_view(data)
+        length = len(view)
+        self._check_range(offset, length)
+        start = self._obs_start()
+        with self._lock:
+            copy_into(self._visible, offset, view)
+            tracked.add(offset, offset + length)
+            self.stats.bytes_written += length
+            self.stats.write_ops += 1
+        if bandwidth and length > 0:
+            # OUTSIDE the lock: concurrent writer shares (or stripe
+            # members) overlap their channel time exactly like
+            # independent flash channels, which is what makes
+            # parallel-persist scaling measurable on any host,
+            # single-core CI included.
+            time.sleep(length / bandwidth)
+        self._obs_op("write", length, start)
+
+    def _harden(self, spans) -> int:
+        """Copy ``spans`` from the visible to the durable image; returns
+        the bytes moved.  Caller holds the lock."""
+        moved = 0
+        for lo, hi in spans:
+            copy_into(self._durable, lo, memoryview(self._visible)[lo:hi])
+            moved += hi - lo
+        return moved
+
+    def _charge_bandwidth(self, nbytes: int) -> None:
+        """Make a durability barrier over ``nbytes`` take wall-clock time."""
+        if self._persist_bandwidth and nbytes > 0:
+            time.sleep(nbytes / self._persist_bandwidth)
+
+    def read(self, offset: int, length: int) -> bytes:
+        """Load from the cache view (sees unpersisted stores)."""
+        self._check_alive()
+        self._check_range(offset, length)
+        start = self._obs_start()
+        with self._lock:
+            self.stats.bytes_read += length
+            self.stats.read_ops += 1
+            data = bytes(self._visible[offset : offset + length])
+        self._obs_op("read", length, start)
+        return data
+
+    def readinto(self, offset: int, dest: Buffer) -> None:
+        """Load from the cache view straight into ``dest``."""
+        self._check_alive()
+        view = as_dest_view(dest)
+        length = len(view)
+        self._check_range(offset, length)
+        start = self._obs_start()
+        with self._lock, memoryview(self._visible) as visible:
+            view[:] = visible[offset : offset + length]
+            self.stats.bytes_read += length
+            self.stats.read_ops += 1
+        self._obs_op("read", length, start)
+
+    def crash(self, rng: Optional[np.random.Generator] = None) -> None:
+        """Simulate power loss.
+
+        At-risk data is applied to the media for a random subset of its
+        cache lines — real PMEM guarantees 8-byte failure atomicity but
+        no cross-line ordering, and a block device's write cache may
+        persist any subset of outstanding pages (modelled at the same,
+        stricter granularity).  With ``rng=None`` nothing unpersisted
+        survives (the adversarial case).  Afterwards the device refuses
+        operations until :meth:`recover`.
+        """
+        with self._lock:
+            if self._crashed:
+                raise StorageError(f"{self.name} already crashed")
+            if rng is not None:
+                at_risk = IntervalSet()
+                for spans in self._at_risk:
+                    for lo, hi in spans:
+                        at_risk.add(lo, hi)
+                for lo, hi in at_risk:
+                    for line_lo, line_hi in split_cache_lines(lo, hi - lo):
+                        if rng.random() < 0.5:
+                            self._durable[line_lo:line_hi] = self._visible[
+                                line_lo:line_hi
+                            ]
+            self._crashed = True
+
+    def recover(self) -> None:
+        """Come back from a crash: the cache view is reset to the media
+        content and the at-risk tracking is discarded."""
+        with self._lock:
+            if not self._crashed:
+                raise StorageError(f"{self.name} has not crashed")
+            self._visible = bytearray(self._durable)
+            for spans in self._at_risk:
+                spans.clear()
+            self._crashed = False
+
+    def durable_snapshot(self) -> bytes:
+        """Copy of the durable image (test helper)."""
+        with self._lock:
+            return bytes(self._durable)

@@ -37,23 +37,9 @@ clwb asymmetry.  It defaults to ``None`` (instantaneous) for unit tests.
 
 from __future__ import annotations
 
-import threading
-import time
 from typing import Optional
 
-import numpy as np
-
-from repro.errors import CrashedDeviceError, StorageError
-from repro.storage.device import (
-    Buffer,
-    DeviceStats,
-    IntervalSet,
-    PersistentDevice,
-    as_dest_view,
-    as_view,
-    copy_into,
-    split_cache_lines,
-)
+from repro.storage.device import Buffer, IntervalSet, TwoImageDevice
 
 #: Measured on the paper's PMEM machine (§3.3): non-temporal store + sfence.
 NT_STORE_BANDWIDTH: float = 4.01e9
@@ -61,7 +47,7 @@ NT_STORE_BANDWIDTH: float = 4.01e9
 CLWB_BANDWIDTH: float = 2.46e9
 
 
-class SimulatedPMEM(PersistentDevice):
+class SimulatedPMEM(TwoImageDevice):
     """Byte-addressable persistent memory with an explicit persistence domain.
 
     Thread-safe: the checkpoint engine persists with multiple writer
@@ -76,36 +62,12 @@ class SimulatedPMEM(PersistentDevice):
         persist_bandwidth: Optional[float] = None,
         use_nt_stores: bool = True,
     ) -> None:
-        super().__init__(capacity, name)
-        self._visible = bytearray(capacity)
-        self._durable = bytearray(capacity)
+        super().__init__(capacity, name, persist_bandwidth)
         self._dirty = IntervalSet()  # cached stores not yet written back
         self._pending_nt = IntervalSet()  # nt stores not yet fenced
         self._flush_queued = IntervalSet()  # clwb issued, fence pending
-        self._lock = threading.RLock()
-        self._crashed = False
-        self._persist_bandwidth = persist_bandwidth
+        self._at_risk = (self._dirty, self._pending_nt)
         self._use_nt_stores = use_nt_stores
-        self.stats = DeviceStats()
-
-    # ------------------------------------------------------------------
-    # state checks
-
-    def _check_alive(self) -> None:
-        self._check_open()
-        if self._crashed:
-            raise CrashedDeviceError(f"{self.name} has crashed; call recover()")
-
-    @property
-    def crashed(self) -> bool:
-        """True between :meth:`crash` and :meth:`recover`."""
-        return self._crashed
-
-    @property
-    def unpersisted_bytes(self) -> int:
-        """Bytes currently at risk (dirty + pending nt stores)."""
-        with self._lock:
-            return self._dirty.total_bytes() + self._pending_nt.total_bytes()
 
     # ------------------------------------------------------------------
     # store paths
@@ -125,56 +87,11 @@ class SimulatedPMEM(PersistentDevice):
     def cached_store(self, offset: int, data: Buffer) -> None:
         """A regular (write-back cached) store; durable only after
         ``clwb`` + fence covers it."""
-        self._check_alive()
-        view = as_view(data)
-        length = len(view)
-        self._check_range(offset, length)
-        start = self._obs_start()
-        with self._lock:
-            copy_into(self._visible, offset, view)
-            self._dirty.add(offset, offset + length)
-            self.stats.bytes_written += length
-            self.stats.write_ops += 1
-        self._obs_op("write", length, start)
+        self._store(offset, data, self._dirty)
 
     def nt_store(self, offset: int, data: Buffer) -> None:
         """A non-temporal store: bypasses the cache, durable after ``sfence``."""
-        self._check_alive()
-        view = as_view(data)
-        length = len(view)
-        self._check_range(offset, length)
-        start = self._obs_start()
-        with self._lock:
-            copy_into(self._visible, offset, view)
-            self._pending_nt.add(offset, offset + length)
-            self.stats.bytes_written += length
-            self.stats.write_ops += 1
-        self._obs_op("write", length, start)
-
-    def read(self, offset: int, length: int) -> bytes:
-        """Load from the cache view (sees unpersisted stores)."""
-        self._check_alive()
-        self._check_range(offset, length)
-        start = self._obs_start()
-        with self._lock:
-            self.stats.bytes_read += length
-            self.stats.read_ops += 1
-            data = bytes(self._visible[offset : offset + length])
-        self._obs_op("read", length, start)
-        return data
-
-    def readinto(self, offset: int, dest: Buffer) -> None:
-        """Load from the cache view straight into ``dest``."""
-        self._check_alive()
-        view = as_dest_view(dest)
-        length = len(view)
-        self._check_range(offset, length)
-        start = self._obs_start()
-        with self._lock, memoryview(self._visible) as visible:
-            view[:] = visible[offset : offset + length]
-            self.stats.bytes_read += length
-            self.stats.read_ops += 1
-        self._obs_op("read", length, start)
+        self._store(offset, data, self._pending_nt)
 
     # ------------------------------------------------------------------
     # persistence barriers
@@ -203,10 +120,9 @@ class SimulatedPMEM(PersistentDevice):
         with self._lock:
             drained = 0
             for spans in (self._pending_nt, self._flush_queued):
+                drained += self._harden(spans)
                 for lo, hi in spans:
-                    copy_into(self._durable, lo, memoryview(self._visible)[lo:hi])
                     self._dirty.remove(lo, hi)
-                    drained += hi - lo
             self._pending_nt.clear()
             self._flush_queued.clear()
             self.stats.bytes_persisted += drained
@@ -223,53 +139,9 @@ class SimulatedPMEM(PersistentDevice):
         self.clwb(offset, length)
         self.sfence()
 
-    def _charge_bandwidth(self, nbytes: int) -> None:
-        if self._persist_bandwidth and nbytes > 0:
-            time.sleep(nbytes / self._persist_bandwidth)
-
-    # ------------------------------------------------------------------
-    # crash injection
-
-    def crash(self, rng: Optional[np.random.Generator] = None) -> None:
-        """Simulate power loss.
-
-        Unpersisted data (dirty lines and unfenced nt stores) is applied
-        to the media for a random subset of its cache lines — real PMEM
-        guarantees 8-byte failure atomicity but no cross-line ordering, so
-        any subset of outstanding lines may or may not land.  With
-        ``rng=None`` nothing unpersisted survives (the adversarial case).
-        Afterwards the device refuses operations until :meth:`recover`.
-        """
-        with self._lock:
-            if self._crashed:
-                raise StorageError(f"{self.name} already crashed")
-            if rng is not None:
-                at_risk = IntervalSet()
-                for lo, hi in self._dirty:
-                    at_risk.add(lo, hi)
-                for lo, hi in self._pending_nt:
-                    at_risk.add(lo, hi)
-                for lo, hi in at_risk:
-                    for line_lo, line_hi in split_cache_lines(lo, hi - lo):
-                        if rng.random() < 0.5:
-                            self._durable[line_lo:line_hi] = self._visible[
-                                line_lo:line_hi
-                            ]
-            self._crashed = True
-
     def recover(self) -> None:
-        """Come back from a crash: the cache view is reset to the media
-        content and all volatile tracking state is discarded."""
+        """Come back from a crash; queued write-backs are volatile
+        tracking state too."""
         with self._lock:
-            if not self._crashed:
-                raise StorageError(f"{self.name} has not crashed")
-            self._visible = bytearray(self._durable)
-            self._dirty.clear()
-            self._pending_nt.clear()
+            super().recover()
             self._flush_queued.clear()
-            self._crashed = False
-
-    def durable_snapshot(self) -> bytes:
-        """Copy of the media content (test helper)."""
-        with self._lock:
-            return bytes(self._durable)

@@ -23,21 +23,19 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from typing import Optional
 
 import numpy as np
 
-from repro.errors import CrashedDeviceError, StorageError
+from repro.errors import StorageError
 from repro.storage.device import (
     Buffer,
     DeviceStats,
     IntervalSet,
     PersistentDevice,
+    TwoImageDevice,
     as_dest_view,
     as_view,
-    copy_into,
-    split_cache_lines,
 )
 
 #: Effective torch.save+flush bandwidth the paper measured on pd-ssd
@@ -250,13 +248,14 @@ class FileBackedSSD(PersistentDevice):
         super().close()
 
 
-class InMemorySSD(PersistentDevice):
+class InMemorySSD(TwoImageDevice):
     """An SSD with an explicit volatile write cache, for crash testing.
 
     ``write`` lands in the cache view; ``persist`` (msync) copies the
     covered dirty ranges to the durable image.  :meth:`crash` may apply
     any random subset of outstanding cache lines, then freezes the device
-    until :meth:`recover`.
+    until :meth:`recover` (the shared
+    :class:`~repro.storage.device.TwoImageDevice` model).
     """
 
     def __init__(
@@ -266,78 +265,17 @@ class InMemorySSD(PersistentDevice):
         persist_bandwidth: Optional[float] = None,
         write_bandwidth: Optional[float] = None,
     ) -> None:
-        super().__init__(capacity, name)
+        super().__init__(capacity, name, persist_bandwidth)
         if write_bandwidth is not None and write_bandwidth <= 0:
             raise StorageError(
                 f"write bandwidth must be positive, got {write_bandwidth}"
             )
-        self._visible = bytearray(capacity)
-        self._durable = bytearray(capacity)
-        self._dirty = IntervalSet()
-        self._lock = threading.RLock()
-        self._crashed = False
-        self._persist_bandwidth = persist_bandwidth
+        self._dirty = IntervalSet()  # written, not yet msynced
+        self._at_risk = (self._dirty,)
         self._write_bandwidth = write_bandwidth
-        self.stats = DeviceStats()
-
-    def _check_alive(self) -> None:
-        self._check_open()
-        if self._crashed:
-            raise CrashedDeviceError(f"{self.name} has crashed; call recover()")
-
-    @property
-    def crashed(self) -> bool:
-        """True between :meth:`crash` and :meth:`recover`."""
-        return self._crashed
-
-    @property
-    def unpersisted_bytes(self) -> int:
-        """Bytes written but not yet covered by a persist barrier."""
-        with self._lock:
-            return self._dirty.total_bytes()
 
     def write(self, offset: int, data: Buffer) -> None:
-        self._check_alive()
-        view = as_view(data)
-        length = len(view)
-        self._check_range(offset, length)
-        start = self._obs_start()
-        with self._lock:
-            copy_into(self._visible, offset, view)
-            self._dirty.add(offset, offset + length)
-            self.stats.bytes_written += length
-            self.stats.write_ops += 1
-        if self._write_bandwidth and length > 0:
-            # Model per-write device channel time OUTSIDE the lock:
-            # concurrent writer shares (or stripe members) overlap their
-            # channel time exactly like independent flash channels, which
-            # is what makes parallel-persist scaling measurable on any
-            # host, single-core CI included.
-            time.sleep(length / self._write_bandwidth)
-        self._obs_op("write", length, start)
-
-    def read(self, offset: int, length: int) -> bytes:
-        self._check_alive()
-        self._check_range(offset, length)
-        start = self._obs_start()
-        with self._lock:
-            self.stats.bytes_read += length
-            self.stats.read_ops += 1
-            data = bytes(self._visible[offset : offset + length])
-        self._obs_op("read", length, start)
-        return data
-
-    def readinto(self, offset: int, dest: Buffer) -> None:
-        self._check_alive()
-        view = as_dest_view(dest)
-        length = len(view)
-        self._check_range(offset, length)
-        start = self._obs_start()
-        with self._lock, memoryview(self._visible) as visible:
-            view[:] = visible[offset : offset + length]
-            self.stats.bytes_read += length
-            self.stats.read_ops += 1
-        self._obs_op("read", length, start)
+        self._store(offset, data, self._dirty, self._write_bandwidth)
 
     def persist(self, offset: int, length: int) -> None:
         """``msync`` the range: dirty bytes inside it become durable."""
@@ -345,42 +283,11 @@ class InMemorySSD(PersistentDevice):
         self._check_range(offset, length)
         start = self._obs_start()
         with self._lock:
-            synced = 0
-            for lo, hi in self._dirty.intersect(offset, offset + length):
-                copy_into(self._durable, lo, memoryview(self._visible)[lo:hi])
-                synced += hi - lo
+            synced = self._harden(
+                self._dirty.intersect(offset, offset + length)
+            )
             self._dirty.remove(offset, offset + length)
             self.stats.bytes_persisted += synced
             self.stats.persist_ops += 1
-        if self._persist_bandwidth and synced > 0:
-            time.sleep(synced / self._persist_bandwidth)
+        self._charge_bandwidth(synced)
         self._obs_op("persist", synced, start)
-
-    def crash(self, rng: Optional[np.random.Generator] = None) -> None:
-        """Power loss: unsynced data survives only for a random subset of
-        cache lines (none when ``rng`` is None)."""
-        with self._lock:
-            if self._crashed:
-                raise StorageError(f"{self.name} already crashed")
-            if rng is not None:
-                for lo, hi in self._dirty:
-                    for line_lo, line_hi in split_cache_lines(lo, hi - lo):
-                        if rng.random() < 0.5:
-                            self._durable[line_lo:line_hi] = self._visible[
-                                line_lo:line_hi
-                            ]
-            self._crashed = True
-
-    def recover(self) -> None:
-        """Reset the cache view to the durable image and resume service."""
-        with self._lock:
-            if not self._crashed:
-                raise StorageError(f"{self.name} has not crashed")
-            self._visible = bytearray(self._durable)
-            self._dirty.clear()
-            self._crashed = False
-
-    def durable_snapshot(self) -> bytes:
-        """Copy of the durable image (test helper)."""
-        with self._lock:
-            return bytes(self._durable)

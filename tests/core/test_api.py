@@ -69,7 +69,7 @@ class TestOpenCheckpointer:
             assert ckpt.config.num_concurrent == 3
             assert ckpt.config.writer_threads == 2
             assert ckpt.engine.writer_threads == 2
-            assert ckpt.orchestrator.config.chunk_size == 1024
+            assert ckpt.config.chunk_size == 1024
 
 
 class TestCheckpointerSurface:
@@ -210,6 +210,22 @@ class TestInjection:
                                device=device) as ckpt:
             assert ckpt.device is device
             assert ckpt.checkpoint(b"direct", step=1).committed
+
+    def test_tiers_over_an_injected_device_create_no_file(
+        self, tmp_path, monkeypatch
+    ):
+        """No path, so no ``{path}.warm``: the warm tier of an injected
+        device lives in memory (the parent left a file named
+        ``None.warm`` in the working directory)."""
+        from repro.core.recovery import recover
+        from repro.storage.ssd import InMemorySSD
+
+        monkeypatch.chdir(tmp_path)
+        with open_checkpointer(device=InMemorySSD(1 << 20),
+                               capacity_bytes=4096, tiers=True) as ckpt:
+            assert ckpt.checkpoint(b"tiered", step=1).committed
+            assert recover(ckpt.device).payload == b"tiered"
+        assert os.listdir(tmp_path) == []
 
     def test_pool_and_device_are_mutually_exclusive(self):
         from repro import EnginePool, EngineSpec
