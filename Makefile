@@ -17,9 +17,10 @@ test-sanitize:
 	REPRO_SANITIZE=1 $(MAKE) test
 
 # Distributed coordination suite (docs/DISTRIBUTED.md): the functional
-# barrier/coordinator/recovery/reshard tests and the simulator's failure
-# model.  The multi-rank and elastic crash sweeps are rows of `make
-# crashsweep`.
+# barrier/coordinator/rank-handle/recovery/reshard tests (every rank a
+# `build_stack` stack under `DistributedRank`) and the simulator's
+# failure model.  The multi-rank and elastic crash sweeps are rows of
+# `make crashsweep`.
 test-distributed:
 	PYTHONPATH=src python -m pytest -x -q \
 		tests/core/test_distributed.py \

@@ -2,7 +2,8 @@
 """Distributed checkpointing: pipeline-parallel workers, one straggler.
 
 Four workers (threads standing in for nodes) each checkpoint their model
-partition through their own engine.  The paper's rank-0 coordination
+partition through their own stack — the ordinary single-node stack, built
+with the coordinator's binding for its rank.  The paper's rank-0 coordination
 round runs after every successful CAS and *before* the superseded slot
 is recycled, so a globally consistent step always survives — even when
 one worker dies mid-run, as demonstrated here.
@@ -16,12 +17,10 @@ import threading
 
 import numpy as np
 
-from repro.core.distributed import DistributedCoordinator, DistributedWorker
-from repro.core.layout import DeviceLayout, Geometry
-from repro.core.meta import RECORD_SIZE
+from repro.core.distributed import DistributedCoordinator, DistributedRank
 from repro.core.recovery import recover_consistent
 from repro.errors import DistributedError
-from repro.storage.ssd import InMemorySSD
+from repro.service.pool import EngineSpec, build_stack
 from repro.training.models import TransformerLM
 from repro.training.state import capture_state, serialize_state
 
@@ -42,16 +41,18 @@ def main() -> None:
         rank: serialize_state(capture_state(model, step=0))
         for rank, model in enumerate(partitions)
     }
-    capacity = max(len(p) for p in payloads.values()) + 1024
-    slot_size = capacity + RECORD_SIZE
-    geometry = Geometry(num_slots=3, slot_size=slot_size)
+    spec = EngineSpec(
+        capacity_bytes=max(len(p) for p in payloads.values()) + 1024,
+        backend="pmem",
+    )
 
     coordinator = DistributedCoordinator(WORLD_SIZE, timeout=1.0)
-    workers = []
-    for rank in range(WORLD_SIZE):
-        device = InMemorySSD(geometry.total_size, name=f"ssd-rank{rank}")
-        layout = DeviceLayout.format(device, num_slots=3, slot_size=slot_size)
-        workers.append(DistributedWorker.create(rank, layout, coordinator))
+    workers = [
+        DistributedRank(
+            rank, build_stack(spec, rank=coordinator.binding(rank)), coordinator
+        )
+        for rank in range(WORLD_SIZE)
+    ]
 
     def checkpoint_step(step, dead_ranks=()):
         """All live workers checkpoint their partition for `step`."""
@@ -90,7 +91,7 @@ def main() -> None:
           f"(step 3 never became globally consistent)")
 
     print("\n=== recovery across all four devices ===")
-    consistent = recover_consistent([w.engine.layout for w in workers])
+    consistent = recover_consistent([w.stack.layout for w in workers])
     print(f"  newest step every worker holds: {consistent.step}")
     assert consistent.step == 2
     for rank, payload in enumerate(consistent.payloads):
@@ -100,6 +101,9 @@ def main() -> None:
           "group recovers step 2 — the last step ALL workers completed. "
           "Holding the superseded slot across the barrier is what makes "
           "this safe.")
+    coordinator.close()
+    for worker in workers:
+        worker.close()
 
 
 if __name__ == "__main__":

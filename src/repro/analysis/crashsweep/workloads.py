@@ -21,9 +21,10 @@ Every single-node workload drives the stack
 device (or the stripe set above it) — the wiring ``open_checkpointer``
 ships, in its order: format the hot region, then wrap it in the tiers
 and re-bind the layout — so the oracle judges the product, not a
-hand-built look-alike.  Only the multi-rank workloads wire by hand, and
-only what the builder does not cover: one bare engine per rank through
-``coordinator.bind_engine``.
+hand-built look-alike.  The multi-rank workloads drive one such stack
+per rank, built with ``rank=`` the coordinator's binding.  Whatever a
+run assembled is stopped (pipelines drained, writer pools joined) before
+it returns; the devices stay open for recovery to read.
 
 Seven workloads cover the stack bottom-up (details on each class):
 ``engine`` (one-shot ``checkpoint()`` calls), ``streaming`` (interleaved
@@ -39,17 +40,11 @@ failing mid-demotion).
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.distributed import DistributedCoordinator, DistributedWorker
-
-#: Poll cadence while waiting for settled rounds to release their held
-#: slots — settlement races the waiters waking, so the invariant check
-#: retries briefly instead of declaring a leak on the first look.
-SETTLE_POLL_SECONDS = 0.005
+from repro.core.distributed import DistributedCoordinator, DistributedRank
 from repro.core.layout import DeviceLayout, Geometry
 from repro.core.meta import RECORD_SIZE
 from repro.core.recovery import recover_consistent, try_recover
@@ -112,6 +107,9 @@ class RunJournal:
     crash_error: Optional[str] = None
     #: Failure-path resource leaks the workload itself detected.
     violations: List[str] = field(default_factory=list)
+    #: Every stack the run assembled, the one over the crash device
+    #: first; the template stops them and reads their leak reports.
+    stacks: List[EngineStack] = field(default_factory=list)
     #: Workload-specific extras (e.g. peer devices of a distributed run).
     aux: Dict[str, object] = field(default_factory=dict)
 
@@ -187,12 +185,16 @@ class Workload:
     tiers: Optional[TierPlan] = None
 
     def assemble(
-        self, device: PersistentDevice, spec: WorkloadSpec, journal: RunJournal
-    ) -> EngineStack:
-        """The stack the run drives: the product's own wiring over the
+        self,
+        device: PersistentDevice,
+        spec: WorkloadSpec,
+        journal: RunJournal,
+        rank=None,
+    ):
+        """What the run drives: the product's own wiring over the
         sweep's device — what ``open_checkpointer(device=…)`` would
-        lease.  Devices an override adds that recovery needs later go in
-        ``journal.aux``."""
+        lease (``rank``: as one rank of a group).  Devices recovery
+        needs later go in ``journal.aux``."""
         engine_spec = EngineSpec(
             capacity_bytes=spec.payload_capacity,
             num_concurrent=spec.num_slots - 1,
@@ -202,46 +204,58 @@ class Workload:
             observability="off",
             tiers=self.tiers,
         )
-        return build_stack(engine_spec, device=device, sanitize=spec.sanitize)
+        stack = build_stack(
+            engine_spec, device=device, sanitize=spec.sanitize, rank=rank
+        )
+        journal.stacks.append(stack)
+        if stack.tiering is not None:
+            journal.aux["warm_device"] = stack.device.warm
+            journal.aux["remote_store"] = stack.device.remote
+        return stack
 
-    def drive(
-        self, stack: EngineStack, spec: WorkloadSpec, journal: RunJournal
-    ) -> None:
-        """Checkpoint through ``stack``, acking into ``journal``; a
-        :class:`~repro.errors.CrashedDeviceError` may simply escape."""
+    def drive(self, driven, spec: WorkloadSpec, journal: RunJournal) -> None:
+        """Checkpoint through what :meth:`assemble` returned, acking
+        into ``journal``; a :class:`~repro.errors.CrashedDeviceError`
+        may simply escape."""
         raise NotImplementedError
 
     def run(self, device: CrashPointDevice, spec: WorkloadSpec) -> RunJournal:
         journal = RunJournal()
-        tiering = None
         try:
-            stack = self.assemble(device, spec, journal)
-            tiering = stack.tiering
-            if tiering is not None:
-                journal.aux["warm_device"] = stack.device.warm
-                journal.aux["remote_store"] = stack.device.remote
-            self.drive(stack, spec, journal)
+            self.drive(self.assemble(device, spec, journal), spec, journal)
         except CrashedDeviceError as exc:
             journal.crashed = True
             journal.crash_error = str(exc)
         finally:
-            if tiering is not None:
-                # The demoter keeps its own writer threads; settle the
-                # queue (failed demotions against a crashed hot tier
-                # drain fast) and join the worker before recovery looks
-                # at the tiers.
-                tiering.drain(timeout=5.0)
-                tiering.stop()
-        if journal.crashed:
-            return journal  # dangling tickets are legitimate after power loss
-        # Invariant 4 at quiescence: a completed run holds back exactly
-        # the committed slot.
-        expected = spec.num_slots - (1 if journal.acked_steps else 0)
-        if stack.engine.free_slots != expected:
-            journal.violations.append(
-                f"slot leak: {stack.engine.free_slots} free of "
-                f"{spec.num_slots} after a completed run (expected {expected})"
-            )
+            reports = []
+            for stack in journal.stacks:
+                if stack.tiering is not None:
+                    # Settle the demotion queue (failed demotions
+                    # against a crashed hot tier drain fast) before
+                    # recovery looks at the tiers.
+                    stack.tiering.drain(timeout=5.0)
+                reports.append(stack.stop())
+        for index, report in enumerate(reports):
+            # The failure-path contract: the staging pool is whole again
+            # even when the persist stages died mid-checkpoint.
+            if report["leaked_buffers"]:
+                journal.violations.append(
+                    f"DRAM buffer leak on stack {index}: "
+                    f"{report['dram_free']} of {report['dram_total']} chunks "
+                    "free after the pipelines stopped"
+                )
+            if journal.crashed and index == 0:
+                continue  # dangling tickets are legitimate after power loss
+            # Invariant 4 and §4.1 slot custody at quiescence: every
+            # round settled — completed (recycle) or failed (reclaim) —
+            # so a healthy stack holds back exactly its committed slot.
+            if report["free_slots"] != report["expected_free_slots"]:
+                journal.violations.append(
+                    f"slot leak on stack {index}: {report['free_slots']} free "
+                    f"and {report['held_slots']} still held of "
+                    f"{spec.num_slots} after the run settled (expected "
+                    f"{report['expected_free_slots']} free)"
+                )
         return journal
 
     def expected_payload(
@@ -370,9 +384,9 @@ class OrchestratorWorkload(Workload):
     """The full pipeline: concurrent capture/persist sessions over a
     shared DRAM pool, crash landing anywhere in any stage.
 
-    Beyond the §4.1 check this asserts the failure-path resource
-    contract: after ``drain``/``close`` the DRAM pool is whole again even
-    when the persist stages died mid-checkpoint.
+    Beyond the §4.1 check this is where the template's failure-path
+    resource contract bites: once the pipelines stopped the DRAM pool is
+    whole again even when the persist stages died mid-checkpoint.
     """
 
     name = "orchestrator"
@@ -381,12 +395,13 @@ class OrchestratorWorkload(Workload):
     def drive(
         self, stack: EngineStack, spec: WorkloadSpec, journal: RunJournal
     ) -> None:
-        pool, orchestrator = stack.dram, stack.orchestrator
         handles = []
         try:
             for step in range(1, spec.steps + 1):
                 source = BytesSource(self.expected_payload(spec, step))
-                handles.append(orchestrator.checkpoint_async(source, step=step))
+                handles.append(
+                    stack.orchestrator.checkpoint_async(source, step=step)
+                )
         except (CrashedDeviceError, EngineClosedError) as exc:
             journal.crashed = True
             journal.crash_error = str(exc)
@@ -404,12 +419,6 @@ class OrchestratorWorkload(Workload):
             else:
                 if result.committed:
                     journal.ack(handle.step, result.counter)
-        orchestrator.close()
-        if pool.free_chunks != pool.total_chunks:
-            journal.violations.append(
-                f"DRAM buffer leak: {pool.free_chunks} of "
-                f"{pool.total_chunks} chunks free after close()"
-            )
 
 
 class DistributedWorkload(Workload):
@@ -424,8 +433,9 @@ class DistributedWorkload(Workload):
     name = "distributed"
     description = "multi-rank engines behind the rank-0 barrier"
 
-    def run(self, device: CrashPointDevice, spec: WorkloadSpec) -> RunJournal:
-        journal = RunJournal()
+    def assemble(
+        self, device: PersistentDevice, spec: WorkloadSpec, journal: RunJournal
+    ) -> List[DistributedRank]:
         peers = [
             InMemorySSD(spec.geometry().total_size, name=f"peer-{rank}")
             for rank in range(1, spec.world_size)
@@ -434,40 +444,37 @@ class DistributedWorkload(Workload):
         coordinator = DistributedCoordinator(
             spec.world_size, timeout=spec.barrier_timeout
         )
-        try:
-            layouts = [
-                DeviceLayout.format(
-                    dev, num_slots=spec.num_slots, slot_size=spec.slot_size
-                )
-                for dev in [device, *peers]
-            ]
-        except CrashedDeviceError as exc:
-            journal.crashed = True
-            journal.crash_error = str(exc)
-            return journal
-        workers = [
-            DistributedWorker.create(
-                rank, layout, coordinator, writer_threads=spec.writer_threads
+        ranks = []
+        for rank, rank_device in enumerate([device, *peers]):
+            stack = super().assemble(
+                rank_device, spec, journal, rank=coordinator.binding(rank)
             )
-            for rank, layout in enumerate(layouts)
-        ]
+            ranks.append(DistributedRank(rank, stack, coordinator))
+        return ranks
+
+    def drive(
+        self,
+        ranks: List[DistributedRank],
+        spec: WorkloadSpec,
+        journal: RunJournal,
+    ) -> None:
         try:
             for step in range(1, spec.steps + 1):
                 results: List[Optional[object]] = [None] * spec.world_size
                 errors: List[BaseException] = []
 
-                def one_rank(worker: DistributedWorker, step: int = step) -> None:
+                def one_rank(rank: DistributedRank, step: int = step) -> None:
                     try:
-                        results[worker.rank] = worker.checkpoint(
-                            self.expected_payload(spec, step, rank=worker.rank),
+                        results[rank.rank] = rank.checkpoint(
+                            self.expected_payload(spec, step, rank=rank.rank),
                             step=step,
                         )
                     except (CrashedDeviceError, DistributedError) as exc:
                         errors.append(exc)
 
                 threads = [
-                    threading.Thread(target=one_rank, args=(worker,))
-                    for worker in workers
+                    threading.Thread(target=one_rank, args=(rank,))
+                    for rank in ranks
                 ]
                 for thread in threads:
                     thread.start()
@@ -480,50 +487,12 @@ class DistributedWorkload(Workload):
                     )
                     break
                 journal.ack(step, results[0].counter)
-            self._check_held_slot_invariant(workers, spec, journal)
         finally:
-            coordinator.close()
-        return journal
-
-    def _check_held_slot_invariant(
-        self,
-        workers: List[DistributedWorker],
-        spec: WorkloadSpec,
-        journal: RunJournal,
-    ) -> None:
-        """§4.1 slot custody: once every coordination round has settled —
-        completed (recycle) or failed (reclaim) — no healthy rank's
-        engine may still hold a superseded slot, and each holds back
-        exactly its committed slot.  Settlement runs concurrently with
-        the waiters waking, so the check polls briefly before declaring
-        a leak."""
-        # Rank 0's device is the crash target; its engine state at power
-        # loss is unconstrained.  Peers keep healthy devices and must be
-        # whole again even when the run died on a failed round.
-        checked = workers[1:] if journal.crashed else workers
-        deadline = time.monotonic() + 5.0
-        for worker in checked:
-            engine = worker.engine
-            committed = engine.committed() is not None
-            expected = spec.num_slots - (1 if committed else 0)
-            while time.monotonic() < deadline:
-                if (
-                    engine.held_slots == ()
-                    and engine.free_slots == expected
-                ):
-                    break
-                time.sleep(SETTLE_POLL_SECONDS)
-            if engine.held_slots != ():
-                journal.violations.append(
-                    f"rank {worker.rank} still holds superseded slots "
-                    f"{list(engine.held_slots)} after every round settled"
-                )
-            elif engine.free_slots != expected:
-                journal.violations.append(
-                    f"rank {worker.rank} slot leak: {engine.free_slots} "
-                    f"free of {spec.num_slots} (expected {expected}) "
-                    "after rounds settled"
-                )
+            # Joins the timeout watcher, so with the rank threads joined
+            # too every round has settled and its handler — recycle on
+            # completion, reclaim on failure — has run before the
+            # template reads the peers' leak reports.
+            ranks[0].coordinator.close()
 
     def validate_recovery(
         self, device: CrashPointDevice, spec: WorkloadSpec, journal: RunJournal

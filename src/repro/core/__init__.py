@@ -28,22 +28,8 @@ from repro.core.config import (
     UserConstraints,
     baseline_footprint,
 )
-from repro.core.differential import (
-    Delta,
-    DifferentialCheckpointer,
-    apply_delta,
-    decode_delta,
-    diff_states,
-    encode_delta,
-)
-from repro.core.distributed import (
-    BarrierRound,
-    CheckpointBarrier,
-    DistributedCoordinator,
-    DistributedOrchestrator,
-    DistributedWorker,
-    RoundOutcome,
-)
+from repro.core.barrier import BarrierRound, CheckpointBarrier, RoundOutcome
+from repro.core.distributed import DistributedCoordinator, DistributedRank
 from repro.core.engine import CheckpointEngine, CheckpointResult, CheckpointTicket
 from repro.core.inspect import DeviceReport, SlotReport, inspect_device, inspect_file
 from repro.core.sharding import reassemble, shard_overhead_bytes, shard_payload
@@ -78,15 +64,12 @@ __all__ = [
     "CheckpointHandle",
     "CheckpointResult",
     "CheckpointTicket",
-    "Delta",
     "DeviceReport",
-    "DifferentialCheckpointer",
     "ChunkPlan",
     "ConsistentCheckpoint",
     "DeviceLayout",
     "DistributedCoordinator",
-    "DistributedOrchestrator",
-    "DistributedWorker",
+    "DistributedRank",
     "RoundOutcome",
     "GPUSource",
     "Geometry",
@@ -101,12 +84,8 @@ __all__ = [
     "SystemParameters",
     "TuningResult",
     "UserConstraints",
-    "apply_delta",
     "baseline_footprint",
-    "decode_delta",
-    "diff_states",
     "default_fence_mode",
-    "encode_delta",
     "expected_runtime",
     "inspect_device",
     "inspect_file",

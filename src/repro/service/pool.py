@@ -12,11 +12,11 @@ size-1 pool), :class:`repro.service.CheckpointService` (many tenants
 over a shared pool), ``PCcheckStrategy``, the observability demo driver
 and the crash sweep's workloads (each over its own injected device) —
 ``tests/service/test_wiring_surface.py`` holds that by construction.
+A distributed rank is the same stack with ``rank=`` the coordinator's
+binding (:class:`repro.core.distributed.DistributedRank` drives it).
 Deliberately outside it are the sites that only ever had a bare engine
-over a layout: the ``naive``/``checkfreq``/``gpm`` baselines,
-``autotune.functional_tw_probe``, and ``coordinator.bind_engine`` — THE
-one wiring of the distributed hooks, under ``DistributedWorker`` and
-``DistributedOrchestrator.create``.
+over a layout: the ``naive``/``checkfreq``/``gpm`` baselines and
+``autotune.functional_tw_probe``.
 
 Pool semantics:
 
@@ -343,18 +343,38 @@ class EngineStack:
             "leaked_buffers": self.dram.total_chunks - self.dram.free_chunks,
         }
 
-    def close(self) -> Dict[str, int]:
-        """Tear the stack down — stop the demotion worker, drain
-        pipelines, stop the writer pool, release the device — and return
-        the leak report, taken once the pipelines are quiescent
-        (accounting on a live stack would race in-flight buffer
-        releases) and before the device goes."""
+    def stop(self) -> Dict[str, int]:
+        """Stop every thread the stack runs — the demotion worker, the
+        pipelines (drained first), the writer pool — and return the leak
+        report, taken once they are quiescent (accounting on a live
+        stack would race in-flight buffer releases).  The device stays
+        open: the crash sweep reads its image after the run."""
         if self.tiering is not None:
             self.tiering.stop()
         self.orchestrator.close()
-        report = self.leak_report()
+        return self.leak_report()
+
+    def close(self) -> Dict[str, int]:
+        """Tear the stack down — :meth:`stop`, then release the device —
+        and return the leak report."""
+        report = self.stop()
         self.device.close()
         return report
+
+
+def _in_turn(*hooks):
+    """The engine's one ``post_cas_hook`` out of a stack's claimants:
+    ``None`` when there is none, a lone hook as is (no wrapper call on
+    the commit path), else each in the order given."""
+    hooks = [hook for hook in hooks if hook is not None]
+    if len(hooks) <= 1:
+        return hooks[0] if hooks else None
+
+    def each(meta) -> None:
+        for hook in hooks:
+            hook(meta)
+
+    return each
 
 
 def build_stack(
@@ -366,6 +386,7 @@ def build_stack(
     index: int = 0,
     pool_size: int = 1,
     sanitize: Optional[bool] = None,
+    rank=None,
 ) -> EngineStack:
     """Assemble one engine stack from ``spec``: device, layout, engine,
     orchestrator, and the colder tiers when the spec asks for them.
@@ -376,7 +397,10 @@ def build_stack(
     its newest valid checkpoint recovered.  Whatever this opened is
     closed again if the stack does not come together.  ``sanitize`` is
     :class:`~repro.core.engine.CheckpointEngine`'s keyword, forwarded
-    (the crash sweep's ``--no-sanitize``).
+    (the crash sweep's ``--no-sanitize``).  ``rank`` is a
+    :meth:`~repro.core.distributed.DistributedCoordinator.binding`: the
+    engine then registers each commit with the group and holds the
+    superseded slot until the round settles (§4.1).
     """
     config = spec.pccheck_config()
     slot_size = spec.capacity_bytes + RECORD_SIZE
@@ -468,10 +492,17 @@ def build_stack(
             recovered=recovered.meta if recovered else None,
             metrics=metrics,
             tracer=tracer,
-            post_cas_hook=tiering.on_commit if tiering is not None else None,
+            # A tiered rank demotes, then coordinates.
+            post_cas_hook=_in_turn(
+                tiering.on_commit if tiering is not None else None,
+                rank.on_commit if rank is not None else None,
+            ),
+            slot_custodian=rank,
             sanitize=sanitize,
         )
         undo.callback(engine.close)
+        if rank is not None:
+            rank.bind(engine)
         dram = DRAMBufferPool(
             num_chunks=spec.num_chunks,
             chunk_size=config.effective_chunk_size(spec.capacity_bytes),

@@ -55,32 +55,35 @@ class TestCommands:
 
 
 class TestRecoverConsistentCommand:
-    def _write_group(self, tmp_path, steps):
+    def _write_ranks(self, tmp_path, payloads_by_step):
+        """File-backed ranks checkpointing ``{step: [payload per rank]}``
+        in lockstep; returns the region paths."""
         import threading
 
         from repro.core.distributed import (
             DistributedCoordinator,
-            DistributedWorker,
+            DistributedRank,
         )
-        from repro.core.layout import DeviceLayout
-        from repro.storage.ssd import FileBackedSSD
+        from repro.service.pool import EngineSpec, build_stack
 
-        paths = [str(tmp_path / f"rank{rank}.img") for rank in range(2)]
-        with DistributedCoordinator(world_size=2, timeout=10.0) as coord:
-            devices = [FileBackedSSD(p, capacity=16384) for p in paths]
+        world = len(next(iter(payloads_by_step.values())))
+        paths = [str(tmp_path / f"rank{rank}.img") for rank in range(world)]
+        with DistributedCoordinator(world_size=world, timeout=10.0) as coord:
             workers = [
-                DistributedWorker.create(
+                DistributedRank(
                     rank,
-                    DeviceLayout.format(dev, num_slots=3, slot_size=1088),
+                    build_stack(
+                        EngineSpec(capacity_bytes=1024, path=path),
+                        rank=coord.binding(rank),
+                    ),
                     coord,
                 )
-                for rank, dev in enumerate(devices)
+                for rank, path in enumerate(paths)
             ]
-            for step in range(1, steps + 1):
+            for step, payloads in payloads_by_step.items():
                 threads = [
                     threading.Thread(
-                        target=w.checkpoint,
-                        args=(f"r{w.rank}s{step}".encode() * 8, step),
+                        target=w.checkpoint, args=(payloads[w.rank], step)
                     )
                     for w in workers
                 ]
@@ -88,9 +91,15 @@ class TestRecoverConsistentCommand:
                     t.start()
                 for t in threads:
                     t.join()
-            for dev in devices:
-                dev.close()
+            for w in workers:
+                w.close()
         return paths
+
+    def _write_group(self, tmp_path, steps):
+        return self._write_ranks(tmp_path, {
+            step: [f"r{rank}s{step}".encode() * 8 for rank in range(2)]
+            for step in range(1, steps + 1)
+        })
 
     def test_reports_consistent_step(self, tmp_path, capsys):
         paths = self._write_group(tmp_path, steps=2)
@@ -137,41 +146,9 @@ class TestRecoverConsistentCommand:
         assert "no checkpoint region" in err and missing in err
 
     def _write_sharded_group(self, tmp_path, state, world):
-        import threading
-
-        from repro.core.distributed import (
-            DistributedCoordinator,
-            DistributedWorker,
-        )
-        from repro.core.layout import DeviceLayout
         from repro.core.sharding import shard_payload
-        from repro.storage.ssd import FileBackedSSD
 
-        shards = shard_payload(state, world)
-        paths = [str(tmp_path / f"rank{rank}.img") for rank in range(world)]
-        with DistributedCoordinator(world_size=world, timeout=10.0) as coord:
-            devices = [FileBackedSSD(p, capacity=16384) for p in paths]
-            workers = [
-                DistributedWorker.create(
-                    rank,
-                    DeviceLayout.format(dev, num_slots=3, slot_size=1088),
-                    coord,
-                )
-                for rank, dev in enumerate(devices)
-            ]
-            threads = [
-                threading.Thread(
-                    target=w.checkpoint, args=(shards[w.rank], 1)
-                )
-                for w in workers
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            for dev in devices:
-                dev.close()
-        return paths
+        return self._write_ranks(tmp_path, {1: shard_payload(state, world)})
 
     def test_world_size_reshards_recovery(self, tmp_path, capsys):
         import json

@@ -8,6 +8,7 @@ the CLI, and a self-test proving the harness actually detects violations
 """
 
 import json
+import threading
 
 import pytest
 
@@ -234,6 +235,18 @@ class TestHarnessDetectsViolations:
 
 
 class TestHarnessMechanics:
+    @pytest.mark.parametrize("workload", ("engine", "distributed"))
+    def test_a_full_sweep_leaves_no_thread_behind(self, workload):
+        """Every run stops the stacks it assembled: writer pools,
+        pipelines and the coordinator's watcher are joined, not parked
+        (the parent left two ``pccheck-writer`` daemons per stack per
+        crash point)."""
+        before = set(threading.enumerate())
+        report = sweep(CrashSweepConfig(workload=workload, steps=3))
+        assert report.ok, render_text(report)
+        assert len(report.outcomes) == 28
+        assert set(threading.enumerate()) <= before
+
     def test_count_crash_points_returns_full_trace(self):
         config = CrashSweepConfig(workload="engine", steps=2)
         total_ops, op_log = count_crash_points(config)

@@ -5,11 +5,8 @@ import time
 
 import pytest
 
-from repro.core.distributed import (
-    CheckpointBarrier,
-    DistributedCoordinator,
-    DistributedWorker,
-)
+from repro.core.barrier import CheckpointBarrier
+from repro.core.distributed import DistributedCoordinator, DistributedRank
 from repro.core.layout import DeviceLayout, Geometry
 from repro.core.meta import RECORD_SIZE
 from repro.core.recovery import recover_consistent, valid_checkpoints
@@ -18,24 +15,35 @@ from repro.errors import (
     DistributedTimeoutError,
     NoCheckpointError,
 )
+from repro.service.pool import EngineSpec, build_stack
 from repro.storage.ssd import InMemorySSD
 
 PAYLOAD_CAPACITY = 512
 
 
-def make_layout(num_slots=3):
+def make_device(num_slots=3):
     slot_size = PAYLOAD_CAPACITY + RECORD_SIZE
     geometry = Geometry(num_slots=num_slots, slot_size=slot_size)
-    device = InMemorySSD(capacity=geometry.total_size)
-    return DeviceLayout.format(device, num_slots=num_slots, slot_size=slot_size)
+    return InMemorySSD(capacity=geometry.total_size)
+
+
+def make_rank(rank, coordinator, num_slots=3):
+    """One rank the one way there is: the builder's stack with the
+    coordinator's binding, under the one handle."""
+    spec = EngineSpec(
+        capacity_bytes=PAYLOAD_CAPACITY, num_concurrent=num_slots - 1
+    )
+    stack = build_stack(
+        spec, device=make_device(num_slots), rank=coordinator.binding(rank)
+    )
+    return DistributedRank(rank, stack, coordinator)
 
 
 def make_group(world_size, num_slots=3, timeout=10.0):
     barrier = CheckpointBarrier(world_size, timeout=timeout)
     coordinator = DistributedCoordinator(barrier=barrier)
     workers = [
-        DistributedWorker.create(rank, make_layout(num_slots), coordinator)
-        for rank in range(world_size)
+        make_rank(rank, coordinator, num_slots) for rank in range(world_size)
     ]
     return barrier, workers
 
@@ -204,7 +212,7 @@ class TestDistributedCheckpointing:
                 thread.start()
             for thread in threads:
                 thread.join()
-        consistent = recover_consistent([w.engine.layout for w in workers])
+        consistent = recover_consistent([w.stack.layout for w in workers])
         assert consistent.step == 3
         for rank, payload in enumerate(consistent.payloads):
             assert payload == partition_payload(rank, 3)
@@ -215,10 +223,7 @@ class TestDistributedCheckpointing:
         coordinator = DistributedCoordinator(
             barrier=CheckpointBarrier(2, timeout=0.2)
         )
-        workers = [
-            DistributedWorker.create(rank, make_layout(), coordinator)
-            for rank in range(2)
-        ]
+        workers = [make_rank(rank, coordinator) for rank in range(2)]
         # Step 1 commits in lockstep.
         threads = [
             threading.Thread(
@@ -234,7 +239,7 @@ class TestDistributedCheckpointing:
         # Step 2: only worker 0 tries; the barrier times out (peer died).
         with pytest.raises(DistributedError):
             workers[0].checkpoint(partition_payload(0, 2), 2)
-        consistent = recover_consistent([w.engine.layout for w in workers])
+        consistent = recover_consistent([w.stack.layout for w in workers])
         assert consistent.step == 1
         assert consistent.payloads[0] == partition_payload(0, 1)
         assert consistent.payloads[1] == partition_payload(1, 1)
@@ -244,17 +249,18 @@ class TestDistributedCheckpointing:
         worker = workers[0]
         worker.checkpoint(partition_payload(0, 1), 1)
         worker.checkpoint(partition_payload(0, 2), 2)
-        steps = {meta.step for meta in valid_checkpoints(worker.engine.layout)}
+        steps = {meta.step for meta in valid_checkpoints(worker.stack.layout)}
         assert steps == {1, 2}
 
     def test_recovery_with_no_common_step_raises(self):
-        layout_a = make_layout()
-        layout_b = make_layout()
         coordinator = DistributedCoordinator(barrier=CheckpointBarrier(1))
-        worker_a = DistributedWorker.create(0, layout_a, coordinator)
+        worker_a = make_rank(0, coordinator)
+        layout_b = DeviceLayout.format(
+            make_device(), num_slots=3, slot_size=PAYLOAD_CAPACITY + RECORD_SIZE
+        )
         worker_a.checkpoint(b"only-a", 1)
         with pytest.raises(NoCheckpointError):
-            recover_consistent([layout_a, layout_b])
+            recover_consistent([worker_a.stack.layout, layout_b])
 
     def test_recovery_needs_layouts(self):
         with pytest.raises(DistributedError):
@@ -276,7 +282,7 @@ class TestDistributedCheckpointing:
             thread.start()
         for thread in threads:
             thread.join()
-        consistent = recover_consistent([w.engine.layout for w in workers])
+        consistent = recover_consistent([w.stack.layout for w in workers])
         assert consistent.payloads == [
             b"stage-0-weights",
             b"stage-1-weights",
@@ -310,13 +316,13 @@ class TestRecoverConsistentValidation:
         self._lockstep(workers, 2)
         # Tear rank 1's step-2 payload (flip bytes mid-payload, header
         # left intact) — its CRC can no longer validate.
-        layout = workers[1].engine.layout
+        layout = workers[1].stack.layout
         meta = next(
             m for m in valid_checkpoints(layout) if m.step == 2
         )
         offset = layout.payload_offset(meta.slot)
         layout.device.write(offset, b"\xff" * 8)
-        consistent = recover_consistent([w.engine.layout for w in workers])
+        consistent = recover_consistent([w.stack.layout for w in workers])
         assert consistent.step == 1
         assert consistent.payloads[0] == partition_payload(0, 1)
         assert consistent.payloads[1] == partition_payload(1, 1)
@@ -324,7 +330,7 @@ class TestRecoverConsistentValidation:
     def test_reports_sources_per_rank(self):
         _, workers = make_group(world_size=2)
         self._lockstep(workers, 1)
-        consistent = recover_consistent([w.engine.layout for w in workers])
+        consistent = recover_consistent([w.stack.layout for w in workers])
         assert consistent.sources == ["commit-record", "commit-record"]
 
     def test_unstable_rank_named_in_error(self, monkeypatch):
@@ -336,7 +342,7 @@ class TestRecoverConsistentValidation:
         import repro.core.recovery as dist
 
         real_load = dist.load_validated
-        torn_layout = workers[1].engine.layout
+        torn_layout = workers[1].stack.layout
         final_loads = []
 
         def torn_load(layout, meta, chunk_size=None):
@@ -350,7 +356,7 @@ class TestRecoverConsistentValidation:
         monkeypatch.setattr(dist, "load_validated", torn_load)
         with pytest.raises(DistributedError) as excinfo:
             recover_consistent(
-                [w.engine.layout for w in workers], max_attempts=3
+                [w.stack.layout for w in workers], max_attempts=3
             )
         message = str(excinfo.value)
         assert "rank 1" in message

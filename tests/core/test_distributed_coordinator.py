@@ -12,11 +12,7 @@ import time
 
 import pytest
 
-from repro.core.distributed import (
-    DistributedCoordinator,
-    DistributedOrchestrator,
-    DistributedWorker,
-)
+from repro.core.distributed import DistributedCoordinator, DistributedRank
 from repro.core.engine import CheckpointEngine
 from repro.core.layout import DeviceLayout, Geometry
 from repro.core.meta import RECORD_SIZE
@@ -29,6 +25,7 @@ from repro.errors import (
     EngineError,
 )
 from repro.obs.metrics import M
+from repro.service.pool import EngineSpec, build_stack
 from repro.storage.ssd import InMemorySSD
 
 PAYLOAD_CAPACITY = 512
@@ -38,15 +35,43 @@ NUM_SLOTS = 3
 SETTLE_SECONDS = 5.0
 
 
-def make_layout(num_slots=NUM_SLOTS):
+def make_device(num_slots=NUM_SLOTS):
     slot_size = PAYLOAD_CAPACITY + RECORD_SIZE
     geometry = Geometry(num_slots=num_slots, slot_size=slot_size)
-    device = InMemorySSD(capacity=geometry.total_size)
-    return DeviceLayout.format(device, num_slots=num_slots, slot_size=slot_size)
+    return InMemorySSD(capacity=geometry.total_size)
+
+
+def make_layout(num_slots=NUM_SLOTS):
+    return DeviceLayout.format(
+        make_device(num_slots),
+        num_slots=num_slots,
+        slot_size=PAYLOAD_CAPACITY + RECORD_SIZE,
+    )
+
+
+def make_rank(rank, coord, num_slots=NUM_SLOTS, **spec):
+    """One rank the one way there is: the builder's stack with the
+    coordinator's binding, under the one handle."""
+    stack = build_stack(
+        EngineSpec(
+            capacity_bytes=PAYLOAD_CAPACITY,
+            num_concurrent=num_slots - 1,
+            **spec,
+        ),
+        device=make_device(num_slots),
+        rank=coord.binding(rank),
+    )
+    return DistributedRank(rank, stack, coord)
 
 
 def payload(rank, step):
     return f"rank={rank};step={step};".encode() * 4
+
+
+def commit_locally(rank, step):
+    """The async verb, waited to the local commit only — never a peer."""
+    handle = rank.checkpoint_async(BytesSource(payload(rank.rank, step)), step)
+    return handle.wait(SETTLE_SECONDS)
 
 
 def lockstep(workers, step):
@@ -80,12 +105,9 @@ class TestFailedRoundReclaimsSlots:
         """The headline PR-5 bug: rank 1 stalls at step 2, rank 0's round
         fails — its superseded slot must be reclaimed, not leaked."""
         with DistributedCoordinator(world_size=2, timeout=0.3) as coord:
-            workers = [
-                DistributedWorker.create(rank, make_layout(), coord)
-                for rank in range(2)
-            ]
+            workers = [make_rank(rank, coord) for rank in range(2)]
             assert lockstep(workers, 1) == []
-            engine = workers[0].engine
+            engine = workers[0].stack.engine
             free_after_commit = engine.free_slots
             with pytest.raises(DistributedTimeoutError):
                 workers[0].checkpoint(payload(0, 2), 2)
@@ -104,10 +126,7 @@ class TestFailedRoundReclaimsSlots:
 
     def test_degraded_group_suspends_and_reforms(self):
         with DistributedCoordinator(world_size=2, timeout=0.2) as coord:
-            workers = [
-                DistributedWorker.create(rank, make_layout(), coord)
-                for rank in range(2)
-            ]
+            workers = [make_rank(rank, coord) for rank in range(2)]
             assert lockstep(workers, 1) == []
             with pytest.raises(DistributedTimeoutError):
                 workers[0].checkpoint(payload(0, 2), 2)
@@ -119,7 +138,7 @@ class TestFailedRoundReclaimsSlots:
             assert coord.failed_ranks == ()
             assert lockstep(workers, 3) == []
             consistent = recover_consistent(
-                [w.engine.layout for w in workers]
+                [w.stack.layout for w in workers]
             )
             assert consistent.step == 3
 
@@ -127,15 +146,12 @@ class TestFailedRoundReclaimsSlots:
         """Reclaiming held slots must not sacrifice the last globally
         consistent checkpoint — recovery still lands on step 1."""
         with DistributedCoordinator(world_size=2, timeout=0.2) as coord:
-            workers = [
-                DistributedWorker.create(rank, make_layout(), coord)
-                for rank in range(2)
-            ]
+            workers = [make_rank(rank, coord) for rank in range(2)]
             assert lockstep(workers, 1) == []
             with pytest.raises(DistributedTimeoutError):
                 workers[0].checkpoint(payload(0, 2), 2)
             consistent = recover_consistent(
-                [w.engine.layout for w in workers]
+                [w.stack.layout for w in workers]
             )
             assert consistent.step == 1
             assert consistent.payloads[1] == payload(1, 1)
@@ -143,15 +159,13 @@ class TestFailedRoundReclaimsSlots:
 
 class TestPipelinedCoordination:
     def test_pipelined_checkpoint_returns_before_peers_arrive(self):
-        """A pipelined worker's checkpoint() must not wait for the round:
-        it returns once the local commit is durable."""
+        """checkpoint_async() must not wait for the round: its handle
+        settles once the local commit is durable."""
         with DistributedCoordinator(world_size=2, timeout=10.0) as coord:
-            fast = DistributedWorker.create(
-                0, make_layout(), coord, pipelined=True
-            )
-            slow = DistributedWorker.create(1, make_layout(), coord)
+            fast = make_rank(0, coord)
+            slow = make_rank(1, coord)
             started = time.monotonic()
-            result = fast.checkpoint(payload(0, 1), 1)
+            result = commit_locally(fast, 1)
             elapsed = time.monotonic() - started
             assert result.committed
             assert not coord.barrier.round_outcome(1)
@@ -167,16 +181,14 @@ class TestPipelinedCoordination:
 
     def test_held_slot_recycled_after_round_completes(self):
         with DistributedCoordinator(world_size=2, timeout=10.0) as coord:
-            fast = DistributedWorker.create(
-                0, make_layout(), coord, pipelined=True
-            )
-            slow = DistributedWorker.create(1, make_layout(), coord)
+            fast = make_rank(0, coord)
+            slow = make_rank(1, coord)
             lockstep([fast, slow], 1)
-            engine = fast.engine
+            engine = fast.stack.engine
             free_steady = engine.free_slots
             # Step 2: the fast rank commits and returns immediately; the
             # superseded step-1 slot is in custody until the peer lands.
-            fast.checkpoint(payload(0, 2), 2)
+            commit_locally(fast, 2)
             assert engine.held_slots != () or coord.peer_check >= 2 or (
                 coord.barrier.round_outcome(2) is not None
             )
@@ -196,11 +208,10 @@ class TestPipelinedCoordination:
         thread's checkpoint call returns without waiting on the round."""
         peer_delay = 1.5
         with DistributedCoordinator(world_size=2, timeout=30.0) as coord:
-            orch = DistributedOrchestrator.create(
-                0, make_layout(), coord,
-                num_chunks=2, chunk_size=PAYLOAD_CAPACITY,
+            orch = make_rank(
+                0, coord, num_chunks=2, chunk_size=PAYLOAD_CAPACITY
             )
-            slow = DistributedWorker.create(1, make_layout(), coord)
+            slow = make_rank(1, coord)
 
             def slow_peer():
                 time.sleep(peer_delay)
@@ -229,11 +240,10 @@ class TestPipelinedCoordination:
 
     def test_orchestrator_group_degrades_on_lost_peer(self):
         with DistributedCoordinator(world_size=2, timeout=0.3) as coord:
-            orch = DistributedOrchestrator.create(
-                0, make_layout(), coord,
-                num_chunks=2, chunk_size=PAYLOAD_CAPACITY,
+            orch = make_rank(
+                0, coord, num_chunks=2, chunk_size=PAYLOAD_CAPACITY
             )
-            peer = DistributedWorker.create(1, make_layout(), coord)
+            peer = make_rank(1, coord)
             try:
                 handle = orch.checkpoint_async(
                     BytesSource(payload(0, 1)), step=1
@@ -245,7 +255,7 @@ class TestPipelinedCoordination:
                 assert handle.wait(10.0).committed
                 peer_thread.join()
                 orch.wait_consistent(1, timeout=10.0)
-                free_steady = orch.engine.free_slots
+                free_steady = orch.stack.engine.free_slots
                 # Step 2: the peer never checkpoints; the watcher expires
                 # the round and the group degrades without a slot leak.
                 handle = orch.checkpoint_async(
@@ -254,8 +264,8 @@ class TestPipelinedCoordination:
                 assert handle.wait(10.0).committed
                 assert wait_until(lambda: coord.degraded)
                 assert wait_until(
-                    lambda: orch.engine.free_slots == free_steady
-                    and orch.engine.held_slots == ()
+                    lambda: orch.stack.engine.free_slots == free_steady
+                    and orch.stack.engine.held_slots == ()
                 )
                 with pytest.raises(DegradedGroupError):
                     orch.checkpoint_async(BytesSource(b"x"), step=3)
@@ -263,24 +273,20 @@ class TestPipelinedCoordination:
                 orch.close()
 
     def test_concurrent_steps_in_flight(self):
-        """Pipelined workers may be several rounds apart; every round
-        settles and every held slot comes back."""
+        """Ranks that never wait in the commit may be several rounds
+        apart; every round settles and every held slot comes back."""
         with DistributedCoordinator(world_size=2, timeout=10.0) as coord:
-            workers = [
-                DistributedWorker.create(
-                    rank, make_layout(num_slots=4), coord, pipelined=True
-                )
-                for rank in range(2)
-            ]
+            workers = [make_rank(rank, coord, num_slots=4) for rank in range(2)]
             for step in (1, 2, 3):
-                workers[0].checkpoint(payload(0, step), step)
+                commit_locally(workers[0], step)
             for step in (1, 2, 3):
-                workers[1].checkpoint(payload(1, step), step)
+                commit_locally(workers[1], step)
             workers[0].wait_consistent(3)
             assert coord.peer_check == 3
             for worker in workers:
-                assert wait_until(lambda w=worker: w.engine.held_slots == ())
-                assert worker.engine.free_slots == 3  # 4 slots - committed
+                engine = worker.stack.engine
+                assert wait_until(lambda e=engine: e.held_slots == ())
+                assert engine.free_slots == 3  # 4 slots - committed
 
 
 class TestEngineHeldSlots:
@@ -349,9 +355,8 @@ class TestWaitBeforeRoundOpens:
     def test_wait_consistent_lines_up_before_any_commit(self):
         with DistributedCoordinator(world_size=2, timeout=SETTLE_SECONDS) as coord:
             orchs = [
-                DistributedOrchestrator.create(
-                    rank, make_layout(), coord,
-                    num_chunks=2, chunk_size=256, writer_threads=2,
+                make_rank(
+                    rank, coord, num_chunks=2, chunk_size=256, writer_threads=2
                 )
                 for rank in range(2)
             ]
@@ -390,7 +395,7 @@ class TestBarrierResize:
     """The locked resize()/fail_all_pending() APIs (elastic re-form)."""
 
     def make_barrier(self, world, timeout=30.0):
-        from repro.core.distributed import CheckpointBarrier
+        from repro.core.barrier import CheckpointBarrier
 
         return CheckpointBarrier(world, timeout=timeout)
 
@@ -478,10 +483,7 @@ class TestBarrierResize:
 class TestReform:
     def test_reform_resizes_the_world(self):
         with DistributedCoordinator(world_size=4, timeout=0.2) as coord:
-            workers = [
-                DistributedWorker.create(rank, make_layout(), coord)
-                for rank in range(4)
-            ]
+            workers = [make_rank(rank, coord) for rank in range(4)]
             # Ranks 2 and 3 stall: the round fails and the group degrades.
             lockstep(workers[:2], 1)
             assert wait_until(lambda: coord.degraded)
@@ -497,10 +499,7 @@ class TestReform:
 
     def test_reform_without_resize_keeps_world(self):
         with DistributedCoordinator(world_size=2, timeout=0.2) as coord:
-            workers = [
-                DistributedWorker.create(rank, make_layout(), coord)
-                for rank in range(2)
-            ]
+            workers = [make_rank(rank, coord) for rank in range(2)]
             lockstep(workers[:1], 1)
             assert wait_until(lambda: coord.degraded)
             coord.reform()
@@ -516,3 +515,121 @@ class TestReform:
         assert "._barrier._" not in source
         for private in ("_lock", "_rounds", "_world_size", "_settled"):
             assert f"barrier.{private}" not in source
+
+
+class TestRankIsAnOrdinaryStack:
+    """A rank is whatever ``build_stack`` assembles, plus the binding:
+    throttled, tiered, file-backed and leak-reported like any stack."""
+
+    def test_barrier_wait_excludes_the_local_persist(self):
+        """A world of one never waits on anybody: the barrier-wait
+        histogram must not contain the (throttled) local commit."""
+        persist_seconds = 0.3
+        with DistributedCoordinator(world_size=1, timeout=10.0) as coord:
+            device = InMemorySSD(
+                make_device().capacity,
+                persist_bandwidth=PAYLOAD_CAPACITY / persist_seconds,
+            )
+            spec = EngineSpec(capacity_bytes=PAYLOAD_CAPACITY)
+            stack = build_stack(spec, device=device, rank=coord.binding(0))
+            with DistributedRank(0, stack, coord) as rank:
+                started = time.monotonic()
+                assert rank.checkpoint(b"x" * PAYLOAD_CAPACITY, 1).committed
+                elapsed = time.monotonic() - started
+                waited = stack.engine.metrics.histogram(
+                    M.BARRIER_WAIT_SECONDS, rank="0"
+                )
+                assert elapsed >= persist_seconds
+                assert waited.count == 1
+                assert waited.sum < persist_seconds / 10
+
+    def test_tiered_rank_demotes_and_coordinates(self):
+        """Both claimants of the engine's one post-CAS hook run: the
+        commit is demoted to the warm tier *and* registered with the
+        group — and a failed round still holds, then reclaims, the
+        superseded slot."""
+        from repro.core.recovery import recover
+        from repro.storage.tiering import TierPlan
+
+        with DistributedCoordinator(world_size=2, timeout=0.3) as coord:
+            ranks = [
+                make_rank(rank, coord, tiers=TierPlan(demote_threads=1))
+                for rank in range(2)
+            ]
+            try:
+                assert lockstep(ranks, 1) == []
+                assert coord.peer_check == 1
+                tiered = ranks[0].stack
+                assert tiered.tiering.drain(timeout=SETTLE_SECONDS)
+                warm = recover(DeviceLayout.open(tiered.device.warm))
+                assert (warm.meta.step, warm.payload) == (1, payload(0, 1))
+                # Step 2: the peer never commits.  The step-1 slot is in
+                # custody while the round is open, and comes back once
+                # the group has agreed the step is dead.
+                engine = tiered.engine
+                free_steady = engine.free_slots
+                assert commit_locally(ranks[0], 2).committed
+                assert engine.held_slots != () or coord.degraded
+                assert wait_until(lambda: coord.degraded)
+                assert wait_until(
+                    lambda: engine.free_slots == free_steady
+                    and engine.held_slots == ()
+                )
+                assert tiered.tiering.drain(timeout=SETTLE_SECONDS)
+                assert recover(DeviceLayout.open(tiered.device.warm)).meta.step == 2
+            finally:
+                reports = [rank.close() for rank in ranks]
+            assert [r["leaked_slots"] + r["held_slots"] for r in reports] == [0, 0]
+
+    def test_file_backed_rank_recovers_at_open(self, tmp_path):
+        """Built twice over the same path, a rank comes back with what
+        the region held and the engine counter continuing — nobody
+        hand-passes ``recovered=``."""
+        spec = EngineSpec(
+            capacity_bytes=PAYLOAD_CAPACITY, path=str(tmp_path / "rank0.pc")
+        )
+        with DistributedCoordinator(world_size=1, timeout=10.0) as coord:
+            with DistributedRank(
+                0, build_stack(spec, rank=coord.binding(0)), coord
+            ) as rank:
+                assert rank.stack.recovered is None
+                first = rank.checkpoint(payload(0, 1), 1)
+                second = rank.checkpoint(payload(0, 2), 2)
+        with DistributedCoordinator(world_size=1, timeout=10.0) as coord:
+            with DistributedRank(
+                0, build_stack(spec, rank=coord.binding(0)), coord
+            ) as rank:
+                recovered = rank.stack.recovered
+                assert recovered.meta.step == 2
+                assert recovered.payload == payload(0, 2)
+                third = rank.checkpoint(payload(0, 3), 3)
+                assert third.committed
+                assert first.counter < second.counter < third.counter
+                assert coord.peer_check == 3
+
+    def test_leak_report_clean_after_completed_and_failed_rounds(self):
+        def clean(rank):
+            report = rank.stack.leak_report()
+            return not (
+                report["leaked_slots"]
+                or report["held_slots"]
+                or report["leaked_buffers"]
+            ) and report["free_slots"] == report["expected_free_slots"]
+
+        with DistributedCoordinator(world_size=2, timeout=0.2) as coord:
+            ranks = [make_rank(rank, coord) for rank in range(2)]
+            try:
+                for step in (1, 2):
+                    assert lockstep(ranks, step) == []
+                assert all(wait_until(lambda r=r: clean(r)) for r in ranks)
+                with pytest.raises(DistributedTimeoutError):
+                    ranks[0].checkpoint(payload(0, 3), 3)  # peer lost
+                assert coord.degraded
+                assert all(wait_until(lambda r=r: clean(r)) for r in ranks)
+                coord.reform()
+                assert lockstep(ranks, 4) == []
+            finally:
+                reports = [rank.close() for rank in ranks]
+            for report in reports:
+                assert report["free_slots"] == report["expected_free_slots"]
+                assert report["held_slots"] == report["leaked_buffers"] == 0

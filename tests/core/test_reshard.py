@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.layout import DeviceLayout, Geometry
+from repro.core.layout import Geometry
 from repro.core.meta import RECORD_SIZE
 from repro.core.reshard import (
     MERGE,
@@ -264,27 +264,36 @@ class TestReshardMatrix:
 class TestElasticRecovery:
     """`recover_consistent(..., world_size=M)` end to end."""
 
-    def run_world(self, state, world, step=1):
+    def run_world(self, payloads, step=1):
+        """One rank per payload, checkpointed in lockstep; the layouts."""
+        from repro.core.barrier import CheckpointBarrier
         from repro.core.distributed import (
-            CheckpointBarrier,
             DistributedCoordinator,
-            DistributedWorker,
+            DistributedRank,
         )
+        from repro.service.pool import EngineSpec, build_stack
 
-        shards = shard_payload(state, world)
+        world = len(payloads)
         coordinator = DistributedCoordinator(barrier=CheckpointBarrier(world))
-        slot_size = max(len(s) for s in shards) + RECORD_SIZE
-        geometry = Geometry(num_slots=3, slot_size=slot_size)
-        workers = []
-        for rank in range(world):
-            device = InMemorySSD(geometry.total_size)
-            layout = DeviceLayout.format(
-                device, num_slots=3, slot_size=slot_size
+        spec = EngineSpec(capacity_bytes=max(len(p) for p in payloads))
+        geometry = Geometry(
+            num_slots=3, slot_size=spec.capacity_bytes + RECORD_SIZE
+        )
+        workers = [
+            DistributedRank(
+                rank,
+                build_stack(
+                    spec,
+                    device=InMemorySSD(geometry.total_size),
+                    rank=coordinator.binding(rank),
+                ),
+                coordinator,
             )
-            workers.append(DistributedWorker.create(rank, layout, coordinator))
+            for rank in range(world)
+        ]
         threads = [
             threading.Thread(
-                target=worker.checkpoint, args=(shards[worker.rank], step)
+                target=worker.checkpoint, args=(payloads[worker.rank], step)
             )
             for worker in workers
         ]
@@ -292,14 +301,14 @@ class TestElasticRecovery:
             thread.start()
         for thread in threads:
             thread.join()
-        return [worker.engine.layout for worker in workers]
+        return [worker.stack.layout for worker in workers]
 
     @pytest.mark.parametrize("readers", (1, 2, 3, 8))
     def test_four_writers_onto_other_worlds(self, readers):
         from repro.core.recovery import recover_consistent
 
         state = state_of(3000)
-        layouts = self.run_world(state, 4)
+        layouts = self.run_world(shard_payload(state, 4))
         result = recover_consistent(layouts, world_size=readers)
         assert result.step == 1
         assert result.world_size == readers
@@ -313,7 +322,7 @@ class TestElasticRecovery:
         from repro.core.recovery import recover_consistent
 
         state = state_of(600)
-        layouts = self.run_world(state, 2)
+        layouts = self.run_world(shard_payload(state, 2))
         result = recover_consistent(layouts, world_size=2)
         assert not result.resharded
         assert result.payloads == shard_payload(state, 2)
@@ -322,51 +331,24 @@ class TestElasticRecovery:
         from repro.core.recovery import recover_consistent
 
         state = state_of(600)
-        layouts = self.run_world(state, 2)
+        layouts = self.run_world(shard_payload(state, 2))
         result = recover_consistent(layouts)
         assert result.world_size == 2
         assert result.writer_world == 2
         assert not result.resharded
 
     def test_non_sharded_payloads_rejected(self):
-        from repro.core.distributed import (
-            CheckpointBarrier,
-            DistributedCoordinator,
-            DistributedWorker,
-        )
         from repro.core.recovery import recover_consistent
         from repro.errors import DistributedError
 
-        coordinator = DistributedCoordinator(barrier=CheckpointBarrier(2))
-        slot_size = 128 + RECORD_SIZE
-        geometry = Geometry(num_slots=3, slot_size=slot_size)
-        workers = []
-        for rank in range(2):
-            device = InMemorySSD(geometry.total_size)
-            layout = DeviceLayout.format(
-                device, num_slots=3, slot_size=slot_size
-            )
-            workers.append(DistributedWorker.create(rank, layout, coordinator))
-        threads = [
-            threading.Thread(
-                target=worker.checkpoint,
-                args=(f"plain-{worker.rank}".encode(), 1),
-            )
-            for worker in workers
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        layouts = self.run_world([b"plain-0", b"plain-1"])
         with pytest.raises(DistributedError, match="shard_payload"):
-            recover_consistent(
-                [w.engine.layout for w in workers], world_size=3
-            )
+            recover_consistent(layouts, world_size=3)
 
     def test_invalid_world_size_rejected(self):
         from repro.core.recovery import recover_consistent
         from repro.errors import DistributedError
 
-        layouts = self.run_world(state_of(100), 2)
+        layouts = self.run_world(shard_payload(state_of(100), 2))
         with pytest.raises(DistributedError):
             recover_consistent(layouts, world_size=0)

@@ -1,7 +1,7 @@
 """The wiring surface, by construction: an orchestrator over a staging
-pool over an engine (over tiers) is assembled by `build_stack` and
-nowhere else in ``src/repro`` — and what the strategy built through it
-is instrumented exactly when a registry was passed."""
+pool over an engine (over tiers, as a distributed rank) is assembled by
+`build_stack` and nowhere else in ``src/repro`` — and what the strategy
+built through it is instrumented exactly when a registry was passed."""
 
 import ast
 from pathlib import Path
@@ -16,13 +16,20 @@ from repro.storage.ssd import InMemorySSD
 SRC = Path(repro.__file__).parent
 
 #: class -> the only modules under ``src/repro`` allowed to call it:
-#: the builder, plus ``DistributedOrchestrator.create``'s pipeline over
-#: ``coordinator.bind_engine``'s engine.  (``storage/dram.py`` defines
-#: the pool and is not a wiring site.)
+#: the builder, plus — for the engine alone — the sites that only ever
+#: had a bare engine over a layout and no hook to install.
+#: (``storage/dram.py`` defines the pool and is not a wiring site.)
 ALLOWED = {
-    "PCcheckOrchestrator": {"service/pool.py", "core/distributed.py"},
-    "DRAMBufferPool": {"service/pool.py", "core/distributed.py"},
+    "PCcheckOrchestrator": {"service/pool.py"},
+    "DRAMBufferPool": {"service/pool.py"},
     "TierPolicy": {"service/pool.py"},
+    "CheckpointEngine": {
+        "service/pool.py",
+        "baselines/naive.py",
+        "baselines/checkfreq.py",
+        "baselines/gpm.py",
+        "core/autotune.py",
+    },
 }
 
 
@@ -54,6 +61,17 @@ def test_a_hand_wired_stack_is_caught():
         "    return PCcheckOrchestrator(engine, pool), tiering.TierPolicy\n"
     )
     assert wiring_calls(offending) == {"PCcheckOrchestrator", "DRAMBufferPool"}
+
+
+def test_a_hand_hooked_engine_is_caught():
+    offending = (
+        "import repro.core.engine as eng\n"
+        "def bind(layout, coordinator, rank):\n"
+        "    return eng.CheckpointEngine(\n"
+        "        layout, post_cas_hook=coordinator.binding(rank).on_commit\n"
+        "    )\n"
+    )
+    assert wiring_calls(offending) == {"CheckpointEngine"}
 
 
 def _device_writes(strategy, registry, capacity=4096):
