@@ -16,10 +16,9 @@ Cross-function fence ordering (e.g. the engine persisting the slot
 header in ``_commit`` before calling ``_write_commit_record``) is out
 of lexical reach.  In project mode the interprocedural PC010 owns the
 "followed by a fence" half — it sees fences placed in callers and in
-callees that always fence (a writer's batched ``reap``) — so this rule
-then checks only
-the intra-function slot-write-before-commit ordering and leaves the
-rest to PC010.  Single-file runs keep both halves.
+callees that always fence (a ``_barrier()``-style helper) — so this
+rule then checks only the intra-function slot-write-before-commit
+ordering and leaves the rest to PC010.  Single-file runs keep both halves.
 """
 
 from __future__ import annotations

@@ -3,16 +3,17 @@
 PC004's lexical check stops at the function boundary, which forces the
 fence into the same function as the write even when the design puts it
 one level up (the engine persists after ``_write_commit_record``
-returns; a batch of pieces is covered by the one fence of the writer's
-``reap``).  This rule lifts the check to the whole program:
+returns; a multi-chunk payload is covered by the one fence its commit
+issues).  This rule lifts the check to the whole program:
 
 a commit-record write is *covered* when, on **every** CFG path from
 the write, a fence executes before control leaves the program's reach
 — in the writing function itself, in a callee that always fences
 (computed as a fixed point, so helpers like ``_barrier()`` count), or
-in a transitive caller after the call returns.  No batch API is
-special-cased by name: ``writer.reap(writer.submit(pieces))`` counts
-because ``reap`` is in the always-fencing set like any other helper.
+in a transitive caller after the call returns.  No helper is
+special-cased by name: a call counts as a fence when its callee is in
+the always-fencing set — ``ParallelWriter.reap``, which only waits for
+the writes to return, is not.
 
 ``raise`` paths carry no obligation (recovery re-derives state from
 what *was* persisted), and a function nobody calls must fence locally

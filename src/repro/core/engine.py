@@ -28,9 +28,11 @@ Invariants maintained (tested exhaustively in ``tests/``):
 The engine exposes a *ticket* API so the orchestrator can stream a
 checkpoint in pipelined chunks (§3.1, Figure 7): ``begin()`` reserves the
 slot and counter, ``submit()``/``reap()`` (or the blocking
-``write_chunk()``) persist consecutive pieces, and ``commit()`` runs the
-header write plus CAS protocol.  ``checkpoint()``
-is the one-shot convenience wrapper.
+``write_chunk()``) write consecutive pieces — a reaped chunk's buffer is
+free to reuse, but nothing is fenced per chunk — and ``commit()`` issues
+the ONE covering payload fence §4.1 prescribes for SSD, then runs the
+header write plus CAS protocol.  ``checkpoint()`` is the one-shot
+convenience wrapper.
 """
 
 from __future__ import annotations
@@ -169,7 +171,7 @@ class CheckpointTicket:
 
     @property
     def bytes_written(self) -> int:
-        """Payload bytes submitted so far (durable once reaped)."""
+        """Payload bytes submitted so far (durable once committed)."""
         return self._written
 
     @property
@@ -178,7 +180,8 @@ class CheckpointTicket:
         return len(self._unreaped)
 
     def write_chunk(self, chunk: Buffer) -> None:
-        """Persist the next consecutive piece of the payload (blocking).
+        """Write the next consecutive piece of the payload (blocking until
+        the write returns; durable once :meth:`commit` fenced it).
 
         Chunks may be scattered in DRAM but land at consecutive offsets in
         the slot (§3.1: "all the checkpoint's chunks are ordered and
@@ -198,15 +201,15 @@ class CheckpointTicket:
         The pieces land back-to-back at the slot's next offsets and go to
         the writer pool in one batched submission; the running payload
         CRC is folded in *while* the pool writes (``zlib.crc32`` drops the
-        GIL on large buffers), and the submission comes back unreaped —
-        no fence yet, durability pending.  :meth:`reap` then issues one
-        covering fence for the whole batch in ``single`` fence mode, which
-        is how the service's coalescing path turns K small checkpoints
-        into a single fsync.  The caller must keep every chunk's buffer
-        stable until :meth:`reap` (the orchestrator holds the staging
-        buffer of chunk *k−1* exactly this long, so its CRC of chunk *k*
-        overlaps the persist of chunk *k−1*).  :meth:`commit` reaps
-        anything still outstanding.
+        GIL on large buffers), and the submission comes back unreaped.
+        The caller must keep every chunk's buffer stable until
+        :meth:`reap` (the orchestrator holds the staging buffer of chunk
+        *k−1* exactly this long, so its CRC of chunk *k* overlaps the
+        device writes of chunk *k−1*).  Nothing is fenced per chunk:
+        :meth:`commit` reaps anything still outstanding and then, in
+        ``single`` fence mode, issues ONE fence covering the whole
+        payload — which is also how the service's coalescing path turns
+        K small checkpoints into a single payload fsync.
         """
         if self._done:
             raise EngineError("ticket already committed or aborted")
@@ -221,22 +224,25 @@ class CheckpointTicket:
         return submission
 
     def reap(self, submission: "PersistSubmission") -> None:
-        """Settle a :meth:`submit`: one wait + one covering fence.
+        """Settle a :meth:`submit`: wait until its writes returned.
 
         Re-raises the first share failure; afterwards the chunks' buffers
-        may be recycled.  Idempotent per submission.
+        may be recycled.  No fence — the bytes become durable at
+        :meth:`commit`.  Idempotent per submission.
         """
         self._unreaped = [
             pending for pending in self._unreaped if pending is not submission
         ]
-        self._engine._reap_chunk(submission)
+        self._engine._writer.reap(submission)
 
     def commit(self) -> CheckpointResult:
-        """Finish the checkpoint: persist the header, run the CAS protocol.
+        """Finish the checkpoint: fence the payload, persist the header,
+        run the CAS protocol.
 
-        Any chunk submissions still in flight are reaped first — the
-        commit record must never claim a payload whose covering fences
-        have not been issued.
+        Any chunk submissions still in flight are reaped first, then ONE
+        fence covers the whole payload (``single`` fence mode) before the
+        header is written — the header must never claim a payload that
+        is not durable.
         """
         if self._done:
             raise EngineError("ticket already committed or aborted")
@@ -256,7 +262,7 @@ class CheckpointTicket:
         # stays visible on the ticket for diagnostics.
         for submission in self._unreaped:
             try:
-                self._engine._reap_chunk(submission)
+                self._engine._writer.reap(submission)
             except Exception as exc:
                 if self.abort_error is None:
                     self.abort_error = exc
@@ -503,6 +509,9 @@ class CheckpointEngine:
             self._metrics.inc(M.DANGLING)
             self._tracer.end(root, status=STATUS_DANGLING)
             raise
+        except BaseException:
+            self._tracer.end(root, status=STATUS_ABORTED)
+            raise
         status = STATUS_COMMITTED if result.committed else STATUS_SUPERSEDED
         self._tracer.end(root, status=status)
         self._metrics.observe(
@@ -569,8 +578,9 @@ class CheckpointEngine:
 
         Capacity is validated for the whole batch up front — either every
         piece fits the slot or nothing is queued — so a failed batch
-        aborts as cleanly as a failed single chunk.  Nothing is durable
-        (and write errors are not observable) until :meth:`_reap_chunk`.
+        aborts as cleanly as a failed single chunk.  Write errors are not
+        observable until the ticket reaps, and nothing is durable until
+        :meth:`_persist_payload` at commit.
         """
         total = sum(len(view) for view in views)
         capacity = self._layout.payload_capacity
@@ -586,12 +596,30 @@ class CheckpointEngine:
             offset += len(view)
         return self._writer.submit(pieces)
 
-    def _reap_chunk(self, submission: PersistSubmission) -> None:
-        """Settle a chunk submission: one wait, one covering fence."""
-        if submission.reaped:
-            return
-        self._writer.reap(submission)
-        self._metrics.inc(M.BYTES_PERSISTED, submission.total)
+    def _persist_payload(self, ticket: CheckpointTicket) -> None:
+        """Make a ticket's whole payload durable: the ONE payload fence.
+
+        §4.1 for SSD: "the main thread can call a single ``msync()`` with
+        the checkpoint address" — every chunk landed at consecutive
+        offsets from ``payload_offset(slot)``, so one ``persist`` covers
+        them all.  On PMEM (``per-thread``) each writer share already
+        fenced its own range and nothing is left to cover.
+
+        A fence that fails without power loss recycles the slot, like a
+        failed chunk write: with no header the payload can never validate.
+        """
+        length = ticket.bytes_written
+        if length and self._writer.fence_mode == "single":
+            try:
+                self._layout.device.persist(
+                    self._layout.payload_offset(ticket.slot), length
+                )
+            except CrashedDeviceError:
+                raise
+            except BaseException:
+                self._abort_ticket(ticket)
+                raise
+        self._metrics.inc(M.BYTES_PERSISTED, length)
 
     def _record_overlap(
         self, submission: PersistSubmission, crc_start: float, crc_end: float
@@ -645,8 +673,10 @@ class CheckpointEngine:
             payload_crc=crc,
             step=ticket.step,
         )
-        # Lines 16-18: persist the checkpoint's own metadata (the header
-        # that "points to this data") BEFORE CHECK_ADDR may reference it.
+        # Payload durable first, then lines 16-18: persist the
+        # checkpoint's own metadata (the header that "points to this
+        # data") BEFORE CHECK_ADDR may reference it.
+        self._persist_payload(ticket)
         header_offset = self._layout.slot_offset(ticket.slot)
         self._layout.device.write(header_offset, encode_slot_header(meta))
         self._layout.device.persist(header_offset, RECORD_SIZE)

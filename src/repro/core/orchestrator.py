@@ -8,8 +8,9 @@ The orchestrator coordinates the life of a checkpoint (Figure 5):
    buffers from the pool (step ③, GPU copy engines);
 3. a *persist* task drains the captured chunks in order through the
    engine's writer threads to consecutive slot offsets (step ④), releasing
-   each buffer as soon as its chunk is durable;
-4. the engine's commit protocol publishes the checkpoint.
+   each buffer as soon as its chunk's write returned — no per-chunk fence;
+4. the engine's commit issues ONE fence covering the whole payload (§4.1,
+   SSD) and then runs the commit protocol that publishes the checkpoint.
 
 Up to N checkpoints run these pipelines concurrently — the engine's free
 slot queue naturally enforces the bound, and a request arriving while all
@@ -522,6 +523,9 @@ class PCcheckOrchestrator:
 
     def _settle_inflight(self, ticket, inflight, swallow: bool = False) -> None:
         """Reap a deferred chunk submission and release its buffer.
+
+        The reap waits only for the chunk's writes to return (the fence
+        is the commit's), so capture gets the buffer back at write speed.
 
         ``swallow=True`` is the failure path: the checkpoint is already
         dead, so reap errors are moot — what matters is that no pool

@@ -37,19 +37,21 @@ died).
 The write path has two verbs.  :meth:`ParallelWriter.submit` queues ALL
 shares of a batch of ``(offset, payload)`` pieces to the pool under one
 lock acquisition and returns immediately (io_uring-style);
-:meth:`ParallelWriter.reap` waits once for the whole batch and then, in
-``single`` mode, issues ONE fence covering the batch's span (the
-orchestrator's consecutive-chunk layout keeps that span tight) instead of
-a fence per piece.  The engine holds a submission open to overlap CRC
-compute of chunk *k* with the device writes of chunk *k−1*;
-:meth:`ParallelWriter.persist` is the blocking convenience for one piece.
+:meth:`ParallelWriter.reap` waits once for the whole batch — every
+share's write has returned, so the caller may recycle the buffers — and
+issues no fence.  In ``single`` mode durability is the caller's one
+covering fence: the engine's commit fences a whole checkpoint's payload
+with ONE ``persist`` over ``[payload_offset(slot), +len)``, however many
+chunks it was submitted in.  The engine holds a submission open to
+overlap CRC compute of chunk *k* with the device writes of chunk *k−1*;
+:meth:`ParallelWriter.persist` is the blocking verb for one piece —
+write, then its own covering fence.
 
 The same pool runs in the other direction for recovery:
 :meth:`ParallelWriter.submit_read` queues one ``readinto`` of a payload
-chunk into the caller's buffer, :meth:`~ParallelWriter.reap` waits for it
-(a read has nothing to fence), and the restoring thread folds chunk *k*
-into its running CRC while the workers read chunks *k+1…* — one pool
-implementation, two directions.
+chunk into the caller's buffer, :meth:`~ParallelWriter.reap` waits for it,
+and the restoring thread folds chunk *k* into its running CRC while the
+workers read chunks *k+1…* — one pool implementation, two directions.
 """
 
 from __future__ import annotations
@@ -170,20 +172,20 @@ class _ShareTask:
 class PersistSubmission:
     """Ticket for one in-flight :meth:`ParallelWriter.submit` batch.
 
-    Durability is *pending* until :meth:`ParallelWriter.reap` returns:
-    the pool may still be writing, no covering fence has been issued, and
-    the payload views must stay stable.  The caller is free to do CPU
+    Until :meth:`ParallelWriter.reap` returns the pool may still be
+    writing, so the payload views must stay stable; after it returns the
+    bytes are written but, in ``single`` fence mode, not yet durable —
+    that takes the caller's covering fence.  The caller is free to do CPU
     work (CRC, staging the next chunk) in between — that window is
     exactly the pipeline overlap the engine measures.
     """
 
-    __slots__ = ("batch", "shares", "span", "total", "reaped", "read")
+    __slots__ = ("batch", "shares", "total", "reaped", "read")
 
     def __init__(
         self,
         batch: Optional[_PersistBatch],
         shares: Sequence[Tuple[int, memoryview, int, int]],
-        span: Optional[Tuple[int, int]],
         total: int,
         read: bool = False,
     ) -> None:
@@ -191,7 +193,6 @@ class PersistSubmission:
         #: run inline at reap time) or the batch was empty.
         self.batch = batch
         self.shares = shares
-        self.span = span
         self.total = total
         self.reaped = False
         #: True for a :meth:`ParallelWriter.submit_read` ticket: its
@@ -201,7 +202,7 @@ class PersistSubmission:
 
     @property
     def writes_done(self) -> bool:
-        """True once every queued share settled (fence still pending)."""
+        """True once every queued share settled (reap still pending)."""
         return self.batch is None or self.batch.done.is_set()
 
     @property
@@ -263,8 +264,9 @@ class ParallelWriter:
         """Durably write ``payload`` at ``offset``.
 
         Splits the payload across the writer threads; on return every byte
-        is persisted (each thread fenced its range, or the caller's single
-        barrier covered all of them).  Any thread failure is re-raised.
+        is persisted (each thread fenced its range, or — in ``single``
+        mode — one fence after the reap covered all of them).  Any thread
+        failure is re-raised.
         ``payload`` may be any C-contiguous buffer — shares are memoryview
         slices, never copies.
         """
@@ -277,11 +279,11 @@ class ParallelWriter:
         if len(shares) == 1:
             # Single share: no hand-off overhead, same semantics.
             self._write_share(offset, view, shares[0], fence=per_thread)
-            if self._fence_mode == "single":
-                self._device.persist(offset, length)
             self._count(length)
-            return
-        self.reap(self.submit([(offset, view)]))
+        else:
+            self.reap(self.submit([(offset, view)]))
+        if not per_thread:
+            self._device.persist(offset, length)
 
     def submit(
         self, pieces: Sequence[Tuple[int, Buffer]]
@@ -297,7 +299,7 @@ class ParallelWriter:
         views = [(piece_offset, as_view(data)) for piece_offset, data in pieces]
         views = [(piece_offset, v) for piece_offset, v in views if len(v)]
         if not views:
-            return PersistSubmission(None, (), None, 0)
+            return PersistSubmission(None, (), 0)
         per_thread = self._fence_mode == "per-thread"
         shares = [
             (piece_offset, view, lo, hi)
@@ -307,17 +309,11 @@ class ParallelWriter:
             )
         ]
         total = sum(len(v) for _, v in views)
-        span_lo = min(piece_offset for piece_offset, _ in views)
-        span_hi = max(
-            piece_offset + len(view) for piece_offset, view in views
-        )
         with self._work:
             if self._closed:
                 # Pool is gone (engine closed): defer to reap, which runs
                 # the shares inline in the caller's thread.
-                return PersistSubmission(
-                    None, shares, (span_lo, span_hi), total
-                )
+                return PersistSubmission(None, shares, total)
             batch = _PersistBatch(len(shares))
             self._ensure_workers()
             for piece_offset, view, lo, hi in shares:
@@ -325,7 +321,7 @@ class ParallelWriter:
                     _ShareTask(piece_offset, view, lo, hi, per_thread, batch)
                 )
             self._work.notify_all()
-        return PersistSubmission(batch, shares, (span_lo, span_hi), total)
+        return PersistSubmission(batch, shares, total)
 
     def submit_read(self, offset: int, dest: Buffer) -> PersistSubmission:
         """Queue ONE ``readinto(offset, dest)`` to the pool — the read
@@ -341,24 +337,26 @@ class ParallelWriter:
         shares = ((offset, view, 0, len(view)),)
         with self._work:
             if self._closed:
-                return PersistSubmission(None, shares, None, len(view), True)
+                return PersistSubmission(None, shares, len(view), True)
             batch = _PersistBatch(1)
             self._ensure_workers()
             self._queue.append(
                 _ShareTask(offset, view, 0, len(view), False, batch, True)
             )
             self._work.notify()
-        return PersistSubmission(batch, shares, None, len(view), True)
+        return PersistSubmission(batch, shares, len(view), True)
 
     def reap(self, submission: PersistSubmission) -> None:
-        """Complete a :meth:`submit` batch: one wait, one covering fence.
+        """Complete a :meth:`submit` batch: every share's write returned.
 
-        Blocks until every share settled, re-raises the first share
-        failure, then (in ``single`` fence mode) issues ONE fence over
-        the batch's covering span.  Idempotent — reaping twice is a
-        no-op, so error-path cleanup can reap defensively.  A
-        :meth:`submit_read` ticket stops after the wait: reads are not
-        fenced and do not count as persisted bytes.
+        Blocks until every share settled and re-raises the first share
+        failure; afterwards no worker references the batch's views, so
+        the caller may recycle its buffers.  Issues no fence: in
+        ``single`` mode the bytes are written but not yet durable until
+        the caller's covering ``persist`` (the engine's commit, or
+        :meth:`persist`).  Idempotent — reaping twice is a no-op, so
+        error-path cleanup can reap defensively.  A :meth:`submit_read`
+        ticket does not count as persisted bytes.
         """
         if submission.reaped:
             return
@@ -376,12 +374,8 @@ class ParallelWriter:
             submission.batch.done.wait()
             if submission.batch.errors:
                 raise submission.batch.errors[0]
-        if submission.read:
-            return
-        if self._fence_mode == "single":
-            span_lo, span_hi = submission.span
-            self._device.persist(span_lo, span_hi - span_lo)
-        self._count(submission.total)
+        if not submission.read:
+            self._count(submission.total)
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -3,10 +3,11 @@
 A tenant whose checkpoints are small would be a terrible pooled-engine
 customer: every request costs the full fence discipline (payload fence,
 slot-header fence, commit-record fence) for a few kilobytes.  PCcheck's
-engine already knows how to persist *several scattered pieces under one
-fence* (:meth:`~repro.core.engine.CheckpointTicket.submit` of a chunk
-list, then one :meth:`~repro.core.engine.CheckpointTicket.reap`); this
-module aggregates across tenants on top of it.
+engine already persists *several scattered pieces under one fence*
+(:meth:`~repro.core.engine.CheckpointTicket.submit` of a chunk list,
+then :meth:`~repro.core.engine.CheckpointTicket.commit`, whose one
+covering fence spans the whole payload); this module aggregates across
+tenants on top of it.
 
 Design — one *batch engine* lease, held for the batcher's lifetime:
 
@@ -20,8 +21,8 @@ Design — one *batch engine* lease, held for the batcher's lifetime:
 * A builder thread wakes when anything is dirty, waits one small
   coalescing window to gather company, then packs a *batch*: a manifest
   header plus EVERY registered tenant's newest blob (dirty or not —
-  carry-forward), written as one ``submit``/``reap`` of a scattered
-  piece list.  Because every batch is a complete snapshot of all
+  carry-forward), written as one ``submit`` of a scattered piece list
+  and committed.  Because every batch is a complete snapshot of all
   tenants, the newest committed batch alone is sufficient for recovery;
   no batch chaining is needed.
 * K coalesced requests therefore cost ~3 fences per *batch* (payload
@@ -352,7 +353,7 @@ class CoalescingBatcher:
         try:
             engine_ticket = self._engine.begin(step=batch_seq)
             try:
-                engine_ticket.reap(engine_ticket.submit(chunks))
+                engine_ticket.submit(chunks)
                 result = engine_ticket.commit()
             except BaseException:
                 engine_ticket.abort()
@@ -399,9 +400,9 @@ class CoalescingBatcher:
 
         ORDER MATTERS: the builder thread is joined *before* buffers go
         back to the DRAM pool — an in-flight batch's writer threads hold
-        zero-copy views into those buffers until their covering fence
-        completes, and a buffer must never be re-owned while referenced
-        (see the slow-device regression test).
+        zero-copy views into those buffers until the batch is committed,
+        and a buffer must never be re-owned while referenced (see the
+        slow-device regression test).
         """
         with self._wake:
             if self._closed:

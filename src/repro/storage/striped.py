@@ -27,7 +27,8 @@ caller's buffer, so reassembly costs no copy beyond the members' own
 reads.  ``persist`` issues one *covering* fence per member — in
 parallel when more than one member owns bytes of the range — so a
 :class:`~repro.core.writer.ParallelWriter` over a striped device needs
-nothing special: its one covering ``reap`` fence fans out per member.
+nothing special: the engine's one covering payload fence fans out per
+member.
 
 Layout of each member device::
 

@@ -22,8 +22,8 @@ supplies the three pieces:
 
     * **warm**: the worker owns a second formatted region on the warm
       device and replays the §4.1 ordering there through its own
-      :class:`~repro.core.writer.ParallelWriter` ``submit``/``reap``
-      batch — payload first, then header, then (if newer) commit
+      :class:`~repro.core.writer.ParallelWriter` ``persist`` calls —
+      payload first, then header, then (if newer) commit
       record, each durable before the next — so the warm region is
       itself always recoverable, even if power fails mid-demotion.
     * **remote**: one whole-blob PUT (``ckpt/<counter>`` = slot header
@@ -283,16 +283,12 @@ class TierPolicy:
         slot = meta.counter % layout.num_slots
         warm_meta = dataclasses.replace(meta, slot=slot)
         try:
-            # Payload durable first (submit/reap batch over the demote
-            # writer pool), then the header, then — only for a counter
-            # newer than the warm record — the commit record.  Power
-            # loss between any two steps leaves the warm region's
+            # Payload durable first (split over the demote writer pool,
+            # one covering fence), then the header, then — only for a
+            # counter newer than the warm record — the commit record.
+            # Power loss between any two steps leaves the warm region's
             # previous checkpoint intact and recoverable.
-            self._writer.reap(
-                self._writer.submit(
-                    [(layout.payload_offset(slot), payload)]
-                )
-            )
+            self._writer.persist(layout.payload_offset(slot), payload)
             self._writer.persist(
                 layout.slot_offset(slot), encode_slot_header(warm_meta)
             )

@@ -1,5 +1,6 @@
 """The persistent writer pool: reuse, shutdown, crash propagation, and
-the fence-coalescing contract of one ``submit``/``reap`` batch."""
+the fence contract of a ``submit``/``reap`` batch — reap waits for the
+writes, one covering fence makes the whole batch durable."""
 
 import threading
 
@@ -154,12 +155,17 @@ class TestCrashPropagation:
 
 
 class TestFenceCoalescing:
-    def test_scattered_pieces_fence_once_in_single_mode(self):
+    def test_scattered_pieces_share_one_covering_fence(self):
         device = InMemorySSD(CAPACITY)
         writer = ParallelWriter(device, num_threads=2, fence_mode="single")
         pieces = [(i * 1024, bytes([i]) * 1024) for i in range(8)]
         before = device.stats.persist_ops
         writer.reap(writer.submit(pieces))
+        # Reaped means written, not durable: the caller's one covering
+        # fence makes every piece durable at once.
+        assert device.stats.persist_ops == before
+        assert device.unpersisted_bytes == 8 * 1024
+        device.persist(0, 8 * 1024)
         assert device.stats.persist_ops - before == 1
         for offset, payload in pieces:
             assert device.read(offset, 1024) == payload
@@ -200,6 +206,11 @@ class TestFenceCoalescing:
         payload = bytes(range(256)) * 8
         before = device.stats.persist_ops
         writer.reap(writer.submit([(64, payload)]))
+        device.persist(64, len(payload))
+        assert device.stats.persist_ops - before == 1
+        before = device.stats.persist_ops
+        writer.persist(64, payload)
         assert device.stats.persist_ops - before == 1
         assert device.read(64, len(payload)) == payload
+        assert device.unpersisted_bytes == 0
         writer.close()

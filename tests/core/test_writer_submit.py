@@ -42,15 +42,17 @@ class TestAlignedSplitRange:
 
 
 class TestSubmitReap:
-    def test_submit_then_reap_persists_batch(self):
+    def test_submit_then_reap_writes_batch(self):
         device = InMemorySSD(1 << 20)
         with ParallelWriter(device, num_threads=2) as writer:
             pieces = [(0, b"a" * 4096), (4096, b"b" * 4096)]
             submission = writer.submit(pieces)
             writer.reap(submission)
             assert submission.reaped
+            assert writer.bytes_persisted == 8192
             assert device.read(0, 8192) == b"a" * 4096 + b"b" * 4096
-            assert device.unpersisted_bytes == 0
+            # Written, not yet fenced: durability is the caller's fence.
+            assert device.unpersisted_bytes == 8192
         device.close()
 
     def test_reap_is_idempotent(self):
@@ -63,13 +65,22 @@ class TestSubmitReap:
             assert device.stats.persist_ops == fences
         device.close()
 
-    def test_batch_fences_once_in_single_mode(self):
+    def test_reap_issues_no_fence_in_single_mode(self):
         device = InMemorySSD(1 << 20)
         with ParallelWriter(device, num_threads=2) as writer:
             pieces = [(i * 4096, b"z" * 4096) for i in range(6)]
             before = device.stats.persist_ops
             writer.reap(writer.submit(pieces))
+            assert device.stats.persist_ops == before
+        device.close()
+
+    def test_persist_is_write_then_one_covering_fence(self):
+        device = InMemorySSD(1 << 20)
+        with ParallelWriter(device, num_threads=3) as writer:
+            before = device.stats.persist_ops
+            writer.persist(0, b"p" * 12288)
             assert device.stats.persist_ops - before == 1
+            assert device.unpersisted_bytes == 0
         device.close()
 
     def test_empty_submission_reaps_cleanly(self):

@@ -123,12 +123,11 @@ class TestPersist:
         assert striped.read(0, 8192) == b"k" * 8192
         striped.close()
 
-    def test_one_batch_reaps_with_one_fence_per_member(self):
+    def test_one_covering_fence_fans_out_per_member(self):
         striped, devices = make_striped(members=2, stripe=4096)
         writer = ParallelWriter(striped, num_threads=2)
-        pieces = [(0, b"a" * 4096), (4096, b"b" * 4096)]
         before = [d.stats.persist_ops for d in devices]
-        writer.reap(writer.submit(pieces))
+        writer.persist(0, b"a" * 4096 + b"b" * 4096)
         after = [d.stats.persist_ops for d in devices]
         assert [a - b for a, b in zip(after, before)] == [1, 1]
         assert striped.read(0, 8192) == b"a" * 4096 + b"b" * 4096

@@ -21,6 +21,7 @@ from repro.errors import (
     RemoteUnavailableError,
 )
 from repro.obs.metrics import M, MetricsRegistry
+from repro.storage.faults import CrashPointDevice
 from repro.storage.remote import REMOTE_PREFIX, RemoteStore
 from repro.storage.ssd import InMemorySSD
 from repro.storage.tiering import (
@@ -38,10 +39,11 @@ SLOT_SIZE = PAYLOAD_CAPACITY + RECORD_SIZE
 class Stack:
     """A fully wired tiered stack for tests."""
 
-    def __init__(self, visibility_ops=0, metrics=None, plan=None):
+    def __init__(self, visibility_ops=0, metrics=None, plan=None,
+                 warm=None):
         total = Geometry(num_slots=NUM_SLOTS, slot_size=SLOT_SIZE).total_size
         self.hot = InMemorySSD(total, name="hot")
-        self.warm = InMemorySSD(total, name="warm")
+        self.warm = warm or InMemorySSD(total, name="warm")
         self.remote = RemoteStore(visibility_ops=visibility_ops)
         self.metrics = metrics
         self.device = TieredDevice(self.hot, self.warm, self.remote)
@@ -109,6 +111,44 @@ class TestDemotion:
         recovered = recover(stack.policy.warm_layout)
         assert recovered.meta.step == 3
         assert recovered.payload == expected[3]
+
+    def test_warm_payload_is_fenced_before_its_header(self):
+        total = Geometry(num_slots=NUM_SLOTS, slot_size=SLOT_SIZE).total_size
+        warm = CrashPointDevice(
+            InMemorySSD(total, name="warm"), record_ops=True
+        )
+        stack = Stack(warm=warm, plan=TierPlan(demote_threads=2))
+        try:
+            warm.op_log.clear()
+            expected = stack.checkpoint(1)
+            stack.settle()
+            layout = stack.policy.warm_layout
+            slot = stack.engine.committed().counter % NUM_SLOTS
+            lo = layout.payload_offset(slot)
+            header = layout.slot_offset(slot)
+            ops = list(warm.op_log)
+
+            def writes_to(start, length):
+                return [i for i, op in enumerate(ops)
+                        if op.kind == "write" and op.touches(start, start + length)]
+
+            fences = [i for i, op in enumerate(ops) if op.kind == "persist"
+                      and op.touches(lo, lo + len(expected))]
+            payload_writes = writes_to(lo, len(expected))
+            # Two writer shares, then ONE covering fence, then the header.
+            assert len(payload_writes) == 2 and len(fences) == 1
+            assert (ops[fences[0]].offset, ops[fences[0]].length) == (
+                lo, len(expected)
+            )
+            assert max(payload_writes) < fences[0] < min(
+                writes_to(header, RECORD_SIZE)
+            )
+            stack.corrupt_hot_payload()
+            result = recover(stack.device)
+            assert result.source.startswith("warm:")
+            assert result.payload == expected
+        finally:
+            stack.close()
 
     def test_remote_keys_sort_numerically(self):
         assert remote_key(9) < remote_key(10) < remote_key(100)
