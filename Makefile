@@ -78,7 +78,8 @@ lint-baseline:
 # violation count; the first violation stops the run non-zero.
 crashsweep:
 	@set -e; for row in engine "engine --target commit-record" streaming \
-			orchestrator distributed "elastic --world-size 4" striped tiered; do \
+			orchestrator one-chunk distributed "elastic --world-size 4" \
+			striped tiered; do \
 		PYTHONPATH=src python -m repro.cli crashsweep --workload $$row \
 			--torn --seed 11; \
 	done

@@ -90,8 +90,14 @@ class Checkpointer:
     def checkpoint(
         self, state: Union[bytes, SnapshotSource], step: int = 0
     ):
-        """Checkpoint ``state`` and wait for its commit."""
-        return self.checkpoint_async(state, step=step).wait()
+        """Checkpoint ``state`` and wait for its commit.
+
+        A checkpoint that fits one staging chunk (the default
+        ``chunk_size`` is the whole payload) runs entirely on the calling
+        thread, with no thread hand-offs; a larger one pipelines its
+        chunks like :meth:`checkpoint_async`.
+        """
+        return self.orchestrator.checkpoint_sync(as_source(state), step=step)
 
     def wait_for_snapshots(self) -> float:
         """Block until in-flight captures finished (call before every

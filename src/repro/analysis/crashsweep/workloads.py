@@ -26,12 +26,14 @@ per rank, built with ``rank=`` the coordinator's binding.  Whatever a
 run assembled is stopped (pipelines drained, writer pools joined) before
 it returns; the devices stay open for recovery to read.
 
-Seven workloads cover the stack bottom-up (details on each class):
+Eight workloads cover the stack bottom-up (details on each class):
 ``engine`` (one-shot ``checkpoint()`` calls), ``streaming`` (interleaved
 tickets, deterministic supersede), ``orchestrator`` (the capture/persist
-pipeline, ≥3 concurrent), ``distributed`` (multi-rank behind the rank-0
-barrier, one rank's device crashing), ``elastic`` (the same writing
-shards of one global state, recovered onto smaller and larger worlds),
+pipeline, ≥3 concurrent), ``one-chunk`` (the orchestrator's one-thread
+path for payloads that fit one staging chunk), ``distributed``
+(multi-rank behind the rank-0 barrier, one rank's device crashing),
+``elastic`` (the same writing shards of one global state, recovered
+onto smaller and larger worlds),
 ``striped`` (a 3-member stripe set with the crash device as member 0)
 and ``tiered`` (async demotion to a warm SSD and a remote store, power
 failing mid-demotion).
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro.core.distributed import DistributedCoordinator, DistributedRank
@@ -399,9 +401,9 @@ class OrchestratorWorkload(Workload):
         try:
             for step in range(1, spec.steps + 1):
                 source = BytesSource(self.expected_payload(spec, step))
-                handles.append(
-                    stack.orchestrator.checkpoint_async(source, step=step)
-                )
+                handle = self.request(stack, source, step, spec, journal)
+                if handle is not None:
+                    handles.append(handle)
         except (CrashedDeviceError, EngineClosedError) as exc:
             journal.crashed = True
             journal.crash_error = str(exc)
@@ -419,6 +421,37 @@ class OrchestratorWorkload(Workload):
             else:
                 if result.committed:
                     journal.ack(handle.step, result.counter)
+
+    def request(
+        self, stack: EngineStack, source, step: int, spec: WorkloadSpec,
+        journal: RunJournal,
+    ):
+        """Issue one step's checkpoint; returns the handle to await, or
+        ``None`` when the step already settled (and was acked)."""
+        return stack.orchestrator.checkpoint_async(source, step=step)
+
+
+class OneChunkOrchestratorWorkload(OrchestratorWorkload):
+    """The orchestrator row with every payload in ONE staging chunk, so
+    each checkpoint runs on one thread: the blocking ``checkpoint_sync``
+    on the caller's thread for every step but the last, which goes
+    through ``checkpoint_async`` (one executor task).  Sequential steps
+    keep the crash-point count deterministic."""
+
+    name = "one-chunk"
+    description = "one-chunk checkpoints, capture to commit on one thread"
+
+    def assemble(self, device, spec, journal, rank=None):
+        one_chunk = replace(spec, chunk_size=spec.payload_capacity)
+        return super().assemble(device, one_chunk, journal, rank=rank)
+
+    def request(self, stack, source, step, spec, journal):
+        if step == spec.steps:
+            return super().request(stack, source, step, spec, journal)
+        result = stack.orchestrator.checkpoint_sync(source, step=step)
+        if result.committed:
+            journal.ack(step, result.counter)
+        return None
 
 
 class DistributedWorkload(Workload):
@@ -757,6 +790,7 @@ WORKLOADS: Dict[str, Workload] = {
         EngineOneShotWorkload(),
         StreamingTicketWorkload(),
         OrchestratorWorkload(),
+        OneChunkOrchestratorWorkload(),
         DistributedWorkload(),
         ElasticShardedWorkload(),
         StripedEngineWorkload(),
@@ -770,6 +804,7 @@ DEFAULT_SLOTS: Dict[str, int] = {
     "engine": 3,
     "streaming": 3,
     "orchestrator": 4,
+    "one-chunk": 3,
     "distributed": 3,
     "elastic": 3,
     "striped": 3,

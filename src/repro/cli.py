@@ -208,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "--workload", default="engine",
-        choices=["engine", "streaming", "orchestrator", "distributed",
-                 "elastic", "striped", "tiered"],
+        choices=["engine", "streaming", "orchestrator", "one-chunk",
+                 "distributed", "elastic", "striped", "tiered"],
         help="which checkpointing workload to crash",
     )
     sweep_parser.add_argument(

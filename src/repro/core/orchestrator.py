@@ -12,6 +12,15 @@ The orchestrator coordinates the life of a checkpoint (Figure 5):
 4. the engine's commit issues ONE fence covering the whole payload (§4.1,
    SSD) and then runs the commit protocol that publishes the checkpoint.
 
+Steps 2–3 pipeline only when there is something to overlap.  A
+checkpoint that fits one staging chunk runs on ONE thread: the persist
+stage's chunk source is then an inline capture instead of the hand-off
+queue, so capture, write, CRC and commit run back to back — on one
+executor task for :meth:`~PCcheckOrchestrator.checkpoint_async`, on the
+caller's thread for the blocking
+:meth:`~PCcheckOrchestrator.checkpoint_sync`.  Same stages, spans,
+metrics, device ops and failure handling; no thread hand-offs.
+
 Up to N checkpoints run these pipelines concurrently — the engine's free
 slot queue naturally enforces the bound, and a request arriving while all
 N are busy blocks, which is the training stall PCcheck's configuration
@@ -41,7 +50,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.core.chunking import plan_chunks
+from repro.core.chunking import ChunkPlan, plan_chunks
 from repro.core.engine import CheckpointEngine, CheckpointResult
 from repro.core.snapshot import SnapshotSource
 from repro.errors import (
@@ -84,8 +93,9 @@ class CheckpointHandle:
     def add_done_callback(self, fn) -> None:
         """Run ``fn(handle)`` once this checkpoint settles — committed,
         superseded, or failed.  Fires immediately when already settled.
-        Callbacks run on the pipeline thread that settled the handle (or
-        the caller's, when already done), so keep them short and never
+        Callbacks run on the thread that settled the handle — a pipeline
+        thread, or the caller's for a blocking one-chunk checkpoint or
+        when already done — so keep them short and never
         block in them; exceptions they raise are swallowed by the
         underlying future machinery, as with
         :meth:`concurrent.futures.Future.add_done_callback`.
@@ -99,10 +109,34 @@ _CAPTURE_FAILED = object()
 
 #: Poll period for waits that must notice a dead pipeline peer: the
 #: capture stage's buffer acquisition (its consumer may have died and
-#: stopped releasing buffers) and the slot wait in ``checkpoint_async``
+#: stopped releasing buffers) and the slot wait that admits a checkpoint
 #: (every slot may be held by a dangling post-crash ticket).  Small enough
 #: that failure detection latency is negligible next to a persist.
 _STAGE_POLL_SECONDS: float = 0.05
+
+
+class _InlineCapture:
+    """The chunk source of a one-chunk checkpoint, in place of the
+    hand-off queue: the persist stage's first ``get`` runs ``capture``
+    on the persist stage's own thread, later ones hand out what it
+    staged and then the end-of-chunks sentinel.  A capture failure is
+    staged as ``_CAPTURE_FAILED`` and kept in ``error``."""
+
+    def __init__(self, capture) -> None:
+        self._capture = capture
+        self._staged: list = []
+        self.error: Optional[BaseException] = None
+
+    def get(self, timeout: Optional[float] = None):
+        """Never blocks: the chunk is captured by the time this returns."""
+        capture, self._capture = self._capture, None
+        if capture is not None:
+            try:
+                capture(self._staged.append)
+            except BaseException as exc:  # noqa: BLE001 - reported via error
+                self.error = exc
+                self._staged.append(_CAPTURE_FAILED)
+        return self._staged.pop(0) if self._staged else None
 
 
 class _PersistStageDied(EngineError):
@@ -195,61 +229,26 @@ class PCcheckOrchestrator:
         has no free slot (all N concurrent checkpoints busy), which is the
         paper's stall condition ``Tw > N · f · t``.
         """
-        if self._closed:
-            raise EngineClosedError("orchestrator is closed")
-        self._check_fatal()
-        handle = CheckpointHandle(step=step)
-        handle._started = time.monotonic()  # noqa: SLF001
-        self._metrics.inc(M.CHECKPOINTS_REQUESTED)
-        root = self._tracer.begin("checkpoint", step=step)
-        handle.span = root
-        # Reserve counter + slot in the caller's thread: engine.begin()
-        # blocking is precisely the "wait for a previous checkpoint"
-        # stall that concurrency is meant to bound.  Poll rather than
-        # block indefinitely: after a device crash every slot may be held
-        # by a dangling ticket that will never release it.  The lazy
-        # slot_wait span records the stall only when one actually happens.
-        slot_span = None
-        try:
-            while True:
-                try:
-                    ticket = self._engine.begin(
-                        step=step, timeout=_STAGE_POLL_SECONDS
-                    )
-                    break
-                except SlotWaitTimeout:
-                    if slot_span is None:
-                        slot_span = self._tracer.begin(
-                            "slot_wait", parent=root
-                        )
-                    self._check_fatal()
-        except BaseException:
-            if slot_span is not None:
-                self._tracer.end(slot_span)
-            self._tracer.end(root, status=STATUS_ABORTED)
-            raise
-        if slot_span is not None:
-            self._tracer.end(slot_span)
-        ticket.trace_parent = root
-        handle.counter = ticket.counter
-        root.set(counter=ticket.counter, slot=ticket.slot)
-        hand_off: "queue.Queue[Optional[PinnedBuffer]]" = queue.Queue()
-        persist_dead = threading.Event()
-        persist_future = self._executor.submit(
-            self._persist_stage, ticket, hand_off, handle, persist_dead
-        )
-        self._executor.submit(
-            self._capture_stage, source, hand_off, handle, persist_future,
-            persist_dead,
-        )
-        with self._pending_lock:
-            self._pending = [h for h in self._pending if not h.done()]
-            self._pending.append(handle)
+        handle, ticket, plan = self._start(source, step)
+        self._launch(source, plan, ticket, handle)
         return handle
 
     def checkpoint_sync(self, source: SnapshotSource, step: int) -> CheckpointResult:
-        """Checkpoint and wait for the commit (used by recovery tests)."""
-        handle = self.checkpoint_async(source, step)
+        """Checkpoint ``source`` and block until its commit.
+
+        A checkpoint that fits one staging chunk runs entirely on the
+        calling thread — capture, write, CRC and commit, the same stages
+        and spans as a pipelined one; a multi-chunk checkpoint is
+        :meth:`checkpoint_async` plus ``wait()``, keeping its
+        capture/persist overlap.  Either way the handle is tracked, so
+        :meth:`drain` and :meth:`close` wait for it.
+        """
+        handle, ticket, plan = self._start(source, step)
+        if plan.num_chunks > 1:
+            self._launch(source, plan, ticket, handle)
+        else:
+            self._track(handle)
+            self._run_one_chunk(source, plan, ticket, handle)
         return handle.wait()
 
     def wait_for_snapshots(self) -> float:
@@ -327,22 +326,139 @@ class PCcheckOrchestrator:
     # ------------------------------------------------------------------
     # pipeline stages
 
+    def _start(self, source: SnapshotSource, step: int):
+        """Admit one checkpoint request in the caller's thread: plan its
+        chunks and reserve its counter and slot.  Returns ``(handle,
+        ticket, plan)``; nothing runs yet."""
+        if self._closed:
+            raise EngineClosedError("orchestrator is closed")
+        self._check_fatal()
+        handle = CheckpointHandle(step=step)
+        handle._started = time.monotonic()  # noqa: SLF001
+        self._metrics.inc(M.CHECKPOINTS_REQUESTED)
+        root = self._tracer.begin("checkpoint", step=step)
+        handle.span = root
+        # Reserve counter + slot in the caller's thread: engine.begin()
+        # blocking is precisely the "wait for a previous checkpoint"
+        # stall that concurrency is meant to bound.  Poll rather than
+        # block indefinitely: after a device crash every slot may be held
+        # by a dangling ticket that will never release it.  The lazy
+        # slot_wait span records the stall only when one actually happens.
+        slot_span = None
+        try:
+            plan = plan_chunks(source.snapshot_size(), self._pool.chunk_size)
+            while True:
+                try:
+                    ticket = self._engine.begin(
+                        step=step, timeout=_STAGE_POLL_SECONDS
+                    )
+                    break
+                except SlotWaitTimeout:
+                    if slot_span is None:
+                        slot_span = self._tracer.begin(
+                            "slot_wait", parent=root
+                        )
+                    self._check_fatal()
+        except BaseException:
+            if slot_span is not None:
+                self._tracer.end(slot_span)
+            self._tracer.end(root, status=STATUS_ABORTED)
+            raise
+        if slot_span is not None:
+            self._tracer.end(slot_span)
+        ticket.trace_parent = root
+        handle.counter = ticket.counter
+        root.set(counter=ticket.counter, slot=ticket.slot)
+        return handle, ticket, plan
+
+    def _launch(self, source, plan, ticket, handle: CheckpointHandle) -> None:
+        """Run an admitted checkpoint on the executor.  A one-chunk plan
+        leaves a persist stage nothing to overlap with, so ONE task runs
+        it end to end; a longer plan gets the capture and persist tasks
+        joined by the hand-off queue."""
+        if plan.num_chunks == 1:
+            self._executor.submit(
+                self._run_one_chunk, source, plan, ticket, handle
+            )
+        else:
+            hand_off: "queue.Queue[Optional[PinnedBuffer]]" = queue.Queue()
+            persist_dead = threading.Event()
+            persist_future = self._executor.submit(
+                self._persist_stage, ticket, hand_off, handle, persist_dead
+            )
+            self._executor.submit(
+                self._capture_stage, source, plan, hand_off, handle,
+                persist_future, persist_dead,
+            )
+        self._track(handle)
+
+    def _track(self, handle: CheckpointHandle) -> None:
+        """Register ``handle`` with :meth:`wait_for_snapshots`,
+        :meth:`drain` and :meth:`close`."""
+        with self._pending_lock:
+            self._pending = [h for h in self._pending if not h.done()]
+            self._pending.append(handle)
+
     def _capture_stage(
         self,
         source: SnapshotSource,
+        plan: ChunkPlan,
         hand_off: "queue.Queue[Optional[PinnedBuffer]]",
         handle: CheckpointHandle,
         persist_future: "Future[CheckpointResult]",
         persist_dead: threading.Event,
     ) -> None:
+        """The capture task of a multi-chunk checkpoint: feed the hand-off
+        queue, then post its terminal sentinel."""
+        try:
+            self._capture(source, plan, handle, hand_off.put, persist_dead)
+        except BaseException as exc:  # noqa: BLE001 - fail the handle
+            hand_off.put(_CAPTURE_FAILED)
+            # Wait for the persist stage to abort the ticket (or finish
+            # its own failure path), then surface the capture error on
+            # the handle — unless the persist stage's error got there
+            # first, which is the root cause when we were poisoned.
+            persist_future.exception()
+            if not handle._future.done():  # noqa: SLF001
+                handle._future.set_exception(exc)  # noqa: SLF001
+        else:
+            hand_off.put(None)  # end-of-chunks sentinel
+
+    def _run_one_chunk(
+        self, source: SnapshotSource, plan: ChunkPlan, ticket,
+        handle: CheckpointHandle,
+    ) -> None:
+        """A one-chunk checkpoint on the calling thread: the persist stage
+        with the inline capture as its chunk source, so capture, write,
+        CRC and commit run back to back with no thread hand-off.  Every
+        outcome lands on the handle."""
+        # The capture is over before the persist stage can die, so the
+        # poison event only has to exist.
+        persist_dead = threading.Event()
+        chunks = _InlineCapture(
+            lambda emit: self._capture(source, plan, handle, emit, persist_dead)
+        )
+        self._persist_stage(ticket, chunks, handle, persist_dead)
+        if chunks.error is not None and not handle._future.done():  # noqa: SLF001
+            handle._future.set_exception(chunks.error)  # noqa: SLF001
+
+    def _capture(
+        self,
+        source: SnapshotSource,
+        plan: ChunkPlan,
+        handle: CheckpointHandle,
+        emit,
+        persist_dead: threading.Event,
+    ) -> None:
+        """Copy ``source`` chunk by chunk into staging buffers from the
+        pool, passing each to ``emit``; ``snapshot_done`` is set once it
+        finished, failed or not."""
         tracer = self._tracer
         stage_span = tracer.begin("capture", parent=handle.span,
                                   step=handle.step)
         stage_start = time.monotonic()
         try:
-            total = source.snapshot_size()
-            plan = plan_chunks(total, self._pool.chunk_size)
-            stage_span.set(total_bytes=total, chunks=plan.num_chunks)
+            stage_span.set(total_bytes=plan.total, chunks=plan.num_chunks)
             for index, (offset, length) in enumerate(plan):
                 # Poll the pool instead of blocking forever: if the
                 # persist stage died, nobody is releasing buffers and an
@@ -384,36 +500,28 @@ class PCcheckOrchestrator:
                 # lets the persist benchmark assert copies-per-checkpoint
                 # stays at 1x the payload.
                 self._metrics.inc(M.BYTES_COPIED, length)
-                hand_off.put(buffer)
-            handle.snapshot_done.set()
-            hand_off.put(None)  # end-of-chunks sentinel
-            self._metrics.observe(
-                M.STAGE_SECONDS, time.monotonic() - stage_start,
-                stage="capture",
-            )
-            tracer.end(stage_span)
-        except BaseException as exc:  # noqa: BLE001 - fail the handle
+                emit(buffer)
+        except BaseException as exc:
             tracer.end(stage_span, error=type(exc).__name__)
             handle.snapshot_done.set()
-            hand_off.put(_CAPTURE_FAILED)
-            # Wait for the persist stage to abort the ticket (or finish
-            # its own failure path), then surface the capture error on
-            # the handle — unless the persist stage's error got there
-            # first, which is the root cause when we were poisoned.
-            persist_future.exception()
-            if not handle._future.done():  # noqa: SLF001
-                handle._future.set_exception(exc)  # noqa: SLF001
+            raise
+        handle.snapshot_done.set()
+        self._metrics.observe(
+            M.STAGE_SECONDS, time.monotonic() - stage_start, stage="capture"
+        )
+        tracer.end(stage_span)
 
     def _persist_stage(
         self,
         ticket,
-        hand_off: "queue.Queue[Optional[PinnedBuffer]]",
+        hand_off,
         handle: CheckpointHandle,
         persist_dead: threading.Event,
     ) -> Optional[CheckpointResult]:
-        # True once capture's terminal sentinel was consumed: after that
-        # the hand-off queue stays empty forever, so the failure path must
-        # not block draining it.
+        # ``hand_off`` is the chunk source: the queue a capture task feeds,
+        # or a one-chunk plan's _InlineCapture.  True once capture's
+        # terminal sentinel was consumed: after that the source stays
+        # empty forever, so the failure path must not block draining it.
         sentinel_seen = False
         tracer = self._tracer
         stage_span = tracer.begin("persist", parent=handle.span,
@@ -482,12 +590,14 @@ class PCcheckOrchestrator:
             )
             tracer.end(stage_span, chunks=index)
             result = ticket.commit()
-            if not handle._future.done():  # noqa: SLF001
-                handle._future.set_result(result)  # noqa: SLF001
+            # Root span and latency first: whoever wakes on the handle
+            # sees the checkpoint fully accounted.
             self._finish_root(
                 handle,
                 STATUS_COMMITTED if result.committed else STATUS_SUPERSEDED,
             )
+            if not handle._future.done():  # noqa: SLF001
+                handle._future.set_result(result)  # noqa: SLF001
             return result
         except BaseException as exc:  # noqa: BLE001 - fail the handle
             # Poison the capture stage first so it stops acquiring
@@ -519,7 +629,9 @@ class PCcheckOrchestrator:
             handle.snapshot_done.set()
             if not handle._future.done():  # noqa: SLF001
                 handle._future.set_exception(exc)  # noqa: SLF001
-            raise
+            # The handle carries the error — and ``handle.wait()`` raises
+            # it — on whichever thread this stage ran.
+            return None
 
     def _settle_inflight(self, ticket, inflight, swallow: bool = False) -> None:
         """Reap a deferred chunk submission and release its buffer.
@@ -545,8 +657,10 @@ class PCcheckOrchestrator:
             self._pool.release(buffer)
 
     def _finish_root(self, handle: CheckpointHandle, status: str) -> None:
-        """Close the handle's root ``checkpoint`` span with its outcome and
-        record the request→ack latency.  Idempotent: ``Tracer.end`` keeps
+        """Close the handle's root ``checkpoint`` span with its outcome and,
+        for a checkpoint that acked (committed or superseded), record the
+        request→ack latency — aborted and dangling ones never acked, as in
+        ``CheckpointEngine.checkpoint``.  Idempotent: ``Tracer.end`` keeps
         the first end time, and the racing capture/persist failure paths
         both funnel through here."""
         if handle._finished:  # noqa: SLF001
@@ -554,21 +668,22 @@ class PCcheckOrchestrator:
         handle._finished = True  # noqa: SLF001
         if handle.span is not None:
             self._tracer.end(handle.span, status=status)
-        if handle._started:  # noqa: SLF001
+        if handle._started and status in (  # noqa: SLF001
+            STATUS_COMMITTED, STATUS_SUPERSEDED
+        ):
             self._metrics.observe(
                 M.CHECKPOINT_SECONDS,
                 time.monotonic() - handle._started,  # noqa: SLF001
             )
 
-    def _drain_hand_off(
-        self, hand_off: "queue.Queue[Optional[PinnedBuffer]]"
-    ) -> None:
-        """Release every buffer stranded in the hand-off queue.
+    def _drain_hand_off(self, hand_off) -> None:
+        """Release every buffer stranded in the chunk source.
 
         Runs on the persist stage's failure path.  Terminates because the
-        capture stage always posts a terminal sentinel: ``None`` after its
+        capture always ends in a terminal sentinel: ``None`` after its
         last chunk, or ``_CAPTURE_FAILED`` when it fails or observes the
-        poison event.
+        poison event (an :class:`_InlineCapture` reports ``None`` once
+        drained).
         """
         while True:
             buffer = hand_off.get()

@@ -94,6 +94,16 @@ class TestOtherWorkloads:
         assert len(report.outcomes) <= 16
         assert report.ok, render_text(report)
 
+    def test_one_chunk_sweep_holds_the_guarantee(self):
+        """The one-thread path (blocking and async) at every crash point."""
+        config = CrashSweepConfig(
+            workload="one-chunk", steps=3, torn_writes=True, seed=11
+        )
+        report = sweep(config)
+        assert report.ok, render_text(report)
+        assert any(o.crashed and o.acked_steps for o in report.outcomes)
+        assert any(not o.crashed for o in report.outcomes)
+
     def test_distributed_sweep_recovers_consistently(self):
         config = CrashSweepConfig(workload="distributed", steps=2, stride=5)
         report = sweep(config)
