@@ -21,6 +21,7 @@ absent, never trusted.
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
 from dataclasses import dataclass
@@ -122,9 +123,59 @@ def decode_commit_record(raw: bytes) -> Optional[CheckMeta]:
     return _decode(_COMMIT_MAGIC, raw)
 
 
-def payload_crc(payload: bytes, running: int = 0) -> int:
-    """CRC32 used to validate checkpoint payloads at recovery.
+def payload_crc(payload: bytes) -> int:
+    """CRC32 used to validate checkpoint payloads at recovery.  A payload
+    CRC'd in chunks is reassembled with :func:`crc32_combine`."""
+    return zlib.crc32(payload)
 
-    ``running`` continues a CRC over earlier chunks, so a payload can be
-    validated piece by piece as it is read."""
-    return zlib.crc32(payload, running)
+
+# CRC32 combination, zlib's crc32_combine: appending ``len2`` bytes
+# multiplies crc1 by x^(8·len2) modulo the CRC polynomial (reflected bit
+# order, so x^0 is bit 31), then adds crc2.
+_CRC_POLY = 0xEDB88320
+
+
+def _multmodp(a: int, b: int) -> int:
+    """a·b modulo the CRC polynomial."""
+    m = 1 << 31
+    p = 0
+    while a:
+        if a & m:
+            p ^= b
+            a ^= m
+        m >>= 1
+        b = (b >> 1) ^ _CRC_POLY if b & 1 else b >> 1
+    return p
+
+
+def _x2n_table() -> tuple:
+    table = [1 << 30]  # x^1
+    for _ in range(31):
+        table.append(_multmodp(table[-1], table[-1]))
+    return tuple(table)
+
+
+#: ``_X2N[k]`` = x^(2^k) mod p; x's order divides 2^32 − 1, so k wraps at 32.
+_X2N = _x2n_table()
+
+
+@functools.lru_cache(maxsize=64)
+def _crc_shift(len2: int) -> int:
+    """x^(8·len2) mod p: the operator that moves a CRC past ``len2``
+    zero bytes.  Memoised — a chunked read repeats one or two lengths."""
+    p = 1 << 31  # x^0
+    k = 3  # one byte is x^8 = x^(2^3)
+    while len2:
+        if len2 & 1:
+            p = _multmodp(_X2N[k & 31], p)
+        len2 >>= 1
+        k += 1
+    return p
+
+
+def crc32_combine(crc1: int, crc2: int, len2: int) -> int:
+    """``zlib.crc32(a + b)`` from ``crc1 = crc32(a)``, ``crc2 = crc32(b)``
+    and ``len2 = len(b)`` — without touching a byte of either."""
+    if len2 < 0:
+        raise ValueError(f"negative length {len2}")
+    return _multmodp(_crc_shift(len2), crc1) ^ crc2

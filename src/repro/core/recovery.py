@@ -18,10 +18,11 @@ through the same function.  Every path goes through ONE loader,
 :func:`load_validated`: the payload is read exactly once, chunk by
 chunk, straight into one destination buffer (``readinto`` — no ``bytes``
 per chunk, no join), the reads queued on the
-:class:`~repro.core.writer.ParallelWriter` pool while the calling thread
-folds finished chunks into a running CRC.  The buffer comes back,
-read-only, only if that CRC matches — **the validated bytes are the
-returned bytes** (docs/ALGORITHM.md §Recovery).  Chunk locations come
+:class:`~repro.core.writer.ParallelWriter` pool, each reader CRCing the
+chunk it just filled; the calling thread only combines the chunk CRCs,
+in order, into the payload's.  The buffer comes back, read-only, only
+if that CRC matches — **the validated bytes are the returned bytes**
+(docs/ALGORITHM.md §Recovery).  Chunk locations come
 from a *persistent iterator* that logs every read, as in the paper ("a
 persistent iterator, which logs data read locations").
 """
@@ -39,6 +40,7 @@ from repro.core.layout import DeviceLayout
 from repro.core.meta import (
     RECORD_SIZE,
     CheckMeta,
+    crc32_combine,
     decode_commit_record,
     decode_slot_header,
     payload_crc,
@@ -65,8 +67,8 @@ if TYPE_CHECKING:  # tiering imports this module
 #: Default read granularity of the persistent iterator.
 DEFAULT_READ_CHUNK: int = 4 * 1024 * 1024
 
-#: Pool threads reading chunks while the restoring thread CRCs — derived,
-#: not a knob: past a few readers the one CRC thread is the limit.
+#: Pool threads that each read a chunk and CRC it — derived, not a knob:
+#: one per core (read and CRC both drop the GIL), at most four.
 READ_THREADS: int = max(1, min(os.cpu_count() or 1, 4))
 
 
@@ -110,12 +112,12 @@ def load_validated(
         # filling ``dest`` when an error (or a mismatch) drops it.
         with ParallelWriter(layout.device, READ_THREADS) as pool:
             reads = [
-                (pool.submit_read(base + lo, view[lo : lo + chunk_size]), lo)
+                pool.submit_read(base + lo, view[lo : lo + chunk_size])
                 for lo in starts
             ]
-            for read, lo in reads:
-                pool.reap(read)
-                crc = payload_crc(view[lo : lo + chunk_size], crc)
+            for read in reads:
+                pool.reap(read)  # the reader CRC'd the chunk it filled
+                crc = crc32_combine(crc, read.crc, read.total)
     if crc != meta.payload_crc:
         return None
     dest.setflags(write=False)

@@ -49,15 +49,17 @@ write, then its own covering fence.
 
 The same pool runs in the other direction for recovery:
 :meth:`ParallelWriter.submit_read` queues one ``readinto`` of a payload
-chunk into the caller's buffer, :meth:`~ParallelWriter.reap` waits for it,
-and the restoring thread folds chunk *k* into its running CRC while the
-workers read chunks *k+1…* — one pool implementation, two directions.
+chunk into the caller's buffer, and the worker that filled the chunk
+CRCs it while it is still in cache; :meth:`~ParallelWriter.reap` waits
+for it and hands that CRC back on the ticket, so the restoring thread
+only combines chunk CRCs — one pool implementation, two directions.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+import zlib
 from collections import deque
 from typing import Deque, List, Literal, Optional, Sequence, Tuple
 
@@ -122,7 +124,7 @@ class _PersistBatch:
     it was with per-call thread spawning.
     """
 
-    __slots__ = ("_lock", "_pending", "done", "errors", "done_at")
+    __slots__ = ("_lock", "_pending", "done", "errors", "done_at", "crc")
 
     def __init__(self, pending: int) -> None:
         self._lock = threading.Lock()
@@ -133,11 +135,17 @@ class _PersistBatch:
         #: engine measure how much CRC compute genuinely overlapped the
         #: device writes (M.PIPELINE_OVERLAP_SECONDS).
         self.done_at: Optional[float] = None
+        #: CRC32 of the bytes a read share filled; ``None`` for writes.
+        self.crc: Optional[int] = None
 
-    def share_finished(self, error: Optional[BaseException]) -> None:
+    def share_finished(
+        self, error: Optional[BaseException], crc: Optional[int] = None
+    ) -> None:
         with self._lock:
             if error is not None:
                 self.errors.append(error)
+            if crc is not None:
+                self.crc = crc
             self._pending -= 1
             if self._pending == 0:
                 self.done_at = time.monotonic()
@@ -180,7 +188,7 @@ class PersistSubmission:
     exactly the pipeline overlap the engine measures.
     """
 
-    __slots__ = ("batch", "shares", "total", "reaped", "read")
+    __slots__ = ("batch", "shares", "total", "reaped", "read", "crc")
 
     def __init__(
         self,
@@ -199,6 +207,8 @@ class PersistSubmission:
         #: shares fill their views from the device, and reap has nothing
         #: to fence or count as persisted.
         self.read = read
+        #: Read tickets only: CRC32 of the filled buffer, set by reap.
+        self.crc: Optional[int] = None
 
     @property
     def writes_done(self) -> bool:
@@ -328,10 +338,11 @@ class ParallelWriter:
         direction of :meth:`submit`.
 
         Not split into shares: the restore path already cuts the payload
-        into chunks and wants each to complete whole, in order, so the
-        caller can fold chunk *k* into its CRC while the pool reads the
-        chunks behind it.  ``dest`` must stay alive and untouched until
-        :meth:`reap` returns.
+        into chunks.  The worker that reads a chunk also CRCs it, and
+        :meth:`reap` exposes that as ``submission.crc`` — the caller
+        combines chunk CRCs (:func:`~repro.core.meta.crc32_combine`)
+        instead of scanning the bytes again.  ``dest`` must stay alive
+        and untouched until :meth:`reap` returns.
         """
         view = as_view(dest)
         shares = ((offset, view, 0, len(view)),)
@@ -356,7 +367,7 @@ class ParallelWriter:
         the caller's covering ``persist`` (the engine's commit, or
         :meth:`persist`).  Idempotent — reaping twice is a no-op, so
         error-path cleanup can reap defensively.  A :meth:`submit_read`
-        ticket does not count as persisted bytes.
+        ticket does not count as persisted bytes; it gets its ``crc``.
         """
         if submission.reaped:
             return
@@ -364,17 +375,21 @@ class ParallelWriter:
         if submission.total == 0:
             return
         per_thread = self._fence_mode == "per-thread"
+        crc: Optional[int] = None
         if submission.batch is None:
             # Submitted after close: same semantics, caller's thread.
             for piece_offset, view, lo, hi in submission.shares:
-                self._run_share(
+                crc = self._run_share(
                     piece_offset, view, (lo, hi), per_thread, submission.read
                 )
         else:
             submission.batch.done.wait()
             if submission.batch.errors:
                 raise submission.batch.errors[0]
-        if not submission.read:
+            crc = submission.batch.crc
+        if submission.read:
+            submission.crc = crc
+        else:
             self._count(submission.total)
 
     # ------------------------------------------------------------------
@@ -431,14 +446,15 @@ class ParallelWriter:
                 else:  # closed and drained
                     return
             error: Optional[BaseException] = None
+            crc: Optional[int] = None
             try:
-                self._run_share(
+                crc = self._run_share(
                     task.offset, task.view, (task.lo, task.hi),
                     task.fence, task.read,
                 )
             except BaseException as exc:  # noqa: BLE001 - propagate crash injection
                 error = exc
-            task.batch.share_finished(error)
+            task.batch.share_finished(error, crc)
 
     def _run_share(
         self,
@@ -447,12 +463,17 @@ class ParallelWriter:
         share: Tuple[int, int],
         fence: bool,
         read: bool,
-    ) -> None:
-        if read:
-            lo, hi = share
-            self._device.readinto(offset + lo, view[lo:hi])
-        else:
+    ) -> Optional[int]:
+        """Run one share; a read returns the CRC32 of what it filled."""
+        if not read:
             self._write_share(offset, view, share, fence)
+            return None
+        lo, hi = share
+        chunk = view[lo:hi]
+        self._device.readinto(offset + lo, chunk)
+        # The chunk is still in this core's cache and crc32 drops the
+        # GIL: checking it here spreads validation over the readers.
+        return zlib.crc32(chunk)
 
     def _write_share(
         self,

@@ -1,4 +1,6 @@
-"""Tests for checkpoint metadata records."""
+"""Tests for checkpoint metadata records and payload CRCs."""
+
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 from repro.core.meta import (
     RECORD_SIZE,
     CheckMeta,
+    _crc_shift,
+    crc32_combine,
     decode_commit_record,
     decode_slot_header,
     encode_commit_record,
@@ -97,3 +101,84 @@ class TestPayloadCrc:
 
     def test_empty_payload(self):
         assert payload_crc(b"") == 0
+
+
+def reference_combine(crc1, crc2, len2):
+    """Independent oracle for :func:`crc32_combine`: crc1 · x^(8·len2) +
+    crc2 modulo the CRC-32 polynomial, in plain (unreflected) GF(2)
+    arithmetic with square-and-multiply over the bit length."""
+    poly = 0x104C11DB7
+
+    def mulmod(a, b):
+        out = 0
+        while b:
+            if b & 1:
+                out ^= a
+            b >>= 1
+            a <<= 1
+            if a >> 32:
+                a ^= poly
+        return out
+
+    def reflect(value):
+        return int(f"{value:032b}"[::-1], 2)
+
+    shift, base, bits = 1, 2, 8 * len2  # x^0, x^1
+    while bits:
+        if bits & 1:
+            shift = mulmod(shift, base)
+        base = mulmod(base, base)
+        bits >>= 1
+    return reflect(mulmod(reflect(crc1), shift)) ^ crc2
+
+
+CRC = st.integers(0, 2**32 - 1)
+
+
+class TestCrc32Combine:
+    @given(a=st.binary(max_size=300), b=st.binary(max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_combine_is_the_crc_of_the_concatenation(self, a, b):
+        assert crc32_combine(zlib.crc32(a), zlib.crc32(b), len(b)) == zlib.crc32(a + b)
+
+    @pytest.mark.parametrize("len_b", [
+        0, 1, 7, 4095,                      # empty, one byte, odd lengths
+        (1 << 20) - 1, 0b1011_0111_0110_1101,  # many set bits
+        4 * 1024 * 1024,                    # the default read chunk
+        4 * 1024 * 1024 - 3,                # a short last chunk
+    ])
+    def test_chunk_lengths_against_zlib(self, len_b):
+        a = bytes(range(256)) * 3 + b"\x01"
+        b = bytes((i * 131 + 7) & 0xFF for i in range(len_b))
+        assert crc32_combine(zlib.crc32(a), zlib.crc32(b), len(b)) == zlib.crc32(a + b)
+
+    @given(a=st.binary(max_size=64), b=st.binary(max_size=64))
+    @settings(max_examples=50, deadline=None)
+    def test_reference_oracle_agrees_with_zlib(self, a, b):
+        assert reference_combine(zlib.crc32(a), zlib.crc32(b), len(b)) == zlib.crc32(a + b)
+
+    @pytest.mark.parametrize("len_b", [
+        2**32 - 1, 2**32, 2**32 + 1, 2**33 + 12345, 2**40 - 1, 2**63 + 5,
+    ])
+    def test_lengths_past_four_gib_match_the_oracle(self, len_b):
+        crc1, crc2 = 0x1234ABCD, 0xCAFEF00D
+        assert crc32_combine(crc1, crc2, len_b) == reference_combine(crc1, crc2, len_b)
+
+    @given(crc1=CRC, crc2=CRC, crc3=CRC,
+           len2=st.integers(0, 2**40), len3=st.integers(0, 2**40))
+    @settings(max_examples=100, deadline=None)
+    def test_combining_is_associative(self, crc1, crc2, crc3, len2, len3):
+        left = crc32_combine(crc32_combine(crc1, crc2, len2), crc3, len3)
+        right = crc32_combine(crc1, crc32_combine(crc2, crc3, len3), len2 + len3)
+        assert left == right
+
+    def test_negative_length_is_refused(self):
+        with pytest.raises(ValueError):
+            crc32_combine(0, 0, -1)
+
+    def test_operator_cache_stays_bounded(self):
+        info = _crc_shift.cache_info()
+        assert info.maxsize is not None
+        for len2 in range(1, 4 * info.maxsize):
+            crc32_combine(0xFFFFFFFF, 0, len2)
+        assert _crc_shift.cache_info().currsize <= info.maxsize

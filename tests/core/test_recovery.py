@@ -8,12 +8,16 @@ read-amplification pins that are the point of the one pass.
 import sys
 import threading
 import time
+import types
+import zlib
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import settings
 from hypothesis.stateful import invariant, precondition, rule
 
+from repro.core import meta as meta_module
+from repro.core import writer as writer_module
 from repro.core.engine import CheckpointEngine
 from repro.core.layout import DeviceLayout, Geometry
 from repro.core.meta import (
@@ -31,6 +35,7 @@ from repro.core.recovery import (
     recover,
     try_recover,
 )
+from repro.core.writer import ParallelWriter
 from repro.errors import NoCheckpointError, TransientIOError
 from repro.storage.faults import TransientFaultDevice
 from repro.storage.ssd import InMemorySSD
@@ -407,6 +412,62 @@ class TestPooledReads:
 
     def test_reader_parallelism_is_derived_not_configured(self):
         assert 1 <= READ_THREADS <= 4
+
+    def test_every_chunk_is_crcd_on_the_pool_thread_that_read_it(self, monkeypatch):
+        engine = make_engine()
+        engine.checkpoint(bytes(range(100)) * 7, step=1)
+        meta = engine.committed()
+        calls = []
+        lock = threading.Lock()
+
+        def spy_crc32(data, value=0):
+            with lock:
+                calls.append((threading.current_thread(), len(data)))
+            return zlib.crc32(data, value)
+
+        spy = types.SimpleNamespace(crc32=spy_crc32)
+        # Every module that could CRC a chunk: the pool's and the loader's.
+        monkeypatch.setattr(writer_module, "zlib", spy, raising=False)
+        monkeypatch.setattr(meta_module, "zlib", spy)
+        payload = load_validated(engine.layout, meta, chunk_size=100)
+        assert payload == bytes(range(100)) * 7
+        assert sorted(length for _, length in calls) == [100] * 7
+        caller = threading.current_thread()
+        assert all(thread is not caller for thread, _ in calls)
+        assert all(thread.name.startswith("pccheck-writer-") for thread, _ in calls)
+
+    @pytest.mark.parametrize("chunks", [2, 3, 33])
+    def test_a_flipped_byte_in_any_one_chunk_refuses_the_payload(self, chunks):
+        chunk = 64
+        length = (chunks - 1) * chunk + 17  # a short last chunk
+        engine = make_engine(payload_capacity=length)
+        engine.checkpoint(bytes((i * 7 + 3) & 0xFF for i in range(length)), step=1)
+        meta, layout = engine.committed(), engine.layout
+        assert load_validated(layout, meta, chunk_size=chunk) is not None
+        base = layout.payload_offset(meta.slot)
+        for index in sorted({0, chunks // 2, chunks - 1}):
+            at = base + index * chunk + 5
+            original = layout.device.read(at, 1)
+            layout.device.write(at, bytes([original[0] ^ 0x40]))
+            assert load_validated(layout, meta, chunk_size=chunk) is None
+            layout.device.write(at, original)
+        assert load_validated(layout, meta, chunk_size=chunk) is not None
+
+    def test_a_read_after_close_runs_inline_and_carries_its_crc(self):
+        device = InMemorySSD(capacity=4096)
+        device.write(0, bytes(range(256)) * 16)
+        pool = ParallelWriter(device, 2)
+        pooled_dest = bytearray(1000)
+        pooled = pool.submit_read(10, pooled_dest)
+        pool.reap(pooled)
+        pool.close()
+        inline_dest = bytearray(3000)
+        inline = pool.submit_read(7, inline_dest)
+        assert inline.batch is None  # no pool: reap runs it on this thread
+        pool.reap(inline)
+        assert pooled.crc == zlib.crc32(pooled_dest)
+        assert inline.crc == zlib.crc32(inline_dest)
+        assert bytes(inline_dest) == device.read(7, 3000)
 
 
 class TestOnlineReaders:
