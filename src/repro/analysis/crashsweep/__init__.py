@@ -1,9 +1,10 @@
 """Crash-consistency sweep subsystem (``pccheck-repro crashsweep``).
 
 Sweeps an injected power-loss fault across every device operation of a
-configurable checkpointing workload — bare engine, streaming tickets,
-the full orchestrator pipeline, or multi-rank distributed — recovers
-after each crash, and asserts the §4.1 guarantee (at least one valid
+configurable checkpointing workload — a driver (one-shot engine calls,
+streaming tickets, the orchestrator pipeline or its one-chunk path) over
+a stack shape (plain, striped or tiered), or multi-rank distributed —
+recovers after each crash, and asserts the §4.1 guarantee (at least one valid
 checkpoint, recovery finds the newest committed one) plus counter
 monotonicity and failure-path resource conservation.
 """
@@ -13,6 +14,7 @@ from repro.analysis.crashsweep.harness import (
     CrashSweepConfig,
     PointOutcome,
     SweepReport,
+    WorkloadSpec,
     count_crash_points,
     reproducer_command,
     run_point,
@@ -24,22 +26,23 @@ from repro.analysis.crashsweep.report import (
     render_text,
 )
 from repro.analysis.crashsweep.workloads import (
-    DEFAULT_SLOTS,
+    DRIVERS,
+    STACKS,
     WORKLOADS,
     RecoveryOutcome,
     RunJournal,
     Workload,
-    WorkloadSpec,
     payload_for,
 )
 
 __all__ = [
     "COMMIT_RECORD_RANGE",
     "CrashSweepConfig",
-    "DEFAULT_SLOTS",
+    "DRIVERS",
     "PointOutcome",
     "RecoveryOutcome",
     "RunJournal",
+    "STACKS",
     "SweepReport",
     "WORKLOADS",
     "Workload",

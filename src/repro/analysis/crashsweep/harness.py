@@ -26,14 +26,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.crashsweep.workloads import (
-    DEFAULT_SLOTS,
-    DEFAULT_WORLD,
-    WORKLOADS,
-    Workload,
-    WorkloadSpec,
-)
-from repro.core.layout import SUPERBLOCK_SIZE
+from repro.analysis.crashsweep.workloads import WORKLOADS, Workload
+from repro.core.layout import SUPERBLOCK_SIZE, Geometry
 from repro.core.meta import RECORD_SIZE
 from repro.errors import EngineError, InvariantViolationError
 from repro.storage.faults import (
@@ -53,12 +47,36 @@ _DEVICE_CLASSES = {"ssd": InMemorySSD, "pmem": SimulatedPMEM}
 
 
 @dataclass(frozen=True)
+class WorkloadSpec:
+    """Static parameters of one sweep's workload runs."""
+
+    steps: int = 3
+    num_slots: int = 3
+    payload_capacity: int = 512
+    writer_threads: int = 2
+    chunk_size: int = 128
+    num_chunks: int = 2
+    sanitize: bool = True
+    world_size: int = 2
+    barrier_timeout: float = 0.25
+    #: Reader worlds the elastic workload re-partitions recovery onto.
+    elastic_readers: tuple = (2, 8)
+
+    @property
+    def slot_size(self) -> int:
+        return self.payload_capacity + RECORD_SIZE
+
+    def geometry(self) -> Geometry:
+        return Geometry(num_slots=self.num_slots, slot_size=self.slot_size)
+
+
+@dataclass(frozen=True)
 class CrashSweepConfig:
     """Everything one sweep needs; defaults give a fast, meaningful run."""
 
     workload: str = "engine"
     steps: int = 3
-    num_slots: Optional[int] = None  #: None → the workload's default
+    num_slots: Optional[int] = None  #: None → the workload's default_slots
     payload_capacity: int = 512
     writer_threads: int = 2
     chunk_size: int = 128
@@ -78,27 +96,25 @@ class CrashSweepConfig:
     sanitize: bool = True
     barrier_timeout: float = 0.25
     #: Writer world size for multi-rank workloads; ``None`` → the
-    #: workload's default (2 for ``distributed``, 4 for ``elastic``).
+    #: workload's ``default_world`` (4 for ``elastic``, else 2).
     world_size: Optional[int] = None
 
     def spec(self) -> WorkloadSpec:
-        if self.workload not in WORKLOADS:
+        workload = WORKLOADS.get(self.workload)
+        if workload is None:
             raise EngineError(
                 f"unknown workload {self.workload!r}; "
                 f"choose from {sorted(WORKLOADS)}"
             )
         return WorkloadSpec(
             steps=self.steps,
-            num_slots=self.num_slots or DEFAULT_SLOTS[self.workload],
+            num_slots=self.num_slots or workload.default_slots,
             payload_capacity=self.payload_capacity,
             writer_threads=self.writer_threads,
             chunk_size=self.chunk_size,
             num_chunks=self.num_chunks,
             sanitize=self.sanitize,
-            world_size=(
-                self.world_size
-                or DEFAULT_WORLD.get(self.workload, 2)
-            ),
+            world_size=self.world_size or workload.default_world,
             barrier_timeout=self.barrier_timeout,
         )
 
@@ -197,6 +213,7 @@ def count_crash_points(
     workload = WORKLOADS[config.workload]
     device = _make_device(config, spec, record_ops=True)
     journal = workload.run(device, spec)
+    journal.release()
     if journal.crashed:
         raise EngineError(
             f"workload {config.workload!r} crashed without injection: "
@@ -277,6 +294,7 @@ def run_point(config: CrashSweepConfig, point: int) -> PointOutcome:
             reproducer=reproducer_command(config, point),
         )
     recovery = workload.validate_recovery(device, spec, journal)
+    journal.release()
     outcome = PointOutcome(
         point=point,
         descriptor=descriptor,

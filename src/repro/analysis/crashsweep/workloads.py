@@ -16,27 +16,31 @@ durable image and asserts the §4.1 guarantee:
   again after the pipelines died, and a completed run returns every slot
   but the committed one to the free queue (engine invariant 4).
 
-Every single-node workload drives the stack
-:func:`repro.service.pool.build_stack` assembles over the fault-injecting
-device (or the stripe set above it) — the wiring ``open_checkpointer``
-ships, in its order: format the hot region, then wrap it in the tiers
-and re-bind the layout — so the oracle judges the product, not a
-hand-built look-alike.  The multi-rank workloads drive one such stack
-per rank, built with ``rank=`` the coordinator's binding.  Whatever a
-run assembled is stopped (pipelines drained, writer pools joined) before
-it returns; the devices stay open for recovery to read.
+Every workload drives the stack :func:`repro.service.pool.build_stack`
+assembles over the fault-injecting device (or the stripe set above it)
+— the wiring ``open_checkpointer`` ships, in its order: format the hot
+region, then wrap it in the tiers and re-bind the layout — so the
+oracle judges the product, not a hand-built look-alike.  Whatever a run
+assembled is stopped (pipelines drained, writer pools joined) before it
+returns; the devices stay open for recovery to read.
 
-Eight workloads cover the stack bottom-up (details on each class):
-``engine`` (one-shot ``checkpoint()`` calls), ``streaming`` (interleaved
-tickets, deterministic supersede), ``orchestrator`` (the capture/persist
-pipeline, ≥3 concurrent), ``one-chunk`` (the orchestrator's one-thread
-path for payloads that fit one staging chunk), ``distributed``
-(multi-rank behind the rank-0 barrier, one rank's device crashing),
-``elastic`` (the same writing shards of one global state, recovered
-onto smaller and larger worlds),
-``striped`` (a 3-member stripe set with the crash device as member 0)
-and ``tiered`` (async demotion to a warm SSD and a remote store, power
-failing mid-demotion).
+A single-node :class:`Workload` is a **driver** over a **stack shape**,
+and every driver goes over every shape with no new code.  The drivers
+(:data:`DRIVERS`) are the ways a trainer checkpoints: ``engine``
+(one-shot ``checkpoint()`` calls), ``streaming`` (interleaved tickets,
+deterministic supersede), ``orchestrator`` (the capture/persist
+pipeline, ≥3 concurrent) and ``one-chunk`` (the orchestrator's
+one-thread path for payloads that fit one staging chunk).  The shapes
+(:data:`STACKS`) are what it runs on: ``plain`` (the crash device
+itself), ``striped`` (a 3-member stripe set with the crash device as
+member 0) and ``tiered`` (async demotion to a warm SSD and a remote
+store, power failing mid-demotion).  :data:`WORKLOADS` names the rows
+the CLI sweeps: each driver over ``plain``, the one-shot driver over
+``striped`` and ``tiered``, and two multi-rank workloads — ``distributed``
+(ranks behind the rank-0 barrier, one rank's device crashing) and
+``elastic`` (the same writing shards of one global state, recovered onto
+smaller and larger worlds) — whose ranks are each a ``plain`` stack
+built with ``rank=`` the coordinator's binding.
 """
 
 from __future__ import annotations
@@ -44,11 +48,11 @@ from __future__ import annotations
 import threading
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.core.distributed import DistributedCoordinator, DistributedRank
-from repro.core.layout import DeviceLayout, Geometry
-from repro.core.meta import RECORD_SIZE
+from repro.core.layout import DeviceLayout
 from repro.core.recovery import recover_consistent, try_recover
 from repro.core.sharding import shard_payload, reassemble
 from repro.core.snapshot import BytesSource
@@ -68,33 +72,17 @@ from repro.storage.ssd import InMemorySSD
 from repro.storage.striped import StripedDevice
 from repro.storage.tiering import TieredDevice, TierPlan
 
+if TYPE_CHECKING:
+    from repro.analysis.crashsweep.harness import WorkloadSpec
+
 #: Upper bound on waiting for a checkpoint handle after a crash; a hit
 #: means the failure paths stopped terminating and is itself a violation.
 HANDLE_WAIT_SECONDS: float = 30.0
 
-
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """Static parameters of one sweep's workload runs."""
-
-    steps: int = 3
-    num_slots: int = 3
-    payload_capacity: int = 512
-    writer_threads: int = 2
-    chunk_size: int = 128
-    num_chunks: int = 2
-    sanitize: bool = True
-    world_size: int = 2
-    barrier_timeout: float = 0.25
-    #: Reader worlds the elastic workload re-partitions recovery onto.
-    elastic_readers: tuple = (2, 8)
-
-    @property
-    def slot_size(self) -> int:
-        return self.payload_capacity + RECORD_SIZE
-
-    def geometry(self) -> Geometry:
-        return Geometry(num_slots=self.num_slots, slot_size=self.slot_size)
+#: Stripe size of the ``striped`` shape: small enough that a 576-byte
+#: slot write shards across members (so torn stripes are reachable),
+#: large enough that the sweep stays fast.
+STRIPE_SIZE = 512
 
 
 @dataclass
@@ -118,6 +106,12 @@ class RunJournal:
     def ack(self, step: int, counter: int) -> None:
         self.acked_steps.append(step)
         self.acked_counters.append(counter)
+
+    def release(self) -> None:
+        """Close the devices the stacks were built on, once recovery is
+        done with them — a stripe set's fence threads go with it."""
+        for stack in self.stacks:
+            stack.device.close()
 
 
 @dataclass
@@ -176,15 +170,27 @@ def _open_or_violation(
     return None
 
 
-class Workload:
-    """Base: single-device workloads share journal-vs-recovery checking."""
+@dataclass(frozen=True)
+class StackShape:
+    """The stack a single-node driver checkpoints through, built over
+    the crash device."""
 
-    name = "abstract"
-    description = ""
-    #: What "unopenable" violations call the region on the crash device.
-    region = "region"
-    #: ``EngineSpec.tiers`` of the stack :meth:`assemble` builds.
+    #: Members of the stripe set under the stack: member 0 is the crash
+    #: device, the peers are healthy in-memory SSDs, so every manifest
+    #: write, sharded payload write and per-member fence of member 0 is
+    #: a crash point.  1: no stripe set.
+    stripe_members: int = 1
+    #: ``EngineSpec.tiers``: the policy asynchronously copies each
+    #: commit to a warm in-memory SSD and a remote store.  Crash points
+    #: land only on hot-tier ops — demotion traffic goes elsewhere — so
+    #: the schedule is deterministic regardless of demotion timing.
     tiers: Optional[TierPlan] = None
+
+    @property
+    def region(self) -> str:
+        """What "unopenable" violations call the crash device's region."""
+        striped = "striped " if self.stripe_members > 1 else ""
+        return f"{striped}{'hot ' if self.tiers else ''}region"
 
     def assemble(
         self,
@@ -192,11 +198,20 @@ class Workload:
         spec: WorkloadSpec,
         journal: RunJournal,
         rank=None,
-    ):
-        """What the run drives: the product's own wiring over the
-        sweep's device — what ``open_checkpointer(device=…)`` would
-        lease (``rank``: as one rank of a group).  Devices recovery
-        needs later go in ``journal.aux``."""
+    ) -> EngineStack:
+        """What the run drives: the stripe set first, then the product's
+        own wiring over it — what ``open_checkpointer(device=…)`` would
+        lease, tiers included (``rank``: as one rank of a group).
+        Devices recovery needs later go in ``journal.aux``."""
+        if self.stripe_members > 1:
+            peers = [
+                InMemorySSD(spec.geometry().total_size, name=f"stripe-peer-{i}")
+                for i in range(1, self.stripe_members)
+            ]
+            journal.aux["peer_devices"] = peers
+            device = StripedDevice.create(
+                [device, *peers], stripe_size=STRIPE_SIZE
+            )
         engine_spec = EngineSpec(
             capacity_bytes=spec.payload_capacity,
             num_concurrent=spec.num_slots - 1,
@@ -215,16 +230,176 @@ class Workload:
             journal.aux["remote_store"] = stack.device.remote
         return stack
 
-    def drive(self, driven, spec: WorkloadSpec, journal: RunJournal) -> None:
-        """Checkpoint through what :meth:`assemble` returned, acking
-        into ``journal``; a :class:`~repro.errors.CrashedDeviceError`
-        may simply escape."""
-        raise NotImplementedError
+    def reopen(
+        self, device: CrashPointDevice, journal: RunJournal,
+        violations: List[str],
+    ) -> Optional[PersistentDevice]:
+        """The device the restarted node finds its region on: the crash
+        device, or the stripe set reassembled over it — ``None`` when
+        that raised the typed error naming the member (never a short
+        read); :func:`_open_or_violation` has judged it."""
+        if self.stripe_members == 1:
+            return device.inner
+        return _open_or_violation(
+            StripedDevice.open, [device.inner, *journal.aux["peer_devices"]],
+            "stripe set unopenable after crash", journal, violations,
+        )
+
+
+#: The stack shapes a single-node driver checkpoints through.
+STACKS: Dict[str, StackShape] = {
+    "plain": StackShape(),
+    "striped": StackShape(stripe_members=3),
+    "tiered": StackShape(tiers=TierPlan(demote_threads=1)),
+}
+
+
+@dataclass(frozen=True)
+class Driver:
+    """How a workload checkpoints through what it assembled."""
+
+    #: ``run(workload, driven, spec, journal)``: attempt ``spec.steps``
+    #: checkpoints, acking into ``journal``; a
+    #: :class:`~repro.errors.CrashedDeviceError` may simply escape.
+    run: Callable[..., None]
+    #: Slot count when the sweep sets none.
+    slots: int = 3
+    #: Stage every payload in ONE chunk (``chunk_size =
+    #: payload_capacity``), so each checkpoint runs on one thread.
+    one_chunk: bool = False
+
+
+def _one_shot(workload, stack: EngineStack, spec, journal) -> None:
+    """Sequential ``engine.checkpoint()`` calls — Listing 1 end to end."""
+    for step in range(1, spec.steps + 1):
+        result = stack.engine.checkpoint(
+            workload.expected_payload(spec, step), step=step
+        )
+        if result.committed:
+            journal.ack(step, result.counter)
+
+
+def _streaming(workload, stack: EngineStack, spec, journal) -> None:
+    """Interleaved ``begin``/``write_chunk``/``commit`` ticket pairs,
+    committed in reverse order, so every odd ticket exercises the
+    superseded path (Listing 1 lines 29–31) deterministically."""
+    engine = stack.engine
+    step = 1
+    while step <= spec.steps:
+        first = engine.begin(step=step)
+        second = (
+            engine.begin(step=step + 1) if step + 1 <= spec.steps else None
+        )
+        for ticket in (first, second):
+            if ticket is None:
+                continue
+            payload = workload.expected_payload(spec, ticket.step)
+            third = max(1, len(payload) // 3)
+            for lo in range(0, len(payload), third):
+                ticket.write_chunk(payload[lo : lo + third])
+        # Reverse commit order: `first` holds the smaller counter
+        # and gets superseded by `second`'s commit.
+        for ticket in (second, first):
+            if ticket is None:
+                continue
+            result = ticket.commit()
+            if result.committed:
+                journal.ack(ticket.step, result.counter)
+        step += 2
+
+
+def _pipelined(
+    workload, stack: EngineStack, spec, journal, blocking: bool = False
+) -> None:
+    """The full pipeline: concurrent capture/persist sessions over a
+    shared DRAM pool, crash landing anywhere in any stage.
+
+    Beyond the §4.1 check this is where the template's failure-path
+    resource contract bites: once the pipelines stopped the DRAM pool is
+    whole again even when the persist stages died mid-checkpoint.
+
+    ``blocking``: every step but the last is the blocking
+    ``checkpoint_sync`` (on the caller's thread for a one-chunk payload),
+    the last one ``checkpoint_async`` (one executor task); sequential
+    steps keep the crash-point count deterministic.
+    """
+    orchestrator = stack.orchestrator
+    handles = []
+    try:
+        for step in range(1, spec.steps + 1):
+            source = BytesSource(workload.expected_payload(spec, step))
+            if blocking and step < spec.steps:
+                result = orchestrator.checkpoint_sync(source, step=step)
+                if result.committed:
+                    journal.ack(step, result.counter)
+            else:
+                handles.append(orchestrator.checkpoint_async(source, step=step))
+    except (CrashedDeviceError, EngineClosedError) as exc:
+        journal.crashed = True
+        journal.crash_error = str(exc)
+    for handle in handles:
+        try:
+            result = handle.wait(HANDLE_WAIT_SECONDS)
+        except CrashedDeviceError as exc:
+            journal.crashed = True
+            journal.crash_error = str(exc)
+        except (TimeoutError, FuturesTimeoutError):
+            journal.violations.append(
+                f"handle for step {handle.step} did not terminate "
+                f"within {HANDLE_WAIT_SECONDS}s after the crash"
+            )
+        else:
+            if result.committed:
+                journal.ack(handle.step, result.counter)
+
+
+#: The ways a single-node workload checkpoints.
+DRIVERS: Dict[str, Driver] = {
+    "engine": Driver(_one_shot),
+    "streaming": Driver(_streaming),
+    # The pipeline must host ≥3 concurrent checkpoints (N = slots − 1).
+    "orchestrator": Driver(_pipelined, slots=4),
+    "one-chunk": Driver(partial(_pipelined, blocking=True), one_chunk=True),
+}
+
+
+class Workload:
+    """A driver over a stack shape — the single-node sweep workload, and
+    the template the multi-rank ones refine.
+
+    :meth:`run` assembles, drives, then stops everything it assembled
+    and reads the leak reports; :meth:`validate_recovery` judges the
+    durable image against the run's journal.
+    """
+
+    #: Writer world size when the sweep sets none.
+    default_world = 2
+
+    def __init__(
+        self, driver: Driver, stack: StackShape = STACKS["plain"]
+    ) -> None:
+        self.driver = driver
+        self.stack = stack
+
+    @property
+    def default_slots(self) -> int:
+        """Slot count when the sweep sets none: the driver's."""
+        return self.driver.slots
+
+    def assemble(
+        self, device: PersistentDevice, spec: WorkloadSpec, journal: RunJournal
+    ):
+        """The stack shape over ``device``; one staging chunk holds the
+        whole payload for a one-chunk run."""
+        if self.driver.one_chunk:
+            spec = replace(spec, chunk_size=spec.payload_capacity)
+        return self.stack.assemble(device, spec, journal)
 
     def run(self, device: CrashPointDevice, spec: WorkloadSpec) -> RunJournal:
         journal = RunJournal()
         try:
-            self.drive(self.assemble(device, spec, journal), spec, journal)
+            driven = self.assemble(device, spec, journal)
+            self.driver.run(self, driven, spec, journal)
         except CrashedDeviceError as exc:
             journal.crashed = True
             journal.crash_error = str(exc)
@@ -271,28 +446,20 @@ class Workload:
     def validate_recovery(
         self, device: CrashPointDevice, spec: WorkloadSpec, journal: RunJournal
     ) -> RecoveryOutcome:
+        """Whole-node power loss, then restart: reopen the region, check
+        it against the journal (ack/counter monotonicity, byte-exact
+        payload) and, on a tiered stack, check the tier walk too."""
         violations = list(journal.violations)
         _power_fail(device, journal)
-        layout = _open_or_violation(
-            DeviceLayout.open, device.inner,
-            f"{self.region} unopenable after crash", journal, violations,
+        hot = self.stack.reopen(device, journal, violations)
+        layout = None if hot is None else _open_or_violation(
+            DeviceLayout.open, hot,
+            f"{self.stack.region} unopenable after crash", journal, violations,
         )
-        return self._recovery_from_layout(layout, spec, journal, violations)
-
-    def _recovery_from_layout(
-        self,
-        layout: Optional[DeviceLayout],
-        spec: WorkloadSpec,
-        journal: RunJournal,
-        violations: List[str],
-    ) -> RecoveryOutcome:
-        """Shared tail of §4.1 validation once a layout opened (``None``:
-        it did not, :func:`_open_or_violation` has said so): recover,
-        check ack/counter monotonicity, check the payload byte-exactly."""
-        if layout is None:
-            return RecoveryOutcome(None, "none", violations)
-        recovered = try_recover(layout)
-        if journal.acked_steps:
+        # The hot region alone must satisfy §4.1 — the commit record
+        # never depends on the (asynchronous, lossy) warm or remote copies.
+        recovered = None if layout is None else try_recover(layout)
+        if layout is not None and journal.acked_steps:
             newest = max(journal.acked_steps)
             if recovered is None:
                 violations.append(
@@ -310,148 +477,110 @@ class Workload:
                         f"{recovered.meta.counter} < acknowledged "
                         f"{max(journal.acked_counters)}"
                     )
-        if recovered is None:
-            return RecoveryOutcome(None, "none", violations)
-        expected = self.expected_payload(spec, recovered.meta.step)
-        if recovered.payload != expected:
-            violations.append(
-                f"recovered payload for step {recovered.meta.step} is "
-                f"corrupt ({len(recovered.payload)} bytes, CRC passed but "
-                "content differs from what the workload wrote)"
-            )
-        return RecoveryOutcome(recovered.meta.step, recovered.source, violations)
-
-
-class EngineOneShotWorkload(Workload):
-    """Sequential ``engine.checkpoint()`` calls — Listing 1 end to end.
-
-    Subclasses put a different device stack under the same engine by
-    overriding :meth:`assemble` or setting ``tiers`` (and
-    ``validate_recovery`` to match).
-    """
-
-    name = "engine"
-    description = "one-shot checkpoint() calls on the bare engine"
-
-    def drive(
-        self, stack: EngineStack, spec: WorkloadSpec, journal: RunJournal
-    ) -> None:
-        for step in range(1, spec.steps + 1):
-            result = stack.engine.checkpoint(
-                self.expected_payload(spec, step), step=step
-            )
-            if result.committed:
-                journal.ack(step, result.counter)
-
-
-class StreamingTicketWorkload(Workload):
-    """Interleaved ``begin``/``write_chunk``/``commit`` ticket pairs.
-
-    Commits each pair in reverse order, so every odd ticket exercises the
-    superseded path (Listing 1 lines 29–31) deterministically.
-    """
-
-    name = "streaming"
-    description = "interleaved streaming tickets, deterministic supersede"
-
-    def drive(
-        self, stack: EngineStack, spec: WorkloadSpec, journal: RunJournal
-    ) -> None:
-        engine = stack.engine
-        step = 1
-        while step <= spec.steps:
-            first = engine.begin(step=step)
-            second = (
-                engine.begin(step=step + 1) if step + 1 <= spec.steps else None
-            )
-            for ticket in (first, second):
-                if ticket is None:
-                    continue
-                payload = self.expected_payload(spec, ticket.step)
-                third = max(1, len(payload) // 3)
-                for lo in range(0, len(payload), third):
-                    ticket.write_chunk(payload[lo : lo + third])
-            # Reverse commit order: `first` holds the smaller counter
-            # and gets superseded by `second`'s commit.
-            for ticket in (second, first):
-                if ticket is None:
-                    continue
-                result = ticket.commit()
-                if result.committed:
-                    journal.ack(ticket.step, result.counter)
-            step += 2
-
-
-class OrchestratorWorkload(Workload):
-    """The full pipeline: concurrent capture/persist sessions over a
-    shared DRAM pool, crash landing anywhere in any stage.
-
-    Beyond the §4.1 check this is where the template's failure-path
-    resource contract bites: once the pipelines stopped the DRAM pool is
-    whole again even when the persist stages died mid-checkpoint.
-    """
-
-    name = "orchestrator"
-    description = "concurrent capture/persist pipelines over a DRAM pool"
-
-    def drive(
-        self, stack: EngineStack, spec: WorkloadSpec, journal: RunJournal
-    ) -> None:
-        handles = []
-        try:
-            for step in range(1, spec.steps + 1):
-                source = BytesSource(self.expected_payload(spec, step))
-                handle = self.request(stack, source, step, spec, journal)
-                if handle is not None:
-                    handles.append(handle)
-        except (CrashedDeviceError, EngineClosedError) as exc:
-            journal.crashed = True
-            journal.crash_error = str(exc)
-        for handle in handles:
-            try:
-                result = handle.wait(HANDLE_WAIT_SECONDS)
-            except CrashedDeviceError as exc:
-                journal.crashed = True
-                journal.crash_error = str(exc)
-            except (TimeoutError, FuturesTimeoutError):
-                journal.violations.append(
-                    f"handle for step {handle.step} did not terminate "
-                    f"within {HANDLE_WAIT_SECONDS}s after the crash"
+        step = None
+        if recovered is not None:
+            step = recovered.meta.step
+            if recovered.payload != self.expected_payload(spec, step):
+                violations.append(
+                    f"recovered payload for step {step} is corrupt "
+                    f"({len(recovered.payload)} bytes, CRC passed but "
+                    "content differs from what the workload wrote)"
                 )
-            else:
-                if result.committed:
-                    journal.ack(handle.step, result.counter)
+        # A crash inside the hot region's format left no colder tiers to
+        # walk: ``build_stack`` brings them into being only after it.
+        if hot is not None and "warm_device" in journal.aux:
+            self._check_tier_walk(hot, spec, journal, step, violations)
+        return RecoveryOutcome(
+            step, recovered.source if recovered else "none", violations
+        )
 
-    def request(
-        self, stack: EngineStack, source, step: int, spec: WorkloadSpec,
-        journal: RunJournal,
-    ):
-        """Issue one step's checkpoint; returns the handle to await, or
-        ``None`` when the step already settled (and was acked)."""
-        return stack.orchestrator.checkpoint_async(source, step=step)
+    def _check_tier_walk(
+        self, hot: PersistentDevice, spec: WorkloadSpec, journal: RunJournal,
+        hot_step: Optional[int], violations: List[str],
+    ) -> None:
+        """:func:`~repro.core.recovery.recover` over the whole tiered
+        stack agrees byte-exactly with the hot region, picks the hot copy
+        while it is valid, and keeps working with the remote tier
+        completely unavailable (power loss has already dropped the
+        remote store's acked-but-invisible blobs)."""
+        remote = journal.aux["remote_store"]
+        tiers = TieredDevice(hot, journal.aux["warm_device"], remote)
+        for label, remote_dark in (("remote dark", True), ("all tiers", False)):
+            if remote_dark:
+                remote.fail()
+            try:
+                walked = try_recover(tiers)
+            finally:
+                if remote_dark:
+                    remote.restore()
+            if walked is None:
+                if hot_step is not None:
+                    violations.append(
+                        f"tier walk ({label}) found nothing although the "
+                        f"hot tier recovered step {hot_step}"
+                    )
+                continue
+            if walked.payload != self.expected_payload(
+                spec, walked.meta.step
+            ):
+                violations.append(
+                    f"tier walk ({label}) payload corrupt at step "
+                    f"{walked.meta.step}"
+                )
+            if hot_step is None:
+                continue
+            if walked.meta.step < hot_step:
+                violations.append(
+                    f"tier walk ({label}) regressed to step "
+                    f"{walked.meta.step} < hot-tier {hot_step}"
+                )
+            if not walked.source.startswith("hot:"):
+                violations.append(
+                    f"tier walk ({label}) recovered from {walked.source} "
+                    "although the hot tier holds a valid checkpoint"
+                )
 
 
-class OneChunkOrchestratorWorkload(OrchestratorWorkload):
-    """The orchestrator row with every payload in ONE staging chunk, so
-    each checkpoint runs on one thread: the blocking ``checkpoint_sync``
-    on the caller's thread for every step but the last, which goes
-    through ``checkpoint_async`` (one executor task).  Sequential steps
-    keep the crash-point count deterministic."""
+def _all_ranks(
+    workload, ranks: List[DistributedRank], spec, journal
+) -> None:
+    """Every rank's ``checkpoint()`` of each step on its own thread; a
+    step is acked once every rank returned."""
+    try:
+        for step in range(1, spec.steps + 1):
+            results: List[Optional[object]] = [None] * spec.world_size
+            errors: List[BaseException] = []
 
-    name = "one-chunk"
-    description = "one-chunk checkpoints, capture to commit on one thread"
+            def one_rank(rank: DistributedRank, step: int = step) -> None:
+                try:
+                    results[rank.rank] = rank.checkpoint(
+                        workload.expected_payload(spec, step, rank=rank.rank),
+                        step=step,
+                    )
+                except (CrashedDeviceError, DistributedError) as exc:
+                    errors.append(exc)
 
-    def assemble(self, device, spec, journal, rank=None):
-        one_chunk = replace(spec, chunk_size=spec.payload_capacity)
-        return super().assemble(device, one_chunk, journal, rank=rank)
-
-    def request(self, stack, source, step, spec, journal):
-        if step == spec.steps:
-            return super().request(stack, source, step, spec, journal)
-        result = stack.orchestrator.checkpoint_sync(source, step=step)
-        if result.committed:
-            journal.ack(step, result.counter)
-        return None
+            threads = [
+                threading.Thread(target=one_rank, args=(rank,))
+                for rank in ranks
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            if errors or any(result is None for result in results):
+                journal.crashed = True
+                journal.crash_error = (
+                    str(errors[0]) if errors else "rank lost"
+                )
+                break
+            journal.ack(step, results[0].counter)
+    finally:
+        # Joins the timeout watcher, so with the rank threads joined
+        # too every round has settled and its handler — recycle on
+        # completion, reclaim on failure — has run before the
+        # template reads the peers' leak reports.
+        ranks[0].coordinator.close()
 
 
 class DistributedWorkload(Workload):
@@ -463,8 +592,8 @@ class DistributedWorkload(Workload):
     :func:`repro.core.recovery.recover_consistent`.
     """
 
-    name = "distributed"
-    description = "multi-rank engines behind the rank-0 barrier"
+    def __init__(self) -> None:
+        super().__init__(Driver(_all_ranks))
 
     def assemble(
         self, device: PersistentDevice, spec: WorkloadSpec, journal: RunJournal
@@ -477,55 +606,16 @@ class DistributedWorkload(Workload):
         coordinator = DistributedCoordinator(
             spec.world_size, timeout=spec.barrier_timeout
         )
-        ranks = []
-        for rank, rank_device in enumerate([device, *peers]):
-            stack = super().assemble(
-                rank_device, spec, journal, rank=coordinator.binding(rank)
+        return [
+            DistributedRank(
+                rank,
+                self.stack.assemble(
+                    rank_device, spec, journal, rank=coordinator.binding(rank)
+                ),
+                coordinator,
             )
-            ranks.append(DistributedRank(rank, stack, coordinator))
-        return ranks
-
-    def drive(
-        self,
-        ranks: List[DistributedRank],
-        spec: WorkloadSpec,
-        journal: RunJournal,
-    ) -> None:
-        try:
-            for step in range(1, spec.steps + 1):
-                results: List[Optional[object]] = [None] * spec.world_size
-                errors: List[BaseException] = []
-
-                def one_rank(rank: DistributedRank, step: int = step) -> None:
-                    try:
-                        results[rank.rank] = rank.checkpoint(
-                            self.expected_payload(spec, step, rank=rank.rank),
-                            step=step,
-                        )
-                    except (CrashedDeviceError, DistributedError) as exc:
-                        errors.append(exc)
-
-                threads = [
-                    threading.Thread(target=one_rank, args=(rank,))
-                    for rank in ranks
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
-                if errors or any(result is None for result in results):
-                    journal.crashed = True
-                    journal.crash_error = (
-                        str(errors[0]) if errors else "rank lost"
-                    )
-                    break
-                journal.ack(step, results[0].counter)
-        finally:
-            # Joins the timeout watcher, so with the rank threads joined
-            # too every round has settled and its handler — recycle on
-            # completion, reclaim on failure — has run before the
-            # template reads the peers' leak reports.
-            ranks[0].coordinator.close()
+            for rank, rank_device in enumerate([device, *peers])
+        ]
 
     def validate_recovery(
         self, device: CrashPointDevice, spec: WorkloadSpec, journal: RunJournal
@@ -579,10 +669,7 @@ class ElasticShardedWorkload(DistributedWorkload):
     — ROADMAP item 4's acceptance bar, swept across every crash point.
     """
 
-    name = "elastic"
-    description = (
-        "sharded global state; recovery re-partitioned onto other worlds"
-    )
+    default_world = 4
 
     def global_state(self, spec: WorkloadSpec, step: int) -> bytes:
         """Deterministic per-step global state with a step-varying
@@ -643,177 +730,13 @@ class ElasticShardedWorkload(DistributedWorkload):
         return outcome
 
 
-class StripedEngineWorkload(EngineOneShotWorkload):
-    """One-shot checkpoints on a striped device; member 0 takes the crash.
-
-    The stack is built over a :class:`~repro.storage.striped.StripedDevice`
-    whose member 0 is the sweep's fault-injecting device and whose peers
-    are healthy in-memory SSDs — so every stripe-manifest write, every
-    sharded payload write, and every per-member fence of member 0 is a
-    crash point.  Validation models whole-node power loss (all members
-    crash and restart), reassembles the stripe set, and demands the usual
-    §4.1 guarantees *plus* the stripe-specific one: a torn or unpersisted
-    manifest surfaces as the typed
-    :class:`~repro.errors.CorruptCheckpointError`, never as a silently
-    short or scrambled payload.
-    """
-
-    name = "striped"
-    description = (
-        "one-shot checkpoints striped over 3 members; member 0 crashes"
-    )
-
-    #: Stripe geometry: small enough that a 576-byte slot write shards
-    #: across members (so torn stripes are reachable), large enough that
-    #: the sweep stays fast.
-    stripe_members = 3
-    stripe_size = 512
-
-    def assemble(
-        self, device: PersistentDevice, spec: WorkloadSpec, journal: RunJournal
-    ) -> EngineStack:
-        peers = [
-            InMemorySSD(spec.geometry().total_size, name=f"stripe-peer-{i}")
-            for i in range(1, self.stripe_members)
-        ]
-        journal.aux["peer_devices"] = peers
-        striped = StripedDevice.create(
-            [device, *peers], stripe_size=self.stripe_size
-        )
-        return super().assemble(striped, spec, journal)
-
-    def validate_recovery(
-        self, device: CrashPointDevice, spec: WorkloadSpec, journal: RunJournal
-    ) -> RecoveryOutcome:
-        violations = list(journal.violations)
-        _power_fail(device, journal)
-        # The node restarts and reassembles the stripe set; a set that
-        # does not reassemble raises a typed error naming the member —
-        # never a short read.
-        striped = _open_or_violation(
-            StripedDevice.open, [device.inner, *journal.aux["peer_devices"]],
-            "stripe set unopenable after crash", journal, violations,
-        )
-        layout = striped and _open_or_violation(
-            DeviceLayout.open, striped,
-            "striped region unopenable after crash", journal, violations,
-        )
-        return self._recovery_from_layout(layout, spec, journal, violations)
-
-
-class TieredEngineWorkload(EngineOneShotWorkload):
-    """One-shot checkpoints with the tier-demotion hook live; the hot
-    device takes the crash while demotions are in flight.
-
-    The stack is the builder's ``EngineSpec(tiers=TierPlan(…))`` product
-    over the sweep's fault-injecting device as the hot tier: its
-    :class:`~repro.storage.tiering.TierPolicy` asynchronously copies each
-    committed checkpoint to a warm in-memory SSD and a
-    :class:`~repro.storage.remote.RemoteStore`.  Crash points land only
-    on hot-tier writes/persists — demotion traffic goes to the warm and
-    remote devices, so the schedule is deterministic regardless of
-    demotion timing.  Validation models whole-node power loss (hot and
-    warm lose unpersisted bytes, the remote store drops
-    acked-but-invisible blobs) and then proves the §4.1 guarantee twice:
-
-    * the hot tier **alone** satisfies the inherited journal check — the
-      commit record never depends on the warm or remote tier, even when
-      the crash landed mid-demotion;
-    * :func:`~repro.core.recovery.recover` over the whole
-      ``TieredDevice`` agrees byte-exactly, picks the hot copy while it
-      is valid, and keeps working with the remote tier completely
-      unavailable.
-    """
-
-    name = "tiered"
-    description = (
-        "one-shot checkpoints with async warm/remote demotion; hot crashes"
-    )
-    region = "hot region"
-    tiers = TierPlan(demote_threads=1)
-
-    def validate_recovery(
-        self, device: CrashPointDevice, spec: WorkloadSpec, journal: RunJournal
-    ) -> RecoveryOutcome:
-        # The hot tier alone must satisfy §4.1 — the commit record never
-        # depends on the (asynchronous, lossy) warm or remote copies.
-        outcome = super().validate_recovery(device, spec, journal)
-        if "warm_device" not in journal.aux:
-            # The crash landed inside the hot region's format — before
-            # the builder brings the colder tiers into being.
-            return outcome
-        violations, hot_step = outcome.violations, outcome.recovered_step
-        remote = journal.aux["remote_store"]
-        # The tier walk must agree byte-exactly, with and without the
-        # remote tier reachable.
-        tiers = TieredDevice(device.inner, journal.aux["warm_device"], remote)
-        for label, remote_dark in (("remote dark", True), ("all tiers", False)):
-            if remote_dark:
-                remote.fail()
-            try:
-                walked = try_recover(tiers)
-            finally:
-                if remote_dark:
-                    remote.restore()
-            if walked is None:
-                if hot_step is not None:
-                    violations.append(
-                        f"tier walk ({label}) found nothing although the "
-                        f"hot tier recovered step {hot_step}"
-                    )
-                continue
-            if walked.payload != self.expected_payload(
-                spec, walked.meta.step
-            ):
-                violations.append(
-                    f"tier walk ({label}) payload corrupt at step "
-                    f"{walked.meta.step}"
-                )
-            if hot_step is None:
-                continue
-            if walked.meta.step < hot_step:
-                violations.append(
-                    f"tier walk ({label}) regressed to step "
-                    f"{walked.meta.step} < hot-tier {hot_step}"
-                )
-            if not walked.source.startswith("hot:"):
-                violations.append(
-                    f"tier walk ({label}) recovered from {walked.source} "
-                    "although the hot tier holds a valid checkpoint"
-                )
-        return outcome
-
-
+#: The rows the CLI sweeps: every driver over the plain stack, the
+#: one-shot driver over the other two shapes, and the multi-rank pair.
+#: Any other composition is ``Workload(DRIVERS[d], STACKS[s])``.
 WORKLOADS: Dict[str, Workload] = {
-    workload.name: workload
-    for workload in (
-        EngineOneShotWorkload(),
-        StreamingTicketWorkload(),
-        OrchestratorWorkload(),
-        OneChunkOrchestratorWorkload(),
-        DistributedWorkload(),
-        ElasticShardedWorkload(),
-        StripedEngineWorkload(),
-        TieredEngineWorkload(),
-    )
-}
-
-#: Per-workload default slot counts: the orchestrator workload must host
-#: ≥3 concurrent checkpoints (N = slots − 1).
-DEFAULT_SLOTS: Dict[str, int] = {
-    "engine": 3,
-    "streaming": 3,
-    "orchestrator": 4,
-    "one-chunk": 3,
-    "distributed": 3,
-    "elastic": 3,
-    "striped": 3,
-    "tiered": 3,
-}
-
-#: Per-workload default world sizes: the elastic scenario shards a
-#: 4-writer checkpoint and recovers it onto 2 and 8 ranks.
-DEFAULT_WORLD: Dict[str, int] = {
-    "distributed": 2,
-    "elastic": 4,
+    **{name: Workload(driver) for name, driver in DRIVERS.items()},
+    "striped": Workload(DRIVERS["engine"], STACKS["striped"]),
+    "tiered": Workload(DRIVERS["engine"], STACKS["tiered"]),
+    "distributed": DistributedWorkload(),
+    "elastic": ElasticShardedWorkload(),
 }

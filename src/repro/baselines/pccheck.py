@@ -66,7 +66,7 @@ class PCcheckStrategy(CheckpointStrategy):
 
     @property
     def orchestrator(self) -> PCcheckOrchestrator:
-        """The underlying orchestrator (stats, drain)."""
+        """The underlying orchestrator (drain, engine, metrics)."""
         return self._orchestrator
 
     def before_update(self) -> None:

@@ -206,10 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep a crash across every device op of a workload and "
         "verify the §4.1 recovery guarantee at each point",
     )
+    from repro.analysis.crashsweep.workloads import WORKLOADS
+
     sweep_parser.add_argument(
-        "--workload", default="engine",
-        choices=["engine", "streaming", "orchestrator", "one-chunk",
-                 "distributed", "elastic", "striped", "tiered"],
+        "--workload", default="engine", choices=sorted(WORKLOADS),
         help="which checkpointing workload to crash",
     )
     sweep_parser.add_argument(

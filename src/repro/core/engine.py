@@ -96,50 +96,6 @@ class CheckpointResult:
     payload_len: int
 
 
-class EngineStats:
-    """Read-through view of the engine's counters in the metrics registry.
-
-    Historically the engine kept its own ad-hoc counter object; since the
-    observability layer landed, the :class:`~repro.obs.metrics
-    .MetricsRegistry` is the single source of truth and this class only
-    preserves the old read surface (``stats.commits``,
-    ``stats.snapshot()``) for benchmarks and tests.
-    """
-
-    def __init__(self, metrics: MetricsRegistry) -> None:
-        self._metrics = metrics
-
-    @property
-    def commits(self) -> int:
-        return int(self._metrics.value(M.COMMITS))
-
-    @property
-    def superseded(self) -> int:
-        return int(self._metrics.value(M.SUPERSEDED))
-
-    @property
-    def cas_retries(self) -> int:
-        return int(self._metrics.value(M.CAS_RETRIES))
-
-    @property
-    def bytes_persisted(self) -> int:
-        return int(self._metrics.value(M.BYTES_PERSISTED))
-
-    @property
-    def slot_wait_seconds(self) -> float:
-        return self._metrics.value(M.SLOT_WAIT_SECONDS)
-
-    def snapshot(self) -> dict:
-        """Point-in-time copy of all counters."""
-        return {
-            "commits": self.commits,
-            "superseded": self.superseded,
-            "cas_retries": self.cas_retries,
-            "bytes_persisted": self.bytes_persisted,
-            "slot_wait_seconds": self.slot_wait_seconds,
-        }
-
-
 class CheckpointTicket:
     """An in-flight checkpoint: slot + counter reserved, chunks streaming.
 
@@ -356,7 +312,6 @@ class CheckpointEngine:
         self._closed = False
         self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        self.stats = EngineStats(self._metrics)
         self._metrics.set_gauge(M.FREE_SLOTS, len(self._free))
 
     # ------------------------------------------------------------------

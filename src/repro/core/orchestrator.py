@@ -145,42 +145,6 @@ class _PersistStageDied(EngineError):
     handle."""
 
 
-class OrchestratorStats:
-    """Stall accounting surfaced to benchmarks.
-
-    Since the observability layer landed these are thin read-through
-    properties over the shared :class:`~repro.obs.metrics
-    .MetricsRegistry` — the single source of truth — kept so existing
-    benchmark/test code reading ``orchestrator.stats.update_stall_seconds``
-    keeps working unchanged.
-    """
-
-    def __init__(self, metrics: MetricsRegistry) -> None:
-        self._metrics = metrics
-
-    @property
-    def checkpoints_requested(self) -> int:
-        return int(self._metrics.value(M.CHECKPOINTS_REQUESTED))
-
-    @property
-    def update_stall_seconds(self) -> float:
-        """Cumulative T→U consistency stall (Figure 6)."""
-        return self._metrics.value(M.UPDATE_STALL_SECONDS)
-
-    @property
-    def slot_wait_seconds(self) -> float:
-        """Cumulative free-slot stall (the ``Tw > N·f·t`` condition)."""
-        return self._metrics.value(M.SLOT_WAIT_SECONDS)
-
-    @property
-    def buffer_wait_seconds(self) -> float:
-        """Cumulative DRAM staging-pool stall in the capture stage."""
-        return self._metrics.value(M.BUFFER_WAIT_SECONDS)
-
-    def add_update_stall(self, seconds: float) -> None:
-        self._metrics.inc(M.UPDATE_STALL_SECONDS, seconds)
-
-
 class PCcheckOrchestrator:
     """Drives concurrent checkpoint pipelines over one engine."""
 
@@ -202,7 +166,6 @@ class PCcheckOrchestrator:
         #: set, new checkpoints are refused instead of blocking forever on
         #: slots held by dangling post-crash tickets.
         self._fatal: Optional[BaseException] = None
-        self.stats = OrchestratorStats(self._metrics)
 
     # ------------------------------------------------------------------
     # trainer-facing API
@@ -261,7 +224,7 @@ class PCcheckOrchestrator:
         for handle in pending:
             handle.snapshot_done.wait()
         waited = time.monotonic() - start
-        self.stats.add_update_stall(waited)
+        self._metrics.inc(M.UPDATE_STALL_SECONDS, waited)
         return waited
 
     def drain(

@@ -14,9 +14,10 @@ and the crash sweep's workloads (each over its own injected device) —
 ``tests/service/test_wiring_surface.py`` holds that by construction.
 A distributed rank is the same stack with ``rank=`` the coordinator's
 binding (:class:`repro.core.distributed.DistributedRank` drives it).
-Deliberately outside it are the sites that only ever had a bare engine
-over a layout: the ``naive``/``checkfreq``/``gpm`` baselines and
-``autotune.functional_tw_probe``.
+Deliberately outside it are the sites that only ever have a bare engine
+over a layout: the ``naive``/``checkfreq``/``gpm`` baselines,
+``autotune.functional_tw_probe`` and the tier policy's warm-region
+engine.
 
 Pool semantics:
 

@@ -20,12 +20,17 @@ supplies the three pieces:
     demotion must not slow or fail a commit) and a background worker
     later copies it hot → warm → remote:
 
-    * **warm**: the worker owns a second formatted region on the warm
-      device and replays the §4.1 ordering there through its own
-      :class:`~repro.core.writer.ParallelWriter` ``persist`` calls —
-      payload first, then header, then (if newer) commit
-      record, each durable before the next — so the warm region is
-      itself always recoverable, even if power fails mid-demotion.
+    * **warm**: the worker commits the payload through its own
+      :class:`~repro.core.engine.CheckpointEngine` over a second
+      formatted region on the warm device — payload fenced, then header,
+      then commit record, Listing 1 end to end — so the warm region is
+      itself always recoverable, even if power fails mid-demotion.  The
+      engine's free-slot queue never hands out the slot the warm commit
+      record points at; hot counters skip (aborted and superseded
+      tickets, skipped demotions), so no slot rule derived from them can
+      promise that.  Warm metas therefore carry warm-local counters; the
+      step, the payload and the recovered source label are the hot
+      commit's.
     * **remote**: one whole-blob PUT (``ckpt/<counter>`` = slot header
       + payload) to a :class:`~repro.storage.remote.RemoteStore`.  No
       ordering is needed: blobs are atomic, and a lost PUT only means
@@ -45,24 +50,19 @@ supplies the three pieces:
 
 from __future__ import annotations
 
-import dataclasses
 import queue
 import threading
 import time
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from repro.core.engine import CheckpointEngine
 from repro.core.layout import DeviceLayout
-from repro.core.meta import (
-    RECORD_SIZE,
-    CheckMeta,
-    encode_commit_record,
-    encode_slot_header,
-)
-from repro.core.recovery import load_validated
-from repro.core.writer import ParallelWriter
+from repro.core.meta import RECORD_SIZE, CheckMeta, encode_slot_header
+from repro.core.recovery import find_committed, load_validated
 from repro.errors import (
     ConfigError,
+    CrashedDeviceError,
     LayoutError,
     PCcheckError,
     StorageError,
@@ -79,10 +79,10 @@ _DRAIN_POLL_SECONDS = 0.001
 class TierPlan:
     """How a tiered stack is assembled and demotes (``EngineSpec.tiers``).
 
-    ``demote_threads`` sizes the demotion worker's ParallelWriter over
-    the warm device; the ``remote_*`` knobs parameterize the built
-    :class:`~repro.storage.remote.RemoteStore` (all default to the
-    fast/deterministic settings).  ``max_queue`` bounds the demotion
+    ``demote_threads`` sizes the writer pool of the engine that commits
+    demotions onto the warm device; the ``remote_*`` knobs parameterize
+    the built :class:`~repro.storage.remote.RemoteStore` (all default to
+    the fast/deterministic settings).  ``max_queue`` bounds the demotion
     backlog — when full, new commits are *skipped* (counted, not
     blocked): demotion lag must never produce commit-path backpressure.
     """
@@ -175,16 +175,11 @@ class TierPolicy:
         self._queue: "queue.Queue[Union[CheckMeta, object]]" = queue.Queue(
             maxsize=self._plan.max_queue
         )
-        self._warm_layout = self._attach_warm(warm)
-        self._writer = ParallelWriter(warm, self._plan.demote_threads)
-        # Highest counter the *warm commit record* points at; demotions
-        # arrive in commit order, but a skipped/failed one must not let
-        # an older checkpoint roll the record back.
-        self._warm_committed = -1
-        existing = self._warm_layout.read_all_slot_headers()
-        for header in existing:
-            if header is not None:
-                self._warm_committed = max(self._warm_committed, header.counter)
+        self._warm = self._attach_warm(warm)
+        # Hot counter of the newest demotion.  Demotions arrive in commit
+        # order, but one overtaken by a newer commit must not reach the
+        # warm engine, which would commit it as the warm region's newest.
+        self._last_demoted = -1
         self.demoted = 0
         self.skipped = 0
         self.failures = 0
@@ -197,21 +192,33 @@ class TierPolicy:
         )
         self._worker.start()
 
-    def _attach_warm(self, warm: PersistentDevice) -> DeviceLayout:
-        """Reopen the warm region if one exists, else format it with the
-        hot region's slot count (warm payloads are hot payloads)."""
+    def _attach_warm(self, warm: PersistentDevice) -> CheckpointEngine:
+        """The engine that commits demotions onto the warm region.
+
+        An existing warm region is reopened and the engine resumes after
+        its newest checkpoint; a missing one — or one too small for this
+        engine's payloads — is formatted with the hot region's slot
+        count (warm payloads are hot payloads).  The engine keeps its own
+        private registry, so warm commits are not counted as the
+        tenant's.
+        """
         hot = self._hot_layout.geometry
         try:
-            layout = DeviceLayout.open(warm)
-            if layout.payload_capacity >= hot.payload_capacity:
-                return layout
-            # Too small for this engine's payloads: reformat below.
+            layout: Optional[DeviceLayout] = DeviceLayout.open(warm)
         except (LayoutError, StorageError):
-            pass
-        return DeviceLayout.format(
-            warm,
-            num_slots=hot.num_slots,
-            slot_size=hot.payload_capacity + RECORD_SIZE,
+            layout = None
+        recovered = None
+        if layout is not None and layout.payload_capacity >= hot.payload_capacity:
+            recovered = find_committed(layout)
+        else:
+            layout = DeviceLayout.format(
+                warm,
+                num_slots=hot.num_slots,
+                slot_size=hot.payload_capacity + RECORD_SIZE,
+            )
+        return CheckpointEngine(
+            layout, writer_threads=self._plan.demote_threads,
+            recovered=recovered,
         )
 
     # ------------------------------------------------------------------
@@ -229,9 +236,7 @@ class TierPolicy:
             self._queue.put_nowait(meta)
             self._set_queue_gauge()
         except queue.Full:
-            with self._lock:
-                self.skipped += 1
-            self._inc(M.TIER_DEMOTION_SKIPPED)
+            self._skip()
         except BaseException as exc:
             # Defensive: nothing above should throw, but the hook
             # contract (never hold a slot) outranks any accounting.
@@ -255,6 +260,9 @@ class TierPolicy:
 
     def _demote(self, meta: CheckMeta) -> None:
         start = time.monotonic()
+        if meta.counter <= self._last_demoted:
+            self._skip()
+            return
         # Re-read and re-validate the hot copy: the slot may have been
         # recycled under a newer checkpoint since this commit queued.
         try:
@@ -263,13 +271,12 @@ class TierPolicy:
             self._count_failure("hot", exc)
             return
         if payload is None:
-            with self._lock:
-                self.skipped += 1
-            self._inc(M.TIER_DEMOTION_SKIPPED)
+            self._skip()
             return
         warm_ok = self._demote_warm(meta, payload)
         remote_ok = self._demote_remote(meta, payload)
         if warm_ok or remote_ok:
+            self._last_demoted = meta.counter
             with self._lock:
                 self.demoted += 1
             if self._metrics is not None:
@@ -278,25 +285,18 @@ class TierPolicy:
                 )
 
     def _demote_warm(self, meta: CheckMeta, payload: memoryview) -> bool:
-        """Replay the §4.1 ordering onto the warm region."""
-        layout = self._warm_layout
-        slot = meta.counter % layout.num_slots
-        warm_meta = dataclasses.replace(meta, slot=slot)
+        """Commit the payload on the warm region through the warm engine,
+        so power loss between any two of its steps leaves the warm
+        region's previous checkpoint intact and recoverable."""
         try:
-            # Payload durable first (split over the demote writer pool,
-            # one covering fence), then the header, then — only for a
-            # counter newer than the warm record — the commit record.
-            # Power loss between any two steps leaves the warm region's
-            # previous checkpoint intact and recoverable.
-            self._writer.persist(layout.payload_offset(slot), payload)
-            self._writer.persist(
-                layout.slot_offset(slot), encode_slot_header(warm_meta)
-            )
-            if meta.counter > self._warm_committed:
-                self._writer.persist(
-                    layout.commit_offset, encode_commit_record(warm_meta)
-                )
-                self._warm_committed = meta.counter
+            self._warm.checkpoint(payload, step=meta.step)
+        except CrashedDeviceError as exc:
+            # Power loss under the warm tier dangles the ticket, as on
+            # hardware.  Retire the engine: later demotions then fail
+            # fast instead of waiting for a slot only a restart frees.
+            self._warm.close()
+            self._count_failure("warm", exc)
+            return False
         except PCcheckError as exc:
             self._count_failure("warm", exc)
             return False
@@ -316,6 +316,11 @@ class TierPolicy:
         self._inc(M.TIER_DEMOTIONS, tier="remote")
         self._inc(M.TIER_DEMOTION_BYTES, len(payload), tier="remote")
         return True
+
+    def _skip(self) -> None:
+        with self._lock:
+            self.skipped += 1
+        self._inc(M.TIER_DEMOTION_SKIPPED)
 
     def _count_failure(self, tier: str, exc: BaseException) -> None:
         with self._lock:
@@ -338,9 +343,10 @@ class TierPolicy:
             )
 
     @property
-    def warm_layout(self) -> DeviceLayout:
-        """The warm tier's formatted region (recovery walks it)."""
-        return self._warm_layout
+    def warm_engine(self) -> CheckpointEngine:
+        """The engine committing demotions; recovery walks its
+        ``layout``, the warm tier's formatted region."""
+        return self._warm
 
     @property
     def backlog(self) -> int:
@@ -380,7 +386,7 @@ class TierPolicy:
                 except queue.Empty:
                     pass
         self._worker.join(timeout)
-        self._writer.close()
+        self._warm.close()
 
     def __enter__(self) -> "TierPolicy":
         return self

@@ -2,11 +2,13 @@
 
 The tier-1 smoke test runs the engine workload under *every* crash point
 of a 3-checkpoint run — the §4.1 guarantee must hold at each one.  The
-rest covers the other workloads, offset-targeted and torn-write modes,
-the CLI, and a self-test proving the harness actually detects violations
-(a workload that over-promises durability must fail the sweep).
+rest covers the other workloads, every driver over every stack shape,
+offset-targeted and torn-write modes, the CLI, and a self-test proving
+the harness actually detects violations (a workload that over-promises
+durability must fail the sweep).
 """
 
+import argparse
 import json
 import threading
 
@@ -14,7 +16,12 @@ import pytest
 
 from repro.analysis.crashsweep import (
     COMMIT_RECORD_RANGE,
+    DRIVERS,
+    STACKS,
+    WORKLOADS,
     CrashSweepConfig,
+    Workload,
+    WorkloadSpec,
     count_crash_points,
     render_json,
     render_text,
@@ -22,12 +29,37 @@ from repro.analysis.crashsweep import (
     run_point,
     sweep,
 )
-from repro.analysis.crashsweep.workloads import (
-    WORKLOADS,
-    EngineOneShotWorkload,
-)
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.errors import EngineError
+from repro.storage.faults import CrashPointDevice
+from repro.storage.ssd import InMemorySSD
+
+#: ``make crashsweep`` crash points (``--torn --seed 11``) of every
+#: driver over every stack shape; the pipeline's vary by one with
+#: thread timing.
+CRASH_POINTS = {
+    ("engine", "plain"): 28,
+    ("streaming", "plain"): 42,
+    ("orchestrator", "plain"): 47,
+    ("one-chunk", "plain"): 28,
+    ("engine", "striped"): 10,
+    ("streaming", "striped"): 13,
+    ("orchestrator", "striped"): 13,
+    ("one-chunk", "striped"): 10,
+    ("engine", "tiered"): 28,
+    ("streaming", "tiered"): 42,
+    ("orchestrator", "tiered"): 47,
+    ("one-chunk", "tiered"): 28,
+}
+
+
+def _register(monkeypatch, driver, stack):
+    """Sweep ``driver`` over ``stack`` under a throwaway workload name."""
+    name = f"{driver}-over-{stack}"
+    monkeypatch.setitem(
+        WORKLOADS, name, Workload(DRIVERS[driver], STACKS[stack])
+    )
+    return name
 
 
 class TestEngineSweep:
@@ -154,16 +186,10 @@ class TestOtherWorkloads:
     def test_striped_dead_member_surfaces_typed_error(self):
         """A stripe member that dies and is NOT recovered must raise the
         typed CorruptCheckpointError naming the device on reassembly."""
-        from repro.analysis.crashsweep.workloads import (
-            StripedEngineWorkload,
-            WorkloadSpec,
-        )
         from repro.errors import CorruptCheckpointError
-        from repro.storage.faults import CrashPointDevice
-        from repro.storage.ssd import InMemorySSD
         from repro.storage.striped import StripedDevice
 
-        workload = StripedEngineWorkload()
+        workload = WORKLOADS["striped"]
         spec = WorkloadSpec()
         device = CrashPointDevice(
             InMemorySSD(spec.geometry().total_size, name="member0")
@@ -195,15 +221,9 @@ class TestOtherWorkloads:
     def test_tiered_uncrashed_run_demotes_everywhere(self):
         """A run the schedule never interrupts leaves the newest commit
         on all three tiers; the tier walk prefers the hot copy."""
-        from repro.analysis.crashsweep.workloads import (
-            TieredEngineWorkload,
-            WorkloadSpec,
-        )
-        from repro.storage.faults import CrashPointDevice
-        from repro.storage.ssd import InMemorySSD
         from repro.storage.remote import REMOTE_PREFIX
 
-        workload = TieredEngineWorkload()
+        workload = WORKLOADS["tiered"]
         spec = WorkloadSpec()
         device = CrashPointDevice(
             InMemorySSD(spec.geometry().total_size, name="hot")
@@ -218,10 +238,8 @@ class TestOtherWorkloads:
         assert outcome.recovered_step == 3
 
 
-class _OverpromisingWorkload(EngineOneShotWorkload):
+class _OverpromisingWorkload(Workload):
     """Acks a step it never wrote — every sweep point must catch it."""
-
-    name = "overpromising"
 
     def run(self, device, spec):
         journal = super().run(device, spec)
@@ -232,7 +250,8 @@ class _OverpromisingWorkload(EngineOneShotWorkload):
 class TestHarnessDetectsViolations:
     def test_broken_durability_promise_fails_the_sweep(self, monkeypatch):
         monkeypatch.setitem(
-            WORKLOADS, "overpromising", _OverpromisingWorkload()
+            WORKLOADS, "overpromising",
+            _OverpromisingWorkload(DRIVERS["engine"]),
         )
         config = CrashSweepConfig(
             workload="overpromising", steps=1, num_slots=3, max_points=4
@@ -244,17 +263,81 @@ class TestHarnessDetectsViolations:
             assert "--workload overpromising" in outcome.reproducer
 
 
+class TestDriversOverStacks:
+    @pytest.mark.parametrize("stack", sorted(STACKS))
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_every_driver_holds_the_guarantee_over_every_stack(
+        self, monkeypatch, driver, stack
+    ):
+        """The composed matrix, torn writes with the reference seed:
+        zero violations, and the reference crash-point count."""
+        config = CrashSweepConfig(
+            workload=_register(monkeypatch, driver, stack),
+            torn_writes=True, seed=11,
+        )
+        report = sweep(config)
+        assert report.ok, render_text(report)
+        expected = CRASH_POINTS[(driver, stack)]
+        if driver == "orchestrator":
+            assert abs(len(report.outcomes) - expected) <= 1
+        else:
+            assert len(report.outcomes) == expected
+
+    def test_registered_rows_are_compositions(self):
+        rows = {
+            name: (DRIVERS[name], STACKS["plain"]) for name in DRIVERS
+        }
+        rows["striped"] = (DRIVERS["engine"], STACKS["striped"])
+        rows["tiered"] = (DRIVERS["engine"], STACKS["tiered"])
+        for name, (driver, stack) in rows.items():
+            workload = WORKLOADS[name]
+            assert (workload.driver, workload.stack) == (driver, stack)
+        assert sorted(WORKLOADS) == sorted(
+            [*rows, "distributed", "elastic"]
+        )
+
+    def test_slot_and_world_defaults_come_from_the_registry(self):
+        slots = {
+            name: CrashSweepConfig(workload=name).spec().num_slots
+            for name in WORKLOADS
+        }
+        assert slots == {name: 3 for name in WORKLOADS} | {"orchestrator": 4}
+        worlds = {
+            name: CrashSweepConfig(workload=name).spec().world_size
+            for name in WORKLOADS
+        }
+        assert worlds == {name: 2 for name in WORKLOADS} | {"elastic": 4}
+
+
 class TestHarnessMechanics:
-    @pytest.mark.parametrize("workload", ("engine", "distributed"))
-    def test_a_full_sweep_leaves_no_thread_behind(self, workload):
+    @pytest.mark.parametrize(
+        "composition, points",
+        (
+            ("engine", 28),
+            ("distributed", 28),
+            (("streaming", "striped"), 13),
+            (("one-chunk", "tiered"), 28),
+        ),
+        ids=(
+            "engine", "distributed",
+            "streaming-over-striped", "one-chunk-over-tiered",
+        ),
+    )
+    def test_a_full_sweep_leaves_no_thread_behind(
+        self, monkeypatch, composition, points
+    ):
         """Every run stops the stacks it assembled: writer pools,
-        pipelines and the coordinator's watcher are joined, not parked
-        (the parent left two ``pccheck-writer`` daemons per stack per
-        crash point)."""
+        pipelines, demoters and the coordinator's watcher are joined,
+        not parked (the parent left two ``pccheck-writer`` daemons per
+        stack per crash point)."""
+        workload = (
+            composition if isinstance(composition, str)
+            else _register(monkeypatch, *composition)
+        )
         before = set(threading.enumerate())
         report = sweep(CrashSweepConfig(workload=workload, steps=3))
         assert report.ok, render_text(report)
-        assert len(report.outcomes) == 28
+        assert len(report.outcomes) == points
         assert set(threading.enumerate()) <= before
 
     def test_count_crash_points_returns_full_trace(self):
@@ -308,6 +391,18 @@ class TestHarnessMechanics:
 
 
 class TestCrashsweepCLI:
+    def test_workload_choices_are_the_registry(self):
+        subparsers = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        workload = next(
+            action
+            for action in subparsers.choices["crashsweep"]._actions
+            if action.dest == "workload"
+        )
+        assert list(workload.choices) == sorted(WORKLOADS)
+
     def test_text_sweep_exits_zero(self, capsys):
         code = main(
             ["crashsweep", "--workload", "engine", "--steps", "2",

@@ -9,6 +9,7 @@ from repro.core.engine import CheckpointEngine
 from repro.core.layout import DeviceLayout, Geometry
 from repro.core.recovery import recover, try_recover
 from repro.errors import EngineClosedError, EngineError, OutOfSpaceError
+from repro.obs.metrics import M
 from repro.storage.pmem import SimulatedPMEM
 from repro.storage.ssd import InMemorySSD
 
@@ -160,9 +161,8 @@ class TestConcurrency:
         result = old_ticket.commit()
         assert not result.committed  # superseded
         assert recover(engine.layout).payload == b"new"
-        stats = engine.stats.snapshot()
-        assert stats["commits"] == 1
-        assert stats["superseded"] == 1
+        assert engine.metrics.value(M.COMMITS) == 1
+        assert engine.metrics.value(M.SUPERSEDED) == 1
 
     def test_superseded_slot_is_recycled(self):
         engine = make_engine(num_slots=2)
@@ -186,9 +186,9 @@ class TestConcurrency:
 
         with ThreadPoolExecutor(max_workers=num_concurrent) as pool:
             results = list(pool.map(do_checkpoint, range(total)))
-        stats = engine.stats.snapshot()
-        assert stats["commits"] + stats["superseded"] == total
-        assert stats["commits"] >= 1
+        commits = engine.metrics.value(M.COMMITS)
+        assert commits + engine.metrics.value(M.SUPERSEDED) == total
+        assert commits >= 1
         # The recovered checkpoint is a complete payload from some writer,
         # and its counter is the maximum committed one.
         recovered = recover(engine.layout)

@@ -13,6 +13,7 @@ from repro.core.orchestrator import PCcheckOrchestrator
 from repro.core.recovery import recover
 from repro.core.snapshot import BytesSource, GPUSource
 from repro.errors import ConfigError
+from repro.obs.metrics import M
 from repro.storage.dram import DRAMBufferPool
 from repro.storage.gpu import SimulatedGPU
 from repro.storage.ssd import InMemorySSD
@@ -120,7 +121,7 @@ class TestAsyncCheckpoints:
         orch = make_orchestrator()
         orch.checkpoint_async(BytesSource(b"x" * 1000), step=1)
         orch.wait_for_snapshots()
-        assert orch.stats.update_stall_seconds >= 0.0
+        assert orch.engine.metrics.value(M.UPDATE_STALL_SECONDS) >= 0.0
         orch.close()
 
     def test_drain_returns_all_results(self):

@@ -12,6 +12,7 @@ from repro.core.layout import DeviceLayout, Geometry
 from repro.core.meta import RECORD_SIZE
 from repro.core.recovery import recover
 from repro.core.snapshot import BytesSource
+from repro.obs.metrics import M
 from repro.storage.ssd import FileBackedSSD
 
 
@@ -37,8 +38,8 @@ class TestFileBackedConcurrency:
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(one, range(1, 65)))
-        stats = engine.stats.snapshot()
-        assert stats["commits"] + stats["superseded"] == 64
+        metrics = engine.metrics
+        assert metrics.value(M.COMMITS) + metrics.value(M.SUPERSEDED) == 64
         recovered = recover(layout)
         committed = engine.committed()
         assert recovered.meta.counter == committed.counter

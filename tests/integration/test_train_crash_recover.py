@@ -15,6 +15,7 @@ from repro.core.config import PCcheckConfig
 from repro.core.recovery import load_validated, recover, valid_checkpoints
 from repro.core.snapshot import BytesSource
 from repro.errors import NoCheckpointError
+from repro.obs.metrics import M
 from repro.storage.ssd import InMemorySSD
 from repro.training.data import SyntheticRegression
 from repro.training.loop import FailureInjection, Trainer
@@ -184,7 +185,8 @@ def test_live_source_is_consistent_while_capture_overlaps_training():
     # Captures really were in flight at the boundary (a no-op wait costs
     # microseconds; five gated updates behind ~25 ms captures do not).
     assert inner.stats.update_block_seconds > 0.02
-    assert inner.orchestrator.stats.update_stall_seconds > 0.02
+    stalled = inner.orchestrator.engine.metrics.value(M.UPDATE_STALL_SECONDS)
+    assert stalled > 0.02
     survivors = valid_checkpoints(inner.layout)
     assert steps in {meta.step for meta in survivors}
     assert len(survivors) >= 2

@@ -17,7 +17,8 @@ SRC = Path(repro.__file__).parent
 
 #: class -> the only modules under ``src/repro`` allowed to call it:
 #: the builder, plus — for the engine alone — the sites that only ever
-#: had a bare engine over a layout and no hook to install.
+#: have a bare engine over a layout and no hook to install (the tier
+#: policy's engine over the warm region among them).
 #: (``storage/dram.py`` defines the pool and is not a wiring site.)
 ALLOWED = {
     "PCcheckOrchestrator": {"service/pool.py"},
@@ -29,6 +30,7 @@ ALLOWED = {
         "baselines/checkfreq.py",
         "baselines/gpm.py",
         "core/autotune.py",
+        "storage/tiering.py",
     },
 }
 

@@ -108,7 +108,7 @@ class TestDemotion:
         # Remote: one whole blob per checkpoint, newest key last.
         assert len(stack.remote.list(REMOTE_PREFIX)) == 3
         # Warm: an independently recoverable region holding the newest.
-        recovered = recover(stack.policy.warm_layout)
+        recovered = recover(stack.policy.warm_engine.layout)
         assert recovered.meta.step == 3
         assert recovered.payload == expected[3]
 
@@ -122,8 +122,8 @@ class TestDemotion:
             warm.op_log.clear()
             expected = stack.checkpoint(1)
             stack.settle()
-            layout = stack.policy.warm_layout
-            slot = stack.engine.committed().counter % NUM_SLOTS
+            layout = stack.policy.warm_engine.layout
+            slot = stack.policy.warm_engine.committed().slot
             lo = layout.payload_offset(slot)
             header = layout.slot_offset(slot)
             ops = list(warm.op_log)
@@ -202,6 +202,50 @@ class TestDemotion:
         remote.put("k", b"x")
         with pytest.raises(KeyError):
             remote.get("k")
+
+
+class TestWarmSlotCustody:
+    """A demotion never writes into the slot the warm commit record
+    points at, whatever hot counters the demotions carry."""
+
+    def _run(self, point=None):
+        """Commit step 1, abort two hot tickets, commit step 4: two
+        demotions whose hot counters (1 and 4) share ``counter % 3``.
+        The warm device crashes at its mutating op ``point``; two more
+        commits follow.  Returns the warm device and its op count after
+        each of the two demotions."""
+        total = Geometry(num_slots=NUM_SLOTS, slot_size=SLOT_SIZE).total_size
+        warm = CrashPointDevice(InMemorySSD(total, name="warm"), budget=point)
+        stack = Stack(warm=warm)
+        try:
+            stack.checkpoint(1)
+            stack.settle()
+            first = warm.operations_performed
+            for _ in range(2):
+                stack.engine.begin().abort()
+            stack.checkpoint(4)
+            stack.settle()
+            second = warm.operations_performed
+            # A crashed warm tier must not wedge the demoter either.
+            stack.checkpoint(5)
+            stack.checkpoint(6)
+            stack.settle()
+        finally:
+            stack.close()
+        return warm, first, second
+
+    def test_warm_checkpoint_survives_a_crash_anywhere_in_the_next_demotion(
+        self,
+    ):
+        _, first, second = self._run()
+        assert second > first
+        for point in range(first, second):
+            warm, _, _ = self._run(point)
+            if not warm.inner.crashed:
+                warm.inner.crash()
+            warm.inner.recover()
+            recovered = recover(DeviceLayout.open(warm.inner))
+            assert recovered.meta.step >= 1, f"crash at warm op {point}"
 
 
 class TestTieredDevice:
