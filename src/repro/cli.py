@@ -502,22 +502,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         _run_tune(args.model, args.slowdown)
         return 0
     if args.command == "inspect":
-        from repro.core.inspect import inspect_device, inspect_file
+        from repro.core.inspect import inspect_file
         from repro.errors import PCcheckError
-        from repro.service.pool import open_existing_region
 
-        if os.path.isfile(args.path):
+        try:
             report = inspect_file(args.path)
-        else:  # the base path of a striped region, or nothing at all
-            try:
-                device, _ = open_existing_region(args.path)
-            except PCcheckError as exc:
-                print(f"inspect: {exc}", file=sys.stderr)
-                return 1
-            try:
-                report = inspect_device(device)
-            finally:
-                device.close()
+        except PCcheckError as exc:
+            print(f"inspect: {exc}", file=sys.stderr)
+            return 1
         for line in report.summary_lines():
             print(line)
         return 0 if report.recovery_choice is not None else 1

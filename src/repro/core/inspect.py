@@ -17,7 +17,6 @@ from repro.core.meta import RECORD_SIZE, CheckMeta, decode_commit_record
 from repro.core.recovery import load_validated, try_recover
 from repro.errors import LayoutError, StorageError
 from repro.storage.device import PersistentDevice
-from repro.storage.ssd import FileBackedSSD
 
 
 @dataclass(frozen=True)
@@ -156,11 +155,19 @@ def inspect_device(device: PersistentDevice) -> DeviceReport:
 
 
 def inspect_file(path: str) -> DeviceReport:
-    """Inspect a file-backed region without modifying it."""
-    size = os.path.getsize(path)
-    if size == 0:
+    """Inspect an on-disk region without modifying it: a region file or
+    the base path of a striped region, opened by the opener recovery
+    tooling shares (``open_existing_region``'s).  An empty file is an
+    unformatted region; nothing at ``path`` raises
+    :class:`~repro.errors.LayoutError` ("no checkpoint region")."""
+    from repro.service.pool import _open_ssd  # service imports core
+
+    try:
+        device, _ = _open_ssd(path)
+    except LayoutError:
+        if not os.path.isfile(path):
+            raise
         return DeviceReport(device_name=f"ssd:{path}", formatted=False)
-    device = FileBackedSSD(path, capacity=size)
     try:
         return inspect_device(device)
     finally:

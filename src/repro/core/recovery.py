@@ -1,38 +1,27 @@
 """Recovery: find and load the newest valid checkpoint (§4.2).
 
-``CHECK_ADDR`` (the commit record) points to the last consistent
-checkpoint.  Recovery validates it — magic, record CRC, matching slot
-header, payload CRC — and loads the payload.  If the crash tore the
-commit record, recovery falls back to the slot headers, newest counter
-first, and takes the first slot whose header and payload both validate.
-That is sound because a header is persisted only *after* its payload is
-durable (valid header + matching CRC ⇒ complete checkpoint), and a
-recycled slot keeps its old header over bytes that no longer match it.
+The commit record (``CHECK_ADDR``) names the last consistent checkpoint;
+if the crash tore it, the slot headers are tried, newest counter first.
+Sound because a header is persisted only *after* its payload is durable
+(valid header + matching CRC ⇒ complete checkpoint), and a recycled slot
+keeps its old header over bytes that no longer match it.
 
-ONE walk, :func:`recover`, serves every stack: a formatted region
-(plain, unbuffered or striped device alike) yields the candidates above;
-a :class:`~repro.storage.tiering.TieredDevice` chains its hot region,
-its warm region and its remote blobs, fastest first.  Cross-device
-recovery (:func:`recover_consistent`) enumerates each rank's candidates
-through the same function.  Every path goes through ONE loader,
-:func:`load_validated`: the payload is read exactly once, chunk by
-chunk, straight into one destination buffer (``readinto`` — no ``bytes``
-per chunk, no join), the reads queued on the
-:class:`~repro.core.writer.ParallelWriter` pool, each reader CRCing the
-chunk it just filled; the calling thread only combines the chunk CRCs,
-in order, into the payload's.  The buffer comes back, read-only, only
-if that CRC matches — **the validated bytes are the returned bytes**
-(docs/ALGORITHM.md §Recovery).  Chunk locations come
-from a *persistent iterator* that logs every read, as in the paper ("a
-persistent iterator, which logs data read locations").
+ONE attempt loop, :func:`_walk`, serves every restore: :func:`recover`
+hands it a region's candidates (a tiered stack chains its tiers through
+it), :func:`recover_consistent` the steps every rank's region holds.  ONE
+loader, :func:`load_validated`, reads each candidate's payload exactly
+once, chunk by chunk, straight into one buffer, each pool reader CRCing
+the chunk it filled; the buffer comes back, read-only, only if the
+combined CRC matches — **the validated bytes are the returned bytes**
+(docs/ALGORITHM.md §Recovery).
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -124,7 +113,7 @@ def load_validated(
     return memoryview(dest)
 
 
-def commit_record_candidate(layout: DeviceLayout) -> Optional[CheckMeta]:
+def _commit_record_candidate(layout: DeviceLayout) -> Optional[CheckMeta]:
     """The commit record's checkpoint, if the record itself holds up
     (record CRC, slot in range, slot header with the same counter).  Its
     payload is NOT validated here — :func:`load_validated` does that."""
@@ -144,7 +133,7 @@ def _candidates(
     """Checkpoints worth loading, best first: the commit record's, then
     the other slot headers by descending counter (read lazily, once the
     record's was refused).  Every record decoded is appended to ``seen``."""
-    committed = commit_record_candidate(layout)
+    committed = _commit_record_candidate(layout)
     seen.append(committed)
     if committed is not None:
         yield committed, "commit-record"
@@ -157,6 +146,35 @@ def _candidates(
         yield header, "slot-scan"
 
 
+def _walk(layouts: Sequence[DeviceLayout], candidates: Callable[[list], Iterator],
+          load: Callable, max_attempts: int) -> Tuple[int, object, bool]:
+    """THE attempt loop: ``(attempts, loaded, unstable)``.
+
+    A pass tries ``candidates(seen)`` best-first and returns the first
+    one ``load`` admits; a refused candidate falls through to the next.
+    A pass that refused something runs again only if the records it read
+    (``seen``) differ from what ``layouts`` hold now — a writer recycled
+    a slot under an online reader — ``max_attempts`` passes at most, then
+    ``unstable``.  Otherwise it settles, ``loaded`` ``None``: after a
+    crash there are no writers, so one pass is final.
+    """
+    for attempt in range(1, max_attempts + 1):
+        seen: List[object] = []
+        refused = False
+        for candidate in candidates(seen):
+            loaded = load(candidate)
+            if loaded is not None:
+                return attempt, loaded, False
+            refused = True
+        if not refused or seen == [
+            record for layout in layouts
+            for record in (_commit_record_candidate(layout),
+                           layout.read_all_slot_headers())
+        ]:
+            return attempt, None, False
+    return max_attempts, None, True
+
+
 def recover(
     source,
     chunk_size: int = DEFAULT_READ_CHUNK,
@@ -164,29 +182,16 @@ def recover(
     metrics: Optional[MetricsRegistry] = None,
     tracer=None,
 ) -> RecoveredCheckpoint:
-    """Load the newest valid checkpoint ``source`` holds — THE restore
-    walk, whatever stack the bytes live on.
+    """Load the newest valid checkpoint ``source`` holds, whatever stack
+    the bytes live on: a :class:`~repro.core.layout.DeviceLayout` (plain,
+    unbuffered or striped device alike) or a
+    :class:`~repro.storage.tiering.TieredDevice` (:func:`_walk_tiers`).
 
-    ``source`` is a :class:`~repro.core.layout.DeviceLayout` (one
-    formatted region, over a plain, unbuffered or striped device alike)
-    or a :class:`~repro.storage.tiering.TieredDevice`, whose tiers are
-    walked fastest-first (:func:`_walk_tiers`), each local tier through
-    this same function.
-
-    One pass over a region tries the commit record, then the slot
-    headers by descending counter, and returns the first candidate
-    :func:`load_validated` admits — each payload read once, returned as
-    a read-only buffer over exactly the bytes its CRC was computed on.
-
-    Under an online reader a slot can be recycled between reading its
-    header and its payload; the CRC refuses it.  A pass that refused
-    every candidate is repeated against the region's newer state,
-    ``max_attempts`` passes at most — but only if the commit record or a
-    header changed since the pass read them.  After a crash there are no
-    writers, so one pass settles it, valid checkpoint or not.
-
-    ``metrics``/``tracer`` record what the Eq. 4 recovery bound is
-    checked against: recovery seconds, payload bytes, and attempts.
+    A region's candidates are the commit record's checkpoint, then the
+    slot headers by descending counter; :func:`_walk` returns the first
+    one :func:`load_validated` admits.  ``metrics``/``tracer`` record
+    what the Eq. 4 recovery bound is checked against: recovery seconds,
+    payload bytes, and attempts.
 
     Raises :class:`~repro.errors.NoCheckpointError` when the source holds
     no valid checkpoint (fresh format, or every record was torn; for a
@@ -199,35 +204,28 @@ def recover(
     span = tracer.begin("recovery", device=layout.device.name)
     start = time.monotonic()
 
-    def _observe(outcome: str, attempts: int, meta: Optional[CheckMeta] = None):
-        if metrics is not None:
-            metrics.observe(M.RECOVERY_SECONDS, time.monotonic() - start)
-            metrics.inc(M.RECOVERY_ATTEMPTS, max(attempts, 1))
-            if meta is not None and meta.payload_len:
-                metrics.inc(M.RECOVERY_BYTES, meta.payload_len)
-        tracer.end(span, outcome=outcome,
-                   counter=meta.counter if meta is not None else None)
+    def load(candidate: Tuple[CheckMeta, str]) -> Optional[RecoveredCheckpoint]:
+        meta, found_by = candidate
+        view = load_validated(layout, meta, chunk_size)
+        return None if view is None else RecoveredCheckpoint(meta, view, found_by)
 
-    for attempt in range(1, max_attempts + 1):
-        seen: List[object] = []
-        refused = 0
-        for meta, found_by in _candidates(layout, seen):
-            view = load_validated(layout, meta, chunk_size)
-            if view is not None:
-                _observe(found_by, attempt, meta)
-                return RecoveredCheckpoint(meta, view, found_by)
-            refused += 1
-        if not refused or seen == [
-            commit_record_candidate(layout), layout.read_all_slot_headers()
-        ]:
-            _observe("no-checkpoint", attempt)
-            raise NoCheckpointError(
-                f"no valid checkpoint found on {layout.device.name}"
-            )
-    _observe("unstable", max_attempts)
+    attempts, found, unstable = _walk(
+        [layout], lambda seen: _candidates(layout, seen), load, max_attempts
+    )
+    if metrics is not None:
+        metrics.observe(M.RECOVERY_SECONDS, time.monotonic() - start)
+        metrics.inc(M.RECOVERY_ATTEMPTS, attempts)
+        if found is not None and found.meta.payload_len:
+            metrics.inc(M.RECOVERY_BYTES, found.meta.payload_len)
+    if found is not None:
+        tracer.end(span, outcome=found.source, counter=found.meta.counter)
+        return found
+    tracer.end(span, outcome="unstable" if unstable else "no-checkpoint",
+               counter=None)
     raise NoCheckpointError(
-        f"checkpoint on {layout.device.name} kept changing under the "
-        f"reader ({max_attempts} attempts)"
+        f"checkpoint on {layout.device.name} kept changing under the reader "
+        f"({max_attempts} attempts)" if unstable
+        else f"no valid checkpoint found on {layout.device.name}"
     )
 
 
@@ -242,12 +240,11 @@ def _walk_tiers(
     remote**, first tier that yields a valid checkpoint wins.
 
     Demotion is asynchronous, so a faster tier holding data is always at
-    least as new as the tiers below it.  Each local tier is opened and
-    recovered independently — a corrupt superblock, torn records, a
-    crashed device or a payload CRC mismatch all *fall through* to the
-    next tier.  The remote tier is scanned newest blob first, validating
-    each blob's embedded header and payload CRC (a PUT not yet visible
-    is simply not listed — never half-read).
+    least as new as the tiers below it.  A local tier's typed failure
+    (superblock, torn records, crashed device, CRC mismatch) *falls
+    through* to the next.  Remote blobs are scanned newest first, each
+    validated by its embedded header and payload CRC (a PUT not yet
+    visible is not listed — never half-read).
     """
     failures: List[Tuple[str, BaseException]] = []
 
@@ -328,30 +325,22 @@ def find_committed(layout: DeviceLayout) -> Optional[CheckMeta]:
 class ConsistentCheckpoint:
     """The newest globally consistent checkpoint across all workers.
 
-    ``payloads`` is index-aligned with *reader* rank; ``metas`` and
-    ``sources`` stay aligned with the *writer* ranks whose devices the
-    checkpoint was read from.  The two worlds coincide unless elastic
-    recovery re-partitioned the state (``resharded``), in which case
-    ``len(payloads) == world_size`` may differ from ``len(metas)``.
+    ``payloads`` is aligned with *reader* rank, ``metas`` and ``sources``
+    with the *writer* ranks whose devices it was read from; the two
+    worlds differ only when elastic recovery re-partitioned the state.
     """
 
     step: int
     payloads: List[memoryview]  # read-only, index-aligned with reader rank
     metas: List[CheckMeta]  # index-aligned with writer rank
     #: Per-writer-rank location mechanism: "commit-record" or "slot-scan".
-    sources: List[str] = field(default_factory=list)
+    sources: List[str]
     #: Reader world the payloads are partitioned for.
-    world_size: int = 0
+    world_size: int
     #: Writer world that produced the checkpoint.
-    writer_world: int = 0
+    writer_world: int
     #: True when the payloads were re-partitioned onto a different world.
-    resharded: bool = False
-
-    def __post_init__(self) -> None:
-        if self.world_size == 0:
-            self.world_size = len(self.payloads)
-        if self.writer_world == 0:
-            self.writer_world = len(self.metas)
+    resharded: bool
 
 
 def valid_checkpoints(layout: DeviceLayout) -> List[CheckMeta]:
@@ -368,31 +357,11 @@ def valid_checkpoints(layout: DeviceLayout) -> List[CheckMeta]:
     ]
 
 
-def _candidate_steps(layout: DeviceLayout) -> Dict[int, Tuple[CheckMeta, str]]:
-    """Map step -> (best validated meta, its source) for one rank's device.
-
-    Walks the candidates :func:`recover` walks, in its order — the
-    commit record's first (the rank's authoritative newest commit), then
-    the slot scan, highest counter first, filling in the
-    superseded-but-still-durable older steps — and keeps the first valid
-    one per step.
-    """
-    by_step: Dict[int, Tuple[CheckMeta, str]] = {}
-    for meta, found_by in _candidates(layout, []):
-        if meta.step not in by_step and load_validated(layout, meta) is not None:
-            by_step[meta.step] = (meta, found_by)
-    return by_step
-
-
 def _reshard_payloads(
     step: int, payloads: List[bytes], world_size: int
 ) -> List[bytes]:
-    """Re-partition N writers' shard payloads onto ``world_size`` readers.
-
-    The payloads must be self-describing shards; the global index is
-    rebuilt from their headers and re-partitioned through
-    :func:`~repro.core.reshard.reshard_shards`.
-    """
+    """Re-partition N writers' self-describing shard payloads onto
+    ``world_size`` readers (:func:`~repro.core.reshard.reshard_shards`)."""
     plain = [rank for rank, p in enumerate(payloads) if not is_shard(p)]
     if plain:
         raise DistributedError(
@@ -421,85 +390,80 @@ def recover_consistent(
 ) -> ConsistentCheckpoint:
     """Find and load the newest step every worker holds a checkpoint for.
 
-    Each rank's payload is loaded through :func:`load_validated`, so
-    the bytes returned are the bytes whose CRC was checked — when
-    recovery runs concurrently with writers (an online reader), a slot
-    located via the scan can be recycled and overwritten between
-    locating and loading it.  A refused load retries the whole selection
-    against the region's newer state, mirroring :func:`recover`; after
-    ``max_attempts`` the error names the rank whose payload kept failing.
+    The cut is one more candidate source of :func:`_walk`: each rank's
+    records (headers only, ordered as :func:`recover` orders them) map
+    its steps to checkpoints, and a candidate is a step every rank
+    holds, newest first.  Loading it reads each rank's payload once,
+    trying that rank's same-step checkpoints in order; one rank with
+    none valid refuses the step.  When the records kept changing for
+    ``max_attempts`` passes, the error names the rank that kept failing.
 
-    ``world_size`` asks for **elastic recovery**: the returned payloads
-    are re-partitioned onto that many reader ranks (again as
-    self-describing shards), regardless of how many writers produced
-    the checkpoint.  This needs the payloads to be sharded
-    (:func:`~repro.core.sharding.shard_payload`) so the global index
-    can be rebuilt; recovering a non-sharded checkpoint onto a
-    different world raises :class:`~repro.errors.DistributedError`.
-    ``world_size`` equal to the writer count with an unchanged layout
-    returns the payloads bit-identical to the non-elastic path.
+    ``world_size`` asks for **elastic recovery**: the payloads come back
+    re-partitioned onto that many reader ranks, as self-describing
+    shards.  The writers' payloads must be shards
+    (:func:`~repro.core.sharding.shard_payload`), else
+    :class:`~repro.errors.DistributedError`; the writer count itself
+    returns them bit-identical to the non-elastic path.
 
-    Raises :class:`~repro.errors.NoCheckpointError` when the step sets do
-    not intersect (e.g. a device was wiped).
+    Raises :class:`~repro.errors.NoCheckpointError` when no common step
+    loads on every rank (e.g. a device was wiped).
     """
     if not layouts:
         raise DistributedError("need at least one worker layout")
     if world_size is not None and world_size < 1:
-        raise DistributedError(
-            f"target world size must be >= 1, got {world_size}"
-        )
+        raise DistributedError(f"target world size must be >= 1, got {world_size}")
     started = time.monotonic()
-    unstable: Optional[Tuple[int, int]] = None  # (rank, step)
-    for _attempt in range(max_attempts):
-        per_worker = [_candidate_steps(layout) for layout in layouts]
-        common: Set[int] = set(per_worker[0])
-        for by_step in per_worker[1:]:
-            common &= set(by_step)
-        if not common:
-            held = [sorted(by_step) for by_step in per_worker]
-            raise NoCheckpointError(
-                "no training step has a valid checkpoint on every worker "
-                f"(per-rank steps: {held})"
-            )
-        step = max(common)
-        payloads: List[memoryview] = []
-        metas: List[CheckMeta] = []
-        sources: List[str] = []
-        unstable = None
-        for rank, (layout, by_step) in enumerate(zip(layouts, per_worker)):
-            meta, source = by_step[step]
-            payload = load_validated(layout, meta, chunk_size)
-            if payload is None:
-                # Overwritten (or torn) under the reader: rescan.
-                unstable = (rank, step)
-                break
-            payloads.append(payload)
-            metas.append(meta)
-            sources.append(source)
-        if unstable is None:
-            out_payloads = payloads
-            resharded = False
-            if world_size is not None and world_size != len(payloads):
-                out_payloads = _reshard_payloads(step, payloads, world_size)
-                resharded = True
-            if metrics is not None:
-                metrics.observe(
-                    M.RECOVERY_SECONDS, time.monotonic() - started
-                )
-                metrics.inc(M.RECOVERY_ATTEMPTS, _attempt + 1)
-                metrics.inc(
-                    M.RECOVERY_BYTES, sum(len(p) for p in payloads)
-                )
-            return ConsistentCheckpoint(
-                step=step, payloads=out_payloads, metas=metas,
-                sources=sources,
-                world_size=len(out_payloads),
-                writer_world=len(metas),
-                resharded=resharded,
-            )
-    rank, step = unstable  # type: ignore[misc]
-    raise DistributedError(
-        f"rank {rank}'s payload for step {step} failed CRC re-validation "
-        f"{max_attempts} times (slot kept changing under the reader); "
-        f"its device {layouts[rank].device.name} is unstable or corrupt"
+    held: List[List[int]] = []
+    refused_at = (0, 0)  # (rank, step) of the last refused load
+
+    def steps(seen: List[object]) -> Iterator[Tuple[int, list]]:
+        by_rank: List[Dict[int, list]] = [{} for _ in layouts]
+        for layout, by_step in zip(layouts, by_rank):
+            for meta, found_by in _candidates(layout, seen):
+                by_step.setdefault(meta.step, []).append((meta, found_by))
+        held[:] = [sorted(by_step) for by_step in by_rank]
+        for step in sorted(set(by_rank[0]).intersection(*by_rank), reverse=True):
+            yield step, [by_step[step] for by_step in by_rank]
+
+    def load(candidate: Tuple[int, list]) -> Optional[Tuple[int, list]]:
+        nonlocal refused_at
+        step, per_rank = candidate
+        loaded = []
+        for rank, (layout, same_step) in enumerate(zip(layouts, per_rank)):
+            for meta, found_by in same_step:
+                payload = load_validated(layout, meta, chunk_size)
+                if payload is not None:
+                    loaded.append((payload, meta, found_by))
+                    break
+            else:
+                refused_at = (rank, step)
+                return None
+        return step, loaded
+
+    attempts, found, unstable = _walk(layouts, steps, load, max_attempts)
+    if unstable:
+        rank, step = refused_at
+        raise DistributedError(
+            f"rank {rank}'s payload for step {step} failed CRC re-validation "
+            f"{max_attempts} times (slot kept changing under the reader); "
+            f"its device {layouts[rank].device.name} is unstable or corrupt"
+        )
+    if found is None:
+        raise NoCheckpointError(
+            "no training step has a valid checkpoint on every worker "
+            f"(per-rank steps named by headers: {held})"
+        )
+    step, loaded = found
+    payloads, metas, sources = (list(column) for column in zip(*loaded))
+    resharded = world_size is not None and world_size != len(payloads)
+    out_payloads = (_reshard_payloads(step, payloads, world_size)
+                    if resharded else payloads)
+    if metrics is not None:
+        metrics.observe(M.RECOVERY_SECONDS, time.monotonic() - started)
+        metrics.inc(M.RECOVERY_ATTEMPTS, attempts)
+        metrics.inc(M.RECOVERY_BYTES, sum(len(p) for p in payloads))
+    return ConsistentCheckpoint(
+        step=step, payloads=out_payloads, metas=metas, sources=sources,
+        world_size=len(out_payloads), writer_world=len(metas),
+        resharded=resharded,
     )

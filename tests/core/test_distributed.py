@@ -2,20 +2,25 @@
 
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro.core.barrier import CheckpointBarrier
 from repro.core.distributed import DistributedCoordinator, DistributedRank
+from repro.core.engine import CheckpointEngine
 from repro.core.layout import DeviceLayout, Geometry
-from repro.core.meta import RECORD_SIZE
+from repro.core.meta import RECORD_SIZE, encode_slot_header
 from repro.core.recovery import recover_consistent, valid_checkpoints
+from repro.core.sharding import shard_payload
 from repro.errors import (
     DistributedError,
     DistributedTimeoutError,
     NoCheckpointError,
 )
+from repro.obs.metrics import M, MetricsRegistry
 from repro.service.pool import EngineSpec, build_stack
+from repro.storage.device import DeviceWrapper
 from repro.storage.ssd import InMemorySSD
 
 PAYLOAD_CAPACITY = 512
@@ -318,7 +323,8 @@ class TestRecoverConsistentValidation:
         # left intact) — its CRC can no longer validate.
         layout = workers[1].stack.layout
         meta = next(
-            m for m in valid_checkpoints(layout) if m.step == 2
+            header for header in layout.read_all_slot_headers()
+            if header is not None and header.step == 2
         )
         offset = layout.payload_offset(meta.slot)
         layout.device.write(offset, b"\xff" * 8)
@@ -345,13 +351,17 @@ class TestRecoverConsistentValidation:
         torn_layout = workers[1].stack.layout
         final_loads = []
 
-        def torn_load(layout, meta, chunk_size=None):
-            if chunk_size is None:  # the scan's validation: slot intact
-                return real_load(layout, meta)
+        def torn_load(layout, meta, chunk_size=dist.DEFAULT_READ_CHUNK):
             final_loads.append(layout is torn_layout)
-            if layout is torn_layout:
-                return None  # overwritten under us since the scan
-            return real_load(layout, meta, chunk_size)
+            if layout is not torn_layout:
+                return real_load(layout, meta, chunk_size)
+            # A writer recycles the slot under the reader: a newer header
+            # lands, and the bytes just read no longer match the old one.
+            newer = replace(meta, counter=meta.counter + 1)
+            offset = layout.slot_offset(meta.slot)
+            layout.device.write(offset, encode_slot_header(newer))
+            layout.device.persist(offset, RECORD_SIZE)
+            return None
 
         monkeypatch.setattr(dist, "load_validated", torn_load)
         with pytest.raises(DistributedError) as excinfo:
@@ -363,3 +373,74 @@ class TestRecoverConsistentValidation:
         assert "3 times" in message
         # Every attempt loaded rank 0 (once), then was refused rank 1.
         assert final_loads == [False, True] * 3
+
+
+class CountingDevice(DeviceWrapper):
+    """Logs every read as ``(offset, length)``."""
+
+    def __init__(self, inner):
+        super().__init__(inner, f"counting:{inner.name}")
+        self.reads = []
+
+    def read(self, offset, length):
+        self.reads.append((offset, length))
+        return super().read(offset, length)
+
+    def readinto(self, offset, dest):
+        self.reads.append((offset, memoryview(dest).nbytes))
+        super().readinto(offset, dest)
+
+
+class TestConsistentCutReadsOnce:
+    """The cut picks its step from headers and reads each rank's payload
+    once: 1.0x the payload bytes it returns, however many older steps
+    the slots still hold."""
+
+    STATE_LEN = 6000
+    CHUNK = 1000
+
+    def ranks(self, writers=2, num_slots=3, steps=3):
+        shard_len = -(-self.STATE_LEN // writers) + 64  # + shard header
+        slot_size = shard_len + RECORD_SIZE
+        geometry = Geometry(num_slots=num_slots, slot_size=slot_size)
+        layouts = []
+        for rank in range(writers):
+            device = InMemorySSD(capacity=geometry.total_size)
+            layout = DeviceLayout.format(device, num_slots, slot_size)
+            engine = CheckpointEngine(layout, writer_threads=1)
+            for step in range(1, steps + 1):
+                state = bytes([step]) * self.STATE_LEN
+                shard = shard_payload(state, writers)[rank]
+                assert engine.checkpoint(shard, step=step).committed
+            engine.close()
+            layouts.append(DeviceLayout.open(CountingDevice(device)))
+        for layout in layouts:
+            layout.device.reads.clear()  # the superblock, read by open
+        return layouts
+
+    @pytest.mark.parametrize("world_size", [None, 3], ids=["same", "reshard"])
+    def test_each_rank_payload_is_read_once(self, world_size):
+        layouts = self.ranks()
+        metrics = MetricsRegistry()
+        cut = recover_consistent(layouts, chunk_size=self.CHUNK,
+                                 metrics=metrics, world_size=world_size)
+        assert cut.step == 3
+        assert cut.resharded == (world_size is not None)
+        payload_bytes = 0
+        for layout, meta in zip(layouts, cut.metas):
+            records = {layout.commit_offset} | {
+                layout.slot_offset(slot) for slot in range(layout.num_slots)
+            }
+            payload = [(offset, length) for offset, length in layout.device.reads
+                       if offset not in records]
+            assert all(
+                length == RECORD_SIZE
+                for offset, length in layout.device.reads if offset in records
+            )
+            assert sum(length for _, length in payload) == meta.payload_len
+            # Only the chosen slot's payload, in chunk_size reads.
+            base = layout.payload_offset(meta.slot)
+            assert all(base <= offset < base + meta.payload_len
+                       and length <= self.CHUNK for offset, length in payload)
+            payload_bytes += meta.payload_len
+        assert metrics.value(M.RECOVERY_BYTES) == payload_bytes

@@ -6,6 +6,7 @@ from repro.core.engine import CheckpointEngine
 from repro.core.inspect import inspect_device, inspect_file
 from repro.core.layout import DeviceLayout, Geometry
 from repro.core.meta import RECORD_SIZE
+from repro.errors import LayoutError
 from repro.storage.ssd import FileBackedSSD, InMemorySSD
 
 PAYLOAD_CAPACITY = 512
@@ -183,6 +184,22 @@ class TestInspectFile:
         path.touch()
         report = inspect_file(str(path))
         assert not report.formatted
+
+    def test_inspect_file_reads_a_striped_region_by_its_base_path(self, tmp_path):
+        from repro import open_checkpointer
+
+        path = str(tmp_path / "striped.pc")
+        with open_checkpointer(path, capacity_bytes=65536, stripe_devices=2,
+                               stripe_size=4096) as ckpt:
+            ckpt.checkpoint(b"across two members", step=7)
+        report = inspect_file(path)
+        assert report.formatted
+        assert report.recovery_choice.step == 7
+        assert [s.step for s in report.valid_checkpoints] == [7]
+
+    def test_inspect_file_with_nothing_at_the_path_is_a_layout_error(self, tmp_path):
+        with pytest.raises(LayoutError, match="no checkpoint region"):
+            inspect_file(str(tmp_path / "nothing-here"))
 
 
 class TestCliInspect:

@@ -1,8 +1,9 @@
 """The restore surface, by construction: ONE walk (`recover`) over every
-stack a region can live on, and exactly the public names the module
-promises."""
+stack a region can live on, ONE attempt loop under it and the cut, and
+exactly the public names the module promises."""
 
 import ast
+import dataclasses
 import inspect
 
 import pytest
@@ -11,7 +12,8 @@ import repro.core.recovery as recovery
 from repro.core.engine import CheckpointEngine
 from repro.core.layout import DeviceLayout, Geometry
 from repro.core.meta import RECORD_SIZE
-from repro.core.recovery import recover
+from repro.core.recovery import ConsistentCheckpoint, recover, recover_consistent
+from repro.obs.metrics import M, MetricsRegistry
 from repro.storage.remote import RemoteStore
 from repro.storage.ssd import InMemorySSD
 from repro.storage.striped import STRIPE_HEADER_SIZE, StripedDevice
@@ -105,6 +107,42 @@ def test_recover_walks_every_stack(kind, damage):
     assert found.source == source
 
 
+@pytest.mark.parametrize(
+    "damage", [intact, commit_record_torn, newest_payload_corrupted],
+    ids=lambda fn: fn.__name__,
+)
+@pytest.mark.parametrize("kind", ["plain", "striped"])
+def test_recover_consistent_walks_every_stack(kind, damage):
+    """Damage on one rank: the cut settles on the newest step both ranks
+    still load — a torn newest payload falls back to the older common
+    step — in one attempt."""
+    ranks = [Written(kind), Written(kind)]
+    step, source = damage(ranks[1])
+    metrics = MetricsRegistry()
+    cut = recover_consistent([r.layout for r in ranks], metrics=metrics)
+    assert cut.step == step
+    assert cut.payloads == [PAYLOADS[step], PAYLOADS[step]]
+    assert cut.sources[1] == source
+    assert metrics.value(M.RECOVERY_ATTEMPTS) == 1
+
+
+def test_recovery_has_exactly_one_attempt_loop():
+    """Every restore retries through `_walk`: no other loop in the module
+    counts attempts, so a second read loop cannot come back unnoticed."""
+    tree = ast.parse(inspect.getsource(recovery))
+    owners = [
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for loop in ast.walk(function)
+        if isinstance(loop, (ast.For, ast.While))
+        and "max_attempts" in ast.unparse(
+            loop.iter if isinstance(loop, ast.For) else loop.test
+        )
+    ]
+    assert owners == ["_walk"]
+
+
 def test_public_surface_is_exactly_the_promised_names():
     public = set()
     for node in ast.parse(inspect.getsource(recovery)).body:
@@ -116,7 +154,14 @@ def test_public_surface_is_exactly_the_promised_names():
             public.update(target.id for target in node.targets)
     assert {name for name in public if not name.startswith("_")} == {
         "recover", "try_recover", "find_committed", "recover_consistent",
-        "load_validated", "commit_record_candidate", "valid_checkpoints",
+        "load_validated", "valid_checkpoints",
         "RecoveredCheckpoint", "ConsistentCheckpoint",
         "DEFAULT_READ_CHUNK", "READ_THREADS",
     }
+    # Built by the walk alone: every field is given, none defaulted.
+    assert not hasattr(ConsistentCheckpoint, "__post_init__")
+    assert all(
+        field.default is dataclasses.MISSING
+        and field.default_factory is dataclasses.MISSING
+        for field in dataclasses.fields(ConsistentCheckpoint)
+    )
