@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import threading
 import time
-import zlib
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -51,6 +50,7 @@ from repro.core.meta import (
     CheckMeta,
     encode_commit_record,
     encode_slot_header,
+    payload_crc,
 )
 from repro.core.sanitize import (
     EngineSanitizer,
@@ -156,8 +156,9 @@ class CheckpointTicket:
 
         The pieces land back-to-back at the slot's next offsets and go to
         the writer pool in one batched submission; the running payload
-        CRC is folded in *while* the pool writes (``zlib.crc32`` drops the
-        GIL on large buffers), and the submission comes back unreaped.
+        CRC is folded in *while* the pool writes
+        (:func:`~repro.core.meta.payload_crc` drops the GIL), and the
+        submission comes back unreaped.
         The caller must keep every chunk's buffer stable until
         :meth:`reap` (the orchestrator holds the staging buffer of chunk
         *k−1* exactly this long, so its CRC of chunk *k* overlaps the
@@ -174,7 +175,7 @@ class CheckpointTicket:
         self._unreaped.append(submission)
         crc_start = time.monotonic()
         for view in views:
-            self._crc = zlib.crc32(view, self._crc)
+            self._crc = payload_crc(view, self._crc)
             self._written += len(view)
         self._engine._record_overlap(submission, crc_start, time.monotonic())
         return submission

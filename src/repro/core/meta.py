@@ -21,11 +21,15 @@ absent, never trusted.
 
 from __future__ import annotations
 
+import ctypes
+import ctypes.util
 import functools
 import struct
 import zlib
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from repro.errors import CorruptCheckpointError
 
@@ -123,10 +127,47 @@ def decode_commit_record(raw: bytes) -> Optional[CheckMeta]:
     return _decode(_COMMIT_MAGIC, raw)
 
 
-def payload_crc(payload: bytes) -> int:
-    """CRC32 used to validate checkpoint payloads at recovery.  A payload
-    CRC'd in chunks is reassembled with :func:`crc32_combine`."""
-    return zlib.crc32(payload)
+def _load_libdeflate_crc32():
+    """libdeflate's ``crc32(crc, buf, len)``, or ``None`` when the shared
+    library is not installed."""
+    name = ctypes.util.find_library("deflate")
+    if name is None:
+        return None
+    try:
+        fn = ctypes.CDLL(name).libdeflate_crc32
+    except (OSError, AttributeError):
+        return None
+    fn.argtypes = (ctypes.c_uint32, ctypes.c_void_p, ctypes.c_size_t)
+    fn.restype = ctypes.c_uint32
+    return fn
+
+
+_LIBDEFLATE_CRC32 = _load_libdeflate_crc32()
+
+
+def _libdeflate_crc(data, crc: int = 0) -> int:
+    # The array pins the buffer (read-only or not) for the whole call;
+    # the ctypes call drops the GIL, as zlib.crc32 does.
+    pinned = np.frombuffer(data, dtype=np.uint8)
+    return _LIBDEFLATE_CRC32(crc, pinned.ctypes.data, pinned.size)
+
+
+#: The payload CRC backend, chosen once at import: ``"libdeflate"`` (the
+#: same CRC-32 as zlib, several times faster) or ``"zlib"`` when that
+#: library cannot be loaded.
+PAYLOAD_CRC_IMPL: str = "zlib" if _LIBDEFLATE_CRC32 is None else "libdeflate"
+_crc32 = zlib.crc32 if _LIBDEFLATE_CRC32 is None else _libdeflate_crc
+
+
+def payload_crc(data, crc: int = 0) -> int:
+    """CRC32 of a checkpoint payload (any C-contiguous buffer), continuing
+    the running ``crc`` — bit-identical to ``zlib.crc32(data, crc)``.
+
+    Every payload-sized checksum goes through here; fixed-size records
+    stay on ``zlib.crc32``, whose call costs less than this one's on 64
+    bytes.  A payload CRC'd in chunks is reassembled with
+    :func:`crc32_combine`."""
+    return _crc32(data, crc)
 
 
 # CRC32 combination, zlib's crc32_combine: appending ``len2`` bytes

@@ -12,6 +12,13 @@ The orchestrator coordinates the life of a checkpoint (Figure 5):
 4. the engine's commit issues ONE fence covering the whole payload (§4.1,
    SSD) and then runs the commit protocol that publishes the checkpoint.
 
+Checkpoints commit in the order they were started: a checkpoint calls
+``ticket.commit()`` only once every checkpoint this orchestrator started
+before it has settled — committed, superseded, aborted or failed.  The
+CAS still decides which checkpoint wins; the order only keeps a newer
+checkpoint that caught up from superseding an older one that is still
+fencing (a whole-file ``fsync`` flushes both, so the race is close).
+
 Steps 2–3 pipeline only when there is something to overlap.  A
 checkpoint that fits one staging chunk runs on ONE thread: the persist
 stage's chunk source is then an inline capture instead of the hand-off
@@ -79,6 +86,9 @@ class CheckpointHandle:
     #: Root lifecycle span (``checkpoint``), when tracing is on.
     span: Optional[object] = None
     _future: "Future[CheckpointResult]" = field(default_factory=Future)
+    #: The previously started checkpoint's future: it settles before this
+    #: one commits.  Dropped once the persist stage has taken it.
+    _after: "Optional[Future[CheckpointResult]]" = None
     _started: float = 0.0
     _finished: bool = False
 
@@ -161,6 +171,9 @@ class PCcheckOrchestrator:
         )
         self._pending: List[CheckpointHandle] = []
         self._pending_lock = threading.Lock()
+        #: Future of the checkpoint admitted last: the next one admitted
+        #: commits after it settled.
+        self._last_admitted: "Optional[Future[CheckpointResult]]" = None
         self._closed = False
         #: First unrecoverable pipeline failure (a crashed device).  Once
         #: set, new checkpoints are refused instead of blocking forever on
@@ -329,6 +342,10 @@ class PCcheckOrchestrator:
             raise
         if slot_span is not None:
             self._tracer.end(slot_span)
+        with self._pending_lock:
+            handle._after, self._last_admitted = (  # noqa: SLF001
+                self._last_admitted, handle._future  # noqa: SLF001
+            )
         ticket.trace_parent = root
         handle.counter = ticket.counter
         root.set(counter=ticket.counter, slot=ticket.slot)
@@ -486,6 +503,7 @@ class PCcheckOrchestrator:
         # terminal sentinel was consumed: after that the source stays
         # empty forever, so the failure path must not block draining it.
         sentinel_seen = False
+        after, handle._after = handle._after, None  # noqa: SLF001
         tracer = self._tracer
         stage_span = tracer.begin("persist", parent=handle.span,
                                   step=handle.step, slot=ticket.slot)
@@ -552,6 +570,9 @@ class PCcheckOrchestrator:
                 stage="persist",
             )
             tracer.end(stage_span, chunks=index)
+            if after is not None and not after.done():
+                with tracer.span("commit_wait", parent=handle.span):
+                    after.exception()  # settled, whatever the outcome
             result = ticket.commit()
             # Root span and latency first: whoever wakes on the handle
             # sees the checkpoint fully accounted.

@@ -38,6 +38,7 @@ from repro.core.reshard import reshard_shards
 from repro.core.sharding import is_shard
 from repro.core.writer import ParallelWriter
 from repro.errors import (
+    ConfigError,
     CorruptCheckpointError,
     DistributedError,
     LayoutError,
@@ -59,6 +60,11 @@ DEFAULT_READ_CHUNK: int = 4 * 1024 * 1024
 #: Pool threads that each read a chunk and CRC it — derived, not a knob:
 #: one per core (read and CRC both drop the GIL), at most four.
 READ_THREADS: int = max(1, min(os.cpu_count() or 1, 4))
+
+
+def _check_chunk_size(chunk_size: int) -> None:
+    if chunk_size < 1:
+        raise ConfigError(f"read chunk_size must be >= 1 byte, got {chunk_size}")
 
 
 @dataclass
@@ -84,7 +90,9 @@ def load_validated(
     describes (torn, recycled, impossible length); the buffer is dropped.
     The destination is uninitialised (``np.empty``) — every byte is about
     to be overwritten, and zero-filling first costs a third of the read.
+    A ``chunk_size`` below one byte is a :class:`~repro.errors.ConfigError`.
     """
+    _check_chunk_size(chunk_size)
     if meta.payload_len > layout.payload_capacity:
         return None
     dest = np.empty(meta.payload_len, dtype=np.uint8)
@@ -195,8 +203,10 @@ def recover(
 
     Raises :class:`~repro.errors.NoCheckpointError` when the source holds
     no valid checkpoint (fresh format, or every record was torn; for a
-    tiered source, naming every tier's typed failure).
+    tiered source, naming every tier's typed failure), and
+    :class:`~repro.errors.ConfigError` for a ``chunk_size`` below one byte.
     """
+    _check_chunk_size(chunk_size)
     if not isinstance(source, DeviceLayout):
         return _walk_tiers(source, chunk_size, max_attempts, metrics, tracer)
     layout = source
@@ -406,8 +416,10 @@ def recover_consistent(
     returns them bit-identical to the non-elastic path.
 
     Raises :class:`~repro.errors.NoCheckpointError` when no common step
-    loads on every rank (e.g. a device was wiped).
+    loads on every rank (e.g. a device was wiped), and
+    :class:`~repro.errors.ConfigError` for a ``chunk_size`` below one byte.
     """
+    _check_chunk_size(chunk_size)
     if not layouts:
         raise DistributedError("need at least one worker layout")
     if world_size is not None and world_size < 1:

@@ -29,6 +29,7 @@ import zlib
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+from repro.core.meta import payload_crc
 from repro.errors import ConfigError, CorruptCheckpointError
 
 _SHARD_MAGIC = b"PCSHARD1"
@@ -47,7 +48,7 @@ def shard_payload(state: bytes, num_shards: int) -> List[bytes]:
     """Split ``state`` into ``num_shards`` self-describing shards."""
     if num_shards < 1:
         raise ConfigError(f"need at least one shard, got {num_shards}")
-    crc = zlib.crc32(state)
+    crc = payload_crc(state)
     base, extra = divmod(len(state), num_shards)
     shards: List[bytes] = []
     offset = 0
@@ -137,7 +138,7 @@ def reassemble(shards: Sequence[bytes]) -> bytes:
             f"shards cover {covered} of {total_len} bytes"
         )
     state = bytes(out)
-    if zlib.crc32(state) != crc:
+    if payload_crc(state) != crc:
         raise CorruptCheckpointError("reassembled state fails its digest")
     return state
 
@@ -251,7 +252,7 @@ def build_manifest(
 
 def manifest_for_state(state: bytes, num_shards: int) -> ShardManifest:
     """Build the manifest :func:`shard_payload` implies for ``state``."""
-    return build_manifest(len(state), zlib.crc32(state), num_shards)
+    return build_manifest(len(state), payload_crc(state), num_shards)
 
 
 def manifest_from_shards(shards: Sequence) -> ShardManifest:

@@ -59,10 +59,10 @@ from __future__ import annotations
 
 import threading
 import time
-import zlib
 from collections import deque
 from typing import Deque, List, Literal, Optional, Sequence, Tuple
 
+from repro.core.meta import payload_crc
 from repro.errors import EngineError
 from repro.storage.device import Buffer, PersistentDevice, as_view
 from repro.storage.pmem import SimulatedPMEM
@@ -471,9 +471,9 @@ class ParallelWriter:
         lo, hi = share
         chunk = view[lo:hi]
         self._device.readinto(offset + lo, chunk)
-        # The chunk is still in this core's cache and crc32 drops the
-        # GIL: checking it here spreads validation over the readers.
-        return zlib.crc32(chunk)
+        # The chunk is still in this core's cache and payload_crc drops
+        # the GIL: checking it here spreads validation over the readers.
+        return payload_crc(chunk)
 
     def _write_share(
         self,

@@ -10,6 +10,7 @@ Figure 5::
     │   └── capture_chunk[chunk]
     ├── persist                      stage ④ (DRAM→storage)
     │   └── persist_chunk[chunk]
+    ├── commit_wait                  an earlier checkpoint still settling, if any
     └── commit                       header write + CAS + commit record
 
 plus ``recovery`` spans on the restart path.  Spans carry the engine

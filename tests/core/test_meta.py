@@ -1,12 +1,18 @@
 """Tests for checkpoint metadata records and payload CRCs."""
 
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import meta as meta_module
+from repro.core.engine import CheckpointEngine
+from repro.core.layout import DeviceLayout, Geometry
 from repro.core.meta import (
+    PAYLOAD_CRC_IMPL,
     RECORD_SIZE,
     CheckMeta,
     _crc_shift,
@@ -17,7 +23,9 @@ from repro.core.meta import (
     encode_slot_header,
     payload_crc,
 )
+from repro.core.recovery import recover
 from repro.errors import CorruptCheckpointError
+from repro.storage.ssd import InMemorySSD
 
 META = CheckMeta(counter=7, slot=2, payload_len=1234, payload_crc=0xDEADBEEF, step=42)
 
@@ -92,6 +100,24 @@ class TestValidation:
         assert old.is_newer_than(None)
 
 
+@pytest.fixture
+def zlib_fallback(monkeypatch):
+    """Force the fallback backend, as on a host without libdeflate."""
+    monkeypatch.setattr(meta_module, "_crc32", zlib.crc32)
+
+
+@pytest.fixture(params=["active", "zlib"])
+def backend(request):
+    """Run a test under the backend chosen at import and under zlib."""
+    if request.param == "zlib":
+        request.getfixturevalue("zlib_fallback")
+    return request.param
+
+
+def pattern(size):
+    return (np.arange(size, dtype=np.uint32) * np.uint32(2654435761) >> 7).astype(np.uint8).tobytes()
+
+
 class TestPayloadCrc:
     def test_stable_for_same_payload(self):
         assert payload_crc(b"abc") == payload_crc(b"abc")
@@ -101,6 +127,89 @@ class TestPayloadCrc:
 
     def test_empty_payload(self):
         assert payload_crc(b"") == 0
+
+    @pytest.mark.skipif(meta_module._LIBDEFLATE_CRC32 is None,
+                        reason="libdeflate cannot be loaded on this host")
+    def test_libdeflate_is_the_active_backend_when_installed(self):
+        assert PAYLOAD_CRC_IMPL == "libdeflate"
+
+    @pytest.mark.parametrize("size", [
+        0, 1, 63, 4096, 256 * 1024 + 7, 8 * 1024 * 1024,
+    ])
+    def test_equals_zlib_at_every_size(self, backend, size):
+        data = pattern(size)
+        assert payload_crc(data) == zlib.crc32(data)
+
+    @pytest.mark.parametrize("kind", [
+        "bytes", "bytearray", "numpy", "readonly-slice", "writable-slice",
+    ])
+    def test_equals_zlib_on_every_buffer_kind(self, backend, kind):
+        raw = pattern(10_000)
+        data = {
+            "bytes": lambda: raw,
+            "bytearray": lambda: bytearray(raw),
+            "numpy": lambda: np.frombuffer(raw, dtype=np.float32).reshape(50, 50),
+            "readonly-slice": lambda: memoryview(raw)[13:9_001],
+            "writable-slice": lambda: memoryview(bytearray(raw))[13:9_001],
+        }[kind]()
+        assert payload_crc(data) == zlib.crc32(data)
+
+    def test_a_running_crc_continues_across_a_split(self, backend):
+        data = pattern(100_003)
+        view = memoryview(data)
+        for cut in (0, 1, 4096, 50_000, len(data)):
+            assert payload_crc(view[cut:], payload_crc(view[:cut])) == zlib.crc32(data)
+
+    def test_chunk_crcs_combine_to_the_whole(self, backend):
+        data = pattern(1_000_000)
+        view, chunk, crc = memoryview(data), 65_536, 0
+        for lo in range(0, len(data), chunk):
+            piece = view[lo:lo + chunk]
+            crc = crc32_combine(crc, payload_crc(piece), len(piece))
+        assert crc == zlib.crc32(data)
+
+    def test_a_non_contiguous_view_is_refused_like_zlib(self, backend):
+        strided = memoryview(bytearray(64))[::2]
+        with pytest.raises(BufferError):
+            zlib.crc32(strided)
+        with pytest.raises(BufferError):
+            payload_crc(strided)
+
+    def test_concurrent_callers_get_their_own_crc(self, backend):
+        buffers = [pattern(1 << 20)[i:] for i in range(4)]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda b: payload_crc(bytearray(b)), buffers * 4))
+        assert got == [zlib.crc32(b) for b in buffers * 4]
+
+
+def _engine_region():
+    payload_capacity = 300_000
+    slot_size = payload_capacity + RECORD_SIZE
+    geometry = Geometry(num_slots=3, slot_size=slot_size)
+    device = InMemorySSD(capacity=geometry.total_size)
+    layout = DeviceLayout.format(device, num_slots=3, slot_size=slot_size)
+    return CheckpointEngine(layout, writer_threads=2)
+
+
+class TestBackendsShareOneFormat:
+    """The on-media CRC does not depend on which backend computed it."""
+
+    @pytest.mark.parametrize("saved_under", ["active", "zlib"])
+    def test_a_region_saved_under_one_backend_recovers_under_the_other(
+        self, monkeypatch, saved_under
+    ):
+        payload = pattern(250_001)
+        engine = _engine_region()
+        with monkeypatch.context() as patch:
+            if saved_under == "zlib":
+                patch.setattr(meta_module, "_crc32", zlib.crc32)
+            engine.checkpoint(payload, step=1)
+        if saved_under == "active":
+            monkeypatch.setattr(meta_module, "_crc32", zlib.crc32)
+        found = recover(engine.layout, chunk_size=65_536)
+        assert found.payload == payload
+        assert found.meta.payload_crc == zlib.crc32(payload)
+        engine.close()
 
 
 def reference_combine(crc1, crc2, len2):

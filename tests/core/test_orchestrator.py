@@ -1,5 +1,6 @@
 """Tests for the orchestrator's concurrent pipelined checkpoint sessions."""
 
+import sys
 import threading
 import time
 
@@ -8,12 +9,14 @@ import pytest
 from repro.core.chunking import ChunkPlan, plan_chunks
 from repro.core.engine import CheckpointEngine
 from repro.core.layout import DeviceLayout, Geometry
-from repro.core.meta import RECORD_SIZE
+from repro.core.meta import RECORD_SIZE, decode_commit_record
 from repro.core.orchestrator import PCcheckOrchestrator
 from repro.core.recovery import recover
 from repro.core.snapshot import BytesSource, GPUSource
-from repro.errors import ConfigError
+from repro.errors import ConfigError, CrashedDeviceError, PCcheckError
 from repro.obs.metrics import M
+from repro.obs.trace import Tracer
+from repro.storage.device import DeviceWrapper
 from repro.storage.dram import DRAMBufferPool
 from repro.storage.gpu import SimulatedGPU
 from repro.storage.ssd import InMemorySSD
@@ -235,3 +238,159 @@ class TestChunkViews:
 
         with pytest.raises(ConfigError):
             list(iter_chunk_views(plan_chunks(10, 5), b"abc"))
+
+
+class HoldFirstFence(DeviceWrapper):
+    """Holds the first fence after :meth:`arm` — the first checkpoint's
+    payload fence — until ``release`` is set, then raises ``fail`` (if
+    given) instead of fencing.  Logs the counter of every commit record
+    written."""
+
+    def __init__(self, inner, fail=None):
+        super().__init__(inner, "hold-first-fence")
+        self.fail = fail
+        self.held = threading.Event()
+        self.release = threading.Event()
+        self.commit_counters = []
+        self._armed = False
+
+    def arm(self):
+        self._armed = True
+
+    def write(self, offset, data):
+        super().write(offset, data)
+        record = decode_commit_record(bytes(data)) if len(data) == RECORD_SIZE else None
+        if record is not None:
+            self.commit_counters.append(record.counter)
+
+    def persist(self, offset, length):
+        if self._armed:
+            self._armed = False
+            self.held.set()
+            assert self.release.wait(10.0)
+            if self.fail is not None:
+                raise self.fail
+        super().persist(offset, length)
+
+
+class FailAfterGate(BytesSource):
+    """A source whose capture raises once ``gate`` opens."""
+
+    def __init__(self, data, gate):
+        super().__init__(data)
+        self._gate = gate
+
+    def capture_chunk(self, offset, length, dest):
+        assert self._gate.wait(10.0)
+        raise RuntimeError("capture failed")
+
+
+@pytest.fixture(params=[None, 64], ids=["one-chunk", "pipelined"])
+def ordered(request):
+    """An orchestrator over a :class:`HoldFirstFence` device, traced so a
+    test can see a checkpoint wait for its commit turn."""
+    payload_capacity = 512
+    slot_size = payload_capacity + RECORD_SIZE
+    geometry = Geometry(num_slots=3, slot_size=slot_size)
+    device = HoldFirstFence(InMemorySSD(capacity=geometry.total_size))
+    layout = DeviceLayout.format(device, num_slots=3, slot_size=slot_size)
+    tracer = Tracer()
+    engine = CheckpointEngine(layout, writer_threads=2, tracer=tracer)
+    pool = DRAMBufferPool(num_chunks=2,
+                          chunk_size=request.param or payload_capacity)
+    orch = PCcheckOrchestrator(engine, pool)
+    yield orch, device, tracer
+    device.release.set()
+    orch.close()
+
+
+def wait_for_commit_turn(handle, tracer):
+    """Block until ``handle`` either finished or is waiting for an earlier
+    checkpoint to settle before it commits."""
+    deadline = time.monotonic() + 10.0
+    while not (handle.done() or tracer.spans("commit_wait")):
+        assert time.monotonic() < deadline, "checkpoint neither waited nor finished"
+        time.sleep(0.002)
+
+
+class TestCommitOrder:
+    """Checkpoints commit in the order they were started: a newer one that
+    finished writing first waits for the older one's commit."""
+
+    def test_a_checkpoint_that_finishes_writing_first_commits_second(self, ordered):
+        orch, device, tracer = ordered
+        device.arm()
+        first = orch.checkpoint_async(BytesSource(b"a" * 300), step=1)
+        assert device.held.wait(10.0)  # first is fencing its payload
+        second = orch.checkpoint_async(BytesSource(b"b" * 300), step=2)
+        wait_for_commit_turn(second, tracer)
+        device.release.set()
+        results = [first.wait(10.0), second.wait(10.0)]
+        assert [r.committed for r in results] == [True, True]
+        assert orch.engine.metrics.value(M.SUPERSEDED) == 0
+        assert device.commit_counters == sorted(device.commit_counters)
+        assert sorted(set(device.commit_counters)) == [first.counter, second.counter]
+        assert recover(orch.engine.layout).payload == b"b" * 300
+
+    def test_a_failed_capture_lets_the_next_checkpoint_commit(self, ordered):
+        orch, device, tracer = ordered
+        gate = threading.Event()
+        first = orch.checkpoint_async(FailAfterGate(b"a" * 300, gate), step=1)
+        second = orch.checkpoint_async(BytesSource(b"b" * 300), step=2)
+        wait_for_commit_turn(second, tracer)
+        gate.set()
+        assert second.wait(10.0).committed
+        with pytest.raises(RuntimeError, match="capture failed"):
+            first.wait(10.0)
+        assert recover(orch.engine.layout).payload == b"b" * 300
+
+    def test_a_crashed_fence_does_not_hang_the_next_checkpoint(self, ordered):
+        orch, device, tracer = ordered
+        device.fail = CrashedDeviceError("power lost at the payload fence")
+        device.arm()
+        first = orch.checkpoint_async(BytesSource(b"a" * 300), step=1)
+        assert device.held.wait(10.0)
+        second = orch.checkpoint_async(BytesSource(b"b" * 300), step=2)
+        wait_for_commit_turn(second, tracer)
+        device.release.set()
+        with pytest.raises(CrashedDeviceError):
+            first.wait(10.0)
+        try:
+            second.wait(10.0)  # settles either way; a timeout fails the test
+        except PCcheckError:
+            pass
+        assert second.done()
+
+    def test_concurrent_starters_all_settle_and_the_newest_commit_survives(self):
+        orch = make_orchestrator(num_slots=4, payload_capacity=512, chunk_size=64)
+        handles, lock = [], threading.Lock()
+
+        def trainer(worker):
+            for i in range(8):
+                handle = orch.checkpoint_async(
+                    BytesSource(bytes([worker * 8 + i]) * 200), step=worker * 8 + i)
+                with lock:
+                    handles.append(handle)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=trainer, args=(w,)) for w in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+                assert not thread.is_alive()
+            results = [handle.wait(30.0) for handle in handles]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 32
+        newest = max(r.counter for r in results if r.committed)
+        assert recover(orch.engine.layout).meta.counter == newest
+        orch.close()
+
+    def test_no_wait_when_the_earlier_checkpoint_already_settled(self, ordered):
+        orch, _, tracer = ordered
+        for step in range(1, 4):
+            assert orch.checkpoint_sync(BytesSource(bytes([step]) * 300), step).committed
+        assert tracer.spans("commit_wait") == []

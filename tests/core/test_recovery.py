@@ -8,7 +8,6 @@ read-amplification pins that are the point of the one pass.
 import sys
 import threading
 import time
-import types
 import zlib
 
 import hypothesis.strategies as st
@@ -16,7 +15,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.stateful import invariant, precondition, rule
 
-from repro.core import meta as meta_module
+from repro.core import recovery as recovery_module
 from repro.core import writer as writer_module
 from repro.core.engine import CheckpointEngine
 from repro.core.layout import DeviceLayout, Geometry
@@ -33,10 +32,11 @@ from repro.core.recovery import (
     find_committed,
     load_validated,
     recover,
+    recover_consistent,
     try_recover,
 )
 from repro.core.writer import ParallelWriter
-from repro.errors import NoCheckpointError, TransientIOError
+from repro.errors import ConfigError, NoCheckpointError, TransientIOError
 from repro.storage.faults import TransientFaultDevice
 from repro.storage.ssd import InMemorySSD
 from tests.core.test_stateful import EngineMachine
@@ -420,15 +420,14 @@ class TestPooledReads:
         calls = []
         lock = threading.Lock()
 
-        def spy_crc32(data, value=0):
+        def spy_payload_crc(data, crc=0):
             with lock:
                 calls.append((threading.current_thread(), len(data)))
-            return zlib.crc32(data, value)
+            return payload_crc(data, crc)
 
-        spy = types.SimpleNamespace(crc32=spy_crc32)
         # Every module that could CRC a chunk: the pool's and the loader's.
-        monkeypatch.setattr(writer_module, "zlib", spy, raising=False)
-        monkeypatch.setattr(meta_module, "zlib", spy)
+        monkeypatch.setattr(writer_module, "payload_crc", spy_payload_crc)
+        monkeypatch.setattr(recovery_module, "payload_crc", spy_payload_crc)
         payload = load_validated(engine.layout, meta, chunk_size=100)
         assert payload == bytes(range(100)) * 7
         assert sorted(length for _, length in calls) == [100] * 7
@@ -468,6 +467,24 @@ class TestPooledReads:
         assert pooled.crc == zlib.crc32(pooled_dest)
         assert inline.crc == zlib.crc32(inline_dest)
         assert bytes(inline_dest) == device.read(7, 3000)
+
+
+class TestChunkSizeValidation:
+    """A read chunk below one byte is a configuration error, never a
+    wrong answer (an empty ``range`` of chunks left the buffer unread)."""
+
+    @pytest.mark.parametrize("chunk_size", [0, -4])
+    def test_a_non_positive_chunk_size_is_a_config_error(self, chunk_size):
+        engine = make_engine()
+        engine.checkpoint(bytes(range(100)) * 7, step=1)
+        layout, meta = engine.layout, engine.committed()
+        with pytest.raises(ConfigError, match="chunk_size"):
+            recover(layout, chunk_size=chunk_size)
+        with pytest.raises(ConfigError, match="chunk_size"):
+            recover_consistent([layout], chunk_size=chunk_size)
+        with pytest.raises(ConfigError, match="chunk_size"):
+            load_validated(layout, meta, chunk_size)
+        assert recover(layout, chunk_size=1).payload == bytes(range(100)) * 7
 
 
 class TestOnlineReaders:
