@@ -17,15 +17,17 @@ test-sanitize:
 	REPRO_SANITIZE=1 $(MAKE) test
 
 # Distributed coordination suite (docs/DISTRIBUTED.md): the functional
-# barrier/coordinator/rank-handle/recovery/reshard tests (every rank a
-# `build_stack` stack under `DistributedRank`) and the simulator's
-# failure model.  The multi-rank and elastic crash sweeps are rows of
+# barrier/coordinator/rank-handle/recovery tests (every rank a
+# `build_stack` stack under `DistributedRank`), the shard format and its
+# N-writer to M-reader re-partitioning over the shard headers, and the
+# simulator's failure model.  The multi-rank and elastic crash sweeps are rows of
 # `make crashsweep`.
 test-distributed:
 	PYTHONPATH=src python -m pytest -x -q \
 		tests/core/test_distributed.py \
 		tests/core/test_distributed_coordinator.py \
 		tests/core/test_reshard.py \
+		tests/core/test_sharding.py \
 		tests/sim/test_distributed.py
 
 # Multi-tenant service suite (docs/SERVICE.md): engine-pool lease

@@ -29,7 +29,7 @@ import ast
 import hashlib
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.analysis.static.cfg import CFG, build_cfg
 from repro.analysis.static.diagnostics import (
@@ -579,10 +579,3 @@ def _dotted(expr: ast.expr) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-def paths_covered(
-    index: ProjectIndex, paths: Sequence[str]
-) -> List[Tuple[str, FileRecord]]:
-    """(path, record) pairs for every indexed file, ordered by path."""
-    return sorted(index.records.items())

@@ -30,7 +30,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from repro.analysis.static.diagnostics import Diagnostic
 
@@ -68,15 +68,6 @@ class SuppressionIndex:
 
     skip_file: bool = False
     directives: List[Directive] = field(default_factory=list)
-
-    @property
-    def by_line(self) -> Dict[int, FrozenSet[str]]:
-        """line -> union of rule ids suppressed there (legacy view)."""
-        merged: Dict[int, FrozenSet[str]] = {}
-        for directive in self.directives:
-            for line in directive.lines:
-                merged[line] = merged.get(line, frozenset()) | directive.rules
-        return merged
 
     @classmethod
     def from_source(cls, source: str) -> "SuppressionIndex":

@@ -86,11 +86,6 @@ class TuningResult:
     #: Tw measured for every candidate N, for sensitivity reporting.
     candidates: Dict[int, float]
 
-    @property
-    def tw_per_concurrent(self) -> float:
-        """The objective the tuner minimises, Tw / N."""
-        return self.tw_seconds / self.num_concurrent
-
 
 def max_concurrency(system: SystemParameters, constraints: UserConstraints) -> int:
     """The storage-budget bound of Table 2: ``N <= S/m - 1``."""

@@ -168,12 +168,6 @@ class DistributedCoordinator:
             return self._degraded
 
     @property
-    def degraded_reason(self) -> str:
-        """Why the group degraded (empty while healthy)."""
-        with self._lock:
-            return self._degraded_reason
-
-    @property
     def failed_ranks(self) -> Tuple[int, ...]:
         """Ranks that missed a failed round since the last reform."""
         with self._lock:

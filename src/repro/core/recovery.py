@@ -34,8 +34,7 @@ from repro.core.meta import (
     decode_slot_header,
     payload_crc,
 )
-from repro.core.reshard import reshard_shards
-from repro.core.sharding import is_shard
+from repro.core.sharding import is_shard, reshard_shards
 from repro.core.writer import ParallelWriter
 from repro.errors import (
     ConfigError,
@@ -371,7 +370,7 @@ def _reshard_payloads(
     step: int, payloads: List[bytes], world_size: int
 ) -> List[bytes]:
     """Re-partition N writers' self-describing shard payloads onto
-    ``world_size`` readers (:func:`~repro.core.reshard.reshard_shards`)."""
+    ``world_size`` readers (:func:`~repro.core.sharding.reshard_shards`)."""
     plain = [rank for rank, p in enumerate(payloads) if not is_shard(p)]
     if plain:
         raise DistributedError(

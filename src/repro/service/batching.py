@@ -177,11 +177,6 @@ class CoalescingBatcher:
     # introspection
 
     @property
-    def batches_committed(self) -> int:
-        with self._lock:
-            return self._batches
-
-    @property
     def tenants(self) -> List[str]:
         with self._lock:
             return sorted(self._slots)
@@ -191,11 +186,6 @@ class CoalescingBatcher:
         """The error that killed the batch engine, if any."""
         with self._lock:
             return self._fatal
-
-    def capacity_remaining(self) -> int:
-        """Payload bytes still unclaimed in a full batch."""
-        with self._lock:
-            return self._capacity_remaining_locked()
 
     def _capacity_remaining_locked(self) -> int:
         used = _BATCH_HEADER.size

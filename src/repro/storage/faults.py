@@ -40,12 +40,6 @@ from repro.storage.pmem import SimulatedPMEM
 from repro.storage.ssd import InMemorySSD
 
 
-class _Crashable(Protocol):
-    def crash(self, rng: Optional[np.random.Generator] = None) -> None: ...
-
-    def recover(self) -> None: ...
-
-
 class CrashBudgetExhausted(CrashedDeviceError):
     """Raised on the operation that triggers the injected crash."""
 

@@ -49,10 +49,6 @@ class GPUBuffer:
         """Allocation size in bytes."""
         return self.array.nbytes
 
-    def as_bytes(self) -> bytes:
-        """A copy of the buffer contents as raw bytes."""
-        return self.array.tobytes()
-
     def read_range(self, offset: int, length: int) -> bytes:
         """Raw bytes ``[offset, offset+length)`` of the buffer."""
         flat = self.array.reshape(-1).view(np.uint8)

@@ -1,6 +1,14 @@
-"""Tests for the global shard manifest and elastic re-partitioning."""
+"""Tests for elastic re-partitioning over the shard headers.
 
+The headers of a shard set are its whole index: ``TestManifest`` checks
+what they describe and how a damaged set is refused, ``TestPlan`` checks
+each reader's ``(offset, length)`` and source bytes, and ``TestExecute``
+checks the shard sets :func:`reshard_shards` refuses.
+"""
+
+import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,25 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.layout import Geometry
-from repro.core.meta import RECORD_SIZE
-from repro.core.reshard import (
-    MERGE,
-    PASS_THROUGH,
-    SPLIT,
-    execute_reshard,
-    plan_reshard,
-    reshard_shards,
-)
+from repro.core.meta import RECORD_SIZE, payload_crc
 from repro.core.sharding import (
-    ShardEntry,
-    ShardManifest,
-    build_manifest,
-    decode_manifest,
     decode_shard,
-    encode_manifest,
-    manifest_for_state,
-    manifest_from_shards,
     reassemble,
+    reshard_shards,
     shard_payload,
 )
 from repro.errors import ConfigError, CorruptCheckpointError
@@ -34,175 +28,189 @@ from repro.storage.ssd import InMemorySSD
 
 WORLDS = (1, 2, 3, 4, 8)
 
+# The on-media shard header: magic, index, count, total_len, offset, digest.
+HEADER = struct.Struct("<8sIIQQI")
+
 
 def state_of(length, seed=0):
     rng = np.random.default_rng(seed)
     return rng.integers(0, 256, size=length, dtype=np.uint8).tobytes()
 
 
+def forge(index, count, total_len, offset, piece):
+    """A shard with a hand-written header, for sets no writer would make."""
+    return HEADER.pack(b"PCSHARD1", index, count, total_len, offset, 0) + piece
+
+
+def ranges_of(shards):
+    """``(offset, length)`` of each shard's piece, in list order."""
+    return [
+        (info.offset, len(piece))
+        for info, piece in map(decode_shard, shards)
+    ]
+
+
+def refused(shards, match=None):
+    """Both consumers of a shard set refuse it."""
+    with pytest.raises(CorruptCheckpointError, match=match):
+        reassemble(shards)
+    with pytest.raises(CorruptCheckpointError, match=match):
+        reshard_shards(shards, 2)
+
+
 class TestManifest:
     def test_for_state_covers_exactly(self):
-        state = state_of(1000)
-        manifest = manifest_for_state(state, 3)
-        manifest.validate()
-        assert manifest.total_len == 1000
-        assert manifest.num_writers == 3
-        assert manifest.entries[0].start == 0
-        assert manifest.entries[-1].stop == 1000
+        shards = shard_payload(state_of(1000), 3)
+        infos = [decode_shard(shard)[0] for shard in shards]
+        assert {(info.count, info.total_len) for info in infos} == {(3, 1000)}
+        assert ranges_of(shards) == [(0, 334), (334, 333), (667, 333)]
 
     def test_from_shards_matches_for_state(self):
         state = state_of(777)
-        shards = shard_payload(state, 4)
-        assert manifest_from_shards(shards) == manifest_for_state(state, 4)
+        infos = [decode_shard(shard)[0] for shard in shard_payload(state, 4)]
+        assert [info.index for info in infos] == [0, 1, 2, 3]
+        assert {info.state_crc for info in infos} == {payload_crc(state)}
+        assert [info.offset for info in infos] == [0, 195, 389, 583]
 
     def test_from_shards_any_order(self):
-        state = state_of(300)
-        shards = shard_payload(state, 3)
-        assert (
-            manifest_from_shards(list(reversed(shards)))
-            == manifest_for_state(state, 3)
-        )
+        shards = shard_payload(state_of(300), 3)
+        backwards = list(reversed(shards))
+        assert reshard_shards(backwards, 2) == reshard_shards(shards, 2)
+        assert reassemble(backwards) == reassemble(shards)
 
     def test_from_mixed_versions_rejected(self):
         a = shard_payload(b"a" * 30, 3)
         b = shard_payload(b"b" * 30, 3)
-        with pytest.raises(CorruptCheckpointError):
-            manifest_from_shards([a[0], b[1], a[2]])
+        refused([a[0], b[1], a[2]], match="different state versions")
 
     def test_encode_decode_roundtrip(self):
-        manifest = manifest_for_state(state_of(512), 4)
-        assert decode_manifest(encode_manifest(manifest)) == manifest
+        state = state_of(512)
+        for index, shard in enumerate(shard_payload(state, 4)):
+            info, piece = decode_shard(shard)
+            assert (info.index, info.count, info.total_len) == (index, 4, 512)
+            assert bytes(piece) == state[info.offset : info.offset + 128]
 
     def test_tensor_names_roundtrip(self):
-        manifest = ShardManifest(
-            total_len=10,
-            state_crc=7,
-            entries=(
-                ShardEntry(0, 0, 6, tensor="layer.0.weight"),
-                ShardEntry(1, 6, 4, tensor="layer.0.bias"),
-            ),
-        )
-        decoded = decode_manifest(encode_manifest(manifest))
-        assert [e.tensor for e in decoded.entries] == [
-            "layer.0.weight", "layer.0.bias",
-        ]
+        tensors = {
+            "layer.0.weight": np.arange(60, dtype=np.float32),
+            "layer.0.bias": np.arange(7, dtype=np.float64),
+        }
+        state = b"".join(t.tobytes() for t in tensors.values())
+        out = reshard_shards(shard_payload(state, 3), 2)
+        decoded = sorted(map(decode_shard, out), key=lambda p: p[0].offset)
+        joined = b"".join(piece for _, piece in decoded)
+        weight = np.frombuffer(joined, np.float32, count=60)
+        bias = np.frombuffer(joined, np.float64, offset=240)
+        assert np.array_equal(weight, tensors["layer.0.weight"])
+        assert np.array_equal(bias, tensors["layer.0.bias"])
 
     def test_every_truncation_rejected(self):
-        raw = encode_manifest(manifest_for_state(state_of(256), 3))
-        for cut in range(len(raw)):
-            with pytest.raises(CorruptCheckpointError):
-                decode_manifest(raw[:cut])
+        shards = shard_payload(state_of(64), 3)
+        for cut in range(HEADER.size):
+            with pytest.raises(CorruptCheckpointError, match="truncated"):
+                decode_shard(shards[0][:cut])
+        for cut in range(len(shards[0])):
+            refused([shards[0][:cut], shards[1], shards[2]])
 
     def test_every_single_byte_corruption_rejected(self):
-        raw = encode_manifest(manifest_for_state(state_of(128), 2))
-        for index in range(len(raw)):
-            fuzzed = bytearray(raw)
+        shards = shard_payload(state_of(128), 2)
+        for index in range(len(shards[0])):
+            fuzzed = bytearray(shards[0])
             fuzzed[index] ^= 0xFF
             with pytest.raises(CorruptCheckpointError):
-                decode_manifest(bytes(fuzzed))
+                reassemble([bytes(fuzzed), shards[1]])
+        with pytest.raises(CorruptCheckpointError, match="not a PCcheck"):
+            decode_shard(b"PCSHARD2" + shards[0][8:])
+        # A digest every shard agrees on is still checked against the state.
+        digest = slice(HEADER.size - 4, HEADER.size)
+        wrong = [s[: digest.start] + b"\0\0\0\0" + s[digest.stop :]
+                 for s in shards]
+        with pytest.raises(CorruptCheckpointError, match="digest"):
+            reassemble(wrong)
 
     def test_trailing_bytes_rejected(self):
-        raw = encode_manifest(manifest_for_state(state_of(64), 2))
-        with pytest.raises(CorruptCheckpointError):
-            decode_manifest(raw + b"\x00")
+        shards = shard_payload(state_of(64), 2)
+        refused([shards[0] + b"\x00", shards[1]], match="overlap")
+        refused([shards[0], shards[1] + b"\x00"], match="cover 65 of 64")
 
     def test_overlapping_ranges_rejected(self):
-        manifest = ShardManifest(
-            total_len=10,
-            state_crc=0,
-            entries=(ShardEntry(0, 0, 6), ShardEntry(1, 4, 6)),
-        )
-        with pytest.raises(CorruptCheckpointError, match="overlap"):
-            manifest.validate()
+        shards = [forge(0, 2, 10, 0, b"x" * 6), forge(1, 2, 10, 4, b"y" * 6)]
+        refused(shards, match="overlap")
 
     def test_gapped_ranges_rejected(self):
-        manifest = ShardManifest(
-            total_len=10,
-            state_crc=0,
-            entries=(ShardEntry(0, 0, 4), ShardEntry(1, 6, 4)),
-        )
-        with pytest.raises(CorruptCheckpointError, match="uncovered"):
-            manifest.validate()
+        shards = [forge(0, 2, 10, 0, b"x" * 4), forge(1, 2, 10, 6, b"y" * 4)]
+        refused(shards, match="uncovered")
 
     def test_short_coverage_rejected(self):
-        manifest = ShardManifest(
-            total_len=10,
-            state_crc=0,
-            entries=(ShardEntry(0, 0, 4),),
-        )
-        with pytest.raises(CorruptCheckpointError, match="covers 4 of 10"):
-            manifest.validate()
+        refused([forge(0, 1, 10, 0, b"x" * 4)], match="cover 4 of 10")
 
 
 class TestPlan:
     def test_same_world_is_pass_through(self):
-        plan = plan_reshard(manifest_for_state(state_of(100), 4), 4)
-        assert plan.kinds == {PASS_THROUGH: 4, SPLIT: 0, MERGE: 0}
+        shards = shard_payload(state_of(100), 4)
+        out = reshard_shards(shards, 4)
+        assert ranges_of(out) == ranges_of(shards)
+        assert out == shards
 
     def test_growing_splits(self):
-        plan = plan_reshard(manifest_for_state(state_of(1000), 4), 8)
-        assert plan.kinds[MERGE] == 0
-        assert plan.kinds[SPLIT] == 8
+        state = state_of(1000)
+        out = reshard_shards(shard_payload(state, 4), 8)
+        # Every writer's 250 bytes feed two readers of 125.
+        assert ranges_of(out) == [(125 * r, 125) for r in range(8)]
+        for info, piece in map(decode_shard, out):
+            assert bytes(piece) == state[info.offset : info.offset + 125]
 
     def test_shrinking_merges(self):
-        plan = plan_reshard(manifest_for_state(state_of(1000), 4), 2)
-        assert plan.kinds == {PASS_THROUGH: 0, SPLIT: 0, MERGE: 2}
+        state = state_of(1000)
+        writers = shard_payload(state, 4)
+        out = reshard_shards(writers, 2)
+        assert ranges_of(out) == [(0, 500), (500, 500)]
+        pieces = [bytes(piece) for _, piece in map(decode_shard, writers)]
+        assert bytes(decode_shard(out[0])[1]) == pieces[0] + pieces[1]
+        assert bytes(decode_shard(out[1])[1]) == pieces[2] + pieces[3]
 
     def test_single_writer_to_many_splits(self):
-        plan = plan_reshard(manifest_for_state(state_of(100), 1), 4)
-        assert plan.kinds[SPLIT] == 4
+        state = state_of(100)
+        out = reshard_shards(shard_payload(state, 1), 4)
+        assert ranges_of(out) == [(0, 25), (25, 25), (50, 25), (75, 25)]
+        assert [bytes(piece) for _, piece in map(decode_shard, out)] == [
+            state[i : i + 25] for i in (0, 25, 50, 75)
+        ]
 
     def test_zero_reader_world_rejected(self):
         with pytest.raises(ConfigError):
-            plan_reshard(manifest_for_state(state_of(10), 2), 0)
+            reshard_shards(shard_payload(state_of(10), 2), 0)
 
     def test_duplicate_writer_rank_rejected(self):
-        manifest = ShardManifest(
-            total_len=10,
-            state_crc=0,
-            entries=(ShardEntry(0, 0, 5), ShardEntry(0, 5, 5)),
-        )
-        with pytest.raises(CorruptCheckpointError, match="same writer rank"):
-            plan_reshard(manifest, 2)
+        shards = [forge(0, 2, 10, 0, b"x" * 5), forge(0, 2, 10, 5, b"y" * 5)]
+        refused(shards, match="do not cover")
 
     def test_plan_covers_every_target_byte(self):
-        manifest = manifest_for_state(state_of(997), 3)
-        plan = plan_reshard(manifest, 5)
-        covered = sum(
-            piece.length
-            for rank_plan in plan.ranks
-            for piece in rank_plan.slices
-        )
-        assert covered == 997
-        assert sum(rank_plan.length for rank_plan in plan.ranks) == 997
+        state = state_of(997)
+        out = reshard_shards(shard_payload(state, 3), 5)
+        ranges = ranges_of(out)
+        assert ranges == [(0, 200), (200, 200), (400, 199), (599, 199),
+                          (798, 199)]
+        for info, piece in map(decode_shard, out):
+            assert bytes(piece) == state[info.offset : info.offset + len(piece)]
 
 
 class TestExecute:
     def test_payload_length_mismatch_rejected(self):
+        # Same count, one byte shorter: a shard of another state version.
         state = state_of(100)
-        manifest = manifest_for_state(state, 2)
-        plan = plan_reshard(manifest, 2)
-        pieces = [bytes(p) for _, p in map(decode_shard,
-                                           shard_payload(state, 2))]
-        pieces[1] = pieces[1][:-1]
-        with pytest.raises(CorruptCheckpointError, match="promises"):
-            execute_reshard(plan, pieces)
+        shards = shard_payload(state, 2)
+        shorter = shard_payload(state[:-1], 2)
+        refused([shards[0], shorter[1]], match="different state versions")
 
     def test_missing_payload_rejected(self):
-        state = state_of(100)
-        plan = plan_reshard(manifest_for_state(state, 3), 2)
-        pieces = [bytes(p) for _, p in map(decode_shard,
-                                           shard_payload(state, 3))]
-        with pytest.raises(CorruptCheckpointError, match="missing"):
-            execute_reshard(plan, pieces[:2])
+        shards = shard_payload(state_of(100), 3)
+        refused(shards[:2], match="expected 3 shards, got 2")
 
     def test_extra_payload_rejected(self):
-        state = state_of(100)
-        plan = plan_reshard(manifest_for_state(state, 2), 2)
-        pieces = [bytes(p) for _, p in map(decode_shard,
-                                           shard_payload(state, 2))]
-        with pytest.raises(CorruptCheckpointError, match="not in the manifest"):
-            execute_reshard(plan, pieces + [b"x"])
+        shards = shard_payload(state_of(100), 2)
+        refused(shards + [shards[1]], match="expected 2 shards, got 3")
+        refused([shards[0], shards[0]], match="do not cover")
 
 
 class TestReshardMatrix:
@@ -218,6 +226,25 @@ class TestReshardMatrix:
     def test_same_world_returns_bit_identical_shards(self, writers):
         shards = shard_payload(state_of(500), writers)
         assert reshard_shards(shards, writers) == shards
+
+    def test_same_world_output_is_in_rank_order(self):
+        shards = shard_payload(state_of(500), 4)
+        out = reshard_shards(list(reversed(shards)), 4)
+        assert [decode_shard(shard)[0].index for shard in out] == [0, 1, 2, 3]
+        assert out == shards
+
+    @pytest.mark.parametrize("readers", (1, 3, 8))
+    def test_each_byte_is_copied_once(self, readers):
+        state = state_of(8 << 20)
+        shards = shard_payload(state, 4)
+        tracemalloc.start()
+        try:
+            out = reshard_shards(shards, readers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * len(state)
+        assert reassemble(out) == state
 
     def test_outputs_are_self_describing(self):
         state = state_of(1000)
@@ -317,6 +344,17 @@ class TestElasticRecovery:
         assert len(result.payloads) == readers
         assert len(result.metas) == 4
         assert reassemble(result.payloads) == state
+
+    def test_resharded_payloads_are_read_only(self):
+        from repro.core.recovery import recover_consistent
+
+        layouts = self.run_world(shard_payload(state_of(900), 2))
+        result = recover_consistent(layouts, world_size=3)
+        for payload in result.payloads:
+            view = memoryview(payload)
+            assert view.readonly
+            with pytest.raises(TypeError):
+                view[0] = 0
 
     def test_same_world_size_is_not_resharded(self):
         from repro.core.recovery import recover_consistent
