@@ -16,19 +16,24 @@ test:
 test-sanitize:
 	REPRO_SANITIZE=1 $(MAKE) test
 
-# Distributed coordination suite (docs/DISTRIBUTED.md): the functional
-# barrier/coordinator/rank-handle/recovery tests (every rank a
-# `build_stack` stack under `DistributedRank`), the shard format and its
-# N-writer to M-reader re-partitioning over the shard headers, and the
-# simulator's failure model.  The multi-rank and elastic crash sweeps are rows of
-# `make crashsweep`.
+# Distributed coordination suite (docs/DISTRIBUTED.md): the
+# coordinator's rounds, the rank handle and consistent recovery (every
+# rank a `build_stack` stack under `DistributedRank`), the shard format
+# and its N-writer to M-reader re-partitioning over the shard headers,
+# the simulator's failure model, the `recover-consistent` CLI over rank
+# images the coordinator wrote, and the crash-sweep unit tests of the
+# `distributed` and `elastic` workloads (the watcher-joining thread-leak
+# test included).  Their full sweeps are rows of `make crashsweep`.
 test-distributed:
 	PYTHONPATH=src python -m pytest -x -q \
 		tests/core/test_distributed.py \
 		tests/core/test_distributed_coordinator.py \
 		tests/core/test_reshard.py \
 		tests/core/test_sharding.py \
-		tests/sim/test_distributed.py
+		tests/sim/test_distributed.py \
+		tests/analysis/test_cli.py::TestRecoverConsistentCommand
+	PYTHONPATH=src python -m pytest -x -q tests/analysis/test_crashsweep.py \
+		-k "distributed or elastic"
 
 # Multi-tenant service suite (docs/SERVICE.md): engine-pool lease
 # lifecycle, admission control and Eq. 3 quotas, group-commit batching

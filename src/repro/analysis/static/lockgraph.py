@@ -7,13 +7,13 @@ calls (followed through the call graph, depth-bounded) — is ordered
 after it.  Two locks acquired in opposite orders on different code
 paths form a cycle: the classic ABBA deadlock.
 
-Lock identity is canonical, not lexical: ``self._lock`` inside
-``CheckpointBarrier.signal`` and ``self._barrier._lock`` seen from the
-coordinator both resolve to ``CheckpointBarrier._lock`` when type
-inference succeeds.  Locks whose owner cannot be resolved (and function
-locals, which cannot participate in a cross-function cycle) are kept
-out of the graph rather than guessed — a deadlock report must name two
-real locks or it is noise.
+Lock identity is canonical, not lexical: ``self._held_lock`` inside
+``CheckpointEngine.release_held_slot`` and ``self._engine._held_lock``
+seen from a caller both resolve to ``CheckpointEngine._held_lock`` when
+type inference succeeds.  Locks whose owner cannot be resolved (and
+function locals, which cannot participate in a cross-function cycle)
+are kept out of the graph rather than guessed — a deadlock report must
+name two real locks or it is noise.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 Two locks acquired in opposite orders on different code paths can
 deadlock: thread 1 holds A and wants B while thread 2 holds B and
 wants A.  The checkpointer is exactly the kind of code where this
-bites — the engine, coordinator, barrier, and writer each own a lock
-and call across module boundaries while holding theirs.
+bites — the engine, coordinator, tracer and writer each own a lock
+and call across module boundaries (the coordinator hands settled
+rounds' slots back to each engine only after dropping its own).
 
 This rule builds the global lock-order graph (every ``with <lock>:``
 region, plus locks acquired transitively by functions the region

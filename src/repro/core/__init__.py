@@ -28,8 +28,11 @@ from repro.core.config import (
     UserConstraints,
     baseline_footprint,
 )
-from repro.core.barrier import BarrierRound, CheckpointBarrier, RoundOutcome
-from repro.core.distributed import DistributedCoordinator, DistributedRank
+from repro.core.distributed import (
+    DistributedCoordinator,
+    DistributedRank,
+    RoundOutcome,
+)
 from repro.core.engine import CheckpointEngine, CheckpointResult, CheckpointTicket
 from repro.core.inspect import DeviceReport, SlotReport, inspect_device, inspect_file
 from repro.core.sharding import reassemble, shard_overhead_bytes, shard_payload
@@ -56,10 +59,8 @@ __all__ = [
     "Ewma",
     "AtomicFlag",
     "AtomicReference",
-    "BarrierRound",
     "BytesSource",
     "CheckMeta",
-    "CheckpointBarrier",
     "CheckpointEngine",
     "CheckpointHandle",
     "CheckpointResult",

@@ -138,14 +138,14 @@ class DistributedError(PCcheckError):
 
 
 class DistributedTimeoutError(DistributedError):
-    """A coordination round timed out: some rank never reported its
-    checkpoint, so the step can never become globally consistent.
+    """A coordination round failed, or a caller stopped waiting on one.
 
-    The round is marked *failed* for every participant — a straggler
-    arriving later is rejected rather than silently advancing
-    ``peer_check`` for a round its peers already abandoned — and the
-    superseded slots held across the round are reclaimed once the group
-    agrees it is dead.
+    Only the round's own deadline fails it: then some rank never
+    reported, the step can never become globally consistent, every
+    participant — a late straggler too — sees the same failed outcome,
+    and the slots held across the round are reclaimed.  A caller's
+    shorter ``timeout`` raises this to that caller alone; the round
+    stays open for its peers.
     """
 
 

@@ -6,8 +6,11 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.barrier import CheckpointBarrier
-from repro.core.distributed import DistributedCoordinator, DistributedRank
+from repro.core.distributed import (
+    ROUND_HISTORY,
+    DistributedCoordinator,
+    DistributedRank,
+)
 from repro.core.engine import CheckpointEngine
 from repro.core.layout import DeviceLayout, Geometry
 from repro.core.meta import RECORD_SIZE, encode_slot_header
@@ -45,158 +48,173 @@ def make_rank(rank, coordinator, num_slots=3):
 
 
 def make_group(world_size, num_slots=3, timeout=10.0):
-    barrier = CheckpointBarrier(world_size, timeout=timeout)
-    coordinator = DistributedCoordinator(barrier=barrier)
+    coordinator = DistributedCoordinator(world_size, timeout=timeout)
     workers = [
         make_rank(rank, coordinator, num_slots) for rank in range(world_size)
     ]
-    return barrier, workers
+    return coordinator, workers
 
 
 def partition_payload(rank, step):
     return f"rank={rank};step={step};".encode() * 4
 
 
+def synchronize(coordinator, rank, step):
+    """Report ``step`` from ``rank`` and block until the round settles."""
+    coordinator.arrive(rank, step)
+    return coordinator.wait_round(step, rank=rank)
+
+
+def inflight(metrics):
+    return metrics.value(M.BARRIER_ROUNDS_INFLIGHT)
+
+
 class TestBarrier:
     def test_single_worker_releases_immediately(self):
-        barrier = CheckpointBarrier(1)
-        barrier.synchronize(0, step=5)
-        assert barrier.peer_check == 5
+        with DistributedCoordinator(1) as coord:
+            synchronize(coord, 0, step=5)
+            assert coord.peer_check == 5
 
     def test_all_workers_must_arrive(self):
-        barrier = CheckpointBarrier(2, timeout=5.0)
-        order = []
+        with DistributedCoordinator(2, timeout=5.0) as coord:
+            order = []
 
-        def peer():
-            barrier.synchronize(1, step=1)
-            order.append("peer-released")
+            def peer():
+                synchronize(coord, 1, step=1)
+                order.append("peer-released")
 
-        thread = threading.Thread(target=peer)
-        thread.start()
-        import time
-
-        time.sleep(0.05)
-        assert not order  # peer still waiting
-        barrier.synchronize(0, step=1)
-        thread.join()
-        assert order == ["peer-released"]
-        assert barrier.peer_check == 1
+            thread = threading.Thread(target=peer)
+            thread.start()
+            time.sleep(0.05)
+            assert not order  # peer still waiting
+            synchronize(coord, 0, step=1)
+            thread.join()
+            assert order == ["peer-released"]
+            assert coord.peer_check == 1
 
     def test_timeout_raises(self):
-        barrier = CheckpointBarrier(2, timeout=0.05)
-        with pytest.raises(DistributedError):
-            barrier.synchronize(0, step=1)
+        with DistributedCoordinator(2, timeout=0.05) as coord:
+            with pytest.raises(DistributedError):
+                synchronize(coord, 0, step=1)
 
     def test_invalid_rank_rejected(self):
-        barrier = CheckpointBarrier(2)
-        with pytest.raises(DistributedError):
-            barrier.synchronize(5, step=1)
+        with DistributedCoordinator(2) as coord:
+            with pytest.raises(DistributedError):
+                coord.arrive(5, step=1)
 
     def test_duplicate_report_rejected(self):
-        barrier = CheckpointBarrier(1)
-        barrier.synchronize(0, step=1)
-        with pytest.raises(DistributedError):
-            barrier.synchronize(0, step=1)
+        with DistributedCoordinator(1) as coord:
+            synchronize(coord, 0, step=1)
+            with pytest.raises(DistributedError):
+                coord.arrive(0, step=1)
 
     def test_independent_rounds(self):
-        barrier = CheckpointBarrier(1)
-        barrier.synchronize(0, step=3)
-        barrier.synchronize(0, step=1)  # late round for an older step
-        assert barrier.peer_check == 3
+        with DistributedCoordinator(1) as coord:
+            synchronize(coord, 0, step=3)
+            synchronize(coord, 0, step=1)  # late round for an older step
+            assert coord.peer_check == 3
 
 
 class TestBarrierRegressions:
-    """The PR-5 bug fixes: bounded memory, consistent timeout outcome."""
+    """Bounded memory and one consistent outcome per round."""
 
     def test_settled_rounds_are_garbage_collected(self):
-        barrier = CheckpointBarrier(1, history=4)
-        for step in range(1, 21):
-            barrier.synchronize(0, step=step)
-        assert barrier.peer_check == 20
-        assert barrier.in_flight_rounds == 0
-        assert barrier.settled_rounds <= 4
+        metrics = MetricsRegistry()
+        last = ROUND_HISTORY + 6
+        with DistributedCoordinator(1, metrics=metrics) as coord:
+            for step in range(1, last + 1):
+                synchronize(coord, 0, step=step)
+            assert coord.peer_check == last
+            assert inflight(metrics) == 0
+            # Only the newest ROUND_HISTORY tombstones are remembered.
+            assert coord.round_outcome(1) is None
+            assert coord.round_outcome(last - ROUND_HISTORY) is None
+            assert coord.round_outcome(last - ROUND_HISTORY + 1) is not None
 
     def test_memory_bounded_by_in_flight_rounds(self):
         """Completed rounds leave only a bounded tombstone window even
         when many steps are coordinated concurrently."""
-        barrier = CheckpointBarrier(2, history=8)
-        for step in range(1, 6):
-            barrier.arrive(0, step)
-        assert barrier.in_flight_rounds == 5
-        for step in range(1, 6):
-            barrier.arrive(1, step)
-        assert barrier.in_flight_rounds == 0
-        assert barrier.settled_rounds == 5
-        assert barrier.peer_check == 5
+        metrics = MetricsRegistry()
+        with DistributedCoordinator(2, metrics=metrics) as coord:
+            for step in range(1, 6):
+                assert coord.arrive(0, step) is None
+            assert inflight(metrics) == 5
+            for step in range(1, 6):
+                assert coord.arrive(1, step).status == "completed"
+            assert inflight(metrics) == 0
+            assert all(
+                coord.round_outcome(step).status == "completed"
+                for step in range(1, 6)
+            )
+            assert coord.peer_check == 5
 
     def test_timeout_reports_consistent_arrival_count(self):
-        barrier = CheckpointBarrier(3, timeout=0.05)
-        with pytest.raises(DistributedTimeoutError) as excinfo:
-            barrier.synchronize(0, step=7)
-        message = str(excinfo.value)
-        assert "1 of 3" in message
-        assert "[1, 2]" in message
-        outcome = barrier.round_outcome(7)
-        assert outcome is not None and outcome.status == "failed"
-        assert outcome.arrived == (0,)
-        assert outcome.missing == (1, 2)
+        with DistributedCoordinator(3, timeout=0.05) as coord:
+            with pytest.raises(DistributedTimeoutError) as excinfo:
+                synchronize(coord, 0, step=7)
+            message = str(excinfo.value)
+            assert "1 of 3" in message
+            assert "[1, 2]" in message
+            outcome = coord.round_outcome(7)
+            assert outcome is not None and outcome.status == "failed"
+            assert outcome.arrived == (0,)
+            assert outcome.missing == (1, 2)
 
     def test_straggler_after_timeout_is_rejected(self):
         """A rank arriving after its peers abandoned the round must not
         resurrect it or advance peer_check."""
-        barrier = CheckpointBarrier(2, timeout=0.05)
-        with pytest.raises(DistributedTimeoutError):
-            barrier.synchronize(0, step=1)
-        handle = barrier.arrive(1, step=1)
-        assert handle.settled
-        with pytest.raises(DistributedTimeoutError):
-            handle.wait()
-        assert barrier.peer_check == -1
-        assert barrier.in_flight_rounds == 0
+        metrics = MetricsRegistry()
+        with DistributedCoordinator(2, timeout=0.05, metrics=metrics) as coord:
+            with pytest.raises(DistributedTimeoutError):
+                synchronize(coord, 0, step=1)
+            assert coord.arrive(1, step=1).status == "failed"
+            with pytest.raises(DistributedTimeoutError):
+                coord.wait_round(1, rank=1)
+            assert coord.peer_check == -1
+            assert inflight(metrics) == 0
 
     def test_concurrent_multi_step_rounds_settle_independently(self):
-        barrier = CheckpointBarrier(2, timeout=5.0)
-        barrier.arrive(0, 1)
-        barrier.arrive(0, 2)
-        barrier.arrive(1, 2)  # newer round completes first
-        assert barrier.peer_check == 2
-        assert barrier.in_flight_rounds == 1
-        barrier.arrive(1, 1)
-        assert barrier.peer_check == 2  # older completion cannot regress
-        assert barrier.in_flight_rounds == 0
+        metrics = MetricsRegistry()
+        with DistributedCoordinator(2, timeout=5.0, metrics=metrics) as coord:
+            coord.arrive(0, 1)
+            coord.arrive(0, 2)
+            coord.arrive(1, 2)  # newer round completes first
+            assert coord.peer_check == 2
+            assert inflight(metrics) == 1
+            coord.arrive(1, 1)
+            assert coord.peer_check == 2  # older completion cannot regress
+            assert inflight(metrics) == 0
 
     def test_waiters_observe_failure_marked_by_peer(self):
-        """When one waiter's deadline fails the round, a concurrent
-        waiter for the same round observes the same failed outcome."""
-        barrier = CheckpointBarrier(3, timeout=0.15)
-        errors = []
+        """When the round's deadline fails it, every waiter on the round
+        observes the same failed outcome."""
+        with DistributedCoordinator(3, timeout=0.15) as coord:
+            errors = []
 
-        def wait_rank(rank):
-            try:
-                barrier.synchronize(rank, step=1)
-            except DistributedError as exc:
-                errors.append(str(exc))
+            def wait_rank(rank):
+                try:
+                    synchronize(coord, rank, step=1)
+                except DistributedError as exc:
+                    errors.append(str(exc))
 
-        threads = [
-            threading.Thread(target=wait_rank, args=(rank,))
-            for rank in (0, 1)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(errors) == 2
-        # Both report the identical settled arrival count.
-        assert all("2 of 3" in message for message in errors)
+            threads = [
+                threading.Thread(target=wait_rank, args=(rank,))
+                for rank in (0, 1)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert len(errors) == 2
+            # Both report the identical settled arrival count.
+            assert all("2 of 3" in message for message in errors)
 
     def test_round_metrics_recorded(self):
-        barrier = CheckpointBarrier(1, timeout=0.05)
-        barrier.synchronize(0, step=1)
-        with pytest.raises(DistributedError):
-            barrier.arrive(0, step=1)  # duplicate, not a new round
-        metrics = barrier.metrics
-        from repro.obs.metrics import M
-
+        metrics = MetricsRegistry()
+        with DistributedCoordinator(1, timeout=0.05, metrics=metrics) as coord:
+            synchronize(coord, 0, step=1)
+            with pytest.raises(DistributedError):
+                coord.arrive(0, step=1)  # duplicate, not a new round
         assert metrics.value(M.BARRIER_ROUNDS_COMPLETED) == 1
         assert metrics.value(M.BARRIER_ROUNDS_FAILED) == 0
         assert metrics.value(M.BARRIER_ROUNDS_INFLIGHT) == 0
@@ -225,9 +243,7 @@ class TestDistributedCheckpointing:
     def test_straggler_keeps_previous_step_recoverable(self):
         """If one worker never commits step 2, the group must recover
         step 1 — the old slots were held across the barrier."""
-        coordinator = DistributedCoordinator(
-            barrier=CheckpointBarrier(2, timeout=0.2)
-        )
+        coordinator = DistributedCoordinator(2, timeout=0.2)
         workers = [make_rank(rank, coordinator) for rank in range(2)]
         # Step 1 commits in lockstep.
         threads = [
@@ -241,7 +257,7 @@ class TestDistributedCheckpointing:
             thread.start()
         for thread in threads:
             thread.join()
-        # Step 2: only worker 0 tries; the barrier times out (peer died).
+        # Step 2: only worker 0 tries; the round times out (peer died).
         with pytest.raises(DistributedError):
             workers[0].checkpoint(partition_payload(0, 2), 2)
         consistent = recover_consistent([w.stack.layout for w in workers])
@@ -258,7 +274,7 @@ class TestDistributedCheckpointing:
         assert steps == {1, 2}
 
     def test_recovery_with_no_common_step_raises(self):
-        coordinator = DistributedCoordinator(barrier=CheckpointBarrier(1))
+        coordinator = DistributedCoordinator(1)
         worker_a = make_rank(0, coordinator)
         layout_b = DeviceLayout.format(
             make_device(), num_slots=3, slot_size=PAYLOAD_CAPACITY + RECORD_SIZE

@@ -24,7 +24,7 @@ from repro.errors import (
     DistributedTimeoutError,
     EngineError,
 )
-from repro.obs.metrics import M
+from repro.obs.metrics import M, MetricsRegistry
 from repro.service.pool import EngineSpec, build_stack
 from repro.storage.ssd import InMemorySSD
 
@@ -168,7 +168,7 @@ class TestPipelinedCoordination:
             result = commit_locally(fast, 1)
             elapsed = time.monotonic() - started
             assert result.committed
-            assert not coord.barrier.round_outcome(1)
+            assert not coord.round_outcome(1)
             assert elapsed < 2.0  # did not sit out the 10 s round
             peer = threading.Thread(
                 target=slow.checkpoint, args=(payload(1, 1), 1)
@@ -190,7 +190,7 @@ class TestPipelinedCoordination:
             # superseded step-1 slot is in custody until the peer lands.
             commit_locally(fast, 2)
             assert engine.held_slots != () or coord.peer_check >= 2 or (
-                coord.barrier.round_outcome(2) is not None
+                coord.round_outcome(2) is not None
             )
             slow_thread = threading.Thread(
                 target=slow.checkpoint, args=(payload(1, 2), 2)
@@ -386,74 +386,70 @@ class TestWaitBeforeRoundOpens:
     def test_wait_open_sees_already_settled_round(self):
         with DistributedCoordinator(world_size=1, timeout=30.0) as coord:
             # world of one: the round opens and completes inside arrive().
-            coord.barrier.arrive(0, 1)
-            assert coord.barrier.wait_open(1, timeout=0.0)
-            assert coord.wait_round(1, timeout=0.2).status == "completed"
+            assert coord.arrive(0, 1).status == "completed"
+            assert coord.round_outcome(1).status == "completed"
+            assert coord.wait_round(1, timeout=0.0).status == "completed"
 
 
 class TestBarrierResize:
-    """The locked resize()/fail_all_pending() APIs (elastic re-form)."""
-
-    def make_barrier(self, world, timeout=30.0):
-        from repro.core.barrier import CheckpointBarrier
-
-        return CheckpointBarrier(world, timeout=timeout)
+    """reform(world_size=...) and reform() on the rounds (elastic re-form)."""
 
     def test_resize_fails_pending_rounds(self):
-        barrier = self.make_barrier(3)
-        handle = barrier.arrive(0, 1)
-        outcomes = barrier.resize(2, reason="shrink for test")
-        assert [o.step for o in outcomes] == [1]
-        assert outcomes[0].status == "failed"
-        assert outcomes[0].reason == "shrink for test"
-        assert handle.settled
-        assert barrier.world_size == 2
-        with pytest.raises(DistributedTimeoutError):
-            handle.wait(timeout=0.0)
+        with DistributedCoordinator(3) as coord:
+            assert coord.arrive(0, 1) is None
+            coord.reform(world_size=2)
+            outcome = coord.round_outcome(1)
+            assert outcome.status == "failed"
+            assert outcome.reason == "group re-formed"
+            assert coord.world_size == 2
+            assert not coord.degraded
+            with pytest.raises(DistributedTimeoutError):
+                coord.wait_round(1, timeout=0.0)
 
     def test_fail_all_pending_settles_every_round(self):
-        barrier = self.make_barrier(2)
-        barrier.arrive(0, 1)
-        barrier.arrive(0, 2)
-        barrier.arrive(1, 2)  # completes round 2
-        outcomes = barrier.fail_all_pending("reforming")
-        assert [o.step for o in outcomes] == [1]
-        assert barrier.in_flight_rounds == 0
-        assert barrier.round_outcome(2).status == "completed"
+        metrics = MetricsRegistry()
+        with DistributedCoordinator(2, metrics=metrics) as coord:
+            coord.arrive(0, 1)
+            coord.arrive(0, 2)
+            coord.arrive(1, 2)  # completes round 2
+            coord.reform()
+            assert coord.round_outcome(1).status == "failed"
+            assert metrics.value(M.BARRIER_ROUNDS_INFLIGHT) == 0
+            assert coord.round_outcome(2).status == "completed"
 
     def test_shrink_evicts_and_names_the_reform(self):
-        barrier = self.make_barrier(4)
-        barrier.resize(2)
-        assert barrier.evicted_ranks == (2, 3)
-        with pytest.raises(DistributedError) as excinfo:
-            barrier.arrive(3, 5)
-        message = str(excinfo.value)
-        assert "rank 3 was evicted" in message
-        assert "re-formed from world size 4 to 2" in message
-        assert "[2, 3]" in message
-        # Surviving ranks still coordinate.
-        barrier.arrive(0, 5)
-        barrier.arrive(1, 5)
-        assert barrier.round_outcome(5).status == "completed"
+        with DistributedCoordinator(4) as coord:
+            coord.reform(world_size=2)
+            with pytest.raises(DistributedError) as excinfo:
+                coord.arrive(3, 5)
+            message = str(excinfo.value)
+            assert "rank 3 was evicted" in message
+            assert "re-formed from world size 4 to 2" in message
+            assert "evicted ranks [2, 3]" in message
+            # Surviving ranks still coordinate.
+            coord.arrive(0, 5)
+            coord.arrive(1, 5)
+            assert coord.round_outcome(5).status == "completed"
 
     def test_grow_readmits_evicted_ranks(self):
-        barrier = self.make_barrier(4)
-        barrier.resize(2)
-        barrier.resize(8)
-        assert barrier.evicted_ranks == ()
-        for rank in range(8):
-            barrier.arrive(rank, 1)
-        assert barrier.round_outcome(1).status == "completed"
+        with DistributedCoordinator(4) as coord:
+            coord.reform(world_size=2)
+            coord.reform(world_size=8)
+            for rank in range(8):  # no evicted-rank error for 2..3
+                coord.arrive(rank, 1)
+            assert coord.round_outcome(1).status == "completed"
 
     def test_resize_rejects_empty_world(self):
-        with pytest.raises(DistributedError):
-            self.make_barrier(2).resize(0)
+        with DistributedCoordinator(2) as coord:
+            with pytest.raises(DistributedError):
+                coord.reform(world_size=0)
+            assert coord.world_size == 2
 
     def test_resize_never_races_arrive(self):
-        """Hammer concurrent arrive() against resize(): every arrival
+        """Hammer concurrent arrive() against reform(): every arrival
         either lands in a consistent world or raises DistributedError —
         no crash, no round completing against a half-updated count."""
-        barrier = self.make_barrier(4, timeout=None)
+        coord = DistributedCoordinator(4, timeout=None)
         stop = threading.Event()
         errors = []
 
@@ -463,7 +459,7 @@ class TestBarrierResize:
                 step += 1
                 for rank in range(8):
                     try:
-                        barrier.arrive(rank, step)
+                        coord.arrive(rank, step)
                     except DistributedError:
                         pass
                     except Exception as exc:  # noqa: BLE001
@@ -473,10 +469,11 @@ class TestBarrierResize:
         thread.start()
         try:
             for world in (2, 8, 3, 4) * 10:
-                barrier.resize(world)
+                coord.reform(world_size=world)
         finally:
             stop.set()
             thread.join()
+            coord.close()
         assert errors == []
 
 
@@ -491,10 +488,9 @@ class TestReform:
             coord.reform(world_size=2)
             assert not coord.degraded
             assert coord.world_size == 2
-            assert coord.barrier.evicted_ranks == (2, 3)
             assert lockstep(workers[:2], 2) == []
             assert coord.peer_check == 2
-            with pytest.raises(DistributedError, match="evicted"):
+            with pytest.raises(DistributedError, match=r"evicted ranks \[2, 3\]"):
                 workers[3].checkpoint(payload(3, 2), 2)
 
     def test_reform_without_resize_keeps_world(self):
@@ -507,14 +503,72 @@ class TestReform:
             assert lockstep(workers, 2) == []
 
     def test_reform_uses_no_barrier_private_state(self):
-        """The acceptance bar: reform() goes through the barrier's public
-        API only — no reaching into its lock, rounds, or world size."""
+        """The round has one home: the barrier module is gone, the
+        coordinator owns exactly one lock, and reform() takes only it."""
+        import ast
+        import importlib
         import inspect
+        import textwrap
 
-        source = inspect.getsource(DistributedCoordinator.reform)
-        assert "._barrier._" not in source
-        for private in ("_lock", "_rounds", "_world_size", "_settled"):
-            assert f"barrier.{private}" not in source
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.barrier")
+        lock_types = (
+            type(threading.Lock()), type(threading.RLock()),
+            threading.Condition,
+        )
+        with DistributedCoordinator(2) as coord:
+            locks = [
+                name for name, value in vars(coord).items()
+                if isinstance(value, lock_types)
+            ]
+        assert locks == ["_cond"]
+        tree = ast.parse(
+            textwrap.dedent(inspect.getsource(DistributedCoordinator.reform))
+        )
+        acquired = [
+            ast.unparse(item.context_expr)
+            for node in ast.walk(tree) if isinstance(node, ast.With)
+            for item in node.items
+        ]
+        assert acquired == ["self._cond"]
+
+
+class TestRoundLifecycleRegressions:
+    def test_waiter_timeout_leaves_the_round_open(self):
+        """A caller's short wait is that caller's business: only the
+        round's own deadline fails the group's round."""
+        with DistributedCoordinator(world_size=2, timeout=30.0) as coord:
+            ranks = [make_rank(rank, coord) for rank in range(2)]
+            assert commit_locally(ranks[0], 1).committed
+            with pytest.raises(DistributedTimeoutError, match="still open"):
+                ranks[0].wait_consistent(1, timeout=0.05)
+            assert not coord.degraded
+            assert coord.failed_ranks == ()
+            # Rank 1's on-time arrival completes the round for both.
+            assert ranks[1].checkpoint(payload(1, 1), 1).committed
+            assert ranks[0].wait_consistent(1, timeout=0.0).status == "completed"
+            assert coord.round_outcome(1).status == "completed"
+            assert coord.peer_check == 1
+
+    def test_close_releases_slots_held_for_open_rounds(self):
+        """Closing the coordinator fails its open rounds and recycles
+        the slots they held instead of stranding them."""
+        coord = DistributedCoordinator(world_size=2, timeout=0.2)
+        spec = EngineSpec(capacity_bytes=PAYLOAD_CAPACITY, backend="pmem")
+        rank = DistributedRank(0, build_stack(spec, rank=coord.binding(0)), coord)
+        try:
+            for step in (1, 2):  # rank 1 never commits
+                assert commit_locally(rank, step).committed
+            engine = rank.stack.engine
+            assert engine.held_slots != ()
+            coord.close()
+            assert wait_until(lambda: engine.held_slots == (), timeout=0.6)
+            report = rank.stack.leak_report()
+            assert report["free_slots"] == report["expected_free_slots"]
+            assert coord.round_outcome(2).reason == "coordinator closed"
+        finally:
+            rank.close()
+            coord.close()
 
 
 class TestRankIsAnOrdinaryStack:

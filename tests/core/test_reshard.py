@@ -293,7 +293,6 @@ class TestElasticRecovery:
 
     def run_world(self, payloads, step=1):
         """One rank per payload, checkpointed in lockstep; the layouts."""
-        from repro.core.barrier import CheckpointBarrier
         from repro.core.distributed import (
             DistributedCoordinator,
             DistributedRank,
@@ -301,7 +300,7 @@ class TestElasticRecovery:
         from repro.service.pool import EngineSpec, build_stack
 
         world = len(payloads)
-        coordinator = DistributedCoordinator(barrier=CheckpointBarrier(world))
+        coordinator = DistributedCoordinator(world)
         spec = EngineSpec(capacity_bytes=max(len(p) for p in payloads))
         geometry = Geometry(
             num_slots=3, slot_size=spec.capacity_bytes + RECORD_SIZE

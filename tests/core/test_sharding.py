@@ -78,7 +78,6 @@ class TestSharding:
     def test_sharded_distributed_checkpoint_end_to_end(self):
         """K replicas each persist one shard through their own stack;
         recovery gathers consistent shards and reassembles."""
-        from repro.core.barrier import CheckpointBarrier
         from repro.core.distributed import (
             DistributedCoordinator,
             DistributedRank,
@@ -90,7 +89,7 @@ class TestSharding:
         ).tobytes()
         world = 3
         shards = shard_payload(state, world)
-        coordinator = DistributedCoordinator(barrier=CheckpointBarrier(world))
+        coordinator = DistributedCoordinator(world)
         spec = EngineSpec(capacity_bytes=max(len(s) for s in shards))
         geometry = Geometry(
             num_slots=3, slot_size=spec.capacity_bytes + RECORD_SIZE
