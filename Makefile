@@ -40,9 +40,12 @@ test-distributed:
 # with the slow-device close-ordering regression, the 8-tenant fleet
 # e2e, the over-subscription hammer, the event-driven dispatcher's
 # ordering/borrowed-pool/stuck-backlog tests (no blocking acquire, retire
-# before dispatch), and the shared strategy registry —
-# then the `serve` demo fleet, which exits non-zero on any slot or
-# DRAM-buffer leak.
+# before dispatch), seat sharing (up to num_concurrent tickets from any
+# tenants on one leased seat, none on a dead one, the 3-tenant
+# one-seat hammer), and the shared strategy registry —
+# then the `serve` demo fleet, whose 3 dedicated tenants share one
+# non-batcher seat at --pool-size 2, and which exits non-zero on any
+# slot or DRAM-buffer leak or any superseded dedicated request.
 test-service:
 	PYTHONPATH=src python -m pytest -x -q tests/service tests/test_strategies.py
 	PYTHONPATH=src python -m repro.cli serve --tenants 6 --rounds 3 \

@@ -459,7 +459,12 @@ def _run_serve(args: argparse.Namespace) -> int:
     else:
         print(render_report(report))
     leaks = report["leak_report"]
-    return 0 if not leaks["leaked_slots"] and not leaks["leaked_buffers"] else 1
+    clean = (
+        not leaks["leaked_slots"]
+        and not leaks["leaked_buffers"]
+        and not report["dedicated_superseded"]
+    )
+    return 0 if clean else 1
 
 
 def _run_obs(args: argparse.Namespace) -> int:

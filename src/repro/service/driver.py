@@ -5,8 +5,8 @@ bandwidth-throttled in-memory pool, admits a mixed fleet of tenants —
 large dedicated ones with distinct Eq. 3-derived quotas, small coalesced
 ones — fires concurrent checkpoint bursts from per-tenant threads, and
 reports what the service did: admissions, rejections, queue time,
-batches cut, fences issued versus requests served, and the pool's final
-leak report.
+batches cut, fences issued versus requests served, dedicated requests
+superseded, and the pool's final leak report.
 """
 
 from __future__ import annotations
@@ -106,10 +106,18 @@ def run_service_demo(
         for account in stats.values()
         if account["coalesced"]
     )
+    # A dedicated checkpoint is never legitimately superseded: a seat's
+    # tickets commit in start order.  Coalesced ones are latest-value.
+    dedicated_superseded = sum(
+        account["superseded"]
+        for account in stats.values()
+        if not account["coalesced"]
+    )
     return {
         "tenants": stats,
         "requests": requests,
         "coalesced_requests": coalesced_requests,
+        "dedicated_superseded": dedicated_superseded,
         "rejected": rejected,
         "batches": counter_total(snapshot, M.SERVICE_BATCHES),
         "batch_entries": counter_total(snapshot, M.SERVICE_BATCH_ENTRIES),
@@ -142,8 +150,10 @@ def render_report(report: dict) -> str:
         f"requests -> {int(report['batches'])} batches "
         f"({int(report['batch_entries'])} entries)",
         f"dispatch parked    : {int(report['dispatch_parked'])} attempts "
-        "found every engine leased",
+        "found every engine ticket taken",
         f"persist fences     : {int(report['persist_fences'])}",
+        f"dedicated supersede: {report['dedicated_superseded']} "
+        "(must be 0)",
         f"pool leaks         : "
         f"{report['leak_report']['leaked_slots']} slots, "
         f"{report['leak_report']['leaked_buffers']} buffers",

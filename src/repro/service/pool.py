@@ -24,8 +24,9 @@ Pool semantics:
 * Stacks are built lazily on first acquire (member ``i`` of an ``ssd``
   pool lives at ``{path}.e{i}`` when the pool has more than one engine,
   at ``path`` itself for the size-1 ``open_checkpointer`` case).
-* A lease is exclusive: one tenant drives one engine at a time, so the
-  engine's N-concurrent-slot bound is the tenant's to spend.
+* A lease is exclusive: one holder drives one engine at a time, so the
+  engine's N-concurrent-slot bound is the holder's to spend (the
+  service spends it across its tenants, up to N tickets per seat).
 * ``release`` drains the orchestrator and returns the stack to the idle
   list; a stack whose pipelines died on a crashed device is *retired*
   instead (closed, its pool seat freed for a rebuild) so a poisoned

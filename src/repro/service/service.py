@@ -3,11 +3,11 @@
 :class:`CheckpointService` admits many concurrent tenants over one
 shared :class:`~repro.service.pool.EnginePool`:
 
-* **Dedicated tenants** (the default): each admitted request leases a
-  pooled engine for its duration, runs through the full PCcheck
-  orchestrator pipeline (staged snapshot, parallel writers, Listing 1
-  commit), and releases the lease when the commit settles.  The tenant's
-  slot quota bounds how many pool engines it may occupy at once; the
+* **Dedicated tenants** (the default): each admitted request takes one
+  engine *ticket* — one of the N concurrent checkpoints a leased pool
+  seat runs (§3.1) — and goes through the full PCcheck orchestrator
+  pipeline (staged snapshot, parallel writers, Listing 1 commit).  The
+  tenant's slot quota bounds how many tickets it may hold at once; the
   bounded backlog absorbs bursts; beyond that,
   :class:`~repro.errors.AdmissionRejected`.
 * **Coalesced tenants** (``TenantSpec(coalesce=True)``): small
@@ -17,18 +17,22 @@ shared :class:`~repro.service.pool.EnginePool`:
   request.
 
 A single dispatcher thread owns all lease traffic: it retires finished
-checkpoints (release the lease, refill from the tenant's backlog) and
-dispatches admitted work onto free engines.  Checkpoint completion
-callbacks — which run on orchestrator pipeline threads — only enqueue a
-retirement and wake the dispatcher, never touch the pool themselves, so
-the pipeline can never deadlock against its own drain.
+checkpoints (return the ticket, refill from the tenant's backlog) and
+dispatches admitted work.  A request goes to a free pool seat first;
+when the pool has none it joins the held seat with the fewest tickets,
+so up to N checkpoints from any tenants overlap on one engine — the
+orchestrator commits them in start order, so they never supersede each
+other.  A seat is released when its last ticket retires.  Checkpoint
+completion callbacks — which run on orchestrator pipeline threads —
+only enqueue a retirement and wake the dispatcher, never touch the pool
+themselves, so the pipeline can never deadlock against its own drain.
 
 The dispatcher is event-driven: it never waits on the pool.  A dispatch
 attempt that finds every engine leased (``try_acquire`` returns
-``None``) *parks* the head request; a retirement, or the pool's release
-listener reporting a seat freed by any other holder, un-parks it.  No
-timer sits between a request's admission and its ticket settling (see
-docs/SERVICE.md "Dispatch").
+``None``) and every held seat full or dead *parks* the head request; a
+retirement, or the pool's release listener reporting a seat freed by
+any other holder, un-parks it.  No timer sits between a request's
+admission and its ticket settling (see docs/SERVICE.md "Dispatch").
 
 Every tenant-visible event lands in the pool's shared metrics registry
 under a ``tenant=`` label (see ``docs/OBSERVABILITY.md``), keeping one
@@ -67,7 +71,7 @@ from repro.service.admission import (
     derive_quota,
 )
 from repro.service.batching import CoalescingBatcher
-from repro.service.pool import EnginePool, EngineSpec
+from repro.service.pool import EngineLease, EnginePool, EngineSpec
 
 
 @dataclass(frozen=True)
@@ -191,6 +195,9 @@ class CheckpointService:
         #: (lease, request, handle) of finished checkpoints awaiting
         #: retirement.
         self._retire: Deque[Tuple] = deque()
+        #: Tickets in flight on each held pool seat.  Dispatcher thread
+        #: only; a seat is released when its count drops to 0.
+        self._seats: Dict[EngineLease, int] = {}
         self._dispatched = 0
         #: Pool seats freed so far (bumped by the pool's release listener).
         self._seats_freed = 0
@@ -479,7 +486,10 @@ class CheckpointService:
             self._fail_request(request, exc)
             return
         if lease is None:
-            # Every engine is busy: park until a seat is freed.  A
+            lease = self._roomiest_seat()
+        if lease is None:
+            # Every engine is leased and every seat we hold is full or
+            # dead: park until a ticket retires or a seat is freed.  A
             # release since ``seats_freed`` was read (it raced the
             # attempt) leaves the request un-parked for an immediate
             # retry.
@@ -488,6 +498,7 @@ class CheckpointService:
                 self._parked_at = seats_freed
             self._metrics.inc(M.SERVICE_DISPATCH_PARKED)
             return
+        self._seats[lease] = self._seats.get(lease, 0) + 1
         self._metrics.inc(
             M.TENANT_QUEUE_SECONDS,
             time.monotonic() - request.queued_at,
@@ -498,7 +509,7 @@ class CheckpointService:
                 request.source, step=request.step
             )
         except BaseException as exc:  # noqa: BLE001 - engine refused
-            lease.release()
+            self._return_ticket(lease)
             self._fail_request(request, exc)
             return
         handle.add_done_callback(
@@ -507,6 +518,25 @@ class CheckpointService:
             )
         )
 
+    def _roomiest_seat(self) -> Optional[EngineLease]:
+        """The held seat with the fewest tickets below its engine's N,
+        skipping a seat whose engine died (it only drains now: a new
+        ticket there would fail with ``EngineClosedError``)."""
+        room = [
+            lease for lease, count in self._seats.items()
+            if count < lease.engine.max_concurrent and not lease.stack.defunct
+        ]
+        return min(room, key=self._seats.__getitem__, default=None)
+
+    def _return_ticket(self, lease: EngineLease) -> None:
+        # The seat's last ticket hands the lease back; its drain finds
+        # nothing in flight, and runs here, never on a pipeline thread.
+        count = self._seats.pop(lease) - 1
+        if count:
+            self._seats[lease] = count
+        else:
+            lease.release()
+
     def _on_dedicated_done(self, lease, request: _Request, handle) -> None:
         # Pipeline thread: enqueue and wake the dispatcher, nothing else.
         with self._work:
@@ -514,9 +544,9 @@ class CheckpointService:
             self._work.notify()
 
     def _retire_one(self, lease, request: _Request, handle) -> None:
-        # Lease traffic first: release() drains the (already settled)
-        # orchestrator and returns the engine for the next dispatch.
-        lease.release()
+        # Lease traffic first: the ticket (and, with the seat's last
+        # one, the engine) is there for the next dispatch.
+        self._return_ticket(lease)
         try:
             result = handle.wait(timeout=0)
         except BaseException as exc:  # noqa: BLE001 - tenant's to observe

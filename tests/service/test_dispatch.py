@@ -1,5 +1,7 @@
 """The service dispatcher is event-driven: it never waits on the pool,
 retires before it dispatches, and is woken by any holder's release.
+A held pool seat carries up to N tickets — any tenants' — and a seat
+whose engine died takes no new ones.
 
 None of these tests sleeps: a gated device and a spy pool's events are
 the only synchronisation (every ``wait`` carries a timeout purely so a
@@ -12,13 +14,14 @@ import threading
 
 import pytest
 
-from repro.errors import EngineClosedError
+from repro.errors import CrashedDeviceError, EngineClosedError
 from repro.obs.metrics import M
 from repro.service.admission import TenantSpec
 from repro.service.driver import counter_total
 from repro.service.pool import EnginePool, EngineSpec
 from repro.service.service import CheckpointService
 from repro.storage.pmem import SimulatedPMEM
+from repro.storage.ssd import InMemorySSD
 
 WAIT = 10.0  # safety bound on every event wait; never the expected path
 
@@ -37,6 +40,10 @@ class SpyPool(EnginePool):
         super().__init__(*args, **kwargs)
         self.events = []
         self.saturated = threading.Event()
+        #: One permit per ``try_acquire`` that found every seat leased.
+        self.misses = threading.Semaphore(0)
+        #: Every lease a ``try_acquire`` handed out, in order.
+        self.leases = []
 
     def acquire(self, *, timeout=None, tag="anonymous"):
         self.events.append(
@@ -49,6 +56,9 @@ class SpyPool(EnginePool):
         self.events.append(("try_acquire", tag, lease is not None))
         if lease is None:
             self.saturated.set()
+            self.misses.release()
+        else:
+            self.leases.append(lease)
         return lease
 
     def release(self, lease):
@@ -56,20 +66,48 @@ class SpyPool(EnginePool):
         self.events.append(("release", lease.tag))
 
 
-class GatedPMEM(SimulatedPMEM):
-    """Durability barriers block while ``gate`` is clear."""
+class Gated:
+    """Device mixin: durability barriers block while ``gate`` is clear,
+    writes while ``write_gate`` is clear; ``written`` collects the first
+    bytes of each write."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.gate = threading.Event()
         self.gate.set()
         self.blocked = threading.Event()
+        self.write_gate = threading.Event()
+        self.write_gate.set()
+        self.write_blocked = threading.Event()
+        self.written = set()
+        self.wrote = threading.Condition()
+
+    def write(self, offset, data):
+        if not self.write_gate.is_set():
+            self.write_blocked.set()
+            assert self.write_gate.wait(WAIT)
+        super().write(offset, data)
+        with self.wrote:
+            self.written.add(bytes(memoryview(data)[:8]))
+            self.wrote.notify_all()
 
     def persist(self, offset, length):
         if not self.gate.is_set():
             self.blocked.set()
             assert self.gate.wait(WAIT)
         super().persist(offset, length)
+
+    def wait_written(self, prefix):
+        with self.wrote:
+            return self.wrote.wait_for(lambda: prefix in self.written, WAIT)
+
+
+class GatedPMEM(Gated, SimulatedPMEM):
+    """Every writer share fences, so a closed gate holds the writers."""
+
+
+class GatedSSD(Gated, InMemorySSD):
+    """Writes land unfenced; a closed gate holds the commit's fence."""
 
 
 def dispatcher_acquires(pool):
@@ -92,8 +130,12 @@ class TestNoTimerOnTheDispatchPath:
             assert all(t.result(WAIT).committed for t in tickets)
             assert service.drain(WAIT)
         assert dispatcher_acquires(pool) == []
-        leased = [e for e in pool.events if e[0] == "try_acquire" and e[2]]
-        assert len(leased) == len(tickets)
+        # One successful try_acquire opens each seat-holding episode and
+        # one release closes it; on a size-1 pool episodes never overlap.
+        episodes = [e[0] for e in pool.events
+                    if e[0] == "release" or (e[0] == "try_acquire" and e[2])]
+        assert episodes == ["try_acquire", "release"] * (len(episodes) // 2)
+        assert 1 <= len(episodes) // 2 <= len(tickets)
 
     def test_try_acquire_on_saturated_pool_does_not_wait(self):
         with EnginePool(pmem_spec(), size=1) as pool:
@@ -109,36 +151,153 @@ class TestNoTimerOnTheDispatchPath:
 
 class TestRetireBeforeDispatch:
     def test_first_ticket_settles_before_second_dispatch(self):
-        spec = pmem_spec()
+        spec = pmem_spec(num_concurrent=2)
         device = GatedPMEM(1 << 20)
         pool = SpyPool(spec, size=1, devices=(device,), name="spy")
         pool.acquire(tag="prebuild").release()  # format with the gate open
         order = pool.events
         with CheckpointService(pool, owns_pool=True, name="svc") as service:
             service.register(TenantSpec(name="a", capacity_bytes=8192,
-                                        slots=2, max_queue=2))
+                                        slots=3, max_queue=2))
             device.gate.clear()
-            first = service.checkpoint_async("a", b"1" * 4096, step=1)
-            first.add_done_callback(lambda t: order.append(("settled", 1)))
-            assert device.blocked.wait(WAIT)
-            second = service.checkpoint_async("a", b"2" * 4096, step=2)
-            second.add_done_callback(lambda t: order.append(("settled", 2)))
-            assert pool.saturated.wait(WAIT)
-            assert not first.done() and not second.done()
+            tickets = []
+            for step in (1, 2, 3):
+                ticket = service.checkpoint_async("a", bytes([step]) * 4096,
+                                                  step=step)
+                ticket.add_done_callback(
+                    lambda t, step=step: order.append(("settled", step)))
+                tickets.append(ticket)
+                if step == 1:
+                    assert device.blocked.wait(WAIT)
+            # Requests 2 and 3 both found the pool's one seat leased.
+            assert pool.misses.acquire(timeout=WAIT)
+            assert pool.misses.acquire(timeout=WAIT)
+            assert not any(t.done() for t in tickets)
             device.gate.set()
-            assert second.result(WAIT).committed
-            assert first.result(0).committed
+            assert all(t.result(WAIT).committed for t in tickets)
             snapshot = service.metrics()
         order = order[order.index(("try_acquire", "svc:a", True)):]
-        assert order[:5] == [
+        assert order[:3] == [
             ("try_acquire", "svc:a", True),    # request 1 takes the engine
-            ("try_acquire", "svc:a", False),   # request 2 parks
-            ("release", "svc:a"),              # request 1 retires: lease...
-            ("settled", 1),                    # ...then ticket...
-            ("try_acquire", "svc:a", True),    # ...and only then request 2
+            ("try_acquire", "svc:a", False),   # request 2 shares its seat
+            ("try_acquire", "svc:a", False),   # request 3: seat full, parks
         ]
+        # Request 1 retires -- its ticket settles -- and only then is the
+        # parked request 3 dispatched.
+        rest = order[3:]
+        un_park = next(i for i, e in enumerate(rest) if e[0] == "try_acquire")
+        assert ("settled", 1) in rest[:un_park]
         assert counter_total(snapshot, M.SERVICE_DISPATCH_PARKED) == 1
         assert dispatcher_acquires(pool) == []
+
+
+class TestSeatSharing:
+    def test_tenants_share_a_seat_and_the_next_request_parks(self):
+        spec = pmem_spec(num_concurrent=2)
+        device = GatedSSD(1 << 20)
+        pool = SpyPool(spec, size=1, devices=(device,), name="spy")
+        pool.acquire(tag="prebuild").release()  # format with the gate open
+        del pool.leases[:]
+        with CheckpointService(pool, owns_pool=True, name="svc") as service:
+            for name in "abc":
+                service.register(TenantSpec(name=name, capacity_bytes=8192,
+                                            slots=1, max_queue=2))
+            device.gate.clear()
+            first = service.checkpoint_async("a", b"A" * 4096, step=1)
+            assert device.blocked.wait(WAIT)
+            second = service.checkpoint_async("b", b"B" * 4096, step=1)
+            # b's checkpoint runs on a's seat while a sits at its fence:
+            # its payload is on the device, its commit queued behind a's.
+            assert device.wait_written(b"B" * 8)
+            assert pool.misses.acquire(timeout=WAIT)
+            third = service.checkpoint_async("c", b"C" * 4096, step=1)
+            assert pool.misses.acquire(timeout=WAIT)
+            assert not any(t.done() for t in (first, second, third))
+            assert b"C" * 8 not in device.written
+            device.gate.set()
+            for ticket in (first, second, third):
+                assert ticket.result(WAIT).committed
+            assert service.drain(WAIT)
+            snapshot = service.metrics()
+        assert counter_total(snapshot, M.SERVICE_DISPATCH_PARKED) == 1
+        # One successful try_acquire per seat-holding episode, not one per
+        # request: a and b shared the first episode.
+        releases = [e for e in pool.events if e[0] == "release"]
+        assert len(pool.leases) == len(releases) - 1  # minus the prebuild
+        assert len(pool.leases) < 3
+        assert pool.events[-1][0] == "release"
+
+    def test_dedicated_tenants_hammer_one_seat_without_supersedes(self):
+        rounds, names = 60, ("a", "b", "c")
+        pool = SpyPool(pmem_spec(num_concurrent=2), size=1, name="spy")
+        service = CheckpointService(pool, owns_pool=True, name="svc")
+        for name in names:
+            service.register(TenantSpec(name=name, capacity_bytes=8192,
+                                        slots=1, max_queue=2))
+        tickets = []
+        for step in range(rounds):
+            batch = [service.checkpoint_async(name, name.encode() * 4096,
+                                              step=step) for name in names]
+            tickets.extend(batch)
+            results = [ticket.result(WAIT) for ticket in batch]
+            assert all(result.committed for result in results), step
+        assert service.drain(WAIT)
+        snapshot = service.metrics()
+        for name in names:
+            assert counter_total(snapshot, M.TENANT_SUPERSEDED,
+                                 tenant=name) == 0
+            assert service.latest(name)[0] == rounds - 1
+        report = service.close()
+        assert report["leaked_slots"] == 0 and report["leaked_buffers"] == 0
+        assert len(pool.leases) < len(tickets)
+        assert dispatcher_acquires(pool) == []
+
+
+class TestDeadSeat:
+    def test_a_crashed_seat_takes_no_ticket_and_is_rebuilt(self):
+        """The device crashes on the first of two shared tickets' fences:
+        the sibling fails with a typed error, a request arriving while
+        the dead seat still drains parks instead of joining it, and the
+        seat is retired and rebuilt once its last ticket is back."""
+        spec = pmem_spec(num_concurrent=2)
+        device = GatedSSD(1 << 20)
+        pool = SpyPool(spec, size=1, devices=(device,), name="spy")
+        pool.acquire(tag="prebuild").release()  # format with the gates open
+        del pool.leases[:]
+        service = CheckpointService(pool, owns_pool=True, name="svc")
+        for name in "abc":
+            service.register(TenantSpec(name=name, capacity_bytes=8192,
+                                        slots=1, max_queue=2))
+        device.gate.clear()
+        first = service.checkpoint_async("a", b"A" * 4096, step=1)
+        assert device.blocked.wait(WAIT)
+        device.write_gate.clear()
+        sibling = service.checkpoint_async("b", b"B" * 4096, step=1)
+        assert device.write_blocked.wait(WAIT)  # b is on a's seat
+        device.crash()
+        device.gate.set()
+        with pytest.raises(CrashedDeviceError):
+            first.result(WAIT)
+        dead = pool.leases[0]
+        assert dead.stack.defunct
+        late = service.checkpoint_async("c", b"C" * 4096, step=1)
+        assert pool.misses.acquire(timeout=WAIT)  # b joined the seat
+        assert pool.misses.acquire(timeout=WAIT)  # c found it dead
+        assert not late.done()
+        device.write_gate.set()
+        with pytest.raises(CrashedDeviceError):
+            sibling.result(WAIT)
+        assert late.result(WAIT).committed
+        assert service.drain(WAIT)
+        rebuilt = pool.leases[-1]
+        assert len(pool.leases) == 2
+        assert rebuilt.stack is not dead.stack
+        assert rebuilt.device is not device
+        assert dead.orchestrator.fatal_error is not None
+        assert service.tenant_stats("a")["failures"] == 1
+        assert service.tenant_stats("b")["failures"] == 1
+        report = service.close()
+        assert report["leaked_slots"] == 0 and report["leaked_buffers"] == 0
 
 
 class TestBorrowedPool:

@@ -229,3 +229,20 @@ class TestDemoDriver:
         assert report["leak_report"]["leaked_slots"] == 0
         assert report["leak_report"]["leaked_buffers"] == 0
         assert report["batches"] <= report["coalesced_requests"]
+        assert report["dedicated_superseded"] == 0
+
+    @pytest.mark.parametrize("superseded, status", [(0, 0), (1, 1)])
+    def test_serve_fails_on_a_superseded_dedicated_request(
+        self, monkeypatch, capsys, superseded, status
+    ):
+        from repro import cli
+        from repro.service import driver
+
+        report = run_service_demo(tenants=2, rounds=1,
+                                  capacity_bytes=1 << 16, pool_size=2,
+                                  persist_bandwidth=None)
+        report["dedicated_superseded"] = superseded
+        monkeypatch.setattr(driver, "run_service_demo",
+                            lambda **kwargs: report)
+        assert cli.main(["serve"]) == status
+        assert f"dedicated supersede: {superseded}" in capsys.readouterr().out
