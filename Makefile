@@ -1,6 +1,6 @@
 # Convenience targets for the PCcheck reproduction.
 
-.PHONY: install test test-sanitize test-distributed test-service test-tiered lint lint-sarif lint-baseline crashsweep bench bench-smoke figures examples clean
+.PHONY: install test test-sanitize test-distributed test-service test-tiered lint lint-sarif lint-baseline crashsweep bench bench-smoke bench-pairs figures examples clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -107,6 +107,17 @@ BENCH_SMOKE_OUT ?= .bench_out/smoke
 bench-smoke:
 	python3 -m bench --smoke --seed 1 --out "$(BENCH_SMOKE_OUT)"
 	python -m pytest -q bench/
+
+# Alternated base/change pairs of one gated workload: REF is checked out
+# into a temporary worktree, each seed runs once per side (run_seconds of
+# BENCHMARK.json, region files in .bench_work/ for both) with the first
+# side alternating, and the four end-to-end metrics' medians, quartiles
+# and pairs won are printed.  Exits non-zero on any failed operation.
+#   make bench-pairs REF=HEAD~1 WORKLOAD=save_small SEEDS="1 2 3"
+REF ?= HEAD
+bench-pairs:
+	python3 tools/bench_pairs.py --ref "$(REF)" --workload "$(WORKLOAD)" \
+		--seeds "$(SEEDS)"
 
 bench-full:
 	pytest benchmarks/

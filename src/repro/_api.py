@@ -93,9 +93,11 @@ class Checkpointer:
         """Checkpoint ``state`` and wait for its commit.
 
         A checkpoint that fits one staging chunk (the default
-        ``chunk_size`` is the whole payload) runs entirely on the calling
-        thread, with no thread hand-offs; a larger one pipelines its
-        chunks like :meth:`checkpoint_async`.
+        ``chunk_size`` is the whole payload) runs on the calling thread,
+        with no thread hand-offs — up to
+        :data:`~repro.core.orchestrator.INLINE_WRITE_MAX_BYTES` the write
+        included, above it with the write split across the writer pool;
+        a larger one pipelines its chunks like :meth:`checkpoint_async`.
         """
         return self.orchestrator.checkpoint_sync(as_source(state), step=step)
 
@@ -207,6 +209,15 @@ def open_checkpointer(
     object store, and :func:`repro.core.recovery.recover` over the
     checkpointer's device walks the tiers fastest-first at restart (see
     ``docs/STORAGE.md``).
+
+    ``chunk_size`` (default: the whole payload) is the staging chunk a
+    checkpoint is captured and persisted in, ``num_chunks`` the staging
+    buffers.  ``writer_threads`` (§3.3's ``p``) splits the write of
+    every chunk of a multi-chunk checkpoint and of a one-chunk payload
+    above :data:`~repro.core.orchestrator.INLINE_WRITE_MAX_BYTES`
+    (2 MiB); a smaller one-chunk payload is written on the thread that
+    runs its checkpoint, where the pool's hand-off would cost more than
+    the split saves.
 
     ``observability`` selects the telemetry level: ``"off"`` keeps the
     engine's private registry but instruments nothing else, ``"metrics"``

@@ -150,7 +150,9 @@ class CheckpointTicket:
         """
         self.reap(self.submit([chunk]))
 
-    def submit(self, chunks: Sequence[Buffer]) -> "PersistSubmission":
+    def submit(
+        self, chunks: Sequence[Buffer], inline: bool = False
+    ) -> "PersistSubmission":
         """Queue the next consecutive pieces as ONE writer batch and CRC
         them while they write.
 
@@ -167,11 +169,15 @@ class CheckpointTicket:
         ``single`` fence mode, issues ONE fence covering the whole
         payload — which is also how the service's coalescing path turns
         K small checkpoints into a single payload fsync.
+
+        ``inline=True`` leaves the pool out: :meth:`reap` writes the
+        pieces on the reaping thread, after the CRC, with the same shares
+        and fences (:meth:`ParallelWriter.submit`).
         """
         if self._done:
             raise EngineError("ticket already committed or aborted")
         views = [as_view(chunk) for chunk in chunks]
-        submission = self._engine._submit_chunk_batch(self, views)
+        submission = self._engine._submit_chunk_batch(self, views, inline)
         self._unreaped.append(submission)
         crc_start = time.monotonic()
         for view in views:
@@ -528,7 +534,7 @@ class CheckpointEngine:
             raise EngineClosedError("checkpoint engine is closed")
 
     def _submit_chunk_batch(
-        self, ticket: CheckpointTicket, views
+        self, ticket: CheckpointTicket, views, inline: bool
     ) -> PersistSubmission:
         """Queue consecutive pieces to the pool as ONE batched submission.
 
@@ -550,7 +556,7 @@ class CheckpointEngine:
         for view in views:
             pieces.append((offset, view))
             offset += len(view)
-        return self._writer.submit(pieces)
+        return self._writer.submit(pieces, inline=inline)
 
     def _persist_payload(self, ticket: CheckpointTicket) -> None:
         """Make a ticket's whole payload durable: the ONE payload fence.
@@ -587,7 +593,8 @@ class CheckpointEngine:
         the submission's device-write interval: writes still pending at
         ``crc_end`` mean the whole CRC ran under them; writes that
         settled at ``done_at`` cap the credit there.  Inline submissions
-        (closed pool) overlap nothing.
+        (a small one-chunk payload, or a closed pool) write after the CRC
+        and overlap nothing.
         """
         if submission.batch is None:
             return

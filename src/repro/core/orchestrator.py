@@ -26,7 +26,10 @@ queue, so capture, write, CRC and commit run back to back — on one
 executor task for :meth:`~PCcheckOrchestrator.checkpoint_async`, on the
 caller's thread for the blocking
 :meth:`~PCcheckOrchestrator.checkpoint_sync`.  Same stages, spans,
-metrics, device ops and failure handling; no thread hand-offs.
+metrics, device ops and failure handling; no thread hand-offs.  Up to
+:data:`INLINE_WRITE_MAX_BYTES` that thread also writes the payload, so
+the writer pool is not woken at all; a larger chunk still goes to the
+pool's ``p`` threads.
 
 Up to N checkpoints run these pipelines concurrently — the engine's free
 slot queue naturally enforces the bound, and a request arriving while all
@@ -112,6 +115,14 @@ class CheckpointHandle:
         """
         self._future.add_done_callback(lambda _future: fn(self))
 
+
+#: Largest one-chunk payload whose writes run on the checkpoint's own
+#: thread instead of the writer pool.  Below it the pool's wake-ups and
+#: wake-back cost more than the ``p``-way split saves; above it the split
+#: wins (docs/PERFORMANCE.md, "One thread for a one-chunk checkpoint",
+#: has the crossover tables this bound is read from: SSD at ``p`` = 2
+#: and 3, buffered and unbuffered, and PMEM at ``p`` = 2 and 3).
+INLINE_WRITE_MAX_BYTES = 2 << 20
 
 #: Sentinel the capture stage sends when it failed mid-checkpoint, so the
 #: persist stage aborts the ticket instead of committing a truncated payload.
@@ -409,8 +420,14 @@ class PCcheckOrchestrator:
         handle: CheckpointHandle,
     ) -> None:
         """A one-chunk checkpoint on the calling thread: the persist stage
-        with the inline capture as its chunk source, so capture, write,
-        CRC and commit run back to back with no thread hand-off.  Every
+        with the inline capture as its chunk source, so capture, CRC,
+        write and commit run back to back with no thread hand-off.
+
+        A payload of at most :data:`INLINE_WRITE_MAX_BYTES` is written on
+        this thread too — the same ``p`` shares in order, each fenced on
+        PMEM, the commit's covering fence on SSD — so such a checkpoint
+        never wakes the writer pool.  A larger one hands its shares to
+        the pool, whose ``p``-way split then pays for itself.  Every
         outcome lands on the handle."""
         # The capture is over before the persist stage can die, so the
         # poison event only has to exist.
@@ -418,7 +435,10 @@ class PCcheckOrchestrator:
         chunks = _InlineCapture(
             lambda emit: self._capture(source, plan, handle, emit, persist_dead)
         )
-        self._persist_stage(ticket, chunks, handle, persist_dead)
+        self._persist_stage(
+            ticket, chunks, handle, persist_dead,
+            inline=plan.total <= INLINE_WRITE_MAX_BYTES,
+        )
         if chunks.error is not None and not handle._future.done():  # noqa: SLF001
             handle._future.set_exception(chunks.error)  # noqa: SLF001
 
@@ -497,9 +517,11 @@ class PCcheckOrchestrator:
         hand_off,
         handle: CheckpointHandle,
         persist_dead: threading.Event,
+        inline: bool = False,
     ) -> Optional[CheckpointResult]:
         # ``hand_off`` is the chunk source: the queue a capture task feeds,
-        # or a one-chunk plan's _InlineCapture.  True once capture's
+        # or a one-chunk plan's _InlineCapture.  ``inline`` writes the
+        # chunks on this thread instead of the pool.  True once capture's
         # terminal sentinel was consumed: after that the source stays
         # empty forever, so the failure path must not block draining it.
         sentinel_seen = False
@@ -552,10 +574,13 @@ class PCcheckOrchestrator:
                     staged = buffer.view()
                     with tracer.span("persist_chunk", parent=stage_span,
                                      chunk=index, length=len(staged)):
-                        # The pool does read ``staged`` after this
-                        # returns; ``held`` keeps the buffer checked out
-                        # until ``_settle_inflight`` has reaped it.
-                        submission = ticket.submit([staged])  # pclint: disable=PC011
+                        # The writer reads ``staged`` after this
+                        # returns (the pool, or an inline reap); ``held``
+                        # keeps the buffer checked out until
+                        # ``_settle_inflight`` has reaped it.
+                        submission = ticket.submit(  # pclint: disable=PC011
+                            [staged], inline=inline
+                        )
                 except BaseException:
                     self._pool.release(buffer)
                     raise

@@ -21,12 +21,18 @@ Two properties keep this path at device speed:
   (:func:`repro.storage.device.as_view`) and each writer receives an O(1)
   slice of that view — the old per-share ``payload[lo:hi]`` ``bytes``
   copies are gone.
-* **A pinned worker pool.**  The ``p`` writer threads are spawned once (on
-  the first multi-share persist) and live for the writer's lifetime,
+* **A pinned worker pool.**  The ``p`` writer threads are spawned lazily,
+  on the first pooled submission, and live for the writer's lifetime,
   taking work over a condition variable instead of paying a
   ``threading.Thread`` spawn/join per persist call.  Concurrent
   ``persist`` calls (one per in-flight checkpoint pipeline) interleave
   their shares on the same pool; each call tracks its own completion.
+  The pool serves the chunks of pipelined checkpoints, one-chunk
+  payloads above the orchestrator's inline bound
+  (:data:`repro.core.orchestrator.INLINE_WRITE_MAX_BYTES`), the service's
+  batches and restore reads.  A smaller one-chunk payload is submitted
+  ``inline``: its shares run on the thread that reaps them, so a process
+  that only takes such checkpoints never starts a writer thread.
 
 Writer threads propagate exceptions (including injected crashes) to the
 calling ``persist``, so a power-loss mid-persist kills the checkpoint
@@ -188,7 +194,9 @@ class PersistSubmission:
     exactly the pipeline overlap the engine measures.
     """
 
-    __slots__ = ("batch", "shares", "total", "reaped", "read", "crc")
+    __slots__ = (
+        "batch", "shares", "total", "reaped", "read", "crc", "_settled"
+    )
 
     def __init__(
         self,
@@ -197,12 +205,15 @@ class PersistSubmission:
         total: int,
         read: bool = False,
     ) -> None:
-        #: Completion tracker; ``None`` when the pool was closed (shares
-        #: run inline at reap time) or the batch was empty.
+        #: Completion tracker; ``None`` when the shares run inline on the
+        #: reaping thread (submitted with ``inline=True``, or after the
+        #: pool closed) or the batch was empty.
         self.batch = batch
         self.shares = shares
         self.total = total
         self.reaped = False
+        #: Inline submissions only: set once reap ran every share.
+        self._settled = False
         #: True for a :meth:`ParallelWriter.submit_read` ticket: its
         #: shares fill their views from the device, and reap has nothing
         #: to fence or count as persisted.
@@ -212,8 +223,11 @@ class PersistSubmission:
 
     @property
     def writes_done(self) -> bool:
-        """True once every queued share settled (reap still pending)."""
-        return self.batch is None or self.batch.done.is_set()
+        """True once every share settled.  Pooled shares settle on their
+        own, before reap; inline shares run inside reap, so only then."""
+        if self.batch is not None:
+            return self.batch.done.is_set()
+        return self.total == 0 or self._settled
 
     @property
     def done_at(self) -> Optional[float]:
@@ -257,7 +271,7 @@ class ParallelWriter:
 
     @property
     def pool_size(self) -> int:
-        """Live pooled workers (0 until the first multi-share persist)."""
+        """Live pooled workers (0 until the first pooled submission)."""
         with self._work:
             return len(self._workers)
 
@@ -296,7 +310,7 @@ class ParallelWriter:
             self._device.persist(offset, length)
 
     def submit(
-        self, pieces: Sequence[Tuple[int, Buffer]]
+        self, pieces: Sequence[Tuple[int, Buffer]], inline: bool = False
     ) -> PersistSubmission:
         """Queue a batch of ``(offset, payload)`` pieces to the pool.
 
@@ -305,6 +319,11 @@ class ParallelWriter:
         submission instead of one wakeup per piece.  Returns immediately
         with a :class:`PersistSubmission`; nothing is durable (and errors
         are not observable) until :meth:`reap`.
+
+        ``inline=True`` skips the pool: :meth:`reap` writes the same
+        shares, in order and with the same fences, on the reaping thread
+        — the branch a submission after :meth:`close` takes anyway.  A
+        payload too small to repay the hand-off uses it.
         """
         views = [(piece_offset, as_view(data)) for piece_offset, data in pieces]
         views = [(piece_offset, v) for piece_offset, v in views if len(v)]
@@ -319,6 +338,8 @@ class ParallelWriter:
             )
         ]
         total = sum(len(v) for _, v in views)
+        if inline:
+            return PersistSubmission(None, shares, total)
         with self._work:
             if self._closed:
                 # Pool is gone (engine closed): defer to reap, which runs
@@ -377,11 +398,16 @@ class ParallelWriter:
         per_thread = self._fence_mode == "per-thread"
         crc: Optional[int] = None
         if submission.batch is None:
-            # Submitted after close: same semantics, caller's thread.
-            for piece_offset, view, lo, hi in submission.shares:
-                crc = self._run_share(
-                    piece_offset, view, (lo, hi), per_thread, submission.read
-                )
+            # Inline, or submitted after close: same semantics, caller's
+            # thread.
+            try:
+                for piece_offset, view, lo, hi in submission.shares:
+                    crc = self._run_share(
+                        piece_offset, view, (lo, hi), per_thread,
+                        submission.read,
+                    )
+            finally:
+                submission._settled = True  # noqa: SLF001
         else:
             submission.batch.done.wait()
             if submission.batch.errors:

@@ -3,11 +3,14 @@
 The blocking ``checkpoint_sync`` (what ``Checkpointer.checkpoint`` calls)
 runs a one-chunk checkpoint on the caller's thread and
 ``checkpoint_async`` runs it on ONE executor task; a multi-chunk plan
-keeps the two-task capture/persist pipeline.  Placement is read off the
-threads that run ``capture_chunk`` and persist the commit record.  The
-failure matrix then drives the one-chunk path into every failure the
-pipelined path handles — capture error, local write error, power loss,
-``close()`` racing a blocked checkpoint — blocking and async alike.
+keeps the two-task capture/persist pipeline.  A one-chunk payload of at
+most ``INLINE_WRITE_MAX_BYTES`` is also written on that thread; a larger
+one, and every multi-chunk plan, is written by the ``pccheck-writer-*``
+pool.  Placement is read off the threads that run ``capture_chunk``,
+write the slot area and persist the commit record.  The failure matrix
+then drives the one-chunk path into every failure the pipelined path
+handles — capture error, local write error, power loss, ``close()``
+racing a blocked checkpoint — blocking and async alike.
 """
 
 import threading
@@ -17,6 +20,7 @@ import pytest
 from repro import open_checkpointer
 from repro.core.layout import DeviceLayout, Geometry
 from repro.core.meta import RECORD_SIZE
+from repro.core.orchestrator import INLINE_WRITE_MAX_BYTES
 from repro.core.recovery import recover
 from repro.core.snapshot import BytesSource
 from repro.errors import CrashedDeviceError, EngineClosedError
@@ -31,17 +35,20 @@ WAIT = 10.0
 
 
 class ProbeDevice(DeviceWrapper):
-    """Records the threads that persist the commit record and, once
-    armed, fails or holds the next payload write."""
+    """Records the threads that write payloads and persist the commit
+    record and, once armed, fails or holds the next payload write."""
 
-    def __init__(self) -> None:
+    def __init__(self, capacity=CAPACITY) -> None:
         geometry = Geometry(
-            num_slots=NUM_CONCURRENT + 1, slot_size=CAPACITY + RECORD_SIZE
+            num_slots=NUM_CONCURRENT + 1, slot_size=capacity + RECORD_SIZE
         )
         inner = InMemorySSD(capacity=geometry.total_size)
         super().__init__(inner, inner.name)
         self.data_offset = geometry.data_offset
+        self.slot_size = geometry.slot_size
         self.commit_threads = []
+        #: The thread of every payload write (slot headers excluded).
+        self.payload_threads = []
         #: Raised by the next slot-area write (then disarmed).
         self.fail_next_write = None
         #: The next slot-area write waits on this event (then disarmed).
@@ -50,6 +57,8 @@ class ProbeDevice(DeviceWrapper):
 
     def write(self, offset, data):
         if offset >= self.data_offset:
+            if (offset - self.data_offset) % self.slot_size:
+                self.payload_threads.append(threading.current_thread())
             error, self.fail_next_write = self.fail_next_write, None
             gate, self.hold_next_write = self.hold_next_write, None
             if gate is not None:
@@ -80,8 +89,8 @@ class RecordingSource(BytesSource):
         super().capture_chunk(offset, length, dest)
 
 
-def payload(step):
-    return bytes([step % 256]) * CAPACITY
+def payload(step, size=CAPACITY):
+    return bytes([step % 256]) * size
 
 
 def capture_and_commit_threads(checkpointer, probe, source, blocking):
@@ -95,6 +104,21 @@ def capture_and_commit_threads(checkpointer, probe, source, blocking):
     # The commit record is the only persist below the slot area.
     (committed,) = set(probe.commit_threads)
     return captured, committed
+
+
+def payload_writers(checkpointer, probe, size, blocking):
+    """Checkpoint ``size`` bytes; return the threads that wrote the
+    payload and the capture thread."""
+    probe.payload_threads.clear()
+    source = RecordingSource(payload(1, size))
+    capture_and_commit_threads(checkpointer, probe, source, blocking)
+    assert probe.payload_threads, "the payload was never written"
+    (captured,) = set(source.capture_threads)
+    return set(probe.payload_threads), captured
+
+
+def pool_threads(writers):
+    return all(t.name.startswith("pccheck-writer-") for t in writers)
 
 
 class TestThreadPlacement:
@@ -138,6 +162,65 @@ class TestThreadPlacement:
             )
         assert captured != committed
         assert threading.get_ident() not in (captured, committed)
+
+
+@pytest.mark.parametrize("blocking", [True, False], ids=["blocking", "async"])
+class TestWritePlacement:
+    """Who writes the payload: the checkpoint's own thread up to the
+    inline bound, the writer pool above it and for multi-chunk plans."""
+
+    def test_one_chunk_at_the_bound_writes_on_its_own_thread(self, blocking):
+        probe = ProbeDevice(capacity=INLINE_WRITE_MAX_BYTES)
+        with open_checkpointer(
+            capacity_bytes=INLINE_WRITE_MAX_BYTES,
+            num_concurrent=NUM_CONCURRENT, writer_threads=2, device=probe,
+        ) as checkpointer:
+            writers, captured = payload_writers(
+                checkpointer, probe, INLINE_WRITE_MAX_BYTES, blocking
+            )
+        (writer,) = writers
+        if blocking:
+            assert writer is threading.current_thread()
+        else:
+            # The one executor task that captured the chunk wrote it.
+            assert writer.ident == captured
+            assert writer is not threading.current_thread()
+
+    def test_small_checkpoints_never_start_a_writer_thread(self, blocking):
+        probe = ProbeDevice()
+        with open_checkpointer(
+            capacity_bytes=CAPACITY, num_concurrent=NUM_CONCURRENT,
+            writer_threads=2, device=probe,
+        ) as checkpointer:
+            for step in range(1, 4):
+                source = BytesSource(payload(step))
+                if blocking:
+                    checkpointer.checkpoint(source, step=step)
+                else:
+                    checkpointer.checkpoint_async(source, step=step).wait(WAIT)
+            assert checkpointer.engine._writer.threads_started == 0
+            assert checkpointer.latest().step == 3
+
+    def test_one_chunk_above_the_bound_uses_the_pool(self, blocking):
+        size = INLINE_WRITE_MAX_BYTES + 4096
+        probe = ProbeDevice(capacity=size)
+        with open_checkpointer(
+            capacity_bytes=size, num_concurrent=NUM_CONCURRENT,
+            writer_threads=2, device=probe,
+        ) as checkpointer:
+            writers, _ = payload_writers(checkpointer, probe, size, blocking)
+        assert pool_threads(writers)
+
+    def test_multi_chunk_plan_uses_the_pool(self, blocking):
+        probe = ProbeDevice()
+        with open_checkpointer(
+            capacity_bytes=CAPACITY, num_concurrent=NUM_CONCURRENT,
+            writer_threads=2, chunk_size=CAPACITY // 4, device=probe,
+        ) as checkpointer:
+            writers, _ = payload_writers(
+                checkpointer, probe, CAPACITY, blocking
+            )
+        assert pool_threads(writers)
 
 
 @pytest.fixture

@@ -100,6 +100,43 @@ class TestSubmitReap:
         assert device.read(0, 4) == b"late"
         device.close()
 
+    def test_inline_submission_is_not_done_until_reaped(self):
+        device = InMemorySSD(1 << 20)
+        writer = ParallelWriter(device, num_threads=2)
+        writer.close()
+        submission = writer.submit([(0, b"x" * 8192)])
+        # The shares only run at reap: nothing is written yet.
+        assert not submission.writes_done
+        assert writer.bytes_persisted == 0
+        writer.reap(submission)
+        assert submission.writes_done
+        assert writer.bytes_persisted == 8192
+        device.close()
+
+    def test_inline_submit_writes_on_the_reaping_thread(self):
+        device = InMemorySSD(1 << 20)
+        with ParallelWriter(device, num_threads=2) as writer:
+            submission = writer.submit([(0, b"i" * 8192)], inline=True)
+            assert not submission.writes_done
+            assert device.read(0, 1) == b"\x00"
+            writer.reap(submission)
+            assert submission.writes_done
+            assert writer.threads_started == 0
+            assert device.read(0, 8192) == b"i" * 8192
+            # Same fence discipline as the pool: the caller's fence.
+            assert device.unpersisted_bytes == 8192
+        device.close()
+
+    def test_inline_crash_surfaces_on_reap_and_settles(self):
+        inner = InMemorySSD(1 << 20)
+        device = CrashPointDevice(inner, schedule=OpCountSchedule(1))
+        with ParallelWriter(device, num_threads=2) as writer:
+            submission = writer.submit([(0, b"c" * 8192)], inline=True)
+            with pytest.raises(CrashedDeviceError):
+                writer.reap(submission)
+            assert submission.writes_done
+            assert writer.threads_started == 0
+
     def test_crash_during_batch_surfaces_on_reap(self):
         inner = InMemorySSD(1 << 20)
         device = CrashPointDevice(inner, schedule=OpCountSchedule(2))
