@@ -1,6 +1,6 @@
 # Convenience targets for the PCcheck reproduction.
 
-.PHONY: install test test-sanitize test-distributed test-service test-tiered lint lint-sarif lint-baseline crashsweep bench bench-smoke bench-pairs figures examples clean
+.PHONY: install test test-sanitize test-distributed test-service test-tiered lint lint-sarif lint-baseline crashsweep bench bench-smoke bench-pairs odirect-probe figures examples clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -118,6 +118,14 @@ REF ?= HEAD
 bench-pairs:
 	python3 tools/bench_pairs.py --ref "$(REF)" --workload "$(WORKLOAD)" \
 		--seeds "$(SEEDS)"
+
+# Buffered vs O_DIRECT pwrite+fsync at the payload sizes the benchmark
+# uses (256 KiB, 8 MiB, 54 MiB, 256 MiB), medians of alternated rounds,
+# on the filesystem under PROBE_DIR: the measurement behind writing
+# region payloads with O_DIRECT, re-checkable on any box in one command.
+PROBE_DIR ?= .bench_work
+odirect-probe:
+	python3 tools/odirect_probe.py --dir "$(PROBE_DIR)"
 
 bench-full:
 	pytest benchmarks/

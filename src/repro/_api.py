@@ -171,7 +171,6 @@ def open_checkpointer(
     observability: str = "metrics",
     stripe_devices: int = 1,
     stripe_size: int = 1 << 20,
-    unbuffered: bool = False,
     tiers=None,
     pool: Optional[EnginePool] = None,
     device: Optional[PersistentDevice] = None,
@@ -195,11 +194,10 @@ def open_checkpointer(
     ``stripe_devices``/``stripe_size`` (``ssd`` only) shard the region
     across N member files (``{path}.s0`` … ``.s{N-1}``) so one
     checkpoint's persist bandwidth aggregates across devices; point the
-    members at different spindles for real parallelism.  ``unbuffered``
-    (``ssd`` only) opens the file(s) with an O_DIRECT-style unbuffered
-    write path — sector-aligned writes bypass the page cache and
-    durability barriers drop cached pages (see ``docs/PERFORMANCE.md``
-    for the alignment caveats).
+    members at different spindles for real parallelism.  An ``ssd``
+    region's file(s) are written with O_DIRECT where the filesystem
+    allows it: payloads go from page-aligned staging buffers straight to
+    the device, skipping the page cache (``docs/PERFORMANCE.md``).
 
     ``tiers=`` (a :class:`~repro.storage.tiering.TierPlan`, or ``True``
     for the defaults) enables tiered storage: the backend device becomes
@@ -261,7 +259,6 @@ def open_checkpointer(
         observability=observability,
         stripe_devices=stripe_devices,
         stripe_size=stripe_size,
-        unbuffered=unbuffered,
         tiers=tiers,
     )
     owned = EnginePool(

@@ -320,16 +320,22 @@ class ParallelWriter:
         with a :class:`PersistSubmission`; nothing is durable (and errors
         are not observable) until :meth:`reap`.
 
-        ``inline=True`` skips the pool: :meth:`reap` writes the same
-        shares, in order and with the same fences, on the reaping thread
-        — the branch a submission after :meth:`close` takes anyway.  A
-        payload too small to repay the hand-off uses it.
+        ``inline=True`` skips the pool: :meth:`reap` writes the pieces on
+        the reaping thread — the branch a submission after :meth:`close`
+        takes anyway.  A payload too small to repay the hand-off uses it.
+        On a ``single``-fence device each inline piece is ONE device
+        write (splitting it would only add round trips on one thread);
+        ``per-thread`` devices keep their fenced shares.
         """
         views = [(piece_offset, as_view(data)) for piece_offset, data in pieces]
         views = [(piece_offset, v) for piece_offset, v in views if len(v)]
         if not views:
             return PersistSubmission(None, (), 0)
         per_thread = self._fence_mode == "per-thread"
+        total = sum(len(v) for _, v in views)
+        if inline and not per_thread:
+            whole = [(piece_offset, v, 0, len(v)) for piece_offset, v in views]
+            return PersistSubmission(None, whole, total)
         shares = [
             (piece_offset, view, lo, hi)
             for piece_offset, view in views
@@ -337,7 +343,6 @@ class ParallelWriter:
                 len(view), self._num_threads, self._share_align
             )
         ]
-        total = sum(len(v) for _, v in views)
         if inline:
             return PersistSubmission(None, shares, total)
         with self._work:

@@ -75,6 +75,10 @@ class M:
     DEVICE_OPS = "pccheck_device_ops_total"  # labels: device=, op=
     DEVICE_OP_BYTES = "pccheck_device_op_bytes_total"
     DEVICE_OP_SECONDS = "pccheck_device_op_seconds"
+    # Writes of >= one sector on an unbuffered FileBackedSSD, by the
+    # path they took (label: device=): O_DIRECT, or the buffered fallback.
+    DEVICE_DIRECT_WRITES = "pccheck_device_direct_writes_total"
+    DEVICE_FALLBACK_WRITES = "pccheck_device_fallback_writes_total"
     CRASHES_INJECTED = "pccheck_crashes_injected_total"
     TRANSIENT_FAULTS = "pccheck_transient_faults_total"
     # -- recovery (§4.2, Eq. 4) ---------------------------------------

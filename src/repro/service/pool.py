@@ -99,11 +99,11 @@ class EngineSpec:
     ``stripe_devices``/``stripe_size`` shard the region across N member
     files (``{path}.s0`` … ``.s{N-1}``) behind a
     :class:`~repro.storage.striped.StripedDevice`, so one checkpoint's
-    persist bandwidth aggregates across devices; ``unbuffered`` opens
-    the file(s) in the O_DIRECT-style unbuffered mode of
-    :class:`~repro.storage.ssd.FileBackedSSD`.  Both are ``ssd``-only:
-    the simulated backends have no page cache or second spindle to
-    escape to.
+    persist bandwidth aggregates across devices; they are ``ssd``-only,
+    as the simulated backends have no second spindle to escape to.  An
+    ``ssd`` region's file(s) are always opened in the O_DIRECT mode of
+    :class:`~repro.storage.ssd.FileBackedSSD`, so staged payloads skip
+    the page cache.
     """
 
     capacity_bytes: int
@@ -117,7 +117,6 @@ class EngineSpec:
     persist_bandwidth: Optional[float] = None
     stripe_devices: int = 1
     stripe_size: int = 1 << 20
-    unbuffered: bool = False
     #: Tiered storage: keep the commit path on the (hot) backend device
     #: and asynchronously demote committed checkpoints to a warm device
     #: (``{path}.warm`` beside a region file the stack opened itself, an
@@ -159,11 +158,6 @@ class EngineSpec:
                 f"stripe_size must be a positive multiple of {SECTOR_SIZE}, "
                 f"got {self.stripe_size}"
             )
-        if self.unbuffered and self.backend != "ssd":
-            raise ConfigError(
-                "unbuffered I/O is a property of the real-file ssd "
-                "backend; the simulated backends have no page cache"
-            )
         # Validate the Table 2 knobs eagerly (PCcheckConfig re-checks at
         # assembly time; failing here keeps errors at spec construction).
         self.pccheck_config()
@@ -196,13 +190,9 @@ class EngineSpec:
 
     def write_align(self) -> int:
         """Alignment the built device will ask of write boundaries."""
-        align = 1
-        if self.backend == "ssd":
-            if self.stripe_devices > 1:
-                align = self.stripe_size
-            elif self.unbuffered:
-                align = SECTOR_SIZE
-        return align
+        if self.backend != "ssd":
+            return 1
+        return self.stripe_size if self.stripe_devices > 1 else SECTOR_SIZE
 
 
 def _file_size(path: str) -> int:
@@ -218,7 +208,6 @@ def _open_ssd(
     capacity: Optional[int] = None,
     stripe_devices: Optional[int] = None,
     stripe_size: int = 0,
-    unbuffered: bool = False,
 ) -> Tuple[PersistentDevice, bool]:
     """Build or reopen the file-backed device of the region at ``path``:
     ``(device, existing)`` — the ONE place region files are opened.
@@ -234,7 +223,8 @@ def _open_ssd(
     reordered member.  Otherwise fresh files are sized so the device's
     logical capacity covers ``capacity`` (per stripe member: a manifest
     page plus a stripe-aligned share); with ``capacity`` ``None`` the
-    region must exist (:class:`~repro.errors.LayoutError`).
+    region must exist (:class:`~repro.errors.LayoutError`).  Every file
+    is opened ``unbuffered`` (O_DIRECT where the filesystem allows it).
     """
     if stripe_devices is None:
         stripe_devices = 1 if os.path.isfile(path) else 0
@@ -244,14 +234,14 @@ def _open_ssd(
         raise LayoutError(f"no checkpoint region at {path}")
     if plain:
         device = FileBackedSSD(
-            path, capacity=max(capacity or 0, size), unbuffered=unbuffered
+            path, capacity=max(capacity or 0, size), unbuffered=True
         )
         return device, size > 0
     members: List[FileBackedSSD] = []
 
     def add(index: int, member_capacity: int) -> None:
         members.append(FileBackedSSD(
-            f"{path}.s{index}", capacity=member_capacity, unbuffered=unbuffered
+            f"{path}.s{index}", capacity=member_capacity, unbuffered=True
         ))
 
     try:
@@ -426,7 +416,7 @@ def build_stack(
                 region_path = spec.member_path(index, pool_size)
                 device, existing = _open_ssd(
                     region_path, capacity,
-                    spec.stripe_devices, spec.stripe_size, spec.unbuffered,
+                    spec.stripe_devices, spec.stripe_size,
                 )
             elif spec.backend == "pmem":
                 device = SimulatedPMEM(

@@ -18,6 +18,7 @@ orchestrator can report stall time.
 
 from __future__ import annotations
 
+import mmap
 import threading
 import time
 from typing import List, Optional
@@ -29,8 +30,12 @@ from repro.storage.device import Buffer, as_view, copy_into
 class PinnedBuffer:
     """One pinned staging chunk of fixed size.
 
-    Holds a ``bytearray`` plus the number of valid bytes currently staged
-    in it (a checkpoint's final chunk is usually shorter than ``size``).
+    Holds an anonymous ``mmap`` plus the number of valid bytes currently
+    staged in it (a checkpoint's final chunk is usually shorter than
+    ``size``).  The mapping is page-aligned, so a staged chunk meets
+    O_DIRECT's buffer-address rule and a sector-aligned device writes it
+    without going through the page cache; its pages are only faulted in
+    when first staged into, so an idle chunk costs no resident memory.
     Staging (:meth:`fill`/:meth:`append`) is the *one* copy of the
     checkpoint path — the snapshot that decouples training from the
     persist phase; everything downstream moves :meth:`view` slices.  It
@@ -43,7 +48,13 @@ class PinnedBuffer:
     def __init__(self, index: int, size: int) -> None:
         self.index = index
         self.size = size
-        self.data = bytearray(size)
+        # Private: a forked child never shares the staged bytes, and its
+        # first-touch faults cost what bytearray's zero-fill did.  mmap
+        # refuses a zero-length mapping; an empty buffer stages nothing.
+        self.data = (
+            mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+            if size else bytearray()
+        )
         self.used = 0
 
     def fill(self, payload: Buffer) -> None:

@@ -28,6 +28,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import StorageError
+from repro.obs.metrics import M
 from repro.storage.device import (
     Buffer,
     DeviceStats,
@@ -58,18 +59,24 @@ class FileBackedSSD(PersistentDevice):
     ``msync`` analogue).  The file is pre-allocated to ``capacity`` so
     offsets are stable.
 
-    ``unbuffered=True`` opts into FastPersist-style unbuffered I/O so
-    persists stop paying the page cache twice (one copy into the cache,
-    one flush to the device).  A second ``O_DIRECT`` descriptor is opened
-    when the platform and filesystem allow it; writes whose offset,
-    length AND user-buffer address are all sector-aligned go through it,
-    bypassing the cache entirely, and everything else (plus any
-    filesystem that rejects ``O_DIRECT``) degrades gracefully to the
-    buffered descriptor followed by a ``posix_fadvise(DONTNEED)`` on
-    persist, which drops the double-cached pages after the fsync.  The
-    device then reports ``preferred_align == SECTOR_SIZE`` so
+    ``unbuffered=True`` is FastPersist-style unbuffered I/O, which the
+    checkpoint stacks of :func:`repro.open_checkpointer` and
+    :class:`~repro.service.pool.EngineSpec` always ask for: a second
+    ``O_DIRECT`` descriptor is opened when the platform and filesystem
+    allow it, and a write whose offset and user-buffer address are
+    sector-aligned sends its whole sectors through it, bypassing the page
+    cache; only a ragged tail shorter than a sector, and any write that is
+    not aligned, goes through the buffered descriptor.  The device then
+    reports ``preferred_align == SECTOR_SIZE`` so
     :func:`repro.core.writer.split_range` keeps writer shares
-    sector-aligned and the direct path actually triggers.
+    sector-aligned and the layout pads slot headers to a sector.  A
+    filesystem that refuses ``O_DIRECT`` (tmpfs) leaves every write
+    buffered.  Writes of at least one sector are counted as direct or
+    fallback (``direct_write_ops``/``fallback_write_ops``, and the
+    ``pccheck_device_{direct,fallback}_writes_total`` series once a
+    registry is attached), so a payload that falls off the direct path
+    shows; headers and commit records, shorter than a sector, are
+    neither.
     """
 
     def __init__(
@@ -96,13 +103,12 @@ class FileBackedSSD(PersistentDevice):
         self.stats = DeviceStats()
         self._unbuffered = bool(unbuffered)
         self._direct_fd: Optional[int] = None
-        #: Writes that went through the O_DIRECT descriptor.
+        #: Writes whose whole sectors went through the O_DIRECT descriptor.
         self.direct_write_ops = 0
-        #: Writes that wanted the direct path but fell back (misaligned,
-        #: O_DIRECT unsupported, or a mid-write EINVAL).
+        #: Writes of at least one sector that wanted the direct path but
+        #: went buffered (misaligned, O_DIRECT unsupported, or a
+        #: mid-write EINVAL).
         self.fallback_write_ops = 0
-        #: posix_fadvise(DONTNEED) cache drops issued by persist.
-        self.cache_drop_ops = 0
         if self._unbuffered:
             direct_flag = getattr(os, "O_DIRECT", 0)
             if direct_flag:
@@ -124,7 +130,8 @@ class FileBackedSSD(PersistentDevice):
     @property
     def direct_io(self) -> bool:
         """True when a real ``O_DIRECT`` descriptor is live (unbuffered
-        mode can still be active without one — see the fadvise fallback)."""
+        mode can still be active without one, writing everything
+        buffered)."""
         return self._direct_fd is not None
 
     @property
@@ -133,7 +140,7 @@ class FileBackedSSD(PersistentDevice):
 
     @staticmethod
     def _sector_aligned(offset: int, view: memoryview) -> bool:
-        if offset % SECTOR_SIZE or len(view) % SECTOR_SIZE:
+        if offset % SECTOR_SIZE:
             return False
         # O_DIRECT also constrains the *user buffer* address.
         address = np.frombuffer(view, dtype=np.uint8).ctypes.data
@@ -145,27 +152,39 @@ class FileBackedSSD(PersistentDevice):
         length = len(view)
         self._check_range(offset, length)
         start = self._obs_start()
-        direct = False
-        if self._direct_fd is not None and self._sector_aligned(offset, view):
+        # Whole sectors go direct; only a ragged tail takes the cache.
+        direct = 0
+        whole = length - length % SECTOR_SIZE
+        if whole and self._direct_fd is not None and self._sector_aligned(
+            offset, view
+        ):
             try:
                 # One shot: a short direct write would leave the retry
                 # position misaligned, so anything partial falls back.
-                if os.pwrite(self._direct_fd, view, offset) == length:
-                    direct = True
+                if os.pwrite(self._direct_fd, view[:whole], offset) == whole:
+                    direct = whole
             except OSError:
                 pass
-        written = length if direct else 0
+        written = direct
         while written < length:
             # Slicing the view for a short-write retry is zero-copy.
             written += os.pwrite(self._fd, view[written:], offset + written)
+        # Sub-sector writes (headers, commit records) never wanted the
+        # direct path; a sector or more that missed it is a fallback.
+        fallback = not direct and self._unbuffered and length >= SECTOR_SIZE
         with self._lock:
             self.stats.bytes_written += length
             self.stats.write_ops += 1
             if direct:
                 self.direct_write_ops += 1
-            elif self._unbuffered:
+            elif fallback:
                 self.fallback_write_ops += 1
         self._obs_op("write", length, start)
+        if (direct or fallback) and self._obs_metrics is not None:
+            self._obs_metrics.inc(
+                M.DEVICE_DIRECT_WRITES if direct else M.DEVICE_FALLBACK_WRITES,
+                1, device=self._obs_label,
+            )
 
     def read(self, offset: int, length: int) -> bytes:
         self._check_open()
@@ -215,25 +234,15 @@ class FileBackedSSD(PersistentDevice):
         """``fsync`` the file — durability for every outstanding write.
 
         ``fsync`` is coarser than ``msync(range)`` but strictly stronger,
-        so the engine's correctness argument is unaffected.  In
-        unbuffered mode the covered pages are additionally dropped from
-        the page cache (``posix_fadvise(DONTNEED)``) once durable, so
-        writes that had to take the buffered fallback stop occupying DRAM
-        a second time.
+        so the engine's correctness argument is unaffected.  It covers
+        the writes of both descriptors: the direct ones skipped the page
+        cache but may still sit in the device's volatile write cache,
+        which the ``fsync`` flushes.
         """
         self._check_open()
         self._check_range(offset, length)
         start = self._obs_start()
         os.fsync(self._fd)
-        if self._unbuffered and hasattr(os, "posix_fadvise"):
-            try:
-                os.posix_fadvise(
-                    self._fd, offset, length, os.POSIX_FADV_DONTNEED
-                )
-                with self._lock:
-                    self.cache_drop_ops += 1
-            except OSError:
-                pass
         with self._lock:
             self.stats.bytes_persisted += length
             self.stats.persist_ops += 1

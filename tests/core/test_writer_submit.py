@@ -128,14 +128,42 @@ class TestSubmitReap:
         device.close()
 
     def test_inline_crash_surfaces_on_reap_and_settles(self):
+        """The crash lands on the second piece's write: an inline piece
+        is one device write, so the first piece took the one op the
+        budget allows."""
         inner = InMemorySSD(1 << 20)
         device = CrashPointDevice(inner, schedule=OpCountSchedule(1))
         with ParallelWriter(device, num_threads=2) as writer:
-            submission = writer.submit([(0, b"c" * 8192)], inline=True)
+            submission = writer.submit(
+                [(0, b"c" * 8192), (8192, b"d" * 8192)], inline=True
+            )
             with pytest.raises(CrashedDeviceError):
                 writer.reap(submission)
             assert submission.writes_done
             assert writer.threads_started == 0
+            assert inner.stats.write_ops == 1
+
+    def test_inline_piece_is_one_write_on_a_single_fence_device(self):
+        device = InMemorySSD(1 << 20)
+        with ParallelWriter(device, num_threads=3) as writer:
+            writer.reap(writer.submit(
+                [(0, b"a" * 8192), (8192, b"b" * 8192)], inline=True
+            ))
+            assert device.stats.write_ops == 2
+            assert device.stats.persist_ops == 0
+            assert device.read(0, 16384) == b"a" * 8192 + b"b" * 8192
+        device.close()
+
+    def test_inline_per_thread_device_keeps_its_fenced_shares(self):
+        device = InMemorySSD(1 << 20)
+        with ParallelWriter(
+            device, num_threads=3, fence_mode="per-thread"
+        ) as writer:
+            writer.reap(writer.submit([(0, b"p" * 9000)], inline=True))
+            assert device.stats.write_ops == 3
+            assert device.stats.persist_ops == 3
+            assert device.unpersisted_bytes == 0
+        device.close()
 
     def test_crash_during_batch_surfaces_on_reap(self):
         inner = InMemorySSD(1 << 20)

@@ -1,5 +1,6 @@
 """Stress tests: the full stack under concurrency on real files."""
 
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -14,6 +15,22 @@ from repro.core.recovery import recover
 from repro.core.snapshot import BytesSource
 from repro.obs.metrics import M
 from repro.storage.ssd import FileBackedSSD
+
+
+def _supports_o_direct(directory) -> bool:
+    """True when ``directory``'s filesystem opens files ``O_DIRECT``."""
+    flag = getattr(os, "O_DIRECT", 0)
+    if not flag:
+        return False
+    probe = os.path.join(str(directory), "o_direct.probe")
+    try:
+        os.close(os.open(probe, os.O_RDWR | os.O_CREAT | flag, 0o644))
+    except OSError:
+        return False
+    finally:
+        if os.path.exists(probe):
+            os.remove(probe)
+    return True
 
 
 def payload_for(index: int, size: int = 8192) -> bytes:
@@ -170,3 +187,37 @@ class TestUnbufferedEngineTraffic:
         compact = G(num_slots=3, slot_size=2 * SECTOR_SIZE + RECORD_SIZE)
         payload_start = compact.data_offset + RECORD_SIZE
         assert payload_start % SECTOR_SIZE != 0
+
+    def test_open_checkpointer_writes_every_payload_direct(self, tmp_path):
+        """A default region stages into page-aligned buffers and opens
+        its file O_DIRECT, so one-chunk (256 KiB inline, 8 MiB through
+        the pool) and three-chunk payloads all take the direct path; the
+        registry series agree with the device's counters."""
+        chunk = 8 << 20
+        with open_checkpointer(
+            str(tmp_path / "region.pc"), capacity_bytes=3 * chunk,
+            chunk_size=chunk,
+        ) as ck:
+            device = ck.device
+            if not _supports_o_direct(tmp_path):
+                pytest.skip("filesystem does not support O_DIRECT")
+            assert device.direct_io
+            registry = ck.engine.metrics
+            for step, size in enumerate(
+                (256 << 10, chunk, 3 * chunk - (1 << 20)), start=1
+            ):
+                before = device.direct_write_ops
+                payload = payload_for(step, size)
+                if step == 3:
+                    assert ck.checkpoint_async(payload, step=step).wait().committed
+                else:
+                    assert ck.checkpoint(payload, step=step).committed
+                assert device.direct_write_ops > before
+                assert device.fallback_write_ops == 0
+            assert registry.value(
+                M.DEVICE_DIRECT_WRITES, device=device.name
+            ) == device.direct_write_ops
+            assert registry.value(
+                M.DEVICE_FALLBACK_WRITES, device=device.name
+            ) == 0
+            assert recover(ck.layout).payload == payload

@@ -310,8 +310,10 @@ class TestStripedAndUnbufferedSpec:
             EngineSpec(capacity_bytes=4096, backend="pmem",
                        stripe_devices=2)
 
-    def test_unbuffered_requires_ssd_backend(self):
-        with pytest.raises(ConfigError, match="ssd"):
+    def test_unbuffered_is_not_an_option(self):
+        """Every ssd region writes through O_DIRECT; there is no knob to
+        turn it on for a backend without a page cache, or off."""
+        with pytest.raises(TypeError, match="unbuffered"):
             EngineSpec(capacity_bytes=4096, backend="pmem",
                        unbuffered=True)
 
@@ -329,13 +331,14 @@ class TestStripedAndUnbufferedSpec:
     def test_probe_path_and_align(self, tmp_path):
         base = str(tmp_path / "r.pc")
         plain = EngineSpec(capacity_bytes=65536, backend="ssd", path=base)
-        assert plain.write_align() == 1
+        assert plain.write_align() == 4096  # SECTOR_SIZE: O_DIRECT
         striped = EngineSpec(capacity_bytes=65536, backend="ssd",
-                             path=base, stripe_devices=2, stripe_size=4096)
-        assert striped.write_align() == 4096
-        direct = EngineSpec(capacity_bytes=65536, backend="ssd",
-                            path=base, unbuffered=True)
-        assert direct.write_align() == 4096  # SECTOR_SIZE
+                             path=base, stripe_devices=2,
+                             stripe_size=8 * 4096)
+        assert striped.write_align() == 8 * 4096
+        for backend in ("pmem", "faults"):
+            simulated = EngineSpec(capacity_bytes=65536, backend=backend)
+            assert simulated.write_align() == 1
 
     def test_striped_pool_roundtrip_and_reopen(self, tmp_path):
         import os

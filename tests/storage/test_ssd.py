@@ -1,12 +1,15 @@
 """Tests for the file-backed and in-memory SSD devices."""
 
+import os
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.errors import CrashedDeviceError, DeviceClosedError, OutOfSpaceError
+from repro.obs.metrics import M, MetricsRegistry
 from repro.storage.ssd import SECTOR_SIZE, FileBackedSSD, InMemorySSD
 
 
@@ -145,21 +148,74 @@ class TestUnbufferedFileBackedSSD:
             assert dev.read(SECTOR_SIZE, len(buf)) == bytes(buf)
 
     def test_misaligned_write_falls_back(self, tmp_path):
+        """A write of a sector or more that cannot go direct is a
+        fallback; a sub-sector one (a header, a commit record) never
+        wanted the direct path and is neither."""
+        data = b"not aligned at all" * 300  # > one sector
         with FileBackedSSD(
             str(tmp_path / "d.bin"), capacity=64 * 1024, unbuffered=True
         ) as dev:
-            dev.write(3, b"not aligned at all")
+            dev.write(3, data)
             assert dev.direct_write_ops == 0
             assert dev.fallback_write_ops == 1
-            assert dev.read(3, 18) == b"not aligned at all"
+            assert dev.read(3, len(data)) == data
+            dev.write(SECTOR_SIZE * 4 + 5, b"header")
+            assert (dev.direct_write_ops, dev.fallback_write_ops) == (0, 1)
 
-    def test_persist_drops_cached_pages(self, tmp_path):
+    def test_ragged_tail_goes_buffered_after_a_direct_prefix(self, tmp_path):
+        length = (1 << 20) + 123
+        buf = _sector_aligned_buffer(length)
+        buf[:] = np.arange(length, dtype=np.uint64).astype(np.uint8)
+        with FileBackedSSD(
+            str(tmp_path / "d.bin"), capacity=2 << 20, unbuffered=True
+        ) as dev:
+            if not dev.direct_io:
+                pytest.skip("filesystem does not support O_DIRECT")
+            registry = MetricsRegistry()
+            dev.attach_metrics(registry)
+            writes = []
+            real_pwrite = os.pwrite
+
+            def spy(fd, data, offset):
+                writes.append((fd == dev._direct_fd, offset, len(data)))
+                return real_pwrite(fd, data, offset)
+
+            with mock.patch("repro.storage.ssd.os.pwrite", spy):
+                dev.write(SECTOR_SIZE, buf)
+            prefix = length - 123
+            assert writes == [
+                (True, SECTOR_SIZE, prefix),
+                (False, SECTOR_SIZE + prefix, 123),
+            ]
+            assert (dev.direct_write_ops, dev.fallback_write_ops) == (1, 0)
+            assert registry.value(M.DEVICE_DIRECT_WRITES, device=dev.name) == 1
+            assert registry.value(M.DEVICE_FALLBACK_WRITES, device=dev.name) == 0
+            dev.persist_all()
+            assert dev.read(SECTOR_SIZE, length) == bytes(buf)
+
+    def test_write_paths_are_registry_series(self, tmp_path):
         with FileBackedSSD(
             str(tmp_path / "d.bin"), capacity=64 * 1024, unbuffered=True
         ) as dev:
-            dev.write(5, b"payload")
-            dev.persist(0, 4096)
-            assert dev.cache_drop_ops == 1
+            registry = MetricsRegistry()
+            dev.attach_metrics(registry)
+            dev.write(0, _sector_aligned_buffer(2 * SECTOR_SIZE))
+            dev.write(1, bytes(SECTOR_SIZE))  # misaligned: a fallback
+            dev.write(3 * SECTOR_SIZE, bytes(64))  # sub-sector: neither
+            direct = 1 if dev.direct_io else 0
+            assert registry.value(M.DEVICE_DIRECT_WRITES, device=dev.name) == direct
+            assert registry.value(M.DEVICE_FALLBACK_WRITES, device=dev.name) == 2 - direct
+            assert dev.direct_write_ops == direct
+            assert dev.fallback_write_ops == 2 - direct
+
+    def test_buffered_device_reports_no_write_path(self, tmp_path):
+        with FileBackedSSD(str(tmp_path / "d.bin"), capacity=64 * 1024) as dev:
+            registry = MetricsRegistry()
+            dev.attach_metrics(registry)
+            dev.write(0, _sector_aligned_buffer(2 * SECTOR_SIZE))
+            assert (dev.direct_write_ops, dev.fallback_write_ops) == (0, 0)
+            assert M.DEVICE_DIRECT_WRITES not in registry.names()
+            assert M.DEVICE_FALLBACK_WRITES not in registry.names()
 
     def test_contents_survive_reopen_unbuffered(self, tmp_path):
         path = str(tmp_path / "d.bin")
