@@ -1,9 +1,16 @@
 """PC004: commit-record writes must respect fence discipline.
 
-The recovery protocol is only sound when (a) the payload and slot
-header are durable *before* the commit record can name them, and
-(b) the commit record itself is fenced before anyone acts on the
-commit.  Lexically, inside one function that means:
+The recovery protocol is only sound when (a) the commit record cannot
+name a checkpoint whose payload or slot header might be lost without
+recovery noticing, and (b) the commit record itself is fenced before
+anyone acts on the commit.  On PMEM, where the commit is a bare pointer
+nothing validates, (a) means Listing 1's order: payload and header
+durable before the record is written.  On a single-fence device every
+link is checksummed — the record's own CRC, the header's counter, the
+payload CRC in the header — so one fence over record, header and payload
+together satisfies (a) too (docs/ALGORITHM.md, "Commit on a file
+region").  The rule checks the conservative lexical form, inside one
+function:
 
 * a commit-record write (a ``.write(...)`` whose arguments involve
   ``encode_commit_record`` or ``commit_offset``) must be followed by a

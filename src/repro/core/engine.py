@@ -29,10 +29,22 @@ The engine exposes a *ticket* API so the orchestrator can stream a
 checkpoint in pipelined chunks (§3.1, Figure 7): ``begin()`` reserves the
 slot and counter, ``submit()``/``reap()`` (or the blocking
 ``write_chunk()``) write consecutive pieces — a reaped chunk's buffer is
-free to reuse, but nothing is fenced per chunk — and ``commit()`` issues
-the ONE covering payload fence §4.1 prescribes for SSD, then runs the
-header write plus CAS protocol.  ``checkpoint()`` is the one-shot
-convenience wrapper.
+free to reuse, but nothing is fenced per chunk — and ``commit()`` writes
+the slot header and runs the CAS protocol.  ``checkpoint()`` is the
+one-shot convenience wrapper.
+
+How many fences a commit pays depends on the medium.  On PMEM
+(``per-thread``) the commit pointer is a bare store nothing validates,
+so Listing 1's order stands: every writer share fences itself, then the
+header is persisted, then the commit record.  On a ``single``-fence
+device every link is checked at recovery — the commit record has its own
+CRC and must name a slot whose header carries the same counter, and the
+header holds the payload CRC — so ONE fence over ``[commit record,
+payload end)`` after the CAS makes payload, header and record durable
+together; any subset of those writes that survives a crash fails a check
+and recovery falls back to the previous checkpoint, whose slot is
+recycled only after that fence (docs/ALGORITHM.md, "Commit on a file
+region").
 """
 
 from __future__ import annotations
@@ -40,6 +52,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from repro.core.atomics import AtomicCounter, AtomicReference
@@ -167,8 +180,9 @@ class CheckpointTicket:
         device writes of chunk *k−1*).  Nothing is fenced per chunk:
         :meth:`commit` reaps anything still outstanding and then, in
         ``single`` fence mode, issues ONE fence covering the whole
-        payload — which is also how the service's coalescing path turns
-        K small checkpoints into a single payload fsync.
+        payload, its header and the commit record — which is also how
+        the service's coalescing path turns K small checkpoints into a
+        single fsync.
 
         ``inline=True`` leaves the pool out: :meth:`reap` writes the
         pieces on the reaping thread, after the CRC, with the same shares
@@ -199,13 +213,14 @@ class CheckpointTicket:
         self._engine._writer.reap(submission)
 
     def commit(self) -> CheckpointResult:
-        """Finish the checkpoint: fence the payload, persist the header,
-        run the CAS protocol.
+        """Finish the checkpoint: write the header, run the CAS protocol,
+        publish the commit record.
 
-        Any chunk submissions still in flight are reaped first, then ONE
-        fence covers the whole payload (``single`` fence mode) before the
-        header is written — the header must never claim a payload that
-        is not durable.
+        Any chunk submissions still in flight are reaped first.  In
+        ``single`` fence mode ONE fence after the CAS covers the commit
+        record, the header and the whole payload, and the result is
+        returned only once it did.  ``per-thread`` (PMEM) keeps Listing
+        1's three persists: payload shares, header, record.
         """
         if self._done:
             raise EngineError("ticket already committed or aborted")
@@ -249,7 +264,7 @@ class CheckpointEngine:
         tracer=None,
     ) -> None:
         """``post_cas_hook(meta)`` runs after a successful CAS and the
-        durable commit-record write, but *before* the superseded slot is
+        commit's fence, but *before* the superseded slot is
         recycled — the exact point where the paper's distributed protocol
         performs its rank-0 coordination round (§4.1, "Checkpointing in
         Distributed Training").  A hook that raises does NOT leak the
@@ -283,7 +298,13 @@ class CheckpointEngine:
         )
         if sanitize is None:
             sanitize = sanitize_requested()
-        initial = recovered.counter if recovered else 0
+        # Counters resume past every record the region holds, valid or
+        # not: a crash can leave a durable header (or commit record) of
+        # a checkpoint recovery refused, and its counter must never be
+        # issued a second time.
+        initial = max(
+            recovered.counter if recovered else 0, layout.highest_counter()
+        )
         if sanitize:
             self._sanitizer: Optional[EngineSanitizer] = EngineSanitizer(
                 layout.num_slots, recovered=recovered
@@ -319,7 +340,29 @@ class CheckpointEngine:
         self._closed = False
         self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._metrics.set_gauge(M.FREE_SLOTS, len(self._free))
+        # Every series a checkpoint touches, bound once: the commit path
+        # never sorts a label set or takes the registry lock.
+        m = self._metrics
+        self._m = SimpleNamespace(
+            requested=m.counter(M.CHECKPOINTS_REQUESTED),
+            commits=m.counter(M.COMMITS),
+            superseded=m.counter(M.SUPERSEDED),
+            aborted=m.counter(M.ABORTED),
+            dangling=m.counter(M.DANGLING),
+            cas_retries=m.counter(M.CAS_RETRIES),
+            bytes_persisted=m.counter(M.BYTES_PERSISTED),
+            slot_wait=m.counter(M.SLOT_WAIT_SECONDS),
+            overlap=m.counter(M.PIPELINE_OVERLAP_SECONDS),
+            free_slots=m.gauge(M.FREE_SLOTS),
+            held_slots=m.gauge(M.HELD_SLOTS),
+            held_reclaimed=m.counter(M.HELD_SLOTS_RECLAIMED),
+            commit_seconds=m.histogram(M.STAGE_SECONDS, stage="commit"),
+            checkpoint_seconds=m.histogram(M.CHECKPOINT_SECONDS),
+        )
+        #: The error of a fence that failed after a CAS had published its
+        #: checkpoint in memory; from then on the engine is defunct.
+        self._fence_error: Optional[BaseException] = None
+        self._m.free_slots.set(len(self._free))
 
     # ------------------------------------------------------------------
     # public API
@@ -388,7 +431,7 @@ class CheckpointEngine:
                 )
             del self._held_slots[slot]
             remaining = len(self._held_slots)
-        self._metrics.set_gauge(M.HELD_SLOTS, remaining)
+        self._m.held_slots.set(remaining)
         # Custody already counted as the superseding ticket's one slot
         # return (invariant 3), so this enqueue is attributed to no ticket.
         self._release_slot(slot, ticket_counter=None)
@@ -404,9 +447,9 @@ class CheckpointEngine:
         with self._held_lock:
             slots = list(self._held_slots)
             self._held_slots.clear()
-        self._metrics.set_gauge(M.HELD_SLOTS, 0)
+        self._m.held_slots.set(0)
         if slots:
-            self._metrics.inc(M.HELD_SLOTS_RECLAIMED, len(slots))
+            self._m.held_reclaimed.inc(len(slots))
         for slot in slots:
             self._release_slot(slot, ticket_counter=None)
         return len(slots)
@@ -423,7 +466,7 @@ class CheckpointEngine:
             held = len(self._held_slots)
         if self._sanitizer is not None:
             self._sanitizer.on_release(counter, slot)
-        self._metrics.set_gauge(M.HELD_SLOTS, held)
+        self._m.held_slots.set(held)
 
     def committed(self) -> Optional[CheckMeta]:
         """Metadata of the current recovery point (in-memory CHECK_ADDR)."""
@@ -440,7 +483,7 @@ class CheckpointEngine:
 
     def checkpoint(self, payload: Buffer, step: int = 0) -> CheckpointResult:
         """One-shot checkpoint of ``payload`` (Listing 1 end to end)."""
-        self._metrics.inc(M.CHECKPOINTS_REQUESTED)
+        self._m.requested.inc()
         started = time.monotonic()
         root = self._tracer.begin("checkpoint", step=step)
         ticket = self.begin(step=step)
@@ -452,7 +495,7 @@ class CheckpointEngine:
         except CrashedDeviceError:
             # Power loss leaves the ticket dangling — the slot is
             # reclaimed only by post-restart recovery, as on hardware.
-            self._metrics.inc(M.DANGLING)
+            self._m.dangling.inc()
             self._tracer.end(root, status=STATUS_DANGLING)
             raise
         except BaseException:
@@ -468,7 +511,7 @@ class CheckpointEngine:
         try:
             result = ticket.commit()
         except CrashedDeviceError:
-            self._metrics.inc(M.DANGLING)
+            self._m.dangling.inc()
             self._tracer.end(root, status=STATUS_DANGLING)
             raise
         except BaseException:
@@ -476,9 +519,7 @@ class CheckpointEngine:
             raise
         status = STATUS_COMMITTED if result.committed else STATUS_SUPERSEDED
         self._tracer.end(root, status=status)
-        self._metrics.observe(
-            M.CHECKPOINT_SECONDS, time.monotonic() - started
-        )
+        self._m.checkpoint_seconds.observe(time.monotonic() - started)
         return result
 
     def begin(
@@ -498,8 +539,8 @@ class CheckpointEngine:
         start = time.monotonic()
         slot = self._free.dequeue_blocking(timeout)
         waited = time.monotonic() - start
-        self._metrics.inc(M.SLOT_WAIT_SECONDS, waited)
-        self._metrics.set_gauge(M.FREE_SLOTS, len(self._free))
+        self._m.slot_wait.inc(waited)
+        self._m.free_slots.set(len(self._free))
         if slot == EMPTY:
             window = "" if timeout is None else f" within {timeout:g} seconds"
             raise SlotWaitTimeout(
@@ -530,6 +571,11 @@ class CheckpointEngine:
     # internal protocol steps
 
     def _check_alive(self) -> None:
+        if self._fence_error is not None:
+            raise EngineClosedError(
+                "a commit fence failed after its CAS; the engine is "
+                "defunct — reopen the region to recover"
+            ) from self._fence_error
         if self._closed:
             raise EngineClosedError("checkpoint engine is closed")
 
@@ -541,8 +587,8 @@ class CheckpointEngine:
         Capacity is validated for the whole batch up front — either every
         piece fits the slot or nothing is queued — so a failed batch
         aborts as cleanly as a failed single chunk.  Write errors are not
-        observable until the ticket reaps, and nothing is durable until
-        :meth:`_persist_payload` at commit.
+        observable until the ticket reaps, and on a ``single``-fence
+        device nothing is durable until the commit's covering fence.
         """
         total = sum(len(view) for view in views)
         capacity = self._layout.payload_capacity
@@ -557,31 +603,6 @@ class CheckpointEngine:
             pieces.append((offset, view))
             offset += len(view)
         return self._writer.submit(pieces, inline=inline)
-
-    def _persist_payload(self, ticket: CheckpointTicket) -> None:
-        """Make a ticket's whole payload durable: the ONE payload fence.
-
-        §4.1 for SSD: "the main thread can call a single ``msync()`` with
-        the checkpoint address" — every chunk landed at consecutive
-        offsets from ``payload_offset(slot)``, so one ``persist`` covers
-        them all.  On PMEM (``per-thread``) each writer share already
-        fenced its own range and nothing is left to cover.
-
-        A fence that fails without power loss recycles the slot, like a
-        failed chunk write: with no header the payload can never validate.
-        """
-        length = ticket.bytes_written
-        if length and self._writer.fence_mode == "single":
-            try:
-                self._layout.device.persist(
-                    self._layout.payload_offset(ticket.slot), length
-                )
-            except CrashedDeviceError:
-                raise
-            except BaseException:
-                self._abort_ticket(ticket)
-                raise
-        self._metrics.inc(M.BYTES_PERSISTED, length)
 
     def _record_overlap(
         self, submission: PersistSubmission, crc_start: float, crc_end: float
@@ -602,7 +623,7 @@ class CheckpointEngine:
         end = crc_end if done_at is None else min(crc_end, done_at)
         overlap = end - crc_start
         if overlap > 0:
-            self._metrics.inc(M.PIPELINE_OVERLAP_SECONDS, overlap)
+            self._m.overlap.inc(overlap)
 
     def _commit(self, ticket: CheckpointTicket, crc: int) -> CheckpointResult:
         span = self._tracer.begin(
@@ -617,9 +638,7 @@ class CheckpointEngine:
         except CrashedDeviceError:
             self._tracer.end(span, status=STATUS_DANGLING)
             raise
-        self._metrics.observe(
-            M.STAGE_SECONDS, time.monotonic() - start, stage="commit"
-        )
+        self._m.commit_seconds.observe(time.monotonic() - start)
         self._tracer.end(
             span,
             status=STATUS_COMMITTED if result.committed else STATUS_SUPERSEDED,
@@ -629,6 +648,13 @@ class CheckpointEngine:
     def _commit_inner(
         self, ticket: CheckpointTicket, crc: int
     ) -> CheckpointResult:
+        if self._fence_error is not None:
+            # An earlier post-CAS fence failed: nothing more this engine
+            # publishes can be trusted durable.  Dangle, as on power loss.
+            raise CrashedDeviceError(
+                "commit refused: an earlier commit fence failed after its "
+                "CAS"
+            ) from self._fence_error
         meta = CheckMeta(
             counter=ticket.counter,
             slot=ticket.slot,
@@ -636,13 +662,20 @@ class CheckpointEngine:
             payload_crc=crc,
             step=ticket.step,
         )
-        # Payload durable first, then lines 16-18: persist the
-        # checkpoint's own metadata (the header that "points to this
-        # data") BEFORE CHECK_ADDR may reference it.
-        self._persist_payload(ticket)
+        # Lines 16-18: the header that "points to this data".  On PMEM
+        # every payload share already fenced itself and the header is
+        # persisted before CHECK_ADDR may reference it.  On a single-fence
+        # device the commit's covering fence hardens payload, header and
+        # record at once (module docstring).
         header_offset = self._layout.slot_offset(ticket.slot)
         self._layout.device.write(header_offset, encode_slot_header(meta))
-        self._layout.device.persist(header_offset, RECORD_SIZE)
+        if self._writer.fence_mode == "single":
+            fence_end = (
+                self._layout.payload_offset(ticket.slot) + meta.payload_len
+            )
+        else:
+            self._layout.device.persist(header_offset, RECORD_SIZE)
+            fence_end = self._layout.commit_offset + RECORD_SIZE
 
         # Lines 19-34: CAS retry loop on CHECK_ADDR.
         last_check = self._check_addr.load()
@@ -656,7 +689,7 @@ class CheckpointEngine:
                     self._sanitizer.on_ticket_done(
                         meta.counter, first_commit=False
                     )
-                self._metrics.inc(M.SUPERSEDED)
+                self._m.superseded.inc()
                 return CheckpointResult(
                     counter=meta.counter,
                     slot=ticket.slot,
@@ -667,7 +700,8 @@ class CheckpointEngine:
                 # Line 22-25: success — persist CHECK_ADDR durably, then
                 # hand the superseded checkpoint's slot back to the queue
                 # (or a coordination custodian, §4.1).
-                self._write_commit_record(meta)
+                self._write_commit_record(meta, fence_end)
+                self._m.bytes_persisted.inc(meta.payload_len)
                 superseded = last_check.slot if last_check is not None else None
                 try:
                     if self._post_cas_hook is not None:
@@ -683,7 +717,7 @@ class CheckpointEngine:
                         self._sanitizer.on_ticket_done(
                             meta.counter, first_commit=last_check is None
                         )
-                    self._metrics.inc(M.COMMITS)
+                    self._m.commits.inc()
                     raise
                 if superseded is not None:
                     self._settle_superseded(meta, superseded)
@@ -691,7 +725,7 @@ class CheckpointEngine:
                     self._sanitizer.on_ticket_done(
                         meta.counter, first_commit=last_check is None
                     )
-                self._metrics.inc(M.COMMITS)
+                self._m.commits.inc()
                 return CheckpointResult(
                     counter=meta.counter,
                     slot=ticket.slot,
@@ -699,7 +733,7 @@ class CheckpointEngine:
                     payload_len=meta.payload_len,
                 )
             # CAS failed: someone moved CHECK_ADDR. Re-sample and decide.
-            self._metrics.inc(M.CAS_RETRIES)
+            self._m.cas_retries.inc()
             last_check = self._check_addr.load()
 
     def _settle_superseded(self, meta: CheckMeta, slot: int) -> None:
@@ -725,31 +759,48 @@ class CheckpointEngine:
                 # propagates to the caller after the recycle.
                 self.release_held_slot(slot)
 
-    def _write_commit_record(self, meta: CheckMeta) -> None:
-        """Durably publish ``meta`` as the commit record.
+    def _write_commit_record(self, meta: CheckMeta, fence_end: int) -> None:
+        """Durably publish ``meta`` as the commit record: write it, then
+        ONE fence over ``[commit_offset, fence_end)`` — the record alone
+        on PMEM, record + header + payload on a single-fence device.
 
         On hardware the CAS itself is the 8-byte PMEM pointer store, so a
         later CAS necessarily lands after an earlier one.  Our emulated
         CAS and the device write are separate steps, so a lock plus a
         monotonicity check reproduces the hardware ordering: a record for
         counter ``k`` is never overwritten by one for ``k' < k``.
+
+        The CAS already made ``meta`` the in-memory recovery point, so a
+        device error here cannot be undone: the engine goes defunct and
+        raises :class:`~repro.errors.CrashedDeviceError`, so every caller
+        handles it as power loss — no ack, neither slot recycled, and
+        reopening the region recovers whatever is durable.
         """
+        commit = self._layout.commit_offset
         with self._commit_write_lock:
-            if meta.counter <= self._last_written_counter:
-                # A newer commit already reached the device; our in-memory
-                # CAS must have been immediately superseded. Barrier only.
+            # A newer commit may already have reached the device (our
+            # in-memory CAS was immediately superseded): fence only.
+            newer_on_device = meta.counter <= self._last_written_counter
+            try:
+                if not newer_on_device:
+                    self._layout.device.write(
+                        commit, encode_commit_record(meta)
+                    )
                 # The fence MUST stay inside the lock: it stands in for
                 # the hardware CAS-store ordering.
                 # pclint: disable=PC001
-                self._layout.device.persist(self._layout.commit_offset, RECORD_SIZE)
-                return
-            self._layout.device.write(
-                self._layout.commit_offset, encode_commit_record(meta)
-            )
-            # Fence-inside-lock is the point of this function (see above).
-            # pclint: disable=PC001
-            self._layout.device.persist(self._layout.commit_offset, RECORD_SIZE)
-            self._last_written_counter = meta.counter
+                self._layout.device.persist(commit, fence_end - commit)
+            except CrashedDeviceError:
+                raise
+            except Exception as exc:
+                self._fence_error = exc
+                raise CrashedDeviceError(
+                    f"commit fence on {self._layout.device.name} failed "
+                    f"after the CAS ({exc!r}); the checkpoint dangles as "
+                    f"on power loss"
+                ) from exc
+            if not newer_on_device:
+                self._last_written_counter = meta.counter
 
     def _persist_commit_record_barrier(self) -> None:
         """Line 30's BARRIER(CHECK_ADDR): make sure the committed record
@@ -766,10 +817,10 @@ class CheckpointEngine:
         if self._sanitizer is not None:
             self._sanitizer.on_release(ticket_counter, slot)
         self._free.enqueue(slot)
-        self._metrics.set_gauge(M.FREE_SLOTS, len(self._free))
+        self._m.free_slots.set(len(self._free))
 
     def _abort_ticket(self, ticket: CheckpointTicket) -> None:
         self._release_slot(ticket.slot, ticket_counter=ticket.counter)
         if self._sanitizer is not None:
             self._sanitizer.on_ticket_done(ticket.counter, first_commit=False)
-        self._metrics.inc(M.ABORTED)
+        self._m.aborted.inc()

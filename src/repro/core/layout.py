@@ -10,7 +10,7 @@ into that layout::
     +------------------+ SUPERBLOCK_SIZE
     | commit record    |  CHECK_ADDR: newest committed checkpoint
     +------------------+ SUPERBLOCK_SIZE + RECORD_SIZE (page aligned)
-    | slot 0 header    |  written after slot 0's payload persists
+    | slot 0 header    |  counter, length and CRC of slot 0's payload
     | slot 0 payload   |
     +------------------+
     | slot 1 ...       |
@@ -27,7 +27,12 @@ import zlib
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core.meta import RECORD_SIZE, CheckMeta, decode_slot_header
+from repro.core.meta import (
+    RECORD_SIZE,
+    CheckMeta,
+    decode_commit_record,
+    decode_slot_header,
+)
 from repro.errors import LayoutError
 from repro.storage.device import PersistentDevice
 
@@ -259,6 +264,19 @@ class DeviceLayout:
     def read_all_slot_headers(self) -> List[Optional[CheckMeta]]:
         """Headers of every slot, index-aligned."""
         return [self.read_slot_header(slot) for slot in range(self.num_slots)]
+
+    def highest_counter(self) -> int:
+        """The largest counter any decodable record on the region carries
+        — the commit record or a slot header, whether or not its
+        checkpoint validates; 0 on a fresh region.
+
+        An engine resumes its counter past this, so a checkpoint whose
+        header (or record) reached the media without the rest of its
+        commit never shares its counter with a later one.
+        """
+        raw = self._device.read(self.commit_offset, RECORD_SIZE)
+        records = [decode_commit_record(raw), *self.read_all_slot_headers()]
+        return max((r.counter for r in records if r is not None), default=0)
 
     def read_payload(self, meta: CheckMeta) -> bytes:
         """The payload bytes a validated header describes."""

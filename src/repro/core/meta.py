@@ -6,11 +6,13 @@ The algorithm of §4.1 manipulates three kinds of metadata:
   counter plus the location of its data (here, a slot index and payload
   length).  One lives in memory per in-flight checkpoint; the committed
   one is also encoded into the device's *commit record* (``CHECK_ADDR``).
-* Slot headers — one per storage slot, written and persisted *after* the
-  slot's payload so that a header with a matching CRC proves the payload
-  underneath it is complete.  This is the on-media form of the paper's
-  "persist the data and the checkpoint that points to this data before
-  CHECK_ADDR is updated" ordering requirement.
+* Slot headers — one per storage slot, carrying the payload's length and
+  CRC, so that a header with a matching CRC proves the payload underneath
+  it is complete.  This is the on-media form of the paper's "persist the
+  data and the checkpoint that points to this data before CHECK_ADDR is
+  updated" requirement: on PMEM the header is persisted after the
+  payload, on a file region one fence covers both and the CRC tells a
+  torn payload from a whole one.
 * The commit record — a single 64-byte CRC-protected record at a fixed
   offset; updating it is the durable analogue of the CAS on CHECK_ADDR.
 

@@ -9,8 +9,9 @@ The orchestrator coordinates the life of a checkpoint (Figure 5):
 3. a *persist* task drains the captured chunks in order through the
    engine's writer threads to consecutive slot offsets (step ④), releasing
    each buffer as soon as its chunk's write returned — no per-chunk fence;
-4. the engine's commit issues ONE fence covering the whole payload (§4.1,
-   SSD) and then runs the commit protocol that publishes the checkpoint.
+4. the engine's commit runs the protocol that publishes the checkpoint;
+   on SSD its ONE fence, after the CAS, covers the commit record, the
+   slot header and the whole payload (§4.1; docs/ALGORITHM.md).
 
 Checkpoints commit in the order they were started: a checkpoint calls
 ``ticket.commit()`` only once every checkpoint this orchestrator started
@@ -58,6 +59,7 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import List, Optional
 
 from repro.core.chunking import ChunkPlan, plan_chunks
@@ -172,8 +174,19 @@ class PCcheckOrchestrator:
     def __init__(self, engine: CheckpointEngine, pool: DRAMBufferPool) -> None:
         self._engine = engine
         self._pool = pool
-        # The whole stack reports into one place: the engine's.
-        self._metrics = engine.metrics
+        # The whole stack reports into one place: the engine's, through
+        # handles bound here once.
+        metrics = engine.metrics
+        self._m = SimpleNamespace(
+            requested=metrics.counter(M.CHECKPOINTS_REQUESTED),
+            dangling=metrics.counter(M.DANGLING),
+            update_stall=metrics.counter(M.UPDATE_STALL_SECONDS),
+            buffer_wait=metrics.counter(M.BUFFER_WAIT_SECONDS),
+            bytes_copied=metrics.counter(M.BYTES_COPIED),
+            capture_seconds=metrics.histogram(M.STAGE_SECONDS, stage="capture"),
+            persist_seconds=metrics.histogram(M.STAGE_SECONDS, stage="persist"),
+            checkpoint_seconds=metrics.histogram(M.CHECKPOINT_SECONDS),
+        )
         self._tracer = engine.tracer
         # Two threads per in-flight checkpoint: capture + persist stages.
         workers = 2 * engine.max_concurrent
@@ -248,7 +261,7 @@ class PCcheckOrchestrator:
         for handle in pending:
             handle.snapshot_done.wait()
         waited = time.monotonic() - start
-        self._metrics.inc(M.UPDATE_STALL_SECONDS, waited)
+        self._m.update_stall.inc(waited)
         return waited
 
     def drain(
@@ -322,7 +335,7 @@ class PCcheckOrchestrator:
         self._check_fatal()
         handle = CheckpointHandle(step=step)
         handle._started = time.monotonic()  # noqa: SLF001
-        self._metrics.inc(M.CHECKPOINTS_REQUESTED)
+        self._m.requested.inc()
         root = self._tracer.begin("checkpoint", step=step)
         handle.span = root
         # Reserve counter + slot in the caller's thread: engine.begin()
@@ -481,9 +494,7 @@ class PCcheckOrchestrator:
                         wait_span = tracer.begin(
                             "buffer_wait", parent=stage_span, chunk=index
                         )
-                self._metrics.inc(
-                    M.BUFFER_WAIT_SECONDS, time.monotonic() - wait_start
-                )
+                self._m.buffer_wait.inc(time.monotonic() - wait_start)
                 if wait_span is not None:
                     tracer.end(wait_span)
                 try:
@@ -499,16 +510,14 @@ class PCcheckOrchestrator:
                 # downstream moves memoryview slices.  Counting it here
                 # lets the persist benchmark assert copies-per-checkpoint
                 # stays at 1x the payload.
-                self._metrics.inc(M.BYTES_COPIED, length)
+                self._m.bytes_copied.inc(length)
                 emit(buffer)
         except BaseException as exc:
             tracer.end(stage_span, error=type(exc).__name__)
             handle.snapshot_done.set()
             raise
         handle.snapshot_done.set()
-        self._metrics.observe(
-            M.STAGE_SECONDS, time.monotonic() - stage_start, stage="capture"
-        )
+        self._m.capture_seconds.observe(time.monotonic() - stage_start)
         tracer.end(stage_span)
 
     def _persist_stage(
@@ -590,10 +599,7 @@ class PCcheckOrchestrator:
                 index += 1
             while held:
                 self._settle_inflight(ticket, held.pop(0))
-            self._metrics.observe(
-                M.STAGE_SECONDS, time.monotonic() - stage_start,
-                stage="persist",
-            )
+            self._m.persist_seconds.observe(time.monotonic() - stage_start)
             tracer.end(stage_span, chunks=index)
             if after is not None and not after.done():
                 with tracer.span("commit_wait", parent=handle.span):
@@ -625,7 +631,7 @@ class PCcheckOrchestrator:
                 # new checkpoints instead of letting them block on slots
                 # no dangling ticket will ever release.
                 self._fatal = exc
-                self._metrics.inc(M.DANGLING)
+                self._m.dangling.inc()
                 self._finish_root(handle, STATUS_DANGLING)
             else:
                 # Local failure (e.g. the payload outgrew the slot): the
@@ -680,9 +686,8 @@ class PCcheckOrchestrator:
         if handle._started and status in (  # noqa: SLF001
             STATUS_COMMITTED, STATUS_SUPERSEDED
         ):
-            self._metrics.observe(
-                M.CHECKPOINT_SECONDS,
-                time.monotonic() - handle._started,  # noqa: SLF001
+            self._m.checkpoint_seconds.observe(
+                time.monotonic() - handle._started  # noqa: SLF001
             )
 
     def _drain_hand_off(self, hand_off) -> None:

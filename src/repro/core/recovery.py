@@ -2,9 +2,11 @@
 
 The commit record (``CHECK_ADDR``) names the last consistent checkpoint;
 if the crash tore it, the slot headers are tried, newest counter first.
-Sound because a header is persisted only *after* its payload is durable
-(valid header + matching CRC ⇒ complete checkpoint), and a recycled slot
-keeps its old header over bytes that no longer match it.
+Sound because every link is checked: the record's own CRC, a header with
+the record's counter, the payload CRC the header carries (valid header +
+matching CRC ⇒ complete checkpoint, in whatever order the three reached
+the media), and a recycled slot keeps its old header over bytes that no
+longer match it.
 
 ONE attempt loop, :func:`_walk`, serves every restore: :func:`recover`
 hands it a region's candidates (a tiered stack chains its tiers through

@@ -19,6 +19,13 @@ thread all report concurrently.  :meth:`MetricsRegistry.snapshot` takes
 a consistent point-in-time copy; :meth:`MetricsRegistry.to_prometheus`
 and :meth:`MetricsRegistry.to_json` render the standard expositions.
 
+A hot path binds its series once, when its component is built or a
+registry is attached: :meth:`MetricsRegistry.counter` / ``gauge`` /
+``histogram`` return the instrument itself, a handle whose ``inc`` /
+``set`` / ``observe`` take only that instrument's lock.  The convenience
+writers (:meth:`MetricsRegistry.inc`, ``set_gauge``, ``observe``) sort the
+label set and take the registry lock on every call; they serve cold paths.
+
 The canonical metric names live in the ``M`` namespace class below so a
 grep for ``M.SLOT_WAIT_SECONDS`` finds every producer and consumer;
 ``docs/OBSERVABILITY.md`` is the human-readable catalogue.
@@ -26,6 +33,7 @@ grep for ``M.SLOT_WAIT_SECONDS`` finds every producer and consumer;
 
 from __future__ import annotations
 
+import bisect
 import json
 import threading
 import time
@@ -228,17 +236,16 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         value = float(value)
-        index = len(self._bounds)
-        for i, bound in enumerate(self._bounds):
-            if value <= bound:
-                index = i
-                break
+        # First bucket whose upper bound is >= value; len(bounds) is +Inf.
+        index = bisect.bisect_left(self._bounds, value)
         with self._lock:
             self._counts[index] += 1
             self._sum += value
             self._count += 1
-            self._min = min(self._min, value)
-            self._max = max(self._max, value)
+            if value < self._min:
+                self._min = value
+            if value > self._max:
+                self._max = value
 
     @property
     def count(self) -> int:

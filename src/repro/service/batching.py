@@ -1,13 +1,13 @@
 """Group commit: coalescing many small tenants into one covering fence.
 
 A tenant whose checkpoints are small would be a terrible pooled-engine
-customer: every request costs the full fence discipline (payload fence,
-slot-header fence, commit-record fence) for a few kilobytes.  PCcheck's
+customer: every request costs a whole commit (slot header, CAS, commit
+record and the fence that hardens them) for a few kilobytes.  PCcheck's
 engine already persists *several scattered pieces under one fence*
 (:meth:`~repro.core.engine.CheckpointTicket.submit` of a chunk list,
 then :meth:`~repro.core.engine.CheckpointTicket.commit`, whose one
-covering fence spans the whole payload); this module aggregates across
-tenants on top of it.
+covering fence spans record, header and the whole payload); this module
+aggregates across tenants on top of it.
 
 Design — one *batch engine* lease, held for the batcher's lifetime:
 
@@ -25,8 +25,8 @@ Design — one *batch engine* lease, held for the batcher's lifetime:
   and committed.  Because every batch is a complete snapshot of all
   tenants, the newest committed batch alone is sufficient for recovery;
   no batch chaining is needed.
-* K coalesced requests therefore cost ~3 fences per *batch* (payload
-  span, slot header, commit record) instead of ~3 per request.
+* K coalesced requests therefore cost one commit — one fence on a file
+  region — per *batch* instead of one per request.
 
 Close-path ordering (regression-guarded): ``close()`` first joins the
 builder thread — which finishes any in-flight batch through the writer

@@ -48,7 +48,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import PCcheckConfig, validate_choice
 from repro.core.engine import CheckpointEngine
-from repro.core.layout import DeviceLayout, Geometry
+from repro.core.layout import SUPERBLOCK_SIZE, DeviceLayout, Geometry
 from repro.core.meta import RECORD_SIZE
 from repro.core.orchestrator import PCcheckOrchestrator
 from repro.core.recovery import RecoveredCheckpoint, try_recover
@@ -203,6 +203,16 @@ def _file_size(path: str) -> int:
         return 0
 
 
+def _formatted(device: PersistentDevice) -> bool:
+    """False when the region's superblock sector is all zero: a file that
+    was sized but never formatted (a process killed inside its first
+    :meth:`~repro.core.layout.DeviceLayout.format`).  Anything else,
+    a foreign superblock included, is left to ``DeviceLayout.open`` to
+    accept or refuse."""
+    raw = device.read(0, min(SUPERBLOCK_SIZE, device.capacity))
+    return raw != bytes(len(raw))
+
+
 def _open_ssd(
     path: str,
     capacity: Optional[int] = None,
@@ -223,8 +233,10 @@ def _open_ssd(
     reordered member.  Otherwise fresh files are sized so the device's
     logical capacity covers ``capacity`` (per stripe member: a manifest
     page plus a stripe-aligned share); with ``capacity`` ``None`` the
-    region must exist (:class:`~repro.errors.LayoutError`).  Every file
-    is opened ``unbuffered`` (O_DIRECT where the filesystem allows it).
+    region must exist (:class:`~repro.errors.LayoutError`).  ``existing``
+    is False for files whose superblock sector is still all zero
+    (:func:`_formatted`), so the caller formats them.  Every file is
+    opened ``unbuffered`` (O_DIRECT where the filesystem allows it).
     """
     if stripe_devices is None:
         stripe_devices = 1 if os.path.isfile(path) else 0
@@ -236,7 +248,11 @@ def _open_ssd(
         device = FileBackedSSD(
             path, capacity=max(capacity or 0, size), unbuffered=True
         )
-        return device, size > 0
+        try:
+            return device, size > 0 and _formatted(device)
+        except BaseException:
+            device.close()
+            raise
     members: List[FileBackedSSD] = []
 
     def add(index: int, member_capacity: int) -> None:
@@ -261,7 +277,8 @@ def _open_ssd(
                     f"the set was created with {count} members"
                 )
             add(index, size)
-        return StripedDevice.open(members), True
+        device = StripedDevice.open(members)
+        return device, _formatted(device)
     except BaseException:
         for member in members:
             try:

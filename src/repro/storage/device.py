@@ -203,6 +203,7 @@ class PersistentDevice(ABC):
         self._closed = False
         self._obs_metrics: Optional[MetricsRegistry] = None
         self._obs_label = name
+        self._obs_handles: Dict[str, object] = {}
 
     @property
     def capacity(self) -> int:
@@ -239,10 +240,25 @@ class PersistentDevice(ABC):
         Every subsequent ``write``/``read``/``persist`` reports a
         ``device=<label>``, ``op=`` labelled series; the ``stats``
         attribute of concrete devices stays untouched.  Detached (the
-        default) the ops pay nothing beyond one ``None`` check.
+        default) the ops pay nothing beyond one ``None`` check.  Each
+        series is bound to its handle on the op's first report and reused
+        after that, so it appears once something happened on it and an
+        op never pays a registry lookup.
         """
         self._obs_metrics = metrics
         self._obs_label = label if label is not None else self._name
+        self._obs_handles = {}
+
+    def _obs_handle(self, key: str, bind):
+        """The handle cached under ``key``, bound by ``bind(registry,
+        label, key)`` the first time (racing binders get the same
+        series)."""
+        handle = self._obs_handles.get(key)
+        if handle is None:
+            handle = self._obs_handles[key] = bind(
+                self._obs_metrics, self._obs_label, key
+            )
+        return handle
 
     def _obs_start(self) -> float:
         """Per-op timing origin; 0.0 when no registry is attached."""
@@ -250,17 +266,13 @@ class PersistentDevice(ABC):
 
     def _obs_op(self, op: str, nbytes: int, start: float) -> None:
         """Report one device operation (no-op when detached)."""
-        obs = self._obs_metrics
-        if obs is None:
+        if self._obs_metrics is None:
             return
-        label = self._obs_label
-        obs.inc(M.DEVICE_OPS, 1, device=label, op=op)
+        ops, op_bytes, seconds = self._obs_handle(op, _op_series)
+        ops.inc()
         if nbytes:
-            obs.inc(M.DEVICE_OP_BYTES, nbytes, device=label, op=op)
-        obs.observe(
-            M.DEVICE_OP_SECONDS, time.monotonic() - start,
-            device=label, op=op,
-        )
+            op_bytes.inc(nbytes)
+        seconds.observe(time.monotonic() - start)
 
     def _check_open(self) -> None:
         if self._closed:
@@ -323,6 +335,15 @@ class PersistentDevice(ABC):
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+def _op_series(metrics: MetricsRegistry, label: str, op: str) -> tuple:
+    """The ``(ops, bytes, seconds)`` series of one device op kind."""
+    return (
+        metrics.counter(M.DEVICE_OPS, device=label, op=op),
+        metrics.counter(M.DEVICE_OP_BYTES, device=label, op=op),
+        metrics.histogram(M.DEVICE_OP_SECONDS, device=label, op=op),
+    )
 
 
 class DeviceWrapper(PersistentDevice):

@@ -51,6 +51,10 @@ PDSSD_SATURATED_BANDWIDTH: float = 0.8e9
 SECTOR_SIZE: int = 4096
 
 
+def _device_counter(metrics, label: str, name: str):
+    return metrics.counter(name, device=label)
+
+
 class FileBackedSSD(PersistentDevice):
     """A persistent device over a real file.
 
@@ -181,10 +185,10 @@ class FileBackedSSD(PersistentDevice):
                 self.fallback_write_ops += 1
         self._obs_op("write", length, start)
         if (direct or fallback) and self._obs_metrics is not None:
-            self._obs_metrics.inc(
+            self._obs_handle(
                 M.DEVICE_DIRECT_WRITES if direct else M.DEVICE_FALLBACK_WRITES,
-                1, device=self._obs_label,
-            )
+                _device_counter,
+            ).inc()
 
     def read(self, offset: int, length: int) -> bytes:
         self._check_open()

@@ -27,7 +27,7 @@ caller's buffer, so reassembly costs no copy beyond the members' own
 reads.  ``persist`` issues one *covering* fence per member — in
 parallel when more than one member owns bytes of the range — so a
 :class:`~repro.core.writer.ParallelWriter` over a striped device needs
-nothing special: the engine's one covering payload fence fans out per
+nothing special: the engine's one covering commit fence fans out per
 member.
 
 Layout of each member device::
@@ -309,11 +309,26 @@ class StripedDevice(PersistentDevice):
         self, offset: int, length: int
     ) -> Dict[int, Tuple[int, int]]:
         """Covering ``[lo, hi)`` member-space span per member owning bytes
-        of the logical range."""
+        of the logical range: from the first to the last chunk each
+        member owns in it, so the cost is per member, not per stripe (a
+        commit's covering fence spans most of the region)."""
         spans: Dict[int, Tuple[int, int]] = {}
-        for member, m_off, _logical, seg in self._segments(offset, length):
-            lo, hi = spans.get(member, (m_off, m_off + seg))
-            spans[member] = (min(lo, m_off), max(hi, m_off + seg))
+        if length <= 0:
+            return spans
+        n, stripe = len(self._members), self._stripe
+        end = offset + length
+        first, last = offset // stripe, (end - 1) // stripe
+        for member in range(n):
+            lo_chunk = first + (member - first) % n
+            if lo_chunk > last:
+                continue
+            hi_chunk = last - (last - member) % n
+            lo = max(offset, lo_chunk * stripe) - lo_chunk * stripe
+            hi = min(end, (hi_chunk + 1) * stripe) - hi_chunk * stripe
+            spans[member] = (
+                STRIPE_HEADER_SIZE + lo_chunk // n * stripe + lo,
+                STRIPE_HEADER_SIZE + hi_chunk // n * stripe + hi,
+            )
         return spans
 
     # ------------------------------------------------------------------

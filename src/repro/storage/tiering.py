@@ -22,9 +22,9 @@ supplies the three pieces:
 
     * **warm**: the worker commits the payload through its own
       :class:`~repro.core.engine.CheckpointEngine` over a second
-      formatted region on the warm device — payload fenced, then header,
-      then commit record, Listing 1 end to end — so the warm region is
-      itself always recoverable, even if power fails mid-demotion.  The
+      formatted region on the warm device — the engine's full commit
+      protocol — so the warm region is itself always recoverable, even
+      if power fails mid-demotion.  The
       engine's free-slot queue never hands out the slot the warm commit
       record points at; hot counters skip (aborted and superseded
       tickets, skipped demotions), so no slot rule derived from them can
@@ -172,6 +172,10 @@ class TierPolicy:
         self._hot_layout = layout
         self._remote = remote
         self._metrics = metrics
+        # Bound once: on_commit sets it on the committing thread.
+        self._queue_gauge = (
+            None if metrics is None else metrics.gauge(M.TIER_DEMOTION_QUEUE)
+        )
         self._queue: "queue.Queue[Union[CheckMeta, object]]" = queue.Queue(
             maxsize=self._plan.max_queue
         )
@@ -337,10 +341,8 @@ class TierPolicy:
             self._metrics.inc(name, amount, **labels)
 
     def _set_queue_gauge(self) -> None:
-        if self._metrics is not None:
-            self._metrics.set_gauge(
-                M.TIER_DEMOTION_QUEUE, self._queue.qsize()
-            )
+        if self._queue_gauge is not None:
+            self._queue_gauge.set(self._queue.qsize())
 
     @property
     def warm_engine(self) -> CheckpointEngine:

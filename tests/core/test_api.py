@@ -87,10 +87,14 @@ class TestCheckpointerSurface:
                                capacity_bytes=4096) as ckpt:
             h1 = ckpt.checkpoint_async(b"raw bytes", step=1)
             h2 = ckpt.checkpoint_async(BytesSource(b"a source"), step=2)
-            results = ckpt.wait()
-            assert len(results) >= 2
-            assert h1.done() and h2.done()
-            assert ckpt.latest() is not None
+            # wait() drains only what is still outstanding, and h1 may
+            # have committed before h2 was submitted; the handles say
+            # what happened to each.  Commits run in start order, so
+            # neither supersedes the other.
+            ckpt.wait()
+            assert h1.wait(timeout=10).committed
+            assert h2.wait(timeout=10).committed
+            assert ckpt.latest().step == 2
 
     def test_checkpoint_accepts_numpy_state(self, tmp_path):
         # Any buffer-protocol object, not just bytes/bytearray/memoryview,

@@ -1,11 +1,14 @@
-"""One payload fence per checkpoint (§4.1, SSD: "a single ``msync()``
-with the checkpoint address").
+"""One fence per checkpoint on a single-fence device (§4.1, SSD: "a
+single ``msync()`` with the checkpoint address").
 
 Chunks are written and reaped without a fence — a reaped chunk's staging
-buffer goes straight back to capture — and the ticket's commit issues
-ONE fence covering ``[payload_offset(slot), +len)`` before the slot
-header is written.  On PMEM (``per-thread``) every writer share fences
-its own range and no covering fence is added.
+buffer goes straight back to capture — and the ticket's commit writes the
+slot header, wins the CAS, writes the commit record and then issues ONE
+fence covering ``[commit_offset, payload_end)``: record, header and
+payload together.  Every link is checked at recovery (record CRC, header
+counter, payload CRC), so no ordering fence sits between them.  On PMEM
+(``per-thread``) every writer share fences its own range, then the header
+and the record are persisted in Listing 1's order.
 """
 
 import threading
@@ -17,7 +20,8 @@ from repro.core.layout import DeviceLayout, Geometry
 from repro.core.meta import RECORD_SIZE
 from repro.core.orchestrator import PCcheckOrchestrator
 from repro.core.snapshot import BytesSource
-from repro.errors import TransientIOError
+from repro.core.recovery import recover
+from repro.errors import CrashedDeviceError, EngineClosedError, TransientIOError
 from repro.obs.metrics import M, MetricsRegistry
 from repro.service.pool import EngineSpec, build_stack
 from repro.storage.device import DeviceWrapper
@@ -53,6 +57,9 @@ def _checkpoint_ops(device, layout, result):
 class TestOpOrder:
     @pytest.mark.parametrize("num_chunks", [1, 4, 16])
     def test_one_covering_fence_before_the_header(self, num_chunks):
+        """Whatever the chunk count: payload writes, the header write, the
+        commit-record write, then ONE fence over ``[commit_offset,
+        payload_end)`` — the only fence the checkpoint pays."""
         spec = EngineSpec(
             capacity_bytes=num_chunks * CHUNK, chunk_size=CHUNK,
             writer_threads=2, backend="faults", observability="off",
@@ -65,21 +72,28 @@ class TestOpOrder:
                 BytesSource(payload), step=1
             )
             assert result.committed
+            layout = stack.layout
             writes, fences, header_writes, persists = _checkpoint_ops(
-                stack.device, stack.layout, result
+                stack.device, layout, result
             )
-            assert len(fences) == 1
+            assert persists == 1 and len(fences) == 1
             fence_at, fence = fences[0]
+            payload_end = layout.payload_offset(result.slot) + len(payload)
             assert (fence.offset, fence.length) == (
-                stack.layout.payload_offset(result.slot), len(payload)
+                layout.commit_offset, payload_end - layout.commit_offset
             )
             assert sum(op.length for _, op in writes) == len(payload)
-            assert all(i < fence_at for i, _ in writes)
+            record_writes = [
+                i for i, op in enumerate(stack.device.op_log)
+                if op.kind == "write" and op.offset == layout.commit_offset
+            ]
             assert header_writes == [header_writes[0]]
-            assert fence_at < header_writes[0]
-            # Payload fence + header fence + commit-record fence,
-            # whatever the chunk count.
-            assert persists == 3
+            assert record_writes == [record_writes[0]]
+            # Payload and header precede the CAS, the record follows it,
+            # and the fence comes last.
+            assert max(i for i, _ in writes) < header_writes[0]
+            assert header_writes[0] < record_writes[0] < fence_at
+            assert fence_at == len(stack.device.op_log) - 1
         finally:
             stack.close()
 
@@ -190,19 +204,33 @@ class TestBytesPersistedMetric:
         engine.close()
 
     def test_failed_payload_fence_recycles_the_slot(self):
+        """A covering fence that fails after the CAS: the checkpoint is
+        not acked and neither its slot nor the one it superseded is
+        recycled — the engine goes defunct, as on power loss — and the
+        region still recovers the previous commit."""
         slot_size = 4 * CHUNK + RECORD_SIZE
         total = Geometry(num_slots=3, slot_size=slot_size).total_size
         inner = InMemorySSD(total)
         formatted = DeviceLayout.format(inner, num_slots=3, slot_size=slot_size)
-        flaky = TransientFaultDevice(inner, kind="persist", occurrence=0)
+        # The first checkpoint's fence passes, the second one's fails.
+        flaky = TransientFaultDevice(inner, kind="persist", occurrence=1)
         engine = CheckpointEngine(
             DeviceLayout(flaky, formatted.geometry), writer_threads=2,
             metrics=MetricsRegistry(),
         )
-        with pytest.raises(TransientIOError):
-            engine.checkpoint(b"f" * CHUNK, step=1)
-        assert engine.free_slots == 3
-        assert engine.metrics.value(M.BYTES_PERSISTED) == 0
-        assert engine.checkpoint(b"g" * CHUNK, step=2).committed
+        assert engine.checkpoint(b"f" * CHUNK, step=1).committed
+        assert engine.free_slots == 2
+        with pytest.raises(CrashedDeviceError) as failed:
+            engine.checkpoint(b"g" * CHUNK, step=2)
+        assert isinstance(failed.value.__cause__, TransientIOError)
+        assert engine.free_slots == 1
         assert engine.metrics.value(M.BYTES_PERSISTED) == CHUNK
+        assert engine.metrics.value(M.DANGLING) == 1
+        with pytest.raises(EngineClosedError):
+            engine.begin(step=3)
         engine.close()
+        # Nothing the failed fence should have hardened survives a crash.
+        inner.crash()
+        inner.recover()
+        found = recover(DeviceLayout.open(inner))
+        assert (found.meta.step, bytes(found.payload)) == (1, b"f" * CHUNK)

@@ -280,6 +280,48 @@ class TestOpenExistingRegion:
             open_existing_region(path)
 
 
+class TestUnformattedRegionFile:
+    """A file whose superblock sector is all zero was sized but never
+    formatted — a process killed inside its first format leaves one — so
+    opening it formats it; a non-zero foreign superblock is refused."""
+
+    def test_truncated_fresh_file_opens_and_formats(self, tmp_path):
+        from repro import open_checkpointer
+
+        path = str(tmp_path / "blank.pc")
+        with open(path, "wb") as fh:
+            fh.truncate(1 << 20)
+        with open_checkpointer(path, capacity_bytes=4096) as ck:
+            assert ck.recovered is None
+            assert ck.checkpoint(b"fresh", step=1).committed
+        with open_checkpointer(path, capacity_bytes=4096) as ck:
+            assert ck.recovered.meta.step == 1
+            assert bytes(ck.recovered.payload) == b"fresh"
+
+    def test_striped_set_without_a_superblock_formats(self, tmp_path):
+        from repro import open_checkpointer
+        from repro.storage.ssd import FileBackedSSD
+        from repro.storage.striped import StripedDevice
+
+        path = str(tmp_path / "blank.pc")
+        members = [FileBackedSSD(f"{path}.s{i}", capacity=1 << 20)
+                   for i in range(2)]
+        StripedDevice.create(members, stripe_size=4096).close()
+        with open_checkpointer(path, capacity_bytes=4096, stripe_devices=2,
+                               stripe_size=4096) as ck:
+            assert ck.recovered is None
+            assert ck.checkpoint(b"fresh", step=1).committed
+
+    def test_file_of_random_bytes_is_still_refused(self, tmp_path):
+        from repro import open_checkpointer
+
+        path = str(tmp_path / "random.pc")
+        with open(path, "wb") as fh:
+            fh.write(os.urandom(1 << 20))
+        with pytest.raises(LayoutError, match="not a PCcheck region"):
+            open_checkpointer(path, capacity_bytes=4096)
+
+
 class TestRefusedRegionLeaksNothing:
     @pytest.mark.parametrize("tiers", [None, True], ids=["plain", "tiered"])
     def test_failed_open_closes_what_it_opened(self, tmp_path, tiers):

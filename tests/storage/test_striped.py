@@ -2,6 +2,7 @@
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.core.engine import CheckpointEngine
@@ -110,6 +111,28 @@ class TestPersist:
         striped.persist(0, 4096)
         after = [d.stats.persist_ops for d in devices]
         assert [a - b for a, b in zip(after, before)] == [1, 0, 0]
+        striped.close()
+
+    @pytest.mark.parametrize(
+        "members, stripe", [(1, 4096), (2, 7), (3, 4096), (4, 3)]
+    )
+    def test_member_spans_match_the_segment_walk(self, members, stripe):
+        """Each member's fence span runs from the first to the last byte
+        it owns in the range — computed per member, the same spans a
+        walk over every stripe segment of the range gives."""
+        striped, _ = make_striped(
+            members=members, member_capacity=STRIPE_HEADER_SIZE + 50 * stripe,
+            stripe=stripe,
+        )
+        rng = np.random.default_rng(members * stripe)
+        for _ in range(200):
+            offset = int(rng.integers(striped.capacity))
+            length = int(rng.integers(striped.capacity - offset + 1))
+            walked = {}
+            for member, m_off, _, seg in striped._segments(offset, length):
+                lo, hi = walked.get(member, (m_off, m_off + seg))
+                walked[member] = (min(lo, m_off), max(hi, m_off + seg))
+            assert striped._member_spans(offset, length) == walked
         striped.close()
 
     def test_unpersisted_stripe_lost_on_member_crash(self):

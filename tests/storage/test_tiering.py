@@ -113,6 +113,9 @@ class TestDemotion:
         assert recovered.payload == expected[3]
 
     def test_warm_payload_is_fenced_before_its_header(self):
+        """The warm engine commits like any single-fence engine: two
+        writer shares, the header, the commit record, then ONE fence over
+        ``[commit_offset, payload_end)``; the warm copy then recovers."""
         total = Geometry(num_slots=NUM_SLOTS, slot_size=SLOT_SIZE).total_size
         warm = CrashPointDevice(
             InMemorySSD(total, name="warm"), record_ops=True
@@ -132,17 +135,14 @@ class TestDemotion:
                 return [i for i, op in enumerate(ops)
                         if op.kind == "write" and op.touches(start, start + length)]
 
-            fences = [i for i, op in enumerate(ops) if op.kind == "persist"
-                      and op.touches(lo, lo + len(expected))]
+            fences = [i for i, op in enumerate(ops) if op.kind == "persist"]
             payload_writes = writes_to(lo, len(expected))
-            # Two writer shares, then ONE covering fence, then the header.
             assert len(payload_writes) == 2 and len(fences) == 1
             assert (ops[fences[0]].offset, ops[fences[0]].length) == (
-                lo, len(expected)
+                layout.commit_offset, lo + len(expected) - layout.commit_offset
             )
-            assert max(payload_writes) < fences[0] < min(
-                writes_to(header, RECORD_SIZE)
-            )
+            assert max(payload_writes) < min(writes_to(header, RECORD_SIZE))
+            assert max(writes_to(layout.commit_offset, RECORD_SIZE)) < fences[0]
             stack.corrupt_hot_payload()
             result = recover(stack.device)
             assert result.source.startswith("warm:")
