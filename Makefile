@@ -35,17 +35,19 @@ test-distributed:
 	PYTHONPATH=src python -m pytest -x -q tests/analysis/test_crashsweep.py \
 		-k "distributed or elastic"
 
-# Multi-tenant service suite (docs/SERVICE.md): engine-pool lease
-# lifecycle, admission control and Eq. 3 quotas, group-commit batching
-# with the slow-device close-ordering regression, the 8-tenant fleet
-# e2e, the over-subscription hammer, the event-driven dispatcher's
+# Multi-tenant service suite (docs/SERVICE.md): the engine pool's
+# ticket map (take/acquire/release, whole seats, retirement, listeners),
+# admission control and Eq. 3 quotas, group-commit batching with the
+# slow-device close-ordering regression, the 8-tenant fleet e2e, the
+# over-subscription hammer, the event-driven dispatcher's
 # ordering/borrowed-pool/stuck-backlog tests (no blocking acquire, retire
 # before dispatch), seat sharing (up to num_concurrent tickets from any
-# tenants on one leased seat, none on a dead one, the 3-tenant
-# one-seat hammer), and the shared strategy registry —
-# then the `serve` demo fleet, whose 3 dedicated tenants share one
-# non-batcher seat at --pool-size 2, and which exits non-zero on any
-# slot or DRAM-buffer leak or any superseded dedicated request.
+# tenants on one seat, none on a dead one, the 3-tenant one-seat
+# hammer), the benchmark's calls into the API, and the shared strategy
+# registry — then the `serve` demo fleet, whose 3 dedicated tenants
+# share the one seat the batcher leaves at --pool-size 2, and which
+# exits non-zero on any slot or DRAM-buffer leak or any superseded
+# dedicated request.
 test-service:
 	PYTHONPATH=src python -m pytest -x -q tests/service tests/test_strategies.py
 	PYTHONPATH=src python -m repro.cli serve --tenants 6 --rounds 3 \

@@ -28,8 +28,9 @@ All keyword knobs of :func:`repro.open_checkpointer` — ``backend=``
 among them — are documented on the function.
 
 Multi-tenant checkpointing lives in :mod:`repro.service`: an explicit
-:class:`~repro.service.EnginePool` (the one place engine stacks are
-assembled — ``open_checkpointer`` is a one-tenant view over it) and a
+:class:`~repro.service.EnginePool` (engine stacks, each running up to
+``num_concurrent`` checkpoints — tickets — for any holders, built by
+the same ``build_stack`` as ``open_checkpointer``'s) and a
 :class:`~repro.service.CheckpointService` with per-tenant quotas,
 admission control, and cross-tenant group commit::
 

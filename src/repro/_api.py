@@ -8,13 +8,13 @@ checkpoints are and how many may run concurrently, and get back a ready
 The device/layout/engine/orchestrator(/tiers) assembly lives in
 :func:`repro.service.pool.build_stack` and nowhere else — this module is
 a *thin one-tenant view*: ``open_checkpointer`` builds an
-:class:`~repro.service.pool.EngineSpec`, stands up (or borrows) an
-:class:`~repro.service.pool.EnginePool`, and leases one engine for the
-checkpointer's lifetime; :class:`Checkpointer` is a view of that lease's
-stack.  The CLI, the multi-tenant service, the training strategy, the
-demo driver and the crash sweep obtain their stacks from the same
-builder (the module docstring of :mod:`repro.service.pool` lists the
-bare-engine sites that deliberately do not).
+:class:`~repro.service.pool.EngineSpec` and calls ``build_stack`` once,
+and :class:`Checkpointer` owns that stack; with ``pool=`` it instead
+takes a whole seat of a shared :class:`~repro.service.pool.EnginePool`
+for its lifetime.  The CLI, the multi-tenant service, the training
+strategy, the demo driver and the crash sweep obtain their stacks from
+the same builder (the module docstring of :mod:`repro.service.pool`
+lists the bare-engine sites that deliberately do not).
 
 The :class:`Checkpointer` delegates everything a user needs —
 ``checkpoint_async``/``wait``/``latest``/``metrics``/``trace`` — so
@@ -30,7 +30,13 @@ from repro.core.config import validate_choice
 from repro.core.meta import CheckMeta
 from repro.core.orchestrator import CheckpointHandle
 from repro.core.snapshot import SnapshotSource, as_source
-from repro.service.pool import EngineLease, EnginePool, EngineSpec
+from repro.service.pool import (
+    EngineLease,
+    EnginePool,
+    EngineSpec,
+    EngineStack,
+    build_stack,
+)
 from repro.storage.device import PersistentDevice
 from repro.storage.tiering import TierPlan
 
@@ -43,20 +49,16 @@ class Checkpointer:
     attributes (``device``, ``layout``, ``engine``, ``orchestrator``,
     ``config``, ``recovered``) for tests and advanced use.
 
-    When the checkpointer sits on a pooled engine lease, :meth:`close`
-    is ownership-aware: it always releases the lease (draining in-flight
-    checkpoints), and tears the pool down only if this checkpointer
-    created it — an injected shared pool keeps its engines for the next
-    tenant.
+    :meth:`close` is ownership-aware: a stack the checkpointer owns is
+    torn down; a seat of an injected shared pool is released (draining
+    in-flight checkpoints) and its engine stays warm for the next tenant.
     """
 
     def __init__(
-        self, lease: EngineLease, owned_pool: Optional[EnginePool] = None
+        self, stack: EngineStack, lease: Optional[EngineLease] = None
     ) -> None:
-        """A view of ``lease.stack``; ``owned_pool`` is the size-1 pool
-        :func:`open_checkpointer` built for it (``None`` on a borrowed
-        pool, which outlives this checkpointer)."""
-        stack = lease.stack
+        """A view of ``stack``: the checkpointer's own, or ``lease``'s
+        seat of a borrowed pool, which outlives this checkpointer."""
         self.device = stack.device
         self.layout = stack.layout
         self.engine = stack.engine
@@ -65,8 +67,8 @@ class Checkpointer:
         #: Checkpoint recovered from the region at open time, if any.
         self.recovered = stack.recovered
         self.observability = stack.observability
+        self._stack = stack
         self._lease = lease
-        self._owned_pool = owned_pool
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -141,16 +143,17 @@ class Checkpointer:
     def close(self) -> None:
         """Drain in-flight checkpoints and give the engine back.
 
-        Owned (default) stacks are fully torn down — pool closed, device
-        released.  On an injected shared pool, the lease is released and
-        the engine stays warm for the pool's next tenant.  Idempotent.
+        An owned (default) stack is fully torn down, device released.  On
+        an injected shared pool the seat is released and the engine stays
+        warm for the pool's next tenant.  Idempotent.
         """
         if self._closed:
             return
         self._closed = True
-        self._lease.release()
-        if self._owned_pool is not None:
-            self._owned_pool.close()
+        if self._lease is not None:
+            self._lease.release()
+        else:
+            self._stack.close()
 
     def __enter__(self) -> "Checkpointer":
         return self
@@ -225,11 +228,11 @@ def open_checkpointer(
 
     Dependency injection (keyword-only):
 
-    * ``pool=`` — lease an engine from an existing shared
-      :class:`~repro.service.pool.EnginePool` instead of building one;
-      the geometry/backend knobs are ignored (the pool's spec already
-      fixed them) and :meth:`Checkpointer.close` returns the engine to
-      the pool instead of tearing it down.
+    * ``pool=`` — take a whole seat (``EnginePool.acquire``) of an
+      existing shared :class:`~repro.service.pool.EnginePool` instead of
+      building a stack; the geometry/backend knobs are ignored (the
+      pool's spec already fixed them) and :meth:`Checkpointer.close`
+      returns the seat to the pool instead of tearing the stack down.
     * ``device=`` — build the one-tenant stack over a caller-supplied
       :class:`~repro.storage.device.PersistentDevice` (always formatted
       fresh); ownership transfers, so close() closes the device.
@@ -240,7 +243,8 @@ def open_checkpointer(
                 "pass either pool= or device=, not both — a pool builds "
                 "its own devices"
             )
-        return Checkpointer(pool.acquire(tag="open_checkpointer"))
+        lease = pool.acquire(tag="open_checkpointer")
+        return Checkpointer(lease.stack, lease)
     if capacity_bytes is None:
         raise TypeError(
             "open_checkpointer() missing required argument "
@@ -261,15 +265,4 @@ def open_checkpointer(
         stripe_size=stripe_size,
         tiers=tiers,
     )
-    owned = EnginePool(
-        spec,
-        size=1,
-        name="open_checkpointer",
-        devices=None if device is None else (device,),
-    )
-    try:
-        lease = owned.acquire(tag="open_checkpointer")
-    except BaseException:
-        owned.close()
-        raise
-    return Checkpointer(lease, owned)
+    return Checkpointer(build_stack(spec, device=device))

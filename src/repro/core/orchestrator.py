@@ -19,6 +19,8 @@ before it has settled — committed, superseded, aborted or failed.  The
 CAS still decides which checkpoint wins; the order only keeps a newer
 checkpoint that caught up from superseding an older one that is still
 fencing (a whole-file ``fsync`` flushes both, so the race is close).
+Starting is serialised, so the start order is the counter order even
+when several threads start checkpoints at once.
 
 Steps 2–3 pipeline only when there is something to overlap.  A
 checkpoint that fits one staging chunk runs on ONE thread: the persist
@@ -196,8 +198,10 @@ class PCcheckOrchestrator:
         self._pending: List[CheckpointHandle] = []
         self._pending_lock = threading.Lock()
         #: Future of the checkpoint admitted last: the next one admitted
-        #: commits after it settled.
+        #: commits after it settled.  ``_start_lock`` guards it from the
+        #: counter draw on, so concurrent starters keep the two in step.
         self._last_admitted: "Optional[Future[CheckpointResult]]" = None
+        self._start_lock = threading.Lock()
         self._closed = False
         #: First unrecoverable pipeline failure (a crashed device).  Once
         #: set, new checkpoints are refused instead of blocking forever on
@@ -347,18 +351,22 @@ class PCcheckOrchestrator:
         slot_span = None
         try:
             plan = plan_chunks(source.snapshot_size(), self._pool.chunk_size)
-            while True:
-                try:
-                    ticket = self._engine.begin(
-                        step=step, timeout=_STAGE_POLL_SECONDS
-                    )
-                    break
-                except SlotWaitTimeout:
-                    if slot_span is None:
-                        slot_span = self._tracer.begin(
-                            "slot_wait", parent=root
+            with self._start_lock:
+                while True:
+                    try:
+                        ticket = self._engine.begin(
+                            step=step, timeout=_STAGE_POLL_SECONDS
                         )
-                    self._check_fatal()
+                        break
+                    except SlotWaitTimeout:
+                        if slot_span is None:
+                            slot_span = self._tracer.begin(
+                                "slot_wait", parent=root
+                            )
+                        self._check_fatal()
+                handle._after, self._last_admitted = (  # noqa: SLF001
+                    self._last_admitted, handle._future  # noqa: SLF001
+                )
         except BaseException:
             if slot_span is not None:
                 self._tracer.end(slot_span)
@@ -366,10 +374,6 @@ class PCcheckOrchestrator:
             raise
         if slot_span is not None:
             self._tracer.end(slot_span)
-        with self._pending_lock:
-            handle._after, self._last_admitted = (  # noqa: SLF001
-                self._last_admitted, handle._future  # noqa: SLF001
-            )
         ticket.trace_parent = root
         handle.counter = ticket.counter
         root.set(counter=ticket.counter, slot=ticket.slot)

@@ -3,11 +3,14 @@ engine pool.
 
 Layers, bottom up:
 
-* :mod:`repro.service.pool` — :class:`EngineSpec` + :class:`EnginePool`:
-  the single place a PCcheck stack (device/layout/engine/orchestrator)
-  is assembled, with explicit leasing and leak-accounted close.
-  :func:`repro.open_checkpointer` is a one-tenant view over a size-1
-  pool.
+* :mod:`repro.service.stack` — :class:`EngineSpec` (how to assemble
+  one PCcheck stack) and :class:`EngineStack` (the assembled
+  device/layout/engine/orchestrator and its leak accounting).
+* :mod:`repro.service.pool` — :func:`build_stack`, the single place a
+  stack is assembled, and :class:`EnginePool`: lazily built stacks, the
+  one map of their tickets (N concurrent checkpoints per stack) and a
+  leak-accounted close.  :func:`repro.open_checkpointer` builds one
+  stack, or takes a whole seat of a pool it is given.
 * :mod:`repro.service.admission` — tenant specs, Eq. 3 quota
   derivation, and per-tenant accounting.
 * :mod:`repro.service.batching` — group commit of small tenants'
@@ -24,14 +27,16 @@ from repro.service.admission import (
 )
 from repro.service.batching import BatchEntry, CoalescingBatcher, parse_batch
 from repro.service.pool import (
-    BACKENDS,
-    OBSERVABILITY_LEVELS,
     EngineLease,
     EnginePool,
-    EngineSpec,
-    EngineStack,
     build_stack,
     open_existing_region,
+)
+from repro.service.stack import (
+    BACKENDS,
+    OBSERVABILITY_LEVELS,
+    EngineSpec,
+    EngineStack,
 )
 from repro.service.service import CheckpointService, ServiceResult, ServiceTicket
 

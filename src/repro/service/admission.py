@@ -29,10 +29,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Deque, Optional
 
 from repro.core.autotune import slots_for_interval
 from repro.errors import AdmissionRejected, ConfigError
+from repro.obs.metrics import M, MetricsRegistry
 
 #: ``reason=`` values used in rejections and the TENANT_REJECTED metric.
 REASON_UNREGISTERED = "unregistered"
@@ -150,11 +152,28 @@ class TenantAccount:
 
     All mutation happens under the service's lock; this class just keeps
     the arithmetic and the admission decision in one testable place.
+    Its ``tenant=``-labelled series in ``metrics`` are bound here, once,
+    so a request looks none of them up (rejections, which add a
+    ``reason=`` label, still do).
     """
 
-    def __init__(self, spec: TenantSpec, quota: TenantQuota) -> None:
+    def __init__(
+        self, spec: TenantSpec, quota: TenantQuota, metrics: MetricsRegistry
+    ) -> None:
         self.spec = spec
         self.quota = quota
+        tenant = spec.name
+        self.m = SimpleNamespace(
+            requests=metrics.counter(M.TENANT_REQUESTS, tenant=tenant),
+            queued=metrics.counter(M.TENANT_QUEUED, tenant=tenant),
+            bytes=metrics.counter(M.TENANT_BYTES, tenant=tenant),
+            commits=metrics.counter(M.TENANT_COMMITS, tenant=tenant),
+            superseded=metrics.counter(M.TENANT_SUPERSEDED, tenant=tenant),
+            queue_seconds=metrics.counter(
+                M.TENANT_QUEUE_SECONDS, tenant=tenant
+            ),
+            inflight=metrics.gauge(M.TENANT_INFLIGHT, tenant=tenant),
+        )
         #: Checkpoints dispatched and not yet retired.
         self.inflight = 0
         #: Payload bytes of those dispatched checkpoints.

@@ -9,7 +9,7 @@ then :meth:`~repro.core.engine.CheckpointTicket.commit`, whose one
 covering fence spans record, header and the whole payload); this module
 aggregates across tenants on top of it.
 
-Design — one *batch engine* lease, held for the batcher's lifetime:
+Design — one whole *batch engine* seat, held for the batcher's lifetime:
 
 * Each coalesced tenant gets **two** pinned staging buffers from the
   batch stack's DRAM pool (reject with ``dram_exhausted`` when the pool
@@ -147,18 +147,23 @@ class _TenantSlot:
 
 class CoalescingBatcher:
     """Aggregates small tenants' checkpoints into group-committed batches
-    on one dedicated engine lease (see module docstring)."""
+    on one whole engine seat (see module docstring)."""
 
     def __init__(self, lease, *, window: float = 0.002, name: str = "batch") -> None:
-        """``lease`` is an :class:`~repro.service.pool.EngineLease` the
-        batcher owns until :meth:`close`; ``window`` is the coalescing
-        wait after the first dirty submission before a batch is cut."""
+        """``lease`` is a whole-seat :class:`~repro.service.pool.EngineLease`
+        (``EnginePool.acquire``) the batcher owns until :meth:`close`;
+        ``window`` is the coalescing wait after the first dirty
+        submission before a batch is cut."""
         if window < 0:
             raise ConfigError(f"coalescing window must be >= 0, got {window}")
         self._lease = lease
-        self._engine = lease.engine
-        self._dram = lease.dram
-        self._metrics = lease.engine.metrics
+        self._layout = lease.stack.layout
+        self._engine = lease.stack.engine
+        self._dram = lease.stack.dram
+        self._batches_done = self._engine.metrics.counter(M.SERVICE_BATCHES)
+        self._entries_done = self._engine.metrics.counter(
+            M.SERVICE_BATCH_ENTRIES
+        )
         self._window = window
         self._name = name
         self._lock = threading.Lock()
@@ -191,7 +196,7 @@ class CoalescingBatcher:
         used = _BATCH_HEADER.size
         for slot in self._slots.values():
             used += entry_overhead(slot.name) + slot.capacity
-        return self._lease.layout.payload_capacity - used
+        return self._layout.payload_capacity - used
 
     # ------------------------------------------------------------------
     # registration / submission
@@ -359,8 +364,8 @@ class CoalescingBatcher:
                 self._fatal = error
                 self._wake.notify_all()
         if error is None:
-            self._metrics.inc(M.SERVICE_BATCHES)
-            self._metrics.inc(M.SERVICE_BATCH_ENTRIES, len(entries))
+            self._batches_done.inc()
+            self._entries_done.inc(len(entries))
         for ticket, slot, newest in tickets:
             if error is not None:
                 ticket._settle(error=error)  # noqa: SLF001
@@ -378,7 +383,7 @@ class CoalescingBatcher:
     def committed_entries(self) -> Dict[str, BatchEntry]:
         """Per-tenant entries of the newest durable batch, read back from
         the device (what a post-crash recovery would see)."""
-        recovered = try_recover(self._lease.layout)
+        recovered = try_recover(self._layout)
         return parse_batch(recovered.payload) if recovered is not None else {}
 
     # ------------------------------------------------------------------
@@ -386,7 +391,7 @@ class CoalescingBatcher:
 
     def close(self) -> None:
         """Cut a final batch for anything dirty, stop the builder, then
-        release staging buffers and the engine lease.
+        release staging buffers and the engine seat.
 
         ORDER MATTERS: the builder thread is joined *before* buffers go
         back to the DRAM pool — an in-flight batch's writer threads hold

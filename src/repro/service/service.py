@@ -3,36 +3,29 @@
 :class:`CheckpointService` admits many concurrent tenants over one
 shared :class:`~repro.service.pool.EnginePool`:
 
-* **Dedicated tenants** (the default): each admitted request takes one
-  engine *ticket* — one of the N concurrent checkpoints a leased pool
-  seat runs (§3.1) — and goes through the full PCcheck orchestrator
-  pipeline (staged snapshot, parallel writers, Listing 1 commit).  The
-  tenant's slot quota bounds how many tickets it may hold at once; the
-  bounded backlog absorbs bursts; beyond that,
+* **Dedicated tenants** (the default): each admitted request holds a
+  one-ticket :class:`~repro.service.pool.EngineLease` — one of the N
+  concurrent checkpoints a pool seat runs (§3.1) — and goes through the
+  full PCcheck orchestrator pipeline (staged snapshot, parallel writers,
+  Listing 1 commit).  The tenant's slot quota bounds how many tickets
+  it may hold at once; the bounded backlog absorbs bursts; beyond that,
   :class:`~repro.errors.AdmissionRejected`.
 * **Coalesced tenants** (``TenantSpec(coalesce=True)``): small
   checkpoints are group-committed by the
-  :class:`~repro.service.batching.CoalescingBatcher` on one dedicated
-  lease — K requests cost ~one covering fence per *batch*, not per
-  request.
+  :class:`~repro.service.batching.CoalescingBatcher` on one whole seat —
+  K requests cost ~one covering fence per *batch*, not per request.
 
-A single dispatcher thread owns all lease traffic: it retires finished
-checkpoints (return the ticket, refill from the tenant's backlog) and
-dispatches admitted work.  A request goes to a free pool seat first;
-when the pool has none it joins the held seat with the fewest tickets,
-so up to N checkpoints from any tenants overlap on one engine — the
-orchestrator commits them in start order, so they never supersede each
-other.  A seat is released when its last ticket retires.  Checkpoint
-completion callbacks — which run on orchestrator pipeline threads —
-only enqueue a retirement and wake the dispatcher, never touch the pool
-themselves, so the pipeline can never deadlock against its own drain.
-
-The dispatcher is event-driven: it never waits on the pool.  A dispatch
-attempt that finds every engine leased (``try_acquire`` returns
-``None``) and every held seat full or dead *parks* the head request; a
-retirement, or the pool's release listener reporting a seat freed by
-any other holder, un-parks it.  No timer sits between a request's
-admission and its ticket settling (see docs/SERVICE.md "Dispatch").
+A single dispatcher thread owns all ticket traffic: it retires finished
+checkpoints (give the ticket back, refill from the tenant's backlog)
+and dispatches admitted work with ``pool.take(1)``, which picks the
+seat — the pool holds the one seat map.  Checkpoint completion
+callbacks, which run on orchestrator pipeline threads, only enqueue a
+retirement and wake the dispatcher, so a seat's drain never runs on the
+pipeline it waits for.  The dispatcher never waits on the pool: a
+``take`` that finds no room *parks* the head request, and the pool's
+release listener — any holder's give-back — un-parks it.  No timer sits
+between a request's admission and its ticket settling (see
+docs/SERVICE.md "Dispatch").
 
 Every tenant-visible event lands in the pool's shared metrics registry
 under a ``tenant=`` label (see ``docs/OBSERVABILITY.md``), keeping one
@@ -71,7 +64,7 @@ from repro.service.admission import (
     derive_quota,
 )
 from repro.service.batching import CoalescingBatcher
-from repro.service.pool import EngineLease, EnginePool, EngineSpec
+from repro.service.pool import EnginePool, EngineSpec
 
 
 @dataclass(frozen=True)
@@ -195,19 +188,17 @@ class CheckpointService:
         #: (lease, request, handle) of finished checkpoints awaiting
         #: retirement.
         self._retire: Deque[Tuple] = deque()
-        #: Tickets in flight on each held pool seat.  Dispatcher thread
-        #: only; a seat is released when its count drops to 0.
-        self._seats: Dict[EngineLease, int] = {}
         self._dispatched = 0
-        #: Pool seats freed so far (bumped by the pool's release listener).
-        self._seats_freed = 0
-        #: ``_seats_freed`` as of the dispatch attempt that last found the
-        #: pool saturated; the head of ``_ready`` is parked while the two
-        #: are equal.  ``None`` when nothing is parked.
+        #: Give-backs to the pool so far (bumped by its release listener).
+        self._give_backs = 0
+        #: ``_give_backs`` as of the ``take`` that last found no room; the
+        #: head of ``_ready`` is parked while the two are equal.  ``None``
+        #: when nothing is parked.
         self._parked_at: Optional[int] = None
         self._closed = False
         self._batcher: Optional[CoalescingBatcher] = None
-        pool.add_release_listener(self._on_seat_freed)
+        self._parked = self._metrics.counter(M.SERVICE_DISPATCH_PARKED)
+        pool.add_release_listener(self._on_give_back)
         self._dispatcher = threading.Thread(
             target=self._run, name=f"{name}-dispatcher", daemon=True
         )
@@ -248,7 +239,7 @@ class CheckpointService:
             batcher.register(spec.name, spec.capacity_bytes)
         with self._lock:
             self._check_open()
-            self._tenants[spec.name] = TenantAccount(spec, quota)
+            self._tenants[spec.name] = TenantAccount(spec, quota, self._metrics)
             count = len(self._tenants)
         self._metrics.set_gauge(M.SERVICE_TENANTS, count)
         return quota
@@ -258,7 +249,7 @@ class CheckpointService:
             if self._batcher is not None:
                 return self._batcher
         # Acquire outside the service lock: building a pool seat does
-        # real I/O.  The batch lease is held until close.
+        # real I/O.  The batcher holds its whole seat until close.
         try:
             lease = self._pool.acquire(
                 timeout=self._BATCHER_LEASE_TIMEOUT,
@@ -320,7 +311,7 @@ class CheckpointService:
                     reason=REASON_CLOSED,
                 )
             account.requests += 1
-            self._metrics.inc(M.TENANT_REQUESTS, tenant=tenant)
+            account.m.requests.inc()
             ticket = ServiceTicket(tenant, step, nbytes)
             if account.spec.coalesce:
                 return self._submit_coalesced(account, state, step, ticket)
@@ -340,7 +331,7 @@ class CheckpointService:
             else:
                 assert decision == QUEUE
                 account.backlog.append(request)
-                self._metrics.inc(M.TENANT_QUEUED, tenant=tenant)
+                account.m.queued.inc()
             self._work.notify()
         return ticket
 
@@ -396,7 +387,7 @@ class CheckpointService:
         ticket.add_done_callback(
             lambda t, account=account: self._on_coalesced_done(account, t)
         )
-        self._metrics.inc(M.TENANT_BYTES, ticket.payload_len, tenant=account.name)
+        account.m.bytes.inc(ticket.payload_len)
         # The batcher captures the snapshot into pinned staging before
         # returning; its lock nests under the service lock we hold
         # (fixed order service -> batcher, never the reverse).
@@ -424,10 +415,10 @@ class CheckpointService:
                 if result.committed:
                     account.commits += 1
                     account.latest = (result.step, result.counter)
-                    self._metrics.inc(M.TENANT_COMMITS, tenant=account.name)
+                    account.m.commits.inc()
                 else:
                     account.superseded += 1
-                    self._metrics.inc(M.TENANT_SUPERSEDED, tenant=account.name)
+                    account.m.superseded.inc()
             self._idle.notify_all()
 
     # ------------------------------------------------------------------
@@ -439,20 +430,18 @@ class CheckpointService:
         account = request.account
         account.inflight += 1
         account.inflight_bytes += request.nbytes
-        self._metrics.set_gauge(
-            M.TENANT_INFLIGHT, account.inflight, tenant=account.name
-        )
+        account.m.inflight.set(account.inflight)
 
-    def _on_seat_freed(self) -> None:
+    def _on_give_back(self) -> None:
         # Pool release listener: any holder's thread, outside the pool
         # lock.  Like a completion callback it only counts and notifies.
         with self._work:
-            self._seats_freed += 1
+            self._give_backs += 1
             self._work.notify()
 
     def _dispatchable_locked(self) -> bool:
         # A ready request that is not parked behind a saturated pool.
-        return bool(self._ready) and self._parked_at != self._seats_freed
+        return bool(self._ready) and self._parked_at != self._give_backs
 
     def _run(self) -> None:
         while True:
@@ -463,53 +452,42 @@ class CheckpointService:
                     self._work.wait(0.1 if self._closed else None)
                 retire = list(self._retire)
                 self._retire.clear()
-                if retire:
-                    self._parked_at = None
                 request = None
                 if self._dispatchable_locked():
                     request = self._ready.popleft()
-                seats_freed = self._seats_freed
+                give_backs = self._give_backs
             # Retire before dispatch: a finished request's ticket never
-            # waits behind the next one's engine, and the seat it frees
+            # waits behind the next one's engine, and the room it frees
             # is there for the attempt below.
             for lease, done_request, handle in retire:
                 self._retire_one(lease, done_request, handle)
             if request is not None:
-                self._dispatch_one(request, seats_freed)
+                self._dispatch_one(request, give_backs)
 
-    def _dispatch_one(self, request: _Request, seats_freed: int) -> None:
+    def _dispatch_one(self, request: _Request, give_backs: int) -> None:
+        account = request.account
         try:
-            lease = self._pool.try_acquire(
-                tag=f"{self._name}:{request.account.name}"
-            )
+            lease = self._pool.take(1, tag=f"{self._name}:{account.name}")
         except BaseException as exc:  # noqa: BLE001 - pool closed under us
             self._fail_request(request, exc)
             return
         if lease is None:
-            lease = self._roomiest_seat()
-        if lease is None:
-            # Every engine is leased and every seat we hold is full or
-            # dead: park until a ticket retires or a seat is freed.  A
-            # release since ``seats_freed`` was read (it raced the
+            # No seat has room for a ticket: park until one comes back.
+            # A give-back since ``give_backs`` was read (it raced the
             # attempt) leaves the request un-parked for an immediate
             # retry.
             with self._work:
                 self._ready.appendleft(request)
-                self._parked_at = seats_freed
-            self._metrics.inc(M.SERVICE_DISPATCH_PARKED)
+                self._parked_at = give_backs
+            self._parked.inc()
             return
-        self._seats[lease] = self._seats.get(lease, 0) + 1
-        self._metrics.inc(
-            M.TENANT_QUEUE_SECONDS,
-            time.monotonic() - request.queued_at,
-            tenant=request.account.name,
-        )
+        account.m.queue_seconds.inc(time.monotonic() - request.queued_at)
         try:
-            handle = lease.orchestrator.checkpoint_async(
+            handle = lease.stack.orchestrator.checkpoint_async(
                 request.source, step=request.step
             )
         except BaseException as exc:  # noqa: BLE001 - engine refused
-            self._return_ticket(lease)
+            lease.release()
             self._fail_request(request, exc)
             return
         handle.add_done_callback(
@@ -518,25 +496,6 @@ class CheckpointService:
             )
         )
 
-    def _roomiest_seat(self) -> Optional[EngineLease]:
-        """The held seat with the fewest tickets below its engine's N,
-        skipping a seat whose engine died (it only drains now: a new
-        ticket there would fail with ``EngineClosedError``)."""
-        room = [
-            lease for lease, count in self._seats.items()
-            if count < lease.engine.max_concurrent and not lease.stack.defunct
-        ]
-        return min(room, key=self._seats.__getitem__, default=None)
-
-    def _return_ticket(self, lease: EngineLease) -> None:
-        # The seat's last ticket hands the lease back; its drain finds
-        # nothing in flight, and runs here, never on a pipeline thread.
-        count = self._seats.pop(lease) - 1
-        if count:
-            self._seats[lease] = count
-        else:
-            lease.release()
-
     def _on_dedicated_done(self, lease, request: _Request, handle) -> None:
         # Pipeline thread: enqueue and wake the dispatcher, nothing else.
         with self._work:
@@ -544,9 +503,9 @@ class CheckpointService:
             self._work.notify()
 
     def _retire_one(self, lease, request: _Request, handle) -> None:
-        # Lease traffic first: the ticket (and, with the seat's last
-        # one, the engine) is there for the next dispatch.
-        self._return_ticket(lease)
+        # The ticket first, so it is there for the next dispatch; the
+        # seat's last one drains here, never on a pipeline thread.
+        lease.release()
         try:
             result = handle.wait(timeout=0)
         except BaseException as exc:  # noqa: BLE001 - tenant's to observe
@@ -554,13 +513,11 @@ class CheckpointService:
             return
         account = request.account
         self._leave_flight(request, result)
-        self._metrics.inc(
-            M.TENANT_BYTES, request.nbytes, tenant=account.name
-        )
+        account.m.bytes.inc(request.nbytes)
         if result.committed:
-            self._metrics.inc(M.TENANT_COMMITS, tenant=account.name)
+            account.m.commits.inc()
         else:
-            self._metrics.inc(M.TENANT_SUPERSEDED, tenant=account.name)
+            account.m.superseded.inc()
         request.ticket._settle(  # noqa: SLF001
             committed=result.committed,
             superseded=not result.committed,
@@ -596,9 +553,7 @@ class CheckpointService:
                 self._admit_locked(queued)
                 self._dispatched += 1
                 self._ready.append(queued)
-            self._metrics.set_gauge(
-                M.TENANT_INFLIGHT, account.inflight, tenant=account.name
-            )
+            account.m.inflight.set(account.inflight)
             self._work.notify()
             self._idle.notify_all()
 
@@ -688,7 +643,7 @@ class CheckpointService:
         self.drain(timeout)
         with self._lock:
             if self._closed:
-                return self._pool.last_leak_report if self._owns_pool else None
+                return self._pool.close() if self._owns_pool else None
             self._closed = True
             batcher = self._batcher
             self._batcher = None
@@ -696,7 +651,7 @@ class CheckpointService:
         if batcher is not None:
             batcher.close()
         self._dispatcher.join(timeout=30)
-        self._pool.remove_release_listener(self._on_seat_freed)
+        self._pool.remove_release_listener(self._on_give_back)
         self._metrics.set_gauge(M.SERVICE_TENANTS, 0)
         if self._owns_pool:
             return self._pool.close()

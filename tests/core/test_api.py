@@ -197,14 +197,14 @@ class TestInjection:
         spec = EngineSpec(capacity_bytes=4096, backend="pmem")
         with EnginePool(spec, size=2, name="shared") as pool:
             with open_checkpointer(pool=pool) as ckpt:
-                assert pool.in_use == 1
+                assert pool.leak_report()["leased"] == 1
                 assert ckpt.checkpoint(b"via-pool", step=1).committed
             # Closing the view releases the lease, not the pool.
-            assert pool.in_use == 0
+            assert pool.leak_report()["leased"] == 0
             assert not pool.closed
             # Two views can coexist on a size-2 pool.
             with open_checkpointer(pool=pool), open_checkpointer(pool=pool):
-                assert pool.in_use == 2
+                assert pool.leak_report()["leased"] == 2
 
     def test_injected_device_is_used(self):
         from repro.storage.pmem import SimulatedPMEM

@@ -389,6 +389,38 @@ class TestCommitOrder:
         assert recover(orch.engine.layout).meta.counter == newest
         orch.close()
 
+    def test_concurrent_starters_never_supersede_each_other(self):
+        """Threads starting checkpoints on one orchestrator at once (two
+        services sharing a pool seat): each checkpoint's counter and its
+        place in the commit order are taken together, so none loses the
+        CAS to a newer one that committed first."""
+        orch = make_orchestrator(num_slots=3, payload_capacity=512)
+        results, lock = [], threading.Lock()
+
+        def trainer(worker):
+            handles = [orch.checkpoint_async(BytesSource(bytes([worker]) * 200),
+                                             step=i) for i in range(100)]
+            settled = [handle.wait(30.0) for handle in handles]
+            with lock:
+                results.extend(settled)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=trainer, args=(w,))
+                       for w in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 300
+        assert all(result.committed for result in results)
+        assert orch.engine.metrics.value(M.SUPERSEDED) == 0
+        orch.close()
+
     def test_no_wait_when_the_earlier_checkpoint_already_settled(self, ordered):
         orch, _, tracer = ordered
         for step in range(1, 4):

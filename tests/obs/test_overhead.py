@@ -10,7 +10,8 @@ runs taken in rotating order, so slow drift biases none of them.
 
 Beneath it, a counting registry checks that a steady-state checkpoint
 looks no series up: every handle on the checkpoint path is bound when
-its component is built or attached.
+its component is built or attached — and so is every pool, tenant and
+batcher series a steady-state service request touches.
 """
 
 import statistics
@@ -20,7 +21,9 @@ import pytest
 from repro.core.snapshot import BytesSource
 from repro.obs.driver import run_demo_workload
 from repro.obs.metrics import M, MetricsRegistry
-from repro.service.pool import EngineSpec, build_stack
+from repro.service.admission import TenantSpec
+from repro.service.pool import EnginePool, EngineSpec, build_stack
+from repro.service.service import CheckpointService
 
 #: CI-safe bound: an order of magnitude above the 3 % budget, far
 #: below what an accidental O(n) regression would produce.
@@ -121,3 +124,28 @@ class TestBoundInstruments:
             assert registry.value(M.COMMITS) == 23
         finally:
             stack.close()
+
+    @pytest.mark.parametrize("coalesce", [False, True],
+                             ids=["dedicated", "coalesced"])
+    def test_a_steady_state_service_request_looks_nothing_up(self, coalesce):
+        """Twenty requests through a ``pmem`` service once each series
+        has been seen: the pool's ticket gauges, the tenant's counters
+        and in-flight gauge, and the batcher's counters make zero
+        lookups (only a rejection, with its ``reason=`` label, may)."""
+        registry = _CountingRegistry()
+        spec = EngineSpec(capacity_bytes=64 << 10, backend="pmem",
+                          num_chunks=4, chunk_size=64 << 10)
+        pool = EnginePool(spec, 2, metrics=registry)
+        with CheckpointService(pool, owns_pool=True) as service:
+            service.register(TenantSpec(name="t", capacity_bytes=4096,
+                                        coalesce=coalesce))
+            payload = bytes(range(256)) * 16
+            for step in range(1, 4):
+                service.checkpoint("t", payload, step=step, timeout=10)
+            registry.lookups = 0
+            for step in range(4, 24):
+                result = service.checkpoint("t", payload, step=step,
+                                            timeout=10)
+                assert result.committed
+            assert registry.lookups == 0
+            assert registry.value(M.TENANT_COMMITS, tenant="t") == 23

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.autotune import min_checkpoint_interval, slots_for_interval
 from repro.errors import AdmissionRejected, ConfigError
+from repro.obs.metrics import MetricsRegistry
 from repro.service.admission import (
     DISPATCH,
     QUEUE,
@@ -20,7 +21,7 @@ def account(**overrides) -> TenantAccount:
     defaults = dict(name="t", capacity_bytes=1024, slots=2, max_queue=2)
     defaults.update(overrides)
     spec = TenantSpec(**defaults)
-    return TenantAccount(spec, derive_quota(spec))
+    return TenantAccount(spec, derive_quota(spec), MetricsRegistry())
 
 
 class TestTenantSpec:

@@ -48,7 +48,7 @@ class TestGroupCommit:
                 assert entries["beta"].payload == b"B" * 200
             finally:
                 batcher.close()
-            assert pool.in_use == 0
+            assert pool.leak_report()["leased"] == 0
 
     def test_carry_forward_makes_newest_batch_complete(self):
         """A batch carries every tenant's latest blob, so one committed
@@ -123,7 +123,7 @@ class TestCloseOrdering:
         with make_pool(persist_bandwidth=256e3,
                        capacity_bytes=1 << 16) as pool:
             lease = pool.acquire(tag="batch")
-            dram = lease.dram
+            dram = lease.stack.dram
             batcher = CoalescingBatcher(lease, window=0.001)
             batcher.register("t", 1 << 15)
             ticket = ticket_for("t", 1, b"v" * (1 << 15))
@@ -135,9 +135,10 @@ class TestCloseOrdering:
             assert ticket.done()
             assert batcher.fatal_error is None
             assert dram.free_chunks == dram.total_chunks
-            assert pool.in_use == 0
-        assert pool.last_leak_report["leaked_buffers"] == 0
-        assert pool.last_leak_report["leaked_slots"] == 0
+            assert pool.leak_report()["leased"] == 0
+        # close() is idempotent: the exit above closed the pool.
+        assert pool.close()["leaked_buffers"] == 0
+        assert pool.close()["leaked_slots"] == 0
 
     def test_submit_after_close_raises(self):
         with make_pool() as pool:

@@ -1,7 +1,8 @@
 """The service dispatcher is event-driven: it never waits on the pool,
 retires before it dispatches, and is woken by any holder's release.
-A held pool seat carries up to N tickets — any tenants' — and a seat
-whose engine died takes no new ones.
+A pool seat carries up to N tickets — any tenants' — and a seat whose
+engine died takes no new ones.  (Test names that say ``try_acquire``
+are historical: the non-blocking grant is ``EnginePool.take``.)
 
 None of these tests sleeps: a gated device and a spy pool's events are
 the only synchronisation (every ``wait`` carries a timeout purely so a
@@ -34,15 +35,16 @@ def pmem_spec(**overrides):
 
 
 class SpyPool(EnginePool):
-    """Logs lease traffic in order and flags a saturated ``try_acquire``."""
+    """Logs ticket traffic in order and flags a ``take`` that found no
+    room."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.events = []
         self.saturated = threading.Event()
-        #: One permit per ``try_acquire`` that found every seat leased.
+        #: One permit per ``take`` that found no seat with room.
         self.misses = threading.Semaphore(0)
-        #: Every lease a ``try_acquire`` handed out, in order.
+        #: Every lease a ``take`` handed out, in order.
         self.leases = []
 
     def acquire(self, *, timeout=None, tag="anonymous"):
@@ -51,9 +53,9 @@ class SpyPool(EnginePool):
         )
         return super().acquire(timeout=timeout, tag=tag)
 
-    def try_acquire(self, *, tag="anonymous"):
-        lease = super().try_acquire(tag=tag)
-        self.events.append(("try_acquire", tag, lease is not None))
+    def take(self, tickets=1, *, tag="anonymous"):
+        lease = super().take(tickets, tag=tag)
+        self.events.append(("take", tag, lease is not None))
         if lease is None:
             self.saturated.set()
             self.misses.release()
@@ -115,6 +117,21 @@ def dispatcher_acquires(pool):
             if event[0] == "acquire" and event[1].endswith("-dispatcher")]
 
 
+def tickets_out(events):
+    """Running count of tickets out after each granted ``take`` or
+    release in ``events`` (one ticket each: the dispatcher's grants)."""
+    held, counts = 0, []
+    for event in events:
+        if event[0] == "take" and event[2]:
+            held += 1
+        elif event[0] == "release":
+            held -= 1
+        else:
+            continue
+        counts.append(held)
+    return counts
+
+
 class TestNoTimerOnTheDispatchPath:
     def test_dispatcher_never_calls_blocking_acquire(self):
         pool = SpyPool(pmem_spec(), size=1, name="spy")
@@ -130,22 +147,22 @@ class TestNoTimerOnTheDispatchPath:
             assert all(t.result(WAIT).committed for t in tickets)
             assert service.drain(WAIT)
         assert dispatcher_acquires(pool) == []
-        # One successful try_acquire opens each seat-holding episode and
-        # one release closes it; on a size-1 pool episodes never overlap.
-        episodes = [e[0] for e in pool.events
-                    if e[0] == "release" or (e[0] == "try_acquire" and e[2])]
-        assert episodes == ["try_acquire", "release"] * (len(episodes) // 2)
-        assert 1 <= len(episodes) // 2 <= len(tickets)
+        # Every granted ticket is given back once, and the one seat
+        # never holds more than its N = 2 tickets.
+        counts = tickets_out(pool.events)
+        assert all(0 <= held <= 2 for held in counts)
+        assert counts[-1] == 0
+        assert len(counts) == 2 * len(tickets)
 
     def test_try_acquire_on_saturated_pool_does_not_wait(self):
         with EnginePool(pmem_spec(), size=1) as pool:
             holder = pool.acquire(tag="holder")
 
             def no_wait(timeout=None):
-                raise AssertionError("try_acquire waited on the pool")
+                raise AssertionError("take waited on the pool")
 
             pool._available.wait = no_wait
-            assert pool.try_acquire(tag="late") is None
+            assert pool.take(1, tag="late") is None
             holder.release()
 
 
@@ -169,23 +186,22 @@ class TestRetireBeforeDispatch:
                 tickets.append(ticket)
                 if step == 1:
                     assert device.blocked.wait(WAIT)
-            # Requests 2 and 3 both found the pool's one seat leased.
-            assert pool.misses.acquire(timeout=WAIT)
+            # Request 2 shared the one seat; request 3 found it full.
             assert pool.misses.acquire(timeout=WAIT)
             assert not any(t.done() for t in tickets)
             device.gate.set()
             assert all(t.result(WAIT).committed for t in tickets)
             snapshot = service.metrics()
-        order = order[order.index(("try_acquire", "svc:a", True)):]
+        order = order[order.index(("take", "svc:a", True)):]
         assert order[:3] == [
-            ("try_acquire", "svc:a", True),    # request 1 takes the engine
-            ("try_acquire", "svc:a", False),   # request 2 shares its seat
-            ("try_acquire", "svc:a", False),   # request 3: seat full, parks
+            ("take", "svc:a", True),    # request 1 takes the engine
+            ("take", "svc:a", True),    # request 2 shares its seat
+            ("take", "svc:a", False),   # request 3: seat full, parks
         ]
         # Request 1 retires -- its ticket settles -- and only then is the
         # parked request 3 dispatched.
         rest = order[3:]
-        un_park = next(i for i, e in enumerate(rest) if e[0] == "try_acquire")
+        un_park = next(i for i, e in enumerate(rest) if e[0] == "take")
         assert ("settled", 1) in rest[:un_park]
         assert counter_total(snapshot, M.SERVICE_DISPATCH_PARKED) == 1
         assert dispatcher_acquires(pool) == []
@@ -209,7 +225,6 @@ class TestSeatSharing:
             # b's checkpoint runs on a's seat while a sits at its fence:
             # its payload is on the device, its commit queued behind a's.
             assert device.wait_written(b"B" * 8)
-            assert pool.misses.acquire(timeout=WAIT)
             third = service.checkpoint_async("c", b"C" * 4096, step=1)
             assert pool.misses.acquire(timeout=WAIT)
             assert not any(t.done() for t in (first, second, third))
@@ -220,11 +235,12 @@ class TestSeatSharing:
             assert service.drain(WAIT)
             snapshot = service.metrics()
         assert counter_total(snapshot, M.SERVICE_DISPATCH_PARKED) == 1
-        # One successful try_acquire per seat-holding episode, not one per
-        # request: a and b shared the first episode.
-        releases = [e for e in pool.events if e[0] == "release"]
-        assert len(pool.leases) == len(releases) - 1  # minus the prebuild
-        assert len(pool.leases) < 3
+        # a and b held the one seat's two tickets at once; c's ticket
+        # came only after one of theirs was back.
+        a, b, c = pool.leases
+        assert a.stack is b.stack is c.stack
+        granted = [e for e in pool.events if e[0] in ("take", "release")]
+        assert tickets_out(granted[1:])[:3] == [1, 2, 1]  # after prebuild
         assert pool.events[-1][0] == "release"
 
     def test_dedicated_tenants_hammer_one_seat_without_supersedes(self):
@@ -249,7 +265,8 @@ class TestSeatSharing:
             assert service.latest(name)[0] == rounds - 1
         report = service.close()
         assert report["leaked_slots"] == 0 and report["leaked_buffers"] == 0
-        assert len(pool.leases) < len(tickets)
+        # The three tenants' tickets overlapped on the one seat.
+        assert max(tickets_out(pool.events)) == 2
         assert dispatcher_acquires(pool) == []
 
 
@@ -281,8 +298,7 @@ class TestDeadSeat:
         dead = pool.leases[0]
         assert dead.stack.defunct
         late = service.checkpoint_async("c", b"C" * 4096, step=1)
-        assert pool.misses.acquire(timeout=WAIT)  # b joined the seat
-        assert pool.misses.acquire(timeout=WAIT)  # c found it dead
+        assert pool.misses.acquire(timeout=WAIT)  # c found the seat dead
         assert not late.done()
         device.write_gate.set()
         with pytest.raises(CrashedDeviceError):
@@ -290,10 +306,11 @@ class TestDeadSeat:
         assert late.result(WAIT).committed
         assert service.drain(WAIT)
         rebuilt = pool.leases[-1]
-        assert len(pool.leases) == 2
+        assert len(pool.leases) == 3  # a and b on the dead seat, then c
+        assert pool.leases[1].stack is dead.stack
         assert rebuilt.stack is not dead.stack
-        assert rebuilt.device is not device
-        assert dead.orchestrator.fatal_error is not None
+        assert rebuilt.stack.device is not device
+        assert dead.stack.orchestrator.fatal_error is not None
         assert service.tenant_stats("a")["failures"] == 1
         assert service.tenant_stats("b")["failures"] == 1
         report = service.close()
@@ -315,17 +332,17 @@ class TestBorrowedPool:
             assert service.drain(WAIT)
             service.close()
             # A closed service no longer listens to the pool it borrowed.
-            assert pool._release_listeners == ()
+            assert pool._listeners == ()
 
     def test_release_racing_a_saturated_attempt_is_not_lost(self):
-        """The seat is freed after ``try_acquire`` saw the pool full but
-        before the dispatcher parks: with no later release to save it,
-        the request must still be retried."""
+        """The seat is freed after ``take`` saw the pool full but before
+        the dispatcher parks: with no later release to save it, the
+        request must still be retried."""
         class RacingPool(EnginePool):
             outside = None
 
-            def try_acquire(self, *, tag="anonymous"):
-                lease = super().try_acquire(tag=tag)
+            def take(self, tickets=1, *, tag="anonymous"):
+                lease = super().take(tickets, tag=tag)
                 if lease is None:
                     self.outside.release()
                 return lease
@@ -340,7 +357,7 @@ class TestBorrowedPool:
     def test_churning_outside_holders_never_strand_a_request(self):
         """Outside holders churn the only engine from more threads than
         cores while tenants submit: a release that races a saturated
-        ``try_acquire`` must never leave the request parked."""
+        ``take`` must never leave the request parked."""
         rounds, outsiders = 40, 3
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -377,7 +394,61 @@ class TestBorrowedPool:
                 assert all(r.committed or r.superseded for r in settled)
                 assert service.drain(WAIT)
                 service.close()
-                assert pool.in_use == 0
+                assert pool.leak_report()["leased"] == 0
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_two_services_share_one_seat_map(self):
+        """Two services on one borrowed pool, submitting from more
+        threads than cores: their tickets share the pool's one map, so
+        no seat ever holds more than N, every request commits, and the
+        map is back to zero with nothing leaked."""
+        rounds, interval = 30, sys.getswitchinterval()
+
+        class PeakPool(EnginePool):
+            peak = 0
+
+            def take(self, tickets=1, *, tag="anonymous"):
+                lease = super().take(tickets, tag=tag)
+                with self._lock:
+                    self.peak = max(self.peak, *self._tickets)
+                return lease
+
+        sys.setswitchinterval(1e-5)
+        try:
+            pool = PeakPool(pmem_spec(num_concurrent=2), size=2)
+            services = [CheckpointService(pool, name=f"svc{i}")
+                        for i in range(2)]
+            for service in services:
+                for name in "ab":
+                    service.register(TenantSpec(name=name,
+                                                capacity_bytes=8192,
+                                                slots=1, max_queue=rounds))
+            results = []
+
+            def submit(service, name):
+                tickets = [service.checkpoint_async(name, b"v" * 512,
+                                                    step=step)
+                           for step in range(rounds)]
+                results.extend(t.result(WAIT) for t in tickets)
+
+            threads = [threading.Thread(target=submit, args=(service, name))
+                       for service in services for name in "ab"]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(WAIT)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(results) == 4 * rounds
+            assert all(result.committed for result in results)
+            for service in services:
+                assert service.drain(WAIT)
+                service.close()
+            assert 1 <= pool.peak <= 2
+            assert pool._tickets == [0, 0]
+            report = pool.close()
+            assert report["leaked_slots"] == 0
+            assert report["leaked_buffers"] == 0
         finally:
             sys.setswitchinterval(interval)
 
@@ -389,7 +460,7 @@ class TestSynchronousDispatchFailure:
         never settled and drain()/close() hung."""
         with EnginePool(pmem_spec(), size=1, name="shared") as pool:
             outside = pool.acquire(tag="outsider")
-            real = outside.orchestrator.checkpoint_async
+            real = outside.stack.orchestrator.checkpoint_async
             calls = []
 
             def refuse_once(source, step=0):
@@ -398,7 +469,7 @@ class TestSynchronousDispatchFailure:
                     raise RuntimeError("engine refused")
                 return real(source, step=step)
 
-            outside.orchestrator.checkpoint_async = refuse_once
+            outside.stack.orchestrator.checkpoint_async = refuse_once
             service = CheckpointService(pool, name="svc")
             service.register(TenantSpec(name="a", capacity_bytes=8192,
                                         slots=1, max_queue=4))
@@ -414,7 +485,7 @@ class TestSynchronousDispatchFailure:
             assert stats["backlog"] == 0 and stats["inflight"] == 0
             assert stats["failures"] == 1 and stats["commits"] == 1
             service.close()
-            assert pool.in_use == 0
+            assert pool.leak_report()["leased"] == 0
 
     def test_pool_closed_under_the_dispatcher_fails_every_ticket(self):
         pool = EnginePool(pmem_spec(), size=1, name="shared")

@@ -1,4 +1,4 @@
-"""EnginePool unit tests: lease lifecycle, saturation, retirement, leaks."""
+"""EnginePool unit tests: ticket grants, saturation, retirement, leaks."""
 
 import os
 
@@ -62,24 +62,34 @@ class TestEngineSpec:
         assert spec.member_path(1, 3).endswith("r.pc.e1")
 
 
+def built(pool):
+    """Stacks the pool holds assembled."""
+    return len(pool.leak_report()["engines"])
+
+
+def leased(pool):
+    """Seats holding at least one ticket."""
+    return pool.leak_report()["leased"]
+
+
 class TestEnginePool:
     def test_engines_build_lazily(self):
         with EnginePool(pmem_spec(), size=3) as pool:
-            assert pool.built == 0
+            assert built(pool) == 0
             lease = pool.acquire(tag="t0")
-            assert pool.built == 1
-            assert pool.in_use == 1
+            assert built(pool) == 1
+            assert leased(pool) == 1
             lease.release()
-            assert pool.in_use == 0
+            assert leased(pool) == 0
             # Released engine is recycled, not rebuilt.
             again = pool.acquire(tag="t1")
-            assert pool.built == 1
+            assert built(pool) == 1
             again.release()
 
     def test_lease_is_usable_checkpointer_stack(self):
         with EnginePool(pmem_spec()) as pool:
             with pool.acquire(tag="writer") as lease:
-                result = lease.orchestrator.checkpoint_sync(
+                result = lease.stack.orchestrator.checkpoint_sync(
                     BytesSource(b"hello"), step=7
                 )
                 assert result.committed
@@ -99,7 +109,17 @@ class TestEnginePool:
             lease = pool.acquire(tag="t")
             lease.release()
             lease.release()
-            assert pool.in_use == 0
+            assert leased(pool) == 0
+            # A repeated release of a share gives nothing back twice.
+            first, second = pool.take(1, tag="a"), pool.take(1, tag="b")
+            assert first.stack is second.stack
+            first.release()
+            first.release()
+            assert leased(pool) == 1
+            third = pool.take(1, tag="c")  # room for exactly one more
+            assert third is not None and pool.take(1, tag="d") is None
+            second.release()
+            third.release()
 
     def test_close_refuses_with_active_leases(self):
         pool = EnginePool(pmem_spec())
@@ -107,6 +127,10 @@ class TestEnginePool:
         with pytest.raises(ServiceError, match="busy"):
             pool.close()
         lease.release()
+        share = pool.take(1, tag="sharer")
+        with pytest.raises(ServiceError, match="sharer"):
+            pool.close()
+        share.release()
         report = pool.close()
         assert report["leaked_slots"] == 0
         assert report["leaked_buffers"] == 0
@@ -128,21 +152,21 @@ class TestEnginePool:
         the leak report must not count it."""
         pool = EnginePool(pmem_spec())
         with pool.acquire(tag="t") as lease:
-            lease.orchestrator.checkpoint_sync(BytesSource(b"v"), step=1)
+            lease.stack.orchestrator.checkpoint_sync(BytesSource(b"v"), step=1)
         report = pool.close()
         assert report["leaked_slots"] == 0
 
     def test_defunct_stack_is_retired_not_recycled(self):
         with EnginePool(pmem_spec(), size=1) as pool:
             lease = pool.acquire(tag="t")
-            first_orch = lease.orchestrator
-            lease.orchestrator._fatal = RuntimeError("simulated device death")
+            first_orch = lease.stack.orchestrator
+            first_orch._fatal = RuntimeError("simulated device death")
             lease.release()
             # The poisoned stack was closed and its seat freed; the next
             # acquire builds a fresh one instead of handing back the corpse.
             fresh = pool.acquire(tag="t2")
-            assert fresh.orchestrator is not first_orch
-            assert fresh.orchestrator.fatal_error is None
+            assert fresh.stack.orchestrator is not first_orch
+            assert fresh.stack.orchestrator.fatal_error is None
             fresh.release()
 
     def test_injected_device_is_used(self):
@@ -150,29 +174,41 @@ class TestEnginePool:
         spec = pmem_spec(capacity_bytes=4096)
         with EnginePool(spec, size=1, devices=(device,)) as pool:
             with pool.acquire(tag="t") as lease:
-                assert lease.device is device
+                assert lease.stack.device is device
 
 
 class TestTryAcquireAndListeners:
+    """``take`` is the non-blocking grant (the names are historical:
+    it replaced ``try_acquire``) and the release listeners its wake-up."""
+
     def test_try_acquire_builds_then_recycles(self):
         with EnginePool(pmem_spec(), size=2) as pool:
-            first = pool.try_acquire(tag="a")  # builds an unbuilt seat
-            second = pool.try_acquire(tag="b")
+            whole = 2  # pmem_spec()'s num_concurrent: the whole seat
+            first = pool.take(whole, tag="a")  # builds an unbuilt seat
+            second = pool.take(whole, tag="b")
             assert first is not None and second is not None
-            assert pool.built == 2 and pool.in_use == 2
-            assert pool.try_acquire(tag="c") is None
-            assert pool.active_tags() == ["a", "b"]
+            assert built(pool) == 2 and leased(pool) == 2
+            assert pool.take(1, tag="c") is None
+            # The pool knows its holders by tag.
+            with pytest.raises(ServiceSaturated, match="holders: a, b"):
+                pool.acquire(timeout=0.01, tag="c")
             first.release()
-            again = pool.try_acquire(tag="c")
+            again = pool.take(whole, tag="c")
             assert again is not None and again.stack is first.stack
             again.release()
             second.release()
+
+    def test_take_asks_for_one_to_n_tickets(self):
+        with EnginePool(pmem_spec(num_concurrent=2)) as pool:
+            for tickets in (0, 3):
+                with pytest.raises(ConfigError, match="grants 1 to 2 tickets"):
+                    pool.take(tickets)
 
     def test_try_acquire_after_close_raises(self):
         pool = EnginePool(pmem_spec())
         pool.close()
         with pytest.raises(EngineClosedError):
-            pool.try_acquire()
+            pool.take(1)
 
     def test_listener_runs_on_release_outside_the_pool_lock(self):
         with EnginePool(pmem_spec(), size=1) as pool:
@@ -180,36 +216,37 @@ class TestTryAcquireAndListeners:
 
             def listener():
                 # The lock is not re-entrant: holding it here would
-                # both fail this probe and deadlock pool.available.
+                # both fail this probe and deadlock leak_report().
                 free = pool._lock.acquire(blocking=False)
                 if free:
                     pool._lock.release()
-                seen.append((free, pool.available))
+                seen.append((free, leased(pool)))
 
             pool.add_release_listener(listener)
             lease = pool.acquire(tag="t")
             assert seen == []
             lease.release()
-            assert seen == [(True, 1)]
+            assert seen == [(True, 0)]
             lease.release()  # idempotent: no second notification
-            assert seen == [(True, 1)]
+            assert seen == [(True, 0)]
             pool.remove_release_listener(listener)
             pool.acquire(tag="t").release()
-            assert seen == [(True, 1)]
+            assert seen == [(True, 0)]
 
     def test_raising_listener_cannot_wedge_release(self):
         with EnginePool(pmem_spec(), size=1) as pool:
             calls = []
 
             def bad():
+                calls.append("bad")
                 raise RuntimeError("listener bug")
 
             pool.add_release_listener(bad)
             pool.add_release_listener(lambda: calls.append("after"))
             pool.acquire(tag="t").release()
-            assert calls == ["after"]
+            assert calls == ["bad", "after"]
             assert str(pool.listener_error) == "listener bug"
-            assert pool.in_use == 0
+            assert leased(pool) == 0
             pool.acquire(tag="t").release()  # the seat really came back
 
     def test_failed_build_hands_the_seat_back_and_notifies(self, tmp_path):
@@ -217,12 +254,13 @@ class TestTryAcquireAndListeners:
                           path=str(tmp_path / "missing" / "r.pc"))
         pool = EnginePool(spec, size=1)
         freed = []
-        pool.add_release_listener(lambda: freed.append(pool.available))
+        pool.add_release_listener(
+            lambda: freed.append((leased(pool), built(pool))))
         with pytest.raises(OSError):
-            pool.try_acquire(tag="t")
-        assert freed == [1]
+            pool.take(1, tag="t")
+        assert freed == [(0, 0)]
         (tmp_path / "missing").mkdir()
-        pool.try_acquire(tag="t").release()
+        pool.take(1, tag="t").release()
         pool.close()
 
 
@@ -232,7 +270,7 @@ class TestOpenExistingRegion:
         spec = EngineSpec(capacity_bytes=4096, backend="ssd", path=path)
         with EnginePool(spec, size=1) as pool:
             with pool.acquire(tag="t") as lease:
-                lease.orchestrator.checkpoint_sync(BytesSource(b"abc"), step=3)
+                lease.stack.orchestrator.checkpoint_sync(BytesSource(b"abc"), step=3)
         device, layout = open_existing_region(path)
         try:
             assert layout.num_slots >= 2
@@ -251,7 +289,7 @@ class TestOpenExistingRegion:
                           stripe_devices=members, stripe_size=4096)
         with EnginePool(spec, size=1) as pool:
             with pool.acquire(tag="t") as lease:
-                lease.orchestrator.checkpoint_sync(
+                lease.stack.orchestrator.checkpoint_sync(
                     BytesSource(b"striped!" * 999), step=4
                 )
         assert not os.path.exists(path) and os.path.exists(f"{path}.s0")
@@ -343,7 +381,7 @@ class TestBuildDevice:
     def test_backend_dispatch(self, tmp_path):
         with EnginePool(pmem_spec(), size=1) as pool:
             with pool.acquire(tag="t") as lease:
-                assert isinstance(lease.device, SimulatedPMEM)
+                assert isinstance(lease.stack.device, SimulatedPMEM)
 
 
 class TestStripedAndUnbufferedSpec:
@@ -390,7 +428,7 @@ class TestStripedAndUnbufferedSpec:
                           path=base, stripe_devices=2, stripe_size=4096)
         with EnginePool(spec, size=1) as pool:
             with pool.acquire(tag="t") as lease:
-                result = lease.orchestrator.checkpoint_sync(
+                result = lease.stack.orchestrator.checkpoint_sync(
                     BytesSource(b"striped!" * 64), step=5
                 )
                 assert result.committed
@@ -400,5 +438,5 @@ class TestStripedAndUnbufferedSpec:
         # Reopen: the pool must reassemble the stripe set, not reformat.
         with EnginePool(spec, size=1) as pool:
             with pool.acquire(tag="t2") as lease:
-                assert lease.recovered is not None
-                assert lease.recovered.payload == b"striped!" * 64
+                assert lease.stack.recovered is not None
+                assert lease.stack.recovered.payload == b"striped!" * 64

@@ -11,7 +11,7 @@ from repro.baselines.pccheck import PCcheckStrategy
 from repro.core.layout import Geometry
 from repro.core.meta import RECORD_SIZE
 from repro.obs.metrics import M, MetricsRegistry
-from repro.storage.ssd import InMemorySSD
+from repro.storage.ssd import FileBackedSSD, InMemorySSD
 
 SRC = Path(repro.__file__).parent
 
@@ -98,3 +98,57 @@ def test_strategy_instruments_the_device_only_with_a_registry():
     private = bare.orchestrator.engine.metrics
     assert _device_writes(bare, private) == 0
     assert private.value(M.COMMITS) == 1  # it ran; nothing was attached
+
+
+def test_the_service_benchmark_calls_keep_working(tmp_path):
+    """The calls ``bench/workloads/service.py`` makes into this API, at a
+    small scale, so a contract break fails here rather than in the
+    benchmark's run: a size-1 pool's whole-seat acquire/release loop, a
+    pool over hand-opened files under an owning service,
+    ``CheckpointService.create``, ``recover_coalesced`` and the leak
+    report's keys."""
+    big, small = 64 << 10, 4 << 10
+
+    def spec(name):
+        return repro.EngineSpec(
+            capacity_bytes=big, backend="ssd", path=str(tmp_path / name),
+            num_chunks=12, chunk_size=big, writer_threads=2,
+            observability="off",
+        )
+
+    probe = spec("pool_probe.pc")
+    pool = repro.EnginePool(probe, 1)
+    lease = pool.acquire(tag="bench-probe")  # first acquire builds
+    lease.release()
+    for _ in range(5):
+        pool.acquire(tag="bench-probe").release()
+    pool.close()
+
+    traced = spec("service.pc")
+    capacity = Geometry(num_slots=traced.num_concurrent + 1,
+                        slot_size=big + RECORD_SIZE).total_size
+    devices = [FileBackedSSD(traced.member_path(i, 2), capacity=capacity)
+               for i in range(2)]
+    services = [
+        repro.CheckpointService(repro.EnginePool(traced, 2, devices=devices),
+                                owns_pool=True),
+        repro.CheckpointService.create(spec("plain.pc"), pool_size=2),
+    ]
+    for service in services:
+        service.register(repro.TenantSpec(name="big0", capacity_bytes=big,
+                                          slots=1))
+        service.register(repro.TenantSpec(name="small0",
+                                          capacity_bytes=small, coalesce=True))
+        for step in (1, 2):
+            tickets = [
+                service.checkpoint_async("big0", b"B" * big, step=step),
+                service.checkpoint_async("small0", b"s" * small, step=step),
+            ]
+            assert all(t.result(60).committed for t in tickets)
+        assert service.latest("big0")[0] == 2
+        entry = service.recover_coalesced("small0")
+        assert entry.step == 2 and bytes(entry.payload) == b"s" * small
+        assert service.metrics()  # the bench diffs two snapshots
+        report = service.close()
+        assert report["leaked_slots"] == 0
+        assert report["leaked_buffers"] == 0
