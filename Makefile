@@ -1,6 +1,6 @@
 # Convenience targets for the PCcheck reproduction.
 
-.PHONY: install test test-sanitize test-distributed test-service test-tiered lint lint-sarif lint-baseline crashsweep bench bench-smoke bench-pairs odirect-probe figures examples clean
+.PHONY: install test test-sanitize test-distributed test-service test-tiered lint lint-sarif lint-baseline crashsweep bench bench-smoke bench-pairs odirect-probe commit-floor-probe figures examples clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -128,6 +128,15 @@ bench-pairs:
 PROBE_DIR ?= .bench_work
 odirect-probe:
 	python3 tools/odirect_probe.py --dir "$(PROBE_DIR)"
+
+# A blocking 256 KiB checkpoint (the save_small shape) against a bare
+# replay of its own copy, CRC and four syscalls on a region file under
+# PROBE_DIR, alternated: prints engine, floor and engine - floor, the
+# glue a small checkpoint pays.  FLOOR_ROUNDS=1 is a one-round smoke.
+FLOOR_ROUNDS ?= 6
+commit-floor-probe:
+	python3 tools/commit_floor_probe.py --dir "$(PROBE_DIR)" \
+		--rounds "$(FLOOR_ROUNDS)"
 
 bench-full:
 	pytest benchmarks/

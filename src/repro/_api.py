@@ -95,11 +95,14 @@ class Checkpointer:
         """Checkpoint ``state`` and wait for its commit.
 
         A checkpoint that fits one staging chunk (the default
-        ``chunk_size`` is the whole payload) runs on the calling thread,
-        with no thread hand-offs — up to
-        :data:`~repro.core.orchestrator.INLINE_WRITE_MAX_BYTES` the write
-        included, above it with the write split across the writer pool;
-        a larger one pipelines its chunks like :meth:`checkpoint_async`.
+        ``chunk_size`` is the whole payload) runs end to end on the
+        calling thread as one straight-line function — counter and slot,
+        capture, CRC, write, commit — with no thread hand-off and no
+        future or event built; up to
+        :data:`~repro.core.orchestrator.INLINE_WRITE_MAX_BYTES` that
+        thread writes the payload too, above it the writer pool splits
+        the write.  A larger checkpoint pipelines its chunks like
+        :meth:`checkpoint_async`.
         """
         return self.orchestrator.checkpoint_sync(as_source(state), step=step)
 

@@ -30,7 +30,8 @@ checkpoint in pipelined chunks (§3.1, Figure 7): ``begin()`` reserves the
 slot and counter, ``submit()``/``reap()`` (or the blocking
 ``write_chunk()``) write consecutive pieces — a reaped chunk's buffer is
 free to reuse, but nothing is fenced per chunk — and ``commit()`` writes
-the slot header and runs the CAS protocol.  ``checkpoint()`` is the
+the slot header and runs the CAS protocol; ``write_inline()`` writes on
+the caller's own thread instead of the pool.  ``checkpoint()`` is the
 one-shot convenience wrapper.
 
 How many fences a commit pays depends on the medium.  On PMEM
@@ -163,9 +164,21 @@ class CheckpointTicket:
         """
         self.reap(self.submit([chunk]))
 
-    def submit(
-        self, chunks: Sequence[Buffer], inline: bool = False
-    ) -> "PersistSubmission":
+    def write_inline(self, chunk: Buffer) -> None:
+        """:meth:`write_chunk` on the calling thread, for a payload too
+        small to repay the writer pool's wake-ups: CRC the piece, then
+        :meth:`ParallelWriter.write` it — ONE device write on a
+        ``single``-fence device, the ``p`` fenced shares on PMEM."""
+        if self._done:
+            raise EngineError("ticket already committed or aborted")
+        view = as_view(chunk)
+        length = len(view)
+        offset = self._engine._payload_at(self, length)
+        self._crc = payload_crc(view, self._crc)
+        self._engine._writer.write(offset, view)
+        self._written += length
+
+    def submit(self, chunks: Sequence[Buffer]) -> "PersistSubmission":
         """Queue the next consecutive pieces as ONE writer batch and CRC
         them while they write.
 
@@ -183,15 +196,11 @@ class CheckpointTicket:
         payload, its header and the commit record — which is also how
         the service's coalescing path turns K small checkpoints into a
         single fsync.
-
-        ``inline=True`` leaves the pool out: :meth:`reap` writes the
-        pieces on the reaping thread, after the CRC, with the same shares
-        and fences (:meth:`ParallelWriter.submit`).
         """
         if self._done:
             raise EngineError("ticket already committed or aborted")
         views = [as_view(chunk) for chunk in chunks]
-        submission = self._engine._submit_chunk_batch(self, views, inline)
+        submission = self._engine._submit_chunk_batch(self, views)
         self._unreaped.append(submission)
         crc_start = time.monotonic()
         for view in views:
@@ -362,7 +371,15 @@ class CheckpointEngine:
         #: The error of a fence that failed after a CAS had published its
         #: checkpoint in memory; from then on the engine is defunct.
         self._fence_error: Optional[BaseException] = None
-        self._m.free_slots.set(len(self._free))
+        self._m.free_slots.follow(lambda: len(self._free))
+        # Fixed at format time: a commit indexes these, never the layout.
+        slots = range(layout.num_slots)
+        self._device = layout.device
+        self._header_offsets = [layout.slot_offset(s) for s in slots]
+        self._payload_offsets = [layout.payload_offset(s) for s in slots]
+        self._commit_offset = layout.commit_offset
+        self._capacity = layout.payload_capacity
+        self._single_fence = self._writer.fence_mode == "single"
 
     # ------------------------------------------------------------------
     # public API
@@ -534,13 +551,12 @@ class CheckpointEngine:
         ``timeout``, raises :class:`~repro.errors.SlotWaitTimeout` once it
         expires.
         """
-        self._check_alive()
+        if self._closed or self._fence_error is not None:
+            self._check_alive()
         counter = self._g_counter.add_fetch(1)
         start = time.monotonic()
         slot = self._free.dequeue_blocking(timeout)
-        waited = time.monotonic() - start
-        self._m.slot_wait.inc(waited)
-        self._m.free_slots.set(len(self._free))
+        self._m.slot_wait.inc(time.monotonic() - start)
         if slot == EMPTY:
             window = "" if timeout is None else f" within {timeout:g} seconds"
             raise SlotWaitTimeout(
@@ -579,8 +595,20 @@ class CheckpointEngine:
         if self._closed:
             raise EngineClosedError("checkpoint engine is closed")
 
+    def _payload_at(self, ticket: CheckpointTicket, length: int) -> int:
+        """Device offset of ``ticket``'s next ``length`` payload bytes;
+        :class:`~repro.errors.OutOfSpaceError`, before anything is
+        written, when they would overflow the slot."""
+        end = ticket._written + length  # noqa: SLF001
+        if end > self._capacity:
+            raise OutOfSpaceError(
+                f"checkpoint of >= {end} bytes exceeds slot payload "
+                f"capacity {self._capacity}"
+            )
+        return self._payload_offsets[ticket.slot] + ticket._written  # noqa: SLF001
+
     def _submit_chunk_batch(
-        self, ticket: CheckpointTicket, views, inline: bool
+        self, ticket: CheckpointTicket, views
     ) -> PersistSubmission:
         """Queue consecutive pieces to the pool as ONE batched submission.
 
@@ -590,19 +618,12 @@ class CheckpointEngine:
         observable until the ticket reaps, and on a ``single``-fence
         device nothing is durable until the commit's covering fence.
         """
-        total = sum(len(view) for view in views)
-        capacity = self._layout.payload_capacity
-        if ticket.bytes_written + total > capacity:
-            raise OutOfSpaceError(
-                f"batched checkpoint of >= {ticket.bytes_written + total} "
-                f"bytes exceeds slot payload capacity {capacity}"
-            )
-        offset = self._layout.payload_offset(ticket.slot) + ticket.bytes_written
+        offset = self._payload_at(ticket, sum(len(view) for view in views))
         pieces = []
         for view in views:
             pieces.append((offset, view))
             offset += len(view)
-        return self._writer.submit(pieces, inline=inline)
+        return self._writer.submit(pieces)
 
     def _record_overlap(
         self, submission: PersistSubmission, crc_start: float, crc_end: float
@@ -613,9 +634,8 @@ class CheckpointEngine:
         The overlap window is the intersection of the CRC interval with
         the submission's device-write interval: writes still pending at
         ``crc_end`` mean the whole CRC ran under them; writes that
-        settled at ``done_at`` cap the credit there.  Inline submissions
-        (a small one-chunk payload, or a closed pool) write after the CRC
-        and overlap nothing.
+        settled at ``done_at`` cap the credit there.  Submissions to a
+        closed pool write after the CRC and overlap nothing.
         """
         if submission.batch is None:
             return
@@ -658,7 +678,7 @@ class CheckpointEngine:
         meta = CheckMeta(
             counter=ticket.counter,
             slot=ticket.slot,
-            payload_len=ticket.bytes_written,
+            payload_len=ticket._written,  # noqa: SLF001
             payload_crc=crc,
             step=ticket.step,
         )
@@ -667,15 +687,13 @@ class CheckpointEngine:
         # persisted before CHECK_ADDR may reference it.  On a single-fence
         # device the commit's covering fence hardens payload, header and
         # record at once (module docstring).
-        header_offset = self._layout.slot_offset(ticket.slot)
-        self._layout.device.write(header_offset, encode_slot_header(meta))
-        if self._writer.fence_mode == "single":
-            fence_end = (
-                self._layout.payload_offset(ticket.slot) + meta.payload_len
-            )
+        header_offset = self._header_offsets[ticket.slot]
+        self._device.write(header_offset, encode_slot_header(meta))
+        if self._single_fence:
+            fence_end = self._payload_offsets[ticket.slot] + meta.payload_len
         else:
-            self._layout.device.persist(header_offset, RECORD_SIZE)
-            fence_end = self._layout.commit_offset + RECORD_SIZE
+            self._device.persist(header_offset, RECORD_SIZE)
+            fence_end = self._commit_offset + RECORD_SIZE
 
         # Lines 19-34: CAS retry loop on CHECK_ADDR.
         last_check = self._check_addr.load()
@@ -719,8 +737,11 @@ class CheckpointEngine:
                         )
                     self._m.commits.inc()
                     raise
-                if superseded is not None:
-                    self._settle_superseded(meta, superseded)
+                if superseded is not None and self._slot_custodian is None:
+                    # Listing 1 line 25: straight back to the queue.
+                    self._release_slot(superseded, ticket_counter=meta.counter)
+                elif superseded is not None:
+                    self._hand_off_superseded(meta, superseded)
                 if self._sanitizer is not None:
                     self._sanitizer.on_ticket_done(
                         meta.counter, first_commit=last_check is None
@@ -736,18 +757,14 @@ class CheckpointEngine:
             self._m.cas_retries.inc()
             last_check = self._check_addr.load()
 
-    def _settle_superseded(self, meta: CheckMeta, slot: int) -> None:
-        """Recycle or hand off the superseded slot after a won CAS.
+    def _hand_off_superseded(self, meta: CheckMeta, slot: int) -> None:
+        """Offer the superseded slot to the custodian after a won CAS.
 
-        Without a custodian the slot goes straight back to the queue
-        (Listing 1 line 25).  With one, custody is registered *before*
-        asking — a racing round completion may release the held slot the
-        instant ``take_superseded`` returns True — and withdrawn again
-        when the custodian declines.
+        Custody is registered *before* asking — a racing round completion
+        may release the held slot the instant ``take_superseded`` returns
+        True — and withdrawn again, recycling the slot, when the
+        custodian declines.
         """
-        if self._slot_custodian is None:
-            self._release_slot(slot, ticket_counter=meta.counter)
-            return
         self._hold_superseded(meta.counter, slot)
         deferred = False
         try:
@@ -776,26 +793,24 @@ class CheckpointEngine:
         handles it as power loss — no ack, neither slot recycled, and
         reopening the region recovers whatever is durable.
         """
-        commit = self._layout.commit_offset
+        commit = self._commit_offset
         with self._commit_write_lock:
             # A newer commit may already have reached the device (our
             # in-memory CAS was immediately superseded): fence only.
             newer_on_device = meta.counter <= self._last_written_counter
             try:
                 if not newer_on_device:
-                    self._layout.device.write(
-                        commit, encode_commit_record(meta)
-                    )
+                    self._device.write(commit, encode_commit_record(meta))
                 # The fence MUST stay inside the lock: it stands in for
                 # the hardware CAS-store ordering.
                 # pclint: disable=PC001
-                self._layout.device.persist(commit, fence_end - commit)
+                self._device.persist(commit, fence_end - commit)
             except CrashedDeviceError:
                 raise
             except Exception as exc:
                 self._fence_error = exc
                 raise CrashedDeviceError(
-                    f"commit fence on {self._layout.device.name} failed "
+                    f"commit fence on {self._device.name} failed "
                     f"after the CAS ({exc!r}); the checkpoint dangles as "
                     f"on power loss"
                 ) from exc
@@ -809,7 +824,7 @@ class CheckpointEngine:
             # Same deliberate fence-inside-lock as _write_commit_record:
             # the lock emulates the hardware CAS-store ordering.
             # pclint: disable=PC001
-            self._layout.device.persist(self._layout.commit_offset, RECORD_SIZE)
+            self._device.persist(self._commit_offset, RECORD_SIZE)
 
     def _release_slot(
         self, slot: int, ticket_counter: Optional[int] = None
@@ -817,7 +832,6 @@ class CheckpointEngine:
         if self._sanitizer is not None:
             self._sanitizer.on_release(ticket_counter, slot)
         self._free.enqueue(slot)
-        self._m.free_slots.set(len(self._free))
 
     def _abort_ticket(self, ticket: CheckpointTicket) -> None:
         self._release_slot(ticket.slot, ticket_counter=ticket.counter)

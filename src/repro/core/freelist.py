@@ -47,16 +47,17 @@ SPIN_BACKOFF_MULTIPLIER: float = 2.0
 
 
 class _Cell:
-    """One ring cell: a turn counter plus the stored slot index."""
+    """One ring cell: a turn counter, the stored slot index, and how many
+    enqueuers wait for it to empty (nobody waits for one to fill)."""
 
-    __slots__ = ("turn", "value", "lock", "nonempty", "nonfull")
+    __slots__ = ("turn", "value", "lock", "nonfull", "waiting")
 
     def __init__(self, turn: int) -> None:
         self.turn = turn
         self.value: Optional[int] = None
         self.lock = threading.Lock()
-        self.nonempty = threading.Condition(self.lock)
         self.nonfull = threading.Condition(self.lock)
+        self.waiting = 0
 
 
 class SlotQueue:
@@ -110,10 +111,11 @@ class SlotQueue:
         want_turn = 2 * rounds
         with cell.lock:
             while cell.turn != want_turn:
+                cell.waiting += 1
                 cell.nonfull.wait()
+                cell.waiting -= 1
             cell.value = value
             cell.turn = want_turn + 1
-            cell.nonempty.notify_all()
 
     def dequeue(self) -> int:
         """Remove and return the oldest element, or :data:`EMPTY`.
@@ -122,8 +124,9 @@ class SlotQueue:
         published, no ticket is consumed and :data:`EMPTY` is returned.
         """
         while True:
-            head = self._head.load()
-            tail = self._tail.load()
+            # Racy reads either way: the turn and the claim re-check.
+            head = self._head._value  # noqa: SLF001
+            tail = self._tail._value  # noqa: SLF001
             if head >= tail:
                 return EMPTY
             cell = self._cells[head % self._capacity]
@@ -139,7 +142,8 @@ class SlotQueue:
                 value = cell.value
                 cell.value = None
                 cell.turn = full_turn + 1  # == 2 * (rounds + 1) for next round
-                cell.nonfull.notify_all()
+                if cell.waiting:
+                    cell.nonfull.notify_all()
             assert value is not None
             return value
 

@@ -31,9 +31,9 @@ import zlib
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
 
 from repro.errors import CorruptCheckpointError
+from repro.storage.device import buffer_address
 
 #: Fixed size of every metadata record on the device.
 RECORD_SIZE: int = 64
@@ -148,10 +148,14 @@ _LIBDEFLATE_CRC32 = _load_libdeflate_crc32()
 
 
 def _libdeflate_crc(data, crc: int = 0) -> int:
-    # The array pins the buffer (read-only or not) for the whole call;
-    # the ctypes call drops the GIL, as zlib.crc32 does.
-    pinned = np.frombuffer(data, dtype=np.uint8)
-    return _LIBDEFLATE_CRC32(crc, pinned.ctypes.data, pinned.size)
+    # The view pins the buffer for the whole call; the ctypes call drops
+    # the GIL, as zlib.crc32 does.
+    view = memoryview(data)
+    if not view.c_contiguous:
+        raise BufferError("payload_crc needs a C-contiguous buffer")
+    if not view.nbytes:
+        return crc
+    return _LIBDEFLATE_CRC32(crc, buffer_address(view), view.nbytes)
 
 
 #: The payload CRC backend, chosen once at import: ``"libdeflate"`` (the

@@ -23,16 +23,17 @@ Starting is serialised, so the start order is the counter order even
 when several threads start checkpoints at once.
 
 Steps 2–3 pipeline only when there is something to overlap.  A
-checkpoint that fits one staging chunk runs on ONE thread: the persist
-stage's chunk source is then an inline capture instead of the hand-off
-queue, so capture, write, CRC and commit run back to back — on one
-executor task for :meth:`~PCcheckOrchestrator.checkpoint_async`, on the
-caller's thread for the blocking
-:meth:`~PCcheckOrchestrator.checkpoint_sync`.  Same stages, spans,
-metrics, device ops and failure handling; no thread hand-offs.  Up to
-:data:`INLINE_WRITE_MAX_BYTES` that thread also writes the payload, so
-the writer pool is not woken at all; a larger chunk still goes to the
-pool's ``p`` threads.
+checkpoint that fits one staging chunk runs as ONE straight-line
+function on ONE thread — the caller's for the blocking
+:meth:`~PCcheckOrchestrator.checkpoint_sync`, one executor task for
+:meth:`~PCcheckOrchestrator.checkpoint_async`: draw the counter and slot,
+capture into a staging buffer, CRC, write, commit (header, CAS, record
+and the covering fence), recycle and settle.  Same stages, spans,
+metrics, device ops and failure handling as the pipeline, without its
+hand-off queue; a blocking one also builds no future or event — one lock
+stands in for both.  Up to :data:`INLINE_WRITE_MAX_BYTES` that thread
+also writes the payload, so the writer pool is not woken at all; a
+larger chunk still goes to the pool's ``p`` threads.
 
 Up to N checkpoints run these pipelines concurrently — the engine's free
 slot queue naturally enforces the bound, and a request arriving while all
@@ -59,13 +60,18 @@ from __future__ import annotations
 import queue
 import threading
 import time
+from concurrent import futures
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import List, Optional
 
 from repro.core.chunking import ChunkPlan, plan_chunks
-from repro.core.engine import CheckpointEngine, CheckpointResult
+from repro.core.engine import (
+    CheckpointEngine,
+    CheckpointResult,
+    CheckpointTicket,
+)
 from repro.core.snapshot import SnapshotSource
 from repro.errors import (
     CrashedDeviceError,
@@ -95,9 +101,8 @@ class CheckpointHandle:
     _future: "Future[CheckpointResult]" = field(default_factory=Future)
     #: The previously started checkpoint's future: it settles before this
     #: one commits.  Dropped once the persist stage has taken it.
-    _after: "Optional[Future[CheckpointResult]]" = None
+    _after: Optional[object] = None
     _started: float = 0.0
-    _finished: bool = False
 
     def wait(self, timeout: Optional[float] = None) -> CheckpointResult:
         """Block until the checkpoint committed (or was superseded)."""
@@ -111,21 +116,63 @@ class CheckpointHandle:
         """Run ``fn(handle)`` once this checkpoint settles — committed,
         superseded, or failed.  Fires immediately when already settled.
         Callbacks run on the thread that settled the handle — a pipeline
-        thread, or the caller's for a blocking one-chunk checkpoint or
-        when already done — so keep them short and never
-        block in them; exceptions they raise are swallowed by the
-        underlying future machinery, as with
+        thread, or the caller's when already done — so keep them short
+        and never block in them; exceptions they raise are swallowed by
+        the underlying future machinery, as with
         :meth:`concurrent.futures.Future.add_done_callback`.
         """
         self._future.add_done_callback(lambda _future: fn(self))
 
 
-#: Largest one-chunk payload whose writes run on the checkpoint's own
-#: thread instead of the writer pool.  Below it the pool's wake-ups and
-#: wake-back cost more than the ``p``-way split saves; above it the split
-#: wins (docs/PERFORMANCE.md, "One thread for a one-chunk checkpoint",
-#: has the crossover tables this bound is read from: SSD at ``p`` = 2
-#: and 3, buffered and unbuffered, and PMEM at ``p`` = 2 and 3).
+class _BlockingCheckpoint:
+    """A blocking one-chunk checkpoint as ``drain``, ``close``,
+    ``wait_for_snapshots`` and later starters see it: one lock, taken at
+    admission and released when it settles, serves as a handle's
+    ``_future`` and ``snapshot_done`` both (waiting for its capture waits
+    for all of it), so the caller's thread builds no ``Condition``."""
+
+    __slots__ = ("_settled", "_outcome")
+
+    def __init__(self) -> None:
+        self._settled = threading.Lock()
+        self._settled.acquire()
+
+    _future = snapshot_done = property(lambda self: self)
+
+    def settle(self, outcome) -> None:
+        """Record the result, or the error raised, and release waiters."""
+        self._outcome = outcome
+        self._settled.release()
+
+    def done(self) -> bool:
+        return not self._settled.locked()
+
+    def wait(self, timeout: Optional[float] = None) -> bool:
+        if not self._settled.acquire(timeout=-1 if timeout is None else timeout):
+            return False
+        self._settled.release()
+        return True
+
+    def exception(self) -> Optional[BaseException]:
+        self.wait()
+        return self._outcome if isinstance(self._outcome, BaseException) else None
+
+    def result(self, timeout: Optional[float] = None) -> CheckpointResult:
+        if not self.wait(timeout):
+            raise futures.TimeoutError()
+        if isinstance(self._outcome, BaseException):
+            raise self._outcome
+        return self._outcome
+
+
+#: Largest one-chunk payload the checkpoint's own thread writes, with
+#: :meth:`~repro.core.engine.CheckpointTicket.write_inline` — one device
+#: write on a file region, the ``p`` fenced shares on PMEM — instead of
+#: the writer pool.  Below it the pool's wake-ups and wake-back cost more
+#: than the ``p``-way split saves; above it the split wins
+#: (docs/PERFORMANCE.md, "A blocking one-chunk checkpoint", keeps the
+#: crossover tables this bound is read from: SSD at ``p`` = 2 and 3,
+#: buffered and unbuffered, and PMEM at ``p`` = 2 and 3).
 INLINE_WRITE_MAX_BYTES = 2 << 20
 
 #: Sentinel the capture stage sends when it failed mid-checkpoint, so the
@@ -140,30 +187,6 @@ _CAPTURE_FAILED = object()
 _STAGE_POLL_SECONDS: float = 0.05
 
 
-class _InlineCapture:
-    """The chunk source of a one-chunk checkpoint, in place of the
-    hand-off queue: the persist stage's first ``get`` runs ``capture``
-    on the persist stage's own thread, later ones hand out what it
-    staged and then the end-of-chunks sentinel.  A capture failure is
-    staged as ``_CAPTURE_FAILED`` and kept in ``error``."""
-
-    def __init__(self, capture) -> None:
-        self._capture = capture
-        self._staged: list = []
-        self.error: Optional[BaseException] = None
-
-    def get(self, timeout: Optional[float] = None):
-        """Never blocks: the chunk is captured by the time this returns."""
-        capture, self._capture = self._capture, None
-        if capture is not None:
-            try:
-                capture(self._staged.append)
-            except BaseException as exc:  # noqa: BLE001 - reported via error
-                self.error = exc
-                self._staged.append(_CAPTURE_FAILED)
-        return self._staged.pop(0) if self._staged else None
-
-
 class _PersistStageDied(EngineError):
     """Internal control-flow signal: the capture stage stopped because its
     persist consumer failed; the consumer's error is what reaches the
@@ -176,6 +199,7 @@ class PCcheckOrchestrator:
     def __init__(self, engine: CheckpointEngine, pool: DRAMBufferPool) -> None:
         self._engine = engine
         self._pool = pool
+        self._chunk_size = pool.chunk_size
         # The whole stack reports into one place: the engine's, through
         # handles bound here once.
         metrics = engine.metrics
@@ -197,10 +221,11 @@ class PCcheckOrchestrator:
         )
         self._pending: List[CheckpointHandle] = []
         self._pending_lock = threading.Lock()
-        #: Future of the checkpoint admitted last: the next one admitted
-        #: commits after it settled.  ``_start_lock`` guards it from the
-        #: counter draw on, so concurrent starters keep the two in step.
-        self._last_admitted: "Optional[Future[CheckpointResult]]" = None
+        #: The checkpoint admitted last (a handle's future, or a blocking
+        #: one's record): the next one admitted commits after it settled.
+        #: ``_start_lock`` guards it from the counter draw on, so
+        #: concurrent starters keep the two in step.
+        self._last_admitted: Optional[object] = None
         self._start_lock = threading.Lock()
         self._closed = False
         #: First unrecoverable pipeline failure (a crashed device).  Once
@@ -233,27 +258,54 @@ class PCcheckOrchestrator:
         has no free slot (all N concurrent checkpoints busy), which is the
         paper's stall condition ``Tw > N · f · t``.
         """
-        handle, ticket, plan = self._start(source, step)
-        self._launch(source, plan, ticket, handle)
+        plan = plan_chunks(source.snapshot_size(), self._chunk_size)
+        handle = CheckpointHandle(step=step, _started=time.monotonic())
+        handle.span, ticket, handle._after = self._admit(  # noqa: SLF001
+            step, handle._future  # noqa: SLF001
+        )
+        handle.counter = ticket.counter
+        if plan.num_chunks == 1:
+            self._executor.submit(
+                self._run_one_chunk, source, plan.total, ticket, handle
+            )
+        else:
+            hand_off: "queue.Queue[Optional[PinnedBuffer]]" = queue.Queue()
+            persist_dead = threading.Event()
+            persist_future = self._executor.submit(
+                self._persist_stage, ticket, hand_off, handle, persist_dead
+            )
+            self._executor.submit(
+                self._capture_stage, source, plan, hand_off, handle,
+                persist_future, persist_dead,
+            )
+        self._track(handle)
         return handle
 
     def checkpoint_sync(self, source: SnapshotSource, step: int) -> CheckpointResult:
         """Checkpoint ``source`` and block until its commit.
 
-        A checkpoint that fits one staging chunk runs entirely on the
-        calling thread — capture, write, CRC and commit, the same stages
-        and spans as a pipelined one; a multi-chunk checkpoint is
+        A checkpoint that fits one staging chunk runs end to end on the
+        calling thread (:meth:`_one_chunk`) and builds no future, event or
+        condition: one lock, released when it settles, is what
+        :meth:`drain`, :meth:`close`, :meth:`wait_for_snapshots` and later
+        starters wait on.  A multi-chunk checkpoint is
         :meth:`checkpoint_async` plus ``wait()``, keeping its
-        capture/persist overlap.  Either way the handle is tracked, so
-        :meth:`drain` and :meth:`close` wait for it.
+        capture/persist overlap.
         """
-        handle, ticket, plan = self._start(source, step)
-        if plan.num_chunks > 1:
-            self._launch(source, plan, ticket, handle)
-        else:
-            self._track(handle)
-            self._run_one_chunk(source, plan, ticket, handle)
-        return handle.wait()
+        total = source.snapshot_size()
+        if total > self._chunk_size:
+            return self.checkpoint_async(source, step).wait()
+        started = time.monotonic()
+        blocking = _BlockingCheckpoint()
+        root, ticket, after = self._admit(step, blocking)
+        self._track(blocking)
+        try:
+            result = self._one_chunk(source, total, ticket, root, after, started)
+        except BaseException as exc:
+            blocking.settle(exc)
+            raise
+        blocking.settle(result)
+        return result
 
     def wait_for_snapshots(self) -> float:
         """Block until every in-flight capture finished; returns the time
@@ -287,7 +339,7 @@ class PCcheckOrchestrator:
         first_error: Optional[BaseException] = None
         for handle in pending:
             try:
-                results.append(handle.wait(timeout))
+                results.append(handle._future.result(timeout))  # noqa: SLF001
             except BaseException as exc:  # noqa: BLE001 - collected below
                 if first_error is None:
                     first_error = exc
@@ -330,27 +382,27 @@ class PCcheckOrchestrator:
     # ------------------------------------------------------------------
     # pipeline stages
 
-    def _start(self, source: SnapshotSource, step: int):
-        """Admit one checkpoint request in the caller's thread: plan its
-        chunks and reserve its counter and slot.  Returns ``(handle,
-        ticket, plan)``; nothing runs yet."""
+    def _admit(self, step: int, admitted):
+        """Admit the checkpoint ``admitted`` stands for, in the caller's
+        thread: open its root span, reserve its counter and slot, and
+        chain it behind the one admitted before it, which settles before
+        it may commit.  Returns ``(root, ticket, after)``.
+
+        Counter and chain move under one lock, so the start order is the
+        counter order even when several threads start at once.  The slot
+        wait is the "wait for a previous checkpoint" stall concurrency
+        bounds; it polls, because after a device crash every slot may be
+        held by a dangling ticket, and earns a ``slot_wait`` span only
+        when it happens."""
         if self._closed:
             raise EngineClosedError("orchestrator is closed")
-        self._check_fatal()
-        handle = CheckpointHandle(step=step)
-        handle._started = time.monotonic()  # noqa: SLF001
+        if self._fatal is not None:
+            self._check_fatal()
         self._m.requested.inc()
-        root = self._tracer.begin("checkpoint", step=step)
-        handle.span = root
-        # Reserve counter + slot in the caller's thread: engine.begin()
-        # blocking is precisely the "wait for a previous checkpoint"
-        # stall that concurrency is meant to bound.  Poll rather than
-        # block indefinitely: after a device crash every slot may be held
-        # by a dangling ticket that will never release it.  The lazy
-        # slot_wait span records the stall only when one actually happens.
+        tracer = self._tracer
+        root = tracer.begin("checkpoint", step=step)
         slot_span = None
         try:
-            plan = plan_chunks(source.snapshot_size(), self._pool.chunk_size)
             with self._start_lock:
                 while True:
                     try:
@@ -360,47 +412,20 @@ class PCcheckOrchestrator:
                         break
                     except SlotWaitTimeout:
                         if slot_span is None:
-                            slot_span = self._tracer.begin(
-                                "slot_wait", parent=root
-                            )
+                            slot_span = tracer.begin("slot_wait", parent=root)
                         self._check_fatal()
-                handle._after, self._last_admitted = (  # noqa: SLF001
-                    self._last_admitted, handle._future  # noqa: SLF001
-                )
+                after, self._last_admitted = self._last_admitted, admitted
         except BaseException:
-            if slot_span is not None:
-                self._tracer.end(slot_span)
-            self._tracer.end(root, status=STATUS_ABORTED)
+            tracer.end(root, status=STATUS_ABORTED)
             raise
-        if slot_span is not None:
-            self._tracer.end(slot_span)
+        finally:
+            if slot_span is not None:
+                tracer.end(slot_span)
         ticket.trace_parent = root
-        handle.counter = ticket.counter
         root.set(counter=ticket.counter, slot=ticket.slot)
-        return handle, ticket, plan
+        return root, ticket, after
 
-    def _launch(self, source, plan, ticket, handle: CheckpointHandle) -> None:
-        """Run an admitted checkpoint on the executor.  A one-chunk plan
-        leaves a persist stage nothing to overlap with, so ONE task runs
-        it end to end; a longer plan gets the capture and persist tasks
-        joined by the hand-off queue."""
-        if plan.num_chunks == 1:
-            self._executor.submit(
-                self._run_one_chunk, source, plan, ticket, handle
-            )
-        else:
-            hand_off: "queue.Queue[Optional[PinnedBuffer]]" = queue.Queue()
-            persist_dead = threading.Event()
-            persist_future = self._executor.submit(
-                self._persist_stage, ticket, hand_off, handle, persist_dead
-            )
-            self._executor.submit(
-                self._capture_stage, source, plan, hand_off, handle,
-                persist_future, persist_dead,
-            )
-        self._track(handle)
-
-    def _track(self, handle: CheckpointHandle) -> None:
+    def _track(self, handle) -> None:
         """Register ``handle`` with :meth:`wait_for_snapshots`,
         :meth:`drain` and :meth:`close`."""
         with self._pending_lock:
@@ -416,60 +441,10 @@ class PCcheckOrchestrator:
         persist_future: "Future[CheckpointResult]",
         persist_dead: threading.Event,
     ) -> None:
-        """The capture task of a multi-chunk checkpoint: feed the hand-off
-        queue, then post its terminal sentinel."""
-        try:
-            self._capture(source, plan, handle, hand_off.put, persist_dead)
-        except BaseException as exc:  # noqa: BLE001 - fail the handle
-            hand_off.put(_CAPTURE_FAILED)
-            # Wait for the persist stage to abort the ticket (or finish
-            # its own failure path), then surface the capture error on
-            # the handle — unless the persist stage's error got there
-            # first, which is the root cause when we were poisoned.
-            persist_future.exception()
-            if not handle._future.done():  # noqa: SLF001
-                handle._future.set_exception(exc)  # noqa: SLF001
-        else:
-            hand_off.put(None)  # end-of-chunks sentinel
-
-    def _run_one_chunk(
-        self, source: SnapshotSource, plan: ChunkPlan, ticket,
-        handle: CheckpointHandle,
-    ) -> None:
-        """A one-chunk checkpoint on the calling thread: the persist stage
-        with the inline capture as its chunk source, so capture, CRC,
-        write and commit run back to back with no thread hand-off.
-
-        A payload of at most :data:`INLINE_WRITE_MAX_BYTES` is written on
-        this thread too — the same ``p`` shares in order, each fenced on
-        PMEM, the commit's covering fence on SSD — so such a checkpoint
-        never wakes the writer pool.  A larger one hands its shares to
-        the pool, whose ``p``-way split then pays for itself.  Every
-        outcome lands on the handle."""
-        # The capture is over before the persist stage can die, so the
-        # poison event only has to exist.
-        persist_dead = threading.Event()
-        chunks = _InlineCapture(
-            lambda emit: self._capture(source, plan, handle, emit, persist_dead)
-        )
-        self._persist_stage(
-            ticket, chunks, handle, persist_dead,
-            inline=plan.total <= INLINE_WRITE_MAX_BYTES,
-        )
-        if chunks.error is not None and not handle._future.done():  # noqa: SLF001
-            handle._future.set_exception(chunks.error)  # noqa: SLF001
-
-    def _capture(
-        self,
-        source: SnapshotSource,
-        plan: ChunkPlan,
-        handle: CheckpointHandle,
-        emit,
-        persist_dead: threading.Event,
-    ) -> None:
-        """Copy ``source`` chunk by chunk into staging buffers from the
-        pool, passing each to ``emit``; ``snapshot_done`` is set once it
-        finished, failed or not."""
+        """The capture task of a multi-chunk checkpoint: copy ``source``
+        chunk by chunk into staging buffers from the pool and feed each to
+        the hand-off queue, then post its terminal sentinel;
+        ``snapshot_done`` is set once it finished, failed or not."""
         tracer = self._tracer
         stage_span = tracer.begin("capture", parent=handle.span,
                                   step=handle.step)
@@ -477,30 +452,7 @@ class PCcheckOrchestrator:
         try:
             stage_span.set(total_bytes=plan.total, chunks=plan.num_chunks)
             for index, (offset, length) in enumerate(plan):
-                # Poll the pool instead of blocking forever: if the
-                # persist stage died, nobody is releasing buffers and an
-                # unconditional acquire() would deadlock this thread (and
-                # with it wait_for_snapshots and executor shutdown).
-                buffer: Optional[PinnedBuffer] = None
-                wait_start = time.monotonic()
-                wait_span = None
-                while buffer is None:
-                    if persist_dead.is_set():
-                        if wait_span is not None:
-                            tracer.end(wait_span)
-                        raise _PersistStageDied(
-                            "persist stage failed; capture abandoned"
-                        )
-                    buffer = self._pool.acquire(timeout=_STAGE_POLL_SECONDS)
-                    if buffer is None and wait_span is None:
-                        # Only a real stall (an acquire came back empty)
-                        # earns a span; instant acquisitions are noise.
-                        wait_span = tracer.begin(
-                            "buffer_wait", parent=stage_span, chunk=index
-                        )
-                self._m.buffer_wait.inc(time.monotonic() - wait_start)
-                if wait_span is not None:
-                    tracer.end(wait_span)
+                buffer = self._acquire_buffer(stage_span, index, persist_dead)
                 try:
                     with tracer.span("capture_chunk", parent=stage_span,
                                      chunk=index, offset=offset,
@@ -515,14 +467,121 @@ class PCcheckOrchestrator:
                 # lets the persist benchmark assert copies-per-checkpoint
                 # stays at 1x the payload.
                 self._m.bytes_copied.inc(length)
-                emit(buffer)
-        except BaseException as exc:
+                hand_off.put(buffer)
+        except BaseException as exc:  # noqa: BLE001 - fail the handle
             tracer.end(stage_span, error=type(exc).__name__)
             handle.snapshot_done.set()
-            raise
+            hand_off.put(_CAPTURE_FAILED)
+            # Wait for the persist stage to abort the ticket (or finish
+            # its own failure path), then surface the capture error on
+            # the handle — unless the persist stage's error got there
+            # first, which is the root cause when we were poisoned.
+            persist_future.exception()
+            if not handle._future.done():  # noqa: SLF001
+                handle._future.set_exception(exc)  # noqa: SLF001
+            return
         handle.snapshot_done.set()
         self._m.capture_seconds.observe(time.monotonic() - stage_start)
         tracer.end(stage_span)
+        hand_off.put(None)  # end-of-chunks sentinel
+
+    def _run_one_chunk(
+        self, source: SnapshotSource, total: int, ticket: CheckpointTicket,
+        handle: CheckpointHandle,
+    ) -> None:
+        """The executor task of an asynchronous one-chunk checkpoint:
+        :meth:`_one_chunk`, its outcome on the handle."""
+        after, handle._after = handle._after, None  # noqa: SLF001
+        future = handle._future  # noqa: SLF001
+        try:
+            future.set_result(self._one_chunk(
+                source, total, ticket, handle.span, after,
+                handle._started, handle.snapshot_done,  # noqa: SLF001
+            ))
+        except BaseException as exc:  # noqa: BLE001 - on the handle
+            handle.snapshot_done.set()
+            future.set_exception(exc)
+
+    def _one_chunk(
+        self, source: SnapshotSource, total: int, ticket: CheckpointTicket,
+        root, after, started: float, captured: Optional[threading.Event] = None,
+    ) -> CheckpointResult:
+        """An admitted one-chunk checkpoint, straight through on this
+        thread: capture into a staging buffer (then set ``captured``),
+        CRC and write it — here up to :data:`INLINE_WRITE_MAX_BYTES`,
+        through the writer pool above — recycle the buffer, wait for
+        ``after``, commit.  A local error aborts the ticket, recycling the
+        slot; a crashed device while writing or committing leaves it
+        dangling and the orchestrator fatal.  Either way the buffer goes
+        back and the error is raised."""
+        tracer, m, pool = self._tracer, self._m, self._pool
+        # The stage spans are the chunk spans: there is one chunk.
+        stage = tracer.begin("capture", parent=root, step=ticket.step,
+                             total_bytes=total, chunks=1)
+        buffer = None
+        persisting = False
+        try:
+            stage_start = time.monotonic()
+            buffer = pool.try_acquire() or self._acquire_buffer(stage, 0)
+            source.capture_chunk(0, total, buffer)
+            m.bytes_copied.inc(total)
+            if captured is not None:
+                captured.set()
+            persist_start = time.monotonic()
+            m.capture_seconds.observe(persist_start - stage_start)
+            tracer.end(stage)
+            persisting = True
+            stage = tracer.begin("persist", parent=root, step=ticket.step,
+                                 slot=ticket.slot)
+            if total <= INLINE_WRITE_MAX_BYTES:
+                ticket.write_inline(buffer.view())
+            else:
+                ticket.write_chunk(buffer.view())
+            # Written: the buffer goes back before any commit wait, or
+            # checkpoints waiting their turn could hold every buffer an
+            # earlier one still needs for its capture.
+            staged, buffer = buffer, None
+            pool.release(staged)
+            m.persist_seconds.observe(time.monotonic() - persist_start)
+            tracer.end(stage, chunks=1)
+            result = self._commit_in_turn(ticket, root, after)
+        except BaseException as exc:
+            tracer.end(stage, error=type(exc).__name__)
+            if buffer is not None:
+                pool.release(buffer)
+            crashed = persisting and isinstance(exc, CrashedDeviceError)
+            self._finish_root(root, started, self._fail(ticket, exc, crashed))
+            raise
+        self._finish_root(root, started, STATUS_COMMITTED if result.committed
+                          else STATUS_SUPERSEDED)
+        return result
+
+    def _acquire_buffer(
+        self, stage_span, index: int,
+        persist_dead: Optional[threading.Event] = None,
+    ) -> PinnedBuffer:
+        """A staging buffer for chunk ``index``: a free one at once, else
+        a counted stall under a ``buffer_wait`` span.  The stall polls:
+        if the persist stage died (``persist_dead``), nobody releases
+        buffers, and a blocking ``acquire()`` would deadlock this thread
+        (and with it ``wait_for_snapshots`` and executor shutdown)."""
+        buffer = self._pool.try_acquire()
+        if buffer is not None:
+            return buffer
+        wait_start = time.monotonic()
+        wait_span = self._tracer.begin("buffer_wait", parent=stage_span,
+                                       chunk=index)
+        try:
+            while buffer is None:
+                if persist_dead is not None and persist_dead.is_set():
+                    raise _PersistStageDied(
+                        "persist stage failed; capture abandoned"
+                    )
+                buffer = self._pool.acquire(timeout=_STAGE_POLL_SECONDS)
+        finally:
+            self._m.buffer_wait.inc(time.monotonic() - wait_start)
+            self._tracer.end(wait_span)
+        return buffer
 
     def _persist_stage(
         self,
@@ -530,17 +589,18 @@ class PCcheckOrchestrator:
         hand_off,
         handle: CheckpointHandle,
         persist_dead: threading.Event,
-        inline: bool = False,
     ) -> Optional[CheckpointResult]:
-        # ``hand_off`` is the chunk source: the queue a capture task feeds,
-        # or a one-chunk plan's _InlineCapture.  ``inline`` writes the
-        # chunks on this thread instead of the pool.  True once capture's
-        # terminal sentinel was consumed: after that the source stays
-        # empty forever, so the failure path must not block draining it.
+        """The persist task of a multi-chunk checkpoint: drain the
+        hand-off queue the capture task feeds into the writer pool, then
+        commit; every outcome lands on the handle."""
+        # True once capture's terminal sentinel was consumed: after that
+        # the queue stays empty forever, so the failure path must not
+        # block draining it.
         sentinel_seen = False
         after, handle._after = handle._after, None  # noqa: SLF001
+        root, started = handle.span, handle._started  # noqa: SLF001
         tracer = self._tracer
-        stage_span = tracer.begin("persist", parent=handle.span,
+        stage_span = tracer.begin("persist", parent=root,
                                   step=handle.step, slot=ticket.slot)
         stage_start = time.monotonic()
         # Deferred-reap pipeline: chunk k's submission (and its staging
@@ -581,18 +641,17 @@ class PCcheckOrchestrator:
                                               swallow=True)
                     ticket.abort()
                     tracer.end(stage_span, error="capture_failed")
-                    self._finish_root(handle, STATUS_ABORTED)
+                    self._finish_root(root, started, STATUS_ABORTED)
                     return None
                 try:
                     staged = buffer.view()
                     with tracer.span("persist_chunk", parent=stage_span,
                                      chunk=index, length=len(staged)):
-                        # The writer reads ``staged`` after this
-                        # returns (the pool, or an inline reap); ``held``
-                        # keeps the buffer checked out until
+                        # The pool reads ``staged`` after this returns;
+                        # ``held`` keeps the buffer checked out until
                         # ``_settle_inflight`` has reaped it.
                         submission = ticket.submit(  # pclint: disable=PC011
-                            [staged], inline=inline
+                            [staged]
                         )
                 except BaseException:
                     self._pool.release(buffer)
@@ -605,16 +664,11 @@ class PCcheckOrchestrator:
                 self._settle_inflight(ticket, held.pop(0))
             self._m.persist_seconds.observe(time.monotonic() - stage_start)
             tracer.end(stage_span, chunks=index)
-            if after is not None and not after.done():
-                with tracer.span("commit_wait", parent=handle.span):
-                    after.exception()  # settled, whatever the outcome
-            result = ticket.commit()
+            result = self._commit_in_turn(ticket, root, after)
             # Root span and latency first: whoever wakes on the handle
             # sees the checkpoint fully accounted.
-            self._finish_root(
-                handle,
-                STATUS_COMMITTED if result.committed else STATUS_SUPERSEDED,
-            )
+            self._finish_root(root, started, STATUS_COMMITTED
+                              if result.committed else STATUS_SUPERSEDED)
             if not handle._future.done():  # noqa: SLF001
                 handle._future.set_result(result)  # noqa: SLF001
             return result
@@ -629,20 +683,8 @@ class PCcheckOrchestrator:
             while held:
                 self._settle_inflight(ticket, held.pop(0), swallow=True)
             tracer.end(stage_span, error=type(exc).__name__)
-            if isinstance(exc, CrashedDeviceError):
-                # Power loss: the ticket dangles (recovery reclaims the
-                # slot after restart) and the engine is doomed — refuse
-                # new checkpoints instead of letting them block on slots
-                # no dangling ticket will ever release.
-                self._fatal = exc
-                self._m.dangling.inc()
-                self._finish_root(handle, STATUS_DANGLING)
-            else:
-                # Local failure (e.g. the payload outgrew the slot): the
-                # device is fine, so recycle the slot.  Data already in
-                # the slot can never validate without a header.
-                ticket.abort()
-                self._finish_root(handle, STATUS_ABORTED)
+            crashed = isinstance(exc, CrashedDeviceError)
+            self._finish_root(root, started, self._fail(ticket, exc, crashed))
             if not sentinel_seen:
                 self._drain_hand_off(hand_off)
             handle.snapshot_done.set()
@@ -651,6 +693,30 @@ class PCcheckOrchestrator:
             # The handle carries the error — and ``handle.wait()`` raises
             # it — on whichever thread this stage ran.
             return None
+
+    def _commit_in_turn(self, ticket, root, after) -> CheckpointResult:
+        """Commit once ``after``, admitted just before, has settled."""
+        if after is not None and not after.done():
+            waited = self._tracer.begin("commit_wait", parent=root)
+            after.exception()  # settled, whatever the outcome
+            self._tracer.end(waited)
+        return ticket.commit()
+
+    def _fail(self, ticket, exc: BaseException, crashed: bool) -> str:
+        """The failure contract; returns the root span's status.
+
+        Power loss (``crashed``): the ticket dangles — recovery reclaims
+        its slot after restart — and the engine is doomed, so new
+        checkpoints are refused instead of blocking on slots no dangling
+        ticket will ever release.  A local failure (e.g. the payload
+        outgrew the slot): the device is fine, so the slot is recycled;
+        data already in it can never validate without a header."""
+        if crashed:
+            self._fatal = exc
+            self._m.dangling.inc()
+            return STATUS_DANGLING
+        ticket.abort()
+        return STATUS_ABORTED
 
     def _settle_inflight(self, ticket, inflight, swallow: bool = False) -> None:
         """Reap a deferred chunk submission and release its buffer.
@@ -675,24 +741,14 @@ class PCcheckOrchestrator:
         finally:
             self._pool.release(buffer)
 
-    def _finish_root(self, handle: CheckpointHandle, status: str) -> None:
-        """Close the handle's root ``checkpoint`` span with its outcome and,
-        for a checkpoint that acked (committed or superseded), record the
+    def _finish_root(self, root, started: float, status: str) -> None:
+        """Close a root ``checkpoint`` span with its outcome and, for a
+        checkpoint that acked (committed or superseded), record the
         request→ack latency — aborted and dangling ones never acked, as in
-        ``CheckpointEngine.checkpoint``.  Idempotent: ``Tracer.end`` keeps
-        the first end time, and the racing capture/persist failure paths
-        both funnel through here."""
-        if handle._finished:  # noqa: SLF001
-            return
-        handle._finished = True  # noqa: SLF001
-        if handle.span is not None:
-            self._tracer.end(handle.span, status=status)
-        if handle._started and status in (  # noqa: SLF001
-            STATUS_COMMITTED, STATUS_SUPERSEDED
-        ):
-            self._m.checkpoint_seconds.observe(
-                time.monotonic() - handle._started  # noqa: SLF001
-            )
+        ``CheckpointEngine.checkpoint``."""
+        self._tracer.end(root, status=status)
+        if status in (STATUS_COMMITTED, STATUS_SUPERSEDED):
+            self._m.checkpoint_seconds.observe(time.monotonic() - started)
 
     def _drain_hand_off(self, hand_off) -> None:
         """Release every buffer stranded in the chunk source.
@@ -700,8 +756,7 @@ class PCcheckOrchestrator:
         Runs on the persist stage's failure path.  Terminates because the
         capture always ends in a terminal sentinel: ``None`` after its
         last chunk, or ``_CAPTURE_FAILED`` when it fails or observes the
-        poison event (an :class:`_InlineCapture` reports ``None`` once
-        drained).
+        poison event.
         """
         while True:
             buffer = hand_off.get()

@@ -30,9 +30,9 @@ Two properties keep this path at device speed:
   The pool serves the chunks of pipelined checkpoints, one-chunk
   payloads above the orchestrator's inline bound
   (:data:`repro.core.orchestrator.INLINE_WRITE_MAX_BYTES`), the service's
-  batches and restore reads.  A smaller one-chunk payload is submitted
-  ``inline``: its shares run on the thread that reaps them, so a process
-  that only takes such checkpoints never starts a writer thread.
+  batches and restore reads.  A smaller one-chunk payload goes through
+  :meth:`ParallelWriter.write` on the checkpoint's own thread, so a
+  process that only takes such checkpoints never starts a writer thread.
 
 Writer threads propagate exceptions (including injected crashes) to the
 calling ``persist``, so a power-loss mid-persist kills the checkpoint
@@ -206,13 +206,13 @@ class PersistSubmission:
         read: bool = False,
     ) -> None:
         #: Completion tracker; ``None`` when the shares run inline on the
-        #: reaping thread (submitted with ``inline=True``, or after the
-        #: pool closed) or the batch was empty.
+        #: reaping thread (submitted after the pool closed) or the batch
+        #: was empty.
         self.batch = batch
         self.shares = shares
         self.total = total
         self.reaped = False
-        #: Inline submissions only: set once reap ran every share.
+        #: Submissions after close only: set once reap ran every share.
         self._settled = False
         #: True for a :meth:`ParallelWriter.submit_read` ticket: its
         #: shares fill their views from the device, and reap has nothing
@@ -224,7 +224,8 @@ class PersistSubmission:
     @property
     def writes_done(self) -> bool:
         """True once every share settled.  Pooled shares settle on their
-        own, before reap; inline shares run inside reap, so only then."""
+        own, before reap; shares submitted after close run inside reap,
+        so only then."""
         if self.batch is not None:
             return self.batch.done.is_set()
         return self.total == 0 or self._settled
@@ -250,7 +251,8 @@ class ParallelWriter:
         self._num_threads = num_threads
         self._fence_mode: FenceMode = fence_mode or default_fence_mode(device)
         self._share_align = max(1, device.preferred_align)
-        self._work = threading.Condition(threading.Lock())
+        self._lock = threading.Lock()
+        self._work = threading.Condition(self._lock)
         self._queue: Deque[_ShareTask] = deque()
         self._workers: List[threading.Thread] = []
         self._closed = False
@@ -296,36 +298,43 @@ class ParallelWriter:
         """
         view = as_view(payload)
         length = len(view)
-        shares = split_range(length, self._num_threads, self._share_align)
-        if not shares:
-            return
-        per_thread = self._fence_mode == "per-thread"
-        if len(shares) == 1:
-            # Single share: no hand-off overhead, same semantics.
-            self._write_share(offset, view, shares[0], fence=per_thread)
-            self._count(length)
-        else:
+        if len(split_range(length, self._num_threads, self._share_align)) > 1:
             self.reap(self.submit([(offset, view)]))
-        if not per_thread:
+        else:  # one share: no hand-off overhead, same semantics
+            self.write(offset, view)
+        if length and self._fence_mode == "single":
             self._device.persist(offset, length)
 
-    def submit(
-        self, pieces: Sequence[Tuple[int, Buffer]], inline: bool = False
-    ) -> PersistSubmission:
+    def write(self, offset: int, view: memoryview) -> None:
+        """Write ``view`` at ``offset`` on the calling thread, no pool.
+
+        On a ``single``-fence device it is ONE device write and nothing
+        is fenced — the caller's covering fence makes it durable;
+        ``per-thread`` devices (PMEM) keep the ``p`` shares, each written
+        and fenced in order.  For a payload too small to repay the pool's
+        hand-off; errors raise here.
+        """
+        length = len(view)
+        if not length:
+            return
+        if self._fence_mode == "single":
+            self._device.write(offset, view)
+        else:
+            for share in split_range(
+                length, self._num_threads, self._share_align
+            ):
+                self._write_share(offset, view, share, True)
+        self._count(length)
+
+    def submit(self, pieces: Sequence[Tuple[int, Buffer]]) -> PersistSubmission:
         """Queue a batch of ``(offset, payload)`` pieces to the pool.
 
         Every share of every piece is enqueued under a single lock
         acquisition with a single ``notify_all`` — io_uring-style batched
         submission instead of one wakeup per piece.  Returns immediately
         with a :class:`PersistSubmission`; nothing is durable (and errors
-        are not observable) until :meth:`reap`.
-
-        ``inline=True`` skips the pool: :meth:`reap` writes the pieces on
-        the reaping thread — the branch a submission after :meth:`close`
-        takes anyway.  A payload too small to repay the hand-off uses it.
-        On a ``single``-fence device each inline piece is ONE device
-        write (splitting it would only add round trips on one thread);
-        ``per-thread`` devices keep their fenced shares.
+        are not observable) until :meth:`reap`.  After :meth:`close` the
+        shares run on the reaping thread instead.
         """
         views = [(piece_offset, as_view(data)) for piece_offset, data in pieces]
         views = [(piece_offset, v) for piece_offset, v in views if len(v)]
@@ -333,9 +342,6 @@ class ParallelWriter:
             return PersistSubmission(None, (), 0)
         per_thread = self._fence_mode == "per-thread"
         total = sum(len(v) for _, v in views)
-        if inline and not per_thread:
-            whole = [(piece_offset, v, 0, len(v)) for piece_offset, v in views]
-            return PersistSubmission(None, whole, total)
         shares = [
             (piece_offset, view, lo, hi)
             for piece_offset, view in views
@@ -343,8 +349,6 @@ class ParallelWriter:
                 len(view), self._num_threads, self._share_align
             )
         ]
-        if inline:
-            return PersistSubmission(None, shares, total)
         with self._work:
             if self._closed:
                 # Pool is gone (engine closed): defer to reap, which runs
@@ -403,8 +407,7 @@ class ParallelWriter:
         per_thread = self._fence_mode == "per-thread"
         crc: Optional[int] = None
         if submission.batch is None:
-            # Inline, or submitted after close: same semantics, caller's
-            # thread.
+            # Submitted after close: same semantics, caller's thread.
             try:
                 for piece_offset, view, lo, hi in submission.shares:
                     crc = self._run_share(
@@ -519,6 +522,6 @@ class ParallelWriter:
             self._device.persist(offset + lo, hi - lo)
 
     def _count(self, nbytes: int) -> None:
-        with self._work:
+        with self._lock:
             self.bytes_persisted += nbytes
 

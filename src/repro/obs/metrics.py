@@ -38,7 +38,7 @@ import json
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 
@@ -187,6 +187,12 @@ class Gauge:
         self.labels = labels
         self._lock = threading.Lock()
         self._value = 0.0
+        self._source: Optional[Callable[[], float]] = None
+
+    def follow(self, source: Callable[[], float]) -> None:
+        """Read ``source()`` on every read instead of the last ``set``: a
+        gauge mirroring a live quantity costs nothing per change."""
+        self._source = source
 
     def set(self, value: float) -> None:
         with self._lock:
@@ -198,6 +204,8 @@ class Gauge:
 
     @property
     def value(self) -> float:
+        if self._source is not None:
+            return float(self._source())
         with self._lock:
             return self._value
 

@@ -7,13 +7,14 @@ Figure 5::
     ├── slot_wait                    the Tw > N·f·t stall, if any
     ├── capture                      stage ③ (GPU→DRAM)
     │   ├── buffer_wait[chunk]       DRAM pool stall, if any
-    │   └── capture_chunk[chunk]
+    │   └── capture_chunk[chunk]     multi-chunk plans only
     ├── persist                      stage ④ (DRAM→storage)
-    │   └── persist_chunk[chunk]
+    │   └── persist_chunk[chunk]     multi-chunk plans only
     ├── commit_wait                  an earlier checkpoint still settling, if any
     └── commit                       header write + CAS + commit record
 
-plus ``recovery`` spans on the restart path.  Spans carry the engine
+A one-chunk checkpoint's stage spans stand for its one chunk, and
+``recovery`` spans cover the restart path.  Spans carry the engine
 counter and step in their args so a trace of N concurrent checkpoints
 can be re-assembled per ticket, and the root span's ``status`` arg
 records the outcome: ``committed``, ``superseded``, ``aborted``

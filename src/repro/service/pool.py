@@ -420,6 +420,11 @@ class EnginePool:
     def closed(self) -> bool:
         return self._closed
 
+    @property
+    def size(self) -> int:
+        """Seats in the pool."""
+        return len(self._stacks)
+
     def _pick_locked(self, tickets: Optional[int]) -> Optional[int]:
         """The seat a grant of ``tickets`` (``None``: all of a seat's)
         goes to (see :meth:`take`).  A built seat's N is its engine's: a

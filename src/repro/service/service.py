@@ -262,16 +262,22 @@ class CheckpointService:
                 reason=REASON_POOL_EXHAUSTED,
             ) from exc
         with self._lock:
-            if self._batcher is None:
+            won = self._batcher is None
+            if won:
                 self._batcher = CoalescingBatcher(
                     lease,
                     window=self._coalesce_window,
                     name=f"{self._name}-batch",
                 )
-                return self._batcher
-        # Lost the race to another registrant.
-        lease.release()
-        return self._batcher
+            batcher = self._batcher
+        if won:
+            # A request parked behind the seat just taken retries, and
+            # is refused if it was the only one.
+            self._on_give_back()
+        else:
+            # Lost the race to another registrant.
+            lease.release()
+        return batcher
 
     # ------------------------------------------------------------------
     # submission
@@ -315,6 +321,12 @@ class CheckpointService:
             ticket = ServiceTicket(tenant, step, nbytes)
             if account.spec.coalesce:
                 return self._submit_coalesced(account, state, step, ticket)
+            refusal = self._seat_refusal(tenant)
+            if refusal is not None:
+                account.rejections += 1
+                self._metrics.inc(M.TENANT_REJECTED, tenant=tenant,
+                                  reason=refusal.reason)
+                raise refusal
             try:
                 decision = account.admit(nbytes)
             except AdmissionRejected as exc:
@@ -471,6 +483,10 @@ class CheckpointService:
         except BaseException as exc:  # noqa: BLE001 - pool closed under us
             self._fail_request(request, exc)
             return
+        refusal = self._seat_refusal(account.name) if lease is None else None
+        if refusal is not None:  # the batcher took the seat after admission
+            self._fail_request(request, refusal)
+            return
         if lease is None:
             # No seat has room for a ticket: park until one comes back.
             # A give-back since ``give_backs`` was read (it raced the
@@ -494,6 +510,19 @@ class CheckpointService:
             lambda h, lease=lease, request=request: self._on_dedicated_done(
                 lease, request, h
             )
+        )
+
+    def _seat_refusal(self, tenant: str) -> Optional[ServiceSaturated]:
+        """The error for a dedicated request while the batcher holds the
+        pool's only seat — it keeps it until close, so the request would
+        park forever, and ``close()`` with it — else ``None``."""
+        if self._batcher is None or self._pool.size > 1:
+            return None
+        return ServiceSaturated(
+            f"service {self._name!r}: the coalescing batcher holds the "
+            "pool's only seat",
+            tenant=tenant,
+            reason=REASON_POOL_EXHAUSTED,
         )
 
     def _on_dedicated_done(self, lease, request: _Request, handle) -> None:

@@ -21,6 +21,7 @@ which is the hazard the paper's BARRIER calls exist to close.
 
 from __future__ import annotations
 
+import ctypes
 import threading
 import time
 from abc import ABC, abstractmethod
@@ -55,7 +56,7 @@ def as_view(data: Buffer) -> memoryview:
     are rejected — silently linearizing one would reintroduce the very
     copy this path exists to avoid.
     """
-    if isinstance(data, memoryview):
+    if type(data) is memoryview:  # memoryview cannot be subclassed
         view = data
     else:
         try:
@@ -73,6 +74,14 @@ def as_view(data: Buffer) -> memoryview:
     if view.ndim != 1 or view.format != "B":
         view = view.cast("B")
     return view
+
+
+def buffer_address(view: memoryview) -> int:
+    """Address of a non-empty view's first byte.  ``ctypes`` reads a
+    writable buffer's several times faster than numpy's ``.ctypes``."""
+    if not view.readonly:
+        return ctypes.addressof(ctypes.c_char.from_buffer(view))
+    return np.frombuffer(view, dtype=np.uint8).ctypes.data
 
 
 def as_dest_view(dest: Buffer) -> memoryview:

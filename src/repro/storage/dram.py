@@ -118,6 +118,9 @@ class DRAMBufferPool:
         self._total = num_chunks
         self._lock = threading.Lock()
         self._available = threading.Condition(self._lock)
+        #: Acquirers blocked in :meth:`acquire`: a release wakes one only
+        #: when there is one.
+        self._waiters = 0
         self._wait_seconds = 0.0
         self._acquisitions = 0
 
@@ -154,7 +157,7 @@ class DRAMBufferPool:
         Returns ``None`` on timeout.
         """
         start = time.monotonic()
-        with self._available:
+        with self._lock:  # the lock under ``_available``
             while not self._free:
                 remaining = None
                 if timeout is not None:
@@ -162,7 +165,11 @@ class DRAMBufferPool:
                     if remaining <= 0:
                         self._wait_seconds += time.monotonic() - start
                         return None
-                self._available.wait(remaining)
+                self._waiters += 1
+                try:
+                    self._available.wait(remaining)
+                finally:
+                    self._waiters -= 1
             waited = time.monotonic() - start
             self._wait_seconds += waited
             self._acquisitions += 1
@@ -172,7 +179,7 @@ class DRAMBufferPool:
 
     def try_acquire(self) -> Optional[PinnedBuffer]:
         """Non-blocking acquire; ``None`` when the pool is empty."""
-        with self._available:
+        with self._lock:
             if not self._free:
                 return None
             self._acquisitions += 1
@@ -184,8 +191,9 @@ class DRAMBufferPool:
         """Return a chunk to the pool and wake one waiter."""
         if buffer.size != self._chunk_size:
             raise EngineError("buffer does not belong to this pool")
-        with self._available:
+        with self._lock:
             if len(self._free) >= self._total:
                 raise EngineError("double release into a full pool")
             self._free.append(buffer)
-            self._available.notify()
+            if self._waiters:
+                self._available.notify()

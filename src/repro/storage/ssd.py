@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import os
 import threading
+import time
 from typing import Optional
 
-import numpy as np
 
 from repro.errors import StorageError
 from repro.obs.metrics import M
@@ -37,6 +37,7 @@ from repro.storage.device import (
     TwoImageDevice,
     as_dest_view,
     as_view,
+    buffer_address,
 )
 
 #: Effective torch.save+flush bandwidth the paper measured on pd-ssd
@@ -142,25 +143,23 @@ class FileBackedSSD(PersistentDevice):
     def preferred_align(self) -> int:
         return SECTOR_SIZE if self._unbuffered else 1
 
-    @staticmethod
-    def _sector_aligned(offset: int, view: memoryview) -> bool:
-        if offset % SECTOR_SIZE:
-            return False
-        # O_DIRECT also constrains the *user buffer* address.
-        address = np.frombuffer(view, dtype=np.uint8).ctypes.data
-        return address % SECTOR_SIZE == 0
-
     def write(self, offset: int, data: Buffer) -> None:
-        self._check_open()
+        if self._closed:
+            self._check_open()
         view = as_view(data)
         length = len(view)
-        self._check_range(offset, length)
-        start = self._obs_start()
+        if offset < 0 or offset + length > self._capacity:
+            self._check_range(offset, length)
+        observed = self._obs_metrics is not None
+        start = time.monotonic() if observed else 0.0
         # Whole sectors go direct; only a ragged tail takes the cache.
+        # O_DIRECT constrains the offset and the *user buffer* address.
         direct = 0
         whole = length - length % SECTOR_SIZE
-        if whole and self._direct_fd is not None and self._sector_aligned(
-            offset, view
+        if (
+            whole and self._direct_fd is not None
+            and not offset % SECTOR_SIZE
+            and not buffer_address(view) % SECTOR_SIZE
         ):
             try:
                 # One shot: a short direct write would leave the retry
@@ -183,8 +182,10 @@ class FileBackedSSD(PersistentDevice):
                 self.direct_write_ops += 1
             elif fallback:
                 self.fallback_write_ops += 1
+        if not observed:
+            return
         self._obs_op("write", length, start)
-        if (direct or fallback) and self._obs_metrics is not None:
+        if direct or fallback:
             self._obs_handle(
                 M.DEVICE_DIRECT_WRITES if direct else M.DEVICE_FALLBACK_WRITES,
                 _device_counter,
@@ -243,14 +244,18 @@ class FileBackedSSD(PersistentDevice):
         cache but may still sit in the device's volatile write cache,
         which the ``fsync`` flushes.
         """
-        self._check_open()
-        self._check_range(offset, length)
-        start = self._obs_start()
+        if self._closed:
+            self._check_open()
+        if offset < 0 or length < 0 or offset + length > self._capacity:
+            self._check_range(offset, length)
+        observed = self._obs_metrics is not None
+        start = time.monotonic() if observed else 0.0
         os.fsync(self._fd)
         with self._lock:
             self.stats.bytes_persisted += length
             self.stats.persist_ops += 1
-        self._obs_op("persist", length, start)
+        if observed:
+            self._obs_op("persist", length, start)
 
     def close(self) -> None:
         if not self.closed:

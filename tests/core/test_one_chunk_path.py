@@ -54,6 +54,8 @@ class ProbeDevice(DeviceWrapper):
         #: The next slot-area write waits on this event (then disarmed).
         self.hold_next_write = None
         self.write_entered = threading.Event()
+        #: Raised by the next fence (then disarmed).
+        self.fail_next_persist = None
 
     def write(self, offset, data):
         if offset >= self.data_offset:
@@ -71,6 +73,9 @@ class ProbeDevice(DeviceWrapper):
     def persist(self, offset, length):
         if offset < self.data_offset:
             self.commit_threads.append(threading.get_ident())
+        error, self.fail_next_persist = self.fail_next_persist, None
+        if error is not None:
+            raise error
         super().persist(offset, length)
 
 
@@ -223,6 +228,22 @@ class TestWritePlacement:
         assert pool_threads(writers)
 
 
+def test_checkpoints_waiting_their_turn_hold_no_staging_buffer():
+    """More one-chunk checkpoints in flight than staging buffers: each
+    gives its buffer back once written, before it waits for an earlier
+    one to commit, so the earlier one's capture always finds a buffer."""
+    checkpointer = open_checkpointer(
+        capacity_bytes=CAPACITY, num_concurrent=4, num_chunks=1,
+        backend="pmem",
+    )
+    handles = [checkpointer.checkpoint_async(payload(step), step=step)
+               for step in range(1, 33)]
+    # A deadlock fails here; close() would wait on it forever.
+    assert all(handle.wait(WAIT).committed for handle in handles)
+    assert checkpointer.latest().step == 32
+    checkpointer.close()
+
+
 @pytest.fixture
 def stack():
     """A one-chunk stack (default ``chunk_size``: the whole payload) with
@@ -305,6 +326,28 @@ class TestOneChunkFailures:
         report = stack.leak_report()
         assert report["leaked_buffers"] == 0
         assert report["leaked_slots"] == 1
+        assert_step_one_recovers(stack)
+
+    def test_power_loss_at_the_fence_dangles_and_goes_fatal(
+        self, stack, blocking
+    ):
+        """The commit's covering fence fails after the CAS: the ticket
+        dangles with its slot, the orchestrator refuses new checkpoints,
+        the staging buffer is back and step 1 still recovers."""
+        stack.device.fail_next_persist = CrashedDeviceError("power lost")
+        with pytest.raises(CrashedDeviceError):
+            checkpoint(stack, BytesSource(payload(2)), blocking)
+        assert stack.engine.metrics.value(M.DANGLING) == 1
+        assert stack.engine.metrics.value(M.ABORTED) == 0
+        assert isinstance(stack.orchestrator.fatal_error, CrashedDeviceError)
+        with pytest.raises(EngineClosedError):
+            checkpoint(stack, BytesSource(payload(3)), blocking, step=3)
+        report = stack.leak_report()
+        assert report["leaked_buffers"] == 0
+        assert report["leaked_slots"] == 1
+        # Nothing of step 2 was fenced: power loss keeps none of it.
+        stack.device.inner.crash()
+        stack.device.inner.recover()
         assert_step_one_recovers(stack)
 
     def test_close_waits_for_a_checkpoint_blocked_in_a_write(

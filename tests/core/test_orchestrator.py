@@ -421,6 +421,91 @@ class TestCommitOrder:
         assert orch.engine.metrics.value(M.SUPERSEDED) == 0
         orch.close()
 
+    def test_a_blocking_checkpoint_commits_after_an_earlier_async_one(
+        self, ordered
+    ):
+        orch, device, tracer = ordered
+        device.arm()
+        first = orch.checkpoint_async(BytesSource(b"a" * 300), step=1)
+        assert device.held.wait(10.0)  # first is fencing its payload
+        outcome = {}
+        blocking = threading.Thread(target=lambda: outcome.setdefault(
+            "result", orch.checkpoint_sync(BytesSource(b"b" * 300), step=2)))
+        blocking.start()
+        deadline = time.monotonic() + 10.0
+        while not tracer.spans("commit_wait"):
+            assert time.monotonic() < deadline, "the blocking one never waited"
+            time.sleep(0.002)
+        device.release.set()
+        blocking.join(10.0)
+        assert not blocking.is_alive()
+        assert first.wait(10.0).committed and outcome["result"].committed
+        assert orch.engine.metrics.value(M.SUPERSEDED) == 0
+        assert device.commit_counters == sorted(device.commit_counters)
+        assert recover(orch.engine.layout).payload == b"b" * 300
+
+    def test_an_async_checkpoint_commits_after_an_earlier_blocking_one(
+        self, ordered
+    ):
+        orch, device, tracer = ordered
+        device.arm()
+        outcome = {}
+        blocking = threading.Thread(target=lambda: outcome.setdefault(
+            "result", orch.checkpoint_sync(BytesSource(b"a" * 300), step=1)))
+        blocking.start()
+        assert device.held.wait(10.0)  # the blocking one is fencing
+        second = orch.checkpoint_async(BytesSource(b"b" * 300), step=2)
+        wait_for_commit_turn(second, tracer)
+        # drain() waits for the blocking checkpoint too.
+        drained = threading.Thread(target=orch.drain)
+        drained.start()
+        drained.join(0.1)
+        assert drained.is_alive(), "drain() returned under a live checkpoint"
+        device.release.set()
+        blocking.join(10.0)
+        drained.join(10.0)
+        assert not blocking.is_alive() and not drained.is_alive()
+        assert outcome["result"].committed and second.wait(10.0).committed
+        assert orch.engine.metrics.value(M.SUPERSEDED) == 0
+        assert device.commit_counters == sorted(device.commit_counters)
+        assert recover(orch.engine.layout).payload == b"b" * 300
+
+    def test_blocking_and_async_starters_never_supersede_each_other(self):
+        """One thread's blocking checkpoints race another's async ones on
+        one orchestrator: the start order stays the commit order."""
+        orch = make_orchestrator(num_slots=3, payload_capacity=512)
+        results, lock = [], threading.Lock()
+
+        def blocking_trainer():
+            settled = [orch.checkpoint_sync(BytesSource(b"s" * 200), step=i)
+                       for i in range(100)]
+            with lock:
+                results.extend(settled)
+
+        def async_trainer():
+            handles = [orch.checkpoint_async(BytesSource(b"a" * 200), step=i)
+                       for i in range(100)]
+            settled = [handle.wait(30.0) for handle in handles]
+            with lock:
+                results.extend(settled)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=blocking_trainer),
+                       threading.Thread(target=async_trainer)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 200
+        assert all(result.committed for result in results)
+        assert orch.engine.metrics.value(M.SUPERSEDED) == 0
+        orch.close()
+
     def test_no_wait_when_the_earlier_checkpoint_already_settled(self, ordered):
         orch, _, tracer = ordered
         for step in range(1, 4):

@@ -113,42 +113,35 @@ class TestSubmitReap:
         assert writer.bytes_persisted == 8192
         device.close()
 
-    def test_inline_submit_writes_on_the_reaping_thread(self):
+    def test_write_runs_on_the_calling_thread(self):
         device = InMemorySSD(1 << 20)
         with ParallelWriter(device, num_threads=2) as writer:
-            submission = writer.submit([(0, b"i" * 8192)], inline=True)
-            assert not submission.writes_done
-            assert device.read(0, 1) == b"\x00"
-            writer.reap(submission)
-            assert submission.writes_done
+            writer.write(0, memoryview(b"i" * 8192))
             assert writer.threads_started == 0
+            assert writer.bytes_persisted == 8192
             assert device.read(0, 8192) == b"i" * 8192
             # Same fence discipline as the pool: the caller's fence.
             assert device.unpersisted_bytes == 8192
         device.close()
 
-    def test_inline_crash_surfaces_on_reap_and_settles(self):
-        """The crash lands on the second piece's write: an inline piece
-        is one device write, so the first piece took the one op the
-        budget allows."""
+    def test_write_crash_surfaces_on_the_caller(self):
+        """The crash lands on the second piece's write: a written piece
+        is one device write, so the first took the one op the budget
+        allows."""
         inner = InMemorySSD(1 << 20)
         device = CrashPointDevice(inner, schedule=OpCountSchedule(1))
         with ParallelWriter(device, num_threads=2) as writer:
-            submission = writer.submit(
-                [(0, b"c" * 8192), (8192, b"d" * 8192)], inline=True
-            )
+            writer.write(0, memoryview(b"c" * 8192))
             with pytest.raises(CrashedDeviceError):
-                writer.reap(submission)
-            assert submission.writes_done
+                writer.write(8192, memoryview(b"d" * 8192))
             assert writer.threads_started == 0
             assert inner.stats.write_ops == 1
 
     def test_inline_piece_is_one_write_on_a_single_fence_device(self):
         device = InMemorySSD(1 << 20)
         with ParallelWriter(device, num_threads=3) as writer:
-            writer.reap(writer.submit(
-                [(0, b"a" * 8192), (8192, b"b" * 8192)], inline=True
-            ))
+            writer.write(0, memoryview(b"a" * 8192))
+            writer.write(8192, memoryview(b"b" * 8192))
             assert device.stats.write_ops == 2
             assert device.stats.persist_ops == 0
             assert device.read(0, 16384) == b"a" * 8192 + b"b" * 8192
@@ -159,7 +152,7 @@ class TestSubmitReap:
         with ParallelWriter(
             device, num_threads=3, fence_mode="per-thread"
         ) as writer:
-            writer.reap(writer.submit([(0, b"p" * 9000)], inline=True))
+            writer.write(0, memoryview(b"p" * 9000))
             assert device.stats.write_ops == 3
             assert device.stats.persist_ops == 3
             assert device.unpersisted_bytes == 0

@@ -11,13 +11,22 @@ runs taken in rotating order, so slow drift biases none of them.
 Beneath it, a counting registry checks that a steady-state checkpoint
 looks no series up: every handle on the checkpoint path is bound when
 its component is built or attached — and so is every pool, tenant and
-batcher series a steady-state service request touches.
+batcher series a steady-state service request touches.  And the glue
+itself is pinned: a blocking one-chunk checkpoint runs as one
+straight-line function, so its Python call count is bounded and it
+builds no ``Condition``, ``Event`` or ``Future``.
 """
 
+import cProfile
+import pstats
 import statistics
+import threading
+from concurrent.futures import Future
 
 import pytest
 
+from repro import open_checkpointer
+from repro.core.sanitize import ENV_VAR
 from repro.core.snapshot import BytesSource
 from repro.obs.driver import run_demo_workload
 from repro.obs.metrics import M, MetricsRegistry
@@ -149,3 +158,58 @@ class TestBoundInstruments:
                 assert result.committed
             assert registry.lookups == 0
             assert registry.value(M.TENANT_COMMITS, tenant="t") == 23
+
+
+#: Python calls (cProfile's ``total_calls``, C functions included) one
+#: blocking 256 KiB checkpoint may make at ``observability="off"``,
+#: from ``Checkpointer.checkpoint`` to its return.  153 on CPython 3.11;
+#: the parent of the straight-line path made 367.
+CALLS_PER_CHECKPOINT = 160
+
+
+class TestBlockingCheckpointGlue:
+    @pytest.fixture
+    def checkpointer(self, tmp_path, monkeypatch):
+        # The budget is the production path's: the runtime sanitizer's
+        # shadow bookkeeping (REPRO_SANITIZE=1) adds calls of its own.
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        payload_bytes = 256 << 10
+        ck = open_checkpointer(
+            str(tmp_path / "region.pc"), capacity_bytes=payload_bytes,
+            num_concurrent=2, writer_threads=2, num_chunks=4,
+            observability="off",
+        )
+        payload = bytearray(bytes(range(256)) * (payload_bytes // 256))
+        for step in range(1, 6):  # warm-up: every slot written once
+            ck.checkpoint(payload, step=step)
+        yield ck, payload
+        ck.close()
+
+    def test_python_calls_per_checkpoint_are_bounded(self, checkpointer):
+        ck, payload = checkpointer
+        checkpoints = 20
+        profile = cProfile.Profile()
+        profile.enable()
+        for step in range(10, 10 + checkpoints):
+            ck.checkpoint(payload, step=step)
+        profile.disable()
+        calls = pstats.Stats(profile).total_calls / checkpoints
+        assert calls <= CALLS_PER_CHECKPOINT, calls
+
+    def test_no_condition_event_or_future_is_built(
+        self, checkpointer, monkeypatch
+    ):
+        ck, payload = checkpointer
+        built = []
+        for cls in (threading.Condition, threading.Event, Future):
+            init = cls.__init__
+
+            def counting(self, *args, _init=init, _name=cls.__name__,
+                         **kwargs):
+                built.append(_name)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        for step in range(10, 30):
+            assert ck.checkpoint(payload, step=step).committed
+        assert built == []

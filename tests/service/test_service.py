@@ -5,9 +5,9 @@ import threading
 
 import pytest
 
-from repro.errors import AdmissionRejected, ConfigError
+from repro.errors import AdmissionRejected, ConfigError, ServiceSaturated
 from repro.obs.metrics import M
-from repro.service.admission import TenantSpec
+from repro.service.admission import REASON_POOL_EXHAUSTED, TenantSpec
 from repro.service.driver import counter_total, run_service_demo
 from repro.service.pool import EnginePool, EngineSpec
 from repro.service.service import CheckpointService
@@ -66,6 +66,66 @@ class TestSingleTenant:
         with pytest.raises(AdmissionRejected) as excinfo:
             service.checkpoint("a", b"data")
         assert excinfo.value.reason == "closed"
+
+
+class TestOneSeatWithABatcher:
+    def test_dedicated_request_is_rejected_not_parked(self):
+        """The batcher holds a one-seat pool's only seat until close: a
+        dedicated request is refused at submit instead of parking forever
+        (and ``close()`` with it)."""
+        service = CheckpointService.create(pmem_spec(), pool_size=1)
+        outcome = {}
+        try:
+            service.register(TenantSpec(name="batch", capacity_bytes=512,
+                                        coalesce=True))
+            service.register(TenantSpec(name="own", capacity_bytes=1024))
+
+            def submit():
+                try:
+                    service.checkpoint("own", b"d" * 512, step=1, timeout=5)
+                except BaseException as exc:  # noqa: BLE001 - inspected below
+                    outcome["error"] = exc
+
+            submitter = threading.Thread(target=submit, daemon=True)
+            submitter.start()
+            submitter.join(1.0)
+            assert not submitter.is_alive(), "the dedicated request parked"
+            error = outcome["error"]
+            assert isinstance(error, ServiceSaturated)
+            assert error.reason == REASON_POOL_EXHAUSTED
+            assert service.checkpoint("batch", b"b" * 128, step=1,
+                                      timeout=5).committed
+        finally:
+            closer = threading.Thread(
+                target=lambda: outcome.setdefault("report", service.close()),
+                daemon=True,
+            )
+            closer.start()
+            closer.join(5.0)
+        assert not closer.is_alive(), "close() hung"
+        assert outcome["report"]["leaked_slots"] == 0
+        assert outcome["report"]["leaked_buffers"] == 0
+
+    def test_requests_queued_before_the_batcher_settle(self):
+        """Dedicated requests admitted before a coalesced tenant's batcher
+        took the only seat settle — committed, or refused once the seat
+        is gone — and ``close()`` returns."""
+        service = CheckpointService.create(pmem_spec(), pool_size=1)
+        service.register(TenantSpec(name="own", capacity_bytes=1024,
+                                    slots=1))
+        tickets = [service.checkpoint_async("own", b"d" * 512, step=step)
+                   for step in range(1, 4)]
+        service.register(TenantSpec(name="batch", capacity_bytes=512,
+                                    coalesce=True))
+        for ticket in tickets:
+            try:
+                assert ticket.result(5).committed
+            except ServiceSaturated as exc:
+                assert exc.reason == REASON_POOL_EXHAUSTED
+        closer = threading.Thread(target=service.close, daemon=True)
+        closer.start()
+        closer.join(5.0)
+        assert not closer.is_alive(), "close() hung"
 
 
 class TestEightTenantFleet:
