@@ -1,6 +1,6 @@
 # Convenience targets for the PCcheck reproduction.
 
-.PHONY: install test test-sanitize test-distributed test-service test-tiered lint lint-sarif lint-baseline crashsweep bench bench-smoke bench-pairs odirect-probe commit-floor-probe figures examples clean
+.PHONY: install test test-sanitize test-distributed test-service test-tiered lint lint-sarif lint-baseline crashsweep bench bench-smoke bench-pairs odirect-probe commit-floor-probe service-round-probe figures examples clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -90,8 +90,8 @@ lint-baseline:
 # violation count; the first violation stops the run non-zero.
 crashsweep:
 	@set -e; for row in engine "engine --target commit-record" streaming \
-			orchestrator one-chunk distributed "elastic --world-size 4" \
-			striped tiered; do \
+			orchestrator one-chunk one-chunk-streamed distributed \
+			"elastic --world-size 4" striped tiered; do \
 		PYTHONPATH=src python -m repro.cli crashsweep --workload $$row \
 			--torn --seed 11; \
 	done
@@ -137,6 +137,16 @@ FLOOR_ROUNDS ?= 6
 commit-floor-probe:
 	python3 tools/commit_floor_probe.py --dir "$(PROBE_DIR)" \
 		--rounds "$(FLOOR_ROUNDS)"
+
+# The service_mix shape (3 x 8 MiB dedicated + 5 x 128 KiB coalesced
+# tenants, pool of 2) on a region under PROBE_DIR, every pwrite/fsync
+# timed: prints per-round medians of wall time, time to the first
+# payload write, device-busy fraction and settle times.
+# ROUND_PROBE_ROUNDS=1 is a one-round smoke.
+ROUND_PROBE_ROUNDS ?= 20
+service-round-probe:
+	python3 tools/service_round_probe.py --dir "$(PROBE_DIR)" \
+		--rounds "$(ROUND_PROBE_ROUNDS)"
 
 bench-full:
 	pytest benchmarks/

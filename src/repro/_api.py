@@ -100,8 +100,9 @@ class Checkpointer:
         capture, CRC, write, commit — with no thread hand-off and no
         future or event built; up to
         :data:`~repro.core.orchestrator.INLINE_WRITE_MAX_BYTES` that
-        thread writes the payload too, above it the writer pool splits
-        the write.  A larger checkpoint pipelines its chunks like
+        thread writes the payload too; above it the payload streams to
+        the writer pool in pieces of that size, each written while the
+        next is copied.  A larger checkpoint pipelines its chunks like
         :meth:`checkpoint_async`.
         """
         return self.orchestrator.checkpoint_sync(as_source(state), step=step)
@@ -217,11 +218,12 @@ def open_checkpointer(
     ``chunk_size`` (default: the whole payload) is the staging chunk a
     checkpoint is captured and persisted in, ``num_chunks`` the staging
     buffers.  ``writer_threads`` (§3.3's ``p``) splits the write of
-    every chunk of a multi-chunk checkpoint and of a one-chunk payload
-    above :data:`~repro.core.orchestrator.INLINE_WRITE_MAX_BYTES`
-    (2 MiB); a smaller one-chunk payload is written on the thread that
-    runs its checkpoint, where the pool's hand-off would cost more than
-    the split saves.
+    every chunk of a multi-chunk checkpoint and every 2 MiB piece of a
+    one-chunk payload above
+    :data:`~repro.core.orchestrator.INLINE_WRITE_MAX_BYTES` (2 MiB), which
+    reaches the pool piece by piece as it is staged; a smaller one-chunk
+    payload is written on the thread that runs its checkpoint, where the
+    pool's hand-off would cost more than the split saves.
 
     ``observability`` selects the telemetry level: ``"off"`` keeps the
     engine's private registry but instruments nothing else, ``"metrics"``

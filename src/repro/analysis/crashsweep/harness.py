@@ -77,7 +77,9 @@ class CrashSweepConfig:
     workload: str = "engine"
     steps: int = 3
     num_slots: Optional[int] = None  #: None → the workload's default_slots
-    payload_capacity: int = 512
+    #: None → the workload's default_payload (512 B but for the
+    #: streamed one-chunk driver).
+    payload_capacity: Optional[int] = None
     writer_threads: int = 2
     chunk_size: int = 128
     num_chunks: int = 2
@@ -109,7 +111,7 @@ class CrashSweepConfig:
         return WorkloadSpec(
             steps=self.steps,
             num_slots=self.num_slots or workload.default_slots,
-            payload_capacity=self.payload_capacity,
+            payload_capacity=self.payload_capacity or workload.default_payload,
             writer_threads=self.writer_threads,
             chunk_size=self.chunk_size,
             num_chunks=self.num_chunks,
@@ -240,7 +242,7 @@ def reproducer_command(config: CrashSweepConfig, point: int) -> str:
         f"--workload {config.workload}",
         f"--steps {config.steps}",
         f"--slots {spec.num_slots}",
-        f"--payload-capacity {config.payload_capacity}",
+        f"--payload-capacity {spec.payload_capacity}",
         f"--writer-threads {config.writer_threads}",
         f"--device {config.device}",
         f"--point {point}",

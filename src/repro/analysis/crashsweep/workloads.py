@@ -29,8 +29,10 @@ and every driver goes over every shape with no new code.  The drivers
 (:data:`DRIVERS`) are the ways a trainer checkpoints: ``engine``
 (one-shot ``checkpoint()`` calls), ``streaming`` (interleaved tickets,
 deterministic supersede), ``orchestrator`` (the capture/persist
-pipeline, ≥3 concurrent) and ``one-chunk`` (the orchestrator's
-one-thread path for payloads that fit one staging chunk).  The shapes
+pipeline, ≥3 concurrent), ``one-chunk`` (the orchestrator's
+one-thread path for payloads that fit one staging chunk) and
+``one-chunk-streamed`` (the same path above the inline write bound,
+whose payload reaches the writer pool in pieces).  The shapes
 (:data:`STACKS`) are what it runs on: ``plain`` (the crash device
 itself), ``striped`` (a 3-member stripe set with the crash device as
 member 0) and ``tiered`` (async demotion to a warm SSD and a remote
@@ -53,6 +55,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.core.distributed import DistributedCoordinator, DistributedRank
 from repro.core.layout import DeviceLayout
+from repro.core.orchestrator import INLINE_WRITE_MAX_BYTES
 from repro.core.recovery import recover_consistent, try_recover
 from repro.core.sharding import shard_payload, reassemble
 from repro.core.snapshot import BytesSource
@@ -267,6 +270,8 @@ class Driver:
     #: Stage every payload in ONE chunk (``chunk_size =
     #: payload_capacity``), so each checkpoint runs on one thread.
     one_chunk: bool = False
+    #: Payload capacity when the sweep sets none.
+    payload_capacity: int = 512
 
 
 def _one_shot(workload, stack: EngineStack, spec, journal) -> None:
@@ -360,6 +365,12 @@ DRIVERS: Dict[str, Driver] = {
     # The pipeline must host ≥3 concurrent checkpoints (N = slots − 1).
     "orchestrator": Driver(_pipelined, slots=4),
     "one-chunk": Driver(partial(_pipelined, blocking=True), one_chunk=True),
+    # Above the inline bound a one-chunk payload streams to the writer
+    # pool piece by piece, so crashes land between its pieces.
+    "one-chunk-streamed": Driver(
+        partial(_pipelined, blocking=True), one_chunk=True,
+        payload_capacity=INLINE_WRITE_MAX_BYTES + 1024,
+    ),
 }
 
 
@@ -385,6 +396,11 @@ class Workload:
     def default_slots(self) -> int:
         """Slot count when the sweep sets none: the driver's."""
         return self.driver.slots
+
+    @property
+    def default_payload(self) -> int:
+        """Payload capacity when the sweep sets none: the driver's."""
+        return self.driver.payload_capacity
 
     def assemble(
         self, device: PersistentDevice, spec: WorkloadSpec, journal: RunJournal

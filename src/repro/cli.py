@@ -220,7 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--slots", type=int, default=None,
         help="checkpoint slots (default: per-workload)",
     )
-    sweep_parser.add_argument("--payload-capacity", type=int, default=512)
+    sweep_parser.add_argument(
+        "--payload-capacity", type=int, default=None,
+        help="payload bytes per checkpoint (default: per-workload, 512 "
+        "but for one-chunk-streamed)",
+    )
     sweep_parser.add_argument("--writer-threads", type=int, default=2)
     sweep_parser.add_argument(
         "--world-size", type=int, default=None,

@@ -117,9 +117,10 @@ class PCcheckConfig:
     ``chunk_size=None`` disables pipelining: each checkpoint is staged and
     persisted as a single chunk (the non-pipelined variant of Figure 6).
     ``writer_threads`` splits the write of every chunk of a multi-chunk
-    checkpoint and of a one-chunk payload above
-    :data:`~repro.core.orchestrator.INLINE_WRITE_MAX_BYTES`; a smaller
-    one-chunk payload is written on the thread that runs its checkpoint.
+    checkpoint and of every piece of a one-chunk payload above
+    :data:`~repro.core.orchestrator.INLINE_WRITE_MAX_BYTES`, which
+    streams to the writers in pieces of that size; a smaller one-chunk
+    payload is written on the thread that runs its checkpoint.
     """
 
     num_concurrent: int = 2  # N

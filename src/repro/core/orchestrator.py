@@ -33,7 +33,9 @@ metrics, device ops and failure handling as the pipeline, without its
 hand-off queue; a blocking one also builds no future or event — one lock
 stands in for both.  Up to :data:`INLINE_WRITE_MAX_BYTES` that thread
 also writes the payload, so the writer pool is not woken at all; a
-larger chunk still goes to the pool's ``p`` threads.
+larger chunk streams to the pool's ``p`` threads in pieces of that size,
+each queued as soon as it is copied, so the device starts on the first
+piece while the rest are still being captured.
 
 Up to N checkpoints run these pipelines concurrently — the engine's free
 slot queue naturally enforces the bound, and a request arriving while all
@@ -66,13 +68,14 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import List, Optional
 
-from repro.core.chunking import ChunkPlan, plan_chunks
+from repro.core.chunking import ChunkPlan, aligned_chunk_size, plan_chunks
 from repro.core.engine import (
     CheckpointEngine,
     CheckpointResult,
     CheckpointTicket,
 )
 from repro.core.snapshot import SnapshotSource
+from repro.core.writer import PersistSubmission
 from repro.errors import (
     CrashedDeviceError,
     EngineClosedError,
@@ -172,7 +175,11 @@ class _BlockingCheckpoint:
 #: than the ``p``-way split saves; above it the split wins
 #: (docs/PERFORMANCE.md, "A blocking one-chunk checkpoint", keeps the
 #: crossover tables this bound is read from: SSD at ``p`` = 2 and 3,
-#: buffered and unbuffered, and PMEM at ``p`` = 2 and 3).
+#: buffered and unbuffered, and PMEM at ``p`` = 2 and 3).  It is also the
+#: piece size (rounded up to the device's ``preferred_align``) a larger
+#: one-chunk payload streams to the pool in: each piece is queued as soon
+#: as it is staged, so its writes overlap the copy of the next
+#: (docs/PERFORMANCE.md, "The service path").
 INLINE_WRITE_MAX_BYTES = 2 << 20
 
 #: Sentinel the capture stage sends when it failed mid-checkpoint, so the
@@ -200,6 +207,11 @@ class PCcheckOrchestrator:
         self._engine = engine
         self._pool = pool
         self._chunk_size = pool.chunk_size
+        #: The pieces a one-chunk payload above the inline bound streams
+        #: to the writer pool in, on the device's write grid.
+        self._piece_size = aligned_chunk_size(
+            INLINE_WRITE_MAX_BYTES, engine.layout.device.preferred_align
+        )
         # The whole stack reports into one place: the engine's, through
         # handles bound here once.
         metrics = engine.metrics
@@ -508,22 +520,47 @@ class PCcheckOrchestrator:
     ) -> CheckpointResult:
         """An admitted one-chunk checkpoint, straight through on this
         thread: capture into a staging buffer (then set ``captured``),
-        CRC and write it — here up to :data:`INLINE_WRITE_MAX_BYTES`,
-        through the writer pool above — recycle the buffer, wait for
-        ``after``, commit.  A local error aborts the ticket, recycling the
-        slot; a crashed device while writing or committing leaves it
-        dangling and the orchestrator fatal.  Either way the buffer goes
-        back and the error is raised."""
+        CRC and write it, recycle the buffer, wait for ``after``, commit.
+
+        Up to :data:`INLINE_WRITE_MAX_BYTES` this thread writes the
+        payload itself.  A larger payload streams to the writer pool in
+        pieces of that size (rounded up to the device's alignment): each
+        piece is captured into its window of the buffer and queued —
+        the pool writes it while this thread folds its CRC and copies
+        the next — and every piece is reaped before the buffer goes
+        back.  A local error aborts the ticket, recycling the slot; a
+        crashed device while writing or committing leaves it dangling
+        and the orchestrator fatal.  Either way the queued pieces are
+        settled, then the buffer goes back and the error is raised."""
         tracer, m, pool = self._tracer, self._m, self._pool
         # The stage spans are the chunk spans: there is one chunk.
         stage = tracer.begin("capture", parent=root, step=ticket.step,
                              total_bytes=total, chunks=1)
         buffer = None
+        queued: List[PersistSubmission] = []
         persisting = False
         try:
             stage_start = time.monotonic()
             buffer = pool.try_acquire() or self._acquire_buffer(stage, 0)
-            source.capture_chunk(0, total, buffer)
+            if total <= self._piece_size:
+                source.capture_chunk(0, total, buffer)
+                piece = buffer.view()
+            else:
+                # The whole payload must fit before a piece is queued,
+                # so an oversize one writes nothing.
+                self._engine._payload_at(ticket, total)  # noqa: SLF001
+                persisting = True
+                piece = None
+                for lo, length in plan_chunks(total, self._piece_size):
+                    if piece is not None:
+                        # ``buffer`` stays checked out until every piece
+                        # in ``queued`` was reaped, on every path below.
+                        queued.append(
+                            ticket.submit([piece])  # pclint: disable=PC011
+                        )
+                    window = buffer.window(lo, length)
+                    source.capture_chunk(lo, length, window)
+                    piece = window.view()
             m.bytes_copied.inc(total)
             if captured is not None:
                 captured.set()
@@ -534,9 +571,11 @@ class PCcheckOrchestrator:
             stage = tracer.begin("persist", parent=root, step=ticket.step,
                                  slot=ticket.slot)
             if total <= INLINE_WRITE_MAX_BYTES:
-                ticket.write_inline(buffer.view())
+                ticket.write_inline(piece)
             else:
-                ticket.write_chunk(buffer.view())
+                queued.append(ticket.submit([piece]))  # pclint: disable=PC011
+                for submission in queued:
+                    ticket.reap(submission)
             # Written: the buffer goes back before any commit wait, or
             # checkpoints waiting their turn could hold every buffer an
             # earlier one still needs for its capture.
@@ -547,6 +586,9 @@ class PCcheckOrchestrator:
             result = self._commit_in_turn(ticket, root, after)
         except BaseException as exc:
             tracer.end(stage, error=type(exc).__name__)
+            # No writer may still read the buffer when it goes back.
+            for submission in queued:
+                self._settle_inflight(ticket, (submission, None), swallow=True)
             if buffer is not None:
                 pool.release(buffer)
             crashed = persisting and isinstance(exc, CrashedDeviceError)
@@ -719,7 +761,9 @@ class PCcheckOrchestrator:
         return STATUS_ABORTED
 
     def _settle_inflight(self, ticket, inflight, swallow: bool = False) -> None:
-        """Reap a deferred chunk submission and release its buffer.
+        """Reap a deferred chunk submission and release its buffer
+        (``None``: a streamed piece's, which the caller releases once
+        every piece was reaped).
 
         The reap waits only for the chunk's writes to return (the fence
         is the commit's), so capture gets the buffer back at write speed.
@@ -739,7 +783,8 @@ class PCcheckOrchestrator:
             if not swallow:
                 raise
         finally:
-            self._pool.release(buffer)
+            if buffer is not None:
+                self._pool.release(buffer)
 
     def _finish_root(self, root, started: float, status: str) -> None:
         """Close a root ``checkpoint`` span with its outcome and, for a

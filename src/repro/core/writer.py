@@ -29,7 +29,8 @@ Two properties keep this path at device speed:
   their shares on the same pool; each call tracks its own completion.
   The pool serves the chunks of pipelined checkpoints, one-chunk
   payloads above the orchestrator's inline bound
-  (:data:`repro.core.orchestrator.INLINE_WRITE_MAX_BYTES`), the service's
+  (:data:`repro.core.orchestrator.INLINE_WRITE_MAX_BYTES`) — submitted
+  one piece of that size at a time, as each is staged — the service's
   batches and restore reads.  A smaller one-chunk payload goes through
   :meth:`ParallelWriter.write` on the checkpoint's own thread, so a
   process that only takes such checkpoints never starts a writer thread.

@@ -97,6 +97,26 @@ class PinnedBuffer:
         """
         return memoryview(self.data)[: self.used]
 
+    def window(self, lo: int, size: int) -> "PinnedBuffer":
+        """A buffer over ``[lo, lo + size)`` of this one's memory, empty.
+
+        A snapshot source stages into it exactly as into a whole buffer
+        (:meth:`fill`, :meth:`append`, ``used``), so a one-chunk
+        checkpoint can hand its payload to the writers piece by piece
+        from one staging buffer.  It shares this buffer's pages — a
+        window at a page-aligned ``lo`` keeps O_DIRECT's address rule —
+        and is valid only while this buffer is held; it is never
+        released to a pool itself.
+        """
+        if lo < 0 or size < 0 or lo + size > self.size:
+            raise EngineError(
+                f"window [{lo}, {lo + size}) outside chunk of {self.size} bytes"
+            )
+        window = PinnedBuffer(self.index, 0)
+        window.size = size
+        window.data = memoryview(self.data)[lo : lo + size]
+        return window
+
 
 class DRAMBufferPool:
     """A fixed pool of :class:`PinnedBuffer` chunks.

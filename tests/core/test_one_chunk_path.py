@@ -5,28 +5,33 @@ runs a one-chunk checkpoint on the caller's thread and
 ``checkpoint_async`` runs it on ONE executor task; a multi-chunk plan
 keeps the two-task capture/persist pipeline.  A one-chunk payload of at
 most ``INLINE_WRITE_MAX_BYTES`` is also written on that thread; a larger
-one, and every multi-chunk plan, is written by the ``pccheck-writer-*``
-pool.  Placement is read off the threads that run ``capture_chunk``,
-write the slot area and persist the commit record.  The failure matrix
-then drives the one-chunk path into every failure the pipelined path
-handles — capture error, local write error, power loss, ``close()``
-racing a blocked checkpoint — blocking and async alike.
+one streams to the ``pccheck-writer-*`` pool in pieces of that size, and
+every multi-chunk plan is written by the pool too.  Placement is read
+off the threads that run ``capture_chunk``, write the slot area and
+persist the commit record.  The failure matrix then drives the one-chunk
+path into every failure the pipelined path handles — capture error,
+local write error, power loss, ``close()`` racing a blocked checkpoint —
+blocking and async alike, and the streamed path into the failures that
+land between its pieces.
 """
 
+import sys
 import threading
 
+import numpy as np
 import pytest
 
 from repro import open_checkpointer
 from repro.core.layout import DeviceLayout, Geometry
 from repro.core.meta import RECORD_SIZE
-from repro.core.orchestrator import INLINE_WRITE_MAX_BYTES
+from repro.core.orchestrator import INLINE_WRITE_MAX_BYTES, PCcheckOrchestrator
 from repro.core.recovery import recover
 from repro.core.snapshot import BytesSource
-from repro.errors import CrashedDeviceError, EngineClosedError
+from repro.errors import CrashedDeviceError, EngineClosedError, OutOfSpaceError
 from repro.obs import M
 from repro.service.pool import EngineSpec, build_stack
 from repro.storage.device import DeviceWrapper
+from repro.storage.dram import DRAMBufferPool
 from repro.storage.ssd import InMemorySSD
 
 CAPACITY = 4096
@@ -56,12 +61,22 @@ class ProbeDevice(DeviceWrapper):
         self.write_entered = threading.Event()
         #: Raised by the next fence (then disarmed).
         self.fail_next_persist = None
+        #: ``(slot offset, error)``: the error is raised by the first
+        #: payload write at or past that offset into its slot (then
+        #: disarmed) — a write of a streamed payload's later piece.
+        self.fail_write_past = None
+        #: Set by the first payload write.
+        self.payload_written = threading.Event()
 
     def write(self, offset, data):
         if offset >= self.data_offset:
-            if (offset - self.data_offset) % self.slot_size:
+            into_slot = (offset - self.data_offset) % self.slot_size
+            if into_slot:
                 self.payload_threads.append(threading.current_thread())
+                self.payload_written.set()
             error, self.fail_next_write = self.fail_next_write, None
+            if self.fail_write_past and into_slot >= self.fail_write_past[0]:
+                error, self.fail_write_past = self.fail_write_past[1], None
             gate, self.hold_next_write = self.hold_next_write, None
             if gate is not None:
                 self.write_entered.set()
@@ -382,3 +397,223 @@ class TestOneChunkFailures:
         recovered = recover(DeviceLayout.open(stack.device.inner))
         assert recovered.meta.step == 2
         assert recovered.payload == payload(2)
+
+
+# ----------------------------------------------------------------------
+# A one-chunk payload above the inline bound streams to the writer pool
+# piece by piece, from one staging buffer.
+
+#: Two pieces, the second one byte long.
+JUST_ABOVE = INLINE_WRITE_MAX_BYTES + 1
+#: Three pieces, the last one ragged.
+RAGGED = 2 * INLINE_WRITE_MAX_BYTES + 4097
+
+
+def random_payload(size, seed):
+    """Bytes that differ everywhere, so a misplaced piece cannot pass."""
+    return np.random.default_rng(seed).integers(
+        0, 256, size, dtype=np.uint8
+    ).tobytes()
+
+
+@pytest.mark.parametrize("blocking", [True, False], ids=["blocking", "async"])
+@pytest.mark.parametrize("size", [JUST_ABOVE, RAGGED], ids=["just-above", "ragged"])
+@pytest.mark.parametrize("backend", ["ssd", "pmem", "stripe-2"])
+def test_streamed_payload_recovers_byte_exact(tmp_path, backend, size, blocking):
+    options = {"backend": "pmem"} if backend == "pmem" else {
+        "path": str(tmp_path / "region.pc"),
+        "stripe_devices": 2 if backend == "stripe-2" else 1,
+    }
+    with open_checkpointer(
+        capacity_bytes=size, num_concurrent=NUM_CONCURRENT,
+        writer_threads=2, **options,
+    ) as checkpointer:
+        for step in (1, 2):
+            data = random_payload(size, step)
+            if blocking:
+                result = checkpointer.checkpoint(data, step=step)
+            else:
+                result = checkpointer.checkpoint_async(data, step=step).wait(WAIT)
+            assert result.committed
+        recovered = recover(checkpointer.layout)
+        assert recovered.meta.step == 2
+        assert bytes(recovered.payload) == random_payload(size, 2)
+
+
+class GatedSource(BytesSource):
+    """Holds the capture of its last piece until ``gate`` is set, and
+    records whether it was."""
+
+    def __init__(self, data, gate) -> None:
+        super().__init__(data)
+        self.gate = gate
+        self.gate_was_open = None
+
+    def capture_chunk(self, offset, length, dest):
+        if offset + length == self.snapshot_size() and offset > 0:
+            self.gate_was_open = self.gate.wait(WAIT)
+        super().capture_chunk(offset, length, dest)
+
+
+class FailingPieceSource(BytesSource):
+    """Raises from the capture of every piece past the first."""
+
+    def __init__(self, data) -> None:
+        super().__init__(data)
+        self.failed = threading.Event()
+
+    def capture_chunk(self, offset, length, dest):
+        if offset > 0:
+            self.failed.set()
+            raise ValueError("copy failed")
+        super().capture_chunk(offset, length, dest)
+
+
+def test_concurrent_streamed_checkpoints_share_the_writer_pool():
+    """More streamed checkpoints in flight than cores and staging
+    buffers, with thread switches forced often: each one's pieces land
+    in its own slot in order, every commit is byte-exact, and the
+    staging pool ends whole."""
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with open_checkpointer(
+            capacity_bytes=RAGGED, num_concurrent=3, num_chunks=2,
+            writer_threads=2, backend="pmem",
+        ) as checkpointer:
+            handles = [
+                checkpointer.checkpoint_async(
+                    random_payload(RAGGED, step), step=step
+                )
+                for step in range(1, 9)
+            ]
+            assert all(handle.wait(WAIT).committed for handle in handles)
+            recovered = recover(checkpointer.layout)
+            assert recovered.meta.step == 8
+            assert bytes(recovered.payload) == random_payload(RAGGED, 8)
+            report = checkpointer._stack.leak_report()
+            assert report["leaked_buffers"] == 0
+            assert report["leaked_slots"] == 0
+    finally:
+        sys.setswitchinterval(switch)
+
+
+@pytest.fixture
+def streamed_stack():
+    """A one-chunk stack whose payload streams in three pieces, with
+    step 1 committed."""
+    probe = ProbeDevice(capacity=RAGGED)
+    spec = EngineSpec(
+        capacity_bytes=RAGGED, num_concurrent=NUM_CONCURRENT,
+        writer_threads=2,
+    )
+    built = build_stack(spec, device=probe)
+    assert built.orchestrator.checkpoint_sync(
+        BytesSource(payload(1, RAGGED)), step=1
+    ).committed
+    yield built
+    built.close()
+
+
+def assert_streamed_step_one_recovers(stack):
+    recovered = recover(DeviceLayout.open(stack.device.inner))
+    assert recovered.meta.step == 1
+    assert recovered.payload == payload(1, RAGGED)
+
+
+@pytest.mark.parametrize("blocking", [True, False], ids=["blocking", "async"])
+class TestStreamedPieces:
+    def test_the_first_piece_writes_while_the_last_is_captured(
+        self, streamed_stack, blocking
+    ):
+        """The device sees piece 0 before the last piece's copy returns:
+        the gate opens only on a payload write."""
+        probe = streamed_stack.device
+        probe.payload_written.clear()
+        source = GatedSource(payload(2, RAGGED), probe.payload_written)
+        assert checkpoint(streamed_stack, source, blocking).committed
+        assert source.gate_was_open
+
+    def test_a_later_capture_error_settles_the_queued_pieces_first(
+        self, streamed_stack, blocking
+    ):
+        """Piece 1's capture fails while piece 0's write is held: the
+        staging buffer stays checked out until that write returned, then
+        the slot is recycled and the pool is whole."""
+        dram = streamed_stack.dram
+        gate = threading.Event()
+        probe = streamed_stack.device
+        probe.hold_next_write = gate
+        source = FailingPieceSource(payload(2, RAGGED))
+        outcome = {}
+
+        def run_checkpoint():
+            try:
+                checkpoint(streamed_stack, source, blocking)
+            except ValueError as exc:
+                outcome["error"] = exc
+
+        runner = threading.Thread(target=run_checkpoint)
+        runner.start()
+        assert probe.write_entered.wait(WAIT)
+        assert source.failed.wait(WAIT)
+        runner.join(0.2)
+        assert runner.is_alive(), "gave up before its queued write returned"
+        assert dram.free_chunks == dram.total_chunks - 1
+        gate.set()
+        runner.join(WAIT)
+        assert not runner.is_alive()
+        assert "copy failed" in str(outcome["error"])
+        assert streamed_stack.engine.metrics.value(M.ABORTED) == 1
+        assert streamed_stack.orchestrator.fatal_error is None
+        assert_no_leak(streamed_stack)
+        assert_streamed_step_one_recovers(streamed_stack)
+        assert checkpoint(
+            streamed_stack, BytesSource(payload(3, RAGGED)), blocking, step=3
+        ).committed
+
+    def test_power_loss_on_a_later_piece_dangles_and_goes_fatal(
+        self, streamed_stack, blocking
+    ):
+        probe = streamed_stack.device
+        probe.fail_write_past = (
+            INLINE_WRITE_MAX_BYTES, CrashedDeviceError("power lost")
+        )
+        with pytest.raises(CrashedDeviceError):
+            checkpoint(streamed_stack, BytesSource(payload(2, RAGGED)), blocking)
+        assert probe.fail_write_past is None, "no later piece was written"
+        assert streamed_stack.engine.metrics.value(M.DANGLING) == 1
+        assert streamed_stack.engine.metrics.value(M.ABORTED) == 0
+        assert isinstance(
+            streamed_stack.orchestrator.fatal_error, CrashedDeviceError
+        )
+        with pytest.raises(EngineClosedError):
+            checkpoint(
+                streamed_stack, BytesSource(payload(3, RAGGED)), blocking,
+                step=3,
+            )
+        report = streamed_stack.leak_report()
+        assert report["leaked_buffers"] == 0
+        assert report["leaked_slots"] == 1
+        assert_streamed_step_one_recovers(streamed_stack)
+
+    def test_an_oversize_payload_writes_nothing(self, streamed_stack, blocking):
+        """A staging chunk larger than the slot: the payload's fit is
+        checked before its first piece is queued."""
+        oversize = RAGGED + INLINE_WRITE_MAX_BYTES
+        dram = DRAMBufferPool(num_chunks=1, chunk_size=oversize)
+        orchestrator = PCcheckOrchestrator(streamed_stack.engine, dram)
+        probe = streamed_stack.device
+        probe.payload_threads.clear()
+        source = BytesSource(payload(2, oversize))
+        with pytest.raises(OutOfSpaceError):
+            if blocking:
+                orchestrator.checkpoint_sync(source, step=2)
+            else:
+                orchestrator.checkpoint_async(source, step=2).wait(WAIT)
+        assert probe.payload_threads == []
+        assert streamed_stack.engine.metrics.value(M.ABORTED) == 1
+        assert dram.free_chunks == 1
+        orchestrator.close()
+        assert_no_leak(streamed_stack)
+        assert_streamed_step_one_recovers(streamed_stack)

@@ -197,17 +197,25 @@ def fork_server():
 
 def _kill_one(fork_server, lines, mode, path, rng):
     """Fork a child checkpointing into ``path``, ``SIGKILL`` it after a
-    random delay, and return the steps it acked (in order)."""
+    random delay, and return the steps it acked (in order).
+
+    The child shares the server's stdout, so its ``ready`` and first
+    ``ack`` lines can arrive before the server's ``pid N``; acks read on
+    the way are kept."""
     fork_server.stdin.write(f"{mode} {path}\n".encode())
     fork_server.stdin.flush()
-    reply = lines.next()
-    assert reply.startswith("pid "), reply
-    time.sleep(rng.uniform(0.0, MAX_DELAY_S))
-    os.kill(int(reply.split()[1]), signal.SIGKILL)
     acked = []
-    while (line := lines.next()) != "exit":
+
+    def keep_ack(line: str) -> None:
         if line.startswith("ack "):
             acked.append(int(line.split()[1]))
+
+    while not (reply := lines.next()).startswith("pid "):
+        keep_ack(reply)
+    time.sleep(rng.uniform(0.0, MAX_DELAY_S))
+    os.kill(int(reply.split()[1]), signal.SIGKILL)
+    while (line := lines.next()) != "exit":
+        keep_ack(line)
     assert acked == sorted(acked)
     return acked
 
