@@ -123,11 +123,16 @@ bench-pairs:
 
 # Buffered vs O_DIRECT pwrite+fsync at the payload sizes the benchmark
 # uses (256 KiB, 8 MiB, 54 MiB, 256 MiB), medians of alternated rounds,
-# on the filesystem under PROBE_DIR: the measurement behind writing
-# region payloads with O_DIRECT, re-checkable on any box in one command.
+# on the filesystem under PROBE_DIR: three columns, buffered, O_DIRECT
+# from 4 KiB pages and O_DIRECT from the huge-page-backed staging buffer
+# the product writes from.  The measurements behind writing region
+# payloads with O_DIRECT from huge pages, re-checkable on any box in one
+# command.  ODIRECT_ROUNDS=1 is a one-round smoke.
 PROBE_DIR ?= .bench_work
+ODIRECT_ROUNDS ?= 4
 odirect-probe:
-	python3 tools/odirect_probe.py --dir "$(PROBE_DIR)"
+	python3 tools/odirect_probe.py --dir "$(PROBE_DIR)" \
+		--rounds "$(ODIRECT_ROUNDS)"
 
 # A blocking 256 KiB checkpoint (the save_small shape) against a bare
 # replay of its own copy, CRC and four syscalls on a region file under

@@ -225,6 +225,7 @@ class PCcheckOrchestrator:
             persist_seconds=metrics.histogram(M.STAGE_SECONDS, stage="persist"),
             checkpoint_seconds=metrics.histogram(M.CHECKPOINT_SECONDS),
         )
+        pool.attach_metrics(metrics)
         self._tracer = engine.tracer
         # Two threads per in-flight checkpoint: capture + persist stages.
         workers = 2 * engine.max_concurrent

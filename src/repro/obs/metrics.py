@@ -71,6 +71,9 @@ class M:
     UPDATE_STALL_SECONDS = "pccheck_update_stall_seconds_total"
     SLOT_WAIT_SECONDS = "pccheck_slot_wait_seconds_total"
     BUFFER_WAIT_SECONDS = "pccheck_buffer_wait_seconds_total"
+    # Staging buffers left on 4 KiB pages: huge-page advice missing or
+    # refused (storage/dram.py).
+    DRAM_HUGE_PAGE_REFUSALS = "pccheck_dram_huge_page_refusals_total"
     # -- pipeline stage latency (③ capture / ④ persist / commit) -------
     STAGE_SECONDS = "pccheck_stage_seconds"  # label: stage=
     CHECKPOINT_SECONDS = "pccheck_checkpoint_seconds"  # request → ack

@@ -14,6 +14,12 @@ When every chunk is occupied, upcoming checkpoints wait — exactly the
 throughput/memory trade-off of §3.2.  The pool therefore exposes blocking
 acquisition with optional timeout, plus occupancy statistics so the
 orchestrator can report stall time.
+
+A buffer that stages :data:`HUGE_PAGE_BYTES` or more is backed by
+transparent huge pages: an ``O_DIRECT`` write pins its source pages and
+builds its bio from them, so a payload written from 2 MiB pages costs
+the kernel far fewer pins and segments than one written from 4 KiB
+pages (docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -24,7 +30,15 @@ import time
 from typing import List, Optional
 
 from repro.errors import EngineError
+from repro.obs.metrics import Counter, M, MetricsRegistry
 from repro.storage.device import Buffer, as_view, copy_into
+
+#: Staged extent from which a buffer's mapping is advised
+#: ``MADV_HUGEPAGE``: one transparent huge page on x86-64 and arm64.
+#: Smaller stagings (a 256 KiB blocking checkpoint, a coalesced tenant's
+#: 128 KiB blob in a large pool chunk) keep 4 KiB pages, so a huge page
+#: is never faulted in to hold a fraction of itself.
+HUGE_PAGE_BYTES = 2 << 20
 
 
 class PinnedBuffer:
@@ -43,9 +57,21 @@ class PinnedBuffer:
     :func:`~repro.storage.device.copy_into`, which allocates nothing
     and copies with the GIL released (a plain ``data[a:b] = view`` would
     build a payload-sized temporary and copy twice under the GIL).
+
+    The first :meth:`fill` or :meth:`append` — into the buffer or into
+    any :meth:`window` of it — that takes the staged extent to
+    :data:`HUGE_PAGE_BYTES` or more first advises the whole mapping
+    ``MADV_HUGEPAGE``, once, so the copy faults it in as 2 MiB pages and
+    every later ``O_DIRECT`` write from it pins 2 MiB pages.  A buffer
+    that only ever stages less keeps 4 KiB pages.  A platform without the
+    advice, or a kernel that refuses it, leaves the buffer on 4 KiB
+    pages and the checkpoint goes on; the refusal is counted on the
+    owning ``pool``.
     """
 
-    def __init__(self, index: int, size: int) -> None:
+    def __init__(
+        self, index: int, size: int, pool: Optional["DRAMBufferPool"] = None
+    ) -> None:
         self.index = index
         self.size = size
         # Private: a forked child never shares the staged bytes, and its
@@ -56,6 +82,23 @@ class PinnedBuffer:
             if size else bytearray()
         )
         self.used = 0
+        self._pool = pool
+        #: The buffer owning the mapping these bytes live in (a window's
+        #: parent), and where in that mapping they start.
+        self._owner = self
+        self._offset = 0
+        #: True once the mapping was advised (or refused) huge pages; a
+        #: mapping smaller than one never asks.
+        self._advised = size < HUGE_PAGE_BYTES
+
+    def _advise_huge_pages(self) -> None:
+        """Advise this buffer's whole mapping ``MADV_HUGEPAGE``, once."""
+        self._advised = True
+        try:
+            self.data.madvise(mmap.MADV_HUGEPAGE)
+        except (AttributeError, OSError):  # no such advice here, or refused
+            if self._pool is not None:
+                self._pool.count_huge_page_refusal()
 
     def fill(self, payload: Buffer) -> None:
         """Stage ``payload`` into the buffer (must fit).
@@ -70,6 +113,9 @@ class PinnedBuffer:
             raise EngineError(
                 f"payload of {len(view)} bytes exceeds chunk size {self.size}"
             )
+        owner = self._owner
+        if not owner._advised and self._offset + len(view) >= HUGE_PAGE_BYTES:
+            owner._advise_huge_pages()
         copy_into(self.data, 0, view)
         self.used = len(view)
 
@@ -81,11 +127,15 @@ class PinnedBuffer:
         materializing an intermediate concatenation.
         """
         view = as_view(payload)
-        if self.used + len(view) > self.size:
+        end = self.used + len(view)
+        if end > self.size:
             raise EngineError(
                 f"appending {len(view)} bytes at {self.used} exceeds "
                 f"chunk size {self.size}"
             )
+        owner = self._owner
+        if not owner._advised and self._offset + end >= HUGE_PAGE_BYTES:
+            owner._advise_huge_pages()
         copy_into(self.data, self.used, view)
         self.used += len(view)
 
@@ -103,10 +153,11 @@ class PinnedBuffer:
         A snapshot source stages into it exactly as into a whole buffer
         (:meth:`fill`, :meth:`append`, ``used``), so a one-chunk
         checkpoint can hand its payload to the writers piece by piece
-        from one staging buffer.  It shares this buffer's pages — a
-        window at a page-aligned ``lo`` keeps O_DIRECT's address rule —
-        and is valid only while this buffer is held; it is never
-        released to a pool itself.
+        from one staging buffer.  It shares this buffer's pages, so a
+        window at a page-aligned ``lo`` keeps O_DIRECT's address rule and
+        a fill that reaches :data:`HUGE_PAGE_BYTES` into the mapping
+        advises this buffer's mapping.  It is valid only while this
+        buffer is held, and is never released to a pool itself.
         """
         if lo < 0 or size < 0 or lo + size > self.size:
             raise EngineError(
@@ -115,6 +166,8 @@ class PinnedBuffer:
         window = PinnedBuffer(self.index, 0)
         window.size = size
         window.data = memoryview(self.data)[lo : lo + size]
+        window._owner = self._owner
+        window._offset = self._offset + lo
         return window
 
 
@@ -124,6 +177,14 @@ class DRAMBufferPool:
     Thread-safe; ``acquire`` blocks while the pool is exhausted and
     records the cumulative wait time, which surfaces in the orchestrator's
     stall accounting (the quantity Figure 14 varies DRAM size to reduce).
+
+    A chunk's pages are faulted in only when staged into, so an idle
+    chunk costs no resident memory; a chunk that stages 2 MiB or more is
+    huge-page backed (see :class:`PinnedBuffer`).  Buffers whose
+    huge-page advice was refused are counted
+    (:attr:`huge_page_refusals`, and the
+    ``pccheck_dram_huge_page_refusals_total`` series once a registry is
+    attached).
     """
 
     def __init__(self, num_chunks: int, chunk_size: int) -> None:
@@ -133,7 +194,7 @@ class DRAMBufferPool:
             raise EngineError(f"chunk size must be positive, got {chunk_size}")
         self._chunk_size = chunk_size
         self._free: List[PinnedBuffer] = [
-            PinnedBuffer(index, chunk_size) for index in range(num_chunks)
+            PinnedBuffer(index, chunk_size, self) for index in range(num_chunks)
         ]
         self._total = num_chunks
         self._lock = threading.Lock()
@@ -143,6 +204,8 @@ class DRAMBufferPool:
         self._waiters = 0
         self._wait_seconds = 0.0
         self._acquisitions = 0
+        self._huge_page_refusals = 0
+        self._refusals: Optional[Counter] = None
 
     @property
     def chunk_size(self) -> int:
@@ -170,6 +233,29 @@ class DRAMBufferPool:
         """Cumulative time acquirers spent blocked on an empty pool."""
         with self._lock:
             return self._wait_seconds
+
+    @property
+    def huge_page_refusals(self) -> int:
+        """Buffers left on 4 KiB pages because the huge-page advice was
+        missing or refused."""
+        with self._lock:
+            return self._huge_page_refusals
+
+    def count_huge_page_refusal(self) -> None:
+        """Count one buffer whose huge-page advice was refused."""
+        with self._lock:
+            self._huge_page_refusals += 1
+            counter = self._refusals
+        if counter is not None:
+            counter.inc()
+
+    def attach_metrics(self, metrics: MetricsRegistry) -> None:
+        """Mirror :attr:`huge_page_refusals` into ``metrics`` as
+        ``pccheck_dram_huge_page_refusals_total``."""
+        counter = metrics.counter(M.DRAM_HUGE_PAGE_REFUSALS)
+        with self._lock:
+            self._refusals = counter
+            counter.inc(self._huge_page_refusals)
 
     def acquire(self, timeout: Optional[float] = None) -> Optional[PinnedBuffer]:
         """Take a free chunk, blocking until one is released.

@@ -23,8 +23,12 @@ def test_probe_prints_one_row_per_size_and_cleans_up(tmp_path, capsys):
         os.close(fd)
         os.remove(tmp_path / "check")
     assert f"O_DIRECT opened: {'yes' if fd is not None else 'no'}" in out
-    rows = [line for line in out.splitlines() if line.startswith("| ")]
-    assert [row.split(" | ")[0] for row in rows[1:]] == ["| 16 KiB", "| 64 KiB"]
-    for row in rows[1:]:
-        assert row.count(" ms") == (2 if fd is not None else 1)
+    assert "staging buffer on huge pages: " in out
+    # Two tables, wall time then CPU time, one row per size each.
+    rows = [line for line in out.splitlines()
+            if line.startswith("| ") and not line.startswith("| payload")]
+    assert [row.split(" | ")[0] for row in rows] == ["| 16 KiB", "| 64 KiB"] * 2
+    for row in rows:
+        # buffered, then O_DIRECT from 4 KiB pages and from huge pages
+        assert row.count(" ms") == (3 if fd is not None else 1)
     assert os.listdir(tmp_path) == []
