@@ -1,6 +1,6 @@
 # Convenience targets for the PCcheck reproduction.
 
-.PHONY: install test test-sanitize test-distributed test-service test-tiered lint lint-sarif lint-baseline crashsweep bench bench-smoke bench-pairs odirect-probe commit-floor-probe service-round-probe figures examples clean
+.PHONY: install test test-sanitize test-distributed test-service test-tiered lint lint-sarif lint-baseline crashsweep bench bench-smoke bench-pairs odirect-probe commit-floor-probe service-round-probe rss-probe figures examples clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -46,8 +46,8 @@ test-distributed:
 # hammer), the benchmark's calls into the API, and the shared strategy
 # registry — then the `serve` demo fleet, whose 3 dedicated tenants
 # share the one seat the batcher leaves at --pool-size 2, and which
-# exits non-zero on any slot or DRAM-buffer leak or any superseded
-# dedicated request.
+# exits non-zero on any slot or DRAM-buffer leak, any staging mapping
+# its close could not unmap, or any superseded dedicated request.
 test-service:
 	PYTHONPATH=src python -m pytest -x -q tests/service tests/test_strategies.py
 	PYTHONPATH=src python -m repro.cli serve --tenants 6 --rounds 3 \
@@ -152,6 +152,17 @@ ROUND_PROBE_ROUNDS ?= 20
 service-round-probe:
 	python3 tools/service_round_probe.py --dir "$(PROBE_DIR)" \
 		--rounds "$(ROUND_PROBE_ROUNDS)"
+
+# Peak and current RSS after each stage of one gated workload
+# (RSS_WORKLOAD, default restore_large), in the benchmark's own order:
+# imports, make_inputs, build, prepare_baseline, the blocks, verify —
+# so the stage that sets peak_rss_mib is named.  RSS_SMOKE=--smoke runs
+# it at 1/64 payloads.
+RSS_WORKLOAD ?= restore_large
+RSS_SMOKE ?=
+rss-probe:
+	python3 tools/rss_probe.py --workload "$(RSS_WORKLOAD)" \
+		--dir "$(PROBE_DIR)" $(RSS_SMOKE)
 
 bench-full:
 	pytest benchmarks/

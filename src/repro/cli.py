@@ -466,6 +466,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     clean = (
         not leaks["leaked_slots"]
         and not leaks["leaked_buffers"]
+        and not leaks["unreleased_buffers"]
         and not report["dedicated_superseded"]
     )
     return 0 if clean else 1

@@ -62,6 +62,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
+import traceback
 from concurrent import futures
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -125,6 +126,20 @@ class CheckpointHandle:
         :meth:`concurrent.futures.Future.add_done_callback`.
         """
         self._future.add_done_callback(lambda _future: fn(self))
+
+
+def _drop_staged_views(exc: BaseException) -> None:
+    """Clear the locals of the finished frames ``exc`` passed through.
+
+    On a failure path the staging buffer is back in the pool before the
+    error reaches its caller, yet those frames still hold views of it:
+    kept, each would pin the buffer's mapping for as long as the caller
+    keeps the error (so the pool's close could not unmap it) and alias
+    whatever the next checkpoint stages there.  The traceback keeps its
+    files and lines; a frame still running keeps its locals, so its
+    caller drops its own views.
+    """
+    traceback.clear_frames(exc.__traceback__)
 
 
 class _BlockingCheckpoint:
@@ -363,11 +378,16 @@ class PCcheckOrchestrator:
         return results
 
     def close(self) -> None:
-        """Drain and shut down the pipelines.
+        """Drain and shut down the pipelines, then unmap the staging.
 
         Always terminates, even when handles failed: failures were
         deliverable through :meth:`CheckpointHandle.wait`, so close
-        swallows them rather than leaving the executor running.
+        swallows them rather than leaving the executor running.  Once
+        the executor and the engine's writer pool are joined, no thread
+        can read a staging buffer, so the DRAM pool this orchestrator
+        was handed is closed with the engine it was handed: its pages
+        leave the resident set now, not when the garbage collector next
+        runs (:meth:`~repro.storage.dram.DRAMBufferPool.close`).
         """
         if self._closed:
             return
@@ -377,6 +397,7 @@ class PCcheckOrchestrator:
         finally:
             self._executor.shutdown(wait=True)
             self._engine.close()
+            self._pool.close()
 
     def _check_fatal(self) -> None:
         fatal = self._fatal
@@ -482,6 +503,7 @@ class PCcheckOrchestrator:
                 self._m.bytes_copied.inc(length)
                 hand_off.put(buffer)
         except BaseException as exc:  # noqa: BLE001 - fail the handle
+            _drop_staged_views(exc)
             tracer.end(stage_span, error=type(exc).__name__)
             handle.snapshot_done.set()
             hand_off.put(_CAPTURE_FAILED)
@@ -592,6 +614,8 @@ class PCcheckOrchestrator:
                 self._settle_inflight(ticket, (submission, None), swallow=True)
             if buffer is not None:
                 pool.release(buffer)
+            piece = window = queued = submission = None
+            _drop_staged_views(exc)
             crashed = persisting and isinstance(exc, CrashedDeviceError)
             self._finish_root(root, started, self._fail(ticket, exc, crashed))
             raise
@@ -725,6 +749,8 @@ class PCcheckOrchestrator:
             persist_dead.set()
             while held:
                 self._settle_inflight(ticket, held.pop(0), swallow=True)
+            staged = submission = None
+            _drop_staged_views(exc)
             tracer.end(stage_span, error=type(exc).__name__)
             crashed = isinstance(exc, CrashedDeviceError)
             self._finish_root(root, started, self._fail(ticket, exc, crashed))

@@ -479,6 +479,9 @@ class ParallelWriter:
                 if self._queue:
                     task = self._queue.popleft()
                 else:  # closed and drained
+                    # A failed share's traceback keeps this frame: it
+                    # must not keep the last share's view alive too.
+                    task = error = None
                     return
             error: Optional[BaseException] = None
             crc: Optional[int] = None

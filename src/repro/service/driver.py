@@ -156,7 +156,9 @@ def render_report(report: dict) -> str:
         "(must be 0)",
         f"pool leaks         : "
         f"{report['leak_report']['leaked_slots']} slots, "
-        f"{report['leak_report']['leaked_buffers']} buffers",
+        f"{report['leak_report']['leaked_buffers']} buffers, "
+        f"{report['leak_report']['unreleased_buffers']} staging mappings "
+        "left mapped",
         "",
         f"{'tenant':<12} {'quota':>5} {'req':>4} {'commit':>6} "
         f"{'superseded':>10} {'rejected':>8} {'queued':>6}",

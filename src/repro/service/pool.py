@@ -404,6 +404,9 @@ class EnginePool:
         self._busy: Set[int] = set()
         self._leases: Set[EngineLease] = set()
         self._closed = False
+        #: ``unreleased_buffers`` of retired seats' stacks, which have
+        #: left the seat map but still count in :meth:`leak_report`.
+        self._retired_unreleased = 0
         #: Replaced, never mutated, so ``release`` iterates it lock-free.
         self._listeners: Tuple[Callable[[], None], ...] = ()
         #: Last error a release listener raised (diagnostics only).
@@ -582,9 +585,12 @@ class EnginePool:
                 self._available.notify()
             if retire:
                 try:
-                    stack.close()
+                    report = stack.close()
                 except BaseException as exc:  # noqa: BLE001 - already-dead device
                     stack.release_error = exc
+                else:
+                    with self._lock:
+                        self._retired_unreleased += report["unreleased_buffers"]
         self._notify_listeners()
 
     def add_release_listener(self, listener: Callable[[], None]) -> None:
@@ -612,16 +618,21 @@ class EnginePool:
     def leak_report(self) -> dict:
         """Slots and DRAM buffers that should be free but are not, per
         built stack and summed, and ``leased``: the seats holding
-        tickets.  Exact at quiescence, and after :meth:`close`."""
+        tickets.  Exact at quiescence, and after :meth:`close`.
+        ``unreleased_buffers`` also sums retired seats' stacks."""
         with self._lock:
             stacks = [stack for stack in self._stacks if stack is not None]
             leased = sum(map(bool, self._tickets))
+            retired_unreleased = self._retired_unreleased
         engines = [stack.leak_report() for stack in stacks]
         return {
             "engines": engines,
             "leased": leased,
             "leaked_slots": sum(e["leaked_slots"] for e in engines),
             "leaked_buffers": sum(e["leaked_buffers"] for e in engines),
+            "unreleased_buffers": retired_unreleased + sum(
+                e["unreleased_buffers"] for e in engines
+            ),
         }
 
     def close(self) -> dict:

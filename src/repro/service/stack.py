@@ -171,7 +171,9 @@ class EngineStack:
     def leak_report(self) -> Dict[str, int]:
         """Slot/buffer accounting for this stack (exact at quiescence,
         when every slot is free except the one the committed checkpoint
-        occupies — invariant 4)."""
+        occupies — invariant 4).  ``unreleased_buffers`` counts, once the
+        stack is stopped, free staging buffers whose mapping a live view
+        kept from being unmapped (freed with that view)."""
         committed = self.engine.committed() is not None
         expected = self.layout.num_slots - (1 if committed else 0)
         free = self.engine.free_slots
@@ -185,14 +187,16 @@ class EngineStack:
             "dram_total": self.dram.total_chunks,
             "dram_free": self.dram.free_chunks,
             "leaked_buffers": self.dram.total_chunks - self.dram.free_chunks,
+            "unreleased_buffers": self.dram.unreleased_buffers,
         }
 
     def stop(self) -> Dict[str, int]:
         """Stop every thread the stack runs — the demotion worker, the
-        pipelines (drained first), the writer pool — and return the leak
-        report, taken once they are quiescent (accounting on a live
-        stack would race in-flight buffer releases).  The device stays
-        open: the crash sweep reads its image after the run."""
+        pipelines (drained first), the writer pool — unmap the DRAM
+        staging, and return the leak report, taken once they are
+        quiescent (accounting on a live stack would race in-flight
+        buffer releases).  The device stays open: the crash sweep reads
+        its image after the run."""
         if self.tiering is not None:
             self.tiering.stop()
         self.orchestrator.close()

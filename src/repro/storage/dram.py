@@ -20,6 +20,13 @@ transparent huge pages: an ``O_DIRECT`` write pins its source pages and
 builds its bio from them, so a payload written from 2 MiB pages costs
 the kernel far fewer pins and segments than one written from 4 KiB
 pages (docs/PERFORMANCE.md).
+
+:meth:`DRAMBufferPool.close` unmaps the pool's free buffers at once, so
+a closed stack's staging leaves the process's resident set when its
+owner closes it, not whenever the cyclic garbage collector next runs.
+Nothing a pool owns points back at it (a buffer reaches its pool through
+a weak reference), so a pool dropped without ``close`` is freed by
+reference counting alone.
 """
 
 from __future__ import annotations
@@ -27,9 +34,10 @@ from __future__ import annotations
 import mmap
 import threading
 import time
+import weakref
 from typing import List, Optional
 
-from repro.errors import EngineError
+from repro.errors import EngineClosedError, EngineError
 from repro.obs.metrics import Counter, M, MetricsRegistry
 from repro.storage.device import Buffer, as_view, copy_into
 
@@ -49,10 +57,11 @@ class PinnedBuffer:
     ``size``).  The mapping is page-aligned, so a staged chunk meets
     O_DIRECT's buffer-address rule and a sector-aligned device writes it
     without going through the page cache; its pages are only faulted in
-    when first staged into, so an idle chunk costs no resident memory.
-    Staging (:meth:`fill`/:meth:`append`) is the *one* copy of the
-    checkpoint path — the snapshot that decouples training from the
-    persist phase; everything downstream moves :meth:`view` slices.  It
+    when first staged into, so an idle chunk costs no resident memory,
+    and :meth:`unmap` gives them back at once.  Staging
+    (:meth:`fill`/:meth:`append`) is the *one* copy of the checkpoint
+    path — the snapshot that decouples training from the persist phase;
+    everything downstream moves :meth:`view` slices.  It
     is one *memcpy*, not merely one call: both methods go through
     :func:`~repro.storage.device.copy_into`, which allocates nothing
     and copies with the GIL released (a plain ``data[a:b] = view`` would
@@ -65,8 +74,9 @@ class PinnedBuffer:
     every later ``O_DIRECT`` write from it pins 2 MiB pages.  A buffer
     that only ever stages less keeps 4 KiB pages.  A platform without the
     advice, or a kernel that refuses it, leaves the buffer on 4 KiB
-    pages and the checkpoint goes on; the refusal is counted on the
-    owning ``pool``.
+    pages and the checkpoint goes on; the refusal is counted once, on
+    the owning ``pool`` (held weakly, so the pool is not kept alive by
+    its buffers).
     """
 
     def __init__(
@@ -82,10 +92,11 @@ class PinnedBuffer:
             if size else bytearray()
         )
         self.used = 0
-        self._pool = pool
+        self._pool = weakref.ref(pool) if pool is not None else None
         #: The buffer owning the mapping these bytes live in (a window's
-        #: parent), and where in that mapping they start.
-        self._owner = self
+        #: parent; ``None``: this buffer's own), and where in that
+        #: mapping they start.
+        self._owner: Optional[PinnedBuffer] = None
         self._offset = 0
         #: True once the mapping was advised (or refused) huge pages; a
         #: mapping smaller than one never asks.
@@ -97,8 +108,35 @@ class PinnedBuffer:
         try:
             self.data.madvise(mmap.MADV_HUGEPAGE)
         except (AttributeError, OSError):  # no such advice here, or refused
-            if self._pool is not None:
-                self._pool.count_huge_page_refusal()
+            pool = self._pool() if self._pool is not None else None
+            if pool is not None:
+                pool.count_huge_page_refusal()
+
+    def _advise_before(self, end: int) -> None:
+        """Advise the mapping before a stage that ends ``end`` bytes into
+        this buffer, if that takes its extent to a huge page first."""
+        owner = self if self._owner is None else self._owner
+        if not owner._advised and self._offset + end >= HUGE_PAGE_BYTES:
+            owner._advise_huge_pages()
+
+    def unmap(self) -> bool:
+        """Give the mapping's pages back to the kernel now; the buffer
+        stages nothing afterwards.
+
+        Returns ``False`` when a view of the mapping is still exported
+        (``mmap.close`` would raise ``BufferError``): the buffer then
+        drops its own reference, so the mapping is freed with the last
+        such view instead.
+        """
+        data = self.data
+        if not isinstance(data, mmap.mmap):
+            return True
+        try:
+            data.close()
+        except BufferError:
+            self.data = bytearray()
+            return False
+        return True
 
     def fill(self, payload: Buffer) -> None:
         """Stage ``payload`` into the buffer (must fit).
@@ -113,9 +151,7 @@ class PinnedBuffer:
             raise EngineError(
                 f"payload of {len(view)} bytes exceeds chunk size {self.size}"
             )
-        owner = self._owner
-        if not owner._advised and self._offset + len(view) >= HUGE_PAGE_BYTES:
-            owner._advise_huge_pages()
+        self._advise_before(len(view))
         copy_into(self.data, 0, view)
         self.used = len(view)
 
@@ -133,9 +169,7 @@ class PinnedBuffer:
                 f"appending {len(view)} bytes at {self.used} exceeds "
                 f"chunk size {self.size}"
             )
-        owner = self._owner
-        if not owner._advised and self._offset + end >= HUGE_PAGE_BYTES:
-            owner._advise_huge_pages()
+        self._advise_before(end)
         copy_into(self.data, self.used, view)
         self.used += len(view)
 
@@ -166,7 +200,7 @@ class PinnedBuffer:
         window = PinnedBuffer(self.index, 0)
         window.size = size
         window.data = memoryview(self.data)[lo : lo + size]
-        window._owner = self._owner
+        window._owner = self if self._owner is None else self._owner
         window._offset = self._offset + lo
         return window
 
@@ -179,7 +213,8 @@ class DRAMBufferPool:
     stall accounting (the quantity Figure 14 varies DRAM size to reduce).
 
     A chunk's pages are faulted in only when staged into, so an idle
-    chunk costs no resident memory; a chunk that stages 2 MiB or more is
+    chunk costs no resident memory, and a closed pool none (:meth:`close`
+    unmaps its chunks at once); a chunk that stages 2 MiB or more is
     huge-page backed (see :class:`PinnedBuffer`).  Buffers whose
     huge-page advice was refused are counted
     (:attr:`huge_page_refusals`, and the
@@ -206,6 +241,8 @@ class DRAMBufferPool:
         self._acquisitions = 0
         self._huge_page_refusals = 0
         self._refusals: Optional[Counter] = None
+        self._closed = False
+        self._unreleased = 0
 
     @property
     def chunk_size(self) -> int:
@@ -257,6 +294,33 @@ class DRAMBufferPool:
             self._refusals = counter
             counter.inc(self._huge_page_refusals)
 
+    @property
+    def unreleased_buffers(self) -> int:
+        """Free buffers :meth:`close` could not unmap because a view of
+        them was still exported; each is freed with its last view."""
+        with self._lock:
+            return self._unreleased
+
+    def close(self) -> None:
+        """Unmap every free buffer now, so a closed pool holds no
+        resident memory (idempotent).
+
+        Call it once nothing can stage or write from the pool any more.
+        A buffer still acquired — leaked, or held by a dangling
+        checkpoint — is left alone (it shows as a leak, not here); a free
+        one whose mapping still has an exported view is left to that view
+        and counted in :attr:`unreleased_buffers`.  Acquiring afterwards
+        raises :class:`~repro.errors.EngineClosedError`.
+        """
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            free = list(self._free)
+        unreleased = sum(not buffer.unmap() for buffer in free)
+        with self._lock:
+            self._unreleased = unreleased
+
     def acquire(self, timeout: Optional[float] = None) -> Optional[PinnedBuffer]:
         """Take a free chunk, blocking until one is released.
 
@@ -264,6 +328,8 @@ class DRAMBufferPool:
         """
         start = time.monotonic()
         with self._lock:  # the lock under ``_available``
+            if self._closed:
+                raise EngineClosedError("staging pool is closed")
             while not self._free:
                 remaining = None
                 if timeout is not None:
@@ -286,6 +352,8 @@ class DRAMBufferPool:
     def try_acquire(self) -> Optional[PinnedBuffer]:
         """Non-blocking acquire; ``None`` when the pool is empty."""
         with self._lock:
+            if self._closed:
+                raise EngineClosedError("staging pool is closed")
             if not self._free:
                 return None
             self._acquisitions += 1

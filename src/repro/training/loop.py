@@ -130,8 +130,12 @@ class Trainer:
 
     def serialized_state(self) -> bytes:
         """The bytes a checkpoint of the current state persists (a
-        private copy; may be held across updates)."""
-        return serialize_state(self.capture())
+        private copy; may be held across updates).  Serialized straight
+        from the live arrays: the encoding's one join is the copy."""
+        return serialize_state(
+            live_state(self.model, self.optimizer, step=self.step,
+                       scheduler=self.scheduler)
+        )
 
     def state_source(self) -> TrainingStateSource:
         """A zero-copy snapshot source over the *live* state.

@@ -139,6 +139,7 @@ class TestCloseOrdering:
         # close() is idempotent: the exit above closed the pool.
         assert pool.close()["leaked_buffers"] == 0
         assert pool.close()["leaked_slots"] == 0
+        assert pool.close()["unreleased_buffers"] == 0
 
     def test_submit_after_close_raises(self):
         with make_pool() as pool:

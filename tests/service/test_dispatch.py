@@ -265,6 +265,7 @@ class TestSeatSharing:
             assert service.latest(name)[0] == rounds - 1
         report = service.close()
         assert report["leaked_slots"] == 0 and report["leaked_buffers"] == 0
+        assert report["unreleased_buffers"] == 0
         # The three tenants' tickets overlapped on the one seat.
         assert max(tickets_out(pool.events)) == 2
         assert dispatcher_acquires(pool) == []
@@ -315,6 +316,7 @@ class TestDeadSeat:
         assert service.tenant_stats("b")["failures"] == 1
         report = service.close()
         assert report["leaked_slots"] == 0 and report["leaked_buffers"] == 0
+        assert report["unreleased_buffers"] == 0
 
 
 class TestBorrowedPool:
@@ -449,6 +451,7 @@ class TestBorrowedPool:
             report = pool.close()
             assert report["leaked_slots"] == 0
             assert report["leaked_buffers"] == 0
+            assert report["unreleased_buffers"] == 0
         finally:
             sys.setswitchinterval(interval)
 

@@ -134,6 +134,7 @@ class TestEnginePool:
         report = pool.close()
         assert report["leaked_slots"] == 0
         assert report["leaked_buffers"] == 0
+        assert report["unreleased_buffers"] == 0
 
     def test_acquire_after_close_raises(self):
         pool = EnginePool(pmem_spec())

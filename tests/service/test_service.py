@@ -105,6 +105,7 @@ class TestOneSeatWithABatcher:
         assert not closer.is_alive(), "close() hung"
         assert outcome["report"]["leaked_slots"] == 0
         assert outcome["report"]["leaked_buffers"] == 0
+        assert outcome["report"]["unreleased_buffers"] == 0
 
     def test_requests_queued_before_the_batcher_settle(self):
         """Dedicated requests admitted before a coalesced tenant's batcher
@@ -214,6 +215,7 @@ class TestEightTenantFleet:
         # Pool close leaked nothing.
         assert leak_report["leaked_slots"] == 0
         assert leak_report["leaked_buffers"] == 0
+        assert leak_report["unreleased_buffers"] == 0
 
 
 class TestHammer:
@@ -265,6 +267,7 @@ class TestHammer:
             assert account["commits"] > 0, name
         assert leak_report["leaked_slots"] == 0
         assert leak_report["leaked_buffers"] == 0
+        assert leak_report["unreleased_buffers"] == 0
 
 
 class TestExternalPool:
@@ -288,6 +291,7 @@ class TestDemoDriver:
         assert report["requests"] == 8
         assert report["leak_report"]["leaked_slots"] == 0
         assert report["leak_report"]["leaked_buffers"] == 0
+        assert report["leak_report"]["unreleased_buffers"] == 0
         assert report["batches"] <= report["coalesced_requests"]
         assert report["dedicated_superseded"] == 0
 

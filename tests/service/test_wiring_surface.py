@@ -152,3 +152,4 @@ def test_the_service_benchmark_calls_keep_working(tmp_path):
         report = service.close()
         assert report["leaked_slots"] == 0
         assert report["leaked_buffers"] == 0
+        assert report["unreleased_buffers"] == 0

@@ -1,9 +1,12 @@
 """Tests for the Trainer loop, datasets, and failure injection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.errors import TrainingError
+from repro.storage.dram import PinnedBuffer
 from repro.training.data import SyntheticImages, SyntheticRegression, SyntheticTokens
 from repro.training.loop import FailureInjection, Trainer
 from repro.training.losses import mse, softmax_cross_entropy
@@ -100,6 +103,33 @@ class TestTrainerBasics:
         report = make_trainer().train(10)
         assert report.throughput > 0
         assert report.wall_seconds > 0
+
+    def test_serialized_state_copies_the_state_once(self):
+        """The traced allocation peak is the one serialized copy, and
+        the bytes are what the zero-copy source stages — a private copy
+        a later update does not reach."""
+        model = MLP([256, 512, 256], np.random.default_rng(6))
+        optimizer = Adam(model, lr=1e-3)
+        data = SyntheticRegression(batch_size=4, in_dim=256, out_dim=256,
+                                   seed=6)
+        trainer = Trainer(model, optimizer, data, loss_fn=mse)
+        trainer.train(2)
+        source = trainer.state_source()
+        size = source.snapshot_size()
+        staged = PinnedBuffer(0, size)
+        source.capture_chunk(0, size, staged)
+        tracemalloc.start()
+        try:
+            blob = trainer.serialized_state()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(blob) == size
+        assert peak <= 1.05 * size, f"peak {peak} for a {size}-byte state"
+        assert blob == bytes(staged.view())
+        trainer.train(1)  # the live arrays move on; the copy does not
+        assert trainer.serialized_state() != blob
+        assert bytes(blob) == bytes(staged.view())
 
 
 class TestFailureInjectionAndResume:
