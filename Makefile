@@ -110,12 +110,13 @@ bench-smoke:
 	python3 -m bench --smoke --seed 1 --out "$(BENCH_SMOKE_OUT)"
 	python -m pytest -q bench/
 
-# Alternated base/change pairs of one gated workload: REF is checked out
-# into a temporary worktree, each seed runs once per side (run_seconds of
-# BENCHMARK.json, region files in .bench_work/ for both) with the first
-# side alternating, and the four end-to-end metrics' medians, quartiles
-# and pairs won are printed.  Exits non-zero on any failed operation.
-#   make bench-pairs REF=HEAD~1 WORKLOAD=save_small SEEDS="1 2 3"
+# Alternated base/change pairs of gated workloads: REF is checked out
+# into a temporary worktree, each workload in turn runs each seed once
+# per side (run_seconds of BENCHMARK.json, region files in .bench_work/
+# for both) with the first side alternating, and per workload the four
+# end-to-end metrics' medians, quartiles and pairs won are printed.
+# Exits non-zero on any failed operation.
+#   make bench-pairs REF=HEAD~1 WORKLOAD="save_small service_mix" SEEDS="1 2 3"
 REF ?= HEAD
 bench-pairs:
 	python3 tools/bench_pairs.py --ref "$(REF)" --workload "$(WORKLOAD)" \

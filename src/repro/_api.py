@@ -94,16 +94,16 @@ class Checkpointer:
     ):
         """Checkpoint ``state`` and wait for its commit.
 
-        A checkpoint that fits one staging chunk (the default
-        ``chunk_size`` is the whole payload) runs end to end on the
-        calling thread as one straight-line function — counter and slot,
-        capture, CRC, write, commit — with no thread hand-off and no
-        future or event built; up to
-        :data:`~repro.core.orchestrator.INLINE_WRITE_MAX_BYTES` that
-        thread writes the payload too; above it the payload streams to
-        the writer pool in pieces of that size, each written while the
-        next is copied.  A larger checkpoint pipelines its chunks like
-        :meth:`checkpoint_async`.
+        The checkpoint runs end to end on the calling thread as one
+        straight-line function — counter and slot, capture, CRC, write,
+        commit — with no thread hand-off and no future or event built.
+        One that fits one staging chunk (the default ``chunk_size`` is
+        the whole payload) is written by that thread too up to
+        :data:`~repro.core.orchestrator.INLINE_WRITE_MAX_BYTES`; above
+        it the payload streams to the writer pool in pieces of that
+        size, each written while the next is copied.  A larger
+        checkpoint's chunks go to the pool whole, each written while
+        the next is copied.
         """
         return self.orchestrator.checkpoint_sync(as_source(state), step=step)
 

@@ -28,9 +28,9 @@ A single-node :class:`Workload` is a **driver** over a **stack shape**,
 and every driver goes over every shape with no new code.  The drivers
 (:data:`DRIVERS`) are the ways a trainer checkpoints: ``engine``
 (one-shot ``checkpoint()`` calls), ``streaming`` (interleaved tickets,
-deterministic supersede), ``orchestrator`` (the capture/persist
-pipeline, ≥3 concurrent), ``one-chunk`` (the orchestrator's
-one-thread path for payloads that fit one staging chunk) and
+deterministic supersede), ``orchestrator`` (multi-chunk
+checkpoints, ≥3 concurrent), ``one-chunk`` (the orchestrator with
+payloads that fit one staging chunk) and
 ``one-chunk-streamed`` (the same path above the inline write bound,
 whose payload reaches the writer pool in pieces).  The shapes
 (:data:`STACKS`) are what it runs on: ``plain`` (the crash device
@@ -316,15 +316,15 @@ def _streaming(workload, stack: EngineStack, spec, journal) -> None:
 def _pipelined(
     workload, stack: EngineStack, spec, journal, blocking: bool = False
 ) -> None:
-    """The full pipeline: concurrent capture/persist sessions over a
-    shared DRAM pool, crash landing anywhere in any stage.
+    """The orchestrator: concurrent checkpoints over a shared DRAM pool,
+    crash landing anywhere in any stage.
 
     Beyond the §4.1 check this is where the template's failure-path
-    resource contract bites: once the pipelines stopped the DRAM pool is
-    whole again even when the persist stages died mid-checkpoint.
+    resource contract bites: once the checkpoints stopped the DRAM pool
+    is whole again even when they died mid-persist.
 
     ``blocking``: every step but the last is the blocking
-    ``checkpoint_sync`` (on the caller's thread for a one-chunk payload),
+    ``checkpoint_sync`` (on the caller's thread),
     the last one ``checkpoint_async`` (one executor task); sequential
     steps keep the crash-point count deterministic.
     """
@@ -430,7 +430,7 @@ class Workload:
                 reports.append(stack.stop())
         for index, report in enumerate(reports):
             # The failure-path contract: the staging pool is whole again
-            # even when the persist stages died mid-checkpoint.
+            # even when checkpoints died mid-persist.
             if report["leaked_buffers"]:
                 journal.violations.append(
                     f"DRAM buffer leak on stack {index}: "

@@ -10,8 +10,8 @@ this is exactly the T→U stall of Figure 6, and the orchestrator exposes a
 
 Capture is chunked: each chunk is read from the source into a pinned DRAM
 buffer (through the simulated GPU's copy engines when the state lives on
-a GPU), then handed to the persist stage while the next chunk is being
-captured (Figure 7's pipelining).
+a GPU), then queued to the writer threads, which write it while the next
+chunk is being captured (Figure 7's pipelining).
 """
 
 from __future__ import annotations

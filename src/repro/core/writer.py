@@ -25,9 +25,9 @@ Two properties keep this path at device speed:
   on the first pooled submission, and live for the writer's lifetime,
   taking work over a condition variable instead of paying a
   ``threading.Thread`` spawn/join per persist call.  Concurrent
-  ``persist`` calls (one per in-flight checkpoint pipeline) interleave
+  ``persist`` calls (one per in-flight checkpoint) interleave
   their shares on the same pool; each call tracks its own completion.
-  The pool serves the chunks of pipelined checkpoints, one-chunk
+  The pool serves the chunks of multi-chunk checkpoints, one-chunk
   payloads above the orchestrator's inline bound
   (:data:`repro.core.orchestrator.INLINE_WRITE_MAX_BYTES`) — submitted
   one piece of that size at a time, as each is staged — the service's

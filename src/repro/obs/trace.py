@@ -5,11 +5,11 @@ Figure 5::
 
     checkpoint (request → ack)
     ├── slot_wait                    the Tw > N·f·t stall, if any
-    ├── capture                      stage ③ (GPU→DRAM)
+    ├── capture                      stage ③ (GPU→DRAM), and every chunk but
+    │   │                            the last queued to storage as it goes
     │   ├── buffer_wait[chunk]       DRAM pool stall, if any
     │   └── capture_chunk[chunk]     multi-chunk plans only
-    ├── persist                      stage ④ (DRAM→storage)
-    │   └── persist_chunk[chunk]     multi-chunk plans only
+    ├── persist                      stage ④: the last chunk queued, all reaped
     ├── commit_wait                  an earlier checkpoint still settling, if any
     └── commit                       header write + CAS + commit record
 

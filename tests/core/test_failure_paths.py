@@ -1,6 +1,6 @@
 """Regression tests for the failure-path fixes.
 
-Three bugs, three tests that failed before their fix:
+Four bugs, four tests that failed before their fix:
 
 1. ``CheckpointEngine.checkpoint()`` leaked its slot when the payload
    validation failed (``OutOfSpaceError``): after N failed calls the free
@@ -13,10 +13,13 @@ Three bugs, three tests that failed before their fix:
 3. ``try_recover()`` dropped its ``max_attempts`` argument instead of
    forwarding it to ``recover()``, and ``begin()``'s slot-wait error
    rendered ``"within None seconds"`` when no timeout was given.
+4. A multi-chunk payload larger than its slot wrote the slot's whole
+   capacity before ``OutOfSpaceError``.
 """
 
 import pytest
 
+from repro import open_checkpointer
 from repro.core.engine import CheckpointEngine
 from repro.core.freelist import EMPTY
 from repro.core.layout import DeviceLayout, Geometry
@@ -32,7 +35,7 @@ from repro.errors import (
     SlotWaitTimeout,
 )
 from repro.storage.dram import DRAMBufferPool
-from repro.storage.device import PersistentDevice
+from repro.storage.device import DeviceWrapper, PersistentDevice
 from repro.storage.faults import CrashPointDevice
 from repro.storage.ssd import InMemorySSD
 
@@ -105,8 +108,8 @@ class TestOrchestratorFailurePaths:
         handle = orchestrator.checkpoint_async(BytesSource(payload), step=1)
         with pytest.raises(CrashedDeviceError):
             handle.wait(timeout=10.0)
-        # The capture stage must notice its dead consumer and finish
-        # (pre-fix it blocked forever inside pool.acquire()).
+        # The capture must finish (pre-fix it blocked forever inside
+        # pool.acquire() behind its dead persist stage).
         assert handle.snapshot_done.wait(timeout=10.0)
         # Every pinned buffer must find its way back to the pool.
         deadline = 10.0
@@ -168,6 +171,47 @@ class TestOrchestratorFailurePaths:
         orchestrator.close()
         assert pool.free_chunks == pool.total_chunks
         assert engine.free_slots == NUM_SLOTS - 1
+
+
+class _WriteCounter(DeviceWrapper):
+    """Counts every write that reaches the device."""
+
+    def __init__(self, inner) -> None:
+        super().__init__(inner, inner.name)
+        self.writes = 0
+
+    def write(self, offset, data):
+        self.writes += 1
+        super().write(offset, data)
+
+
+@pytest.mark.parametrize("blocking", [True, False], ids=["blocking", "async"])
+def test_oversize_multi_chunk_checkpoint_writes_nothing(blocking):
+    """Regression: a multi-chunk payload 1.5x its slot wrote the slot's
+    whole capacity, chunk by chunk, before ``OutOfSpaceError``; its fit
+    is now checked before the first chunk is queued, as a streamed
+    one-chunk payload's is."""
+    capacity, chunk = 64 << 10, 16 << 10
+    geometry = Geometry(num_slots=3, slot_size=capacity + RECORD_SIZE)
+    device = _WriteCounter(InMemorySSD(capacity=geometry.total_size))
+    oversize = b"o" * (capacity * 3 // 2)
+    with open_checkpointer(
+        capacity_bytes=capacity, num_concurrent=2, chunk_size=chunk,
+        device=device,
+    ) as checkpointer:
+        before = device.writes
+        with pytest.raises(OutOfSpaceError):
+            if blocking:
+                checkpointer.checkpoint(oversize, step=1)
+            else:
+                checkpointer.checkpoint_async(oversize, step=1).wait(10.0)
+        assert device.writes == before
+        report = checkpointer._stack.leak_report()  # noqa: SLF001
+        assert report["leaked_slots"] == 0
+        assert report["held_slots"] == 0
+        assert report["leaked_buffers"] == 0
+        # The slot went back: the stack still commits a payload that fits.
+        assert checkpointer.checkpoint(b"f" * capacity, step=2).committed
 
 
 class _CountingReader(PersistentDevice):

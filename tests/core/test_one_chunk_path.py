@@ -1,18 +1,17 @@
-"""A checkpoint that fits one staging chunk runs on one thread.
+"""Every checkpoint runs on one thread.
 
 The blocking ``checkpoint_sync`` (what ``Checkpointer.checkpoint`` calls)
-runs a one-chunk checkpoint on the caller's thread and
-``checkpoint_async`` runs it on ONE executor task; a multi-chunk plan
-keeps the two-task capture/persist pipeline.  A one-chunk payload of at
-most ``INLINE_WRITE_MAX_BYTES`` is also written on that thread; a larger
-one streams to the ``pccheck-writer-*`` pool in pieces of that size, and
-every multi-chunk plan is written by the pool too.  Placement is read
-off the threads that run ``capture_chunk``, write the slot area and
-persist the commit record.  The failure matrix then drives the one-chunk
-path into every failure the pipelined path handles — capture error,
-local write error, power loss, ``close()`` racing a blocked checkpoint —
-blocking and async alike, and the streamed path into the failures that
-land between its pieces.
+runs a checkpoint on the caller's thread and ``checkpoint_async`` runs it
+on ONE executor task, whatever its plan.  A one-chunk payload of at most
+``INLINE_WRITE_MAX_BYTES`` is also written on that thread; a larger one
+streams to the ``pccheck-writer-*`` pool in pieces of that size, and
+every multi-chunk plan is written by the pool, a chunk at a time.
+Placement is read off the threads that run ``capture_chunk``, write the
+slot area and persist the commit record.  The failure matrix then drives
+the one-chunk path into every failure a multi-chunk plan handles —
+capture error, local write error, power loss, ``close()`` racing a
+blocked checkpoint — blocking and async alike, and the streamed path
+into the failures that land between its pieces.
 """
 
 import sys
@@ -170,7 +169,7 @@ class TestThreadPlacement:
         assert captured != threading.get_ident()
 
     @pytest.mark.parametrize("blocking", [True, False])
-    def test_multi_chunk_plan_keeps_the_pipeline(self, blocking):
+    def test_multi_chunk_plan_runs_on_one_thread(self, blocking):
         probe = ProbeDevice()
         with open_checkpointer(
             capacity_bytes=CAPACITY, num_concurrent=NUM_CONCURRENT,
@@ -180,8 +179,10 @@ class TestThreadPlacement:
                 checkpointer, probe, RecordingSource(payload(1)),
                 blocking=blocking,
             )
-        assert captured != committed
-        assert threading.get_ident() not in (captured, committed)
+        # One thread captures every chunk and commits: the caller's when
+        # blocking, one executor task's otherwise.
+        assert captured == committed
+        assert (captured == threading.get_ident()) is blocking
 
 
 @pytest.mark.parametrize("blocking", [True, False], ids=["blocking", "async"])
@@ -256,6 +257,41 @@ def test_checkpoints_waiting_their_turn_hold_no_staging_buffer():
     # A deadlock fails here; close() would wait on it forever.
     assert all(handle.wait(WAIT).committed for handle in handles)
     assert checkpointer.latest().step == 32
+    checkpointer.close()
+
+
+def test_multi_chunk_checkpoints_hold_no_buffer_while_waiting_for_one():
+    """Multi-chunk plans over ONE staging buffer, four asynchronous
+    checkpoints at a time while a second thread checkpoints blocking: a
+    checkpoint reaps its own queued chunk to get a buffer back and waits
+    for one only once it holds none in flight, so every checkpoint
+    commits and nothing leaks."""
+    num_chunks = 4
+    checkpointer = open_checkpointer(
+        capacity_bytes=CAPACITY, num_concurrent=4, num_chunks=1,
+        chunk_size=CAPACITY // num_chunks, backend="pmem",
+    )
+    blocking = []
+
+    def checkpoint_blocking():
+        for step in range(101, 111):
+            blocking.append(checkpointer.checkpoint(payload(step), step=step))
+
+    caller = threading.Thread(target=checkpoint_blocking, daemon=True)
+    caller.start()
+    for first in range(1, 21, 4):
+        handles = [checkpointer.checkpoint_async(payload(step), step=step)
+                   for step in range(first, first + 4)]
+        # A deadlock fails here; close() would wait on it forever.
+        assert all(handle.wait(WAIT).committed for handle in handles)
+    caller.join(WAIT)
+    assert not caller.is_alive()
+    assert len(blocking) == 10
+    assert all(result.committed for result in blocking)
+    checkpointer.orchestrator.drain(timeout=WAIT)
+    report = checkpointer._stack.leak_report()  # noqa: SLF001
+    assert report["leaked_buffers"] == 0
+    assert report["leaked_slots"] == 0
     checkpointer.close()
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import open_checkpointer
 from repro.obs import (
     NULL_TRACER,
     STATUS_COMMITTED,
@@ -105,13 +106,37 @@ class TestPipelineSpans:
             for span in stage_spans:
                 assert span.parent_id in roots, name
 
-    def test_chunk_spans_parent_to_their_stage(self, run):
-        capture_ids = {s.span_id for s in run.tracer.spans("capture")}
-        persist_ids = {s.span_id for s in run.tracer.spans("persist")}
-        for span in run.tracer.spans("capture_chunk"):
+    def test_chunk_spans_parent_to_their_stage(self):
+        """A multi-chunk plan: one ``capture_chunk`` span per chunk under
+        its checkpoint's ``capture`` stage, which also holds any
+        ``buffer_wait`` stall (one staging buffer for two checkpoints in
+        flight); no chunk has a persist span of its own."""
+        num_chunks = 4
+        payload = bytes(range(256)) * 16
+        with open_checkpointer(
+            capacity_bytes=len(payload), chunk_size=len(payload) // num_chunks,
+            num_chunks=1, num_concurrent=2, backend="pmem",
+            observability="full",
+        ) as checkpointer:
+            handles = [checkpointer.checkpoint_async(payload, step=step)
+                       for step in (1, 2)]
+            checkpointer.checkpoint(payload, step=3)
+            assert all(handle.wait(10.0).committed for handle in handles)
+            tracer = checkpointer.engine.tracer
+        captures = tracer.spans("capture")
+        assert len(captures) == 3
+        for capture in captures:
+            assert capture.args["chunks"] == num_chunks
+            chunks = [span for span in tracer.spans("capture_chunk")
+                      if span.parent_id == capture.span_id]
+            assert [span.args["chunk"] for span in chunks] == list(
+                range(num_chunks)
+            )
+        assert len(tracer.spans("capture_chunk")) == 3 * num_chunks
+        capture_ids = {span.span_id for span in captures}
+        for span in tracer.spans("buffer_wait"):
             assert span.parent_id in capture_ids
-        for span in run.tracer.spans("persist_chunk"):
-            assert span.parent_id in persist_ids
+        assert tracer.spans("persist_chunk") == []
 
     def test_capture_precedes_persist_completion(self, run):
         """Per checkpoint: capture starts before its persist stage ends,

@@ -3,7 +3,7 @@
 import pytest
 
 from tools.bench_pairs import (
-    end_to_end_metrics, quartiles, run_bench, summarize,
+    compare, end_to_end_metrics, quartiles, run_bench, summarize,
 )
 
 LOWER = [("slowdown", "lower")]
@@ -87,3 +87,41 @@ class TestRunBench:
         ))
         with pytest.raises(RuntimeError, match="(?s)exit 3.*boom"):
             run_bench(tree, "save_small", 1)
+
+
+def test_several_workloads_alternate_per_workload(tmp_path, capsys):
+    """Each workload runs every seed on both trees, the first side
+    alternating per seed, and gets a summary of its own."""
+    names = [name for name, _ in end_to_end_metrics()]
+    body = (
+        "import json, sys\n"
+        "workload = sys.argv[sys.argv.index('--workload') + 1]\n"
+        "value = {'a': 1.0, 'b': 2.0}[workload] * SCALE\n"
+        "failed = int(workload == 'b' and SCALE == 1)\n"
+        f"names = {names!r}\n"
+        "print(json.dumps({'failed': failed, 'metrics': "
+        "{name: {'value': value} for name in names}}))\n"
+    )
+    trees = []
+    for side, scale in (("base", 1), ("change", 0.5)):
+        package = tmp_path / side / "bench"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "__main__.py").write_text(f"SCALE = {scale}\n" + body)
+        trees.append(tmp_path / side)
+    failed = compare(trees[0], trees[1], ["a", "b"], [1, 2])
+    out = capsys.readouterr().out.splitlines()
+    runs = [line.split()[:4] for line in out if " seed " in line]
+    assert runs == [
+        ["a", "seed", "1", "base"], ["a", "seed", "1", "change"],
+        ["a", "seed", "2", "change"], ["a", "seed", "2", "base"],
+        ["b", "seed", "1", "base"], ["b", "seed", "1", "change"],
+        ["b", "seed", "2", "change"], ["b", "seed", "2", "base"],
+    ]
+    assert [line for line in out if line.startswith("==")] == ["== a", "== b"]
+    slowdown = [line for line in out if line.startswith("slowdown")]
+    assert len(slowdown) == 2
+    assert "1 (1-1)" in slowdown[0] and "2/2" in slowdown[0]
+    assert "2 (2-2)" in slowdown[1]
+    assert "failed operations: base 2, change 0" in out
+    assert failed == 2

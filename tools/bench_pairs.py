@@ -1,20 +1,21 @@
-"""Alternated parent/change pairs of one benchmark workload.
+"""Alternated parent/change pairs of benchmark workloads.
 
-    python3 tools/bench_pairs.py --ref REF --workload W --seeds "1 2 3"
+    python3 tools/bench_pairs.py --ref REF --workload "W1 W2" --seeds "1 2 3"
 
 checks ``REF`` out with ``git worktree add --detach`` into a temporary
-directory and, for each seed, runs ``python3 -m bench --workload W
---seed S --trace 0`` once in that tree and once in this one, each for
-the benchmark's ``run_seconds``.  Both sides keep their region files in
-this tree's ``.bench_work/`` and their outputs in ``.bench_out/pairs/``,
-so they write to the same directory on the same filesystem.  Which side
+directory and, for each workload in turn and each seed, runs ``python3
+-m bench --workload W --seed S --trace 0`` once in that tree and once
+in this one, each for the benchmark's ``run_seconds``.  Both sides keep
+their region files in this tree's ``.bench_work/`` and their outputs in
+``.bench_out/pairs/``, so they write to the same directory on the same
+filesystem.  Which side
 runs first alternates from seed to seed, so drift on the machine lands
 on both sides alike.  Every run's end-to-end metrics
 (``BENCHMARK.json``'s ``end_to_end``) and failed-operation count are
-printed as they finish, then, per metric, the median and quartiles of
-each side and how many pairs the change won; the exit status is 1 when
-any run failed an operation.  The worktree is removed on exit.
-``make bench-pairs`` wraps this.
+printed as they finish, then, per workload and metric, the median and
+quartiles of each side and how many pairs the change won; the exit
+status is 1 when any run failed an operation.  The worktree is removed
+on exit.  ``make bench-pairs`` wraps this.
 """
 
 from __future__ import annotations
@@ -129,38 +130,53 @@ def format_summary(summary: Dict[str, dict]) -> str:
     return "\n".join(lines)
 
 
+def compare(
+    base_tree: Path, change_tree: Path, workloads: Sequence[str],
+    seeds: Sequence[int],
+) -> int:
+    """Alternate the two trees over every seed of each workload in turn,
+    printing every run and then each workload's summary; returns the
+    number of failed operations over all runs."""
+    metrics = end_to_end_metrics()
+    names = [name for name, _ in metrics]
+    failed = 0
+    for workload in workloads:
+        base: List[Run] = []
+        change: List[Run] = []
+        for index, seed in enumerate(seeds):
+            order = [("base", base_tree, base), ("change", change_tree, change)]
+            if index % 2:
+                order.reverse()
+            for side, tree, runs in order:
+                run = run_bench(tree, workload, seed)
+                runs.append(run)
+                values = " ".join(f"{name}={run[name]:.4g}" for name in names)
+                print(f"{workload} seed {seed} {side:<6} {values} "
+                      f"failed={run['failed']}", flush=True)
+        base_failed = sum(run["failed"] for run in base)
+        change_failed = sum(run["failed"] for run in change)
+        print(f"== {workload}")
+        print(format_summary(summarize(base, change, metrics)))
+        print(f"failed operations: base {base_failed}, "
+              f"change {change_failed}", flush=True)
+        failed += base_failed + change_failed
+    return failed
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--ref", required=True,
                         help="git ref of the base side")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help='whitespace-separated workloads, e.g. '
+                             '"save_large service_mix"')
     parser.add_argument("--seeds", required=True,
                         help='whitespace-separated seeds, e.g. "1 2 3"')
     args = parser.parse_args(argv)
     seeds = [int(seed) for seed in args.seeds.split()]
-    metrics = end_to_end_metrics()
-    names = [name for name, _ in metrics]
-
-    def report(side: str, seed: int, run: Run) -> None:
-        values = " ".join(f"{name}={run[name]:.4g}" for name in names)
-        print(f"seed {seed} {side:<6} {values} failed={run['failed']}",
-              flush=True)
-
-    base: List[Run] = []
-    change: List[Run] = []
     with worktree(args.ref) as base_tree:
-        for index, seed in enumerate(seeds):
-            order = [("base", base_tree, base), ("change", ROOT, change)]
-            if index % 2:
-                order.reverse()
-            for side, tree, runs in order:
-                runs.append(run_bench(tree, args.workload, seed))
-                report(side, seed, runs[-1])
-    print(format_summary(summarize(base, change, metrics)))
-    base_failed = sum(run["failed"] for run in base)
-    change_failed = sum(run["failed"] for run in change)
-    print(f"failed operations: base {base_failed}, change {change_failed}")
-    return 1 if base_failed or change_failed else 0
+        failed = compare(base_tree, ROOT, args.workload.split(), seeds)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
